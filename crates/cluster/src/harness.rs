@@ -19,7 +19,7 @@ use rocksteady_profiler::{
 };
 use rocksteady_proto::Envelope;
 use rocksteady_server::stats::{registered_stats, StatsHandle};
-use rocksteady_server::{MigrationRunStamps, ServerConfig, ServerNode};
+use rocksteady_server::{Fault, MigrationRunStamps, ServerConfig, ServerNode};
 use rocksteady_simnet::{Directory, NicConfig, SchedulerKind, Simulation};
 use rocksteady_trace::journey::{self, Journey};
 use rocksteady_trace::Tracer;
@@ -160,6 +160,7 @@ pub struct ClusterBuilder {
     dir: Directory,
     clients: Vec<ClientSpec>,
     script: Vec<ControlEvent>,
+    faults: Vec<(ServerId, Fault)>,
 }
 
 impl ClusterBuilder {
@@ -179,6 +180,7 @@ impl ClusterBuilder {
             dir,
             clients: Vec::new(),
             script: Vec::new(),
+            faults: Vec::new(),
         }
     }
 
@@ -208,6 +210,13 @@ impl ClusterBuilder {
     /// Schedules a control command.
     pub fn at(&mut self, time: Nanos, cmd: crate::control::ControlCmd) -> &mut Self {
         self.script.push(ControlEvent { at: time, cmd });
+        self
+    }
+
+    /// Makes `server` exhibit `fault` (at most one per server; the last
+    /// call wins). For tests that prove a detector or invariant fires.
+    pub fn fault(&mut self, server: ServerId, fault: Fault) -> &mut Self {
+        self.faults.push((server, fault));
         self
     }
 
@@ -296,14 +305,18 @@ impl ClusterBuilder {
                 migration: cfg.migration.clone(),
                 cleaner_interval: cfg.cleaner_interval,
             };
-            let actor = sim.add_actor(Box::new(ServerNode::new(
+            let mut node = ServerNode::new(
                 server_cfg,
                 self.dir.clone(),
                 stats,
                 trace.clone(),
                 profiler.clone(),
                 audit.clone(),
-            )));
+            );
+            for (_, fault) in self.faults.iter().filter(|(server, _)| *server == id) {
+                node.inject_fault(*fault);
+            }
+            let actor = sim.add_actor(Box::new(node));
             debug_assert_eq!(actor, 1 + i);
         }
 

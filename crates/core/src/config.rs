@@ -30,26 +30,6 @@ pub struct MigrationConfig {
     /// microseconds", §3); the server adds random jitter up to this
     /// amount again.
     pub retry_after_ns: Nanos,
-    /// Test-only fault injection: when set, a source answering
-    /// `PrepareMigration` returns its version ceiling but *skips* the
-    /// ownership flip to `MigratingOutTo`, so it keeps serving the range
-    /// past the dual-serving window. Exists solely to prove the protocol
-    /// auditor detects a split brain; never set outside tests.
-    #[doc(hidden)]
-    pub test_skip_source_flip: bool,
-    /// Test-only fault injection: the source silently drops every
-    /// `Pull` and `PriorityPull` request (never responds), so gather
-    /// makes no progress and the migration hangs in flight. Exists
-    /// solely to prove the flight recorder's stall detector fires;
-    /// never set outside tests.
-    #[doc(hidden)]
-    pub test_drop_pulls: bool,
-    /// Test-only fault injection: the target accepts pulled batches but
-    /// never schedules replay for them, so records pile up between
-    /// gather and replay. Exists solely to prove the flight recorder's
-    /// replay-backlog detector fires; never set outside tests.
-    #[doc(hidden)]
-    pub test_defer_replay: bool,
 }
 
 impl Default for MigrationConfig {
@@ -62,9 +42,6 @@ impl Default for MigrationConfig {
             sync_priority_pulls: false,
             background_pulls: true,
             retry_after_ns: 30_000,
-            test_skip_source_flip: false,
-            test_drop_pulls: false,
-            test_defer_replay: false,
         }
     }
 }

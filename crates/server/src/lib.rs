@@ -24,10 +24,28 @@
 //! The storage substrate underneath does real work; the node charges
 //! virtual time for the [`Work`](rocksteady_master::Work) receipts.
 //!
+//! Approximations relative to real hardware, all of which bias
+//! *against* Rocksteady or are timing-neutral:
+//!
+//! - A task's real data-structure work executes when the task is
+//!   *assigned* to a worker; its outputs (responses, follow-up RPCs) are
+//!   released when the modeled service time elapses. State is therefore
+//!   never stale by more than one service time (≤ a few µs).
+//! - A durable write may occasionally be acknowledged while a covering
+//!   replication chunk shipped by a *concurrent* write is still in
+//!   flight; the bytes are identical and ordering per backup is
+//!   preserved, so this shifts timing by at most one RTT and never
+//!   changes recovered data.
+//!
 //! [`CostModel::dispatch_per_msg_ns`]: rocksteady_common::CostModel::dispatch_per_msg_ns
 
 pub mod node;
+mod recovery;
+mod repl;
+mod rpc;
+mod sched;
 pub mod stats;
+mod telemetry;
 
 use rocksteady_common::{CostModel, ServerId};
 use rocksteady_master::MasterConfig;
@@ -37,6 +55,25 @@ pub use node::ServerNode;
 pub use stats::{MigrationRunStamps, NodeStats};
 
 pub use rocksteady_simnet::Directory;
+
+/// A protocol bug a test harness can make one server exhibit, to prove
+/// that a watchdog or an invariant check catches it. Installed through
+/// `ClusterBuilder::fault`; consulted only by the [`ServerNode`] shell,
+/// never by a protocol core, and never set in production.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fault {
+    /// Every inbound `Pull` and `PriorityPull` is lost before the
+    /// dispatch core sees it: gather makes no progress and migrations
+    /// sourced here hang in flight (PriorityPulls too — otherwise client
+    /// traffic trickles gather progress and masks the stall).
+    DropPulls,
+    /// As a migration target, accept pulled batches but never replay
+    /// them, so records pile up between gather and replay.
+    DeferReplay,
+    /// As a migration source, answer `PrepareMigration` with the version
+    /// ceiling but skip the ownership flip, so both ends serve the range.
+    SkipSourceFlip,
+}
 
 /// Configuration for one simulated server.
 #[derive(Debug, Clone)]

@@ -9,7 +9,7 @@
 //! space, and verification that every record survived the move.
 
 use rocksteady_cluster::{
-    summarize, ClusterBuilder, ClusterConfig, ControlCmd, FlightRecorderConfig,
+    summarize, ClusterBuilder, ClusterConfig, ControlCmd, Fault, FlightRecorderConfig,
 };
 use rocksteady_common::time::fmt_nanos;
 use rocksteady_common::{HashRange, MigrationId, ServerId, TableId, MILLISECOND, SECOND};
@@ -328,7 +328,7 @@ fn fault_demo() {
         audit_capacity: Some(1024),
         ..FlightRecorderConfig::default()
     };
-    let mut cfg = ClusterConfig {
+    let cfg = ClusterConfig {
         servers: 3,
         workers: 4,
         replicas: 2,
@@ -339,11 +339,11 @@ fn fault_demo() {
         flight_recorder: Some(fr),
         ..ClusterConfig::default()
     };
-    // The fault: the source drops every bulk Pull on the floor, so
-    // gather never advances and the migration hangs forever.
-    cfg.migration.test_drop_pulls = true;
 
     let mut builder = ClusterBuilder::new(cfg);
+    // The fault: every Pull bound for the source is lost, so gather
+    // never advances and the migration hangs forever.
+    builder.fault(ServerId(0), Fault::DropPulls);
     let dir = builder.directory();
     builder.add_ycsb(YcsbConfig::ycsb_b(dir, table, keys, 20_000.0));
     builder.at(

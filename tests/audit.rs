@@ -9,7 +9,7 @@
 //! - **Sound on healthy runs**: a clean migration under load checks out
 //!   on every invariant (zero violations, the migration verified for
 //!   record conservation), and the JSON/DOT exports are deterministic.
-//! - **Sensitive to real bugs**: a test-only fault hook that makes the
+//! - **Sensitive to real bugs**: a harness-injected fault that makes the
 //!   source skip its ownership flip (so both ends serve the range with
 //!   no dual-serving window ever closing) makes the single-owner
 //!   invariant fire, with a causal chain that reaches back to the
@@ -18,7 +18,7 @@
 mod common;
 
 use common::{standard_setup, test_config, upper, TABLE};
-use rocksteady_cluster::{Cluster, ClusterBuilder, ClusterConfig, ControlCmd};
+use rocksteady_cluster::{Cluster, ClusterBuilder, ClusterConfig, ControlCmd, Fault};
 use rocksteady_common::{MigrationId, ServerId, MILLISECOND, SECOND};
 use rocksteady_workload::YcsbConfig;
 
@@ -49,10 +49,17 @@ fn migration_script(b: &mut ClusterBuilder) {
 }
 
 fn run_audited(cfg: ClusterConfig) -> Cluster {
+    run_faulted(cfg, None)
+}
+
+fn run_faulted(cfg: ClusterConfig, fault: Option<(ServerId, Fault)>) -> Cluster {
     let mut b = ClusterBuilder::new(cfg);
     let dir = b.directory();
     b.add_ycsb(YcsbConfig::ycsb_b(dir, TABLE, KEYS, 50_000.0));
     migration_script(&mut b);
+    if let Some((server, fault)) = fault {
+        b.fault(server, fault);
+    }
     let mut cluster = b.build();
     standard_setup(&mut cluster, KEYS);
     cluster.run_until(100 * MILLISECOND);
@@ -181,9 +188,8 @@ fn explain_engine_reconstructs_the_causal_story() {
 /// dual-serving window that never closed — and explain it causally.
 #[test]
 fn skipped_source_flip_trips_the_single_owner_invariant() {
-    let mut cfg = audited_cfg(42);
-    cfg.migration.test_skip_source_flip = true;
-    let cluster = run_audited(cfg);
+    let fault = (ServerId(0), Fault::SkipSourceFlip);
+    let cluster = run_faulted(audited_cfg(42), Some(fault));
     assert!(
         cluster
             .migration_finished(ServerId(1), MigrationId(1))

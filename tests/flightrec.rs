@@ -20,8 +20,8 @@ mod common;
 
 use common::{standard_setup, test_config, upper, TABLE};
 use rocksteady_cluster::{
-    Cluster, ClusterBuilder, ClusterConfig, ControlCmd, FlightRecorderConfig, ReplayBacklogConfig,
-    SloBurnConfig,
+    Cluster, ClusterBuilder, ClusterConfig, ControlCmd, Fault, FlightRecorderConfig,
+    ReplayBacklogConfig, SloBurnConfig,
 };
 use rocksteady_common::{MigrationId, ServerId, MILLISECOND};
 use rocksteady_workload::YcsbConfig;
@@ -41,9 +41,16 @@ fn recorded_cfg(seed: u64, fr: Option<FlightRecorderConfig>) -> ClusterConfig {
 }
 
 fn run_recorded(cfg: ClusterConfig) -> Cluster {
+    run_faulted(cfg, None)
+}
+
+fn run_faulted(cfg: ClusterConfig, fault: Option<(ServerId, Fault)>) -> Cluster {
     let mut b = ClusterBuilder::new(cfg);
     let dir = b.directory();
     b.add_ycsb(YcsbConfig::ycsb_b(dir, TABLE, KEYS, 50_000.0));
+    if let Some((server, fault)) = fault {
+        b.fault(server, fault);
+    }
     b.at(
         5 * MILLISECOND,
         ControlCmd::Migrate {
@@ -110,9 +117,8 @@ fn clean_runs_produce_zero_incidents() {
 #[test]
 fn stalled_migration_fires_exactly_one_incident() {
     let run = || {
-        let mut cfg = recorded_cfg(42, Some(FlightRecorderConfig::default()));
-        cfg.migration.test_drop_pulls = true;
-        run_recorded(cfg)
+        let cfg = recorded_cfg(42, Some(FlightRecorderConfig::default()));
+        run_faulted(cfg, Some((ServerId(0), Fault::DropPulls)))
     };
     let cluster = run();
 
@@ -165,9 +171,8 @@ fn replay_backlog_fires_exactly_one_incident() {
         watermark_records: 500,
         sustain_intervals: 3,
     });
-    let mut cfg = recorded_cfg(42, Some(fr));
-    cfg.migration.test_defer_replay = true;
-    let cluster = run_recorded(cfg);
+    let fault = (ServerId(1), Fault::DeferReplay);
+    let cluster = run_faulted(recorded_cfg(42, Some(fr)), Some(fault));
 
     let incidents = cluster.incident_log();
     assert_eq!(

@@ -1,0 +1,213 @@
+//! Golden schedule digests: the refactoring oracle, pinned.
+//!
+//! `determinism.rs` proves a run equals *itself*; this file pins what
+//! the run *is*. Each scenario arms every observability layer, drives
+//! one protocol path end to end, and folds the byte-exact trace, folded
+//! profile, audit and journey exports plus `events_processed()` into one
+//! FNV-1a digest. A change that claims to preserve behaviour must leave
+//! every constant below untouched; a change that means to move a
+//! schedule pastes the table the failing assert prints and says why.
+
+mod common;
+
+use common::{standard_setup, test_config, upper, TABLE};
+use rocksteady_cluster::{Cluster, ClusterBuilder, ClusterConfig, ControlCmd};
+use rocksteady_common::{HashRange, MigrationId, ServerId, MILLISECOND};
+use rocksteady_master::TabletRole;
+use rocksteady_workload::YcsbConfig;
+
+/// The pinned digests, in the order `all_scenarios` runs them.
+const GOLDEN: &[(&str, u64)] = &[
+    ("migration/seed1234", 0x23b721d0d049c8a6),
+    ("migration/seed7", 0xf8143ae6837b7b64),
+    ("migration/seed42", 0x5e6f0d0060925228),
+    // The two crash digests were 0x0847cfcd3f037125 / 0x7f52d5742c1cbec7
+    // while crash failover walked a hash map's buckets; they moved once,
+    // when it became ascending RPC-id order (sorting the old walk alone
+    // yields exactly these values).
+    ("crash/source", 0x75a7f4b97e80badc),
+    ("crash/target", 0xdb155193c3e8bdae),
+    ("baseline/fig5", 0x733ed293b6e2a156),
+    ("migration/sync-priority-pulls", 0x43e6ee802d12f3f3),
+    ("migration/two-onto-one-target", 0xf55dcb776b332df4),
+    ("migration/tracing-armed-mid-run", 0xab4a3b3182938e49),
+];
+
+fn armed(seed: u64) -> ClusterConfig {
+    ClusterConfig {
+        seed,
+        tracing: true,
+        profiling: true,
+        audit: true,
+        ..test_config()
+    }
+}
+
+fn migrate(id: u64, range: HashRange, source: u32, target: u32) -> ControlCmd {
+    ControlCmd::Migrate {
+        id: MigrationId(id),
+        table: TABLE,
+        range,
+        source: ServerId(source),
+        target: ServerId(target),
+    }
+}
+
+/// One YCSB client over `keys` keys at `rate` ops/s, `reads` of them
+/// reads, with `script` fired at the given times (ms).
+fn build(
+    cfg: ClusterConfig,
+    keys: u64,
+    rate: f64,
+    reads: f64,
+    script: Vec<(u64, ControlCmd)>,
+) -> Cluster {
+    let mut b = ClusterBuilder::new(cfg);
+    let mut ycsb = YcsbConfig::ycsb_b(b.directory(), TABLE, keys, rate);
+    ycsb.read_fraction = reads;
+    b.add_ycsb(ycsb);
+    for (at_ms, cmd) in script {
+        b.at(at_ms * MILLISECOND, cmd);
+    }
+    b.build()
+}
+
+fn digest(cluster: &Cluster) -> u64 {
+    cluster.finalize_profile();
+    let exports = [
+        cluster.export_trace_json(),
+        cluster.export_folded(),
+        cluster.export_audit_json(),
+        cluster.export_journeys_json(),
+    ];
+    let events = cluster.sim.events_processed().to_le_bytes();
+    let bytes = exports.iter().flat_map(|e| e.bytes()).chain(events);
+    bytes.fold(0xcbf2_9ce4_8422_2325, |h: u64, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn owner_of_upper(cluster: &Cluster) -> Option<ServerId> {
+    let coord = cluster.coord.borrow();
+    coord.tablet_for(TABLE, u64::MAX).map(|t| t.owner)
+}
+
+/// The `determinism.rs` scenario: YCSB-B across one Rocksteady
+/// migration. `before_run` sees the built cluster; tracing is (re-)armed
+/// at 6 ms, one millisecond into the migration.
+fn live_migration(cfg: ClusterConfig, before_run: impl FnOnce(&Cluster)) -> u64 {
+    let script = vec![(5, migrate(1, upper(), 0, 1))];
+    let mut cluster = build(cfg, 5_000, 50_000.0, 0.95, script);
+    standard_setup(&mut cluster, 5_000);
+    before_run(&cluster);
+    cluster.run_until(6 * MILLISECOND);
+    cluster.set_tracing(true);
+    cluster.run_until(100 * MILLISECOND);
+    let finished = cluster.migration_finished(ServerId(1), MigrationId(1));
+    assert!(finished.is_some());
+    digest(&cluster)
+}
+
+/// The `crash_during_migration.rs` setup: write-heavy load, `victim`
+/// killed one millisecond into the migration, recovery runs to the end.
+fn crash(victim: u32) -> u64 {
+    let kill = ControlCmd::Kill {
+        server: ServerId(victim),
+        detect_after: MILLISECOND,
+    };
+    let script = vec![(10, migrate(1, upper(), 0, 1)), (11, kill)];
+    let mut cluster = build(armed(42), 20_000, 60_000.0, 0.5, script);
+    standard_setup(&mut cluster, 20_000);
+    cluster.run_until(150 * MILLISECOND);
+    assert_eq!(owner_of_upper(&cluster), Some(ServerId(1 - victim)));
+    assert!(cluster.coord.borrow().lineage_deps().is_empty());
+    digest(&cluster)
+}
+
+/// The Figure-5 baseline: the source scans, pushes, and transfers
+/// ownership at the end, with re-replication on the target.
+fn baseline() -> u64 {
+    let start = ControlCmd::MigrateBaseline {
+        table: TABLE,
+        range: upper(),
+        source: ServerId(0),
+        target: ServerId(1),
+        opts: Default::default(),
+    };
+    let mut cluster = build(armed(42), 5_000, 50_000.0, 0.95, vec![(5, start)]);
+    standard_setup(&mut cluster, 5_000);
+    let target = cluster.node(ServerId(1));
+    target.master.add_tablet(TABLE, upper(), TabletRole::Owner);
+    cluster.run_until(150 * MILLISECOND);
+    assert_eq!(owner_of_upper(&cluster), Some(ServerId(1)));
+    digest(&cluster)
+}
+
+/// Two migrations from different sources onto one target, in flight at
+/// the same time, with the cleaner ticking on every server. Read-only:
+/// a foreground write racing the first finisher's lazy re-replication
+/// can overtake a delayed bulk chunk of the same segment and trip the
+/// backup's offset check (a known gap, ROADMAP item 4).
+fn two_onto_one_target() -> u64 {
+    let quarter = |i: u64| HashRange {
+        start: i << 62,
+        end: ((i + 1) << 62).wrapping_sub(1),
+    };
+    let cfg = ClusterConfig {
+        servers: 4,
+        cleaner_interval: Some(2 * MILLISECOND),
+        ..armed(42)
+    };
+    let script = vec![
+        (10, migrate(1, quarter(1), 0, 2)),
+        (10, migrate(2, quarter(3), 1, 2)),
+    ];
+    let mut cluster = build(cfg, 20_000, 40_000.0, 1.0, script);
+    let owners = [0, 0, 1, 1].map(ServerId);
+    let tablets: Vec<_> = (0..4).map(|i| (quarter(i), owners[i as usize])).collect();
+    cluster.create_table(TABLE, &tablets);
+    cluster.load_table(TABLE, 20_000, 30, 100);
+    cluster.seed_backups();
+    cluster.run_until(150 * MILLISECOND);
+    assert!(cluster.peak_concurrent_migrations() >= 2);
+    for id in [1, 2].map(MigrationId) {
+        assert!(cluster.migration_finished(ServerId(2), id).is_some());
+    }
+    digest(&cluster)
+}
+
+fn all_scenarios() -> Vec<(&'static str, u64)> {
+    let plain = |seed| live_migration(armed(seed), |_| {});
+    let mut sync_pulls = armed(42);
+    sync_pulls.migration.sync_priority_pulls = true;
+    vec![
+        ("migration/seed1234", plain(1234)),
+        ("migration/seed7", plain(7)),
+        ("migration/seed42", plain(42)),
+        ("crash/source", crash(0)),
+        ("crash/target", crash(1)),
+        ("baseline/fig5", baseline()),
+        (
+            "migration/sync-priority-pulls",
+            live_migration(sync_pulls, |_| {}),
+        ),
+        ("migration/two-onto-one-target", two_onto_one_target()),
+        (
+            "migration/tracing-armed-mid-run",
+            live_migration(armed(42), |c| c.set_tracing(false)),
+        ),
+    ]
+}
+
+#[test]
+fn schedules_match_the_pinned_digests() {
+    let got = all_scenarios();
+    let table: String = got
+        .iter()
+        .map(|(name, h)| format!("    (\"{name}\", {h:#018x}),\n"))
+        .collect();
+    assert!(
+        got.as_slice() == GOLDEN,
+        "schedule digests moved; if intended, GOLDEN becomes:\n{table}"
+    );
+}
