@@ -6,9 +6,11 @@
 #   1. cargo fmt --check      — formatting is canonical
 #   2. cargo clippy -D warnings (all targets) — lint-clean
 #   3. tier-1 verify (ROADMAP.md): release build + test suite
-#   4. structure gate: server cores stay simulator- and telemetry-free
+#   4. structure gate: server cores stay simulator- and telemetry-free;
+#      one JSON emitter and one ring compaction under crates/*/src
 #   5. the frozen repo benchmark still builds and self-checks
-#   6. examples smoke: quickstart (+ exported trace JSON), crash_recovery
+#   6. examples smoke: quickstart clean and fault-injected, every JSON
+#      export loaded and checked by key; crash_recovery
 #   7. bench smoke: micro industry CSV + day_in_the_life
 #   8. allocation gate: gather/replay migration hot path stays sub-per-record
 set -euo pipefail
@@ -29,7 +31,7 @@ cargo test -q
 echo "==> full workspace tests"
 cargo test -q --workspace
 
-echo "==> structure gate: crates/server cores and shell"
+echo "==> structure gate: server cores and shell, one JSON writer, one ring"
 # The protocol cores take (state, input, now) and return sends: no
 # simulator context, no telemetry handle. The shell reports events to
 # telemetry.rs and names no lane, activity or audit kind itself.
@@ -47,41 +49,46 @@ if awk 'FNR == 1 { in_tests = 0 } /^#\[cfg\(test\)\]/ { in_tests = 1 }
         END { exit !bad }' crates/*/src/*.rs; then
     echo "FAIL: test_ identifier outside #[cfg(test)]"; exit 1
 fi
+# One JSON emitter: nothing outside common::json spells out `{"`, `,"`
+# or `":` for a String to carry, by push_str or by format!.
+if grep -nF -e 'push_str("{\"' -e 'push_str(",\"' -e 'push_str("\":' -e '"{{\"' \
+        $(ls crates/*/src/*.rs | grep -vx 'crates/common/src/json.rs'); then
+    echo "FAIL: hand-rolled JSON; write it through rocksteady_common::json"; exit 1
+fi
+# One ring: dropping a buffer's oldest prefix happens in common::ring.
+compactors=$(grep -lE '\.drain\(\.\.[^)]+\);' crates/*/src/*.rs | tr '\n' ' ' || true)
+if [ "$compactors" != "crates/common/src/ring.rs " ]; then
+    echo "FAIL: prefix-drop compaction outside common::ring: $compactors"; exit 1
+fi
 
 echo "==> repo benchmark: builds against crates/* and passes its self-check"
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --check
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> examples: quickstart (exports a trace + metrics + profile)"
+echo "==> examples: quickstart, clean then fault-injected (every layer exports)"
 rm -f target/quickstart-trace.json target/quickstart-metrics.json target/quickstart-metrics.prom \
     target/quickstart-profile.folded target/quickstart-critical-path.json \
-    target/quickstart-audit.json target/quickstart-audit.dot target/quickstart-journeys.json
+    target/quickstart-audit.json target/quickstart-audit.dot target/quickstart-journeys.json \
+    target/quickstart-incident.json
 cargo run --release --example quickstart
+ROCKSTEADY_QUICKSTART_FAULT=1 cargo run --release --example quickstart
 
-echo "==> trace smoke: target/quickstart-trace.json"
-test -s target/quickstart-trace.json
-grep -q '"traceEvents"' target/quickstart-trace.json
-grep -q '"name":"migration"' target/quickstart-trace.json
-
-echo "==> metrics smoke: target/quickstart-metrics.{json,prom}"
-test -s target/quickstart-metrics.json
-grep -q '"name":"node_ops_served"' target/quickstart-metrics.json
-grep -q '"name":"client_read_latency_ns"' target/quickstart-metrics.json
-grep -q '"name":"slo_read_sla_ns"' target/quickstart-metrics.json
-test -s target/quickstart-metrics.prom
-grep -q '# TYPE node_ops_served counter' target/quickstart-metrics.prom
-grep -q 'client_read_latency_ns{client="0",quantile="0.999"}' target/quickstart-metrics.prom
-grep -q 'slo_breach_intervals_total' target/quickstart-metrics.prom
-grep -q 'slo_burn_rate_fast' target/quickstart-metrics.prom
-grep -q 'slo_burn_rate_slow' target/quickstart-metrics.prom
-grep -q 'trace_events_dropped_total' target/quickstart-metrics.prom
-
-echo "==> journeys smoke: target/quickstart-journeys.json"
-test -s target/quickstart-journeys.json
-grep -q '"schema":"rocksteady-journeys-v1"' target/quickstart-journeys.json
+echo "==> export gate: every target/quickstart-*.json parses and says what it should"
 python3 - <<'EOF'
 import json
-doc = json.load(open('target/quickstart-journeys.json'))
+
+def load(stem):
+    return json.load(open(f'target/quickstart-{stem}.json'))
+
+trace = load('trace')['traceEvents']
+assert any(e['name'] == 'migration' for e in trace), 'no migration span traced'
+
+families = {m['name'] for m in load('metrics')['metrics']}
+for name in ('node_ops_served', 'client_read_latency_ns', 'slo_read_sla_ns'):
+    assert name in families, f'metric family {name} missing'
+
+doc = load('journeys')
+assert doc['schema'] == 'rocksteady-journeys-v1'
 journeys = doc['journeys']
 assert journeys, 'no journeys reconstructed'
 assert any(j['hops_n'] >= 3 for j in journeys), \
@@ -95,8 +102,44 @@ for j in journeys:
                 for h in j['hops'] if h['on_path'])
     assert total == j['e2e'], \
         f"journey {j['trace']} does not telescope: {total} != {j['e2e']}"
-print(f"journeys gate: {len(journeys)} journeys, telescoping integer-exact")
+
+assert load('critical-path')['components'], 'critical path has no components'
+
+audit = load('audit')
+assert audit['schema'] == 'rocksteady-audit-v1' and audit['armed'] == 1
+assert audit['violations'] == [], audit['violations']
+assert audit['summary']['migrations_verified'] == 1
+invariants = {i['name'] for i in audit['invariants']}
+assert {'single-owner', 'read-your-writes'} <= invariants, invariants
+
+incident = load('incident')
+assert incident['schema'] == 'rocksteady-incident-v1'
+assert incident['trigger'] == 'migration-stall'
+# The frozen rings made it into the bundle, with drop accounting.
+assert incident['trace']['window_ns'] > 0 and 'dropped' in incident['trace']
+assert incident['trace']['chrome']['traceEvents'], 'bundle trace slice is empty'
+assert 'dropped' in incident['audit'] and incident['audit']['tail']
+print(f"export gate: 6 documents; {len(journeys)} journeys, telescoping integer-exact")
 EOF
+
+echo "==> metrics smoke: target/quickstart-metrics.prom"
+test -s target/quickstart-metrics.prom
+grep -q '# TYPE node_ops_served counter' target/quickstart-metrics.prom
+grep -q 'client_read_latency_ns{client="0",quantile="0.999"}' target/quickstart-metrics.prom
+grep -q 'slo_breach_intervals_total' target/quickstart-metrics.prom
+grep -q 'slo_burn_rate_fast' target/quickstart-metrics.prom
+grep -q 'slo_burn_rate_slow' target/quickstart-metrics.prom
+grep -q 'trace_events_dropped_total' target/quickstart-metrics.prom
+grep -q 'audit_events_total' target/quickstart-metrics.prom
+grep -q 'audit_violations_total{invariant="conservation"} 0' target/quickstart-metrics.prom
+grep -q 'audit_migrations_verified_total 1' target/quickstart-metrics.prom
+
+echo "==> profiler + audit smoke: folded stacks and ownership DOT"
+test -s target/quickstart-profile.folded
+grep -q ';replay ' target/quickstart-profile.folded
+grep -q ';idle ' target/quickstart-profile.folded
+test -s target/quickstart-audit.dot
+grep -q '^digraph ownership' target/quickstart-audit.dot
 
 echo "==> figure benches export CSV through the shared exporter"
 for fig in fig05_bottlenecks fig09_10_11_timelines fig12_skew fig13_14_priority_pulls; do
@@ -104,44 +147,11 @@ for fig in fig05_bottlenecks fig09_10_11_timelines fig12_skew fig13_14_priority_
         || { echo "FAIL: ${fig} does not use bench::export_csv"; exit 1; }
 done
 
-echo "==> profiler smoke: target/quickstart-profile.folded + critical path"
-test -s target/quickstart-profile.folded
-grep -q ';replay ' target/quickstart-profile.folded
-grep -q ';idle ' target/quickstart-profile.folded
-test -s target/quickstart-critical-path.json
-grep -q '"components"' target/quickstart-critical-path.json
-
-echo "==> audit smoke: target/quickstart-audit.{json,dot}"
-test -s target/quickstart-audit.json
-grep -q '"schema":"rocksteady-audit-v1"' target/quickstart-audit.json
-grep -q '"armed":1' target/quickstart-audit.json
-grep -q '"violations":\[\]' target/quickstart-audit.json
-grep -q '"migrations_verified":1' target/quickstart-audit.json
-grep -q '"name":"single-owner"' target/quickstart-audit.json
-grep -q '"name":"read-your-writes"' target/quickstart-audit.json
-test -s target/quickstart-audit.dot
-grep -q '^digraph ownership' target/quickstart-audit.dot
-grep -q 'audit_events_total' target/quickstart-metrics.prom
-grep -q 'audit_violations_total{invariant="conservation"} 0' target/quickstart-metrics.prom
-grep -q 'audit_migrations_verified_total 1' target/quickstart-metrics.prom
-
 echo "==> metrics + profiler + audit + flightrec crates deny missing docs"
 grep -q '#!\[deny(missing_docs)\]' crates/metrics/src/lib.rs
 grep -q '#!\[deny(missing_docs)\]' crates/profiler/src/lib.rs
 grep -q '#!\[deny(missing_docs)\]' crates/audit/src/lib.rs
 grep -q '#!\[deny(missing_docs)\]' crates/flightrec/src/lib.rs
-
-echo "==> flight recorder smoke: fault-injected quickstart exports one incident bundle"
-rm -f target/quickstart-incident.json
-ROCKSTEADY_QUICKSTART_FAULT=1 cargo run --release --example quickstart
-test -s target/quickstart-incident.json
-grep -q '"schema":"rocksteady-incident-v1"' target/quickstart-incident.json
-grep -q '"trigger":"migration-stall"' target/quickstart-incident.json
-# The frozen trace ring made it into the bundle, with drop accounting.
-grep -q '"trace":{"window_ns":' target/quickstart-incident.json
-grep -q '"traceEvents":\[{' target/quickstart-incident.json
-grep -q '"dropped":' target/quickstart-incident.json
-grep -q '"audit":{"dropped":' target/quickstart-incident.json
 
 echo "==> examples: crash_recovery"
 cargo run --release --example crash_recovery

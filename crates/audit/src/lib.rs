@@ -49,7 +49,8 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use rocksteady_common::{HashRange, KeyHash, MigrationId, Nanos, ServerId, TableId};
+use rocksteady_common::json::JsonWriter;
+use rocksteady_common::{HashRange, KeyHash, MigrationId, Nanos, Ring, ServerId, TableId};
 use rocksteady_metrics::{Counter, Registry};
 
 /// The invariant catalog: index order is stable and shared by the
@@ -538,6 +539,26 @@ impl Default for MigTrack {
 }
 
 impl MigTrack {
+    fn outcome_label(&self) -> &'static str {
+        match self.outcome {
+            1 => "committed",
+            2 => "abandoned",
+            _ => "in-flight",
+        }
+    }
+
+    fn origin(&self) -> &'static str {
+        if self.rebalance_seq.is_some() {
+            "rebalancer"
+        } else {
+            "scripted"
+        }
+    }
+
+    fn superseded(&self) -> u64 {
+        self.replay_received.saturating_sub(self.replay_applied)
+    }
+
     /// The control-plane chain (no data-plane noise), in causal order.
     fn chain(&self) -> Vec<u64> {
         let mut out = Vec::new();
@@ -1122,21 +1143,48 @@ struct AuditMetrics {
     violations: [Counter; 5],
 }
 
-/// Everything behind an armed sink: the append-only event log, the
-/// online checker, and (optionally) registered summary counters.
+/// Everything behind an armed sink: the event log, the online checker,
+/// and (optionally) registered summary counters.
 #[derive(Debug, Default)]
 struct AuditCore {
-    events: Vec<AuditEvent>,
+    /// In ring mode the log keeps a suffix; an event's `seq` is still
+    /// its absolute position in the stream, so chains recorded by the
+    /// online checker stay stable — an evicted event keeps its seq in
+    /// chain output but loses its detail.
+    events: Ring<AuditEvent>,
     auditor: InvariantAuditor,
     metrics: Option<AuditMetrics>,
-    /// Ring mode: when `Some(n)`, the buffer holds at most `n` events
-    /// and the oldest half is discarded when it fills. Event `seq`
-    /// numbers keep counting total ingested events, so chains recorded
-    /// by the online checker stay stable; dropped events keep their seq
-    /// in chain output but lose their detail.
-    capacity: Option<usize>,
-    /// Events discarded by ring compaction since arming.
-    dropped: u64,
+}
+
+impl AuditCore {
+    fn report(&self) -> AuditReport {
+        let a = &self.auditor;
+        let migs = || a.migs.values();
+        AuditReport {
+            events: self.events.total(),
+            migrations_tracked: a.migs.len() as u64,
+            migrations_verified: migs().filter(|m| m.outcome == 1 && m.verified).count() as u64,
+            migrations_abandoned: migs().filter(|m| m.outcome == 2).count() as u64,
+            violations: a.violations.len() as u64,
+            per_invariant: invariants::NAMES
+                .iter()
+                .enumerate()
+                .map(|(i, n)| (*n, a.checked[i], a.violated[i]))
+                .collect(),
+        }
+    }
+
+    fn write_chain(&self, w: &mut JsonWriter, chain: &[u64]) {
+        w.arr();
+        for seq in chain {
+            w.obj().field("seq", seq);
+            if let Some(ev) = self.events.get(*seq) {
+                w.field("at", ev.at).field("event", ev.kind.label());
+            }
+            w.end_obj();
+        }
+        w.end_arr();
+    }
 }
 
 /// Shared handle to the audit stream. Cloning shares the buffer; a
@@ -1156,22 +1204,22 @@ impl AuditSink {
         AuditSink(Some(Rc::new(RefCell::new(AuditCore::default()))))
     }
 
-    /// An armed sink in **ring mode**: the event buffer holds at most
-    /// `capacity` events; when it fills, the oldest half is discarded
-    /// in one memmove and counted in [`AuditSink::dropped`]. The online
-    /// checker keeps its full state (it folds events as they arrive),
-    /// so invariant checking is unaffected — only the forensic event
-    /// detail of dropped events is lost.
+    /// An armed sink in **ring mode**: the event buffer is a
+    /// [`Ring::with_capacity`], evictions are counted in
+    /// [`AuditSink::dropped`]. The online checker keeps its full state
+    /// (it folds events as they arrive), so invariant checking is
+    /// unaffected — only the forensic event detail of dropped events is
+    /// lost.
     pub fn with_capacity(capacity: usize) -> Self {
         AuditSink(Some(Rc::new(RefCell::new(AuditCore {
-            capacity: Some(capacity.max(2)),
+            events: Ring::with_capacity(capacity),
             ..AuditCore::default()
         }))))
     }
 
     /// Events discarded by ring compaction (0 when unbounded or off).
     pub fn dropped(&self) -> u64 {
-        self.0.as_ref().map(|c| c.borrow().dropped).unwrap_or(0)
+        self.0.as_ref().map_or(0, |c| c.borrow().events.dropped())
     }
 
     /// Whether the sink records. Guard payload construction with this.
@@ -1212,14 +1260,7 @@ impl AuditSink {
     pub fn emit(&self, at: Nanos, kind: AuditKind) {
         let Some(core) = &self.0 else { return };
         let mut core = core.borrow_mut();
-        if let Some(cap) = core.capacity {
-            if core.events.len() >= cap {
-                let evict = (cap / 2).max(1);
-                core.events.drain(..evict);
-                core.dropped += evict as u64;
-            }
-        }
-        let seq = core.dropped + core.events.len() as u64;
+        let seq = core.events.total();
         let ev = AuditEvent { at, seq, kind };
         core.events.push(ev);
         let before = core.auditor.violations.len();
@@ -1245,13 +1286,7 @@ impl AuditSink {
     /// Number of events ingested so far, including any discarded by
     /// ring compaction (0 when disarmed).
     pub fn events_len(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map(|c| {
-                let c = c.borrow();
-                c.dropped + c.events.len() as u64
-            })
-            .unwrap_or(0)
+        self.0.as_ref().map_or(0, |c| c.borrow().events.total())
     }
 
     /// All violations detected so far (empty when disarmed).
@@ -1264,234 +1299,108 @@ impl AuditSink {
 
     /// Summary of events, checks, and violations.
     pub fn report(&self) -> AuditReport {
-        let Some(core) = &self.0 else {
-            return AuditReport {
-                per_invariant: invariants::NAMES.iter().map(|n| (*n, 0, 0)).collect(),
-                ..AuditReport::default()
-            };
-        };
-        self.report_inner(&core.borrow())
+        match &self.0 {
+            Some(core) => core.borrow().report(),
+            None => AuditCore::default().report(),
+        }
     }
 
     /// Runs `f` over the recorded event stream (`None` when disarmed).
     pub fn with_events<R>(&self, f: impl FnOnce(&[AuditEvent]) -> R) -> Option<R> {
-        self.0.as_ref().map(|c| f(&c.borrow().events))
+        self.0.as_ref().map(|c| f(c.borrow().events.as_slice()))
     }
 
     // ------------------------------------------------------ exporters --
 
-    /// The full audit record as deterministic JSON (integers only;
-    /// byte-identical across same-seed runs). `now` closes open timeline
-    /// segments.
+    /// The full audit record as deterministic JSON (see
+    /// `rocksteady_common::json`). `now` closes open timeline segments.
     pub fn export_json(&self, now: Nanos) -> String {
+        let mut w = JsonWriter::with_capacity(4096);
+        w.obj().field("schema", "rocksteady-audit-v1");
         let Some(core) = &self.0 else {
-            return String::from("{\"schema\":\"rocksteady-audit-v1\",\"armed\":0}");
+            w.field("armed", 0u64).end_obj();
+            return w.finish();
         };
         let core = core.borrow();
         let a = &core.auditor;
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\"schema\":\"rocksteady-audit-v1\",\"armed\":1,\"now\":");
-        out.push_str(&now.to_string());
-        let rep = self.report_inner(&core);
-        out.push_str(",\"summary\":{\"events\":");
-        out.push_str(&rep.events.to_string());
-        out.push_str(",\"migrations_tracked\":");
-        out.push_str(&rep.migrations_tracked.to_string());
-        out.push_str(",\"migrations_verified\":");
-        out.push_str(&rep.migrations_verified.to_string());
-        out.push_str(",\"migrations_abandoned\":");
-        out.push_str(&rep.migrations_abandoned.to_string());
-        out.push_str(",\"violations\":");
-        out.push_str(&rep.violations.to_string());
-        out.push_str(",\"dropped\":");
-        out.push_str(&core.dropped.to_string());
-        out.push_str("},\"invariants\":[");
-        for (i, (name, checked, violated)) in rep.per_invariant.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":\"");
-            out.push_str(name);
-            out.push_str("\",\"checked\":");
-            out.push_str(&checked.to_string());
-            out.push_str(",\"violations\":");
-            out.push_str(&violated.to_string());
-            out.push('}');
+        let rep = core.report();
+        w.field("armed", 1u64).field("now", now);
+        w.key("summary")
+            .obj()
+            .field("events", rep.events)
+            .field("migrations_tracked", rep.migrations_tracked)
+            .field("migrations_verified", rep.migrations_verified)
+            .field("migrations_abandoned", rep.migrations_abandoned)
+            .field("violations", rep.violations)
+            .field("dropped", core.events.dropped())
+            .end_obj();
+        w.key("invariants").arr();
+        for (name, checked, violated) in &rep.per_invariant {
+            w.obj()
+                .field("name", name)
+                .field("checked", checked)
+                .field("violations", violated)
+                .end_obj();
         }
-        out.push_str("],\"migrations\":[");
+        w.end_arr().key("migrations").arr();
         let mut ids: Vec<u64> = a.migs.keys().copied().collect();
         ids.sort_unstable();
-        for (i, id) in ids.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let m = &a.migs[id];
-            out.push_str("{\"id\":");
-            out.push_str(&id.to_string());
-            out.push_str(",\"table\":");
-            out.push_str(&m.table.0.to_string());
-            out.push_str(",\"start\":");
-            out.push_str(&m.range.start.to_string());
-            out.push_str(",\"end\":");
-            out.push_str(&m.range.end.to_string());
-            out.push_str(",\"source\":");
-            out.push_str(&m.source.0.to_string());
-            out.push_str(",\"target\":");
-            out.push_str(&m.target.0.to_string());
-            out.push_str(",\"admitted_at\":");
-            out.push_str(&m.admitted_at.to_string());
-            out.push_str(",\"ended_at\":");
-            out.push_str(&m.ended_at.unwrap_or(0).to_string());
-            out.push_str(",\"outcome\":\"");
-            out.push_str(match m.outcome {
-                1 => "committed",
-                2 => "abandoned",
-                _ => "in-flight",
-            });
-            out.push_str("\",\"origin\":\"");
-            out.push_str(if m.rebalance_seq.is_some() {
-                "rebalancer"
-            } else {
-                "scripted"
-            });
-            out.push_str("\",\"gathered\":");
-            out.push_str(&(m.gathered_bulk + m.gathered_prio).to_string());
-            out.push_str(",\"replay_received\":");
-            out.push_str(&m.replay_received.to_string());
-            out.push_str(",\"replay_applied\":");
-            out.push_str(&m.replay_applied.to_string());
-            out.push_str(",\"superseded\":");
-            out.push_str(
-                &m.replay_received
-                    .saturating_sub(m.replay_applied)
-                    .to_string(),
-            );
-            out.push_str(",\"verified\":");
-            out.push_str(if m.verified { "1" } else { "0" });
-            out.push('}');
+        for id in ids {
+            let m = &a.migs[&id];
+            w.obj()
+                .field("id", id)
+                .field("table", m.table.0)
+                .field("start", m.range.start)
+                .field("end", m.range.end)
+                .field("source", m.source.0)
+                .field("target", m.target.0)
+                .field("admitted_at", m.admitted_at)
+                .field("ended_at", m.ended_at.unwrap_or(0))
+                .field("outcome", m.outcome_label())
+                .field("origin", m.origin())
+                .field("gathered", m.gathered_bulk + m.gathered_prio)
+                .field("replay_received", m.replay_received)
+                .field("replay_applied", m.replay_applied)
+                .field("superseded", m.superseded())
+                .field("verified", m.verified)
+                .end_obj();
         }
-        out.push_str("],\"timeline\":[");
-        let mut order: Vec<usize> = (0..a.tablets.len()).collect();
-        order.sort_by_key(|i| {
-            let t = &a.tablets[*i];
-            (t.table.0, t.range.start, t.opened, t.range.end)
-        });
-        for (i, idx) in order.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let t = &a.tablets[*idx];
-            out.push_str("{\"table\":");
-            out.push_str(&t.table.0.to_string());
-            out.push_str(",\"start\":");
-            out.push_str(&t.range.start.to_string());
-            out.push_str(",\"end\":");
-            out.push_str(&t.range.end.to_string());
-            out.push_str(",\"opened\":");
-            out.push_str(&t.opened.to_string());
-            out.push_str(",\"closed\":");
-            out.push_str(&t.closed.unwrap_or(now).to_string());
-            out.push_str(",\"segments\":[");
+        w.end_arr().key("timeline").arr();
+        let mut order: Vec<&TabletTrack> = a.tablets.iter().collect();
+        order.sort_by_key(|t| (t.table.0, t.range.start, t.opened, t.range.end));
+        for t in order {
+            w.obj()
+                .field("table", t.table.0)
+                .field("start", t.range.start)
+                .field("end", t.range.end)
+                .field("opened", t.opened)
+                .field("closed", t.closed.unwrap_or(now))
+                .key("segments")
+                .arr();
             for (j, s) in t.segments.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let until = t
-                    .segments
-                    .get(j + 1)
-                    .map(|n| n.from)
-                    .or(t.closed)
-                    .unwrap_or(now);
-                out.push_str("{\"from\":");
-                out.push_str(&s.from.to_string());
-                out.push_str(",\"to\":");
-                out.push_str(&until.to_string());
-                out.push_str(",\"owner\":");
-                out.push_str(&s.owner.0.to_string());
-                out.push_str(",\"state\":\"");
-                out.push_str(s.state);
-                out.push_str("\"}");
+                let next = t.segments.get(j + 1).map(|n| n.from);
+                w.obj()
+                    .field("from", s.from)
+                    .field("to", next.or(t.closed).unwrap_or(now))
+                    .field("owner", s.owner.0)
+                    .field("state", s.state)
+                    .end_obj();
             }
-            out.push_str("]}");
+            w.end_arr().end_obj();
         }
-        out.push_str("],\"violations\":[");
-        for (i, v) in a.violations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&self.violation_json(&core, v));
+        w.end_arr().key("violations").arr();
+        for v in &a.violations {
+            w.obj()
+                .field("invariant", v.invariant)
+                .field("at", v.at)
+                .field("seq", v.seq)
+                .field("detail", &v.detail)
+                .key("chain");
+            core.write_chain(&mut w, &v.chain);
+            w.end_obj();
         }
-        out.push_str("]}");
-        out
-    }
-
-    fn report_inner(&self, core: &AuditCore) -> AuditReport {
-        let a = &core.auditor;
-        let mut tracked = 0;
-        let mut verified = 0;
-        let mut abandoned = 0;
-        for m in a.migs.values() {
-            tracked += 1;
-            if m.outcome == 1 && m.verified {
-                verified += 1;
-            }
-            if m.outcome == 2 {
-                abandoned += 1;
-            }
-        }
-        AuditReport {
-            events: core.dropped + core.events.len() as u64,
-            migrations_tracked: tracked,
-            migrations_verified: verified,
-            migrations_abandoned: abandoned,
-            violations: a.violations.len() as u64,
-            per_invariant: invariants::NAMES
-                .iter()
-                .enumerate()
-                .map(|(i, n)| (*n, a.checked[i], a.violated[i]))
-                .collect(),
-        }
-    }
-
-    fn chain_json(&self, core: &AuditCore, chain: &[u64]) -> String {
-        let mut out = String::from("[");
-        for (i, seq) in chain.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"seq\":");
-            out.push_str(&seq.to_string());
-            // Seq numbers count total ingested events; the buffer holds
-            // the suffix starting at `dropped` when in ring mode.
-            if let Some(ev) = seq
-                .checked_sub(core.dropped)
-                .and_then(|i| core.events.get(i as usize))
-            {
-                out.push_str(",\"at\":");
-                out.push_str(&ev.at.to_string());
-                out.push_str(",\"event\":\"");
-                out.push_str(ev.kind.label());
-                out.push('"');
-            }
-            out.push('}');
-        }
-        out.push(']');
-        out
-    }
-
-    fn violation_json(&self, core: &AuditCore, v: &Violation) -> String {
-        let mut out = String::from("{\"invariant\":\"");
-        out.push_str(v.invariant);
-        out.push_str("\",\"at\":");
-        out.push_str(&v.at.to_string());
-        out.push_str(",\"seq\":");
-        out.push_str(&v.seq.to_string());
-        out.push_str(",\"detail\":\"");
-        out.push_str(&v.detail);
-        out.push_str("\",\"chain\":");
-        out.push_str(&self.chain_json(core, &v.chain));
-        out.push('}');
-        out
+        w.end_arr().end_obj();
+        w.finish()
     }
 
     /// The ownership-transfer history as a DOT digraph: one node per
@@ -1511,7 +1420,7 @@ impl AuditSink {
                 servers.push(s.0);
             }
         };
-        for ev in &core.events {
+        for ev in core.events.as_slice() {
             match ev.kind {
                 AuditKind::TabletCreated { owner, .. } => note(&mut servers, owner),
                 AuditKind::MigrationStart {
@@ -1578,48 +1487,29 @@ impl AuditSink {
     pub fn explain_migration(&self, id: MigrationId) -> Option<String> {
         let core = self.0.as_ref()?.borrow();
         let m = core.auditor.migs.get(&id.0)?;
-        let mut out = String::from("{\"kind\":\"migration\",\"id\":");
-        out.push_str(&id.0.to_string());
-        out.push_str(",\"outcome\":\"");
-        out.push_str(match m.outcome {
-            1 => "committed",
-            2 => "abandoned",
-            _ => "in-flight",
-        });
-        out.push_str("\",\"origin\":\"");
-        out.push_str(if m.rebalance_seq.is_some() {
-            "rebalancer"
-        } else {
-            "scripted"
-        });
-        out.push_str("\",\"verified\":");
-        out.push_str(if m.verified { "1" } else { "0" });
-        out.push_str(",\"source\":");
-        out.push_str(&m.source.0.to_string());
-        out.push_str(",\"target\":");
-        out.push_str(&m.target.0.to_string());
-        out.push_str(",\"chain\":");
-        out.push_str(&self.chain_json(&core, &m.chain()));
-        out.push_str(",\"pressure\":{\"pulls\":");
-        out.push_str(&m.pulls.to_string());
-        out.push_str(",\"pull_records\":");
-        out.push_str(&m.gathered_bulk.to_string());
-        out.push_str(",\"priority_pulls\":");
-        out.push_str(&m.priority_pulls.to_string());
-        out.push_str(",\"priority_records\":");
-        out.push_str(&m.gathered_prio.to_string());
-        out.push_str(",\"replay_batches\":");
-        out.push_str(&m.replay_batches.to_string());
-        out.push_str(",\"replay_applied\":");
-        out.push_str(&m.replay_applied.to_string());
-        out.push_str(",\"superseded\":");
-        out.push_str(
-            &m.replay_received
-                .saturating_sub(m.replay_applied)
-                .to_string(),
-        );
-        out.push_str("}}");
-        Some(out)
+        let mut w = JsonWriter::new();
+        w.obj()
+            .field("kind", "migration")
+            .field("id", id.0)
+            .field("outcome", m.outcome_label())
+            .field("origin", m.origin())
+            .field("verified", m.verified)
+            .field("source", m.source.0)
+            .field("target", m.target.0)
+            .key("chain");
+        core.write_chain(&mut w, &m.chain());
+        w.key("pressure")
+            .obj()
+            .field("pulls", m.pulls)
+            .field("pull_records", m.gathered_bulk)
+            .field("priority_pulls", m.priority_pulls)
+            .field("priority_records", m.gathered_prio)
+            .field("replay_batches", m.replay_batches)
+            .field("replay_applied", m.replay_applied)
+            .field("superseded", m.superseded())
+            .end_obj()
+            .end_obj();
+        Some(w.finish())
     }
 
     /// Ranks the causes active during an SLO-breach interval `[from,
@@ -1630,9 +1520,12 @@ impl AuditSink {
     /// when no audited cause overlapped the window at all.
     pub fn explain_slo_breach(&self, from: Nanos, to: Nanos) -> Option<String> {
         let core = self.0.as_ref()?.borrow();
-        let a = &core.auditor;
-        // (score desc, seq asc) ranking; all integer math.
-        let mut causes: Vec<(u64, u64, String)> = Vec::new();
+        let (core, a) = (&*core, &core.auditor);
+        let events = core.events.as_slice();
+        // Ranked by (score desc, seq asc), all integer math; each cause
+        // carries the writer of its own fields.
+        type WriteCause<'a> = Box<dyn Fn(&mut JsonWriter) + 'a>;
+        let mut causes: Vec<(u64, u64, WriteCause<'_>)> = Vec::new();
         let mut ids: Vec<u64> = a.migs.keys().copied().collect();
         ids.sort_unstable();
         for id in ids {
@@ -1643,58 +1536,46 @@ impl AuditSink {
             if overlap == 0 || begin > to || end < from {
                 continue;
             }
-            let mut replayed_in_window = 0u64;
-            for ev in &core.events {
-                if ev.at < from || ev.at > to {
-                    continue;
-                }
-                if let AuditKind::Replayed {
-                    id: rid, received, ..
-                } = ev.kind
-                {
-                    if rid.0 == id {
-                        replayed_in_window += received;
-                    }
-                }
-            }
+            let replayed_in_window: u64 = events
+                .iter()
+                .filter(|ev| ev.at >= from && ev.at <= to)
+                .filter_map(|ev| match ev.kind {
+                    AuditKind::Replayed {
+                        id: rid, received, ..
+                    } if rid.0 == id => Some(received),
+                    _ => None,
+                })
+                .sum();
             // Replay pressure dominates; overlap breaks ties in µs.
             let score = replayed_in_window * 1_000 + overlap / 1_000;
-            let mut j = String::from("{\"cause\":\"migration\",\"id\":");
-            j.push_str(&id.to_string());
-            j.push_str(",\"origin\":\"");
-            j.push_str(if m.rebalance_seq.is_some() {
-                "rebalancer"
-            } else {
-                "scripted"
-            });
-            j.push_str("\",\"overlap_ns\":");
-            j.push_str(&overlap.to_string());
-            j.push_str(",\"replayed_in_window\":");
-            j.push_str(&replayed_in_window.to_string());
-            j.push_str(",\"score\":");
-            j.push_str(&score.to_string());
-            j.push_str(",\"chain\":");
-            j.push_str(&self.chain_json(&core, &m.chain()));
-            j.push('}');
-            causes.push((score, m.admitted_seq, j));
+            let write = move |w: &mut JsonWriter| {
+                w.field("cause", "migration")
+                    .field("id", id)
+                    .field("origin", m.origin())
+                    .field("overlap_ns", overlap)
+                    .field("replayed_in_window", replayed_in_window)
+                    .field("score", score)
+                    .key("chain");
+                core.write_chain(w, &m.chain());
+            };
+            causes.push((score, m.admitted_seq, Box::new(write)));
         }
-        for ev in &core.events {
+        // A crash shortly before or inside the window dominates any
+        // migration-pressure explanation.
+        let margin = to.saturating_sub(from);
+        for ev in events {
             if let AuditKind::ServerCrashed { server } = ev.kind {
-                // A crash shortly before or inside the window dominates
-                // any migration-pressure explanation.
-                let margin = to.saturating_sub(from);
                 if ev.at >= from.saturating_sub(margin) && ev.at <= to {
                     let score = u64::MAX / 2;
-                    let mut j = String::from("{\"cause\":\"crash\",\"server\":");
-                    j.push_str(&server.0.to_string());
-                    j.push_str(",\"at\":");
-                    j.push_str(&ev.at.to_string());
-                    j.push_str(",\"score\":");
-                    j.push_str(&score.to_string());
-                    j.push_str(",\"chain\":");
-                    j.push_str(&self.chain_json(&core, &[ev.seq]));
-                    j.push('}');
-                    causes.push((score, ev.seq, j));
+                    let write = move |w: &mut JsonWriter| {
+                        w.field("cause", "crash")
+                            .field("server", server.0)
+                            .field("at", ev.at)
+                            .field("score", score)
+                            .key("chain");
+                        core.write_chain(w, &[ev.seq]);
+                    };
+                    causes.push((score, ev.seq, Box::new(write)));
                 }
             }
         }
@@ -1702,22 +1583,20 @@ impl AuditSink {
             return None;
         }
         causes.sort_by(|x, y| y.0.cmp(&x.0).then(x.1.cmp(&y.1)));
-        let mut out = String::from("{\"kind\":\"slo-breach\",\"from\":");
-        out.push_str(&from.to_string());
-        out.push_str(",\"to\":");
-        out.push_str(&to.to_string());
-        out.push_str(",\"causes\":[");
-        for (i, (_, _, j)) in causes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"rank\":");
-            out.push_str(&(i + 1).to_string());
-            out.push(',');
-            out.push_str(&j[1..]);
+        let mut w = JsonWriter::new();
+        w.obj()
+            .field("kind", "slo-breach")
+            .field("from", from)
+            .field("to", to)
+            .key("causes")
+            .arr();
+        for (i, (_, _, write_cause)) in causes.iter().enumerate() {
+            w.obj().field("rank", i + 1);
+            write_cause(&mut w);
+            w.end_obj();
         }
-        out.push_str("]}");
-        Some(out)
+        w.end_arr().end_obj();
+        Some(w.finish())
     }
 }
 

@@ -9,22 +9,15 @@
 //!
 //! # Scale
 //!
-//! Two scale substitutions apply to every experiment (DESIGN.md §1):
-//!
-//! - **Data**: the paper migrates 13.9 GB; we migrate tens of MB.
-//!   Migration *rates* (MB/s) are directly comparable; migration
-//!   *durations* shrink proportionally, so timeline x-axes here are in
-//!   hundreds of milliseconds instead of tens of seconds.
-//! - **Event rate** (timeline figures only): simulating the paper's
-//!   ~1 M ops/s for tens of seconds is prohibitive on two host cores,
-//!   so [`timeline_config`] scales the dispatch-side costs ×10 and the
-//!   offered load ÷10. All ratios that drive Figures 9–14 (dispatch
-//!   utilization, priority ordering, migration-vs-foreground contention)
-//!   are preserved; absolute latencies are ~2–3× the paper's.
+//! One scale substitution applies to every experiment (DESIGN.md §1):
+//! the paper migrates 13.9 GB; we migrate tens of MB. Migration *rates*
+//! (MB/s) are directly comparable; migration *durations* shrink
+//! proportionally, so timeline x-axes here are in hundreds of
+//! milliseconds instead of tens of seconds.
 
 use rocksteady_cluster::{Cluster, ClusterBuilder, ClusterConfig};
-use rocksteady_common::time::{fmt_nanos, mb_per_sec};
-use rocksteady_common::{CostModel, HashRange, Nanos, ServerId, TableId, MILLISECOND};
+use rocksteady_common::time::fmt_nanos;
+use rocksteady_common::{HashRange, Nanos, ServerId, TableId};
 use rocksteady_metrics::timeline;
 
 /// The table every benchmark uses.
@@ -67,27 +60,6 @@ pub fn print_table1(name: &str, cfg: &ClusterConfig, extra: &str) {
     println!();
 }
 
-/// Cluster configuration for the timeline figures (9–14): dispatch-side
-/// costs ×10, so the paper's "source at 80% dispatch load" regime is
-/// reachable at a simulable event rate (see module docs).
-pub fn timeline_config(servers: usize) -> ClusterConfig {
-    let mut cost = CostModel::default();
-    cost.dispatch_per_msg_ns *= 10;
-    cost.dispatch_tx_per_msg_ns *= 10;
-    cost.migration_mgr_check_ns *= 10;
-    ClusterConfig {
-        servers,
-        workers: 12,
-        cost,
-        replicas: 2.min(servers.saturating_sub(1)),
-        segment_bytes: 1 << 20,
-        sample_interval: 50 * MILLISECOND,
-        series_interval: 100 * MILLISECOND,
-        seed: 42,
-        ..ClusterConfig::default()
-    }
-}
-
 /// Standard migration-bench preload: table on server 0, `keys` records
 /// (30 B keys, `value_len` B values), backups seeded, split at [`MID`].
 pub fn standard_setup(cluster: &mut Cluster, keys: u64, value_len: usize) {
@@ -113,28 +85,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Extracts the migration-rate series (interval start, MB/s of record
-/// bytes arriving at `target`) between `from` and `to`.
-pub fn migration_rate_series(
-    cluster: &Cluster,
-    target: ServerId,
-    from: Nanos,
-    to: Nanos,
-) -> Vec<(Nanos, f64)> {
-    let util = cluster.util.borrow();
-    let interval = util.interval.max(1);
-    util.by_server
-        .get(&target)
-        .map(|points| {
-            points
-                .iter()
-                .filter(|p| p.at >= from && p.at < to)
-                .map(|p| (p.at, mb_per_sec(p.bytes_in, interval)))
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
 /// Builds a `ClusterBuilder` and hands it to `f` for customization —
 /// sugar that keeps each figure binary focused on its experiment.
 pub fn cluster(cfg: ClusterConfig, f: impl FnOnce(&mut ClusterBuilder)) -> Cluster {
@@ -148,20 +98,6 @@ pub fn ns(v: u64) -> String {
     fmt_nanos(v)
 }
 
-/// Per-interval (median, p999) read-latency rows within a window.
-/// Thin wrapper over [`rocksteady_metrics::timeline::latency_timeline`],
-/// the one shared percentile path every figure uses.
-pub fn latency_rows(
-    stats: &rocksteady_workload::ClientStats,
-    from: Nanos,
-    to: Nanos,
-) -> Vec<(Nanos, u64, u64)> {
-    timeline::latency_timeline(&stats.read_latency, from, to)
-        .into_iter()
-        .map(|p| (p.at, p.p50, p.p999))
-        .collect()
-}
-
 /// Per-bucket (median, p999) read latency merged across all of a
 /// cluster's clients — the exact series Figures 10 and 13 plot.
 pub fn merged_latency_rows(cluster: &Cluster, from: Nanos, to: Nanos) -> Vec<(Nanos, u64, u64)> {
@@ -170,15 +106,6 @@ pub fn merged_latency_rows(cluster: &Cluster, from: Nanos, to: Nanos) -> Vec<(Na
         .into_iter()
         .map(|p| (p.at, p.p50, p.p999))
         .collect()
-}
-
-/// Per-interval completed-ops/s rows within a window.
-pub fn throughput_rows(
-    stats: &rocksteady_workload::ClientStats,
-    from: Nanos,
-    to: Nanos,
-) -> Vec<(Nanos, f64)> {
-    timeline::throughput_timeline(&stats.objects, from, to)
 }
 
 /// Total completed ops/s per bucket summed across all of a cluster's
@@ -251,19 +178,5 @@ mod tests {
     #[should_panic(expected = "row 0 has 1 cells")]
     fn export_csv_rejects_ragged_rows() {
         export_csv("test_export_ragged", "a,b", &[vec!["only-one".to_string()]]);
-    }
-
-    #[test]
-    fn latency_rows_use_shared_timeline_path() {
-        let mut stats = rocksteady_workload::ClientStats::new(MILLISECOND);
-        stats.record_read(0, 5_000);
-        stats.record_read(10, 6_000);
-        stats.record_read(2 * MILLISECOND, 7_000);
-        let rows = latency_rows(&stats, 0, 10 * MILLISECOND);
-        assert_eq!(rows.len(), 2, "empty intervals are skipped");
-        assert_eq!(rows[0].0, 0);
-        assert!(rows[0].1 >= 4_900 && rows[0].2 >= rows[0].1);
-        let tp = throughput_rows(&stats, 0, 10 * MILLISECOND);
-        assert!(tp.is_empty(), "no objects recorded yet");
     }
 }

@@ -7,6 +7,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 use rocksteady::MigrationConfig;
 use rocksteady_audit::{AuditKind, AuditReport, AuditSink};
+use rocksteady_common::json::{JsonWriter, Raw};
 use rocksteady_common::{
     key_hash, CostModel, HashRange, KeyHash, MigrationId, Nanos, ServerId, TableId, SECOND,
 };
@@ -14,9 +15,7 @@ use rocksteady_coordinator::Coordinator;
 use rocksteady_logstore::LogConfig;
 use rocksteady_master::{MasterConfig, TabletRole};
 use rocksteady_metrics::Registry;
-use rocksteady_profiler::{
-    critical_path, tail_blame, CriticalPathReport, Profiler, TailBlameReport,
-};
+use rocksteady_profiler::{critical_path, CriticalPathReport, Profiler};
 use rocksteady_proto::Envelope;
 use rocksteady_server::stats::{registered_stats, StatsHandle};
 use rocksteady_server::{Fault, MigrationRunStamps, ServerConfig, ServerNode};
@@ -246,18 +245,11 @@ impl ClusterBuilder {
             Profiler::off()
         };
         let audit = match fr_audit_cap {
-            Some(capacity) => {
-                let a = AuditSink::with_capacity(capacity);
-                a.register_metrics(&metrics);
-                a
-            }
-            None if cfg.audit => {
-                let a = AuditSink::armed();
-                a.register_metrics(&metrics);
-                a
-            }
+            Some(capacity) => AuditSink::with_capacity(capacity),
+            None if cfg.audit => AuditSink::armed(),
             None => AuditSink::off(),
         };
+        audit.register_metrics(&metrics);
 
         // Actor 0: coordinator.
         let coordinator_actor = sim.add_actor(Box::new(CoordinatorActor::new(
@@ -714,16 +706,13 @@ impl Cluster {
     /// The periodic snapshot series captured under `metrics: true`, as
     /// one JSON array (one element per sampling interval).
     pub fn export_metrics_series_json(&self) -> String {
-        let snaps = self.snapshots.borrow();
-        let mut out = String::from("[");
-        for (i, s) in snaps.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&s.to_json());
+        let mut w = JsonWriter::new();
+        w.arr();
+        for s in self.snapshots.borrow().iter() {
+            w.value(Raw(&s.to_json()));
         }
-        out.push(']');
-        out
+        w.end_arr();
+        w.finish()
     }
 
     /// The latest SLO window (updated once per sampling interval).
@@ -758,37 +747,20 @@ impl Cluster {
         self.trace.with_events(critical_path)
     }
 
-    /// [`Cluster::critical_path_report`] as deterministic JSON.
-    pub fn export_critical_path_json(&self) -> Option<String> {
-        self.critical_path_report().map(|r| r.to_json())
-    }
-
-    /// Post-hoc companion to the live SLO monitor: aggregates the
-    /// per-RPC net/queue/service/hold trace instants into a blame
-    /// histogram over requests that exceeded `cfg.sla`. `None` without
-    /// an SLA; empty (but `Some`) when tracing is off.
-    pub fn tail_blame_report(&self) -> Option<TailBlameReport> {
-        let sla = self.cfg.sla?;
-        Some(self.trace.with_events(|events| tail_blame(events, sla)))
-    }
-
     /// Reconstructs every cross-node request journey recorded so far:
     /// one [`Journey`] per trace id, its client attempts matched to the
     /// per-server latency-decomposition instants they caused (including
     /// the off-path PriorityPull a waiting read spawned). Empty when
     /// tracing is off. Sorted by trace id; byte-stable per seed.
     pub fn journeys(&self) -> Vec<Journey> {
-        let dropped = self.trace.dropped();
-        self.trace
-            .with_events(|events| journey::reconstruct(events, dropped))
+        self.trace.with_events(journey::reconstruct)
     }
 
     /// The journey of one specific operation, by trace id. `None` when
     /// tracing is off or no attempt of that operation was recorded.
     pub fn request_journey(&self, trace: rocksteady_common::TraceId) -> Option<Journey> {
-        let dropped = self.trace.dropped();
         self.trace
-            .with_events(|events| journey::find(events, dropped, trace.0))
+            .with_events(|events| journey::find(events, trace.0))
     }
 
     /// Every reconstructed journey as the deterministic
@@ -798,8 +770,9 @@ impl Cluster {
         journey::export_json(&self.journeys(), self.trace.dropped())
     }
 
-    /// The `k` slowest journeys that breached `cfg.sla` — the tail's
-    /// full causal chains, not just its segment histogram. Slowest
+    /// Post-hoc companion to the live SLO monitor: the `k` slowest
+    /// journeys that breached `cfg.sla`, as full causal chains whose
+    /// hops carry the net/queue/service/hold decomposition. Slowest
     /// first; ties broken by trace id (a deterministic reservoir, no
     /// RNG). `None` without an SLA; empty when tracing is off.
     pub fn tail_blame_chains(&self, k: usize) -> Option<Vec<String>> {

@@ -6,12 +6,13 @@
 //! firing detector's reading, the last-N-ms trace ring, a metrics
 //! delta-scrape, the per-core profiler ledger, the audit tail, and the
 //! relevant causal explain (`explain_migration` for progress anomalies,
-//! `explain_slo_breach` for latency ones). Integers only — same-seed
-//! runs export byte-identical bundles.
+//! `explain_slo_breach` for latency ones). Same-seed runs export
+//! byte-identical bundles.
 
 use rocksteady_audit::AuditSink;
+use rocksteady_common::json::{JsonWriter, Raw};
 use rocksteady_common::Nanos;
-use rocksteady_flightrec::{push_escaped, DetectorReading, FlightRecorderConfig};
+use rocksteady_flightrec::{DetectorReading, FlightRecorderConfig};
 use rocksteady_metrics::{deltas_to_json, CounterDelta};
 use rocksteady_profiler::{core_label, Activity, Profiler};
 use rocksteady_trace::{journey, Tracer};
@@ -57,145 +58,108 @@ pub struct BundleInputs<'a> {
 }
 
 /// Renders one incident bundle. Deterministic: virtual clock only,
-/// integer values, fixed key order.
+/// written through `rocksteady_common::json`.
 pub fn build_bundle(cfg: &FlightRecorderConfig, inp: &BundleInputs<'_>) -> String {
-    let mut out = String::with_capacity(8192);
-    out.push_str("{\"schema\":\"");
-    out.push_str(INCIDENT_SCHEMA);
-    out.push_str("\",\"at\":");
-    out.push_str(&inp.at.to_string());
-    out.push_str(",\"trigger\":\"");
-    out.push_str(inp.trigger);
-    out.push_str("\",\"readings\":[");
-    for (i, r) in inp.readings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&r.to_json());
+    let mut w = JsonWriter::with_capacity(8192);
+    w.obj()
+        .field("schema", INCIDENT_SCHEMA)
+        .field("at", inp.at)
+        .field("trigger", inp.trigger)
+        .key("readings")
+        .arr();
+    for r in inp.readings {
+        w.value(Raw(&r.to_json()));
     }
-    out.push_str("],\"burn\":{\"fast_permille\":");
-    out.push_str(&inp.burn.0.to_string());
-    out.push_str(",\"slow_permille\":");
-    out.push_str(&inp.burn.1.to_string());
-    out.push('}');
+    w.end_arr()
+        .key("burn")
+        .obj()
+        .field("fast_permille", inp.burn.0)
+        .field("slow_permille", inp.burn.1)
+        .end_obj();
 
     // Trace slice: the last `bundle_trace_window_ns` of completed
     // events, plus ring drop accounting.
     let since = inp.at.saturating_sub(cfg.bundle_trace_window_ns);
-    out.push_str(",\"trace\":{\"window_ns\":");
-    out.push_str(&cfg.bundle_trace_window_ns.to_string());
-    out.push_str(",\"dropped\":");
-    out.push_str(&inp.trace.dropped().to_string());
-    out.push_str(",\"chrome\":");
-    out.push_str(&inp.trace.export_chrome_json_since(since));
-    out.push('}');
+    w.key("trace")
+        .obj()
+        .field("window_ns", cfg.bundle_trace_window_ns)
+        .field("dropped", inp.trace.dropped())
+        .field("chrome", Raw(&inp.trace.export_chrome_json_since(since)))
+        .end_obj();
 
     // Metrics: the watchdog's own per-interval delta scrape.
-    out.push_str(",\"metrics\":");
-    out.push_str(&deltas_to_json(inp.metrics));
+    w.field("metrics", Raw(&deltas_to_json(inp.metrics)));
 
     // Profiler ledger slice: per-core cumulative activity buckets.
-    out.push_str(",\"profiler\":[");
-    for (i, core) in inp.profiler.cores().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    w.key("profiler").arr();
+    for core in inp.profiler.cores() {
+        w.obj()
+            .field("server", core.server)
+            .field("core", core_label(core.core))
+            .field("wall", core.wall)
+            .field("overcommit_ns", core.overcommit_ns)
+            .key("buckets")
+            .obj();
+        for (act, ns) in Activity::ALL.iter().zip(core.buckets) {
+            w.field(act.label(), ns);
         }
-        out.push_str("{\"server\":");
-        out.push_str(&core.server.to_string());
-        out.push_str(",\"core\":\"");
-        out.push_str(&core_label(core.core));
-        out.push_str("\",\"wall\":");
-        out.push_str(&core.wall.to_string());
-        out.push_str(",\"overcommit_ns\":");
-        out.push_str(&core.overcommit_ns.to_string());
-        out.push_str(",\"buckets\":{");
-        for (j, act) in Activity::ALL.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(act.label());
-            out.push_str("\":");
-            out.push_str(&core.buckets[j].to_string());
-        }
-        out.push_str("}}");
+        w.end_obj().end_obj();
     }
-    out.push(']');
+    w.end_arr();
 
     // Audit tail: the trailing events of the (possibly ring-bounded)
     // audit stream.
-    out.push_str(",\"audit\":{\"dropped\":");
-    out.push_str(&inp.audit.dropped().to_string());
-    out.push_str(",\"tail\":[");
-    if let Some(tail) = inp.audit.with_events(|events| {
+    w.key("audit")
+        .obj()
+        .field("dropped", inp.audit.dropped())
+        .key("tail")
+        .arr();
+    inp.audit.with_events(|events| {
         let start = events.len().saturating_sub(cfg.audit_tail_events);
-        let mut t = String::new();
-        for (i, ev) in events[start..].iter().enumerate() {
-            if i > 0 {
-                t.push(',');
-            }
-            t.push_str("{\"seq\":");
-            t.push_str(&ev.seq.to_string());
-            t.push_str(",\"at\":");
-            t.push_str(&ev.at.to_string());
-            t.push_str(",\"event\":\"");
-            t.push_str(ev.kind.label());
-            t.push_str("\"}");
+        for ev in &events[start..] {
+            w.obj()
+                .field("seq", ev.seq)
+                .field("at", ev.at)
+                .field("event", ev.kind.label())
+                .end_obj();
         }
-        t
-    }) {
-        out.push_str(&tail);
-    }
-    out.push_str("]}");
+    });
+    w.end_arr().end_obj();
 
     // The trigger window's slowest request journeys: the cross-node
     // causal chains of the requests this incident actually hurt. The
     // trace ring is completion-ordered, so the window is a suffix.
-    out.push_str(",\"journeys\":");
     let journeys_json = inp.trace.with_events(|events| {
         let from = events.partition_point(|e| e.ts + e.dur < since);
-        let all = journey::reconstruct(&events[from..], inp.trace.dropped());
+        let all = journey::reconstruct(&events[from..]);
         journey::export_json(
             &journey::slowest(&all, cfg.bundle_journeys),
             inp.trace.dropped(),
         )
     });
-    out.push_str(&journeys_json);
+    w.field("journeys", Raw(&journeys_json));
 
-    // Causal explain, when the audit layer could produce one. The
-    // explain output is itself JSON; embed verbatim.
-    match &inp.explain {
-        Some(e) => {
-            out.push_str(",\"explain\":");
-            out.push_str(e);
-        }
-        None => out.push_str(",\"explain\":null"),
-    }
-    out.push('}');
-    out
+    // Causal explain, when the audit layer could produce one (`null`
+    // otherwise). The explain output is itself JSON.
+    let explain = inp.explain.as_deref().unwrap_or("null");
+    w.field("explain", Raw(explain)).end_obj();
+    w.finish()
 }
 
 /// Renders the incident log as a JSON array of bundles (empty array
 /// when nothing fired).
 pub fn incidents_to_json(incidents: &[Incident]) -> String {
-    let mut out = String::from("[");
-    for (i, inc) in incidents.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&inc.bundle);
+    let mut w = JsonWriter::new();
+    w.arr();
+    for inc in incidents {
+        w.value(Raw(&inc.bundle));
     }
-    out.push(']');
-    out
+    w.end_arr();
+    w.finish()
 }
 
 /// A one-line human summary of an incident (for example binaries and
 /// logs — the bundle itself stays machine-readable).
 pub fn summarize(inc: &Incident) -> String {
-    let mut out = String::new();
-    out.push_str("incident at ");
-    out.push_str(&inc.at.to_string());
-    out.push_str("ns: ");
-    push_escaped(&mut out, inc.trigger);
-    out
+    format!("incident at {}ns: {}", inc.at, inc.trigger)
 }

@@ -34,8 +34,8 @@ pub use rocksteady_flightrec::{
     LineageAgeConfig, MigrationStallConfig, ReplayBacklogConfig, SloBurnConfig,
 };
 pub use rocksteady_profiler::{
-    core_label, critical_path, tail_blame, Activity, CoreLedger, CoreProfile,
-    CriticalPathComponent, CriticalPathReport, ProfileSummary, Profiler, TailBlameReport,
+    core_label, critical_path, Activity, CoreLedger, CoreProfile, CriticalPathComponent,
+    CriticalPathReport, ProfileSummary, Profiler,
 };
 pub use rocksteady_rebalancer::{
     AdmissionCaps, ClusterView, GreedyLoadDelta, HeadroomAware, MoveInFlight, MoveProposal,

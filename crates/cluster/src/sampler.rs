@@ -49,22 +49,6 @@ pub struct UtilSeries {
 }
 
 impl UtilSeries {
-    /// Migration rate series (MB/s of records received) for one server.
-    pub fn migration_rate_mbps(&self, server: ServerId) -> Vec<(Nanos, f64)> {
-        let Some(points) = self.by_server.get(&server) else {
-            return Vec::new();
-        };
-        points
-            .iter()
-            .map(|p| {
-                (
-                    p.at,
-                    rocksteady_common::time::mb_per_sec(p.bytes_in, self.interval),
-                )
-            })
-            .collect()
-    }
-
     /// Warnings about anomalies in the collected series — one per
     /// clamped (overcommitted) dispatch window. Empty means clean;
     /// non-empty means dispatch utilization of those windows reads 1.0

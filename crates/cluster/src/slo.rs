@@ -15,10 +15,9 @@
 //! arming it cannot perturb a deterministic run.
 //!
 //! The monitor answers *that* the tail breached; its post-hoc companion
-//! [`Cluster::tail_blame_report`](crate::Cluster::tail_blame_report)
-//! answers *why*, by aggregating the per-RPC net/queue/service/hold
-//! trace instants into a [`TailBlameReport`] blame histogram over the
-//! requests that exceeded the same SLA.
+//! [`Cluster::tail_blame_chains`](crate::Cluster::tail_blame_chains)
+//! answers *why*: the slowest journeys over the same SLA, each hop with
+//! its net/queue/service/hold decomposition.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -28,8 +27,6 @@ use rocksteady_metrics::timeline::delta_histogram;
 use rocksteady_metrics::{Counter, Gauge, Registry};
 use rocksteady_proto::Envelope;
 use rocksteady_simnet::{Actor, Ctx, Event};
-
-pub use rocksteady_profiler::TailBlameReport;
 
 /// The latest SLO window, queryable between simulation steps.
 #[derive(Debug, Clone, Copy, Default)]

@@ -171,11 +171,6 @@ impl Histogram {
         self.max
     }
 
-    /// Convenience for the pair of statistics every figure reports.
-    pub fn median_and_p999(&self) -> (u64, u64) {
-        (self.percentile(0.50), self.percentile(0.999))
-    }
-
     /// Sum of all observations, saturating at `u64::MAX` (exposition
     /// formats carry 64-bit integers).
     pub fn sum_saturating(&self) -> u64 {

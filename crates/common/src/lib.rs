@@ -16,12 +16,16 @@
 //! - Measurement primitives: a log-bucketed latency [`hist::Histogram`]
 //!   (sufficient resolution for 99.9th-percentile queries) and the
 //!   [`hist::TimeSeries`] recorder behind the paper's timeline figures.
+//! - Export plumbing shared by every observability layer: the one
+//!   deterministic [`json`] writer and the one bounded event [`Ring`].
 
 pub mod cost;
 pub mod fxmap;
 pub mod hist;
 pub mod ids;
+pub mod json;
 pub mod range;
+pub mod ring;
 pub mod rng;
 pub mod time;
 pub mod wire;
@@ -34,5 +38,6 @@ pub use ids::{
     key_hash, CausalCtx, IndexId, KeyHash, MigrationId, RpcId, ServerId, TableId, TraceId,
 };
 pub use range::{HashRange, ScanCursor};
+pub use ring::Ring;
 pub use time::{Nanos, MICROSECOND, MILLISECOND, SECOND};
 pub use wire::{SimMessage, WireSized};

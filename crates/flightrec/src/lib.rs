@@ -38,6 +38,7 @@
 
 use std::collections::BTreeMap;
 
+use rocksteady_common::json::JsonWriter;
 use rocksteady_common::{Nanos, SECOND};
 
 // ------------------------------------------------------------ config --
@@ -294,35 +295,18 @@ pub struct DetectorReading {
 
 impl DetectorReading {
     /// Deterministic JSON (`{"name":...,"value":...,"threshold":...,
-    /// "detail":...}`).
+    /// "detail":...}`, plus `"subject"` when the reading has one).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"name\":\"");
-        out.push_str(self.detector);
-        out.push_str("\",\"value\":");
-        out.push_str(&self.value.to_string());
-        out.push_str(",\"threshold\":");
-        out.push_str(&self.threshold.to_string());
+        let mut w = JsonWriter::new();
+        w.obj()
+            .field("name", self.detector)
+            .field("value", self.value)
+            .field("threshold", self.threshold);
         if let Some(id) = self.subject {
-            out.push_str(",\"subject\":");
-            out.push_str(&id.to_string());
+            w.field("subject", id);
         }
-        out.push_str(",\"detail\":\"");
-        push_escaped(&mut out, &self.detail);
-        out.push_str("\"}");
-        out
-    }
-}
-
-/// Appends `s` to `out` with JSON string escaping (quotes, backslashes,
-/// and control characters; details are ASCII by construction).
-pub fn push_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+        w.field("detail", &self.detail).end_obj();
+        w.finish()
     }
 }
 
@@ -546,9 +530,9 @@ impl Detector for DispatchOvercommitDetector {
         self.prev_total = s.dispatch_overcommit_total;
         self.deltas.push(delta);
         let w = self.cfg.window_intervals.max(1) as usize;
+        // One delta arrives per tick, so at most one falls out.
         if self.deltas.len() > w {
-            let excess = self.deltas.len() - w;
-            self.deltas.drain(..excess);
+            self.deltas.remove(0);
         }
         let windowed: u64 = self.deltas.iter().sum();
         if windowed >= self.cfg.threshold_windows {

@@ -376,11 +376,6 @@ impl MasterService {
         &self.indexlets
     }
 
-    /// Mutable access to local indexlets (for splits).
-    pub fn indexlets_mut(&mut self) -> &mut Vec<Indexlet> {
-        &mut self.indexlets
-    }
-
     /// Inserts a secondary-index entry into the covering indexlet.
     pub fn index_insert(
         &mut self,

@@ -38,6 +38,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use rocksteady_common::json::JsonWriter;
 use rocksteady_common::{Histogram, Nanos};
 
 pub mod timeline;
@@ -569,66 +570,36 @@ impl Snapshot {
             .map(|r| &r.value)
     }
 
-    /// Exports as integer-only JSON. Values are integers and ordering is
-    /// fixed, so same-seed runs export byte-identical strings (the same
-    /// contract as the trace layer's chrome JSON).
+    /// Exports as deterministic JSON (see `rocksteady_common::json`):
+    /// rows keep snapshot order, so same-seed runs export byte-identical
+    /// strings.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(64 + self.rows.len() * 96);
-        out.push_str("{\"at\":");
-        out.push_str(&self.at.to_string());
-        out.push_str(",\"metrics\":[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":\"");
-            out.push_str(row.name);
-            out.push('"');
-            if !row.labels.is_empty() {
-                out.push_str(",\"labels\":{");
-                for (j, (k, v)) in row.labels.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    out.push('"');
-                    out.push_str(k);
-                    out.push_str("\":\"");
-                    out.push_str(v);
-                    out.push('"');
-                }
-                out.push('}');
-            }
+        let mut w = JsonWriter::with_capacity(64 + self.rows.len() * 96);
+        w.obj().field("at", self.at).key("metrics").arr();
+        for row in &self.rows {
+            open_series(&mut w, row.name, &row.labels);
             match &row.value {
                 SampleValue::Counter(v) => {
-                    out.push_str(",\"type\":\"counter\",\"value\":");
-                    out.push_str(&v.to_string());
+                    w.field("type", "counter").field("value", v);
                 }
                 SampleValue::Gauge(v) => {
-                    out.push_str(",\"type\":\"gauge\",\"value\":");
-                    out.push_str(&v.to_string());
+                    w.field("type", "gauge").field("value", v);
                 }
                 SampleValue::Histogram(s) => {
-                    out.push_str(",\"type\":\"histogram\"");
-                    for (k, v) in [
-                        ("count", s.count),
-                        ("sum", s.sum),
-                        ("min", s.min),
-                        ("max", s.max),
-                        ("p50", s.p50),
-                        ("p99", s.p99),
-                        ("p999", s.p999),
-                    ] {
-                        out.push_str(",\"");
-                        out.push_str(k);
-                        out.push_str("\":");
-                        out.push_str(&v.to_string());
-                    }
+                    w.field("type", "histogram")
+                        .field("count", s.count)
+                        .field("sum", s.sum)
+                        .field("min", s.min)
+                        .field("max", s.max)
+                        .field("p50", s.p50)
+                        .field("p99", s.p99)
+                        .field("p999", s.p999);
                 }
             }
-            out.push('}');
+            w.end_obj();
         }
-        out.push_str("]}");
-        out
+        w.end_arr().end_obj();
+        w.finish()
     }
 
     /// Exports in the Prometheus text exposition format. Histograms
@@ -841,42 +812,31 @@ impl DeltaScraper {
     }
 }
 
+/// Opens one series object: `{"name":..` plus `"labels":{..}` when the
+/// series has any; the caller adds the value fields and closes it.
+fn open_series(w: &mut JsonWriter, name: &str, labels: &[Label]) {
+    w.obj().field("name", name);
+    if !labels.is_empty() {
+        w.key("labels").obj();
+        for (k, v) in labels {
+            w.field(k, v);
+        }
+        w.end_obj();
+    }
+}
+
 /// Renders a scrape pass as a deterministic JSON array — the metrics
 /// slice embedded in flight-recorder incident bundles. Entries keep the
-/// scraper's `(name, labels)` order; integers only, so same-seed runs
-/// produce byte-identical output.
+/// scraper's `(name, labels)` order.
 pub fn deltas_to_json(deltas: &[CounterDelta]) -> String {
-    let mut out = String::with_capacity(32 + deltas.len() * 64);
-    out.push('[');
-    for (i, d) in deltas.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"name\":\"");
-        out.push_str(d.name);
-        out.push('"');
-        if !d.labels.is_empty() {
-            out.push_str(",\"labels\":{");
-            for (j, (k, v)) in d.labels.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                out.push_str(k);
-                out.push_str("\":\"");
-                out.push_str(v);
-                out.push('"');
-            }
-            out.push('}');
-        }
-        out.push_str(",\"total\":");
-        out.push_str(&d.total.to_string());
-        out.push_str(",\"delta\":");
-        out.push_str(&d.delta.to_string());
-        out.push('}');
+    let mut w = JsonWriter::with_capacity(32 + deltas.len() * 64);
+    w.arr();
+    for d in deltas {
+        open_series(&mut w, d.name, &d.labels);
+        w.field("total", d.total).field("delta", d.delta).end_obj();
     }
-    out.push(']');
-    out
+    w.end_arr();
+    w.finish()
 }
 
 #[cfg(test)]
@@ -901,6 +861,17 @@ mod tests {
         c.add(3);
         let json2 = deltas_to_json(&s.scrape(&reg));
         assert!(json2.contains("\"total\":10,\"delta\":3"), "{json2}");
+    }
+
+    #[test]
+    fn label_values_are_escaped_in_json() {
+        let reg = Registry::new();
+        reg.counter("ops", "ops", &[("who", "a\"b\\c\n".into())])
+            .inc();
+        assert_eq!(
+            reg.snapshot(5).to_json(),
+            r#"{"at":5,"metrics":[{"name":"ops","labels":{"who":"a\"b\\c\u000a"},"type":"counter","value":1}]}"#
+        );
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! times. Components therefore partition the migration duration
 //! exactly, and ranking them yields the blocking chain.
 
+use rocksteady_common::json::JsonWriter;
 use rocksteady_common::Nanos;
 use rocksteady_trace::{lanes, Phase, TraceEvent};
 
@@ -69,26 +70,26 @@ impl CriticalPathReport {
             .unwrap_or(0)
     }
 
-    /// Deterministic JSON export: fixed field order, integers only —
-    /// byte-identical across same-seed runs.
+    /// Deterministic JSON export (see `rocksteady_common::json`).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str(&format!(
-            "{{\"target_pid\":{},\"started_ns\":{},\"finished_ns\":{},\
-             \"total_ns\":{},\"attributed_ns\":{},\"components\":[",
-            self.target_pid, self.started, self.finished, self.total_ns, self.attributed_ns
-        ));
-        for (i, c) in self.components.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"ns\":{},\"permille\":{}}}",
-                c.name, c.ns, c.permille
-            ));
+        let mut w = JsonWriter::with_capacity(256);
+        w.obj()
+            .field("target_pid", self.target_pid)
+            .field("started_ns", self.started)
+            .field("finished_ns", self.finished)
+            .field("total_ns", self.total_ns)
+            .field("attributed_ns", self.attributed_ns)
+            .key("components")
+            .arr();
+        for c in &self.components {
+            w.obj()
+                .field("name", c.name)
+                .field("ns", c.ns)
+                .field("permille", c.permille)
+                .end_obj();
         }
-        out.push_str("]}");
-        out
+        w.end_arr().end_obj();
+        w.finish()
     }
 }
 

@@ -6,7 +6,7 @@
 //! bound it, and §4.4 argues that a core blocked on replication flush
 //! is as costly as a busy one. A sampling profiler on real hardware can
 //! only approximate that decomposition; under the simulator's virtual
-//! clock we can make it exact. This crate provides three analyses:
+//! clock we can make it exact. This crate provides two analyses:
 //!
 //! 1. **Per-core activity ledger** ([`Profiler`] / [`CoreLedger`]):
 //!    every dispatch and worker core charges elapsed virtual time to a
@@ -24,9 +24,6 @@
 //!    service, pull RTT (split into NIC serialization vs. the rest),
 //!    priority pulls, control phases, or dispatch queueing — returning
 //!    a ranked [`CriticalPathReport`].
-//! 3. **Tail-latency blame** ([`tail_blame`]): aggregates the per-RPC
-//!    net/queue/service/hold decomposition instants into a blame
-//!    histogram over requests that exceeded the SLA.
 //!
 //! Determinism: all inputs are virtual-time integers recorded by the
 //! deterministic simulation, state lives in `BTreeMap`s, and exports
@@ -43,10 +40,8 @@ use std::rc::Rc;
 use rocksteady_common::Nanos;
 use rocksteady_metrics::Registry;
 
-mod blame;
 mod critical_path;
 
-pub use blame::{tail_blame, TailBlameReport, BLAME_SEGMENTS};
 pub use critical_path::{critical_path, CriticalPathComponent, CriticalPathReport};
 
 /// What a core spends its time on. One bucket per variant in each

@@ -621,12 +621,6 @@ impl<M: SimMessage> Simulation<M> {
         self.slots[id].alive
     }
 
-    /// Mutable access to an actor, for harness setup/inspection between
-    /// steps (e.g. preloading a table or sampling statistics).
-    pub fn actor_mut(&mut self, id: ActorId) -> &mut dyn Actor<M> {
-        &mut *self.slots[id].actor
-    }
-
     fn start_if_needed(&mut self) {
         if self.started {
             return;

@@ -26,6 +26,7 @@
 //! [`export_json`] is byte-identical for the same seed and across the
 //! scheduler swap.
 
+use rocksteady_common::json::JsonWriter;
 use rocksteady_common::Nanos;
 
 use crate::{Phase, TraceEvent};
@@ -167,69 +168,42 @@ impl Journey {
         out
     }
 
-    fn push_json(&self, out: &mut String) {
-        out.push_str("{\"trace\":");
-        out.push_str(&self.trace.to_string());
-        out.push_str(",\"client\":");
-        out.push_str(&self.client.to_string());
-        out.push_str(",\"issued\":");
-        out.push_str(&self.issued.to_string());
-        out.push_str(",\"completed\":");
-        out.push_str(&self.completed.to_string());
-        out.push_str(",\"e2e\":");
-        out.push_str(&self.e2e.to_string());
-        out.push_str(",\"attempts\":");
-        out.push_str(&self.attempts.to_string());
-        out.push_str(",\"final_status\":");
-        out.push_str(&self.final_status.to_string());
-        out.push_str(",\"truncated\":");
-        out.push_str(if self.truncated { "1" } else { "0" });
-        out.push_str(",\"telescoped\":");
-        out.push_str(if self.telescoped { "1" } else { "0" });
-        out.push_str(",\"crossed\":");
-        out.push_str(if self.crossed_migration() { "1" } else { "0" });
-        out.push_str(",\"hops_n\":");
-        out.push_str(&self.hops.len().to_string());
-        out.push_str(",\"chain\":\"");
-        out.push_str(&self.chain());
-        out.push_str("\",\"hops\":[");
-        for (i, hop) in self.hops.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"attempt\":");
-            out.push_str(&hop.attempt.to_string());
-            out.push_str(",\"server\":");
-            out.push_str(&hop.server.to_string());
-            out.push_str(",\"name\":\"");
-            out.push_str(hop.name);
-            out.push_str("\",\"rpc\":");
-            out.push_str(&hop.rpc.to_string());
-            out.push_str(",\"depth\":");
-            out.push_str(&hop.depth.to_string());
-            out.push_str(",\"sent_at\":");
-            out.push_str(&hop.sent_at.to_string());
-            out.push_str(",\"resp_sent\":");
-            out.push_str(&hop.resp_sent.to_string());
-            out.push_str(",\"net_in\":");
-            out.push_str(&hop.net_in.to_string());
-            out.push_str(",\"queue\":");
-            out.push_str(&hop.queue.to_string());
-            out.push_str(",\"service\":");
-            out.push_str(&hop.service.to_string());
-            out.push_str(",\"hold\":");
-            out.push_str(&hop.hold.to_string());
-            out.push_str(",\"net_out\":");
-            out.push_str(&hop.net_out.to_string());
-            out.push_str(",\"gap_before\":");
-            out.push_str(&hop.gap_before.to_string());
-            out.push_str(",\"status\":");
-            out.push_str(&hop.status.to_string());
-            out.push_str(",\"on_path\":");
-            out.push_str(if hop.on_path { "1" } else { "0" });
-            out.push('}');
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.obj()
+            .field("trace", self.trace)
+            .field("client", self.client)
+            .field("issued", self.issued)
+            .field("completed", self.completed)
+            .field("e2e", self.e2e)
+            .field("attempts", self.attempts)
+            .field("final_status", self.final_status)
+            .field("truncated", self.truncated)
+            .field("telescoped", self.telescoped)
+            .field("crossed", self.crossed_migration())
+            .field("hops_n", self.hops.len())
+            .field("chain", self.chain())
+            .key("hops")
+            .arr();
+        for hop in &self.hops {
+            w.obj()
+                .field("attempt", hop.attempt)
+                .field("server", hop.server)
+                .field("name", hop.name)
+                .field("rpc", hop.rpc)
+                .field("depth", hop.depth)
+                .field("sent_at", hop.sent_at)
+                .field("resp_sent", hop.resp_sent)
+                .field("net_in", hop.net_in)
+                .field("queue", hop.queue)
+                .field("service", hop.service)
+                .field("hold", hop.hold)
+                .field("net_out", hop.net_out)
+                .field("gap_before", hop.gap_before)
+                .field("status", hop.status)
+                .field("on_path", hop.on_path)
+                .end_obj();
         }
-        out.push_str("]}");
+        w.end_arr().end_obj();
     }
 }
 
@@ -256,12 +230,10 @@ struct ServerInstant {
     hold: Nanos,
 }
 
-/// Reconstructs every journey present in `events`. `dropped` is the
-/// tracer's ring-eviction count (0 for an unbounded buffer) and only
-/// influences diagnostics — truncation is detected structurally.
-/// Journeys are returned sorted by trace id; hops by response time.
-pub fn reconstruct(events: &[TraceEvent], dropped: u64) -> Vec<Journey> {
-    let _ = dropped;
+/// Reconstructs every journey present in `events` (truncation by ring
+/// eviction is detected structurally, not from a drop count). Journeys
+/// are returned sorted by trace id; hops by response time.
+pub fn reconstruct(events: &[TraceEvent]) -> Vec<Journey> {
     // Pass 1: bucket client attempts and server instants by trace id.
     let mut attempts: std::collections::HashMap<u64, (u64, Vec<Attempt>)> =
         std::collections::HashMap::new();
@@ -444,10 +416,8 @@ pub fn reconstruct(events: &[TraceEvent], dropped: u64) -> Vec<Journey> {
 }
 
 /// Reconstructs the single journey with trace id `trace`, if present.
-pub fn find(events: &[TraceEvent], dropped: u64, trace: u64) -> Option<Journey> {
-    reconstruct(events, dropped)
-        .into_iter()
-        .find(|j| j.trace == trace)
+pub fn find(events: &[TraceEvent], trace: u64) -> Option<Journey> {
+    reconstruct(events).into_iter().find(|j| j.trace == trace)
 }
 
 /// The `k` slowest journeys by `e2e`, slowest first, ties broken by
@@ -459,22 +429,19 @@ pub fn slowest(journeys: &[Journey], k: usize) -> Vec<Journey> {
 }
 
 /// Renders journeys as the deterministic `rocksteady-journeys-v1` JSON
-/// document (fixed key order, integers and static strings only).
+/// document (see `rocksteady_common::json`).
 pub fn export_json(journeys: &[Journey], dropped: u64) -> String {
-    let mut out = String::with_capacity(64 + journeys.len() * 256);
-    out.push_str("{\"schema\":\"");
-    out.push_str(JOURNEYS_SCHEMA);
-    out.push_str("\",\"dropped\":");
-    out.push_str(&dropped.to_string());
-    out.push_str(",\"journeys\":[");
-    for (i, j) in journeys.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        j.push_json(&mut out);
+    let mut w = JsonWriter::with_capacity(64 + journeys.len() * 256);
+    w.obj()
+        .field("schema", JOURNEYS_SCHEMA)
+        .field("dropped", dropped)
+        .key("journeys")
+        .arr();
+    for j in journeys {
+        j.write_json(&mut w);
     }
-    out.push_str("]}");
-    out
+    w.end_arr().end_obj();
+    w.finish()
 }
 
 #[cfg(test)]
@@ -563,7 +530,7 @@ mod tests {
 
     #[test]
     fn crossing_journey_reconstructs_and_telescopes() {
-        let journeys = reconstruct(&crossing_events(), 0);
+        let journeys = reconstruct(&crossing_events());
         assert_eq!(journeys.len(), 1);
         let j = &journeys[0];
         assert_eq!(j.trace, 42);
@@ -593,7 +560,7 @@ mod tests {
         // Drop the first three events (ring eviction takes the oldest):
         // attempt 1 entirely gone, attempt 2's server instant gone.
         let events: Vec<TraceEvent> = crossing_events().into_iter().skip(3).collect();
-        let journeys = reconstruct(&events, 3);
+        let journeys = reconstruct(&events);
         assert_eq!(journeys.len(), 1);
         let j = &journeys[0];
         assert!(j.truncated, "missing early hops must flag truncation");
@@ -615,15 +582,15 @@ mod tests {
             server_instant(1, "read", 7, 50, 500, [10, 0, 20, 0]),
             client_instant(9, 7, 1, 50, 500, 540, status::OK),
         ];
-        let journeys = reconstruct(&events, 0);
+        let journeys = reconstruct(&events);
         assert_eq!(journeys.len(), 1);
         let j = &journeys[0];
         assert!(!j.crossed_migration());
         assert!(j.telescoped);
         assert_eq!(j.hops[0].net_out, 10);
         assert_eq!(j.chain(), "read@1:ok");
-        assert!(find(&events, 0, 7).is_some());
-        assert!(find(&events, 0, 8).is_none());
+        assert!(find(&events, 7).is_some());
+        assert!(find(&events, 8).is_none());
     }
 
     #[test]
@@ -648,7 +615,7 @@ mod tests {
                 status::OK,
             ));
         }
-        let journeys = reconstruct(&events, 0);
+        let journeys = reconstruct(&events);
         let top = slowest(&journeys, 2);
         assert_eq!(top.len(), 2);
         // Ties broken by trace id ascending.
@@ -658,8 +625,8 @@ mod tests {
 
     #[test]
     fn export_is_deterministic() {
-        let a = export_json(&reconstruct(&crossing_events(), 0), 0);
-        let b = export_json(&reconstruct(&crossing_events(), 0), 0);
+        let a = export_json(&reconstruct(&crossing_events()), 0);
+        let b = export_json(&reconstruct(&crossing_events()), 0);
         assert_eq!(a, b);
         assert!(a.starts_with("{\"schema\":\"rocksteady-journeys-v1\""));
         assert!(a.contains("\"hops_n\":4"), "{a}");

@@ -36,7 +36,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use rocksteady_common::{Histogram, Nanos};
+use rocksteady_common::json::{JsonWriter, Micros};
+use rocksteady_common::{Histogram, Nanos, Ring};
 
 pub mod journey;
 
@@ -136,17 +137,11 @@ impl TraceEvent {
 /// The shared event buffer behind an enabled [`Tracer`].
 #[derive(Debug, Default)]
 pub struct TraceBuf {
-    events: Vec<TraceEvent>,
+    events: Ring<TraceEvent>,
     /// Recording gate: an armed tracer can be muted for warm-up windows
     /// without giving up the buffer (benches trace only the migration
     /// window this way).
     recording: bool,
-    /// Ring mode: when `Some(n)`, the buffer holds at most `n` events
-    /// and the oldest half is discarded in one memmove when it fills —
-    /// amortized O(1) per push with a contiguous event slice.
-    capacity: Option<usize>,
-    /// Events discarded by ring compaction since arming.
-    dropped: u64,
 }
 
 /// Validation result: what a well-formed trace contained.
@@ -169,42 +164,32 @@ impl Tracer {
         Tracer(None)
     }
 
-    /// An armed tracer with a fresh buffer, recording immediately.
-    pub fn armed() -> Self {
+    fn recording_into(events: Ring<TraceEvent>) -> Self {
         Tracer(Some(Rc::new(RefCell::new(TraceBuf {
-            events: Vec::new(),
+            events,
             recording: true,
-            capacity: None,
-            dropped: 0,
         }))))
     }
 
-    /// An armed tracer in **ring mode**: the buffer holds at most
-    /// `capacity` events. When it fills, the oldest `capacity/2` events
-    /// are discarded in one memmove and counted in [`Tracer::dropped`].
-    /// Because the buffer is completion-ordered, dropping a prefix
-    /// cannot break nesting or ordering, so [`Tracer::validate`] still
-    /// passes on a wrapped buffer.
+    /// An armed tracer with a fresh buffer, recording immediately.
+    pub fn armed() -> Self {
+        Self::recording_into(Ring::default())
+    }
+
+    /// An armed tracer in **ring mode**: the buffer is a
+    /// [`Ring::with_capacity`], evictions are counted in
+    /// [`Tracer::dropped`]. Because the buffer is completion-ordered,
+    /// dropping a prefix cannot break nesting or ordering, so
+    /// [`Tracer::validate`] still passes on a wrapped buffer.
     pub fn with_capacity(capacity: usize) -> Self {
-        Tracer(Some(Rc::new(RefCell::new(TraceBuf {
-            events: Vec::new(),
-            recording: true,
-            capacity: Some(capacity.max(2)),
-            dropped: 0,
-        }))))
+        Self::recording_into(Ring::with_capacity(capacity))
     }
 
     /// Events discarded by ring compaction (0 when unbounded or off).
     pub fn dropped(&self) -> u64 {
-        match &self.0 {
-            Some(buf) => buf.borrow().dropped,
-            None => 0,
-        }
-    }
-
-    /// The ring capacity, if this tracer is in ring mode.
-    pub fn capacity(&self) -> Option<usize> {
-        self.0.as_ref().and_then(|buf| buf.borrow().capacity)
+        self.0
+            .as_ref()
+            .map_or(0, |buf| buf.borrow().events.dropped())
     }
 
     /// Whether events would currently be recorded. Callers building
@@ -230,13 +215,6 @@ impl Tracer {
         if let Some(buf) = &self.0 {
             let mut buf = buf.borrow_mut();
             if buf.recording {
-                if let Some(cap) = buf.capacity {
-                    if buf.events.len() >= cap {
-                        let evict = (cap / 2).max(1);
-                        buf.events.drain(..evict);
-                        buf.dropped += evict as u64;
-                    }
-                }
                 buf.events.push(ev);
             }
         }
@@ -342,7 +320,7 @@ impl Tracer {
     /// tracer is disabled).
     pub fn with_events<R>(&self, f: impl FnOnce(&[TraceEvent]) -> R) -> R {
         match &self.0 {
-            Some(buf) => f(&buf.borrow().events),
+            Some(buf) => f(buf.borrow().events.as_slice()),
             None => f(&[]),
         }
     }
@@ -406,63 +384,47 @@ impl Tracer {
     }
 
     fn format_chrome_json(events: &[TraceEvent]) -> String {
-        let mut out = String::with_capacity(64 + events.len() * 96);
-        out.push_str("{\"traceEvents\":[");
-        for (i, ev) in events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":\"");
-            out.push_str(ev.name);
-            out.push_str("\",\"cat\":\"");
-            out.push_str(ev.cat);
-            out.push_str("\",\"ph\":\"");
-            out.push_str(match ev.ph {
+        let mut w = JsonWriter::with_capacity(64 + events.len() * 96);
+        w.obj().key("traceEvents").arr();
+        for ev in events {
+            let ph = match ev.ph {
                 Phase::Span => "X",
                 Phase::Instant => "i",
                 Phase::Counter => "C",
                 Phase::FlowStart => "s",
                 Phase::FlowEnd => "f",
-            });
-            out.push_str("\",\"ts\":");
-            push_us(&mut out, ev.ts);
+            };
+            w.obj()
+                .field("name", ev.name)
+                .field("cat", ev.cat)
+                .field("ph", ph)
+                .field("ts", Micros(ev.ts));
             if ev.ph == Phase::Span {
-                out.push_str(",\"dur\":");
-                push_us(&mut out, ev.dur);
+                w.field("dur", Micros(ev.dur));
             }
             if ev.ph == Phase::Instant {
-                out.push_str(",\"s\":\"t\"");
+                w.field("s", "t");
             }
             if matches!(ev.ph, Phase::FlowStart | Phase::FlowEnd) {
                 // Chrome flow events bind by top-level id; the journey's
                 // trace id is recorded as the leading `flow` arg.
-                out.push_str(",\"id\":");
-                out.push_str(&ev.arg("flow").unwrap_or(0).to_string());
+                w.field("id", ev.arg("flow").unwrap_or(0));
                 if ev.ph == Phase::FlowEnd {
-                    out.push_str(",\"bp\":\"e\"");
+                    w.field("bp", "e");
                 }
             }
-            out.push_str(",\"pid\":");
-            out.push_str(&ev.pid.to_string());
-            out.push_str(",\"tid\":");
-            out.push_str(&ev.tid.to_string());
+            w.field("pid", ev.pid).field("tid", ev.tid);
             if !ev.args.is_empty() {
-                out.push_str(",\"args\":{");
-                for (j, (k, v)) in ev.args.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    out.push('"');
-                    out.push_str(k);
-                    out.push_str("\":");
-                    out.push_str(&v.to_string());
+                w.key("args").obj();
+                for (k, v) in &ev.args {
+                    w.field(k, v);
                 }
-                out.push('}');
+                w.end_obj();
             }
-            out.push('}');
+            w.end_obj();
         }
-        out.push_str("],\"displayTimeUnit\":\"ms\"}");
-        out
+        w.end_arr().field("displayTimeUnit", "ms").end_obj();
+        w.finish()
     }
 
     /// Validates the trace: non-empty, completion-ordered (monotone
@@ -529,14 +491,6 @@ impl Tracer {
             spans,
         })
     }
-}
-
-/// Appends `ns` as microseconds with three fixed decimals ("12.345").
-fn push_us(out: &mut String, ns: Nanos) {
-    out.push_str(&(ns / 1000).to_string());
-    out.push('.');
-    let frac = ns % 1000;
-    out.push_str(&format!("{frac:03}"));
 }
 
 #[cfg(test)]
@@ -626,23 +580,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_mode_bounds_memory_and_counts_drops() {
-        let t = Tracer::with_capacity(8);
-        assert_eq!(t.capacity(), Some(8));
-        for i in 0..100u64 {
-            t.instant("tick", "m", 1, 0, i * 10, vec![("i", i)]);
-        }
-        assert!(t.len() <= 8, "len {} exceeds capacity", t.len());
-        assert_eq!(t.dropped() + t.len() as u64, 100);
-        // The survivors are the most recent suffix.
-        t.with_events(|e| {
-            assert_eq!(e.last().unwrap().arg("i"), Some(99));
-            let first = e.first().unwrap().arg("i").unwrap();
-            assert_eq!(first, t.dropped());
-        });
-    }
-
-    #[test]
     fn wrapped_ring_still_validates_and_exports_chrome_json() {
         let t = Tracer::with_capacity(16);
         // Nested span pairs: child then parent, pushed at completion,
@@ -669,14 +606,6 @@ mod tests {
         let json = t.export_chrome_json_since(50);
         assert!(!json.contains("\"name\":\"old\""), "{json}");
         assert!(json.contains("\"name\":\"new\""), "{json}");
-    }
-
-    #[test]
-    fn unbounded_tracer_reports_no_capacity() {
-        let t = Tracer::armed();
-        assert_eq!(t.capacity(), None);
-        assert_eq!(t.dropped(), 0);
-        assert_eq!(Tracer::off().capacity(), None);
     }
 
     #[test]

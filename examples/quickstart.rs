@@ -212,18 +212,7 @@ fn main() {
         top.permille / 10,
     );
 
-    // 11. And why were the slow reads slow? Blame histogram over every
-    //     request that exceeded the SLA.
-    let blame = cluster.tail_blame_report().expect("sla configured");
-    println!(
-        "tail blame: {}/{} RPCs over the {} SLA; dominant segment: {}",
-        blame.slow_rpcs,
-        blame.total_rpcs,
-        fmt_nanos(blame.sla),
-        blame.dominant().unwrap_or("none"),
-    );
-
-    // 12. Journeys: causal request tracing. Every client operation's
+    // 11. Journeys: causal request tracing. Every client operation's
     //     cross-node story — each attempt it took, the per-server
     //     net/queue/service/hold decomposition each attempt caused, and
     //     any PriorityPull a waiting read spawned — reconstructed from
@@ -245,7 +234,7 @@ fn main() {
         }
     }
 
-    // 13. Audit. The protocol auditor watched every ownership edit,
+    // 12. Audit. The protocol auditor watched every ownership edit,
     //     lineage add/drop, version-floor raise, pull, and replay, and
     //     checked the Rocksteady invariants online: single authoritative
     //     owner (modulo the dual-serving window), monotone version
@@ -273,7 +262,7 @@ fn main() {
         .expect("audited migration");
     println!("explain: {story}");
 
-    // 14. Why did the SLO burn? When the monitor counted breach
+    // 13. Why did the SLO burn? When the monitor counted breach
     //     intervals, ask the auditor to rank the causes active during
     //     the run — the top suspect is (of course) the migration.
     if slo.breach_intervals > 0 {
@@ -282,7 +271,7 @@ fn main() {
         }
     }
 
-    // 15. The flight recorder. Its watchdog evaluated five anomaly
+    // 14. The flight recorder. Its watchdog evaluated five anomaly
     //     detectors (migration stall, replay backlog, SLO burn,
     //     dispatch overcommit, lineage age) on every sampling interval
     //     of this run — a healthy migration trips none of them. Run

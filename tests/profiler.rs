@@ -1,4 +1,4 @@
-//! The activity ledger, critical-path analyzer, and tail-blame report.
+//! The activity ledger, critical-path analyzer, and tail-blame chains.
 //!
 //! Three properties matter and each gets a test: the ledger *conserves*
 //! (per core, busy + idle sums exactly to wall-clock — no time invented
@@ -125,23 +125,26 @@ fn critical_path_attributes_the_migration() {
 }
 
 #[test]
-fn tail_blame_decomposes_slow_requests() {
-    // An SLA of 1 ns makes every completed RPC "slow", so the blame
-    // histogram must cover all of them.
+fn tail_blame_chains_are_the_slowest_over_sla_journeys() {
+    // An SLA of 1 ns makes every journey "slow", so the chains are
+    // simply the k slowest journeys, slowest first.
     let cluster = run(3, true, Some(1));
-    let blame = cluster.tail_blame_report().expect("sla configured");
-    assert!(blame.total_rpcs > 0, "no RPCs decomposed");
-    assert_eq!(
-        blame.slow_rpcs, blame.total_rpcs,
-        "1 ns SLA must blame every request"
-    );
-    assert_eq!(blame.blame_counts.iter().sum::<u64>(), blame.slow_rpcs);
-    assert!(blame.dominant().is_some());
-    assert!(blame.segment_ns.iter().sum::<u64>() > 0);
+    let chains = cluster.tail_blame_chains(3).expect("sla configured");
+    let e2e: Vec<u64> = chains
+        .iter()
+        .map(|c| {
+            let ns = c.strip_prefix("e2e=").and_then(|r| r.split_once("ns "));
+            ns.expect("chain starts with e2e=<n>ns").0.parse().unwrap()
+        })
+        .collect();
+    assert_eq!(e2e.len(), 3);
+    assert!(e2e.windows(2).all(|w| w[0] >= w[1]), "not ranked: {e2e:?}");
+    let slowest = cluster.journeys().iter().map(|j| j.e2e).max();
+    assert_eq!(Some(e2e[0]), slowest);
+    assert!(chains[0].contains("read@") || chains[0].contains("write@"));
 
-    // A generous SLA blames (almost) nothing, and never more than all.
+    // A generous SLA blames nothing; no SLA, no report.
     let cluster = run(3, true, Some(u64::MAX / 2));
-    let blame = cluster.tail_blame_report().expect("sla configured");
-    assert_eq!(blame.slow_rpcs, 0, "nothing exceeds a half-forever SLA");
-    assert_eq!(blame.dominant(), None);
+    assert_eq!(cluster.tail_blame_chains(3), Some(Vec::new()));
+    assert_eq!(run(3, true, None).tail_blame_chains(3), None);
 }
