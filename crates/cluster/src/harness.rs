@@ -8,6 +8,7 @@ use bytes::Bytes;
 use rocksteady::MigrationConfig;
 use rocksteady_audit::{AuditKind, AuditReport, AuditSink};
 use rocksteady_common::json::{JsonWriter, Raw};
+use rocksteady_common::zipf::{KeyDist, KeySampler};
 use rocksteady_common::{
     key_hash, CostModel, HashRange, KeyHash, MigrationId, Nanos, ServerId, TableId, SECOND,
 };
@@ -382,6 +383,8 @@ impl ClusterBuilder {
         // perturbs every random stream while same-seed runs stay
         // bit-identical.
         let mut client_stats_handles = Vec::new();
+        // One key sampler per distinct key space, cloned into its clients.
+        let mut samplers: Vec<((u64, KeyDist, bool), KeySampler)> = Vec::new();
         for (idx, spec) in self.clients.into_iter().enumerate() {
             let stats = registered_client_stats(&metrics, idx, cfg.series_interval);
             client_stats_handles.push(Rc::clone(&stats));
@@ -393,8 +396,15 @@ impl ClusterBuilder {
             match spec {
                 ClientSpec::Ycsb(mut c) => {
                     c.seed ^= derived;
+                    let space = (c.num_keys, c.dist, c.scrambled);
+                    let known = samplers.iter().position(|(s, _)| *s == space);
+                    let at = known.unwrap_or_else(|| {
+                        let sampler = KeySampler::new(c.num_keys, c.dist, c.scrambled);
+                        samplers.push((space, sampler));
+                        samplers.len() - 1
+                    });
                     sim.add_actor(Box::new(
-                        YcsbClient::new(c, stats)
+                        YcsbClient::with_sampler(c, stats, samplers[at].1.clone())
                             .with_trace(trace.clone())
                             .with_audit(audit.clone()),
                     ));

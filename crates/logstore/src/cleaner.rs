@@ -14,8 +14,12 @@
 //! [`Relocator`] that adjudicates each entry and learns the new location
 //! of anything that moves.
 
+use std::sync::Arc;
+
 use crate::entry::EntryView;
 use crate::log::{Log, LogError, LogRef};
+use crate::segment::Segment;
+use crate::sidelog::{SideLog, SideLogAppender};
 
 /// Decision for one entry in a segment being cleaned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,20 +36,23 @@ pub trait Relocator {
     /// Returns whether the entry at `old` is still live.
     fn disposition(&mut self, view: &EntryView<'_>, old: LogRef) -> Relocation;
 
-    /// Called after a kept entry has been re-appended at `new`; the
+    /// Called after a kept entry has been copied to `new`; the
     /// implementation must repoint its references (hash table, indexes)
     /// from `old` to `new` before cleaning continues.
     fn relocated(&mut self, view: &EntryView<'_>, old: LogRef, new: LogRef);
 }
 
 /// Statistics from one cleaning pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CleanStats {
     /// Segments reclaimed.
     pub segments_cleaned: usize,
+    /// Ids of the reclaimed segments. Their backup replicas may be freed
+    /// once the survivor segments of this pass are durable.
+    pub victims: Vec<u64>,
     /// Bytes of segment capacity returned to the system.
     pub bytes_reclaimed: u64,
-    /// Live entries moved to the head of the log.
+    /// Live entries moved to survivor segments.
     pub entries_relocated: u64,
     /// Dead entries discarded.
     pub entries_dropped: u64,
@@ -77,68 +84,94 @@ impl Cleaner {
     /// Runs one cleaning pass over `log`.
     ///
     /// Selects up to `max_segments_per_pass` closed segments with the
-    /// lowest utilization below the threshold, relocates their live
-    /// entries to the head of the log (via the normal append path), and
-    /// removes the segments. Returns `None` when nothing qualified.
+    /// lowest utilization below the threshold, copies their live entries
+    /// into a survivor [`SideLog`], commits it, and removes the victims.
+    /// Survivors therefore sit in adopted segments of their own — all
+    /// live, so no later pass re-selects them until entries die — and
+    /// never interleave with client writes in the head; only the side
+    /// log's commit record touches the head. Returns `None` when nothing
+    /// qualified.
     ///
     /// # Errors
     ///
-    /// Propagates [`LogError`] if relocation appends fail (e.g. the
-    /// segment budget is exhausted — the caller should free memory or
-    /// grow the budget and retry).
+    /// Propagates [`LogError`] if a relocation append fails. Entries
+    /// relocated before the failure are committed; no victim is removed.
     pub fn clean_once(
         &self,
-        log: &Log,
+        log: &Arc<Log>,
         relocator: &mut dyn Relocator,
     ) -> Result<Option<CleanStats>, LogError> {
-        let mut candidates: Vec<_> = log
+        let mut victims: Vec<_> = log
             .segments_snapshot()
             .into_iter()
             .filter(|s| s.is_closed() && s.utilization() < self.utilization_threshold)
             .collect();
-        if candidates.is_empty() {
+        if victims.is_empty() {
             return Ok(None);
         }
         // Cost-benefit (simplified): clean the emptiest segments first —
         // they return the most memory per byte of relocation work.
-        candidates.sort_by(|a, b| {
+        victims.sort_by(|a, b| {
             a.utilization()
                 .partial_cmp(&b.utilization())
                 .expect("utilization is never NaN")
         });
-        candidates.truncate(self.max_segments_per_pass);
+        victims.truncate(self.max_segments_per_pass);
 
         let mut stats = CleanStats::default();
-        for seg in candidates {
-            for (offset, view) in seg.iter_entries() {
-                let old = LogRef {
-                    segment: seg.id(),
-                    offset,
-                };
-                match relocator.disposition(&view, old) {
-                    Relocation::Drop => stats.entries_dropped += 1,
-                    Relocation::Keep => {
-                        let new = log.append(
-                            view.kind,
-                            view.table_id,
-                            view.key_hash,
-                            view.version,
-                            view.key,
-                            view.value,
-                        )?;
-                        relocator.relocated(&view, old, new);
-                        stats.entries_relocated += 1;
-                        stats.bytes_relocated += view.serialized_len() as u64;
-                    }
-                }
-            }
+        let survivors = SideLog::new(Arc::clone(log));
+        let relocated = survivors.append_batch(|side| {
+            victims
+                .iter()
+                .try_for_each(|seg| relocate(seg, side, &mut *relocator, &mut stats))
+        });
+        // Survivors join the log before any victim leaves it.
+        if stats.entries_relocated > 0 {
+            survivors.commit()?;
+        }
+        relocated?;
+        for seg in victims {
             if log.remove_segment(seg.id()).is_some() {
                 stats.segments_cleaned += 1;
+                stats.victims.push(seg.id());
                 stats.bytes_reclaimed += seg.capacity() as u64;
             }
         }
         Ok(Some(stats))
     }
+}
+
+/// Copies `victim`'s live entries into `survivors`, repointing each
+/// through `relocator`.
+fn relocate(
+    victim: &Segment,
+    survivors: &mut SideLogAppender<'_>,
+    relocator: &mut dyn Relocator,
+    stats: &mut CleanStats,
+) -> Result<(), LogError> {
+    for (offset, view) in victim.iter_entries() {
+        let old = LogRef {
+            segment: victim.id(),
+            offset,
+        };
+        match relocator.disposition(&view, old) {
+            Relocation::Drop => stats.entries_dropped += 1,
+            Relocation::Keep => {
+                let new = survivors.append(
+                    view.kind,
+                    view.table_id,
+                    view.key_hash,
+                    view.version,
+                    view.key,
+                    view.value,
+                )?;
+                relocator.relocated(&view, old, new);
+                stats.entries_relocated += 1;
+                stats.bytes_relocated += view.serialized_len() as u64;
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -175,11 +208,11 @@ mod tests {
         }
     }
 
-    fn filled_log() -> (Log, MapRelocator) {
-        let log = Log::new(LogConfig {
+    fn filled_log() -> (Arc<Log>, MapRelocator) {
+        let log = Arc::new(Log::new(LogConfig {
             segment_bytes: 512,
             max_segments: None,
-        });
+        }));
         let mut reloc = MapRelocator::new();
         // Write each key twice: the first copy of each is dead.
         for round in 0..2u64 {
@@ -204,7 +237,7 @@ mod tests {
 
     #[test]
     fn nothing_to_clean_on_fresh_log() {
-        let log = Log::new(LogConfig::default());
+        let log = Arc::new(Log::new(LogConfig::default()));
         log.append(EntryKind::Object, 1, 0, 1, b"k", b"v").unwrap();
         let mut reloc = MapRelocator::new();
         let out = Cleaner::default().clean_once(&log, &mut reloc).unwrap();
@@ -233,6 +266,46 @@ mod tests {
             assert_eq!(e.version, 2, "key {hash} resolved to stale version");
         }
         assert_eq!(reloc.current.len(), 40);
+    }
+
+    #[test]
+    fn survivors_land_in_adopted_segments_and_never_in_the_head() {
+        let (log, mut reloc) = filled_log();
+        let head = log.head_segment_id();
+        let (_, seen) = log.joined_since(0);
+        let cleaner = Cleaner {
+            utilization_threshold: 0.95,
+            max_segments_per_pass: 100,
+        };
+        let stats = cleaner.clean_once(&log, &mut reloc).unwrap().unwrap();
+        assert_eq!(stats.victims.len(), stats.segments_cleaned);
+        assert!(stats.victims.iter().all(|v| log.segment(*v).is_none()));
+        // Everything that joined during the pass is an adopted, closed,
+        // all-live survivor segment; the head did not roll.
+        let (joined, _) = log.joined_since(seen);
+        assert!(!joined.is_empty());
+        for j in &joined {
+            assert!(j.adopted && j.segment.is_closed());
+            assert_eq!(j.segment.utilization(), 1.0);
+        }
+        assert_eq!(log.head_segment_id(), head);
+        let relocated: u64 = joined.iter().map(|j| j.segment.committed() as u64).sum();
+        assert_eq!(relocated, stats.bytes_relocated);
+        assert!(reloc
+            .current
+            .values()
+            .all(|r| r.segment != head || r.offset < 512));
+        // The only head append of the pass is the survivors' commit
+        // record; an all-live survivor is not a candidate again.
+        let mut commits = 0;
+        log.for_each_entry(|r, v| {
+            if r.segment == head && v.kind == EntryKind::SideLogCommit {
+                commits += 1;
+            }
+        });
+        assert_eq!(commits, 1);
+        let again = cleaner.clean_once(&log, &mut reloc).unwrap();
+        assert!(again.is_none_or(|s| s.entries_relocated == 0));
     }
 
     #[test]

@@ -101,11 +101,34 @@ pub struct LogStats {
 struct Inner {
     /// All segments by id, including the head.
     segments: FxHashMap<u64, Arc<Segment>>,
-    /// Segment ids in adoption order (head last). Recovery and the
+    /// Every segment in the order it joined the log. Recovery and the
     /// baseline migration scan in this order.
-    order: Vec<u64>,
+    order: Vec<Slot>,
     /// Current head segment (open for appends).
     head: Arc<Segment>,
+}
+
+/// One segment's place in the join order.
+struct Slot {
+    /// Join sequence number: strictly increasing along `order`, never
+    /// reused, so "everything that joined since `seq`" survives the
+    /// cleaner removing segments in between.
+    seq: u64,
+    id: u64,
+    /// Adopted from a side log (closed, immutable) rather than opened as
+    /// a head.
+    adopted: bool,
+}
+
+/// A segment that joined the log: opened as its head, or adopted from a
+/// side log. See [`Log::joined_since`].
+#[derive(Debug, Clone)]
+pub struct Joined {
+    /// The segment.
+    pub segment: Arc<Segment>,
+    /// Whether it was adopted (bulk data: migration replay, cleaner
+    /// survivors) rather than filled by head appends.
+    pub adopted: bool,
 }
 
 /// The master log.
@@ -119,6 +142,9 @@ pub struct Log {
     /// side-log adoption. Rocksteady's lineage dependency records this.
     appended_bytes: AtomicU64,
     appended_entries: AtomicU64,
+    /// Segments that ever joined (heads opened + side segments adopted):
+    /// the sequence number the next one takes.
+    joins: AtomicU64,
     /// Uncommitted side-log segments, resolvable by readers (the hash
     /// table points into them during parallel replay, §3.1.3) but not yet
     /// part of the log proper.
@@ -135,12 +161,17 @@ impl Log {
             config,
             inner: RwLock::new(Inner {
                 segments,
-                order: vec![0],
+                order: vec![Slot {
+                    seq: 0,
+                    id: 0,
+                    adopted: false,
+                }],
                 head,
             }),
             next_segment_id: AtomicU64::new(1),
             appended_bytes: AtomicU64::new(0),
             appended_entries: AtomicU64::new(0),
+            joins: AtomicU64::new(1),
             side_segments: RwLock::new(FxHashMap::default()),
         }
     }
@@ -231,9 +262,41 @@ impl Log {
         let id = self.next_segment_id.fetch_add(1, Ordering::Relaxed);
         let head = Arc::new(Segment::new(id, self.config.segment_bytes));
         inner.segments.insert(id, Arc::clone(&head));
-        inner.order.push(id);
+        self.push_slot(&mut inner, id, false);
         inner.head = head;
         Ok(())
+    }
+
+    /// Records that segment `id` joined; caller holds the write lock.
+    fn push_slot(&self, inner: &mut Inner, id: u64, adopted: bool) {
+        let seq = self.joins.fetch_add(1, Ordering::AcqRel);
+        inner.order.push(Slot { seq, id, adopted });
+    }
+
+    /// How many segments ever joined this log. A reader that remembers
+    /// the value can tell for one atomic load that nothing joined since.
+    pub fn joins(&self) -> u64 {
+        self.joins.load(Ordering::Acquire)
+    }
+
+    /// The segments that joined at sequence number `seq` or later and
+    /// are still in the log, in join order, plus the sequence number to
+    /// pass next time. This is how the replication manager learns of
+    /// rolled heads and adopted side segments without rescanning the log.
+    pub fn joined_since(&self, seq: u64) -> (Vec<Joined>, u64) {
+        let inner = self.inner.read();
+        let from = inner.order.partition_point(|slot| slot.seq < seq);
+        let joined = inner.order[from..]
+            .iter()
+            .filter_map(|slot| {
+                let segment = Arc::clone(inner.segments.get(&slot.id)?);
+                Some(Joined {
+                    segment,
+                    adopted: slot.adopted,
+                })
+            })
+            .collect();
+        (joined, self.joins())
     }
 
     /// Looks up the segment holding `id` — in the log proper or in an
@@ -254,13 +317,13 @@ impl Log {
         self.side_segments.write().insert(seg.id(), seg);
     }
 
-    /// Snapshot of all segments in adoption order (head last).
+    /// Snapshot of all segments in join order.
     pub fn segments_snapshot(&self) -> Vec<Arc<Segment>> {
         let inner = self.inner.read();
         inner
             .order
             .iter()
-            .filter_map(|id| inner.segments.get(id).cloned())
+            .filter_map(|slot| inner.segments.get(&slot.id).cloned())
             .collect()
     }
 
@@ -327,7 +390,7 @@ impl Log {
             "segment id {id} already present"
         );
         inner.segments.insert(id, seg);
-        inner.order.push(id);
+        self.push_slot(&mut inner, id, true);
         drop(inner);
         self.appended_bytes.fetch_add(committed, Ordering::AcqRel);
         self.appended_entries.fetch_add(entries, Ordering::Relaxed);
@@ -342,7 +405,7 @@ impl Log {
             return None;
         }
         let seg = inner.segments.remove(&id)?;
-        inner.order.retain(|&s| s != id);
+        inner.order.retain(|slot| slot.id != id);
         Some(seg)
     }
 

@@ -185,7 +185,10 @@ impl Relocator for ModelRelocator {
     }
 
     fn relocated(&mut self, view: &rocksteady_logstore::EntryView<'_>, _old: LogRef, new: LogRef) {
-        self.current.insert(view.key_hash, new);
+        // Survivor commit records are kept but belong to no key.
+        if view.kind == EntryKind::Object {
+            self.current.insert(view.key_hash, new);
+        }
     }
 }
 
@@ -195,10 +198,10 @@ fn cleaner_preserves_latest_versions() {
         let mut rng = Prng::new(0x609_0000 + seed);
         let writes = rng.next_range(1, 300);
         let threshold = 0.3 + rng.next_f64() * 0.7;
-        let log = Log::new(LogConfig {
+        let log = Arc::new(Log::new(LogConfig {
             segment_bytes: 512,
             max_segments: None,
-        });
+        }));
         let mut reloc = ModelRelocator::default();
         let mut latest: HashMap<u64, (u64, u8)> = HashMap::new();
         for version in 0..writes {

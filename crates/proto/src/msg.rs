@@ -250,6 +250,14 @@ pub enum Request {
         /// Segment id.
         segment: u64,
     },
+    /// Master → backup: the cleaner reclaimed `segment` and its survivors
+    /// are durable; drop the replica.
+    FreeSegment {
+        /// Master whose log this is.
+        owner: ServerId,
+        /// Segment id.
+        segment: u64,
+    },
     /// Recovery master → backup: fetch replicated segment images of
     /// `owner`'s log with id ≥ `min_segment`.
     FetchSegments {
@@ -439,7 +447,10 @@ impl Request {
         match self {
             Request::PriorityPull { .. }
             | Request::ReplicateAppend { .. }
-            | Request::ReplicateClose { .. } => Priority::Urgent,
+            | Request::ReplicateClose { .. }
+            // Same class as the appends, so a free never overtakes a
+            // chunk of the segment it frees.
+            | Request::FreeSegment { .. } => Priority::Urgent,
             Request::Pull { .. } | Request::PushRecords { .. } => Priority::Background,
             _ => Priority::Foreground,
         }
@@ -463,6 +474,7 @@ impl Request {
             Request::PushRecords { .. } => "push-records",
             Request::ReplicateAppend { .. } => "replicate-append",
             Request::ReplicateClose { .. } => "replicate-close",
+            Request::FreeSegment { .. } => "free-segment",
             Request::FetchSegments { .. } => "fetch-segments",
             Request::GetTabletMap => "get-tablet-map",
             Request::MigrationStarting { .. } => "migration-starting",

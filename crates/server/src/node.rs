@@ -28,7 +28,7 @@ use rocksteady_simnet::{Actor, ActorId, Ctx, Event};
 use rocksteady_trace::Tracer;
 
 use crate::recovery::{FetchFailure, RecoveryRun};
-use crate::repl::ReplManager;
+use crate::repl::{ChunkSend, Durable, ReplManager};
 use crate::rpc::{Pending, RpcTable, SyncWait};
 use crate::sched::{Deferred, Placement, Quantum, ReplyTo, Sched, Task};
 use crate::stats::StatsHandle;
@@ -153,9 +153,7 @@ impl ServerNode {
     /// Harness-only: used after preloaded data has been copied onto the
     /// backups directly, so the replication manager doesn't re-ship it.
     pub fn mark_log_durable(&mut self) {
-        for seg in self.master.log.segments_snapshot() {
-            self.repl.mark_durable(seg.id(), seg.committed());
-        }
+        self.repl.mark_durable(&self.master.log);
     }
 
     /// Makes this node misbehave as `fault` describes. Harness-only,
@@ -544,7 +542,7 @@ impl ServerNode {
             }
             Task::BaselineStep => self.exec_baseline_step(worker),
             Task::RecoveryReplay { recovery } => self.exec_recovery_replay(now, worker, recovery),
-            Task::CleanerPass => self.exec_cleaner_pass(),
+            Task::CleanerPass => self.exec_cleaner_pass(ctx),
         };
         self.start_service(ctx, worker, service_ns);
     }
@@ -577,7 +575,7 @@ impl ServerNode {
                 Deferred::BaselineContinue => {
                     self.sched.enqueue(Priority::Background, Task::BaselineStep);
                 }
-                Deferred::ShipLog { wait } => self.ship_log(ctx, Some(worker), wait, false),
+                Deferred::ShipLog { wait } => self.ship_heads(ctx, Some(worker), wait),
             }
         }
         self.sched.service_done(worker, now);
@@ -615,33 +613,58 @@ impl ServerNode {
 
     // ------------------------------------------------------- replication --
 
-    /// Ships every not-yet-replicated byte of the main log to this
-    /// master's backups through the replication manager. If `wait` is
-    /// set, an ack group releases `worker` and answers the client once
-    /// every chunk is acked.
-    fn ship_log(
+    /// Ships the head's not-yet-replicated bytes on the foreground lane.
+    /// If `wait` is set, an ack group releases `worker` and answers the
+    /// client once every chunk is acked.
+    fn ship_heads(
         &mut self,
         ctx: &mut Ctx<'_, Envelope>,
         worker: Option<usize>,
         wait: Option<(ActorId, RpcId, Response)>,
-        bulk: bool,
     ) {
-        let sends = if self.cfg.backup_actors.is_empty() {
-            Vec::new()
-        } else {
-            let segments = self.master.log.segments_snapshot();
-            let (backups, cost) = (&self.cfg.backup_actors, &self.cfg.cost);
-            self.repl.plan(ctx.now(), &segments, backups, bulk, cost)
-        };
+        let (log, backups, cost) = (&self.master.log, &self.cfg.backup_actors, &self.cfg.cost);
+        let sends = self.repl.plan_heads(ctx.now(), log, backups, cost);
         let group = match wait {
             Some(respond) if !sends.is_empty() => {
-                Some(self.repl.open_group(sends.len() as u32, worker, respond))
+                let then = Durable::Respond { worker, respond };
+                Some(self.repl.open_group(sends.len() as u32, then))
             }
             // Nothing to ship (no backups, or a concurrent shipment
             // already covered our bytes): respond immediately.
             Some(respond) => return self.finish_wait(ctx, worker, respond),
             None => None,
         };
+        self.send_chunks(ctx, sends, group);
+    }
+
+    /// Ships adopted segments on the bulk lane, none leaving before
+    /// `not_before`. Once they are durable, `victims` — the segments
+    /// whose live entries they hold — are freed on the backups.
+    fn ship_adopted(&mut self, ctx: &mut Ctx<'_, Envelope>, not_before: Nanos, victims: Vec<u64>) {
+        let (log, backups, cost) = (&self.master.log, &self.cfg.backup_actors, &self.cfg.cost);
+        let sends = self
+            .repl
+            .plan_adopted(ctx.now(), not_before, log, backups, cost);
+        let group = if victims.is_empty() {
+            None
+        } else if sends.is_empty() {
+            // No survivors (or no backups): nothing to wait for.
+            return self.free_victims(ctx, &victims);
+        } else {
+            let then = Durable::FreeVictims(victims);
+            Some(self.repl.open_group(sends.len() as u32, then))
+        };
+        self.send_chunks(ctx, sends, group);
+    }
+
+    /// Sends each chunk, or parks it until its lane lets it leave; acks
+    /// credit `group`.
+    fn send_chunks(
+        &mut self,
+        ctx: &mut Ctx<'_, Envelope>,
+        sends: Vec<ChunkSend>,
+        group: Option<u64>,
+    ) {
         for chunk in sends {
             let rpc = self
                 .rpcs
@@ -662,9 +685,22 @@ impl ServerNode {
         }
     }
 
+    /// Tells every backup to drop its replica of each of `victims`.
+    fn free_victims(&mut self, ctx: &mut Ctx<'_, Envelope>, victims: &[u64]) {
+        let owner = self.cfg.id;
+        for &segment in victims {
+            for backup in self.cfg.backup_actors.clone() {
+                let req = Request::FreeSegment { owner, segment };
+                self.call(ctx, backup, Pending::ReplAck { group: None }, req);
+            }
+        }
+    }
+
     fn credit_ack_group(&mut self, ctx: &mut Ctx<'_, Envelope>, group: u64) {
-        if let Some(done) = self.repl.credit(group) {
-            self.finish_wait(ctx, done.worker, done.respond);
+        match self.repl.credit(group) {
+            Some(Durable::Respond { worker, respond }) => self.finish_wait(ctx, worker, respond),
+            Some(Durable::FreeVictims(victims)) => self.free_victims(ctx, &victims),
+            None => {}
         }
     }
 
@@ -882,6 +918,10 @@ impl ServerNode {
             }
             Request::ReplicateClose { owner, segment } => {
                 self.backup.close(owner, segment);
+                (m.backup_fixed_ns, Response::ReplicateOk)
+            }
+            Request::FreeSegment { owner, segment } => {
+                self.backup.free_segment(owner, segment);
                 (m.backup_fixed_ns, Response::ReplicateOk)
             }
             Request::FetchSegments { owner, min_segment } => {
@@ -1210,7 +1250,11 @@ impl ServerNode {
             return;
         };
         let mut run = self.migrations.remove(idx);
-        run.commit_sidelogs();
+        if run.commit_sidelogs() > 0 {
+            // The replayed records stay live here; their segments are
+            // adopted now and re-replicate lazily like a finished run's.
+            self.ship_adopted(ctx, ctx.now(), Vec::new());
+        }
         // A rejected run never registered ownership anywhere but locally
         // (the coordinator said no before the flip): drop the provisional
         // tablet so this master stops claiming hashes it will never
@@ -1240,10 +1284,12 @@ impl ServerNode {
         let mut run = self.migrations.remove(idx);
         // Only THIS run's side logs; concurrent runs' stay open.
         let sidelogs = run.commit_sidelogs();
-        // Lazy re-replication (§3.4): the committed side segments are now
-        // ordinary unreplicated log bytes; ship them in the background,
-        // yielding to foreground write replication.
-        self.ship_log(ctx, None, None, true);
+        // Lazy re-replication (§3.4): the committed side segments — and
+        // the head bytes naming them — ship in the background, yielding
+        // to foreground write replication.
+        let (log, backups, cost) = (&self.master.log, &self.cfg.backup_actors, &self.cfg.cost);
+        let sends = self.repl.plan_backlog(ctx.now(), log, backups, cost);
+        self.send_chunks(ctx, sends, None);
         // Become a plain owner.
         let mgr = &run.mgr;
         self.master
@@ -1357,7 +1403,7 @@ impl ServerNode {
         service
     }
 
-    fn exec_cleaner_pass(&mut self) -> Nanos {
+    fn exec_cleaner_pass(&mut self, ctx: &mut Ctx<'_, Envelope>) -> Nanos {
         let m = &self.cfg.cost;
         let cleaner = rocksteady_logstore::Cleaner::default();
         let Some(stats) = self.master.clean_once(&cleaner) else {
@@ -1368,10 +1414,16 @@ impl ServerNode {
             .add(stats.segments_cleaned as u64);
         // Relocation copies + checksums live bytes and walks the victim
         // segment's entries.
-        m.copy_ns(stats.bytes_relocated)
+        let service = m.copy_ns(stats.bytes_relocated)
             + m.checksum_ns(stats.bytes_relocated)
             + (stats.entries_relocated + stats.entries_dropped) * m.log_scan_per_entry_ns
-            + m.op_fixed_ns
+            + m.op_fixed_ns;
+        // The survivors sit in adopted segments of their own: they leave
+        // on the bulk lane once the copy is paid for, and the victims'
+        // replicas go when the survivors' last ack is in.
+        self.repl.forget(&stats.victims);
+        self.ship_adopted(ctx, ctx.now() + service, stats.victims);
+        service
     }
 
     /// Membership update: `server` is dead. Drop it from the backup set

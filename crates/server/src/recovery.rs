@@ -233,6 +233,42 @@ mod tests {
         assert_eq!(replay.scanned_entries, 3);
     }
 
+    /// The cleaner copied victim 4's live records into survivor 9 and
+    /// frees the victim only once the survivor is durable — so whichever
+    /// moment the master dies at, the images left cover every record.
+    #[test]
+    fn a_cleaned_victim_or_its_survivors_always_cover_the_live_records() {
+        let victim = || image(4, &[(1, 1), (1, 3), (2, 5)]);
+        let hashes_and_versions = |r: &RecoveryRun| -> Vec<(u64, u64)> {
+            let replay = r.replay(&CostModel::default());
+            let records = replay.records.iter();
+            records.map(|rec| (rec.key_hash, rec.version)).collect()
+        };
+        // Died before the survivor's last ack: nobody was told to free
+        // the victim, one backup has a torn prefix of the survivor.
+        let mut r = run(&[1, 2]);
+        r.on_segments(vec![victim()]);
+        r.on_segments(vec![victim(), image(9, &[(1, 3)])]);
+        assert_eq!(
+            hashes_and_versions(&r),
+            [(1, 1), (1, 3), (2, 5), (1, 3)],
+            "the duplicate is the master's version check to drop"
+        );
+        // Died after: backup 1 already freed the victim, backup 2 had
+        // not yet; both hold the whole survivor.
+        let mut r = run(&[1, 2]);
+        r.on_segments(vec![image(9, &[(1, 3), (2, 5)])]);
+        r.on_segments(vec![victim(), image(9, &[(1, 3), (2, 5)])]);
+        assert_eq!(
+            hashes_and_versions(&r),
+            [(1, 1), (1, 3), (2, 5), (1, 3), (2, 5)]
+        );
+        // Freed everywhere: the survivor alone has the live versions.
+        let mut r = run(&[1]);
+        r.on_segments(vec![image(9, &[(1, 3), (2, 5)])]);
+        assert_eq!(hashes_and_versions(&r), [(1, 3), (2, 5)]);
+    }
+
     #[test]
     fn a_dead_backup_fails_over_until_none_remain() {
         let mut r = run(&[1, 2]);

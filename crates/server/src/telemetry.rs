@@ -217,6 +217,7 @@ impl NodeTelemetry {
                     Request::PushRecords { .. }
                     | Request::ReplicateAppend { .. }
                     | Request::ReplicateClose { .. }
+                    | Request::FreeSegment { .. }
                     | Request::FetchSegments { .. } => Activity::Background,
                     _ => Activity::Service,
                 };

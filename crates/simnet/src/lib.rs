@@ -643,8 +643,11 @@ impl<M: SimMessage> Simulation<M> {
     }
 
     fn flush_actions(&mut self, src: ActorId) {
-        let actions = std::mem::take(&mut self.actions);
-        for action in actions {
+        // Drain and put the buffer back: consuming the `Vec` would free
+        // it, and the next event that sends or arms a timer would grow a
+        // new one.
+        let mut actions = std::mem::take(&mut self.actions);
+        for action in actions.drain(..) {
             match action {
                 Action::Send { dst, mut payload } => {
                     // Stamp the virtual send time before the NIC charges
@@ -670,6 +673,7 @@ impl<M: SimMessage> Simulation<M> {
                 }
             }
         }
+        self.actions = actions;
     }
 
     /// Typed access to an actor's concrete state, for harness

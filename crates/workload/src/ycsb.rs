@@ -140,6 +140,15 @@ impl YcsbClient {
     /// Creates a client; `stats` is shared with the harness.
     pub fn new(cfg: YcsbConfig, stats: ClientStatsHandle) -> Self {
         let sampler = KeySampler::new(cfg.num_keys, cfg.dist, cfg.scrambled);
+        Self::with_sampler(cfg, stats, sampler)
+    }
+
+    /// [`YcsbClient::new`] with a ready-made sampler for `cfg`'s
+    /// `(num_keys, dist, scrambled)`: building one computes `zeta(n, θ)`
+    /// — `n` `powf` calls — so a harness with many clients over one key
+    /// space builds it once and hands out clones.
+    pub fn with_sampler(cfg: YcsbConfig, stats: ClientStatsHandle, sampler: KeySampler) -> Self {
+        debug_assert_eq!(sampler.domain(), cfg.num_keys);
         let rng = Prng::new(cfg.seed);
         let value = Bytes::from(vec![0xabu8; cfg.value_len]);
         let bucket_ranks = match cfg.shape.buckets() {

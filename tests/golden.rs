@@ -32,8 +32,11 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     // The two crash digests were 0x0847cfcd3f037125 / 0x7f52d5742c1cbec7
     // while crash failover walked a hash map's buckets; they moved once,
     // when it became ascending RPC-id order (sorting the old walk alone
-    // yields exactly these values).
-    ("crash/source", 0x75a7f4b97e80badc, 0x4b89ae71be7712e3),
+    // yields exactly these values). `crash/source` was then
+    // 0x75a7f4b97e80badc / 0x4b89ae71be7712e3 until an abandoned run's
+    // side segments began shipping on the bulk lane at the abandon
+    // instead of inside the next client write's foreground ack group.
+    ("crash/source", 0x56fdc71520a42126, 0x2b7f35c227228ac8),
     ("crash/target", 0xdb155193c3e8bdae, 0xced0571c805b951c),
     ("baseline/fig5", 0x733ed293b6e2a156, 0xe81dacd7bb620f39),
     (
@@ -56,10 +59,12 @@ const GOLDEN: &[(&str, u64, u64)] = &[
         0x07c7424269ab8c28,
         0xf458f8c0f3853ee2,
     ),
+    // Was 0x088f01018b43e01d / 0x262429dd695a9b0d while cleaner survivors
+    // went into the head and rode the next write's foreground shipment.
     (
         "migration/write-churn",
-        0x088f01018b43e01d,
-        0x262429dd695a9b0d,
+        0x5cb317b0da407795,
+        0x447e52fec0f4cadc,
     ),
 ];
 
