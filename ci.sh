@@ -7,7 +7,9 @@
 #   2. cargo clippy -D warnings (all targets) — lint-clean
 #   3. tier-1 verify (ROADMAP.md): release build + test suite
 #   4. structure gate: server cores stay simulator- and telemetry-free;
-#      one JSON emitter and one ring compaction under crates/*/src
+#      one JSON emitter and one ring compaction under crates/*/src; the
+#      replication lane follows the segment (no log rescan on the write
+#      path, no lane flag, no head appends from the cleaner)
 #   5. the frozen repo benchmark still builds and self-checks
 #   6. examples smoke: quickstart clean and fault-injected, every JSON
 #      export loaded and checked by key; crash_recovery
@@ -60,6 +62,24 @@ compactors=$(grep -lE '\.drain\(\.\.[^)]+\);' crates/*/src/*.rs | tr '\n' ' ' ||
 if [ "$compactors" != "crates/common/src/ring.rs " ]; then
     echo "FAIL: prefix-drop compaction outside common::ring: $compactors"; exit 1
 fi
+
+# The replication lane is a property of the segment: the write path
+# asks the replication manager for the head delta instead of scanning
+# the log, no shell or core function picks a lane by flag, and the
+# cleaner relocates into a side log, never through the head.
+if grep -n 'segments_snapshot()' crates/server/src/node.rs; then
+    echo "FAIL: node.rs rescans the log; ask ReplManager what is unshipped"; exit 1
+fi
+if grep -nE '\b(bulk|lane|foreground|background)[a-z_]*: *bool' crates/server/src/*.rs; then
+    echo "FAIL: a server function takes a lane bool; the lane follows the segment"; exit 1
+fi
+if awk '/^#\[cfg\(test\)\]/ { exit } /log\.append\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit !bad }' crates/logstore/src/cleaner.rs; then
+    echo "FAIL: the cleaner appends to the head; survivors go to a side log"; exit 1
+fi
+
+echo "==> cleaner x replication x recovery, optimized (debug asserts off, real timings)"
+cargo test -q --release --test cleaner_interaction
 
 echo "==> repo benchmark: builds against crates/* and passes its self-check"
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --check

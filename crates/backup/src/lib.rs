@@ -136,14 +136,13 @@ impl BackupService {
         self.replicas.lock().values().map(|r| r.len as u64).sum()
     }
 
-    /// Drops the replica of `(owner, segment)` and returns the bytes it
-    /// held. The owner's cleaner relocated the segment's live entries and
-    /// their survivor segments are durable, so this image is garbage —
-    /// and, its chunks being windows onto the owner's segment memory, the
-    /// last thing keeping that memory alive.
-    pub fn free_segment(&self, owner: ServerId, segment: u64) -> u64 {
-        let freed = self.replicas.lock().remove(&(owner, segment));
-        freed.map_or(0, |r| r.len as u64)
+    /// Drops the replica of `(owner, segment)`. The owner's cleaner
+    /// relocated the segment's live entries and their survivor segments
+    /// are durable, so this image is garbage — and, its chunks being
+    /// windows onto the owner's segment memory, the last thing keeping
+    /// that memory alive.
+    pub fn free_segment(&self, owner: ServerId, segment: u64) {
+        self.replicas.lock().remove(&(owner, segment));
     }
 
     /// Drops all replicas belonging to `owner` (after a successful
@@ -231,8 +230,8 @@ mod tests {
         b.append(M, 0, 0, Bytes::copy_from_slice(b"0123456789"));
         b.append(M, 1, 0, Bytes::copy_from_slice(b"abc"));
         b.append(ServerId(2), 0, 0, Bytes::copy_from_slice(b"xy"));
-        assert_eq!(b.free_segment(M, 0), 10);
-        assert_eq!(b.free_segment(M, 0), 0, "freeing twice is a no-op");
+        b.free_segment(M, 0);
+        b.free_segment(M, 0); // freeing twice is a no-op
         assert_eq!((b.bytes_for(M), b.total_bytes()), (3, 5));
         assert_eq!(b.fetch(M, 0).iter().map(|i| i.id).collect::<Vec<_>>(), [1]);
     }

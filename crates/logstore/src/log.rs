@@ -268,6 +268,9 @@ impl Log {
     }
 
     /// Records that segment `id` joined; caller holds the write lock.
+    /// The lock publishes the slot; the counter's `AcqRel` add pairs with
+    /// the `Acquire` load in [`Log::joins`] only so that a reader who sees
+    /// the new count and then takes the read lock finds the slot there.
     fn push_slot(&self, inner: &mut Inner, id: u64, adopted: bool) {
         let seq = self.joins.fetch_add(1, Ordering::AcqRel);
         inner.order.push(Slot { seq, id, adopted });

@@ -648,9 +648,11 @@ impl MasterService {
         r
     }
 
-    /// Runs one log-cleaner pass, relocating live entries and repointing
-    /// the hash table. Returns the cleaner's statistics if anything was
-    /// cleaned.
+    /// Runs one log-cleaner pass, relocating live entries into survivor
+    /// segments of their own and repointing the hash table. Returns the
+    /// cleaner's statistics — including the victims' ids, whose backup
+    /// replicas outlive them until the survivors are durable — if
+    /// anything was cleaned.
     pub fn clean_once(&mut self, cleaner: &Cleaner) -> Option<rocksteady_logstore::CleanStats> {
         struct Hooked<'a> {
             hashtable: &'a HashTable,

@@ -28,7 +28,7 @@ use rocksteady_simnet::{Actor, ActorId, Ctx, Event};
 use rocksteady_trace::Tracer;
 
 use crate::recovery::{FetchFailure, RecoveryRun};
-use crate::repl::{ChunkSend, Durable, ReplManager};
+use crate::repl::{ChunkSend, Durable, ReplManager, Scope};
 use crate::rpc::{Pending, RpcTable, SyncWait};
 use crate::sched::{Deferred, Placement, Quantum, ReplyTo, Sched, Task};
 use crate::stats::StatsHandle;
@@ -613,6 +613,13 @@ impl ServerNode {
 
     // ------------------------------------------------------- replication --
 
+    /// What of the log `scope` covers and the backups lack, as chunks on
+    /// the lane `scope` implies.
+    fn plan(&mut self, scope: Scope, now: Nanos) -> Vec<ChunkSend> {
+        let (log, backups, cost) = (&self.master.log, &self.cfg.backup_actors, &self.cfg.cost);
+        self.repl.plan(scope, now, log, backups, cost)
+    }
+
     /// Ships the head's not-yet-replicated bytes on the foreground lane.
     /// If `wait` is set, an ack group releases `worker` and answers the
     /// client once every chunk is acked.
@@ -622,8 +629,7 @@ impl ServerNode {
         worker: Option<usize>,
         wait: Option<(ActorId, RpcId, Response)>,
     ) {
-        let (log, backups, cost) = (&self.master.log, &self.cfg.backup_actors, &self.cfg.cost);
-        let sends = self.repl.plan_heads(ctx.now(), log, backups, cost);
+        let sends = self.plan(Scope::Heads, ctx.now());
         let group = match wait {
             Some(respond) if !sends.is_empty() => {
                 let then = Durable::Respond { worker, respond };
@@ -641,19 +647,17 @@ impl ServerNode {
     /// `not_before`. Once they are durable, `victims` — the segments
     /// whose live entries they hold — are freed on the backups.
     fn ship_adopted(&mut self, ctx: &mut Ctx<'_, Envelope>, not_before: Nanos, victims: Vec<u64>) {
-        let (log, backups, cost) = (&self.master.log, &self.cfg.backup_actors, &self.cfg.cost);
-        let sends = self
-            .repl
-            .plan_adopted(ctx.now(), not_before, log, backups, cost);
-        let group = if victims.is_empty() {
-            None
-        } else if sends.is_empty() {
-            // No survivors (or no backups): nothing to wait for.
-            return self.free_victims(ctx, &victims);
-        } else {
+        let sends = self.plan(Scope::Adopted { not_before }, ctx.now());
+        if sends.is_empty() {
+            // No survivors (or no backups): nothing to wait for, but the
+            // free must not overtake a victim's own chunks still parked.
+            let at = not_before.max(self.repl.drained_at());
+            return self.free_victims(ctx, at - ctx.now(), &victims);
+        }
+        let group = (!victims.is_empty()).then(|| {
             let then = Durable::FreeVictims(victims);
-            Some(self.repl.open_group(sends.len() as u32, then))
-        };
+            self.repl.open_group(sends.len() as u32, then)
+        });
         self.send_chunks(ctx, sends, group);
     }
 
@@ -675,23 +679,39 @@ impl ServerNode {
                 offset: chunk.offset,
                 data: chunk.data,
             };
-            let env = Envelope::req(rpc, req);
-            if chunk.delay == 0 {
-                self.send(ctx, chunk.backup, env);
-            } else {
-                let parked = self.repl.park(chunk.backup, env);
-                ctx.timer(chunk.delay, token(KIND_PARKED_SEND, parked));
-            }
+            self.send_after(ctx, chunk.delay, chunk.backup, Envelope::req(rpc, req));
         }
     }
 
-    /// Tells every backup to drop its replica of each of `victims`.
-    fn free_victims(&mut self, ctx: &mut Ctx<'_, Envelope>, victims: &[u64]) {
+    /// Sends `env` now, or parks it with the replication manager for
+    /// `delay`.
+    fn send_after(
+        &mut self,
+        ctx: &mut Ctx<'_, Envelope>,
+        delay: Nanos,
+        dst: ActorId,
+        env: Envelope,
+    ) {
+        if delay == 0 {
+            self.send(ctx, dst, env);
+        } else {
+            let parked = self.repl.park(dst, env);
+            ctx.timer(delay, token(KIND_PARKED_SEND, parked));
+        }
+    }
+
+    /// Tells every backup, `delay` from now, to drop its replica of each
+    /// of `victims`.
+    fn free_victims(&mut self, ctx: &mut Ctx<'_, Envelope>, delay: Nanos, victims: &[u64]) {
         let owner = self.cfg.id;
         for &segment in victims {
-            for backup in self.cfg.backup_actors.clone() {
+            for i in 0..self.cfg.backup_actors.len() {
+                let backup = self.cfg.backup_actors[i];
+                let rpc = self
+                    .rpcs
+                    .open(backup, Pending::ReplAck { group: None }, None);
                 let req = Request::FreeSegment { owner, segment };
-                self.call(ctx, backup, Pending::ReplAck { group: None }, req);
+                self.send_after(ctx, delay, backup, Envelope::req(rpc, req));
             }
         }
     }
@@ -699,7 +719,7 @@ impl ServerNode {
     fn credit_ack_group(&mut self, ctx: &mut Ctx<'_, Envelope>, group: u64) {
         match self.repl.credit(group) {
             Some(Durable::Respond { worker, respond }) => self.finish_wait(ctx, worker, respond),
-            Some(Durable::FreeVictims(victims)) => self.free_victims(ctx, &victims),
+            Some(Durable::FreeVictims(victims)) => self.free_victims(ctx, 0, &victims),
             None => {}
         }
     }
@@ -1287,8 +1307,7 @@ impl ServerNode {
         // Lazy re-replication (§3.4): the committed side segments — and
         // the head bytes naming them — ship in the background, yielding
         // to foreground write replication.
-        let (log, backups, cost) = (&self.master.log, &self.cfg.backup_actors, &self.cfg.cost);
-        let sends = self.repl.plan_backlog(ctx.now(), log, backups, cost);
+        let sends = self.plan(Scope::Backlog, ctx.now());
         self.send_chunks(ctx, sends, None);
         // Become a plain owner.
         let mgr = &run.mgr;

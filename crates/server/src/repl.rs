@@ -65,11 +65,19 @@ struct Unshipped {
     adopted: bool,
 }
 
-/// Which unshipped segments one plan covers.
+/// Which unshipped segments one plan covers, and so on which lane.
 #[derive(Clone, Copy, PartialEq)]
-enum Scope {
+pub(crate) enum Scope {
+    /// The write path: the head, and heads rolled since, on the
+    /// foreground lane.
     Heads,
-    Adopted,
+    /// Adopted segments only, on the bulk lane, none leaving before
+    /// `not_before` (a cleaner pass ships its survivors once the modeled
+    /// copy is paid for).
+    Adopted { not_before: Nanos },
+    /// A migration's side logs were just committed: every unshipped byte
+    /// — the adopted segments and the head bytes holding their commit
+    /// records — in log order on the bulk lane (§3.4).
     Backlog,
 }
 
@@ -84,7 +92,8 @@ pub(crate) struct ReplManager {
     seen: u64,
     groups: FxHashMap<u64, AckGroup>,
     last_group: u64,
-    /// Chunks whose lane is still busy, held until their delay elapses.
+    /// Messages held until their delay elapses: chunks whose lane is
+    /// still busy, frees that must not overtake them.
     parked: FxHashMap<u64, (ActorId, Envelope)>,
     last_parked: u64,
 }
@@ -127,59 +136,23 @@ impl ReplManager {
         self.unshipped.retain(|u| !victims.contains(&u.seg.id()));
     }
 
-    /// The write path: the unshipped bytes of the head (and of heads
-    /// rolled since), on the foreground lane.
-    pub(crate) fn plan_heads(
-        &mut self,
-        now: Nanos,
-        log: &Log,
-        backups: &[ActorId],
-        cost: &CostModel,
-    ) -> Vec<ChunkSend> {
-        self.plan(Scope::Heads, now, now, log, backups, cost)
-    }
-
-    /// Adopted segments only, on the bulk lane, none leaving before
-    /// `not_before` (a cleaner pass ships its survivors once the modeled
-    /// copy is paid for).
-    pub(crate) fn plan_adopted(
-        &mut self,
-        now: Nanos,
-        not_before: Nanos,
-        log: &Log,
-        backups: &[ActorId],
-        cost: &CostModel,
-    ) -> Vec<ChunkSend> {
-        self.plan(Scope::Adopted, now, not_before, log, backups, cost)
-    }
-
-    /// A migration's side logs were just committed: every unshipped byte
-    /// — the adopted segments and the head bytes holding their commit
-    /// records — leaves in log order on the bulk lane (§3.4).
-    pub(crate) fn plan_backlog(
-        &mut self,
-        now: Nanos,
-        log: &Log,
-        backups: &[ActorId],
-        cost: &CostModel,
-    ) -> Vec<ChunkSend> {
-        self.plan(Scope::Backlog, now, now, log, backups, cost)
-    }
-
     /// Chunks the unshipped bytes `scope` covers for every backup, in
     /// (segment, offset, backup) order. Each chunk occupies its lane for
     /// its whole fan-out before the copies leave together.
-    fn plan(
+    pub(crate) fn plan(
         &mut self,
         scope: Scope,
         now: Nanos,
-        not_before: Nanos,
         log: &Log,
         backups: &[ActorId],
         cost: &CostModel,
     ) -> Vec<ChunkSend> {
         self.sync(log);
-        let bulk = scope != Scope::Heads;
+        let (bulk, not_before) = match scope {
+            Scope::Heads => (false, now),
+            Scope::Adopted { not_before } => (true, not_before),
+            Scope::Backlog => (true, now),
+        };
         let mut sends = Vec::new();
         for u in &mut self.unshipped {
             let committed = u.seg.committed();
@@ -214,7 +187,13 @@ impl ReplManager {
         sends
     }
 
-    /// Holds a delayed chunk's message; the ticket redeems it once.
+    /// When the last chunk planned so far leaves: both lanes are FIFO,
+    /// so anything sent at or after this cannot overtake one.
+    pub(crate) fn drained_at(&self) -> Nanos {
+        self.free_at.max(self.bulk_free_at)
+    }
+
+    /// Holds a delayed message; the ticket redeems it once.
     pub(crate) fn park(&mut self, backup: ActorId, env: Envelope) -> u64 {
         self.last_parked += 1;
         self.parked.insert(self.last_parked, (backup, env));
@@ -296,10 +275,10 @@ mod tests {
         let mut delay = |now, bytes, bulk| {
             let sends = if bulk {
                 adopt(&log, bytes);
-                r.plan_adopted(now, now, &log, &[7], &cost())
+                r.plan(Scope::Adopted { not_before: now }, now, &log, &[7], &cost())
             } else {
                 write(&log, bytes);
-                r.plan_heads(now, &log, &[7], &cost())
+                r.plan(Scope::Heads, now, &log, &[7], &cost())
             };
             assert_eq!(sends.len(), 1);
             sends[0].delay
@@ -317,13 +296,15 @@ mod tests {
         assert_eq!(delay(2_000, 10, true), 510);
         // A drained lane adds no delay beyond occupancy.
         assert_eq!(delay(9_000, 50, false), 50);
+        // Nothing sent from 9050 on can overtake a planned chunk.
+        assert_eq!(r.drained_at(), 9_050);
     }
 
     #[test]
     fn segments_ship_in_64k_chunks_per_backup_and_only_once() {
         let (mut r, log) = (ReplManager::default(), log());
         write(&log, 150_000);
-        let sends = r.plan_heads(0, &log, &[3, 4], &cost());
+        let sends = r.plan(Scope::Heads, 0, &log, &[3, 4], &cost());
         let shape: Vec<_> = sends
             .iter()
             .map(|s| (s.segment, s.backup, s.offset, s.data.len(), s.delay))
@@ -339,28 +320,28 @@ mod tests {
         assert_eq!(shape, expected);
         // Nothing to re-ship until the head grows, and then only the
         // delta goes.
-        assert!(r.plan_heads(0, &log, &[3], &cost()).is_empty());
+        assert!(r.plan(Scope::Heads, 0, &log, &[3], &cost()).is_empty());
         write(&log, 100);
-        let sends = r.plan_heads(0, &log, &[3], &cost());
+        let sends = r.plan(Scope::Heads, 0, &log, &[3], &cost());
         assert_eq!(sends.len(), 1);
         assert_eq!((sends[0].offset, sends[0].data.len()), (150_000, 100));
         // Preloaded bytes marked durable are never shipped.
         let mut r = ReplManager::default();
         r.mark_durable(&log);
-        assert!(r.plan_heads(0, &log, &[3], &cost()).is_empty());
-        assert!(r.plan_backlog(0, &log, &[3], &cost()).is_empty());
+        assert!(r.plan(Scope::Heads, 0, &log, &[3], &cost()).is_empty());
+        assert!(r.plan(Scope::Backlog, 0, &log, &[3], &cost()).is_empty());
     }
 
     #[test]
     fn a_rolled_head_ships_its_tail_before_the_new_head() {
         let (mut r, log) = (ReplManager::default(), log());
         write(&log, 600_000);
-        assert_eq!(r.plan_heads(0, &log, &[3], &cost()).len(), 10);
+        assert_eq!(r.plan(Scope::Heads, 0, &log, &[3], &cost()).len(), 10);
         // The second write lands in head 0, the third rolls it.
         write(&log, 400_000);
         write(&log, 500_000);
         let new_head = log.head_segment_id();
-        let sends = r.plan_heads(0, &log, &[3], &cost());
+        let sends = r.plan(Scope::Heads, 0, &log, &[3], &cost());
         let first_of_new = sends.iter().position(|s| s.segment == new_head);
         assert_eq!(first_of_new, Some(7));
         assert_eq!((sends[0].segment, sends[0].offset), (0, 600_000));
@@ -378,12 +359,18 @@ mod tests {
         // A write made before anyone planned the adopted segment ships
         // its own bytes only.
         write(&log, 100);
-        let sends = r.plan_heads(1_000, &log, &[3, 4], &cost());
+        let sends = r.plan(Scope::Heads, 1_000, &log, &[3, 4], &cost());
         assert!(sends.iter().all(|s| s.segment == 0 && s.delay == 100));
         assert_eq!(unshipped_ids(&r), [0, side]);
         // The adopted MiB: 16 chunks x 2 backups on the bulk lane, none
         // leaving before `not_before`, the last 1 MiB of occupancy later.
-        let sends = r.plan_adopted(2_000, 5_000, &log, &[3, 4], &cost());
+        let sends = r.plan(
+            Scope::Adopted { not_before: 5_000 },
+            2_000,
+            &log,
+            &[3, 4],
+            &cost(),
+        );
         assert_eq!(sends.len(), 32);
         assert!(sends.iter().all(|s| s.segment == side));
         assert_eq!(sends[0].delay, 5_000 + 65_536 - 2_000);
@@ -393,10 +380,18 @@ mod tests {
         // A write while those chunks are in flight waits for its own
         // bytes' occupancy and nothing else.
         write(&log, 200);
-        let sends = r.plan_heads(6_000, &log, &[3, 4], &cost());
+        let sends = r.plan(Scope::Heads, 6_000, &log, &[3, 4], &cost());
         assert_eq!(sends.len(), 2);
         assert!(sends.iter().all(|s| s.segment == 0 && s.delay == 200));
-        assert!(r.plan_adopted(6_000, 6_000, &log, &[3], &cost()).is_empty());
+        assert!(r
+            .plan(
+                Scope::Adopted { not_before: 6_000 },
+                6_000,
+                &log,
+                &[3],
+                &cost()
+            )
+            .is_empty());
     }
 
     #[test]
@@ -405,7 +400,7 @@ mod tests {
         write(&log, 100);
         let side = adopt(&log, 1_000);
         write(&log, 50);
-        let sends = r.plan_backlog(0, &log, &[3], &cost());
+        let sends = r.plan(Scope::Backlog, 0, &log, &[3], &cost());
         let shape: Vec<_> = sends
             .iter()
             .map(|s| (s.segment, s.data.len(), s.delay))
@@ -413,14 +408,14 @@ mod tests {
         assert_eq!(shape, [(0, 150, 150), (side, 1_000, 1_150)]);
         // Booked on the bulk lane: a write right after does not queue.
         write(&log, 40);
-        assert_eq!(r.plan_heads(0, &log, &[3], &cost())[0].delay, 40);
+        assert_eq!(r.plan(Scope::Heads, 0, &log, &[3], &cost())[0].delay, 40);
     }
 
     #[test]
     fn a_cleaned_segment_is_forgotten_unshipped_tail_and_all() {
         let (mut r, log) = (ReplManager::default(), log());
         write(&log, 600_000);
-        assert_eq!(r.plan_heads(0, &log, &[3], &cost()).len(), 10);
+        assert_eq!(r.plan(Scope::Heads, 0, &log, &[3], &cost()).len(), 10);
         // Head 0 gets a tail, rolls, and an adopted segment joins — then
         // the cleaner takes both before either was planned.
         write(&log, 400_000);
@@ -430,8 +425,10 @@ mod tests {
             log.remove_segment(victim).expect("closed");
         }
         r.forget(&[0, side]);
-        assert!(r.plan_adopted(0, 0, &log, &[3], &cost()).is_empty());
-        let sends = r.plan_heads(0, &log, &[3], &cost());
+        assert!(r
+            .plan(Scope::Adopted { not_before: 0 }, 0, &log, &[3], &cost())
+            .is_empty());
+        let sends = r.plan(Scope::Heads, 0, &log, &[3], &cost());
         assert_eq!(sends.len(), 8);
         assert!(sends.iter().all(|s| s.segment == log.head_segment_id()));
     }
@@ -474,7 +471,7 @@ mod tests {
         let (mut r, log) = (ReplManager::default(), log());
         r.mark_durable(&log);
         adopt(&log, 100_000);
-        let sends = r.plan_adopted(0, 0, &log, &[3, 4], &cost());
+        let sends = r.plan(Scope::Adopted { not_before: 0 }, 0, &log, &[3, 4], &cost());
         assert_eq!(sends.len(), 4);
         let g = r.open_group(sends.len() as u32, Durable::FreeVictims(vec![11, 12]));
         // Two acks from backup 3, one from backup 4 — whose death then

@@ -46,20 +46,9 @@ fn migration_survives_concurrent_cleaning() {
     cluster.run_until(finished + 100 * MILLISECOND);
 
     // The cleaner actually ran on the source.
-    let cleaned = cluster.server_stats[&ServerId(0)].segments_cleaned.get();
-    assert!(cleaned > 0, "cleaner never reclaimed a segment");
+    assert!(cleaned(&cluster) > 0, "cleaner never reclaimed a segment");
 
-    // No record lost, no acknowledged write regressed.
-    verify_all_readable(&mut cluster, KEYS);
-    let confirmed = cluster.client_stats[0].borrow().confirmed_writes.clone();
-    assert!(!confirmed.is_empty());
-    for (rank, version) in &confirmed {
-        let key = rocksteady_workload::core::primary_key(*rank, 30);
-        let (_, current) = cluster
-            .read_direct(TABLE, &key)
-            .unwrap_or_else(|| panic!("rank {rank} lost under cleaning"));
-        assert!(current >= *version, "rank {rank} regressed");
-    }
+    assert_nothing_lost(&mut cluster, KEYS);
 }
 
 // ------------------------------------------------------------------------
@@ -100,20 +89,17 @@ fn cleaned(cluster: &Cluster) -> u64 {
     cluster.server_stats[&OWNER].segments_cleaned.get()
 }
 
-/// Bytes of server 0's log held by each of its three backups.
-fn replica_bytes(cluster: &mut Cluster) -> [u64; 3] {
-    [1, 2, 3].map(|b| cluster.node(ServerId(b)).backup.bytes_for(OWNER))
-}
-
 /// Every record is readable and no acknowledged write regressed.
-fn assert_nothing_lost(cluster: &mut Cluster) {
-    verify_all_readable(cluster, CHURN_KEYS);
+fn assert_nothing_lost(cluster: &mut Cluster, keys: u64) {
+    verify_all_readable(cluster, keys);
     let confirmed = cluster.client_stats[0].borrow().confirmed_writes.clone();
-    assert!(confirmed.len() > 100);
+    assert!(!confirmed.is_empty());
     for (rank, version) in &confirmed {
         let key = rocksteady_workload::core::primary_key(*rank, 30);
-        let (_, current) = cluster.read_direct(TABLE, &key).expect("readable");
-        assert!(current >= *version, "rank {rank} regressed after recovery");
+        let (_, current) = cluster
+            .read_direct(TABLE, &key)
+            .unwrap_or_else(|| panic!("rank {rank} lost"));
+        assert!(current >= *version, "rank {rank} regressed");
     }
 }
 
@@ -195,7 +181,7 @@ fn crash_before_the_survivors_are_durable_loses_nothing() {
     assert!(undurable > 0, "the survivors were already durable");
 
     cluster.run_until(2 * SECOND);
-    assert_nothing_lost(&mut cluster);
+    assert_nothing_lost(&mut cluster, CHURN_KEYS);
 }
 
 /// Victims are freed on the backups once their survivors are durable —
@@ -211,7 +197,8 @@ fn backups_free_cleaned_segments_and_recovery_still_finds_every_key() {
     // they hold now is short by the freed victims (each was a closed,
     // nearly full 64 KiB segment).
     let appended = cluster.node(OWNER).master.log.position();
-    for held in replica_bytes(&mut cluster) {
+    for backup in [1, 2, 3].map(ServerId) {
+        let held = cluster.node(backup).backup.bytes_for(OWNER);
         assert!(
             held + (reclaimed / 2) * (1 << 16) < appended,
             "backup holds {held} of {appended} bytes after {reclaimed} segments were cleaned"
@@ -219,5 +206,5 @@ fn backups_free_cleaned_segments_and_recovery_still_finds_every_key() {
     }
 
     cluster.run_until(2 * SECOND);
-    assert_nothing_lost(&mut cluster);
+    assert_nothing_lost(&mut cluster, CHURN_KEYS);
 }
