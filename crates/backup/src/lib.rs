@@ -144,12 +144,6 @@ impl BackupService {
     pub fn free_segment(&self, owner: ServerId, segment: u64) {
         self.replicas.lock().remove(&(owner, segment));
     }
-
-    /// Drops all replicas belonging to `owner` (after a successful
-    /// recovery the dead master's log is garbage).
-    pub fn free_owner(&self, owner: ServerId) {
-        self.replicas.lock().retain(|(o, _), _| *o != owner);
-    }
 }
 
 #[cfg(test)]
@@ -213,15 +207,12 @@ mod tests {
     }
 
     #[test]
-    fn accounting_and_free() {
+    fn accounting_is_per_owner() {
         let b = BackupService::new(ServerId(9));
         b.append(M, 0, 0, Bytes::copy_from_slice(b"0123456789"));
         b.append(ServerId(2), 0, 0, Bytes::copy_from_slice(b"xy"));
         assert_eq!(b.bytes_for(M), 10);
         assert_eq!(b.total_bytes(), 12);
-        b.free_owner(M);
-        assert_eq!(b.bytes_for(M), 0);
-        assert_eq!(b.total_bytes(), 2);
     }
 
     #[test]

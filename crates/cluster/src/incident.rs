@@ -12,7 +12,9 @@
 use rocksteady_audit::AuditSink;
 use rocksteady_common::json::{JsonWriter, Raw};
 use rocksteady_common::Nanos;
-use rocksteady_flightrec::{DetectorReading, FlightRecorderConfig};
+use rocksteady_flightrec::{
+    DetectorReading, AUDIT_TAIL_EVENTS, BUNDLE_JOURNEYS, BUNDLE_TRACE_WINDOW_NS,
+};
 use rocksteady_metrics::{deltas_to_json, CounterDelta};
 use rocksteady_profiler::{core_label, Activity, Profiler};
 use rocksteady_trace::{journey, Tracer};
@@ -59,7 +61,7 @@ pub struct BundleInputs<'a> {
 
 /// Renders one incident bundle. Deterministic: virtual clock only,
 /// written through `rocksteady_common::json`.
-pub fn build_bundle(cfg: &FlightRecorderConfig, inp: &BundleInputs<'_>) -> String {
+pub fn build_bundle(inp: &BundleInputs<'_>) -> String {
     let mut w = JsonWriter::with_capacity(8192);
     w.obj()
         .field("schema", INCIDENT_SCHEMA)
@@ -77,12 +79,12 @@ pub fn build_bundle(cfg: &FlightRecorderConfig, inp: &BundleInputs<'_>) -> Strin
         .field("slow_permille", inp.burn.1)
         .end_obj();
 
-    // Trace slice: the last `bundle_trace_window_ns` of completed
+    // Trace slice: the last `BUNDLE_TRACE_WINDOW_NS` of completed
     // events, plus ring drop accounting.
-    let since = inp.at.saturating_sub(cfg.bundle_trace_window_ns);
+    let since = inp.at.saturating_sub(BUNDLE_TRACE_WINDOW_NS);
     w.key("trace")
         .obj()
-        .field("window_ns", cfg.bundle_trace_window_ns)
+        .field("window_ns", BUNDLE_TRACE_WINDOW_NS)
         .field("dropped", inp.trace.dropped())
         .field("chrome", Raw(&inp.trace.export_chrome_json_since(since)))
         .end_obj();
@@ -115,7 +117,7 @@ pub fn build_bundle(cfg: &FlightRecorderConfig, inp: &BundleInputs<'_>) -> Strin
         .key("tail")
         .arr();
     inp.audit.with_events(|events| {
-        let start = events.len().saturating_sub(cfg.audit_tail_events);
+        let start = events.len().saturating_sub(AUDIT_TAIL_EVENTS);
         for ev in &events[start..] {
             w.obj()
                 .field("seq", ev.seq)
@@ -133,7 +135,7 @@ pub fn build_bundle(cfg: &FlightRecorderConfig, inp: &BundleInputs<'_>) -> Strin
         let from = events.partition_point(|e| e.ts + e.dur < since);
         let all = journey::reconstruct(&events[from..]);
         journey::export_json(
-            &journey::slowest(&all, cfg.bundle_journeys),
+            &journey::slowest(&all, BUNDLE_JOURNEYS),
             inp.trace.dropped(),
         )
     });

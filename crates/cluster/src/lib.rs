@@ -38,8 +38,8 @@ pub use rocksteady_profiler::{
     CriticalPathReport, ProfileSummary, Profiler,
 };
 pub use rocksteady_rebalancer::{
-    AdmissionCaps, ClusterView, GreedyLoadDelta, HeadroomAware, MoveInFlight, MoveProposal,
-    PlacementPolicy, ServerLoad, TabletInfo,
+    AdmissionCaps, ClusterView, GreedyLoadDelta, MoveInFlight, MoveProposal, PlacementPolicy,
+    ServerLoad, TabletInfo,
 };
 pub use rocksteady_server::Fault;
 pub use rocksteady_simnet::SchedulerKind;

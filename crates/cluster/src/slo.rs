@@ -85,7 +85,6 @@ pub struct SloMonitor {
     g_p50: Gauge,
     g_p999: Gauge,
     g_headroom: Gauge,
-    g_sla: Gauge,
     c_breaches: Counter,
     g_burn_fast: Gauge,
     g_burn_slow: Gauge,
@@ -115,11 +114,14 @@ impl SloMonitor {
             "sla minus windowed p99.9 (negative while violating)",
             &no,
         );
-        let g_sla = registry.gauge(
-            "slo_read_sla_ns",
-            "configured p99.9 read SLA (-1 when unset)",
-            &no,
-        );
+        // Published once, here; the registry keeps the cell.
+        registry
+            .gauge(
+                "slo_read_sla_ns",
+                "configured p99.9 read SLA (-1 when unset)",
+                &no,
+            )
+            .set(sla.map_or(-1, |s| s as i64));
         let c_breaches = registry.counter(
             "slo_breach_intervals_total",
             "intervals whose windowed p99.9 exceeded the SLA",
@@ -137,7 +139,6 @@ impl SloMonitor {
         );
         g_p50.set(-1);
         g_p999.set(-1);
-        g_sla.set(sla.map_or(-1, |s| s as i64));
         out.borrow_mut().sla = sla;
         SloMonitor {
             interval,
@@ -148,7 +149,6 @@ impl SloMonitor {
             g_p50,
             g_p999,
             g_headroom,
-            g_sla,
             c_breaches,
             g_burn_fast,
             g_burn_slow,
@@ -232,7 +232,6 @@ impl SloMonitor {
         let mut report = self.out.borrow_mut();
         report.burn_fast_permille = fast;
         report.burn_slow_permille = slow;
-        let _ = &self.g_sla; // published once at construction
     }
 }
 

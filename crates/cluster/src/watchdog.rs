@@ -48,7 +48,6 @@ pub const TRACE_DROPPED_FAMILY: &str = "trace_events_dropped_total";
 /// The armed half of the watchdog: detector catalog, cooldowns, and
 /// every live handle a sample is assembled from.
 struct WatchdogCore {
-    cfg: FlightRecorderConfig,
     detectors: Vec<Box<dyn Detector>>,
     cooldowns: CooldownTracker,
     slo: SloHandle,
@@ -112,7 +111,6 @@ impl WatchdogActor {
         let mut server_stats = wiring.server_stats;
         server_stats.sort_by_key(|(id, _)| *id);
         let detectors = build_detectors(&cfg.detectors);
-        let cooldowns = CooldownTracker::new(cfg.incident_cooldown_ns, cfg.detector_cooldown_ns);
         let trace_dropped = wiring.registry.counter(
             TRACE_DROPPED_FAMILY,
             "trace events discarded by ring-buffer compaction",
@@ -121,9 +119,8 @@ impl WatchdogActor {
         WatchdogActor {
             interval,
             core: Some(WatchdogCore {
-                cfg,
                 detectors,
-                cooldowns,
+                cooldowns: CooldownTracker::default(),
                 slo: wiring.slo,
                 server_stats,
                 coord: wiring.coord,
@@ -248,20 +245,17 @@ impl WatchdogCore {
         };
         let trigger = &firing[trigger_idx];
         let explain = self.explain_for(now, trigger);
-        let bundle = build_bundle(
-            &self.cfg,
-            &BundleInputs {
-                at: now,
-                trigger: trigger.detector,
-                readings: &firing,
-                burn: (sample.burn_fast_permille, sample.burn_slow_permille),
-                trace: &self.trace,
-                metrics: &deltas,
-                profiler: &self.profiler,
-                audit: &self.audit,
-                explain,
-            },
-        );
+        let bundle = build_bundle(&BundleInputs {
+            at: now,
+            trigger: trigger.detector,
+            readings: &firing,
+            burn: (sample.burn_fast_permille, sample.burn_slow_permille),
+            trace: &self.trace,
+            metrics: &deltas,
+            profiler: &self.profiler,
+            audit: &self.audit,
+            explain,
+        });
         self.incidents.borrow_mut().push(Incident {
             at: now,
             trigger: trigger.detector,

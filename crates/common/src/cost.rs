@@ -14,19 +14,20 @@
 //!
 //! | Anchor (paper) | Where it comes from here |
 //! |---|---|
-//! | 6 µs end-to-end read (§2) | 2 × [`net_one_way_ns`] + [`dispatch_per_msg_ns`] + read service + client overhead |
+//! | 6 µs end-to-end read (§2) | 2 × `NicConfig::one_way_latency_ns` + [`dispatch_per_msg_ns`] + read service |
 //! | 15 µs durable write (§2) | read path + synchronous 3-way segment replication |
 //! | ~380 MB/s replication ceiling (§2.3) | [`replication_bytes_per_ns`] serializing the replication manager |
 //! | 5.7 GB/s source pull processing, 128 B records, 12+ workers (§4.5) | [`pull_per_record_ns`] + per-byte costs |
 //! | 3 GB/s target replay, 128 B records, 12+ workers (§4.5) | [`replay_per_record_ns`] + per-byte costs |
-//! | 5 GB/s line rate, 40 Gbps NICs (Table 1) | [`net_bytes_per_ns`] |
+//! | 5 GB/s line rate, 40 Gbps NICs (Table 1) | `NicConfig::bytes_per_ns` |
 //!
-//! [`net_one_way_ns`]: CostModel::net_one_way_ns
+//! The network is not modelled here: `rocksteady_simnet::NicConfig`
+//! (1 800 ns one way, 5.0 B/ns) is the one network model the kernel reads.
+//!
 //! [`dispatch_per_msg_ns`]: CostModel::dispatch_per_msg_ns
 //! [`replication_bytes_per_ns`]: CostModel::replication_bytes_per_ns
 //! [`pull_per_record_ns`]: CostModel::pull_per_record_ns
 //! [`replay_per_record_ns`]: CostModel::replay_per_record_ns
-//! [`net_bytes_per_ns`]: CostModel::net_bytes_per_ns
 
 use crate::time::Nanos;
 
@@ -37,18 +38,6 @@ use crate::time::Nanos;
 /// Tx") clone the model and change one field.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
-    // ---------------------------------------------------------- network --
-    /// One-way propagation + switching + NIC traversal latency between any
-    /// two servers, in nanoseconds. One ToR switch, kernel-bypass NICs.
-    pub net_one_way_ns: Nanos,
-    /// NIC line rate in bytes per nanosecond (5.0 = 40 Gbps ≈ 5 GB/s).
-    /// Transmit serialization: a message of `n` bytes occupies the sender
-    /// NIC for `n / net_bytes_per_ns` nanoseconds.
-    pub net_bytes_per_ns: f64,
-    /// Client-library overhead per RPC (request marshalling + response
-    /// demarshalling on the client's own CPU).
-    pub client_rpc_overhead_ns: Nanos,
-
     // --------------------------------------------------------- dispatch --
     /// Dispatch-core cost to poll, classify, and hand off one inbound
     /// message. This is the resource that saturates in Figure 3.
@@ -98,8 +87,6 @@ pub struct CostModel {
     pub backup_fixed_ns: Nanos,
     /// Per-byte backup-side cost to buffer replicated data.
     pub backup_per_byte_ns: f64,
-    /// Number of replicas each log segment keeps on backups.
-    pub replicas: u32,
 
     // -------------------------------------------------------- migration --
     /// Source-side cost per log entry examined by the *baseline*
@@ -116,10 +103,6 @@ pub struct CostModel {
     /// Target-side worker cost per record replayed (side-log append +
     /// hash-table insert), excluding per-byte costs.
     pub replay_per_record_ns: Nanos,
-    /// Extra serialized per-record cost when replay appends into a single
-    /// shared log instead of per-core side logs. Charged under a global
-    /// (modeled) lock; this is the contention §3.1.3 eliminates.
-    pub shared_log_append_ns: Nanos,
     /// Fixed source-side cost per PriorityPull RPC.
     pub priority_pull_fixed_ns: Nanos,
     /// Source-side cost per record looked up for a PriorityPull.
@@ -133,9 +116,6 @@ pub struct CostModel {
 impl Default for CostModel {
     fn default() -> Self {
         CostModel {
-            net_one_way_ns: 1_800,
-            net_bytes_per_ns: 5.0,
-            client_rpc_overhead_ns: 600,
             dispatch_per_msg_ns: 900,
             dispatch_tx_per_msg_ns: 150,
             migration_mgr_check_ns: 50,
@@ -151,12 +131,10 @@ impl Default for CostModel {
             replication_bytes_per_ns: 0.38,
             backup_fixed_ns: 1_000,
             backup_per_byte_ns: 0.05,
-            replicas: 3,
             log_scan_per_entry_ns: 110,
             pull_fixed_ns: 500,
             pull_per_record_ns: 230,
             replay_per_record_ns: 420,
-            shared_log_append_ns: 260,
             priority_pull_fixed_ns: 400,
             priority_pull_per_record_ns: 250,
             copy_for_tx: true,
@@ -165,11 +143,6 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// Time the sender NIC is occupied transmitting `bytes` on the wire.
-    pub fn wire_ns(&self, bytes: u64) -> Nanos {
-        (bytes as f64 / self.net_bytes_per_ns).round() as Nanos
-    }
-
     /// Per-byte cost of copying `bytes` through memory.
     pub fn copy_ns(&self, bytes: u64) -> Nanos {
         (bytes as f64 * self.per_byte_copy_ns).round() as Nanos
@@ -212,14 +185,6 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn wire_time_matches_line_rate() {
-        let m = CostModel::default();
-        // 5 GB/s: 20 KB takes 4 us.
-        assert_eq!(m.wire_ns(20_000), 4_000);
-        assert_eq!(m.wire_ns(0), 0);
-    }
 
     #[test]
     fn replication_matches_paper_ceiling() {

@@ -304,15 +304,6 @@ impl TimeSeries {
             .map(move |(i, h)| (i as Nanos * self.interval, h))
     }
 
-    /// Completed-operation throughput per interval, in ops/sec.
-    pub fn throughput_series(&self) -> Vec<f64> {
-        let per_sec = crate::time::SECOND as f64 / self.interval as f64;
-        self.slots
-            .iter()
-            .map(|h| h.count() as f64 * per_sec)
-            .collect()
-    }
-
     /// Collapses the whole series into one histogram.
     pub fn merged(&self) -> Histogram {
         let mut out = Histogram::new();
@@ -456,17 +447,6 @@ mod tests {
         assert_eq!(ts.slot(1).unwrap().count(), 1);
         assert_eq!(ts.slot(5).unwrap().count(), 1);
         assert_eq!(ts.slot(3).unwrap().count(), 0);
-    }
-
-    #[test]
-    fn timeseries_throughput() {
-        let mut ts = TimeSeries::new(crate::time::SECOND);
-        for i in 0..100 {
-            ts.record(i, 1); // all within the first second
-        }
-        let tp = ts.throughput_series();
-        assert_eq!(tp.len(), 1);
-        assert!((tp[0] - 100.0).abs() < 1e-9);
     }
 
     #[test]

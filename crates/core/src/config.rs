@@ -10,12 +10,6 @@ pub struct MigrationConfig {
     /// Pull outstanding (§3.1.1). "A small constant factor more
     /// partitions than worker cores is sufficient"; the paper uses 8.
     pub partitions: usize,
-    /// Bytes of records each Pull returns (§3.1.1; the paper uses 20 KB —
-    /// small enough to keep source workers' tasks short, large enough to
-    /// amortize RPC dispatch).
-    pub pull_budget_bytes: u32,
-    /// Maximum records per PriorityPull batch (§4.1 uses 16).
-    pub priority_pull_batch: usize,
     /// Whether PriorityPulls are issued at all (`false` reproduces the
     /// Figure 9b/10b "No Priority Pulls" variant).
     pub priority_pulls: bool,
@@ -25,23 +19,26 @@ pub struct MigrationConfig {
     /// Issue bulk background Pulls at all. Figures 13/14 study
     /// PriorityPulls in isolation by disabling them.
     pub background_pulls: bool,
-    /// Base back-off the target suggests to clients whose record hasn't
-    /// arrived ("retry after randomly waiting a few tens of
-    /// microseconds", §3); the server adds random jitter up to this
-    /// amount again.
-    pub retry_after_ns: Nanos,
 }
+
+/// Bytes of records each Pull returns (§3.1.1; the paper uses 20 KB —
+/// small enough to keep source workers' tasks short, large enough to
+/// amortize RPC dispatch).
+pub const PULL_BUDGET_BYTES: u32 = 20_000;
+/// Maximum records per PriorityPull batch (§4.1 uses 16).
+pub const PRIORITY_PULL_BATCH: usize = 16;
+/// Base back-off the target suggests to clients whose record hasn't
+/// arrived ("retry after randomly waiting a few tens of microseconds",
+/// §3).
+pub const RETRY_AFTER_NS: Nanos = 30_000;
 
 impl Default for MigrationConfig {
     fn default() -> Self {
         MigrationConfig {
             partitions: 8,
-            pull_budget_bytes: 20_000,
-            priority_pull_batch: 16,
             priority_pulls: true,
             sync_priority_pulls: false,
             background_pulls: true,
-            retry_after_ns: 30_000,
         }
     }
 }
@@ -68,17 +65,17 @@ pub enum RetryCause {
     SourceFailover,
 }
 
-impl MigrationConfig {
-    /// Base retry hint for `cause`, before jitter. The server draws
+impl RetryCause {
+    /// Base retry hint for this cause, before jitter. The server draws
     /// jitter uniformly in `[0, base/2)` and sends `base + jitter`, so
     /// the hint lands in `[base, 1.5·base)` — synchronized clients
     /// spread out without doubling the documented mean.
-    pub fn retry_base(&self, cause: RetryCause) -> Nanos {
-        match cause {
-            RetryCause::MissPriorityPull => self.retry_after_ns,
-            RetryCause::MissBulkOnly => self.retry_after_ns * 20,
-            RetryCause::Recovering => self.retry_after_ns * 4,
-            RetryCause::SourceFailover => self.retry_after_ns,
+    pub fn retry_base(self) -> Nanos {
+        match self {
+            RetryCause::MissPriorityPull => RETRY_AFTER_NS,
+            RetryCause::MissBulkOnly => RETRY_AFTER_NS * 20,
+            RetryCause::Recovering => RETRY_AFTER_NS * 4,
+            RetryCause::SourceFailover => RETRY_AFTER_NS,
         }
     }
 }

@@ -40,6 +40,6 @@ pub mod priority;
 pub mod source;
 
 pub use baseline::{BaselineAction, BaselineMigration};
-pub use config::{MigrationConfig, RetryCause};
+pub use config::{MigrationConfig, RetryCause, PULL_BUDGET_BYTES};
 pub use manager::{Action, MigrationManager, MigrationPhase, MigrationStats, ReplayBatch};
 pub use priority::{MissOutcome, PriorityPullBatcher};

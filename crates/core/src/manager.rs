@@ -25,7 +25,7 @@
 use rocksteady_common::{HashRange, KeyHash, Nanos, ScanCursor, ServerId, TableId};
 use rocksteady_proto::Record;
 
-use crate::config::MigrationConfig;
+use crate::config::{MigrationConfig, PRIORITY_PULL_BATCH};
 use crate::priority::{MissOutcome, PriorityPullBatcher};
 
 /// A batch of records ready to be replayed on an idle worker.
@@ -338,7 +338,7 @@ impl MigrationManager {
 
         // PriorityPull batch (one outstanding at a time, §3.3).
         if self.config.priority_pulls && !self.config.sync_priority_pulls {
-            if let Some(hashes) = self.batcher.next_batch(self.config.priority_pull_batch) {
+            if let Some(hashes) = self.batcher.next_batch(PRIORITY_PULL_BATCH) {
                 self.stats.priority_pulls_sent += 1;
                 actions.push(Action::SendPriorityPull { hashes });
             }

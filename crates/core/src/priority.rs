@@ -116,11 +116,6 @@ impl PriorityPullBatcher {
     pub fn served(&self) -> u64 {
         self.served
     }
-
-    /// Number of hashes currently known absent.
-    pub fn absent_count(&self) -> usize {
-        self.absent.len()
-    }
 }
 
 #[cfg(test)]
@@ -197,7 +192,7 @@ mod tests {
             "7 may simply be racing replay"
         );
         assert_eq!(b.served(), 1);
-        assert_eq!(b.absent_count(), 1);
+        assert_eq!(b.absent.len(), 1);
     }
 
     #[test]

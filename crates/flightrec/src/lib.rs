@@ -176,7 +176,7 @@ impl Default for DetectorConfig {
 /// and detector evaluation is pure state mutation on the virtual
 /// clock. With both capacities `None` the trace and profile exports of
 /// an armed run are byte-identical to a disarmed one.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FlightRecorderConfig {
     /// Ring capacity (events) for the trace buffer; `None` leaves the
     /// buffer unbounded (exactly the pre-recorder behavior).
@@ -184,41 +184,27 @@ pub struct FlightRecorderConfig {
     /// Ring capacity (events) for the audit buffer; `None` leaves it
     /// unbounded.
     pub audit_capacity: Option<usize>,
-    /// How far back the incident bundle's trace slice reaches (events
-    /// completing within `bundle_trace_window_ns` of the trigger).
-    pub bundle_trace_window_ns: Nanos,
-    /// How many trailing audit events the bundle embeds.
-    pub audit_tail_events: usize,
-    /// How many of the trigger window's slowest request journeys the
-    /// bundle embeds (full cross-node causal chains, slowest first).
-    pub bundle_journeys: usize,
-    /// Global incident cooldown: after a bundle is exported, no further
-    /// bundle (from any detector) until this much virtual time passes —
-    /// one incident produces one bundle.
-    pub incident_cooldown_ns: Nanos,
-    /// Per-detector cooldown, measured from the *last tick the
-    /// condition held*: a continuously-firing detector produces one
-    /// bundle per episode, not one per tick, and must go quiet for this
-    /// long before it can trigger again.
-    pub detector_cooldown_ns: Nanos,
     /// The detector catalog.
     pub detectors: DetectorConfig,
 }
 
-impl Default for FlightRecorderConfig {
-    fn default() -> Self {
-        FlightRecorderConfig {
-            trace_capacity: None,
-            audit_capacity: None,
-            bundle_trace_window_ns: 50 * rocksteady_common::MILLISECOND,
-            audit_tail_events: 64,
-            bundle_journeys: 3,
-            incident_cooldown_ns: SECOND,
-            detector_cooldown_ns: SECOND,
-            detectors: DetectorConfig::default(),
-        }
-    }
-}
+/// How far back the incident bundle's trace slice reaches (events
+/// completing within this long of the trigger).
+pub const BUNDLE_TRACE_WINDOW_NS: Nanos = 50 * rocksteady_common::MILLISECOND;
+/// How many trailing audit events the bundle embeds.
+pub const AUDIT_TAIL_EVENTS: usize = 64;
+/// How many of the trigger window's slowest request journeys the
+/// bundle embeds (full cross-node causal chains, slowest first).
+pub const BUNDLE_JOURNEYS: usize = 3;
+/// Global incident cooldown: after a bundle is exported, no further
+/// bundle (from any detector) until this much virtual time passes —
+/// one incident produces one bundle.
+pub const INCIDENT_COOLDOWN_NS: Nanos = SECOND;
+/// Per-detector cooldown, measured from the *last tick the condition
+/// held*: a continuously-firing detector produces one bundle per
+/// episode, not one per tick, and must go quiet for this long before
+/// it can trigger again.
+pub const DETECTOR_COOLDOWN_NS: Nanos = SECOND;
 
 // ------------------------------------------------------------ sample --
 
@@ -630,26 +616,14 @@ pub fn build_detectors(cfg: &DetectorConfig) -> Vec<Box<dyn Detector>> {
 /// The global incident cooldown additionally suppresses bundles from
 /// *other* detectors right after one fired — a cascade (stall → burn →
 /// lineage age) is one incident.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CooldownTracker {
-    incident_cooldown_ns: Nanos,
-    detector_cooldown_ns: Nanos,
     last_incident: Option<Nanos>,
     /// Detector → last tick its condition held.
     last_hold: BTreeMap<&'static str, Nanos>,
 }
 
 impl CooldownTracker {
-    /// Creates a tracker with the given cooldowns.
-    pub fn new(incident_cooldown_ns: Nanos, detector_cooldown_ns: Nanos) -> Self {
-        CooldownTracker {
-            incident_cooldown_ns,
-            detector_cooldown_ns,
-            last_incident: None,
-            last_hold: BTreeMap::new(),
-        }
-    }
-
     /// Records this tick's firing detectors and decides whether a new
     /// incident may be opened. Returns the index (into `firing`) of the
     /// trigger — the first detector that is out of cooldown — or `None`
@@ -659,7 +633,7 @@ impl CooldownTracker {
         let mut trigger = None;
         for (i, r) in firing.iter().enumerate() {
             let cooled = match self.last_hold.get(r.detector) {
-                Some(&held) => at.saturating_sub(held) >= self.detector_cooldown_ns,
+                Some(&held) => at.saturating_sub(held) >= DETECTOR_COOLDOWN_NS,
                 None => true,
             };
             if trigger.is_none() && cooled {
@@ -673,7 +647,7 @@ impl CooldownTracker {
             self.last_hold.insert(r.detector, at);
         }
         let globally_open = match self.last_incident {
-            Some(t) => at.saturating_sub(t) >= self.incident_cooldown_ns,
+            Some(t) => at.saturating_sub(t) >= INCIDENT_COOLDOWN_NS,
             None => true,
         };
         let admitted = trigger.filter(|_| globally_open);
@@ -800,7 +774,7 @@ mod tests {
 
     #[test]
     fn cooldown_one_bundle_per_episode() {
-        let mut t = CooldownTracker::new(SECOND, SECOND);
+        let mut t = CooldownTracker::default();
         let r = DetectorReading {
             detector: "migration-stall",
             value: 5,
@@ -824,7 +798,7 @@ mod tests {
 
     #[test]
     fn global_cooldown_merges_cascades() {
-        let mut t = CooldownTracker::new(SECOND, SECOND);
+        let mut t = CooldownTracker::default();
         let stall = DetectorReading {
             detector: "migration-stall",
             value: 5,

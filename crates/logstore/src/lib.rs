@@ -21,8 +21,8 @@
 //!   out of sparse segments and returns the memory.
 //!
 //! All structures are thread-safe and usable standalone; the simulator
-//! drives them single-threaded under virtual time while Criterion
-//! micro-benches drive them with real threads.
+//! drives them single-threaded under virtual time while this crate's
+//! stress tests drive them with real threads.
 
 pub mod cleaner;
 pub mod crc;

@@ -87,11 +87,6 @@ impl SideLog {
         self.inner.lock().bytes
     }
 
-    /// Number of segments in this side chain.
-    pub fn segment_count(&self) -> usize {
-        self.inner.lock().segments.len()
-    }
-
     /// Snapshot of this side log's segments (for lazy re-replication at
     /// the end of migration, §3.4).
     pub fn segments_snapshot(&self) -> Vec<Arc<Segment>> {
@@ -120,14 +115,6 @@ impl SideLog {
         self.parent
             .append(EntryKind::SideLogCommit, 0, 0, 0, b"", &value)?;
         Ok(ids)
-    }
-
-    /// Parses a `SideLogCommit` record's value back into segment ids.
-    pub fn parse_commit_record(value: &[u8]) -> Vec<u64> {
-        value
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect()
     }
 }
 
@@ -201,7 +188,10 @@ mod tests {
             );
         }
         assert_eq!(side.entries(), 20);
-        assert!(side.segment_count() > 1, "should have rolled segments");
+        assert!(
+            side.segments_snapshot().len() > 1,
+            "should have rolled segments"
+        );
         // Even before commit the parent resolves side refs (the hash
         // table points into side segments during replay).
         assert!(log.entry(refs[0]).is_some());
@@ -221,7 +211,12 @@ mod tests {
         let mut commit_records = Vec::new();
         log.for_each_entry(|_, v| {
             if v.kind == EntryKind::SideLogCommit {
-                commit_records.push(SideLog::parse_commit_record(v.value));
+                // The record's value is the committed segment ids, 8 LE bytes each.
+                let ids = v.value.chunks_exact(8);
+                commit_records.push(
+                    ids.map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+                        .collect::<Vec<u64>>(),
+                );
             }
         });
         assert_eq!(commit_records, vec![ids]);

@@ -17,8 +17,8 @@ use rocksteady_common::{HashRange, KeyHash, ScanCursor, ServerId, TableId};
 use rocksteady_hashtable::{HashTable, Upsert};
 use rocksteady_logstore::entry::serialized_len;
 use rocksteady_logstore::{
-    Cleaner, EntryKind, Log, LogConfig, LogError, LogRef, Relocation, Relocator, SideLog,
-    WindowCache,
+    Cleaner, EntryKind, EntrySlices, Log, LogConfig, LogError, LogRef, Relocation, Relocator,
+    SideLog, SideLogAppender, WindowCache,
 };
 use rocksteady_proto::Record;
 
@@ -52,11 +52,12 @@ impl Default for MasterConfig {
     }
 }
 
-/// Append sink for [`MasterService::replay_batch`]: the main log or an
-/// already-locked side-log appender, erased behind one signature
-/// mirroring [`Log::append`].
-type ReplayAppend<'a> =
-    &'a mut dyn FnMut(EntryKind, u64, u64, u64, &[u8], &[u8]) -> Result<LogRef, LogError>;
+/// Where [`MasterService::put`] appends: the main log or an
+/// already-locked side-log appender.
+enum Sink<'a, 'b> {
+    Main,
+    Side(&'a mut SideLogAppender<'b>),
+}
 
 /// Where replayed records land: the main log (baseline migration,
 /// recovery) or a per-worker side log (Rocksteady parallel replay,
@@ -66,6 +67,18 @@ pub enum ReplayDest<'a> {
     MainLog,
     /// Append into the given side log.
     Side(&'a SideLog),
+}
+
+/// The wire record of a log entry; key and value alias the log.
+fn record_of(table: TableId, e: EntrySlices) -> Record {
+    Record {
+        table,
+        key_hash: e.key_hash,
+        version: e.version,
+        tombstone: e.kind == EntryKind::Tombstone,
+        key: e.key,
+        value: e.value,
+    }
 }
 
 /// The master service state.
@@ -221,6 +234,48 @@ impl MasterService {
         move |r| log.with_entry(r, |v| v.key == key).unwrap_or(false)
     }
 
+    /// The one way an entry gets in: append it to `sink`, point the hash
+    /// table at it, mark the entry it replaces dead, and add the work to
+    /// the receipt. Returns the new location and the kind of the
+    /// replaced entry, if there was one.
+    #[allow(clippy::too_many_arguments)]
+    fn put(
+        &self,
+        sink: &mut Sink<'_, '_>,
+        kind: EntryKind,
+        table: TableId,
+        hash: KeyHash,
+        version: u64,
+        key: &[u8],
+        value: &[u8],
+        work: &mut Work,
+    ) -> Result<(LogRef, Option<EntryKind>), LogError> {
+        let r = match sink {
+            Sink::Main => self.log.append(kind, table.0, hash, version, key, value),
+            Sink::Side(a) => a.append(kind, table.0, hash, version, key, value),
+        }?;
+        let len = serialized_len(key.len(), value.len()) as u64;
+        work.appends += 1;
+        work.appended_bytes += len;
+        work.copied_bytes += len;
+        work.checksummed_bytes += len;
+        let up = self
+            .hashtable
+            .upsert(table, hash, r, Self::key_matcher(&self.log, key));
+        work.probes += up.probes as u64;
+        let replaced = match up.value {
+            Upsert::Replaced(old) => {
+                let seen = self
+                    .log
+                    .with_entry(old, |v| (v.serialized_len() as u64, v.kind));
+                self.log.mark_dead(old, seen.map_or(0, |(len, _)| len));
+                seen.map(|(_, kind)| kind)
+            }
+            _ => None,
+        };
+        Ok((r, replaced))
+    }
+
     /// Reads one object by key (or, with `key = None`, by bare hash — the
     /// index-scan follow-up path, Figure 2).
     pub fn read(
@@ -285,27 +340,18 @@ impl MasterService {
     ) -> Result<(u64, LogRef), OpError> {
         self.check_writable(table, hash)?;
         let version = self.take_version();
-        let r = self
-            .log
-            .append(EntryKind::Object, table.0, hash, version, key, value)
+        let (r, _) = self
+            .put(
+                &mut Sink::Main,
+                EntryKind::Object,
+                table,
+                hash,
+                version,
+                key,
+                value,
+                work,
+            )
             .map_err(|_| OpError::UnknownTablet)?;
-        let len = serialized_len(key.len(), value.len()) as u64;
-        work.appends += 1;
-        work.appended_bytes += len;
-        work.copied_bytes += len;
-        work.checksummed_bytes += len;
-        let log = Arc::clone(&self.log);
-        let up = self
-            .hashtable
-            .upsert(table, hash, r, Self::key_matcher(&log, key));
-        work.probes += up.probes as u64;
-        if let Upsert::Replaced(old) = up.value {
-            let dead = self
-                .log
-                .with_entry(old, |v| v.serialized_len() as u64)
-                .unwrap_or(0);
-            self.log.mark_dead(old, dead);
-        }
         Ok((version, r))
     }
 
@@ -319,37 +365,24 @@ impl MasterService {
     ) -> Result<bool, OpError> {
         self.check_writable(table, hash)?;
         let version = self.take_version();
-        let log = Arc::clone(&self.log);
         // Always log the tombstone and keep it indexed: during
         // migration-in the key may exist at the source without having
         // arrived yet, and the tombstone's higher version must win over
         // the late arrival at replay (§3). Dropping the slot instead
         // would let the older object resurrect.
-        let r = self
-            .log
-            .append(EntryKind::Tombstone, table.0, hash, version, key, b"")
+        let (_, replaced) = self
+            .put(
+                &mut Sink::Main,
+                EntryKind::Tombstone,
+                table,
+                hash,
+                version,
+                key,
+                b"",
+                work,
+            )
             .map_err(|_| OpError::UnknownTablet)?;
-        let len = serialized_len(key.len(), 0) as u64;
-        work.appends += 1;
-        work.appended_bytes += len;
-        work.copied_bytes += len;
-        work.checksummed_bytes += len;
-        let up = self
-            .hashtable
-            .upsert(table, hash, r, Self::key_matcher(&log, key));
-        work.probes += up.probes as u64;
-        if let Upsert::Replaced(old) = up.value {
-            let (dead, existed) = self
-                .log
-                .with_entry(old, |v| {
-                    (v.serialized_len() as u64, v.kind == EntryKind::Object)
-                })
-                .unwrap_or((0, false));
-            self.log.mark_dead(old, dead);
-            Ok(existed)
-        } else {
-            Ok(false)
-        }
+        Ok(replaced == Some(EntryKind::Object))
     }
 
     /// The serialized log bytes of the entry at `r` (the unit the write
@@ -374,25 +407,6 @@ impl MasterService {
     /// All local indexlets.
     pub fn indexlets(&self) -> &[Indexlet] {
         &self.indexlets
-    }
-
-    /// Inserts a secondary-index entry into the covering indexlet.
-    pub fn index_insert(
-        &mut self,
-        table: TableId,
-        index: IndexId,
-        sec_key: &[u8],
-        primary: KeyHash,
-        work: &mut Work,
-    ) -> Result<(), OpError> {
-        let ix = self
-            .indexlets
-            .iter_mut()
-            .find(|i| i.table == table && i.index == index && i.covers(sec_key))
-            .ok_or(OpError::UnknownIndexlet)?;
-        ix.insert(sec_key, primary);
-        work.index_entries += 1;
-        Ok(())
     }
 
     /// Scans the covering indexlet for `[begin, end]`, returning primary
@@ -439,14 +453,7 @@ impl MasterService {
             .scan_range(table, range, cursor, budget_bytes, |slot| {
                 match reader.entry_slices(slot.log_ref) {
                     Some(e) => {
-                        let rec = Record {
-                            table,
-                            key_hash: e.key_hash,
-                            version: e.version,
-                            tombstone: e.kind == EntryKind::Tombstone,
-                            key: e.key,
-                            value: e.value,
-                        };
+                        let rec = record_of(table, e);
                         // Wire size is computed exactly once per record,
                         // here, and serves both as the batch-budget weight
                         // and the checksum-cost charge. The response is
@@ -479,14 +486,7 @@ impl MasterService {
             work.probes += found.probes as u64;
             if let Some(r) = found.value {
                 if let Some(e) = reader.entry_slices(r) {
-                    let rec = Record {
-                        table,
-                        key_hash: e.key_hash,
-                        version: e.version,
-                        tombstone: e.kind == EntryKind::Tombstone,
-                        key: e.key,
-                        value: e.value,
-                    };
+                    let rec = record_of(table, e);
                     // Zero-copy like gather_range: checksummed on the
                     // wire, never memcpy'd.
                     work.checksummed_bytes += rec.wire_size();
@@ -529,41 +529,27 @@ impl MasterService {
         let max_version = recs.iter().map(|r| r.version).max().unwrap_or(0);
         self.raise_version_floor(max_version + 1);
         match dest {
-            ReplayDest::MainLog => {
-                let log = Arc::clone(&self.log);
-                recs.iter()
-                    .filter(|rec| {
-                        self.replay_one(
-                            rec,
-                            &mut |k, t, h, v, key, val| log.append(k, t, h, v, key, val),
-                            work,
-                        )
-                    })
-                    .count()
-            }
+            ReplayDest::MainLog => recs
+                .iter()
+                .filter(|rec| self.replay_one(rec, &mut Sink::Main, work))
+                .count(),
             ReplayDest::Side(side) => side.append_batch(|a| {
+                let mut sink = Sink::Side(a);
                 recs.iter()
-                    .filter(|rec| {
-                        self.replay_one(
-                            rec,
-                            &mut |k, t, h, v, key, val| a.append(k, t, h, v, key, val),
-                            work,
-                        )
-                    })
+                    .filter(|rec| self.replay_one(rec, &mut sink, work))
                     .count()
             }),
         }
     }
 
-    /// Version-max replay of a single record through `append`, which the
-    /// caller points at the main log or an already-locked side-log
-    /// appender. The caller has already raised the version floor.
-    fn replay_one(&mut self, rec: &Record, append: ReplayAppend<'_>, work: &mut Work) -> bool {
-        let log = Arc::clone(&self.log);
-        let table = rec.table;
-        let existing =
-            self.hashtable
-                .lookup(table, rec.key_hash, Self::key_matcher(&log, &rec.key));
+    /// Version-max replay of a single record into `sink`. The caller has
+    /// already raised the version floor.
+    fn replay_one(&self, rec: &Record, sink: &mut Sink<'_, '_>, work: &mut Work) -> bool {
+        let existing = self.hashtable.lookup(
+            rec.table,
+            rec.key_hash,
+            Self::key_matcher(&self.log, &rec.key),
+        );
         work.probes += existing.probes as u64;
         if let Some(r) = existing.value {
             let existing_version = self.log.with_entry(r, |v| v.version).unwrap_or(0);
@@ -571,44 +557,25 @@ impl MasterService {
                 return false;
             }
         }
+        // Objects and tombstones both keep a slot: the tombstone's
+        // presence (with its version) is what makes unordered replay
+        // delete-safe.
         let kind = if rec.tombstone {
             EntryKind::Tombstone
         } else {
             EntryKind::Object
         };
-        let Ok(new_ref) = append(
+        self.put(
+            sink,
             kind,
-            table.0,
+            rec.table,
             rec.key_hash,
             rec.version,
             &rec.key,
             &rec.value,
-        ) else {
-            return false;
-        };
-        let len = serialized_len(rec.key.len(), rec.value.len()) as u64;
-        work.appends += 1;
-        work.appended_bytes += len;
-        work.copied_bytes += len;
-        work.checksummed_bytes += len;
-        // Objects and tombstones both keep a slot: the tombstone's
-        // presence (with its version) is what makes unordered replay
-        // delete-safe.
-        let up = self.hashtable.upsert(
-            table,
-            rec.key_hash,
-            new_ref,
-            Self::key_matcher(&log, &rec.key),
-        );
-        work.probes += up.probes as u64;
-        if let Upsert::Replaced(old) = up.value {
-            let dead = self
-                .log
-                .with_entry(old, |v| v.serialized_len() as u64)
-                .unwrap_or(0);
-            self.log.mark_dead(old, dead);
-        }
-        true
+            work,
+        )
+        .is_ok()
     }
 
     /// Direct load for experiment setup: behaves like a normal write but
@@ -630,21 +597,19 @@ impl MasterService {
         value: &[u8],
     ) -> LogRef {
         let version = self.take_version();
-        let r = self
-            .log
-            .append(EntryKind::Object, table.0, hash, version, key, value)
+        // Setup is not charged: the receipt is dropped.
+        let (r, _) = self
+            .put(
+                &mut Sink::Main,
+                EntryKind::Object,
+                table,
+                hash,
+                version,
+                key,
+                value,
+                &mut Work::default(),
+            )
             .expect("load append failed");
-        let log = Arc::clone(&self.log);
-        let up = self
-            .hashtable
-            .upsert(table, hash, r, Self::key_matcher(&log, key));
-        if let Upsert::Replaced(old) = up.value {
-            let dead = self
-                .log
-                .with_entry(old, |v| v.serialized_len() as u64)
-                .unwrap_or(0);
-            self.log.mark_dead(old, dead);
-        }
         r
     }
 
@@ -1074,13 +1039,13 @@ mod tests {
     }
 
     #[test]
-    fn index_insert_and_scan() {
+    fn index_scan_reads_the_covering_indexlet() {
         let mut m = owner_master();
-        m.add_indexlet(Indexlet::new(T, IndexId(0), Vec::new(), None));
+        let mut ix = Indexlet::new(T, IndexId(0), Vec::new(), None);
         for (name, id) in [("bob", 2u64), ("alice", 1), ("carol", 3)] {
-            m.index_insert(T, IndexId(0), name.as_bytes(), id, &mut w())
-                .unwrap();
+            ix.insert(name.as_bytes(), id);
         }
+        m.add_indexlet(ix);
         let (hashes, truncated) = m
             .index_scan(T, IndexId(0), b"a", b"z", 10, &mut w())
             .unwrap();

@@ -61,13 +61,6 @@ pub mod timeline;
 pub struct Counter(Rc<Cell<u64>>);
 
 impl Counter {
-    /// Creates a detached counter not registered anywhere (recorded
-    /// values are never exported). Useful for unit tests and for
-    /// components constructed without a registry.
-    pub fn detached() -> Self {
-        Counter::default()
-    }
-
     /// Adds one; returns the new total (handy for trace counters).
     #[inline]
     pub fn inc(&self) -> u64 {
@@ -87,13 +80,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.get()
     }
-
-    /// Resets to zero. Counters are monotonic within one component
-    /// lifetime; a reset models a component restart. Consumers
-    /// differencing counters must tolerate this (see [`DeltaScraper`]).
-    pub fn reset(&self) {
-        self.0.set(0);
-    }
 }
 
 /// An instantaneous signed value (e.g. SLO headroom, which goes
@@ -102,11 +88,6 @@ impl Counter {
 pub struct Gauge(Rc<Cell<i64>>);
 
 impl Gauge {
-    /// Creates a detached gauge (see [`Counter::detached`]).
-    pub fn detached() -> Self {
-        Gauge::default()
-    }
-
     /// Stores `v`.
     #[inline]
     pub fn set(&self, v: i64) {
@@ -133,11 +114,6 @@ impl Gauge {
 pub struct Stamp(Rc<Cell<Option<Nanos>>>);
 
 impl Stamp {
-    /// Creates a detached stamp (see [`Counter::detached`]).
-    pub fn detached() -> Self {
-        Stamp::default()
-    }
-
     /// Marks the stamp at time `t`.
     #[inline]
     pub fn set(&self, t: Nanos) {
@@ -177,11 +153,6 @@ impl Default for Histo {
 }
 
 impl Histo {
-    /// Creates a detached histogram (see [`Counter::detached`]).
-    pub fn detached() -> Self {
-        Histo::default()
-    }
-
     /// Records one observation.
     #[inline]
     pub fn record(&self, v: u64) {
@@ -392,19 +363,6 @@ impl Registry {
         self.len() == 0
     }
 
-    /// Finds the histogram series `(name, labels)` if registered.
-    pub fn find_histogram(&self, name: &str, labels: &[Label]) -> Option<Histo> {
-        let inner = self.0.borrow();
-        let rendered = render_labels(labels);
-        inner
-            .index
-            .get(&(leak_lookup(name, &inner), rendered))
-            .and_then(|&i| match &inner.instruments[i].slot {
-                Slot::Histo(h) => Some(h.clone()),
-                _ => None,
-            })
-    }
-
     /// All histogram handles of family `name`, with their labels, in
     /// deterministic (label-sorted) order.
     pub fn histograms_of(&self, name: &str) -> Vec<(Vec<Label>, Histo)> {
@@ -502,18 +460,6 @@ impl Registry {
             instruments: inner.instruments.len(),
         })
     }
-}
-
-/// `index` keys by `&'static str`; lookups with a runtime `&str` go
-/// through the instrument list instead. Returns the interned name if
-/// any instrument carries it, else a name that cannot match.
-fn leak_lookup(name: &str, inner: &Inner) -> &'static str {
-    inner
-        .instruments
-        .iter()
-        .find(|ins| ins.name == name)
-        .map(|ins| ins.name)
-        .unwrap_or("\u{0}")
 }
 
 fn valid_ident(s: &str) -> bool {
@@ -994,7 +940,7 @@ mod tests {
         assert_eq!(d2[0].delta, 50);
         assert_eq!(d2[0].total, 150);
         // Reset: total goes backwards; delta restarts from zero.
-        c.reset();
+        c.0.set(0);
         c.add(30);
         let d3 = scraper.scrape(&reg);
         assert_eq!(d3[0].delta, 30, "reset must not underflow");
@@ -1017,18 +963,15 @@ mod tests {
     }
 
     #[test]
-    fn find_and_enumerate_histograms() {
+    fn enumerate_histograms_of_a_family() {
         let reg = Registry::new();
         let h0 = reg.histogram("lat", "l", &[("client", "0".into())]);
         let _h1 = reg.histogram("lat", "l", &[("client", "1".into())]);
         h0.record(9);
-        let found = reg
-            .find_histogram("lat", &[("client", "0".into())])
-            .expect("registered");
-        assert_eq!(found.summary().count, 1);
-        assert!(reg.find_histogram("nope", &[]).is_none());
         let all = reg.histograms_of("lat");
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].0[0].1, "0");
+        assert_eq!(all[0].1.summary().count, 1);
+        assert!(reg.histograms_of("nope").is_empty());
     }
 }

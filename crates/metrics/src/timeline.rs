@@ -22,16 +22,11 @@ pub struct TimelinePoint {
     pub p999: u64,
 }
 
-/// Per-interval `(median, p999)` rows of one series within `[from, to)`.
+/// Per-interval `(median, p999)` rows within `[from, to)`, merging the
+/// same interval across many series (e.g. all clients) before taking
+/// percentiles — the exact merge+percentile the timeline figures plot.
 /// Empty intervals are skipped, matching how the paper's timelines only
 /// plot intervals that completed operations.
-pub fn latency_timeline(series: &TimeSeries, from: Nanos, to: Nanos) -> Vec<TimelinePoint> {
-    merged_latency_timeline(std::iter::once(series), from, to)
-}
-
-/// Like [`latency_timeline`], but merging the same interval across many
-/// series (e.g. all clients) before taking percentiles — the exact
-/// merge+percentile the timeline figures plot.
 pub fn merged_latency_timeline<'a>(
     series: impl IntoIterator<Item = &'a TimeSeries>,
     from: Nanos,
@@ -105,7 +100,7 @@ mod tests {
         ts.record(0, 10);
         ts.record(100, 30);
         ts.record(2 * MILLISECOND, 50);
-        let points = latency_timeline(&ts, 0, 10 * MILLISECOND);
+        let points = merged_latency_timeline([&ts], 0, 10 * MILLISECOND);
         assert_eq!(points.len(), 2);
         assert_eq!(points[0].count, 2);
         assert_eq!(points[1].at, 2 * MILLISECOND);

@@ -125,9 +125,8 @@ impl Activity {
 /// (idle included) sum exactly to the cursor — every elapsed nanosecond
 /// is attributed exactly once. [`CoreLedger::charge`] preserves it by
 /// construction (gaps auto-fill as idle, overlaps are diverted to the
-/// overcommit tally); [`CoreLedger::charge_exact`] does not, which is
-/// what lets the unit tests prove [`CoreLedger::validate`] catches a
-/// deliberately dropped charge.
+/// overcommit tally); [`CoreLedger::validate`] checks it, and the unit
+/// tests prove it catches a deliberately dropped charge.
 #[derive(Debug, Clone, Default)]
 pub struct CoreLedger {
     cursor: Nanos,
@@ -163,16 +162,6 @@ impl CoreLedger {
         }
         self.buckets[act.index()] += dur;
         self.cursor = end;
-    }
-
-    /// Low-level charge that requires the caller to tile time
-    /// explicitly: no idle fill, no overlap handling. Misuse (a gap or
-    /// overlap) breaks the conservation invariant, which
-    /// [`CoreLedger::validate`] then reports — by design, so dropped
-    /// charges surface as errors instead of silent skew.
-    pub fn charge_exact(&mut self, act: Activity, start: Nanos, dur: Nanos) {
-        self.buckets[act.index()] += dur;
-        self.cursor = self.cursor.max(start + dur);
     }
 
     /// Fills idle up to `at` (no-op if the cursor is already past it).
@@ -464,12 +453,13 @@ mod tests {
 
     #[test]
     fn dropped_charge_fails_validation() {
-        // An instrumentation bug modeled with the exact API: the idle
-        // gap [10, 20) is never charged, so 10 ns of wall-clock went
+        // An instrumentation bug: the cursor skips the idle gap
+        // [10, 20) without charging it, so 10 ns of wall-clock went
         // unattributed.
         let mut broken = CoreLedger::default();
-        broken.charge_exact(Activity::Service, 0, 10);
-        broken.charge_exact(Activity::Replay, 20, 5);
+        broken.charge(Activity::Service, 0, 10);
+        broken.cursor = 20;
+        broken.charge(Activity::Replay, 20, 5);
         let err = broken.validate().expect_err("dropped charge must fail");
         assert!(err.contains("conservation violated"), "{err}");
 
@@ -486,13 +476,9 @@ mod tests {
         p.register_core(3, 0);
         p.charge(3, 2, Activity::Replay, 0, 10);
         p.validate().expect("both cores conserve");
-        // Corrupt worker 1's ledger via the exact API.
+        // Corrupt worker 1's ledger: wall-clock nobody was charged for.
         if let Some(buf) = &p.0 {
-            buf.borrow_mut()
-                .cores
-                .get_mut(&(3, 2))
-                .unwrap()
-                .charge_exact(Activity::Replay, 50, 5);
+            buf.borrow_mut().cores.get_mut(&(3, 2)).unwrap().cursor += 40;
         }
         let err = p.validate().expect_err("gap must fail");
         assert!(err.contains("server3 worker1"), "{err}");

@@ -146,18 +146,6 @@ pub enum Request {
         /// Maximum number of hashes to return.
         limit: u32,
     },
-    /// Insert a secondary-index entry (sent by the tablet's master to the
-    /// indexlet's owner on write).
-    IndexInsert {
-        /// Indexed table.
-        table: TableId,
-        /// Which secondary index.
-        index: IndexId,
-        /// Secondary key.
-        sec_key: Bytes,
-        /// Primary-key hash the entry points at.
-        primary_hash: KeyHash,
-    },
 
     // ---------------------------------------------- Rocksteady migration --
     /// Client → target: start a Rocksteady migration of `range` from
@@ -242,13 +230,6 @@ pub enum Request {
         offset: u32,
         /// The appended bytes (serialized log entries).
         data: Bytes,
-    },
-    /// Master → backup: the segment is complete/closed.
-    ReplicateClose {
-        /// Master whose log this is.
-        owner: ServerId,
-        /// Segment id.
-        segment: u64,
     },
     /// Master → backup: the cleaner reclaimed `segment` and its survivors
     /// are durable; drop the replica.
@@ -447,7 +428,6 @@ impl Request {
         match self {
             Request::PriorityPull { .. }
             | Request::ReplicateAppend { .. }
-            | Request::ReplicateClose { .. }
             // Same class as the appends, so a free never overtakes a
             // chunk of the segment it frees.
             | Request::FreeSegment { .. } => Priority::Urgent,
@@ -465,7 +445,6 @@ impl Request {
             Request::MultiRead { .. } => "multiread",
             Request::MultiReadHash { .. } => "multiread-hash",
             Request::IndexScan { .. } => "index-scan",
-            Request::IndexInsert { .. } => "index-insert",
             Request::MigrateTablet { .. } => "migrate-tablet",
             Request::PrepareMigration { .. } => "prepare-migration",
             Request::Pull { .. } => "pull",
@@ -473,7 +452,6 @@ impl Request {
             Request::MigrateTabletBaseline { .. } => "migrate-baseline",
             Request::PushRecords { .. } => "push-records",
             Request::ReplicateAppend { .. } => "replicate-append",
-            Request::ReplicateClose { .. } => "replicate-close",
             Request::FreeSegment { .. } => "free-segment",
             Request::FetchSegments { .. } => "fetch-segments",
             Request::GetTabletMap => "get-tablet-map",
@@ -494,7 +472,6 @@ impl Request {
             Request::MultiRead { keys, .. } => keys.iter().map(|(k, _)| k.len() as u64 + 12).sum(),
             Request::MultiReadHash { hashes, .. } => 8 * hashes.len() as u64,
             Request::IndexScan { begin, end, .. } => begin.len() as u64 + end.len() as u64 + 16,
-            Request::IndexInsert { sec_key, .. } => sec_key.len() as u64 + 16,
             Request::PriorityPull { hashes, .. } => 8 * hashes.len() as u64,
             Request::PushRecords { records, .. } => batch_wire_size(records),
             Request::ReplicateAppend { data, .. } => data.len() as u64 + 16,

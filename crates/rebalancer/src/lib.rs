@@ -157,8 +157,14 @@ impl GreedyLoadDelta {
         self.cooldown = cooldown;
         self
     }
+}
 
-    fn propose_inner(&mut self, view: &ClusterView) -> Vec<MoveProposal> {
+impl PlacementPolicy for GreedyLoadDelta {
+    fn name(&self) -> &'static str {
+        "greedy-load-delta"
+    }
+
+    fn propose(&mut self, view: &ClusterView) -> Vec<MoveProposal> {
         let now = view.at;
         self.recent
             .retain(|&(_, _, at)| now.saturating_sub(at) < self.cooldown);
@@ -217,49 +223,6 @@ impl GreedyLoadDelta {
             });
         }
         out
-    }
-}
-
-impl PlacementPolicy for GreedyLoadDelta {
-    fn name(&self) -> &'static str {
-        "greedy-load-delta"
-    }
-
-    fn propose(&mut self, view: &ClusterView) -> Vec<MoveProposal> {
-        self.propose_inner(view)
-    }
-
-    fn clone_box(&self) -> Box<dyn PlacementPolicy> {
-        Box::new(self.clone())
-    }
-}
-
-/// Greedy leveling gated on SLO headroom.
-///
-/// Migration costs dispatch time on both participants; starting one
-/// while client tails are already brushing the SLA converts imbalance
-/// into breaches. This policy proposes the same moves as
-/// [`GreedyLoadDelta`] but only when the live p99.9 headroom is above
-/// `min_headroom_ns` (and always when no SLA is configured — nothing to
-/// protect).
-#[derive(Debug, Clone, Default)]
-pub struct HeadroomAware {
-    /// The underlying leveling policy.
-    pub greedy: GreedyLoadDelta,
-    /// Required `sla - p99.9` slack before proposing any move.
-    pub min_headroom_ns: i64,
-}
-
-impl PlacementPolicy for HeadroomAware {
-    fn name(&self) -> &'static str {
-        "headroom-aware"
-    }
-
-    fn propose(&mut self, view: &ClusterView) -> Vec<MoveProposal> {
-        match view.slo_headroom {
-            Some(h) if h < self.min_headroom_ns => Vec::new(),
-            _ => self.greedy.propose_inner(view),
-        }
     }
 
     fn clone_box(&self) -> Box<dyn PlacementPolicy> {
@@ -412,21 +375,6 @@ mod tests {
         let mut v2 = v0.clone();
         v2.at = 2_000;
         assert_eq!(p.propose(&v2), first);
-    }
-
-    #[test]
-    fn headroom_gate_blocks_when_tails_are_tight() {
-        let mut p = HeadroomAware {
-            greedy: GreedyLoadDelta::new(0.1, 4),
-            min_headroom_ns: 10_000,
-        };
-        let mut v = view(&[(0, 0.9, 4), (1, 0.2, 4)]);
-        v.slo_headroom = Some(5_000); // below the floor: defer
-        assert!(p.propose(&v).is_empty());
-        v.slo_headroom = Some(50_000);
-        assert!(!p.propose(&v).is_empty());
-        v.slo_headroom = None; // no SLA configured: nothing to protect
-        assert!(!p.propose(&v).is_empty());
     }
 
     #[test]

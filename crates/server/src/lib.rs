@@ -88,7 +88,7 @@ pub struct ServerConfig {
     /// Master storage configuration.
     pub master: MasterConfig,
     /// Actor ids of the backups this master replicates to (normally the
-    /// next `cost.replicas` servers in the ring).
+    /// next `ClusterConfig::replicas` servers in the ring).
     pub backup_actors: Vec<ActorId>,
     /// Migration protocol knobs.
     pub migration: rocksteady::MigrationConfig,

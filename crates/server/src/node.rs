@@ -12,7 +12,7 @@
 use bytes::Bytes;
 use rocksteady::{
     Action, BaselineAction, BaselineMigration, MigrationManager, MissOutcome, ReplayBatch,
-    RetryCause,
+    RetryCause, PULL_BUDGET_BYTES,
 };
 use rocksteady_audit::AuditSink;
 use rocksteady_backup::BackupService;
@@ -189,10 +189,10 @@ impl ServerNode {
     }
 
     /// The one place retry hints are computed. Base comes from
-    /// [`rocksteady::MigrationConfig::retry_base`]; jitter is uniform in
+    /// [`RetryCause::retry_base`]; jitter is uniform in
     /// `[0, base/2)` so the hint lands in `[base, 1.5·base)`.
     fn retry_hint(&mut self, ctx: &mut Ctx<'_, Envelope>, cause: RetryCause) -> Response {
-        let base = self.cfg.migration.retry_base(cause);
+        let base = cause.retry_base();
         let after = base + ctx.rng.next_below((base / 2).max(1));
         let sent = self.stats.retry_hints_sent.inc();
         self.tel.retry_hint_sent(ctx.now(), sent);
@@ -337,7 +337,7 @@ impl ServerNode {
                 target,
                 opts,
             } => {
-                let budget = self.cfg.migration.pull_budget_bytes as u64;
+                let budget = PULL_BUDGET_BYTES as u64;
                 let Some(mig) =
                     BaselineMigration::new(&mut self.master, table, range, target, opts, budget)
                 else {
@@ -575,7 +575,7 @@ impl ServerNode {
                 Deferred::BaselineContinue => {
                     self.sched.enqueue(Priority::Background, Task::BaselineStep);
                 }
-                Deferred::ShipLog { wait } => self.ship_heads(ctx, Some(worker), wait),
+                Deferred::ShipLog { wait } => self.ship_heads(ctx, worker, wait),
             }
         }
         self.sched.service_done(worker, now);
@@ -626,7 +626,7 @@ impl ServerNode {
     fn ship_heads(
         &mut self,
         ctx: &mut Ctx<'_, Envelope>,
-        worker: Option<usize>,
+        worker: usize,
         wait: Option<(ActorId, RpcId, Response)>,
     ) {
         let sends = self.plan(Scope::Heads, ctx.now());
@@ -729,13 +729,11 @@ impl ServerNode {
     fn finish_wait(
         &mut self,
         ctx: &mut Ctx<'_, Envelope>,
-        worker: Option<usize>,
+        worker: usize,
         (client, rpc, resp): (ActorId, RpcId, Response),
     ) {
         self.respond(ctx, client, rpc, resp, CausalCtx::NONE);
-        if let Some(w) = worker {
-            self.release_worker(ctx, w);
-        }
+        self.release_worker(ctx, worker);
     }
 
     // ------------------------------------------------------ RPC execution --
@@ -843,22 +841,6 @@ impl ServerNode {
                 let service = m.op_fixed_ns + m.index_lookup_ns + work.service_ns(m);
                 (service, resp)
             }
-            Request::IndexInsert {
-                table,
-                index,
-                sec_key,
-                primary_hash,
-            } => {
-                let inserted =
-                    self.master
-                        .index_insert(table, index, &sec_key, primary_hash, &mut work);
-                let resp = match inserted {
-                    Ok(()) => Response::Ok,
-                    Err(_) => Response::Err(Status::UnknownTablet),
-                };
-                let service = m.op_fixed_ns + m.index_lookup_ns + work.service_ns(m);
-                (service, resp)
-            }
             Request::Pull {
                 table,
                 range,
@@ -935,10 +917,6 @@ impl ServerNode {
                     "replication stream corrupted: {outcome:?}"
                 );
                 (service, Response::ReplicateOk)
-            }
-            Request::ReplicateClose { owner, segment } => {
-                self.backup.close(owner, segment);
-                (m.backup_fixed_ns, Response::ReplicateOk)
             }
             Request::FreeSegment { owner, segment } => {
                 self.backup.free_segment(owner, segment);
@@ -1166,7 +1144,7 @@ impl ServerNode {
                         table,
                         range: range.split(run.mgr.config.partitions)[partition],
                         cursor,
-                        budget_bytes: run.mgr.config.pull_budget_bytes,
+                        budget_bytes: PULL_BUDGET_BYTES,
                     };
                     let pending = Pending::Pull { mig: id, partition };
                     let rpc = self.rpcs.open(dst, pending, self.tel.span_start(now));

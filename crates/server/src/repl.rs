@@ -43,7 +43,7 @@ pub(crate) enum Durable {
     /// A client's bytes are durable: answer it and release the worker
     /// held for it.
     Respond {
-        worker: Option<usize>,
+        worker: usize,
         respond: (ActorId, RpcId, Response),
     },
     /// A cleaner pass's survivors are durable: these victims' replicas
@@ -437,7 +437,7 @@ mod tests {
     fn ack_group_answers_exactly_once_after_the_last_credit() {
         let mut r = ReplManager::default();
         let respond = |to, rpc| Durable::Respond {
-            worker: Some(2),
+            worker: 2,
             respond: (to, RpcId(rpc), Response::Ok),
         };
         let a = r.open_group(3, respond(5, 8));
@@ -449,7 +449,7 @@ mod tests {
         assert!(matches!(
             done,
             Durable::Respond {
-                worker: Some(2),
+                worker: 2,
                 respond: (5, RpcId(8), _)
             }
         ));

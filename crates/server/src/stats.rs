@@ -216,12 +216,6 @@ impl NodeStats {
         }
     }
 
-    /// A bundle of detached instruments (recorded but never exported) —
-    /// for unit tests and registry-less construction.
-    pub fn detached() -> NodeStats {
-        NodeStats::default()
-    }
-
     /// Starts a migration run's accounting: stamps the start and clears
     /// the finish/abandon stamps. Both the Rocksteady and the baseline
     /// paths must call this — a second migration on the same node must
@@ -359,11 +353,6 @@ pub struct NodeStatsView {
 /// mutable, so no `RefCell` wrapper is needed.
 pub type StatsHandle = Rc<NodeStats>;
 
-/// Creates a fresh detached stats handle (not exported anywhere).
-pub fn stats_handle() -> StatsHandle {
-    Rc::new(NodeStats::detached())
-}
-
 /// Creates a stats handle registered in `reg` under `server`'s label.
 pub fn registered_stats(reg: &Registry, server: ServerId) -> StatsHandle {
     Rc::new(NodeStats::register(reg, server))
@@ -372,14 +361,6 @@ pub fn registered_stats(reg: &Registry, server: ServerId) -> StatsHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn handle_is_shared() {
-        let h = stats_handle();
-        let h2 = Rc::clone(&h);
-        h.ops_served.add(3);
-        assert_eq!(h2.ops_served.get(), 3);
-    }
 
     #[test]
     fn registered_twice_shares_cells() {
@@ -393,7 +374,7 @@ mod tests {
 
     #[test]
     fn begin_migration_clears_stale_stamps() {
-        let s = NodeStats::detached();
+        let s = NodeStats::default();
         s.begin_migration(10);
         s.migration_finished_at.set(50);
         // Second run: stale finish/abandon marks must not survive.
@@ -406,7 +387,7 @@ mod tests {
 
     #[test]
     fn per_run_stamps_survive_overlapping_runs() {
-        let s = NodeStats::detached();
+        let s = NodeStats::default();
         let (m1, m2) = (MigrationId(1), MigrationId(2));
         s.begin_migration_run(m1, 10);
         s.begin_migration_run(m2, 20);
@@ -433,7 +414,7 @@ mod tests {
 
     #[test]
     fn progress_counters_accumulate_per_run() {
-        let s = NodeStats::detached();
+        let s = NodeStats::default();
         let (m1, m2) = (MigrationId(1), MigrationId(2));
         s.begin_migration_run(m1, 10);
         s.begin_migration_run(m2, 20);

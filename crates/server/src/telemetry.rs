@@ -216,7 +216,6 @@ impl NodeTelemetry {
                     Request::PushRecords { replay: true, .. } => Activity::Replay,
                     Request::PushRecords { .. }
                     | Request::ReplicateAppend { .. }
-                    | Request::ReplicateClose { .. }
                     | Request::FreeSegment { .. }
                     | Request::FetchSegments { .. } => Activity::Background,
                     _ => Activity::Service,

@@ -315,10 +315,6 @@ impl CalendarQueue {
         }
     }
 
-    fn len(&self) -> usize {
-        self.len
-    }
-
     fn push(&mut self, q: QRef) {
         self.len += 1;
         let b = q.at >> BUCKET_SHIFT;
@@ -536,13 +532,6 @@ impl EventQueue {
             EventQueue::Calendar(c) => c.next_at(),
         }
     }
-
-    fn len(&self) -> usize {
-        match self {
-            EventQueue::Heap(h) => h.len(),
-            EventQueue::Calendar(c) => c.len(),
-        }
-    }
 }
 
 /// The simulation: actors, the event queue, and the clock.
@@ -552,10 +541,6 @@ pub struct Simulation<M: SimMessage> {
     queue: EventQueue,
     slab: EventSlab<M>,
     slots: Vec<Slot<M>>,
-    /// Pending-event depth per destination actor ("event lane"): the
-    /// bookkeeping a conservative-lookahead parallel executor needs to
-    /// tell which actors have independent work queued.
-    lane_depth: Vec<u32>,
     nic: NicConfig,
     rng: Prng,
     started: bool,
@@ -578,7 +563,6 @@ impl<M: SimMessage> Simulation<M> {
             queue: EventQueue::new(scheduler),
             slab: EventSlab::new(),
             slots: Vec::new(),
-            lane_depth: Vec::new(),
             nic,
             rng: Prng::new(seed),
             started: false,
@@ -693,10 +677,6 @@ impl<M: SimMessage> Simulation<M> {
     fn push(&mut self, at: Nanos, dst: ActorId, event: Event<M>) {
         let seq = self.seq;
         self.seq += 1;
-        if self.lane_depth.len() <= dst {
-            self.lane_depth.resize(dst + 1, 0);
-        }
-        self.lane_depth[dst] += 1;
         let idx = self.slab.alloc(event);
         self.queue.push(QRef {
             at,
@@ -706,19 +686,6 @@ impl<M: SimMessage> Simulation<M> {
         });
     }
 
-    /// Number of events currently queued for `id` (its "lane depth").
-    /// A conservative-lookahead executor uses this to find actors with
-    /// independent pending work; it is also a cheap backlog probe for
-    /// tests and tooling.
-    pub fn lane_depth(&self, id: ActorId) -> u32 {
-        self.lane_depth.get(id).copied().unwrap_or(0)
-    }
-
-    /// Total events currently queued.
-    pub fn events_pending(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Processes one event. Returns false when the queue is empty.
     pub fn step(&mut self) -> bool {
         self.start_if_needed();
@@ -726,7 +693,6 @@ impl<M: SimMessage> Simulation<M> {
             return false;
         };
         let dst = q.dst as ActorId;
-        self.lane_depth[dst] -= 1;
         debug_assert!(q.at >= self.now, "time went backwards");
         self.now = q.at;
         let event = self.slab.take(q.idx);
@@ -1092,27 +1058,6 @@ mod tests {
             assert_eq!(fast.borrow().len(), 60);
             assert!(fast.borrow().windows(2).all(|w| w[0] < w[1]));
         }
-    }
-
-    #[test]
-    fn lane_depth_tracks_pending_events() {
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let responses = Rc::new(RefCell::new(Vec::new()));
-        let mut sim = Simulation::new(nic(), 1);
-        let echo = sim.add_actor(Box::new(Echo { log, reply: false }));
-        sim.add_actor(Box::new(Blaster {
-            dst: echo,
-            n: 7,
-            bytes: 100,
-            responses,
-        }));
-        assert_eq!(sim.lane_depth(echo), 0);
-        sim.step(); // start hooks flush: 7 sends queued for echo
-        assert_eq!(sim.lane_depth(echo), 6, "one delivered by the first step");
-        assert_eq!(sim.events_pending(), 6);
-        sim.run_to_idle();
-        assert_eq!(sim.lane_depth(echo), 0);
-        assert_eq!(sim.events_pending(), 0);
     }
 
     #[test]

@@ -51,9 +51,6 @@ pub struct YcsbConfig {
     pub max_outstanding: usize,
     /// Re-issue an op if no response within this long (crash handling).
     pub rpc_timeout: Nanos,
-    /// Stop issuing new arrivals at this virtual time (`u64::MAX` =
-    /// never).
-    pub stop_at: Nanos,
     /// RNG seed (derive per client).
     pub seed: u64,
     /// Spatial load shape: where in the hash space arrivals concentrate
@@ -76,7 +73,6 @@ impl YcsbConfig {
             scrambled: true,
             max_outstanding: 64,
             rpc_timeout: 10 * rocksteady_common::MILLISECOND,
-            stop_at: Nanos::MAX,
             seed: 1,
             shape: LoadShape::Steady,
         }
@@ -206,9 +202,6 @@ impl YcsbClient {
     }
 
     fn arm_arrival(&mut self, ctx: &mut Ctx<'_, Envelope>) {
-        if ctx.now() >= self.cfg.stop_at {
-            return;
-        }
         let mean = 1e9 / self.cfg.ops_per_sec;
         let gap = self.rng.next_exp(mean).max(1.0) as Nanos;
         ctx.timer(gap, TOK_ARRIVAL);

@@ -1,8 +1,10 @@
 //! Shared setup for the cross-crate integration tests.
 
-use rocksteady_cluster::{Cluster, ClusterBuilder, ClusterConfig};
-use rocksteady_common::{HashRange, KeyHash, ServerId, TableId, MILLISECOND};
+use rocksteady_cluster::{Cluster, ClusterBuilder, ClusterConfig, ControlCmd};
+use rocksteady_common::zipf::KeyDist;
+use rocksteady_common::{HashRange, KeyHash, MigrationId, ServerId, TableId, MILLISECOND};
 use rocksteady_workload::core::primary_key;
+use rocksteady_workload::YcsbConfig;
 
 /// The table every test uses.
 pub const TABLE: TableId = TableId(1);
@@ -36,6 +38,47 @@ pub fn standard_setup(cluster: &mut Cluster, keys: u64) {
     cluster.load_table(TABLE, keys, 30, 100);
     cluster.seed_backups();
     cluster.split_tablet(TABLE, MID);
+}
+
+/// The benchmark's `write_churn` shape at test scale, run to 150 ms on
+/// top of `base`: four servers, three replicas, 64 KiB segments, the
+/// cleaner ticking every 2 ms on every server, 5 000 keys, half the
+/// operations uniform overwrites, the upper half migrating 0 → 1 at
+/// 40 ms — the one schedule where cleaner survivors and client writes
+/// share the replication manager.
+#[allow(dead_code)] // not every test binary uses every helper
+pub fn write_churn(base: ClusterConfig, client_seed: u64) -> Cluster {
+    let cfg = ClusterConfig {
+        servers: 4,
+        replicas: 3,
+        cleaner_interval: Some(2 * MILLISECOND),
+        segment_bytes: 1 << 16,
+        ..base
+    };
+    let mut b = ClusterBuilder::new(cfg);
+    let mut ycsb = YcsbConfig::ycsb_b(b.directory(), TABLE, 5_000, 80_000.0);
+    ycsb.read_fraction = 0.5;
+    ycsb.dist = KeyDist::Uniform;
+    ycsb.seed = client_seed;
+    b.add_ycsb(ycsb);
+    let migrate = ControlCmd::Migrate {
+        id: MigrationId(1),
+        table: TABLE,
+        range: upper(),
+        source: ServerId(0),
+        target: ServerId(1),
+    };
+    b.at(40 * MILLISECOND, migrate);
+    let mut cluster = b.build();
+    standard_setup(&mut cluster, 5_000);
+    cluster.run_until(150 * MILLISECOND);
+    let finished = cluster.migration_finished(ServerId(1), MigrationId(1));
+    assert!(finished.is_some(), "migration never finished");
+    for server in [0, 1].map(ServerId) {
+        let cleaned = cluster.server_stats[&server].segments_cleaned.get();
+        assert!(cleaned > 0, "{server:?} never cleaned a segment");
+    }
+    cluster
 }
 
 /// Convenience builder with the standard config.

@@ -14,11 +14,10 @@
 
 mod common;
 
-use common::{standard_setup, test_config, upper, TABLE};
+use common::{standard_setup, test_config, upper, write_churn, TABLE};
 use rocksteady_cluster::{
     Cluster, ClusterBuilder, ClusterConfig, ControlCmd, Fault, FlightRecorderConfig,
 };
-use rocksteady_common::zipf::KeyDist;
 use rocksteady_common::{HashRange, MigrationId, ServerId, MILLISECOND};
 use rocksteady_master::TabletRole;
 use rocksteady_workload::YcsbConfig;
@@ -261,36 +260,6 @@ fn drop_pulls_in_ring_mode() -> (u64, u64) {
     digest(&cluster)
 }
 
-/// The benchmark's `write_churn` shape at test scale: half the
-/// operations overwrite, three replicas, the cleaner ticking on every
-/// server while one migration runs — the one schedule where cleaner
-/// survivors and client writes share the replication manager.
-fn write_churn() -> (u64, u64) {
-    let cfg = ClusterConfig {
-        servers: 4,
-        replicas: 3,
-        cleaner_interval: Some(2 * MILLISECOND),
-        segment_bytes: 1 << 16,
-        ..armed(42)
-    };
-    let mut b = ClusterBuilder::new(cfg);
-    let mut ycsb = YcsbConfig::ycsb_b(b.directory(), TABLE, 5_000, 80_000.0);
-    ycsb.read_fraction = 0.5;
-    ycsb.dist = KeyDist::Uniform;
-    b.add_ycsb(ycsb);
-    b.at(40 * MILLISECOND, migrate(1, upper(), 0, 1));
-    let mut cluster = b.build();
-    standard_setup(&mut cluster, 5_000);
-    cluster.run_until(150 * MILLISECOND);
-    let finished = cluster.migration_finished(ServerId(1), MigrationId(1));
-    assert!(finished.is_some());
-    for server in [0, 1].map(ServerId) {
-        let cleaned = cluster.server_stats[&server].segments_cleaned.get();
-        assert!(cleaned > 0, "{server:?} never cleaned a segment");
-    }
-    digest(&cluster)
-}
-
 fn all_scenarios() -> Vec<(&'static str, (u64, u64))> {
     let plain = |seed| live_migration(armed(seed), |_| {});
     let mut sync_pulls = armed(42);
@@ -312,7 +281,7 @@ fn all_scenarios() -> Vec<(&'static str, (u64, u64))> {
             live_migration(armed(42), |c| c.set_tracing(false)),
         ),
         ("fault/drop-pulls-ring", drop_pulls_in_ring_mode()),
-        ("migration/write-churn", write_churn()),
+        ("migration/write-churn", digest(&write_churn(armed(42), 1))),
     ]
 }
 
