@@ -7,7 +7,8 @@
 #   2. cargo clippy -D warnings (all targets) — lint-clean
 #   3. tier-1 verify (ROADMAP.md): release build + test suite
 #   4. structure gate: server cores stay simulator- and telemetry-free;
-#      one JSON emitter and one ring compaction under crates/*/src; the
+#      one JSON emitter and one ring compaction under crates/*/src;
+#      trace args leave their emitters as stack slices; the
 #      replication lane follows the segment (no log rescan on the write
 #      path, no lane flag, no head appends from the cleaner); reachability
 #      (two vendored crates and no criterion, every config field read,
@@ -16,7 +17,8 @@
 #   6. examples smoke: quickstart clean and fault-injected, every JSON
 #      export loaded and checked by key; crash_recovery
 #   7. bench smoke: day_in_the_life
-#   8. allocation gate: gather/replay migration hot path stays sub-per-record
+#   8. allocation gate: gather/replay migration hot path stays
+#      sub-per-record; recording a trace event allocates nothing
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -63,6 +65,13 @@ fi
 compactors=$(grep -lE '\.drain\(\.\.[^)]+\);' crates/*/src/*.rs | tr '\n' ' ' || true)
 if [ "$compactors" != "crates/common/src/ring.rs " ]; then
     echo "FAIL: prefix-drop compaction outside common::ring: $compactors"; exit 1
+fi
+# Recording a trace event allocates nothing: emitters hand their args
+# over as a stack array or slice, never as a heap list of pairs.
+if awk 'FNR == 1 { in_tests = 0 } /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests && /Vec<\(&.static str, u64\)>|vec!\[\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit !bad }' crates/{server,workload,cluster}/src/*.rs; then
+    echo "FAIL: a trace emitter builds its args on the heap; pass a stack slice"; exit 1
 fi
 
 # The replication lane is a property of the segment: the write path
@@ -240,7 +249,7 @@ peak=$(awk -F, '$1 == "rebalanced" { print $6 }' target/figures/day_in_the_life_
 test -s target/figures/day_in_the_life_latency.csv
 head -1 target/figures/day_in_the_life_latency.csv | grep -q '^mode,t_ns,p50_ns,p999_ns$'
 
-echo "==> allocation gate: migration gather/replay path"
+echo "==> allocation gate: migration gather/replay path, trace recording"
 cargo test -q --test alloc_gate
 
 echo "CI OK"

@@ -777,7 +777,9 @@ impl Cluster {
     /// `rocksteady-journeys-v1` JSON document. Byte-identical across
     /// same-seed runs and across the scheduler swap.
     pub fn export_journeys_json(&self) -> String {
-        journey::export_json(&self.journeys(), self.trace.dropped())
+        let dropped = self.trace.dropped();
+        self.trace
+            .with_events(|events| journey::export_events_json(events, dropped))
     }
 
     /// Post-hoc companion to the live SLO monitor: the `k` slowest

@@ -132,8 +132,7 @@ pub fn build_bundle(inp: &BundleInputs<'_>) -> String {
     // causal chains of the requests this incident actually hurt. The
     // trace ring is completion-ordered, so the window is a suffix.
     let journeys_json = inp.trace.with_events(|events| {
-        let from = events.partition_point(|e| e.ts + e.dur < since);
-        let all = journey::reconstruct(&events[from..]);
+        let all = journey::reconstruct(events.since(since));
         journey::export_json(
             &journey::slowest(&all, BUNDLE_JOURNEYS),
             inp.trace.dropped(),

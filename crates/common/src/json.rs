@@ -27,36 +27,110 @@ pub struct Micros(pub u64);
 #[derive(Debug, Clone, Copy)]
 pub struct Raw<'a>(pub &'a str);
 
-fn push_u64(out: &mut String, mut v: u64, min_digits: usize) {
-    let mut buf = [0u8; 20];
-    let mut at = buf.len();
-    while v > 0 || buf.len() - at < min_digits {
-        at -= 1;
-        buf[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-    }
-    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+/// `"00" "01" … "99"`: two digits per lookup.
+const DIGIT_PAIRS: &str = "0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
+/// Appends `v < 100` as exactly two digits.
+#[inline(always)]
+fn push_2(out: &mut String, v: u32) {
+    out.push_str(&DIGIT_PAIRS[v as usize * 2..][..2]);
 }
 
+/// Appends `v < 10_000` as exactly four digits.
+#[inline(always)]
+fn push_4(out: &mut String, v: u32) {
+    push_2(out, v / 100);
+    push_2(out, v % 100);
+}
+
+/// Appends `v < 100_000_000` without leading zeros.
+#[inline(always)]
+fn push_up_to_8(out: &mut String, v: u32) {
+    let (high, low) = (v / 10_000, v % 10_000);
+    let lead = if high > 0 { high } else { low };
+    if lead >= 1000 {
+        push_4(out, lead);
+    } else if lead >= 100 {
+        out.push((b'0' + (lead / 100) as u8) as char);
+        push_2(out, lead % 100);
+    } else if lead >= 10 {
+        push_2(out, lead);
+    } else {
+        out.push((b'0' + lead as u8) as char);
+    }
+    if high > 0 {
+        push_4(out, low);
+    }
+}
+
+/// Appends `v` in decimal, most significant digits first and straight
+/// into `out`: every piece is a `str` of the digit table, so there is
+/// no scratch buffer to copy from and nothing to validate.
+#[inline]
+fn push_u64(out: &mut String, v: u64) {
+    const E8: u64 = 100_000_000;
+    let (high, low) = (v / E8, (v % E8) as u32);
+    if high == 0 {
+        return push_up_to_8(out, low);
+    }
+    // `high` < 1.85e11: at most four digits above its own low eight.
+    let (top, mid) = ((high / E8) as u32, (high % E8) as u32);
+    if top == 0 {
+        push_up_to_8(out, mid);
+    } else {
+        push_up_to_8(out, top);
+        push_4(out, mid / 10_000);
+        push_4(out, mid % 10_000);
+    }
+    push_4(out, low / 10_000);
+    push_4(out, low % 10_000);
+}
+
+/// 1 for the bytes a JSON string must escape: controls, `"`, `\\`.
+const ESCAPED: [u8; 256] = {
+    let mut t = [0; 256];
+    let mut b = 0;
+    while b < 0x20 {
+        t[b] = 1;
+        b += 1;
+    }
+    t[b'"' as usize] = 1;
+    t[b'\\' as usize] = 1;
+    t
+};
+
+#[inline(always)]
 fn push_quoted(out: &mut String, s: &str) {
     out.push('"');
-    if s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                c if (c as u32) < 0x20 => {
-                    out.push_str("\\u00");
-                    out.push(char::from_digit(c as u32 >> 4, 16).expect("< 16"));
-                    out.push(char::from_digit(c as u32 & 0xf, 16).expect("< 16"));
-                }
-                c => out.push(c),
-            }
-        }
-    } else {
+    // Inlined into a caller that passes a literal, this check folds
+    // away and the copy becomes a few fixed-size stores.
+    if s.bytes().fold(0, |any, b| any | ESCAPED[b as usize]) == 0 {
         out.push_str(s);
+    } else {
+        push_escaped(out, s);
     }
     out.push('"');
+}
+
+#[cold]
+#[inline(never)]
+fn push_escaped(out: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => {
+                out.push_str("\\u00");
+                out.push(char::from_digit(c as u32 >> 4, 16).expect("< 16"));
+                out.push(char::from_digit(c as u32 & 0xf, 16).expect("< 16"));
+            }
+            c => out.push(c),
+        }
+    }
 }
 
 macro_rules! unsigned_json_value {
@@ -64,7 +138,7 @@ macro_rules! unsigned_json_value {
         impl JsonValue for $t {
             #[inline]
             fn write_json(&self, out: &mut String) {
-                push_u64(out, *self as u64, 1);
+                push_u64(out, *self as u64);
             }
         }
     )*};
@@ -76,11 +150,12 @@ impl JsonValue for i64 {
         if *self < 0 {
             out.push('-');
         }
-        push_u64(out, self.unsigned_abs(), 1);
+        push_u64(out, self.unsigned_abs());
     }
 }
 
 impl JsonValue for bool {
+    #[inline]
     fn write_json(&self, out: &mut String) {
         out.push(if *self { '1' } else { '0' });
     }
@@ -100,10 +175,13 @@ impl JsonValue for String {
 }
 
 impl JsonValue for Micros {
+    #[inline]
     fn write_json(&self, out: &mut String) {
-        push_u64(out, self.0 / 1000, 1);
+        let fraction = (self.0 % 1000) as u32;
+        push_u64(out, self.0 / 1000);
         out.push('.');
-        push_u64(out, self.0 % 1000, 3);
+        out.push((b'0' + (fraction / 100) as u8) as char);
+        push_2(out, fraction % 100);
     }
 }
 
@@ -114,6 +192,7 @@ impl JsonValue for Raw<'_> {
 }
 
 impl<T: JsonValue + ?Sized> JsonValue for &T {
+    #[inline]
     fn write_json(&self, out: &mut String) {
         (**self).write_json(out);
     }
@@ -133,7 +212,9 @@ impl JsonWriter {
         JsonWriter::default()
     }
 
-    /// An empty writer with `bytes` of output pre-allocated.
+    /// An empty writer with `bytes` of output pre-allocated. A caller
+    /// that sizes this from its data (see the trace exports) writes the
+    /// whole document without the buffer ever growing.
     pub fn with_capacity(bytes: usize) -> Self {
         JsonWriter {
             out: String::with_capacity(bytes),
@@ -141,6 +222,7 @@ impl JsonWriter {
         }
     }
 
+    #[inline]
     fn open(&mut self, c: char) -> &mut Self {
         if self.need_comma {
             self.out.push(',');
@@ -150,6 +232,7 @@ impl JsonWriter {
         self
     }
 
+    #[inline]
     fn close(&mut self, c: char) -> &mut Self {
         self.out.push(c);
         self.need_comma = true;
@@ -178,7 +261,7 @@ impl JsonWriter {
     }
 
     /// Writes `"key":`; the next call supplies the value.
-    #[inline]
+    #[inline(always)]
     pub fn key(&mut self, key: &str) -> &mut Self {
         if self.need_comma {
             self.out.push(',');
@@ -191,6 +274,7 @@ impl JsonWriter {
 
     /// Writes one value (an array element, or the value of the
     /// preceding [`key`](Self::key)).
+    #[inline]
     pub fn value(&mut self, v: impl JsonValue) -> &mut Self {
         if self.need_comma {
             self.out.push(',');
@@ -201,6 +285,7 @@ impl JsonWriter {
     }
 
     /// Writes `"key":value`.
+    #[inline(always)]
     pub fn field(&mut self, key: &str, v: impl JsonValue) -> &mut Self {
         self.key(key).value(v)
     }

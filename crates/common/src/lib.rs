@@ -38,6 +38,6 @@ pub use ids::{
     key_hash, CausalCtx, IndexId, KeyHash, MigrationId, RpcId, ServerId, TableId, TraceId,
 };
 pub use range::{HashRange, ScanCursor};
-pub use ring::Ring;
+pub use ring::{Ring, TailRing};
 pub use time::{Nanos, MICROSECOND, MILLISECOND, SECOND};
 pub use wire::{SimMessage, WireSized};

@@ -18,7 +18,7 @@
 
 use rocksteady_common::json::JsonWriter;
 use rocksteady_common::Nanos;
-use rocksteady_trace::{lanes, Phase, TraceEvent};
+use rocksteady_trace::{lanes, Events, Phase};
 
 /// Sweep classes, in blocking priority order (lower wins a tie).
 const CLASS_REPLAY: usize = 0;
@@ -96,7 +96,7 @@ impl CriticalPathReport {
 /// Walks the trace buffer and computes the blocking chain of the most
 /// recent *completed* migration. Returns `None` if no migration span
 /// was recorded (tracing off, or the migration was abandoned).
-pub fn critical_path(events: &[TraceEvent]) -> Option<CriticalPathReport> {
+pub fn critical_path(events: Events<'_>) -> Option<CriticalPathReport> {
     let mig = events
         .iter()
         .rev()
@@ -200,30 +200,21 @@ pub fn critical_path(events: &[TraceEvent]) -> Option<CriticalPathReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rocksteady_trace::{Arg, Tracer};
 
-    fn span(name: &'static str, pid: u64, tid: u64, ts: Nanos, dur: Nanos) -> TraceEvent {
-        TraceEvent {
-            name,
-            cat: "test",
-            ph: Phase::Span,
-            ts,
-            dur,
-            pid,
-            tid,
-            args: Vec::new(),
-        }
+    fn span(t: &Tracer, name: &'static str, tid: u64, ts: Nanos, dur: Nanos, args: &[Arg]) {
+        t.span(name, "test", 2, tid, ts, dur, args);
     }
 
     #[test]
     fn sweep_tiles_the_migration_interval() {
-        let mut events = vec![
-            span("mig:prepare", 2, lanes::MIGRATION, 0, 10),
-            span("mig:pull", 2, lanes::pull(0), 10, 40),
-            span("mig:replay", 2, lanes::worker(1), 30, 50),
-            span("mig:pull", 2, lanes::pull(1), 80, 10),
-        ];
-        events.push(span("migration", 2, lanes::MIGRATION, 0, 100));
-        let report = critical_path(&events).expect("migration present");
+        let t = Tracer::armed();
+        span(&t, "mig:prepare", lanes::MIGRATION, 0, 10, &[]);
+        span(&t, "mig:pull", lanes::pull(0), 10, 40, &[]);
+        span(&t, "mig:replay", lanes::worker(1), 30, 50, &[]);
+        span(&t, "mig:pull", lanes::pull(1), 80, 10, &[]);
+        span(&t, "migration", lanes::MIGRATION, 0, 100, &[]);
+        let report = t.with_events(critical_path).expect("migration present");
         assert_eq!(report.total_ns, 100);
         assert_eq!(report.attributed_ns, 100);
         assert_eq!(report.coverage_permille(), 1000);
@@ -250,10 +241,10 @@ mod tests {
 
     #[test]
     fn nic_split_uses_departure_stamps() {
-        let mut pull = span("mig:pull", 2, lanes::pull(0), 0, 100);
-        pull.args.push(("resp_nic", 25));
-        let events = vec![pull, span("migration", 2, lanes::MIGRATION, 0, 100)];
-        let report = critical_path(&events).unwrap();
+        let t = Tracer::armed();
+        span(&t, "mig:pull", lanes::pull(0), 0, 100, &[("resp_nic", 25)]);
+        span(&t, "migration", lanes::MIGRATION, 0, 100, &[]);
+        let report = t.with_events(critical_path).unwrap();
         let ns = |name: &str| {
             report
                 .components
@@ -267,9 +258,16 @@ mod tests {
 
     #[test]
     fn abandoned_migrations_are_ignored() {
-        let mut abandoned = span("migration", 2, lanes::MIGRATION, 0, 50);
-        abandoned.args.push(("abandoned", 1));
-        assert!(critical_path(&[abandoned]).is_none());
-        assert!(critical_path(&[]).is_none());
+        let t = Tracer::armed();
+        assert!(t.with_events(critical_path).is_none());
+        span(
+            &t,
+            "migration",
+            lanes::MIGRATION,
+            0,
+            50,
+            &[("abandoned", 1)],
+        );
+        assert!(t.with_events(critical_path).is_none());
     }
 }

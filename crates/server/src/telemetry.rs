@@ -22,12 +22,9 @@ use rocksteady_common::{
 use rocksteady_profiler::{Activity, Profiler};
 use rocksteady_proto::{Envelope, Request};
 use rocksteady_simnet::ActorId;
-use rocksteady_trace::{lanes, Tracer};
+use rocksteady_trace::{lanes, Arg, Tracer};
 
 use crate::sched::{Quantum, Task};
-
-/// Trace-event arguments.
-type Args = Vec<(&'static str, u64)>;
 
 /// Arrival stamps of an inbound request, captured once on the dispatch
 /// core; kept (only while tracing) as the request's latency
@@ -160,7 +157,7 @@ impl NodeTelemetry {
         lane: u64,
         start: Nanos,
         now: Nanos,
-        args: Args,
+        args: &[Arg],
     ) {
         self.trace
             .span(name, cat, self.pid, lane, start, now - start, args);
@@ -260,7 +257,7 @@ impl NodeTelemetry {
         self.charge(worker as u32 + 1, op.activity, op.since, now - op.since);
         if op.traced {
             let lane = lanes::worker(worker);
-            self.span(op.label, "worker", lane, op.since, now, vec![]);
+            self.span(op.label, "worker", lane, op.since, now, &[]);
         }
     }
 
@@ -278,7 +275,7 @@ impl NodeTelemetry {
         }
         if self.trace.is_on() && !open.is_some_and(|op| op.traced) {
             let lane = lanes::worker(worker);
-            self.span("hold", "worker", lane, since, since + waited, vec![]);
+            self.span("hold", "worker", lane, since, since + waited, &[]);
         }
     }
 
@@ -327,7 +324,8 @@ impl NodeTelemetry {
         // A hold can be cut short by a failover arriving mid-service;
         // saturate rather than underflow in that corner.
         let service_end = span.service_end.min(now);
-        let mut args = vec![
+        let trace_id = span.cctx.trace_id;
+        let args = [
             ("src", dst as u64),
             ("rpc", rpc.0),
             ("sent_at", span.sent_at),
@@ -340,12 +338,11 @@ impl NodeTelemetry {
             ("queue", span.assigned - span.arrived),
             ("service", service_end - span.assigned),
             ("hold", now - service_end),
+            ("trace", trace_id.0),
+            ("hop", span.cctx.hop as u64),
         ];
-        let trace_id = span.cctx.trace_id;
-        if trace_id.is_some() {
-            args.push(("trace", trace_id.0));
-            args.push(("hop", span.cctx.hop as u64));
-        }
+        // An untraced request's instant stops short of the last two.
+        let args = &args[..args.len() - if trace_id.is_some() { 0 } else { 2 }];
         self.trace
             .instant(span.name, "rpc", self.pid, lanes::RPC, now, args);
         // Close the flow edge the requester opened at send time: the
@@ -365,7 +362,7 @@ impl NodeTelemetry {
             now,
             start,
             trace_id ^ rpc.0,
-            vec![("trace", trace_id)],
+            [("trace", trace_id)],
         );
     }
 
@@ -442,7 +439,7 @@ impl NodeTelemetry {
     pub(crate) fn phase_done(&mut self, now: Nanos, id: MigrationId, label: &'static str) {
         if let Some(mt) = self.migrations.get_mut(&id) {
             let start = std::mem::replace(&mut mt.phase_start, now);
-            self.span(label, "migration", lanes::MIGRATION, start, now, vec![]);
+            self.span(label, "migration", lanes::MIGRATION, start, now, &[]);
         }
     }
 
@@ -474,15 +471,9 @@ impl NodeTelemetry {
         nic: Nanos,
     ) {
         if let Some(t0) = sent {
-            let args = vec![("records", records), ("bytes", wire), ("resp_nic", nic)];
-            self.span(
-                "mig:pull",
-                "migration",
-                lanes::pull(partition),
-                t0,
-                now,
-                args,
-            );
+            let args = [("records", records), ("bytes", wire), ("resp_nic", nic)];
+            let lane = lanes::pull(partition);
+            self.span("mig:pull", "migration", lane, t0, now, &args);
         }
         self.gathered(now, id, partition as u64, records, false);
     }
@@ -498,9 +489,9 @@ impl NodeTelemetry {
         nic: Nanos,
     ) {
         if let Some(t0) = sent {
-            let args = vec![("hashes", hashes), ("records", records), ("resp_nic", nic)];
+            let args = [("hashes", hashes), ("records", records), ("resp_nic", nic)];
             let lane = lanes::PRIORITY_PULL;
-            self.span("mig:priority-pull", "migration", lane, t0, now, args);
+            self.span("mig:priority-pull", "migration", lane, t0, now, &args);
         }
         self.gathered(now, id, u64::MAX, records, true);
     }
@@ -551,10 +542,10 @@ impl NodeTelemetry {
         if self.trace.is_on() {
             let lane = lanes::MIGRATION;
             self.trace
-                .instant(reason.label(), "migration", self.pid, lane, now, vec![]);
+                .instant(reason.label(), "migration", self.pid, lane, now, []);
             if let Some(mt) = anchors {
-                let args = vec![("abandoned", 1)];
-                self.span("migration", "migration", lane, mt.started, now, args);
+                let args = [("abandoned", 1)];
+                self.span("migration", "migration", lane, mt.started, now, &args);
             }
             self.trace
                 .counter("migrations-abandoned", self.pid, now, total);
@@ -580,15 +571,15 @@ impl NodeTelemetry {
         });
         if let Some(mt) = self.migrations.remove(&id) {
             let lane = lanes::MIGRATION;
-            let args = vec![("sidelogs", sidelogs)];
-            self.span("mig:commit", "migration", lane, now, now, args);
-            let args = vec![
+            let args = [("sidelogs", sidelogs)];
+            self.span("mig:commit", "migration", lane, now, now, &args);
+            let args = [
                 ("pulls_sent", stats.pulls_sent),
                 ("pull_records", stats.pull_records),
                 ("priority_pulls_sent", stats.priority_pulls_sent),
                 ("priority_records", stats.priority_records),
             ];
-            self.span("migration", "migration", lane, mt.started, now, args);
+            self.span("migration", "migration", lane, mt.started, now, &args);
         }
     }
 
@@ -612,16 +603,16 @@ impl NodeTelemetry {
 
     /// A segment fetch moved to surviving `backup` (`total` so far).
     pub(crate) fn fetch_failed_over(&self, now: Nanos, backup: ServerId, total: u64) {
-        let args = vec![("backup", backup.0 as u64), ("failovers", total)];
-        self.recovery_instant("recovery:fetch-failover", now, args);
+        let args = [("backup", backup.0 as u64), ("failovers", total)];
+        self.recovery_instant("recovery:fetch-failover", now, &args);
     }
 
     /// A segment fetch had no backup left to go to (`total` so far).
     pub(crate) fn fetch_gap(&self, now: Nanos, total: u64) {
-        self.recovery_instant("recovery:gap", now, vec![("gaps", total)]);
+        self.recovery_instant("recovery:gap", now, &[("gaps", total)]);
     }
 
-    fn recovery_instant(&self, name: &'static str, now: Nanos, args: Args) {
+    fn recovery_instant(&self, name: &'static str, now: Nanos, args: &[Arg]) {
         if self.trace.is_on() {
             self.trace
                 .instant(name, "recovery", self.pid, lanes::RPC, now, args);

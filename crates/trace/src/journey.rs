@@ -26,10 +26,12 @@
 //! [`export_json`] is byte-identical for the same seed and across the
 //! scheduler swap.
 
+use std::fmt::Write as _;
+
 use rocksteady_common::json::JsonWriter;
 use rocksteady_common::Nanos;
 
-use crate::{Phase, TraceEvent};
+use crate::{Arg, Events, Phase, TraceEvent};
 
 /// Schema tag stamped into [`export_json`] output.
 pub const JOURNEYS_SCHEMA: &str = "rocksteady-journeys-v1";
@@ -153,22 +155,30 @@ impl Journey {
     /// `read@1:retry -> priority-pull@1 -> read@2:ok`.
     pub fn chain(&self) -> String {
         let mut out = String::new();
+        self.chain_into(&mut out);
+        out
+    }
+
+    /// [`Journey::chain`] into a caller-owned buffer (replacing what it
+    /// held), so a fold over many journeys reuses one.
+    fn chain_into(&self, out: &mut String) {
+        out.clear();
         for (i, hop) in self.hops.iter().enumerate() {
             if i > 0 {
                 out.push_str(" -> ");
             }
             out.push_str(hop.name);
-            out.push('@');
-            out.push_str(&hop.server.to_string());
+            write!(out, "@{}", hop.server).expect("writing to a String cannot fail");
             if hop.on_path {
                 out.push(':');
                 out.push_str(status::label(hop.status));
             }
         }
-        out
     }
 
-    fn write_json(&self, w: &mut JsonWriter) {
+    /// Appends this journey to `w`; `chain` is scratch space.
+    fn write_json(&self, w: &mut JsonWriter, chain: &mut String) {
+        self.chain_into(chain);
         w.obj()
             .field("trace", self.trace)
             .field("client", self.client)
@@ -181,7 +191,7 @@ impl Journey {
             .field("telescoped", self.telescoped)
             .field("crossed", self.crossed_migration())
             .field("hops_n", self.hops.len())
-            .field("chain", self.chain())
+            .field("chain", chain.as_str())
             .key("hops")
             .arr();
         for hop in &self.hops {
@@ -209,6 +219,10 @@ impl Journey {
 
 /// One client attempt pulled from an `rpc-client` instant.
 struct Attempt {
+    trace: u64,
+    /// Position in the buffer: the tie-break that keeps sorts stable.
+    seq: usize,
+    client: u64,
     attempt: u64,
     rpc: u64,
     issued: Nanos,
@@ -218,6 +232,8 @@ struct Attempt {
 
 /// One server decomposition instant, pre-parsed.
 struct ServerInstant {
+    trace: u64,
+    seq: usize,
     server: u64,
     name: &'static str,
     rpc: u64,
@@ -230,194 +246,237 @@ struct ServerInstant {
     hold: Nanos,
 }
 
+impl Attempt {
+    /// An `rpc-client` instant carrying every field, else `None`.
+    fn parse(seq: usize, ev: TraceEvent<'_>) -> Option<Attempt> {
+        let names = ["rpc", "issued", "completed", "trace", "attempt", "status"];
+        let [rpc, issued, completed, trace, attempt, status] = pick(ev.args, names);
+        Some(Attempt {
+            trace: trace?,
+            seq,
+            client: ev.pid,
+            attempt: attempt?,
+            rpc: rpc?,
+            issued: issued?,
+            completed: completed?,
+            status: status?,
+        })
+    }
+}
+
+impl ServerInstant {
+    /// A traced per-RPC decomposition instant (only `hop` may be
+    /// missing), else `None`.
+    fn parse(seq: usize, ev: TraceEvent<'_>) -> Option<ServerInstant> {
+        let names = [
+            "rpc",
+            "sent_at",
+            "resp_sent",
+            "net_in",
+            "queue",
+            "service",
+            "hold",
+            "trace",
+            "hop",
+        ];
+        let [rpc, sent_at, resp_sent, net_in, queue, service, hold, trace, hop] =
+            pick(ev.args, names);
+        Some(ServerInstant {
+            trace: trace?,
+            seq,
+            server: ev.pid,
+            name: ev.name,
+            rpc: rpc?,
+            depth: hop.unwrap_or(0),
+            sent_at: sent_at?,
+            resp_sent: resp_sent?,
+            net_in: net_in?,
+            queue: queue?,
+            service: service?,
+            hold: hold?,
+        })
+    }
+
+    /// This instant as an off-path hop (work done on the operation's
+    /// behalf that no client attempt names).
+    fn off_path_hop(&self) -> Hop {
+        Hop {
+            attempt: 0,
+            server: self.server,
+            name: self.name,
+            rpc: self.rpc,
+            depth: self.depth,
+            sent_at: self.sent_at,
+            resp_sent: self.resp_sent,
+            net_in: self.net_in,
+            queue: self.queue,
+            service: self.service,
+            hold: self.hold,
+            net_out: 0,
+            gap_before: 0,
+            status: status::OK,
+            on_path: false,
+        }
+    }
+
+    /// This instant as the hop that answered `att`, issued `gap_before`
+    /// after the previous attempt completed.
+    fn on_path_hop(&self, att: &Attempt, gap_before: Nanos) -> Hop {
+        Hop {
+            attempt: att.attempt,
+            net_out: att.completed.saturating_sub(self.resp_sent),
+            gap_before,
+            status: att.status,
+            on_path: true,
+            ..self.off_path_hop()
+        }
+    }
+}
+
+/// Reads `names` out of `args` in one walk. Emitters record an event's
+/// args in a fixed order and `names` follows it, so each lookup resumes
+/// where the last one matched: 14 string compares for the 14-arg
+/// decomposition instant instead of 14 per name. (It wraps around, so
+/// any order still resolves; arg names are unique within an event.)
+fn pick<const N: usize>(args: &[Arg], names: [&str; N]) -> [Option<u64>; N] {
+    let mut at = 0;
+    names.map(|name| {
+        let i = (at..args.len()).chain(0..at).find(|&i| args[i].0 == name)?;
+        at = i + 1;
+        Some(args[i].1)
+    })
+}
+
+/// The journey-relevant instants of a buffer, parsed into two flat
+/// vectors and each sorted so that a trace's entries are adjacent —
+/// grouping by trace id costs two sorts, no map entry or bucket per
+/// trace.
+struct Parsed {
+    /// By `(trace, attempt, issued)`.
+    attempts: Vec<Attempt>,
+    /// By `trace`, a trace's instants in buffer order.
+    servers: Vec<ServerInstant>,
+}
+
+impl Parsed {
+    /// One pass over `events`: the instants of every journey, or of
+    /// trace `only`.
+    fn of(events: Events<'_>, only: Option<u64>) -> Parsed {
+        let wanted = |trace: u64| trace != 0 && only.is_none_or(|t| t == trace);
+        let (mut attempts, mut servers) = (Vec::new(), Vec::new());
+        for (seq, ev) in events.iter().enumerate() {
+            if ev.ph != Phase::Instant {
+                continue;
+            }
+            if ev.name == "rpc-client" {
+                attempts.extend(Attempt::parse(seq, ev).filter(|a| wanted(a.trace)));
+            } else if ev.cat == "rpc" {
+                servers.extend(ServerInstant::parse(seq, ev).filter(|s| wanted(s.trace)));
+            }
+        }
+        attempts.sort_unstable_by_key(|a| (a.trace, a.attempt, a.issued, a.seq));
+        servers.sort_unstable_by_key(|s| (s.trace, s.seq));
+        Parsed { attempts, servers }
+    }
+
+    /// Stitches each trace's group, in trace-id order: one merge walk
+    /// over the two vectors.
+    fn journeys(&self) -> impl Iterator<Item = Journey> + '_ {
+        let mut servers = &self.servers[..];
+        let mut matched = Vec::new();
+        self.attempts
+            .chunk_by(|a, b| a.trace == b.trace)
+            .map(move |atts| {
+                let trace = atts[0].trace;
+                // Server instants of traces with no surviving attempt
+                // belong to no journey.
+                let orphans = servers.iter().take_while(|s| s.trace < trace).count();
+                let own = servers[orphans..]
+                    .iter()
+                    .take_while(|s| s.trace == trace)
+                    .count();
+                let (own, rest) = servers[orphans..].split_at(own);
+                servers = rest;
+                stitch(atts, own, &mut matched)
+            })
+    }
+}
+
+/// Stitches one trace's attempts (in `(attempt, issued)` order) and
+/// server instants (in buffer order) into its journey. `matched` is
+/// scratch space.
+fn stitch(atts: &[Attempt], servers: &[ServerInstant], matched: &mut Vec<bool>) -> Journey {
+    let (first, last) = (&atts[0], &atts[atts.len() - 1]);
+    matched.clear();
+    matched.resize(servers.len(), false);
+    let mut hops: Vec<Hop> = Vec::with_capacity(servers.len());
+    let mut truncated = first.attempt != 1;
+    let mut per_attempt_ok = true;
+    let mut on_path_sum: Nanos = 0;
+    let mut prev_completed: Option<Nanos> = None;
+    for att in atts {
+        let gap_before = prev_completed.map_or(0, |p| att.issued.saturating_sub(p));
+        prev_completed = Some(att.completed);
+        let Some(i) = (0..servers.len()).find(|&i| !matched[i] && servers[i].rpc == att.rpc) else {
+            // Evicted server instant (ring mode drops oldest first).
+            truncated = true;
+            continue;
+        };
+        matched[i] = true;
+        let s = &servers[i];
+        // Per-hop identities that must hold for any surviving hop:
+        // the kernel stamps sent_at at issue, and the four segments
+        // tile [sent_at, resp_sent] exactly.
+        if s.sent_at != att.issued
+            || s.net_in + s.queue + s.service + s.hold != s.resp_sent - s.sent_at
+        {
+            per_attempt_ok = false;
+        }
+        let hop = s.on_path_hop(att, gap_before);
+        on_path_sum += hop.segments() + hop.net_out + hop.gap_before;
+        hops.push(hop);
+    }
+    let on_path = hops.len();
+    // Off-path hops: server work attributed to this trace that no
+    // client attempt names — the PriorityPull the target issued on
+    // the operation's behalf. (A non-PP orphan is a response still
+    // in flight at capture time; skip it rather than guess.)
+    for (s, matched) in servers.iter().zip(matched.iter()) {
+        if !matched && s.name == "priority-pull" {
+            hops.push(s.off_path_hop());
+        }
+    }
+    hops.sort_by_key(|h| (h.resp_sent, h.rpc));
+    let e2e = last.completed - first.issued;
+    // Telescoping: on-path segments + response network + client-side
+    // gaps must tile [issued, completed] with nothing left over.
+    let complete = !truncated && on_path == atts.len();
+    Journey {
+        trace: first.trace,
+        // The first of its attempts to be recorded names the client.
+        client: atts.iter().min_by_key(|a| a.seq).map_or(0, |a| a.client),
+        issued: first.issued,
+        completed: last.completed,
+        e2e,
+        attempts: atts.len() as u64,
+        final_status: last.status,
+        truncated: !complete,
+        telescoped: complete && per_attempt_ok && on_path_sum == e2e,
+        hops,
+    }
+}
+
 /// Reconstructs every journey present in `events` (truncation by ring
 /// eviction is detected structurally, not from a drop count). Journeys
 /// are returned sorted by trace id; hops by response time.
-pub fn reconstruct(events: &[TraceEvent]) -> Vec<Journey> {
-    // Pass 1: bucket client attempts and server instants by trace id.
-    let mut attempts: std::collections::HashMap<u64, (u64, Vec<Attempt>)> =
-        std::collections::HashMap::new();
-    let mut servers: std::collections::HashMap<u64, Vec<ServerInstant>> =
-        std::collections::HashMap::new();
-    for ev in events {
-        if ev.ph != Phase::Instant {
-            continue;
-        }
-        let Some(trace) = ev.arg("trace") else {
-            continue;
-        };
-        if trace == 0 {
-            continue;
-        }
-        if ev.name == "rpc-client" {
-            let (Some(attempt), Some(rpc), Some(issued), Some(completed), Some(st)) = (
-                ev.arg("attempt"),
-                ev.arg("rpc"),
-                ev.arg("issued"),
-                ev.arg("completed"),
-                ev.arg("status"),
-            ) else {
-                continue;
-            };
-            attempts
-                .entry(trace)
-                .or_insert((ev.pid, Vec::new()))
-                .1
-                .push(Attempt {
-                    attempt,
-                    rpc,
-                    issued,
-                    completed,
-                    status: st,
-                });
-        } else if ev.cat == "rpc" {
-            let (
-                Some(rpc),
-                Some(sent_at),
-                Some(resp_sent),
-                Some(net_in),
-                Some(queue),
-                Some(service),
-                Some(hold),
-            ) = (
-                ev.arg("rpc"),
-                ev.arg("sent_at"),
-                ev.arg("resp_sent"),
-                ev.arg("net_in"),
-                ev.arg("queue"),
-                ev.arg("service"),
-                ev.arg("hold"),
-            )
-            else {
-                continue;
-            };
-            servers.entry(trace).or_default().push(ServerInstant {
-                server: ev.pid,
-                name: ev.name,
-                rpc,
-                depth: ev.arg("hop").unwrap_or(0),
-                sent_at,
-                resp_sent,
-                net_in,
-                queue,
-                service,
-                hold,
-            });
-        }
-    }
-
-    // Pass 2: stitch each trace's attempts and hops together.
-    let mut journeys = Vec::with_capacity(attempts.len());
-    for (trace, (client, mut atts)) in attempts {
-        atts.sort_by_key(|a| (a.attempt, a.issued));
-        let hops_in = servers.remove(&trace).unwrap_or_default();
-        let mut hops: Vec<Hop> = Vec::with_capacity(hops_in.len());
-        let mut matched = vec![false; hops_in.len()];
-        let mut truncated = atts.first().map(|a| a.attempt != 1).unwrap_or(true);
-        let mut per_attempt_ok = true;
-        let mut prev_completed: Option<Nanos> = None;
-        for att in &atts {
-            let gap_before = prev_completed.map_or(0, |p| att.issued.saturating_sub(p));
-            prev_completed = Some(att.completed);
-            let Some(i) = hops_in
-                .iter()
-                .enumerate()
-                .find(|(i, s)| !matched[*i] && s.rpc == att.rpc)
-                .map(|(i, _)| i)
-            else {
-                // Evicted server instant (ring mode drops oldest first).
-                truncated = true;
-                continue;
-            };
-            matched[i] = true;
-            let s = &hops_in[i];
-            let net_out = att.completed.saturating_sub(s.resp_sent);
-            // Per-hop identities that must hold for any surviving hop:
-            // the kernel stamps sent_at at issue, and the four segments
-            // tile [sent_at, resp_sent] exactly.
-            if s.sent_at != att.issued
-                || s.net_in + s.queue + s.service + s.hold != s.resp_sent - s.sent_at
-            {
-                per_attempt_ok = false;
-            }
-            hops.push(Hop {
-                attempt: att.attempt,
-                server: s.server,
-                name: s.name,
-                rpc: s.rpc,
-                depth: s.depth,
-                sent_at: s.sent_at,
-                resp_sent: s.resp_sent,
-                net_in: s.net_in,
-                queue: s.queue,
-                service: s.service,
-                hold: s.hold,
-                net_out,
-                gap_before,
-                status: att.status,
-                on_path: true,
-            });
-        }
-        // Off-path hops: server work attributed to this trace that no
-        // client attempt names — the PriorityPull the target issued on
-        // the operation's behalf. (A non-PP orphan is a response still
-        // in flight at capture time; skip it rather than guess.)
-        for (i, s) in hops_in.iter().enumerate() {
-            if !matched[i] && s.name == "priority-pull" {
-                hops.push(Hop {
-                    attempt: 0,
-                    server: s.server,
-                    name: s.name,
-                    rpc: s.rpc,
-                    depth: s.depth,
-                    sent_at: s.sent_at,
-                    resp_sent: s.resp_sent,
-                    net_in: s.net_in,
-                    queue: s.queue,
-                    service: s.service,
-                    hold: s.hold,
-                    net_out: 0,
-                    gap_before: 0,
-                    status: status::OK,
-                    on_path: false,
-                });
-            }
-        }
-        hops.sort_by_key(|h| (h.resp_sent, h.rpc));
-        let (issued, completed) = match (atts.first(), atts.last()) {
-            (Some(f), Some(l)) => (f.issued, l.completed),
-            _ => continue,
-        };
-        let e2e = completed - issued;
-        // Telescoping: on-path segments + response network + client-side
-        // gaps must tile [issued, completed] with nothing left over.
-        let on_path_sum: Nanos = hops
-            .iter()
-            .filter(|h| h.on_path)
-            .map(|h| h.segments() + h.net_out + h.gap_before)
-            .sum();
-        let complete = !truncated && hops.iter().filter(|h| h.on_path).count() == atts.len();
-        let telescoped = complete && per_attempt_ok && on_path_sum == e2e;
-        journeys.push(Journey {
-            trace,
-            client,
-            issued,
-            completed,
-            e2e,
-            attempts: atts.len() as u64,
-            final_status: atts.last().map_or(status::OTHER, |a| a.status),
-            truncated: !complete,
-            telescoped,
-            hops,
-        });
-    }
-    journeys.sort_by_key(|j| j.trace);
-    journeys
+pub fn reconstruct(events: Events<'_>) -> Vec<Journey> {
+    Parsed::of(events, None).journeys().collect()
 }
 
-/// Reconstructs the single journey with trace id `trace`, if present.
-pub fn find(events: &[TraceEvent], trace: u64) -> Option<Journey> {
-    reconstruct(events).into_iter().find(|j| j.trace == trace)
+/// Reconstructs the single journey with trace id `trace`, if present:
+/// one filtering pass over `events` and one stitch.
+pub fn find(events: Events<'_>, trace: u64) -> Option<Journey> {
+    Parsed::of(events, Some(trace)).journeys().next()
 }
 
 /// The `k` slowest journeys by `e2e`, slowest first, ties broken by
@@ -431,14 +490,45 @@ pub fn slowest(journeys: &[Journey], k: usize) -> Vec<Journey> {
 /// Renders journeys as the deterministic `rocksteady-journeys-v1` JSON
 /// document (see `rocksteady_common::json`).
 pub fn export_json(journeys: &[Journey], dropped: u64) -> String {
-    let mut w = JsonWriter::with_capacity(64 + journeys.len() * 256);
+    let hops = journeys.iter().map(|j| j.hops.len()).sum();
+    write_document(journeys.len(), hops, dropped, journeys.iter())
+}
+
+/// [`export_json`] of [`reconstruct`]`(events)` as one fold: each
+/// journey is stitched, written and dropped in turn, so the document is
+/// the only thing that grows with the buffer.
+pub fn export_events_json(events: Events<'_>, dropped: u64) -> String {
+    let parsed = Parsed::of(events, None);
+    // Every journey has an attempt and every hop a server instant.
+    let (journeys, hops) = (parsed.attempts.len(), parsed.servers.len());
+    write_document(journeys, hops, dropped, parsed.journeys())
+}
+
+/// Writes the document into a buffer sized once, for at most
+/// `journeys` journeys of `hops` hops in total.
+fn write_document(
+    journeys: usize,
+    hops: usize,
+    dropped: u64,
+    items: impl Iterator<Item = impl std::borrow::Borrow<Journey>>,
+) -> String {
+    // Upper bounds: a journey's own fields write ≤ 240 B (151 B of keys
+    // and punctuation, a 17-digit trace id, three 10-digit times), a
+    // hop ≤ 300 B (166 B of keys, a 13 B name, a 20-digit rpc id, eight
+    // times, ≤ 30 B of chain). `observed_rebalance` measures 408 B per
+    // one-hop journey of the 540 B reserved; pages the document never
+    // reaches are never touched.
+    const JOURNEY_BYTES: usize = 240;
+    const HOP_BYTES: usize = 300;
+    let mut w = JsonWriter::with_capacity(96 + journeys * JOURNEY_BYTES + hops * HOP_BYTES);
     w.obj()
         .field("schema", JOURNEYS_SCHEMA)
         .field("dropped", dropped)
         .key("journeys")
         .arr();
-    for j in journeys {
-        j.write_json(&mut w);
+    let mut chain = String::new();
+    for j in items {
+        j.borrow().write_json(&mut w, &mut chain);
     }
     w.end_arr().end_obj();
     w.finish()
@@ -447,90 +537,74 @@ pub fn export_json(journeys: &[Journey], dropped: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::rebuilt;
+    use crate::Tracer;
 
     fn client_instant(
-        pid: u64,
+        t: &Tracer,
         trace: u64,
         attempt: u64,
         rpc: u64,
-        issued: Nanos,
-        completed: Nanos,
+        (issued, completed): (Nanos, Nanos),
         st: u64,
-    ) -> TraceEvent {
-        TraceEvent {
-            name: "rpc-client",
-            cat: "rpc",
-            ph: Phase::Instant,
-            ts: completed,
-            dur: 0,
-            pid,
-            tid: 0,
-            args: vec![
-                ("rpc", rpc),
-                ("issued", issued),
-                ("completed", completed),
-                ("e2e", completed - issued),
-                ("trace", trace),
-                ("attempt", attempt),
-                ("status", st),
-            ],
-        }
+    ) {
+        let args = [
+            ("rpc", rpc),
+            ("issued", issued),
+            ("completed", completed),
+            ("e2e", completed - issued),
+            ("trace", trace),
+            ("attempt", attempt),
+            ("status", st),
+        ];
+        t.instant("rpc-client", "client", 9, 0, completed, args);
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn server_instant(
+        t: &Tracer,
         pid: u64,
         name: &'static str,
         trace: u64,
         rpc: u64,
         sent_at: Nanos,
         segments: [Nanos; 4],
-    ) -> TraceEvent {
+    ) {
         let resp = sent_at + segments.iter().sum::<Nanos>();
-        TraceEvent {
-            name,
-            cat: "rpc",
-            ph: Phase::Instant,
-            ts: resp,
-            dur: 0,
-            pid,
-            tid: 0,
-            args: vec![
-                ("rpc", rpc),
-                ("sent_at", sent_at),
-                ("resp_sent", resp),
-                ("net_in", segments[0]),
-                ("queue", segments[1]),
-                ("service", segments[2]),
-                ("hold", segments[3]),
-                ("trace", trace),
-                ("hop", 1),
-            ],
-        }
+        let args = [
+            ("rpc", rpc),
+            ("sent_at", sent_at),
+            ("resp_sent", resp),
+            ("net_in", segments[0]),
+            ("queue", segments[1]),
+            ("service", segments[2]),
+            ("hold", segments[3]),
+            ("trace", trace),
+            ("hop", 1),
+        ];
+        t.instant(name, "rpc", pid, 0, resp, args);
     }
 
     /// A three-attempt read crossing an ownership flip, with an
     /// off-path PriorityPull: the canonical migration-crossing journey.
-    fn crossing_events() -> Vec<TraceEvent> {
-        let t = 42;
-        vec![
-            // attempt 1 at the source: stale map.
-            server_instant(1, "read", t, 100, 1_000, [10, 5, 20, 0]),
-            client_instant(9, t, 1, 100, 1_000, 1_045, status::STALE_MAP),
-            // attempt 2 at the target: miss -> retry hint.
-            server_instant(2, "read", t, 101, 1_100, [10, 8, 25, 0]),
-            client_instant(9, t, 2, 101, 1_100, 1_153, status::RETRY),
-            // the PriorityPull the target issued on our behalf.
-            server_instant(1, "priority-pull", t, 300, 1_150, [10, 2, 30, 0]),
-            // attempt 3 at the target: served.
-            server_instant(2, "read", t, 102, 1_400, [10, 4, 22, 0]),
-            client_instant(9, t, 3, 102, 1_400, 1_446, status::OK),
-        ]
+    fn crossing_events() -> Tracer {
+        let (t, id) = (Tracer::armed(), 42);
+        // attempt 1 at the source: stale map.
+        server_instant(&t, 1, "read", id, 100, 1_000, [10, 5, 20, 0]);
+        client_instant(&t, id, 1, 100, (1_000, 1_045), status::STALE_MAP);
+        // attempt 2 at the target: miss -> retry hint.
+        server_instant(&t, 2, "read", id, 101, 1_100, [10, 8, 25, 0]);
+        client_instant(&t, id, 2, 101, (1_100, 1_153), status::RETRY);
+        // the PriorityPull the target issued on our behalf.
+        server_instant(&t, 1, "priority-pull", id, 300, 1_150, [10, 2, 30, 0]);
+        // attempt 3 at the target: served.
+        server_instant(&t, 2, "read", id, 102, 1_400, [10, 4, 22, 0]);
+        client_instant(&t, id, 3, 102, (1_400, 1_446), status::OK);
+        t
     }
 
     #[test]
     fn crossing_journey_reconstructs_and_telescopes() {
-        let journeys = reconstruct(&crossing_events());
+        let journeys = crossing_events().with_events(reconstruct);
         assert_eq!(journeys.len(), 1);
         let j = &journeys[0];
         assert_eq!(j.trace, 42);
@@ -559,8 +633,8 @@ mod tests {
     fn evicted_early_hops_mean_truncated_not_wrong() {
         // Drop the first three events (ring eviction takes the oldest):
         // attempt 1 entirely gone, attempt 2's server instant gone.
-        let events: Vec<TraceEvent> = crossing_events().into_iter().skip(3).collect();
-        let journeys = reconstruct(&events);
+        let survivors = crossing_events().with_events(|events| rebuilt(events.iter().skip(3)));
+        let journeys = survivors.with_events(reconstruct);
         assert_eq!(journeys.len(), 1);
         let j = &journeys[0];
         assert!(j.truncated, "missing early hops must flag truncation");
@@ -578,44 +652,57 @@ mod tests {
 
     #[test]
     fn single_attempt_clean_journey() {
-        let events = vec![
-            server_instant(1, "read", 7, 50, 500, [10, 0, 20, 0]),
-            client_instant(9, 7, 1, 50, 500, 540, status::OK),
-        ];
-        let journeys = reconstruct(&events);
+        let t = Tracer::armed();
+        server_instant(&t, 1, "read", 7, 50, 500, [10, 0, 20, 0]);
+        client_instant(&t, 7, 1, 50, (500, 540), status::OK);
+        let journeys = t.with_events(reconstruct);
         assert_eq!(journeys.len(), 1);
         let j = &journeys[0];
         assert!(!j.crossed_migration());
         assert!(j.telescoped);
         assert_eq!(j.hops[0].net_out, 10);
         assert_eq!(j.chain(), "read@1:ok");
-        assert!(find(&events, 7).is_some());
-        assert!(find(&events, 8).is_none());
+    }
+
+    /// `find` filters before it stitches, and must land on exactly the
+    /// journey the full reconstruction holds for that trace id —
+    /// interleaved neighbours, orphan server instants and all.
+    #[test]
+    fn find_equals_the_full_reconstruction_entry() {
+        let t = Tracer::armed();
+        // Trace 5 has a server instant but no surviving attempt.
+        server_instant(&t, 1, "read", 5, 40, 400, [10, 0, 20, 0]);
+        server_instant(&t, 1, "read", 7, 50, 500, [10, 0, 20, 0]);
+        server_instant(&t, 2, "read", 6, 60, 510, [10, 1, 20, 0]);
+        client_instant(&t, 7, 1, 50, (500, 540), status::RETRY);
+        client_instant(&t, 6, 1, 60, (510, 551), status::OK);
+        server_instant(&t, 1, "read", 7, 51, 600, [10, 0, 20, 5]);
+        client_instant(&t, 7, 2, 51, (600, 645), status::OK);
+        let all = t.with_events(reconstruct);
+        assert_eq!(
+            all.iter().map(|j| j.trace).collect::<Vec<_>>(),
+            [6, 7],
+            "sorted by trace id, orphan trace 5 dropped"
+        );
+        for j in &all {
+            let found = t.with_events(|ev| find(ev, j.trace)).expect("present");
+            assert_eq!(
+                export_json(&[found], 0),
+                export_json(std::slice::from_ref(j), 0)
+            );
+        }
+        assert!(t.with_events(|ev| find(ev, 5)).is_none());
+        assert!(t.with_events(|ev| find(ev, 8)).is_none());
     }
 
     #[test]
     fn slowest_reservoir_is_deterministic() {
-        let mut events = Vec::new();
+        let t = Tracer::armed();
         for (i, e2e) in [(1u64, 100u64), (2, 300), (3, 300), (4, 50)] {
-            events.push(server_instant(
-                1,
-                "read",
-                i,
-                i * 10,
-                1_000,
-                [e2e - 10, 0, 10, 0],
-            ));
-            events.push(client_instant(
-                9,
-                i,
-                1,
-                i * 10,
-                1_000,
-                1_000 + e2e,
-                status::OK,
-            ));
+            server_instant(&t, 1, "read", i, i * 10, 1_000, [e2e - 10, 0, 10, 0]);
+            client_instant(&t, i, 1, i * 10, (1_000, 1_000 + e2e), status::OK);
         }
-        let journeys = reconstruct(&events);
+        let journeys = t.with_events(reconstruct);
         let top = slowest(&journeys, 2);
         assert_eq!(top.len(), 2);
         // Ties broken by trace id ascending.
@@ -625,11 +712,24 @@ mod tests {
 
     #[test]
     fn export_is_deterministic() {
-        let a = export_json(&reconstruct(&crossing_events()), 0);
-        let b = export_json(&reconstruct(&crossing_events()), 0);
+        let a = export_json(&crossing_events().with_events(reconstruct), 0);
+        let b = export_json(&crossing_events().with_events(reconstruct), 0);
         assert_eq!(a, b);
         assert!(a.starts_with("{\"schema\":\"rocksteady-journeys-v1\""));
         assert!(a.contains("\"hops_n\":4"), "{a}");
         assert!(a.contains("\"telescoped\":1"), "{a}");
+    }
+
+    /// `pick` is an optimisation of `arg`, never a different answer:
+    /// any order of names resolves, a missing one is `None`.
+    #[test]
+    fn pick_resolves_any_order() {
+        let args = [("a", 1), ("b", 2), ("c", 3)];
+        assert_eq!(pick(&args, ["a", "b", "c"]), [Some(1), Some(2), Some(3)]);
+        assert_eq!(
+            pick(&args, ["c", "a", "x", "b"]),
+            [Some(3), Some(1), None, Some(2)]
+        );
+        assert_eq!(pick(&[], ["a"]), [None]);
     }
 }

@@ -32,12 +32,21 @@
 //! on that discriminant and nothing else — no allocation, no clock
 //! reads, no arg construction (callers must guard arg-building with
 //! [`Tracer::is_on`]).
+//!
+//! Zero-allocation-on guarantee: an armed tracer copies an event's
+//! fixed-size [`EventHead`] into the ring and its args — handed over as
+//! a slice, normally a stack array — into the ring's args arena. No
+//! event owns heap memory, so recording allocates nothing (the arena
+//! grows by doubling to its steady size, a bounded ring's heads are
+//! reserved up front) and dropping or compacting the buffer frees
+//! nothing per event. `tests/alloc_gate.rs` pins both guarantees.
 
 use std::cell::RefCell;
+use std::ops::Deref;
 use std::rc::Rc;
 
 use rocksteady_common::json::{JsonWriter, Micros};
-use rocksteady_common::{Histogram, Nanos, Ring};
+use rocksteady_common::{Histogram, Nanos, TailRing};
 
 pub mod journey;
 
@@ -105,10 +114,20 @@ pub enum Phase {
     FlowEnd,
 }
 
-/// One recorded event. All names are `&'static str` so recording never
-/// allocates for labels and exports are trivially deterministic.
-#[derive(Debug, Clone)]
-pub struct TraceEvent {
+/// One `(name, value)` argument of an event. Names are `&'static str`
+/// and values integers, so exports are trivially deterministic.
+pub type Arg = (&'static str, u64);
+
+/// Most args one event may carry (the widest emitter, the per-RPC
+/// decomposition instant, carries 14). The cap is what bounds a ring
+/// tracer's args arena at `capacity × MAX_ARGS` slots; going over it is
+/// an emitter bug, caught by a debug assertion.
+pub const MAX_ARGS: usize = 16;
+
+/// The fixed-size part of a recorded event: everything but its args.
+/// All names are `&'static str`, so a head is plain copyable data.
+#[derive(Debug, Clone, Copy)]
+pub struct EventHead {
     /// Event name (chrome `name`).
     pub name: &'static str,
     /// Category (chrome `cat`), used for filtering.
@@ -123,21 +142,116 @@ pub struct TraceEvent {
     pub pid: u64,
     /// Thread lane within the actor (worker core, partition, ...).
     pub tid: u64,
-    /// Structured integer arguments, in recording order.
-    pub args: Vec<(&'static str, u64)>,
 }
 
-impl TraceEvent {
-    /// Looks up an argument by name.
+/// One recorded event as a reader sees it: its [`EventHead`] (reached
+/// through `Deref`, so `ev.name`, `ev.ts`, … read as fields) and its
+/// args, both borrowed from the trace buffer.
+#[derive(Debug, Clone, Copy)]
+pub struct TraceEvent<'a> {
+    head: &'a EventHead,
+    /// Structured integer arguments, in recording order.
+    pub args: &'a [Arg],
+}
+
+impl Deref for TraceEvent<'_> {
+    type Target = EventHead;
+
+    fn deref(&self) -> &EventHead {
+        self.head
+    }
+}
+
+impl TraceEvent<'_> {
+    /// Looks up an argument by name: a linear scan, for readers that
+    /// want one or two args of an event. A fold over every event that
+    /// wants many (the journey stitcher) walks `args` once instead.
     pub fn arg(&self, name: &str) -> Option<u64> {
         self.args.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
     }
 }
 
+/// The recorded events, oldest first: what [`Tracer::with_events`]
+/// hands its reader. A double-ended iterator over the buffer (or over a
+/// completion-time suffix of it, see [`Events::since`]) that is `Copy`,
+/// so a reader can walk it as often as it likes.
+#[derive(Debug, Clone, Copy)]
+pub struct Events<'a> {
+    ring: &'a TailRing<EventHead, Arg>,
+    /// The positions in `ring` still to be yielded.
+    from: usize,
+    to: usize,
+}
+
+impl<'a> Events<'a> {
+    fn of(ring: &'a TailRing<EventHead, Arg>) -> Self {
+        let (from, to) = (0, ring.len());
+        Events { ring, from, to }
+    }
+
+    /// A fresh walk over the events (`.rev()` for newest first).
+    pub fn iter(&self) -> Events<'a> {
+        *self
+    }
+
+    /// Whether no event is left.
+    pub fn is_empty(&self) -> bool {
+        self.from == self.to
+    }
+
+    /// The events completing at or after `since`. The buffer is
+    /// completion-ordered, so that window is a suffix.
+    pub fn since(&self, since: Nanos) -> Events<'a> {
+        let first = self.ring.partition_point(|ev| ev.ts + ev.dur < since);
+        Events {
+            from: first.clamp(self.from, self.to),
+            ..*self
+        }
+    }
+
+    /// Args carried by the events from here to the buffer's end.
+    fn args_len(&self) -> usize {
+        self.ring.tail_len_from(self.from)
+    }
+
+    fn event(&self, i: usize) -> TraceEvent<'a> {
+        let (head, args) = self.ring.get(i);
+        TraceEvent { head, args }
+    }
+}
+
+impl<'a> Iterator for Events<'a> {
+    type Item = TraceEvent<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<TraceEvent<'a>> {
+        (self.from < self.to).then(|| {
+            self.from += 1;
+            self.event(self.from - 1)
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.to - self.from;
+        (left, Some(left))
+    }
+}
+
+impl DoubleEndedIterator for Events<'_> {
+    fn next_back(&mut self) -> Option<Self::Item> {
+        (self.from < self.to).then(|| {
+            self.to -= 1;
+            self.event(self.to)
+        })
+    }
+}
+
+impl ExactSizeIterator for Events<'_> {}
+
 /// The shared event buffer behind an enabled [`Tracer`].
 #[derive(Debug, Default)]
 pub struct TraceBuf {
-    events: Ring<TraceEvent>,
+    events: TailRing<EventHead, Arg>,
     /// Recording gate: an armed tracer can be muted for warm-up windows
     /// without giving up the buffer (benches trace only the migration
     /// window this way).
@@ -155,6 +269,13 @@ pub struct TraceSummary {
 
 /// Shared, clonable handle to the trace buffer. `Tracer::off()` is the
 /// zero-cost disabled state; cloning an armed tracer shares the buffer.
+///
+/// Every record call takes its args as `impl AsRef<[Arg]>` — a stack
+/// array or slice on the hot paths; a `Vec` is accepted too — and
+/// copies them into the buffer's arena. Being generic, those calls are
+/// instantiated in the emitter's crate; they are `#[inline(never)]` so
+/// that a site guarded by [`Tracer::is_on`] carries one call, not the
+/// recording body, on its cold side.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer(Option<Rc<RefCell<TraceBuf>>>);
 
@@ -164,7 +285,7 @@ impl Tracer {
         Tracer(None)
     }
 
-    fn recording_into(events: Ring<TraceEvent>) -> Self {
+    fn recording_into(events: TailRing<EventHead, Arg>) -> Self {
         Tracer(Some(Rc::new(RefCell::new(TraceBuf {
             events,
             recording: true,
@@ -173,16 +294,16 @@ impl Tracer {
 
     /// An armed tracer with a fresh buffer, recording immediately.
     pub fn armed() -> Self {
-        Self::recording_into(Ring::default())
+        Self::recording_into(TailRing::default())
     }
 
     /// An armed tracer in **ring mode**: the buffer is a
-    /// [`Ring::with_capacity`], evictions are counted in
+    /// [`TailRing::with_capacity`], evictions are counted in
     /// [`Tracer::dropped`]. Because the buffer is completion-ordered,
     /// dropping a prefix cannot break nesting or ordering, so
     /// [`Tracer::validate`] still passes on a wrapped buffer.
     pub fn with_capacity(capacity: usize) -> Self {
-        Self::recording_into(Ring::with_capacity(capacity))
+        Self::recording_into(TailRing::with_capacity(capacity))
     }
 
     /// Events discarded by ring compaction (0 when unbounded or off).
@@ -210,12 +331,24 @@ impl Tracer {
         }
     }
 
+    /// Copies `head` and `lead` + `args` into the buffer.
     #[inline]
-    fn push(&self, ev: TraceEvent) {
+    fn record(&self, head: EventHead, lead: Option<Arg>, args: &[Arg]) {
         if let Some(buf) = &self.0 {
             let mut buf = buf.borrow_mut();
             if buf.recording {
-                buf.events.push(ev);
+                debug_assert!(
+                    lead.iter().len() + args.len() <= MAX_ARGS,
+                    "event {} carries more than {MAX_ARGS} args",
+                    head.name
+                );
+                match lead {
+                    Some(lead) => {
+                        buf.events.push(head, &[lead]);
+                        buf.events.extend_tail(args);
+                    }
+                    None => buf.events.push(head, args),
+                }
             }
         }
     }
@@ -223,6 +356,7 @@ impl Tracer {
     /// Records a completed span `[ts, ts+dur]`. Call at completion time
     /// (`now == ts + dur`) so the buffer stays completion-ordered.
     #[allow(clippy::too_many_arguments)]
+    #[inline(never)]
     pub fn span(
         &self,
         name: &'static str,
@@ -231,9 +365,9 @@ impl Tracer {
         tid: u64,
         ts: Nanos,
         dur: Nanos,
-        args: Vec<(&'static str, u64)>,
+        args: impl AsRef<[Arg]>,
     ) {
-        self.push(TraceEvent {
+        let head = EventHead {
             name,
             cat,
             ph: Phase::Span,
@@ -241,11 +375,12 @@ impl Tracer {
             dur,
             pid,
             tid,
-            args,
-        });
+        };
+        self.record(head, None, args.as_ref());
     }
 
     /// Records an instant event at `ts` (the current virtual time).
+    #[inline(never)]
     pub fn instant(
         &self,
         name: &'static str,
@@ -253,9 +388,9 @@ impl Tracer {
         pid: u64,
         tid: u64,
         ts: Nanos,
-        args: Vec<(&'static str, u64)>,
+        args: impl AsRef<[Arg]>,
     ) {
-        self.push(TraceEvent {
+        let head = EventHead {
             name,
             cat,
             ph: Phase::Instant,
@@ -263,8 +398,8 @@ impl Tracer {
             dur: 0,
             pid,
             tid,
-            args,
-        });
+        };
+        self.record(head, None, args.as_ref());
     }
 
     /// Records one end of a causal flow link at `ts` (the current
@@ -272,8 +407,10 @@ impl Tracer {
     /// selects [`Phase::FlowStart`] (the cause: a request leaving its
     /// sender) vs [`Phase::FlowEnd`] (the effect: the answering node
     /// finishing it); `flow_id` is the journey's trace id and binds the
-    /// two ends together in chrome://tracing.
+    /// two ends together in chrome://tracing. It is recorded as the
+    /// leading `flow` arg, ahead of `args`.
     #[allow(clippy::too_many_arguments)]
+    #[inline(never)]
     pub fn flow(
         &self,
         name: &'static str,
@@ -283,10 +420,9 @@ impl Tracer {
         ts: Nanos,
         start: bool,
         flow_id: u64,
-        mut args: Vec<(&'static str, u64)>,
+        args: impl AsRef<[Arg]>,
     ) {
-        args.insert(0, ("flow", flow_id));
-        self.push(TraceEvent {
+        let head = EventHead {
             name,
             cat,
             ph: if start {
@@ -298,13 +434,13 @@ impl Tracer {
             dur: 0,
             pid,
             tid,
-            args,
-        });
+        };
+        self.record(head, Some(("flow", flow_id)), args.as_ref());
     }
 
     /// Records a counter sample: `name` has `value` as of `ts`.
     pub fn counter(&self, name: &'static str, pid: u64, ts: Nanos, value: u64) {
-        self.push(TraceEvent {
+        let head = EventHead {
             name,
             cat: "counter",
             ph: Phase::Counter,
@@ -312,22 +448,22 @@ impl Tracer {
             dur: 0,
             pid,
             tid: 0,
-            args: vec![("value", value)],
-        });
+        };
+        self.record(head, None, &[("value", value)]);
     }
 
-    /// Read access to the recorded events (an empty slice when the
-    /// tracer is disabled).
-    pub fn with_events<R>(&self, f: impl FnOnce(&[TraceEvent]) -> R) -> R {
+    /// Read access to the recorded events (none when the tracer is
+    /// disabled).
+    pub fn with_events<R>(&self, f: impl FnOnce(Events<'_>) -> R) -> R {
         match &self.0 {
-            Some(buf) => f(buf.borrow().events.as_slice()),
-            None => f(&[]),
+            Some(buf) => f(Events::of(&buf.borrow().events)),
+            None => f(Events::of(&TailRing::default())),
         }
     }
 
     /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.with_events(<[TraceEvent]>::len)
+        self.with_events(|events| events.len())
     }
 
     /// Whether nothing has been recorded.
@@ -375,16 +511,24 @@ impl Tracer {
     /// incident bundle's "last N ms" trace slice. Same format as
     /// [`Tracer::export_chrome_json`].
     pub fn export_chrome_json_since(&self, since: Nanos) -> String {
-        self.with_events(|events| {
-            // Completion order means the suffix starting at the first
-            // event with `ts + dur >= since` is exactly the window.
-            let start = events.partition_point(|ev| ev.ts + ev.dur < since);
-            Self::format_chrome_json(&events[start..])
-        })
+        self.with_events(|events| Self::format_chrome_json(events.since(since)))
     }
 
-    fn format_chrome_json(events: &[TraceEvent]) -> String {
-        let mut w = JsonWriter::with_capacity(64 + events.len() * 96);
+    /// One pass over `events`, into a buffer sized once from their
+    /// counts.
+    fn format_chrome_json(events: Events<'_>) -> String {
+        // Upper bounds for this repo's event vocabulary: an argless
+        // event writes ≤ 150 B (60 B of punctuation and fixed keys, a
+        // name + cat of ≤ 34 B, ts/dur/pid/tid/id digits) and an arg
+        // ≤ 40 B (`"priority_pulls_sent":` + a 17-digit trace id).
+        // `observed_rebalance` measures 184 B per event at 5.2 args per
+        // event, of 158 + 5.2 × 40 = 366 B reserved; pages the document
+        // never reaches are never touched. An emitter outside these
+        // bounds costs a regrow, not correctness.
+        const EVENT_BYTES: usize = 158;
+        const ARG_BYTES: usize = 40;
+        let bytes = 64 + events.len() * EVENT_BYTES + events.args_len() * ARG_BYTES;
+        let mut w = JsonWriter::with_capacity(bytes);
         w.obj().key("traceEvents").arr();
         for ev in events {
             let ph = match ev.ph {
@@ -416,7 +560,7 @@ impl Tracer {
             w.field("pid", ev.pid).field("tid", ev.tid);
             if !ev.args.is_empty() {
                 w.key("args").obj();
-                for (k, v) in &ev.args {
+                for (k, v) in ev.args {
                     w.field(k, v);
                 }
                 w.end_obj();
@@ -434,7 +578,7 @@ impl Tracer {
         self.with_events(Self::check_events)
     }
 
-    fn check_events(events: &[TraceEvent]) -> Result<TraceSummary, String> {
+    fn check_events(events: Events<'_>) -> Result<TraceSummary, String> {
         if events.is_empty() {
             return Err("trace is empty".into());
         }
@@ -455,7 +599,7 @@ impl Tracer {
         let mut lanes: std::collections::HashMap<(u64, u64), Lane> =
             std::collections::HashMap::new();
         let mut spans = 0usize;
-        for ev in events.iter() {
+        for ev in events {
             if ev.ph == Phase::Span {
                 spans += 1;
                 lanes
@@ -497,12 +641,21 @@ impl Tracer {
 mod tests {
     use super::*;
 
+    /// A fresh unbounded tracer holding copies of `events`.
+    pub(crate) fn rebuilt<'a>(events: impl Iterator<Item = TraceEvent<'a>>) -> Tracer {
+        let t = Tracer::armed();
+        for ev in events {
+            t.record(*ev, None, ev.args);
+        }
+        t
+    }
+
     #[test]
     fn off_tracer_records_nothing() {
         let t = Tracer::off();
         assert!(!t.is_on());
-        t.span("a", "c", 1, 1, 0, 10, vec![]);
-        t.instant("b", "c", 1, 0, 5, vec![("x", 1)]);
+        t.span("a", "c", 1, 1, 0, 10, []);
+        t.instant("b", "c", 1, 0, 5, [("x", 1)]);
         t.counter("n", 1, 5, 3);
         assert!(t.is_empty());
         assert!(t.validate().is_err());
@@ -516,8 +669,8 @@ mod tests {
     fn armed_tracer_shares_buffer_across_clones() {
         let t = Tracer::armed();
         let t2 = t.clone();
-        t.span("a", "c", 1, 1, 0, 10, vec![]);
-        t2.span("b", "c", 2, 1, 10, 5, vec![]);
+        t.span("a", "c", 1, 1, 0, 10, []);
+        t2.span("b", "c", 2, 1, 10, 5, []);
         assert_eq!(t.len(), 2);
     }
 
@@ -526,19 +679,19 @@ mod tests {
         let t = Tracer::armed();
         t.set_recording(false);
         assert!(!t.is_on());
-        t.span("a", "c", 1, 1, 0, 10, vec![]);
+        t.span("a", "c", 1, 1, 0, 10, []);
         t.set_recording(true);
-        t.span("b", "c", 1, 1, 10, 10, vec![]);
+        t.span("b", "c", 1, 1, 10, 10, []);
         assert_eq!(t.len(), 1);
-        t.with_events(|e| assert_eq!(e[0].name, "b"));
+        t.with_events(|e| assert_eq!(e.iter().next().unwrap().name, "b"));
     }
 
     #[test]
     fn export_is_deterministic_and_integer_formatted() {
         let build = || {
             let t = Tracer::armed();
-            t.span("rpc", "rpc", 3, 1, 1_234, 5_678, vec![("bytes", 100)]);
-            t.instant("done", "rpc", 3, 0, 6_912, vec![]);
+            t.span("rpc", "rpc", 3, 1, 1_234, 5_678, [("bytes", 100)]);
+            t.instant("done", "rpc", 3, 0, 6_912, []);
             t.counter("retries", 3, 6_912, 1);
             t.export_chrome_json()
         };
@@ -556,9 +709,9 @@ mod tests {
     fn validate_accepts_nested_and_tiled_spans() {
         let t = Tracer::armed();
         // child [0,4], child [4,10], parent [0,10] pushed at completion.
-        t.span("c1", "m", 1, 9, 0, 4, vec![]);
-        t.span("c2", "m", 1, 9, 4, 6, vec![]);
-        t.span("parent", "m", 1, 9, 0, 10, vec![]);
+        t.span("c1", "m", 1, 9, 0, 4, []);
+        t.span("c2", "m", 1, 9, 4, 6, []);
+        t.span("parent", "m", 1, 9, 0, 10, []);
         let s = t.validate().expect("valid");
         assert_eq!(s.spans, 3);
     }
@@ -566,16 +719,16 @@ mod tests {
     #[test]
     fn validate_rejects_partial_overlap() {
         let t = Tracer::armed();
-        t.span("a", "m", 1, 1, 0, 6, vec![]);
-        t.span("b", "m", 1, 1, 3, 7, vec![]);
+        t.span("a", "m", 1, 1, 0, 6, []);
+        t.span("b", "m", 1, 1, 3, 7, []);
         assert!(t.validate().is_err());
     }
 
     #[test]
     fn validate_rejects_completion_disorder() {
         let t = Tracer::armed();
-        t.instant("late", "m", 1, 0, 100, vec![]);
-        t.instant("early", "m", 1, 0, 50, vec![]);
+        t.instant("late", "m", 1, 0, 100, []);
+        t.instant("early", "m", 1, 0, 50, []);
         assert!(t.validate().is_err());
     }
 
@@ -586,8 +739,8 @@ mod tests {
         // enough of them that the ring wraps several times.
         for i in 0..50u64 {
             let base = i * 100;
-            t.span("child", "m", 1, 9, base, 40, vec![]);
-            t.span("parent", "m", 1, 9, base, 90, vec![]);
+            t.span("child", "m", 1, 9, base, 40, []);
+            t.span("parent", "m", 1, 9, base, 90, []);
         }
         assert!(t.dropped() > 0, "ring never wrapped");
         let s = t.validate().expect("wrapped ring must stay valid");
@@ -601,8 +754,8 @@ mod tests {
     #[test]
     fn since_export_takes_the_completion_suffix() {
         let t = Tracer::armed();
-        t.span("old", "m", 1, 1, 0, 10, vec![]);
-        t.span("new", "m", 1, 1, 100, 10, vec![]);
+        t.span("old", "m", 1, 1, 0, 10, []);
+        t.span("new", "m", 1, 1, 100, 10, []);
         let json = t.export_chrome_json_since(50);
         assert!(!json.contains("\"name\":\"old\""), "{json}");
         assert!(json.contains("\"name\":\"new\""), "{json}");
@@ -611,8 +764,8 @@ mod tests {
     #[test]
     fn flow_events_export_chrome_phases_and_ids() {
         let t = Tracer::armed();
-        t.flow("journey", "flow", 7, 0, 100, true, 0xbeef, vec![("hop", 1)]);
-        t.flow("journey", "flow", 3, 0, 250, false, 0xbeef, vec![]);
+        t.flow("journey", "flow", 7, 0, 100, true, 0xbeef, [("hop", 1)]);
+        t.flow("journey", "flow", 3, 0, 250, false, 0xbeef, []);
         let json = t.export_chrome_json();
         assert!(json.contains("\"ph\":\"s\""), "{json}");
         assert!(json.contains("\"ph\":\"f\""), "{json}");
@@ -620,20 +773,155 @@ mod tests {
         assert!(json.contains("\"bp\":\"e\""), "{json}");
         // Zero-duration flow events keep the buffer valid and are not
         // subject to span nesting.
-        t.span("svc", "worker", 7, 1, 0, 300, vec![]);
+        t.span("svc", "worker", 7, 1, 0, 300, []);
         t.validate().expect("flow events must not break validation");
     }
 
     #[test]
     fn histograms_derive_from_events() {
         let t = Tracer::armed();
-        t.span("pull", "mig", 1, 64, 0, 100, vec![]);
-        t.span("pull", "mig", 1, 64, 100, 300, vec![]);
-        t.instant("rpc", "rpc", 1, 0, 500, vec![("queue", 40)]);
+        t.span("pull", "mig", 1, 64, 0, 100, []);
+        t.span("pull", "mig", 1, 64, 100, 300, []);
+        t.instant("rpc", "rpc", 1, 0, 500, [("queue", 40)]);
         let h = t.span_histogram("pull");
         assert_eq!(h.count(), 2);
         assert!(h.max() >= 300);
         let q = t.instant_arg_histogram("rpc", "queue");
         assert_eq!(q.count(), 1);
+    }
+
+    /// The widest event the layout admits — `MAX_ARGS` args — comes
+    /// back out of the arena whole and in order.
+    #[test]
+    fn maximum_arity_event_round_trips_through_the_export() {
+        const NAMES: [&str; MAX_ARGS] = [
+            "a0", "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "a9", "a10", "a11", "a12", "a13",
+            "a14", "a15",
+        ];
+        let mut args = [("", 0); MAX_ARGS];
+        for (i, slot) in args.iter_mut().enumerate() {
+            *slot = (NAMES[i], u64::MAX - i as u64);
+        }
+        let t = Tracer::armed();
+        t.instant("wide", "rpc", 3, 0, 10, args);
+        t.flow("f", "flow", 3, 0, 10, false, 77, &args[..MAX_ARGS - 1]);
+        t.with_events(|events| {
+            let wide = events.iter().next().unwrap();
+            assert_eq!(wide.args, args);
+            assert_eq!(wide.arg("a15"), Some(u64::MAX - 15));
+            let flow = events.iter().nth(1).unwrap();
+            assert_eq!(flow.args.len(), MAX_ARGS);
+            assert_eq!(flow.args[0], ("flow", 77));
+        });
+        let json = t.export_chrome_json();
+        let want: Vec<String> = args.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+        assert!(
+            json.contains(&format!("\"args\":{{{}}}", want.join(","))),
+            "{json}"
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "more than 16 args")]
+    fn exceeding_the_arity_cap_is_caught_in_debug() {
+        let t = Tracer::armed();
+        t.instant("too-wide", "rpc", 1, 0, 0, [("x", 0); MAX_ARGS + 1]);
+    }
+
+    /// RPC-shaped traffic (a 14-arg server instant, its flow end, a
+    /// client instant, an argless worker span, now and then a counter)
+    /// through a ring small enough to compact more than twice: every
+    /// survivor still reads its own args, and every fold over the
+    /// wrapped buffer equals the same fold over a fresh buffer holding
+    /// only the survivors.
+    #[test]
+    fn args_follow_their_events_through_ring_compactions() {
+        let t = Tracer::with_capacity(64);
+        for rpc in 1..=40u64 {
+            let (trace, sent) = (1_000 + rpc, rpc * 100);
+            let args = [
+                ("src", 9),
+                ("rpc", rpc),
+                ("sent_at", sent),
+                ("arrived", sent + 10),
+                ("assigned", sent + 15),
+                ("service_end", sent + 35),
+                ("resp_sent", sent + 35),
+                ("net_in", 10),
+                ("nic_in", 1),
+                ("queue", 5),
+                ("service", 20),
+                ("hold", 0),
+                ("trace", trace),
+                ("hop", 1),
+            ];
+            t.span("read", "worker", 1, 1, sent + 15, 20, []);
+            t.instant("read", "rpc", 1, 0, sent + 35, args);
+            t.flow(
+                "rpc-flow",
+                "flow",
+                1,
+                0,
+                sent + 35,
+                false,
+                trace ^ rpc,
+                [("trace", trace)],
+            );
+            if rpc % 8 == 0 {
+                t.counter("retry-hints", 1, sent + 35, rpc / 8);
+            }
+            let client = [
+                ("rpc", rpc),
+                ("issued", sent),
+                ("completed", sent + 45),
+                ("e2e", 45),
+                ("trace", trace),
+                ("attempt", 1),
+                ("status", 0),
+            ];
+            t.instant("rpc-client", "client", 9, 0, sent + 45, client);
+        }
+        assert!(t.dropped() >= 2 * 32, "only {} dropped", t.dropped());
+        t.validate().expect("a wrapped buffer stays valid");
+
+        // Every surviving event reads its own args, not a neighbour's.
+        let survivors = t.with_events(|events| {
+            for ev in events {
+                match (ev.ph, ev.name) {
+                    (Phase::Instant, "read") => {
+                        let rpc = ev.arg("rpc").expect("rpc arg");
+                        assert_eq!(ev.args.len(), 14);
+                        assert_eq!(ev.arg("sent_at"), Some(rpc * 100));
+                        assert_eq!(ev.arg("trace"), Some(1_000 + rpc));
+                        assert_eq!(ev.ts, rpc * 100 + 35);
+                    }
+                    (Phase::Instant, _) => {
+                        assert_eq!(ev.arg("rpc").map(|rpc| rpc * 100 + 45), Some(ev.ts));
+                    }
+                    (Phase::FlowEnd, _) => {
+                        let trace = ev.arg("trace").expect("trace arg");
+                        assert_eq!(ev.arg("flow"), Some(trace ^ (trace - 1_000)));
+                    }
+                    (Phase::Counter, _) => assert_eq!(ev.args.len(), 1),
+                    _ => assert!(ev.args.is_empty()),
+                }
+            }
+            rebuilt(events.iter())
+        });
+        assert_eq!(survivors.len(), t.len());
+        assert_eq!(survivors.dropped(), 0);
+
+        assert_eq!(t.export_chrome_json(), survivors.export_chrome_json());
+        for since in [0, 3_000, 3_535, 3_536, 10_000] {
+            assert_eq!(
+                t.export_chrome_json_since(since),
+                survivors.export_chrome_json_since(since),
+                "since {since}"
+            );
+        }
+        let journeys = |t: &Tracer| journey::export_json(&t.with_events(journey::reconstruct), 0);
+        assert_eq!(journeys(&t), journeys(&survivors));
+        assert!(journeys(&t).contains("\"telescoped\":1"));
     }
 }

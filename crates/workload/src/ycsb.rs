@@ -301,7 +301,7 @@ impl YcsbClient {
                 ctx.now(),
                 true,
                 cctx.trace_id.0 ^ rpc.0,
-                vec![("trace", cctx.trace_id.0), ("attempt", attempt as u64)],
+                [("trace", cctx.trace_id.0), ("attempt", attempt as u64)],
             );
         }
         ctx.send(dst, Envelope::req(rpc, req).with_ctx(cctx));
@@ -490,7 +490,7 @@ impl Actor<Envelope> for YcsbClient {
                                 ctx.self_id() as u64,
                                 0,
                                 now,
-                                vec![
+                                [
                                     ("rpc", rpc.0),
                                     ("issued", op.issued),
                                     ("completed", now),

@@ -7,13 +7,19 @@
 //! global allocator: if a change reintroduces a per-record allocation on
 //! either path, the per-record allocation rate regresses past the floor
 //! and this test fails. (`ci.sh` runs it as part of the tier-1 suite.)
+//!
+//! The trace layer has the same shape of promise: an armed tracer copies
+//! each event into a ring and an args arena it already owns, a disarmed
+//! one does nothing, so neither allocates per event.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use rocksteady_common::{key_hash, HashRange, ScanCursor, TableId};
 use rocksteady_logstore::LogConfig;
 use rocksteady_master::{MasterConfig, MasterService, ReplayDest, TabletRole, Work};
+use rocksteady_trace::Tracer;
 use rocksteady_workload::core::primary_key;
 
 struct Counting;
@@ -41,6 +47,13 @@ fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
+/// The counter is process-wide, so the tests that read it take turns.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn exclusive() -> MutexGuard<'static, ()> {
+    ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 const T: TableId = TableId(1);
 const RECORDS: u64 = 10_000;
 
@@ -65,6 +78,7 @@ fn loaded_master() -> MasterService {
 
 #[test]
 fn gather_and_replay_stay_allocation_free_per_record() {
+    let _turn = exclusive();
     let source = loaded_master();
     let mut target = MasterService::new(MasterConfig {
         log: LogConfig {
@@ -119,4 +133,79 @@ fn gather_and_replay_stay_allocation_free_per_record() {
         (replay_allocs as f64) < 0.10 * RECORDS as f64,
         "replay allocation regression: {replay_allocs} allocs for {RECORDS} records"
     );
+}
+
+/// What one served client RPC records: the worker span, the 14-arg
+/// latency-decomposition instant, the flow end that closes the client's
+/// arrow, and (as for a retry hint) a counter sample.
+fn emit_rpc(t: &Tracer, rpc: u64) {
+    if !t.is_on() {
+        return;
+    }
+    let (trace, sent) = ((8 << 40) | rpc, rpc * 1_000);
+    t.span("read", "worker", 1, 3, sent + 300, 500, []);
+    let args = [
+        ("src", 7),
+        ("rpc", rpc),
+        ("sent_at", sent),
+        ("arrived", sent + 200),
+        ("assigned", sent + 300),
+        ("service_end", sent + 800),
+        ("resp_sent", sent + 800),
+        ("net_in", 200),
+        ("nic_in", 24),
+        ("queue", 100),
+        ("service", 500),
+        ("hold", 0),
+        ("trace", trace),
+        ("hop", 1),
+    ];
+    t.instant("read", "rpc", 1, 0, sent + 800, args);
+    t.flow(
+        "rpc-flow",
+        "flow",
+        1,
+        0,
+        sent + 800,
+        false,
+        trace ^ rpc,
+        [("trace", trace)],
+    );
+    t.counter("retry-hints", 1, sent + 800, rpc);
+}
+
+#[test]
+fn recording_trace_events_allocates_nothing_per_event() {
+    const RPCS: u64 = 10_000;
+    let _turn = exclusive();
+
+    // Armed, in ring mode, small enough to compact several times: the
+    // heads were reserved when the ring was built, so the only
+    // allocations left are the args arena's doublings up to its steady
+    // size (16 for the ≈ 70 k slots it peaks at) — none per event, none
+    // per compaction.
+    let ring = Tracer::with_capacity(1 << 14);
+    let before = allocs();
+    for rpc in 1..=RPCS {
+        emit_rpc(&ring, rpc);
+    }
+    let armed_allocs = allocs() - before;
+    assert_eq!(ring.len() as u64 + ring.dropped(), 4 * RPCS);
+    assert!(
+        ring.dropped() >= 2 << 13,
+        "the ring compacted at least twice"
+    );
+    assert!(
+        armed_allocs <= 24,
+        "trace recording allocation regression: {armed_allocs} allocs for {} events",
+        4 * RPCS
+    );
+
+    // Disarmed: one branch per call and nothing else.
+    let off = Tracer::off();
+    let before = allocs();
+    for rpc in 1..=RPCS {
+        emit_rpc(&off, rpc);
+    }
+    assert_eq!(allocs() - before, 0, "a disarmed tracer allocated");
 }
