@@ -12,13 +12,15 @@
 #      replication lane follows the segment (no log rescan on the write
 #      path, no lane flag, no head appends from the cleaner); reachability
 #      (two vendored crates and no criterion, every config field read,
-#      every RPC verb sent)
+#      every RPC verb sent); one prefetch helper, one window cache per
+#      master and no per-Pull slice reader
 #   5. the frozen repo benchmark still builds and self-checks
 #   6. examples smoke: quickstart clean and fault-injected, every JSON
 #      export loaded and checked by key; crash_recovery
 #   7. bench smoke: day_in_the_life
 #   8. allocation gate: gather/replay migration hot path stays
-#      sub-per-record; recording a trace event allocates nothing
+#      sub-per-record on a many-segment log; recording a trace event
+#      allocates nothing; hash-table stripes allocate on first insert
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -87,6 +89,23 @@ fi
 if awk '/^#\[cfg\(test\)\]/ { exit } /log\.append\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
         END { exit !bad }' crates/logstore/src/cleaner.rs; then
     echo "FAIL: the cleaner appends to the head; survivors go to a side log"; exit 1
+fi
+
+# Memory-level parallelism has one door: the prefetch intrinsic lives in
+# common::prefetch and nowhere else. And the data path has one window
+# cache, the master's: no per-Pull reader beside it, nobody else
+# building a cache of their own above their unit tests.
+if grep -nE '_mm_prefetch|core::arch' \
+        $(ls crates/*/src/*.rs | grep -vx 'crates/common/src/prefetch.rs'); then
+    echo "FAIL: cache intrinsics outside crates/common/src/prefetch.rs"; exit 1
+fi
+if grep -rnE 'slice_reader|SliceReader' crates/; then
+    echo "FAIL: SliceReader is back; gathers use the master's WindowCache"; exit 1
+fi
+caches=$(awk 'FNR == 1 { in_tests = 0 } /^#\[cfg\(test\)\]/ { in_tests = 1 }
+              !in_tests && /WindowCache::new\(\)/ { print FILENAME }' crates/*/src/*.rs | tr '\n' ' ')
+if [ "$caches" != "crates/master/src/service.rs " ]; then
+    echo "FAIL: WindowCache::new() outside MasterService::new: $caches"; exit 1
 fi
 
 # Reachability (a): the host-time harness is benchmark/, so the

@@ -38,6 +38,14 @@ use crate::sampler::{SamplerActor, SnapshotLogHandle, UtilSeries, UtilSeriesHand
 use crate::slo::{SloHandle, SloMonitor, SloReport};
 use crate::watchdog::{IncidentLogHandle, WatchdogActor, WatchdogWiring};
 
+/// Keys [`Cluster::load_table`] formats, hashes, routes and prefetches
+/// before it inserts them: more bucket misses than a core keeps in
+/// flight, few enough that the first is still cached when its insert
+/// comes. Measured on `bulk_migrate`'s `setup_s` beside 4, 8, 32 and 64
+/// (EXPERIMENTS.md, "Host-time attribution"): a plateau — a constant,
+/// not a tuning knob.
+const LOAD_BLOCK: usize = 16;
+
 /// Topology + hardware parameters for one simulated cluster.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -523,24 +531,34 @@ impl Cluster {
         let map = self.coord.borrow().tablet_map();
         let value = vec![0xcdu8; value_len];
         let mut by_owner: HashMap<ServerId, Vec<u64>> = HashMap::new();
-        // Single pass: each key is formatted (into a reused buffer) and
-        // hashed exactly once, then loaded directly on its owner. Every
-        // master still receives its records in rank order, so versions
-        // and log contents are identical to the two-pass loader this
-        // replaces — only the host-side cost per record changed.
-        let mut key = Vec::with_capacity(key_len);
-        for rank in 0..num_keys {
-            rocksteady_workload::core::write_primary_key(rank, key_len, &mut key);
-            let hash = key_hash(&key);
-            let owner = map
-                .iter()
-                .find(|t| t.covers(table, hash))
-                .map(|t| t.owner)
-                .expect("load_table: key not covered by any tablet");
-            by_owner.entry(owner).or_default().push(rank);
-            self.node(owner)
-                .master
-                .load_object_hashed(table, hash, &key, &value);
+        // Single pass in blocks: each key is formatted (into a reused
+        // buffer), hashed and routed exactly once, and its hash-table
+        // bucket — a random line of its owner's table, the load's one
+        // unavoidable miss per record — is asked for; only then is the
+        // block inserted, so a block's bucket misses overlap instead of
+        // each insert waiting out its own. Every master still receives
+        // its records in rank order, so versions and log contents are
+        // what a record-at-a-time loader produces.
+        let mut block: [(Vec<u8>, KeyHash, ServerId); LOAD_BLOCK] =
+            std::array::from_fn(|_| (Vec::with_capacity(key_len), 0, ServerId(0)));
+        for first in (0..num_keys).step_by(LOAD_BLOCK) {
+            let block = &mut block[..LOAD_BLOCK.min((num_keys - first) as usize)];
+            for (rank, (key, hash, owner)) in (first..).zip(block.iter_mut()) {
+                rocksteady_workload::core::write_primary_key(rank, key_len, key);
+                *hash = key_hash(key);
+                *owner = map
+                    .iter()
+                    .find(|t| t.covers(table, *hash))
+                    .map(|t| t.owner)
+                    .expect("load_table: key not covered by any tablet");
+                by_owner.entry(*owner).or_default().push(rank);
+                self.node(*owner).master.hashtable.prefetch(*hash);
+            }
+            for (key, hash, owner) in block.iter() {
+                self.node(*owner)
+                    .master
+                    .load_object_hashed(table, *hash, key, &value);
+            }
         }
         by_owner
     }

@@ -18,12 +18,15 @@
 //!   [`hist::TimeSeries`] recorder behind the paper's timeline figures.
 //! - Export plumbing shared by every observability layer: the one
 //!   deterministic [`json`] writer and the one bounded event [`Ring`].
+//! - The one software-[`prefetch`] hint the storage data path overlaps
+//!   its cache misses with.
 
 pub mod cost;
 pub mod fxmap;
 pub mod hist;
 pub mod ids;
 pub mod json;
+pub mod prefetch;
 pub mod range;
 pub mod ring;
 pub mod rng;

@@ -36,10 +36,29 @@
 //! hash-space partitions touch disjoint locks. Stripes are capped at
 //! [`MAX_BUCKETS_PER_STRIPE`] buckets so the run a `scan_range` holds a
 //! read lock over stays cache-resident.
+//!
+//! A stripe allocates its buckets on its first [`HashTable::upsert`], so
+//! table memory follows the data: a server that owns nothing pays for a
+//! vector of empty stripes, and a table that holds one hash range pays
+//! for that range's stripes. A never-written stripe answers exactly what
+//! a stripe of empty buckets would — every lookup misses with no probes,
+//! a scan finds nothing in it.
+//!
+//! # Memory-level parallelism
+//!
+//! A bucket is a DRAM miss, and so is the log entry each slot points at.
+//! Callers that know their next addresses overlap those misses instead
+//! of taking them one after another: [`HashTable::prefetch`] asks for a
+//! key's bucket ahead of the `upsert` that will land in it (bulk load),
+//! and [`HashTable::scan_range`] shows its caller the slots
+//! [`SCAN_LOOKAHEAD_BUCKETS`] buckets ahead of the one it is visiting, so
+//! a Pull can ask for those log entries while it copies out the current
+//! ones.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::RwLock;
+use rocksteady_common::prefetch::prefetch;
 use rocksteady_common::{KeyHash, TableId};
 use rocksteady_logstore::LogRef;
 
@@ -53,6 +72,14 @@ pub const SLOTS_PER_BUCKET: usize = 8;
 /// run scanned under one read lock around the size of an L2 way, so a
 /// Pull's scan stays cache-resident while it holds the lock.
 pub const MAX_BUCKETS_PER_STRIPE: usize = 128;
+
+/// How many buckets ahead of the one being visited [`HashTable::
+/// scan_range`] shows to its `peek` closure. At ~4 entries per bucket
+/// that is ~8 log entries in flight, about what one core keeps
+/// outstanding. Measured on `bulk_migrate` beside 0, 1, 4 and 8
+/// (EXPERIMENTS.md, "Host-time attribution"): a plateau, of which this
+/// is the middle — a constant, not a tuning knob.
+pub const SCAN_LOOKAHEAD_BUCKETS: u64 = 2;
 
 /// One entry: a key (identified by table + hash) and where it lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,6 +112,15 @@ pub struct Probed<T> {
     pub probes: u32,
 }
 
+impl<T> Probed<Option<T>> {
+    /// Nothing found, nothing examined: the answer of an empty range and
+    /// of a stripe nothing was ever inserted into.
+    const MISS: Self = Probed {
+        value: None,
+        probes: 0,
+    };
+}
+
 /// The 16-bit partial hash stored next to each occupied slot. Bucket
 /// indexing consumes high bits, so the low bits stay independent.
 #[inline]
@@ -100,12 +136,17 @@ fn tag_of(hash: KeyHash) -> u16 {
 ///
 /// Every field is zero when empty — tags and slots are plain integers,
 /// `occupied` is an empty bitmap, and `overflow` is `None` (the
-/// guaranteed null-pointer niche of `Option<Box<_>>`). [`HashTable::new`]
-/// relies on this to build bucket arrays from `alloc_zeroed`, so a
-/// paper-scale table (hundreds of MB across masters) costs zero-page
-/// mappings instead of an eager memset, and untouched buckets are never
-/// faulted in at all. Adding a field that is not valid-when-zero breaks
-/// that construction.
+/// guaranteed null-pointer niche of `Option<Box<_>>`). A stripe's first
+/// `upsert` relies on this to build its bucket array from `alloc_zeroed`
+/// without running a constructor per bucket. Adding a field that is not
+/// valid-when-zero breaks that construction.
+///
+/// What the zeroing does *not* buy is lazily faulted memory: for an
+/// over-aligned type like this one Rust's `alloc_zeroed` is
+/// `posix_memalign` followed by `write_bytes`, so every byte asked for is
+/// touched at once. Memory stays proportional to the data because a
+/// stripe is only allocated when something is inserted into it, not
+/// because of how it is zeroed.
 #[repr(C, align(64))]
 #[derive(Clone)]
 struct Bucket {
@@ -126,12 +167,16 @@ struct Bucket {
 
 impl Bucket {
     /// Visits every occupied entry (inline then overflow).
+    ///
+    /// A counted loop on purpose: its trip count is known, so a caller
+    /// whose `f` does nothing (`scan_range`'s no-op `peek`) costs nothing
+    /// — the compiler cannot delete a `while occ != 0` bit-walk, which it
+    /// has to assume might not end.
     fn for_each(&self, mut f: impl FnMut(&Slot)) {
-        let mut occ = self.occupied;
-        while occ != 0 {
-            let i = occ.trailing_zeros() as usize;
-            occ &= occ - 1;
-            f(&self.slots[i]);
+        for (i, slot) in self.slots.iter().enumerate() {
+            if self.occupied & (1 << i) != 0 {
+                f(slot);
+            }
         }
         if let Some(of) = &self.overflow {
             for slot in of.iter() {
@@ -146,10 +191,8 @@ impl Bucket {
     }
 }
 
-/// Allocates `n` buckets as one flat zeroed slice.
-///
-/// `alloc_zeroed` hands back freshly mapped zero pages, so construction
-/// is O(1) in touched memory and buckets fault in lazily on first use.
+/// Allocates `n` empty buckets as one flat zeroed slice (and touches all
+/// of it — see the invariant on [`Bucket`]).
 fn zeroed_buckets(n: usize) -> Box<[Bucket]> {
     use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
     if n == 0 {
@@ -169,7 +212,8 @@ fn zeroed_buckets(n: usize) -> Box<[Bucket]> {
 }
 
 struct Stripe {
-    /// All of this stripe's buckets in one flat allocation.
+    /// All of this stripe's buckets in one flat allocation — or no
+    /// buckets and no allocation until the stripe's first `upsert`.
     buckets: RwLock<Box<[Bucket]>>,
 }
 
@@ -187,7 +231,8 @@ impl HashTable {
     /// Creates a table with at least `min_buckets` buckets (rounded up to
     /// a power of two) spread over at least `max_stripes` lock stripes —
     /// more when needed to keep every stripe within
-    /// [`MAX_BUCKETS_PER_STRIPE`] buckets (cache residency).
+    /// [`MAX_BUCKETS_PER_STRIPE`] buckets (cache residency). No bucket is
+    /// allocated yet: each stripe allocates on its first `upsert`.
     pub fn new(min_buckets: usize, max_stripes: usize) -> Self {
         let bucket_count = min_buckets.next_power_of_two().max(2) as u64;
         let mut stripe_count = max_stripes
@@ -199,7 +244,7 @@ impl HashTable {
         let buckets_per_stripe = (bucket_count as usize) / stripe_count;
         let stripes = (0..stripe_count)
             .map(|_| Stripe {
-                buckets: RwLock::new(zeroed_buckets(buckets_per_stripe)),
+                buckets: RwLock::new(Box::default()),
             })
             .collect();
         HashTable {
@@ -252,7 +297,9 @@ impl HashTable {
     ) -> Probed<Option<LogRef>> {
         let (stripe, b) = self.locate(self.bucket_of(hash));
         let buckets = stripe.buckets.read();
-        let bucket = &buckets[b];
+        let Some(bucket) = buckets.get(b) else {
+            return Probed::MISS;
+        };
         let tag = tag_of(hash);
         let mut probes = 0;
         let mut occ = bucket.occupied;
@@ -300,6 +347,9 @@ impl HashTable {
     ) -> Probed<Upsert> {
         let (stripe, b) = self.locate(self.bucket_of(hash));
         let mut buckets = stripe.buckets.write();
+        if buckets.is_empty() {
+            *buckets = zeroed_buckets(self.buckets_per_stripe);
+        }
         let bucket = &mut buckets[b];
         let tag = tag_of(hash);
         let mut probes = 0;
@@ -367,7 +417,9 @@ impl HashTable {
     ) -> Probed<Option<LogRef>> {
         let (stripe, b) = self.locate(self.bucket_of(hash));
         let mut buckets = stripe.buckets.write();
-        let bucket = &mut buckets[b];
+        let Some(bucket) = buckets.get_mut(b) else {
+            return Probed::MISS;
+        };
         let tag = tag_of(hash);
         let mut probes = 0;
         let mut occ = bucket.occupied;
@@ -415,6 +467,17 @@ impl HashTable {
         }
     }
 
+    /// Asks the cache for the bucket `hash` lands in — its leading line:
+    /// tags, occupancy and the first slot — ahead of the `upsert` (or
+    /// `lookup`) that will touch it. A hint only, and nothing at all for
+    /// a stripe that has no buckets yet.
+    pub fn prefetch(&self, hash: KeyHash) {
+        let (stripe, b) = self.locate(self.bucket_of(hash));
+        if let Some(bucket) = stripe.buckets.read().get(b) {
+            prefetch(bucket as *const Bucket);
+        }
+    }
+
     /// Atomically repoints `(table, hash)` from `old` to `new`.
     ///
     /// The cleaner's relocation path: succeeds only if the slot still
@@ -422,7 +485,9 @@ impl HashTable {
     pub fn update_ref(&self, table: TableId, hash: KeyHash, old: LogRef, new: LogRef) -> bool {
         let (stripe, b) = self.locate(self.bucket_of(hash));
         let mut buckets = stripe.buckets.write();
-        let bucket = &mut buckets[b];
+        let Some(bucket) = buckets.get_mut(b) else {
+            return false;
+        };
         let tag = tag_of(hash);
         let mut occ = bucket.occupied;
         while occ != 0 {
@@ -463,23 +528,31 @@ impl HashTable {
     /// boundaries so a resumed pull never re-sends or skips entries even
     /// though the source keeps no state (§3.1.1). The read lock is taken
     /// once per stripe run — a cache-resident stretch of at most
-    /// [`MAX_BUCKETS_PER_STRIPE`] flat buckets — not once per bucket.
+    /// [`MAX_BUCKETS_PER_STRIPE`] flat buckets — not once per bucket, and
+    /// a stripe nothing was ever inserted into is stepped over whole.
+    ///
+    /// `peek` is shown every slot `visit` is going to get, up to
+    /// [`SCAN_LOOKAHEAD_BUCKETS`] buckets before `visit` gets it (never
+    /// past the end of the stripe whose lock is held), so the caller can
+    /// start fetching what the slot points at. It sees the same slots in
+    /// the same order, plus at most that horizon beyond the bucket the
+    /// budget stops the scan at; a caller with nothing to fetch passes
+    /// `|_| {}`, which compiles away.
     pub fn scan_range(
         &self,
         table: TableId,
         range: HashRange,
         cursor: Cursor,
         budget: u64,
+        mut peek: impl FnMut(&Slot),
         mut visit: impl FnMut(&Slot) -> u64,
     ) -> Probed<Option<Cursor>> {
         if range.is_empty() {
-            return Probed {
-                value: None,
-                probes: 0,
-            };
+            return Probed::MISS;
         }
         let first_bucket = self.bucket_of(range.start).max(cursor.bucket);
         let last_bucket = self.bucket_of(range.end);
+        let wanted = |slot: &Slot| slot.table == table && range.contains(slot.hash);
         let mut probes = 0u32;
         let mut accepted = 0u64;
         let mut bucket = first_bucket;
@@ -488,10 +561,33 @@ impl HashTable {
             let stripe_last =
                 (((stripe_idx + 1) * self.buckets_per_stripe - 1) as u64).min(last_bucket);
             let buckets = self.stripes[stripe_idx].buckets.read();
+            if buckets.is_empty() {
+                // A run of empty buckets accepts nothing, so the budget
+                // test below could only have fired at its first bucket
+                // (a budget of zero); otherwise the whole run is passed.
+                if accepted >= budget {
+                    bucket += 1;
+                    break 'scan;
+                }
+                bucket = stripe_last + 1;
+                continue;
+            }
+            // Next bucket to show to `peek`: on taking the stripe it
+            // catches up to the horizon, then stays that far in front.
+            let mut ahead = bucket;
             while bucket <= stripe_last {
+                let horizon = (bucket + SCAN_LOOKAHEAD_BUCKETS).min(stripe_last);
+                while ahead <= horizon {
+                    buckets[ahead as usize % self.buckets_per_stripe].for_each(|slot| {
+                        if wanted(slot) {
+                            peek(slot);
+                        }
+                    });
+                    ahead += 1;
+                }
                 buckets[bucket as usize % self.buckets_per_stripe].for_each(|slot| {
                     probes += 1;
-                    if slot.table == table && range.contains(slot.hash) {
+                    if wanted(slot) {
                         accepted += visit(slot);
                     }
                 });
@@ -518,10 +614,17 @@ impl HashTable {
     ) {
         let mut cursor = Cursor::default();
         loop {
-            let out = self.scan_range(table, range, cursor, u64::MAX, |s| {
-                visit(s);
-                0
-            });
+            let out = self.scan_range(
+                table,
+                range,
+                cursor,
+                u64::MAX,
+                |_| {},
+                |s| {
+                    visit(s);
+                    0
+                },
+            );
             match out.value {
                 Some(next) => cursor = next,
                 None => break,
@@ -616,6 +719,35 @@ mod tests {
         assert_eq!(ht.lookup(T, 3, |_| true).value, Some(r(5, 0)));
     }
 
+    /// A stripe nothing was inserted into has no buckets, and answers
+    /// what a stripe of empty buckets would.
+    #[test]
+    fn never_written_stripes_miss_without_probing() {
+        let ht = HashTable::new(1 << 10, 8); // 8 stripes of 128 buckets
+        let low = 7u64; // stripe 0
+        let high = u64::MAX - 7; // stripe 7
+        ht.upsert(T, low, r(1, 0), |_| true);
+        let touched = |ht: &HashTable| {
+            let written = |s: &&Stripe| !s.buckets.read().is_empty();
+            ht.stripes.iter().filter(written).count()
+        };
+        assert_eq!(touched(&ht), 1);
+        let miss = ht.lookup(T, high, |_| panic!("nothing to compare"));
+        assert_eq!((miss.value, miss.probes), (None, 0));
+        let miss = ht.remove(T, high, |_| panic!("nothing to compare"));
+        assert_eq!((miss.value, miss.probes), (None, 0));
+        assert!(!ht.update_ref(T, high, r(1, 0), r(2, 0)));
+        ht.prefetch(high);
+        assert_eq!(touched(&ht), 1, "only upsert allocates a stripe");
+        assert_eq!(ht.len(), 1);
+        // A scan crosses the six empty stripes between the two entries.
+        ht.upsert(T, high, r(9, 0), |_| true);
+        assert_eq!(touched(&ht), 2);
+        let mut seen = Vec::new();
+        ht.for_each_in_range(T, HashRange::full(), |s| seen.push(s.hash));
+        assert_eq!(seen, vec![low, high]);
+    }
+
     #[test]
     fn bucket_order_is_hash_order() {
         let ht = HashTable::new(1024, 8);
@@ -694,10 +826,17 @@ mod tests {
         let mut batches = 0;
         loop {
             let mut batch = Vec::new();
-            let out = ht.scan_range(T, range, cursor, 50, |s| {
-                batch.push(s.hash);
-                1
-            });
+            let out = ht.scan_range(
+                T,
+                range,
+                cursor,
+                50,
+                |_| {},
+                |s| {
+                    batch.push(s.hash);
+                    1
+                },
+            );
             batches += 1;
             seen.extend(batch);
             match out.value {
@@ -744,6 +883,7 @@ mod tests {
             HashRange { start: 1, end: 0 },
             Cursor::default(),
             10,
+            |_| panic!("nothing to peek at"),
             |_| -> u64 { panic!("nothing to visit") },
         );
         assert_eq!(out.value, None);
@@ -805,14 +945,15 @@ mod tests {
                     let mut seen = HashSet::new();
                     let mut cursor = Cursor::default();
                     loop {
-                        let out = ht.scan_range(T, HashRange::full(), cursor, 64, |s| {
+                        let visit = |s: &Slot| {
                             assert!(
                                 seen.insert(s.hash),
                                 "hash {:#x} visited twice in one pass",
                                 s.hash
                             );
                             1
-                        });
+                        };
+                        let out = ht.scan_range(T, HashRange::full(), cursor, 64, |_| {}, visit);
                         match out.value {
                             Some(next) => cursor = next,
                             None => break,

@@ -10,7 +10,7 @@ use std::collections::{HashMap, HashSet};
 
 use rocksteady_common::rng::Prng;
 use rocksteady_common::{HashRange, ScanCursor, TableId};
-use rocksteady_hashtable::HashTable;
+use rocksteady_hashtable::{HashTable, SCAN_LOOKAHEAD_BUCKETS};
 use rocksteady_logstore::LogRef;
 
 const T: TableId = TableId(1);
@@ -79,10 +79,17 @@ fn scan_matches_enumeration() {
         let mut seen = Vec::new();
         let mut cursor = ScanCursor::default();
         loop {
-            let out = ht.scan_range(T, range, cursor, budget, |slot| {
-                seen.push(slot.hash);
-                1
-            });
+            let out = ht.scan_range(
+                T,
+                range,
+                cursor,
+                budget,
+                |_| {},
+                |slot| {
+                    seen.push(slot.hash);
+                    1
+                },
+            );
             match out.value {
                 Some(next) => {
                     assert!(
@@ -131,5 +138,154 @@ fn partitioned_scans_are_exhaustive_and_disjoint() {
         let mut expect: Vec<u64> = hashes.into_iter().collect();
         expect.sort_unstable();
         assert_eq!(seen, expect, "seed {seed}");
+    }
+}
+
+/// What one `scan_range` call must do, written the obvious way over the
+/// list of inserted `(table, hash)` pairs: walk buckets in order, count
+/// every resident as a probe, visit the ones of `table` inside `range`
+/// in insertion order (slot order, with nothing ever removed), and stop
+/// after the first bucket at which the accepted weight reaches `budget`.
+fn model_scan(
+    inserted: &[(TableId, u64)],
+    buckets_pow: u32,
+    range: HashRange,
+    cursor: ScanCursor,
+    budget: u64,
+    weight: impl Fn(u64) -> u64,
+) -> (Vec<u64>, Option<ScanCursor>, u32) {
+    let bucket_of = |h: u64| h >> (64 - buckets_pow);
+    let (mut visited, mut probes, mut accepted) = (Vec::new(), 0, 0);
+    if range.is_empty() {
+        return (visited, None, 0);
+    }
+    let last = bucket_of(range.end);
+    let mut bucket = bucket_of(range.start).max(cursor.bucket);
+    while bucket <= last {
+        for &(table, hash) in inserted.iter().filter(|(_, h)| bucket_of(*h) == bucket) {
+            probes += 1;
+            if table == T && range.contains(hash) {
+                accepted += weight(hash);
+                visited.push(hash);
+            }
+        }
+        bucket += 1;
+        if accepted >= budget {
+            break;
+        }
+    }
+    let next = (bucket <= last).then_some(ScanCursor { bucket });
+    (visited, next, probes)
+}
+
+/// Tables whose entries sit in a few stripes, the rest never written:
+/// `scan_range` returns the same slots in the same order, the same
+/// cursor and the same probe count as the bucket-by-bucket model, call
+/// for call — stepping over an empty stripe is not observable. And
+/// `peek` runs exactly its horizon ahead: it is shown every slot before
+/// `visit` is, never a slot more than [`SCAN_LOOKAHEAD_BUCKETS`] buckets
+/// past the one being visited, and what it saw beyond the end of a
+/// budgeted call lies within that horizon of the returned cursor.
+#[test]
+fn sparse_scans_match_the_bucket_model_and_peek_keeps_its_horizon() {
+    for seed in 0..CASES {
+        let mut rng = Prng::new(0x9a17_0000 + seed);
+        // 256..2048 buckets in stripes of 128: 2..16 stripes.
+        let buckets_pow = rng.next_range(8, 12) as u32;
+        let shift = 64 - buckets_pow;
+        let stripes = 1u64 << (buckets_pow - 7);
+        let ht = HashTable::new(1 << buckets_pow, 1);
+        // One to three populated stripes; inside them a few dense
+        // buckets (some past eight residents: overflow) and stragglers.
+        let mut inserted: Vec<(TableId, u64)> = Vec::new();
+        for _ in 0..rng.next_range(1, 4) {
+            let stripe = rng.next_below(stripes);
+            for _ in 0..rng.next_range(1, 60) {
+                let bucket = stripe * 128
+                    + if rng.next_below(3) == 0 {
+                        rng.next_below(4)
+                    } else {
+                        rng.next_below(128)
+                    };
+                let hash = (bucket << shift) | (rng.next_u64() >> buckets_pow);
+                let table = if rng.next_below(5) == 0 {
+                    TableId(9)
+                } else {
+                    T
+                };
+                if !inserted.contains(&(table, hash)) {
+                    ht.upsert(table, hash, r(hash), |_| true);
+                    inserted.push((table, hash));
+                }
+            }
+        }
+        let range = if rng.next_below(3) == 0 {
+            HashRange::full()
+        } else {
+            let (a, b) = (rng.next_u64(), rng.next_u64());
+            HashRange {
+                start: a.min(b),
+                end: a.max(b),
+            }
+        };
+        let budget = rng.next_below(40); // 0 included: one bucket a call
+        let weight = |hash: u64| 1 + hash % 3;
+        let bucket_of = |h: u64| h >> shift;
+
+        let mut cursor = ScanCursor::default();
+        for call in 0.. {
+            assert!(call < 5_000, "seed {seed}: runaway scan");
+            let (want, want_next, want_probes) =
+                model_scan(&inserted, buckets_pow, range, cursor, budget, weight);
+            let first = bucket_of(range.start).max(cursor.bucket);
+            // Shared by the two closures, which run interleaved.
+            let peeked = std::cell::RefCell::new(Vec::<u64>::new());
+            let mut visited = Vec::new();
+            let out = ht.scan_range(
+                T,
+                range,
+                cursor,
+                budget,
+                |slot| {
+                    assert!(slot.table == T && range.contains(slot.hash));
+                    peeked.borrow_mut().push(slot.hash);
+                },
+                |slot| {
+                    let at = bucket_of(slot.hash);
+                    let mut peeked = peeked.borrow_mut();
+                    assert_eq!(
+                        peeked.first(),
+                        Some(&slot.hash),
+                        "seed {seed}: visited before it was peeked, or out of order"
+                    );
+                    peeked.remove(0);
+                    for ahead in peeked.iter() {
+                        assert!(
+                            (at..=at + SCAN_LOOKAHEAD_BUCKETS).contains(&bucket_of(*ahead)),
+                            "seed {seed}: peeked past the horizon"
+                        );
+                    }
+                    visited.push(slot.hash);
+                    weight(slot.hash)
+                },
+            );
+            assert_eq!(visited, want, "seed {seed} call {call}: slots or order");
+            assert_eq!(out.value, want_next, "seed {seed} call {call}: cursor");
+            assert_eq!(out.probes, want_probes, "seed {seed} call {call}: probes");
+            // Peeked but not visited: only past a budget stop, and only
+            // as far as the scan would have looked from its last bucket.
+            let stop = out.value.map_or(u64::MAX, |c| c.bucket);
+            for left in peeked.borrow().iter() {
+                let at = bucket_of(*left);
+                assert!(
+                    at >= stop && at < stop + SCAN_LOOKAHEAD_BUCKETS && stop > first,
+                    "seed {seed}: stray peek"
+                );
+            }
+            match out.value {
+                Some(next) => cursor = next,
+                None => break,
+            }
+        }
     }
 }

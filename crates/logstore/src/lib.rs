@@ -33,8 +33,6 @@ pub mod sidelog;
 
 pub use cleaner::{CleanStats, Cleaner, Relocation, Relocator};
 pub use entry::{EntryKind, EntryView, OwnedEntry, ENTRY_HEADER_BYTES};
-pub use log::{
-    EntrySlices, Joined, Log, LogConfig, LogError, LogRef, LogStats, SliceReader, WindowCache,
-};
+pub use log::{EntrySlices, Joined, Log, LogConfig, LogError, LogRef, LogStats, WindowCache};
 pub use segment::Segment;
 pub use sidelog::{SideLog, SideLogAppender};

@@ -13,6 +13,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::RwLock;
+use rocksteady_common::prefetch::prefetch_bytes;
 use rocksteady_common::FxHashMap;
 
 use crate::entry::{self, EntryKind, EntryView, OwnedEntry, ENTRY_HEADER_BYTES};
@@ -361,14 +362,6 @@ impl Log {
         Some(self.segment(id)?.committed_as_bytes())
     }
 
-    /// Opens a zero-copy [`SliceReader`] over this log.
-    pub fn slice_reader(&self) -> SliceReader<'_> {
-        SliceReader {
-            log: self,
-            cache: WindowCache::new(),
-        }
-    }
-
     /// Declares the entry at `r` (of `bytes` serialized size) dead, for
     /// cleaner accounting.
     pub fn mark_dead(&self, r: LogRef, bytes: u64) {
@@ -467,35 +460,22 @@ pub struct EntrySlices {
     pub value: Bytes,
 }
 
-/// Batched zero-copy reads: resolves [`LogRef`]s to [`EntrySlices`]
-/// while memoizing one committed-prefix [`Bytes`] window per segment, so
-/// a whole gather batch pays one owner allocation per *segment* and one
-/// refcount bump per *record* — never a per-record key/value copy.
+/// Zero-copy reads: resolves [`LogRef`]s to [`EntrySlices`] out of one
+/// committed-prefix [`Bytes`] window per segment id, kept for as long as
+/// the segment is in the log. Its owner (the master's data path — reads,
+/// Pull gathers, replication) pays the one owner allocation per segment
+/// once per segment lifetime and one refcount bump per *record* — never
+/// a per-record key/value copy, never a window per batch.
 ///
-/// Entries are decoded with [`entry::parse_trusted`]: the reader only
+/// Windows hold the segment `Arc`: a slice handed out stays valid after
+/// the cleaner retires its segment, and for the same reason the owner
+/// must [`WindowCache::forget`] retired segments or their memory is
+/// never returned. A window that predates an append into the open head
+/// segment is transparently re-taken.
+///
+/// Entries are decoded with [`entry::parse_trusted`]: the cache only
 /// ever walks this master's own committed log memory, whose entries were
 /// checksummed at append time.
-pub struct SliceReader<'a> {
-    log: &'a Log,
-    /// Committed-prefix window per segment id, filled on first touch.
-    cache: WindowCache,
-}
-
-impl SliceReader<'_> {
-    /// Resolves `r` to zero-copy slices, or `None` if the segment is gone
-    /// or the offset holds no committed entry.
-    pub fn entry_slices(&mut self, r: LogRef) -> Option<EntrySlices> {
-        self.cache.entry_slices(self.log, r)
-    }
-}
-
-/// The owning form of [`SliceReader`]: a committed-prefix [`Bytes`]
-/// window per segment id that persists *across* batches, so a long-lived
-/// reader (the master's data path) pays the one owner allocation per
-/// segment once per segment lifetime, not once per batch. Windows hold
-/// the segment `Arc`, so a cached window stays valid even after the
-/// cleaner retires the segment; a window that predates an append into
-/// the open head segment is transparently re-taken.
 #[derive(Debug, Default)]
 pub struct WindowCache {
     windows: FxHashMap<u64, Bytes>,
@@ -521,6 +501,31 @@ impl WindowCache {
         let window = log.segment_bytes(r.segment)?;
         self.windows.insert(r.segment, window.clone());
         Self::decode(&window, r.offset)
+    }
+
+    /// Asks the cache for the header of the entry at `r`, ahead of the
+    /// [`WindowCache::entry_slices`] that will decode it (a hint; see
+    /// [`rocksteady_common::prefetch`]). Only for segments already
+    /// windowed — taking a window is the decode's job.
+    pub fn prefetch(&self, r: LogRef) {
+        let header = r.offset as usize..r.offset as usize + ENTRY_HEADER_BYTES;
+        if let Some(bytes) = self
+            .windows
+            .get(&r.segment)
+            .and_then(|window| window.as_slice().get(header))
+        {
+            prefetch_bytes(bytes);
+        }
+    }
+
+    /// Drops the windows of `segments` — the cleaner's victims, which
+    /// have left the log. Slices already handed out keep their segment
+    /// alive on their own; the cache just stops being the reason a
+    /// cleaned segment's memory is still resident.
+    pub fn forget(&mut self, segments: &[u64]) {
+        for id in segments {
+            self.windows.remove(id);
+        }
     }
 
     /// The full serialized bytes of the entry at `r` (header + key +

@@ -13,6 +13,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use rocksteady_common::ids::IndexId;
+use rocksteady_common::prefetch::prefetch_bytes;
 use rocksteady_common::{HashRange, KeyHash, ScanCursor, ServerId, TableId};
 use rocksteady_hashtable::{HashTable, Upsert};
 use rocksteady_logstore::entry::serialized_len;
@@ -20,6 +21,7 @@ use rocksteady_logstore::{
     Cleaner, EntryKind, EntrySlices, Log, LogConfig, LogError, LogRef, Relocation, Relocator,
     SideLog, SideLogAppender, WindowCache,
 };
+use rocksteady_proto::record::RECORD_HEADER_BYTES;
 use rocksteady_proto::Record;
 
 use crate::error::OpError;
@@ -69,6 +71,17 @@ pub enum ReplayDest<'a> {
     Side(&'a SideLog),
 }
 
+/// How many records ahead of the one being replayed [`MasterService::
+/// replay_batch`] asks the cache for. A record's key and value sit in
+/// the *source's* log — cold, and scattered, because a Pull arrives in
+/// hash order — and copying them into the side log is the replay's
+/// dominant stall. Eight records of two to three lines each is more
+/// misses than one core keeps in flight, so the memory system is never
+/// left idle. Measured on `bulk_migrate` beside 0, 4, 16 and 32
+/// (EXPERIMENTS.md, "Host-time attribution"): a plateau from 4 up — a
+/// constant, not a tuning knob.
+const REPLAY_LOOKAHEAD: usize = 8;
+
 /// The wire record of a log entry; key and value alias the log.
 fn record_of(table: TableId, e: EntrySlices) -> Record {
     Record {
@@ -94,11 +107,13 @@ pub struct MasterService {
     /// Next object version; strictly greater than every version this
     /// master has ever written or replayed.
     next_version: u64,
-    /// Persistent zero-copy window cache for the read path: one
-    /// committed-prefix `Bytes` owner per segment lifetime, so reads
-    /// return refcounted slices of segment memory instead of copying
-    /// values out. Interior mutability because `read` is `&self`.
-    read_windows: std::cell::RefCell<WindowCache>,
+    /// This master's one zero-copy window cache: one committed-prefix
+    /// `Bytes` owner per segment lifetime, so reads, Pull gathers and
+    /// replication all return refcounted slices of segment memory instead
+    /// of copying values out, and none of them takes a window per call.
+    /// Interior mutability because `read` and the gathers are `&self`;
+    /// `clean_once` evicts what the cleaner retires.
+    windows: std::cell::RefCell<WindowCache>,
 }
 
 impl MasterService {
@@ -111,7 +126,7 @@ impl MasterService {
             tablets: Vec::new(),
             indexlets: Vec::new(),
             next_version: 1,
-            read_windows: std::cell::RefCell::new(WindowCache::new()),
+            windows: std::cell::RefCell::new(WindowCache::new()),
         }
     }
 
@@ -305,12 +320,12 @@ impl MasterService {
         match found.value {
             Some(r) => {
                 // Zero-copy on the host: the returned value is a
-                // refcounted slice of segment memory via the persistent
+                // refcounted slice of segment memory via the master's
                 // window cache. The *simulated* copy into the RPC
                 // response buffer is still charged through
                 // `work.copied_bytes` below, so timing is unchanged.
                 let e = self
-                    .read_windows
+                    .windows
                     .borrow_mut()
                     .entry_slices(&self.log, r)
                     .ok_or(OpError::NotFound)?;
@@ -390,7 +405,7 @@ impl MasterService {
     /// segment. The backup's own ingest charges the memcpy; the source
     /// only checksums the chunk onto the wire.
     pub fn entry_bytes(&self, r: LogRef, work: &mut Work) -> Option<Bytes> {
-        let bytes = self.read_windows.borrow_mut().entry_bytes(&self.log, r)?;
+        let bytes = self.windows.borrow_mut().entry_bytes(&self.log, r)?;
         work.checksummed_bytes += bytes.len() as u64;
         Some(bytes)
     }
@@ -438,6 +453,11 @@ impl MasterService {
     /// `cursor` — the source half of one Pull (§3.1.1, Figure 7). Batches
     /// end on hash-table bucket boundaries; `None` cursor means the
     /// partition is exhausted.
+    ///
+    /// The scan runs a couple of buckets ahead of the copy-out: each
+    /// slot's entry header — one cold line somewhere in the log — is
+    /// asked for while the entries of earlier buckets are being decoded,
+    /// so the header misses of a batch overlap instead of queueing.
     pub fn gather_range(
         &self,
         table: TableId,
@@ -446,27 +466,34 @@ impl MasterService {
         budget_bytes: u64,
         work: &mut Work,
     ) -> (Vec<Record>, Option<ScanCursor>) {
-        let mut records = Vec::new();
-        let mut reader = self.log.slice_reader();
-        let out = self
-            .hashtable
-            .scan_range(table, range, cursor, budget_bytes, |slot| {
-                match reader.entry_slices(slot.log_ref) {
-                    Some(e) => {
-                        let rec = record_of(table, e);
-                        // Wire size is computed exactly once per record,
-                        // here, and serves both as the batch-budget weight
-                        // and the checksum-cost charge. The response is
-                        // checksummed on the (simulated) wire, but nothing
-                        // is memcpy'd: key and value alias the log.
-                        let w = rec.wire_size();
-                        work.checksummed_bytes += w;
-                        records.push(rec);
-                        w
-                    }
-                    None => 0,
+        // Room for what the budget can pay for at the smallest wire size
+        // (a batch overshoots by at most its last bucket), bounded by
+        // what there is to send.
+        let room = (budget_bytes / RECORD_HEADER_BYTES).min(self.hashtable.len() as u64);
+        let mut records = Vec::with_capacity(room as usize);
+        let windows = &self.windows;
+        let out = self.hashtable.scan_range(
+            table,
+            range,
+            cursor,
+            budget_bytes,
+            |slot| windows.borrow().prefetch(slot.log_ref),
+            |slot| match windows.borrow_mut().entry_slices(&self.log, slot.log_ref) {
+                Some(e) => {
+                    let rec = record_of(table, e);
+                    // Wire size is computed exactly once per record,
+                    // here, and serves both as the batch-budget weight
+                    // and the checksum-cost charge. The response is
+                    // checksummed on the (simulated) wire, but nothing
+                    // is memcpy'd: key and value alias the log.
+                    let w = rec.wire_size();
+                    work.checksummed_bytes += w;
+                    records.push(rec);
+                    w
                 }
-            });
+                None => 0,
+            },
+        );
         work.probes += out.probes as u64;
         (records, out.value)
     }
@@ -479,13 +506,13 @@ impl MasterService {
         hashes: &[KeyHash],
         work: &mut Work,
     ) -> Vec<Record> {
-        let mut records = Vec::new();
-        let mut reader = self.log.slice_reader();
+        let mut records = Vec::with_capacity(hashes.len());
+        let mut windows = self.windows.borrow_mut();
         for &hash in hashes {
             let found = self.hashtable.lookup(table, hash, |_| true);
             work.probes += found.probes as u64;
             if let Some(r) = found.value {
-                if let Some(e) = reader.entry_slices(r) {
+                if let Some(e) = windows.entry_slices(&self.log, r) {
                     let rec = record_of(table, e);
                     // Zero-copy like gather_range: checksummed on the
                     // wire, never memcpy'd.
@@ -529,17 +556,35 @@ impl MasterService {
         let max_version = recs.iter().map(|r| r.version).max().unwrap_or(0);
         self.raise_version_floor(max_version + 1);
         match dest {
-            ReplayDest::MainLog => recs
-                .iter()
-                .filter(|rec| self.replay_one(rec, &mut Sink::Main, work))
-                .count(),
-            ReplayDest::Side(side) => side.append_batch(|a| {
-                let mut sink = Sink::Side(a);
-                recs.iter()
-                    .filter(|rec| self.replay_one(rec, &mut sink, work))
-                    .count()
-            }),
+            ReplayDest::MainLog => self.replay_into(recs, &mut Sink::Main, work),
+            ReplayDest::Side(side) => {
+                side.append_batch(|a| self.replay_into(recs, &mut Sink::Side(a), work))
+            }
         }
+    }
+
+    /// The replay loop, pipelined: before record *i* is applied, the key
+    /// and value of every record up to *i* + [`REPLAY_LOOKAHEAD`] have
+    /// been asked for, so the copy into `sink` finds its source bytes
+    /// arriving instead of stalling on them one record at a time. Only
+    /// the hints run ahead — records are still looked up, compared and
+    /// applied strictly in order, each seeing everything before it.
+    fn replay_into(&self, recs: &[Record], sink: &mut Sink<'_, '_>, work: &mut Work) -> usize {
+        let hint = |rec: &Record| {
+            prefetch_bytes(&rec.key);
+            prefetch_bytes(&rec.value);
+        };
+        // Catch up to the horizon once, then stay that far in front.
+        let mut ahead = recs.iter();
+        ahead.by_ref().take(REPLAY_LOOKAHEAD).for_each(hint);
+        let mut applied = 0;
+        for rec in recs {
+            if let Some(next) = ahead.next() {
+                hint(next);
+            }
+            applied += usize::from(self.replay_one(rec, sink, work));
+        }
+        applied
     }
 
     /// Version-max replay of a single record into `sink`. The caller has
@@ -666,7 +711,10 @@ impl MasterService {
             hashtable: &self.hashtable,
             log: &log,
         };
-        cleaner.clean_once(&self.log, &mut hooked).ok().flatten()
+        let stats = cleaner.clean_once(&self.log, &mut hooked).ok().flatten()?;
+        // The victims have left the log; stop pinning their memory.
+        self.windows.get_mut().forget(&stats.victims);
+        Some(stats)
     }
 }
 
@@ -998,6 +1046,156 @@ mod tests {
             .read(T, key_hash(b"solo"), Some(b"solo"), &mut w())
             .unwrap();
         assert_eq!(&value[..], b"x");
+    }
+
+    /// The pipelined loop only hints ahead: replaying a batch equals
+    /// replaying its records one call at a time — in what is applied,
+    /// in the work charged, and in what the table holds afterwards — for
+    /// both destinations, with duplicate keys and tombstones falling
+    /// inside the look-ahead window and with batches shorter than it.
+    #[test]
+    fn replay_batch_equals_record_at_a_time_replay() {
+        use rocksteady_common::rng::Prng;
+
+        const POOL: u64 = 12; // few keys: duplicates inside any 8 records
+        let key_of = |k: u64| format!("key-{k}").into_bytes();
+        let target = || {
+            let mut m = owner_master();
+            m.set_tablet_role(
+                T,
+                HashRange::full(),
+                TabletRole::PullingFrom {
+                    source: ServerId(1),
+                },
+            );
+            m
+        };
+        for seed in 0..48u64 {
+            let mut rng = Prng::new(0xba7c_0000 + seed);
+            let side_dest = seed % 2 == 0;
+            let (mut batched, mut single) = (target(), target());
+            let sides = side_dest.then(|| {
+                (
+                    SideLog::new(Arc::clone(&batched.log)),
+                    SideLog::new(Arc::clone(&single.log)),
+                )
+            });
+            fn dest(side: Option<&SideLog>) -> ReplayDest<'_> {
+                side.map_or(ReplayDest::MainLog, ReplayDest::Side)
+            }
+            for _ in 0..rng.next_range(1, 6) {
+                let len = match rng.next_below(3) {
+                    0 => rng.next_below(REPLAY_LOOKAHEAD as u64 + 1), // shorter, empty
+                    _ => rng.next_range(REPLAY_LOOKAHEAD as u64, 40),
+                };
+                let batch: Vec<Record> = (0..len)
+                    .map(|_| {
+                        let key = key_of(rng.next_below(POOL));
+                        let tombstone = rng.next_below(4) == 0;
+                        let version = rng.next_range(1, 30);
+                        let value = if tombstone {
+                            Bytes::new()
+                        } else {
+                            Bytes::from(format!("v{version}-{}", rng.next_below(1000)))
+                        };
+                        Record {
+                            table: T,
+                            key_hash: key_hash(&key),
+                            version,
+                            key: Bytes::from(key),
+                            value,
+                            tombstone,
+                        }
+                    })
+                    .collect();
+                let (mut work_b, mut work_s) = (w(), w());
+                let side_b = sides.as_ref().map(|(b, _)| b);
+                let side_s = sides.as_ref().map(|(_, s)| s);
+                let applied_b = batched.replay_batch(&batch, dest(side_b), &mut work_b);
+                let applied_s = batch
+                    .iter()
+                    .filter(|rec| single.replay_record(rec, dest(side_s), &mut work_s))
+                    .count();
+                assert_eq!(applied_b, applied_s, "seed {seed}: applied");
+                assert_eq!(work_b, work_s, "seed {seed}: work receipt");
+            }
+            if let Some((b, s)) = sides {
+                assert_eq!((b.entries(), b.bytes()), (s.entries(), s.bytes()));
+                b.commit().unwrap();
+                s.commit().unwrap();
+            }
+            assert_eq!(batched.version_ceiling(), single.version_ceiling());
+            assert_eq!(batched.hashtable.len(), single.hashtable.len());
+            assert_eq!(batched.log.stats(), single.log.stats(), "seed {seed}: log");
+            for k in 0..POOL {
+                let key = key_of(k);
+                let read = |m: &MasterService| m.read(T, key_hash(&key), Some(&key), &mut w());
+                assert_eq!(read(&batched), read(&single), "seed {seed}: key {k}");
+            }
+        }
+    }
+
+    /// The window cache is not a reason for a cleaned segment to stay
+    /// resident: once the cleaner retires a segment this master has read
+    /// and gathered through, only responses still in flight hold it.
+    #[test]
+    fn cleaned_segments_leave_the_window_cache() {
+        let mut m = MasterService::new(MasterConfig {
+            log: LogConfig {
+                segment_bytes: 1024,
+                max_segments: None,
+            },
+            hash_buckets: 256,
+            hash_stripes: 16,
+            ..MasterConfig::default()
+        });
+        m.add_tablet(T, HashRange::full(), TabletRole::Owner);
+        let write = |m: &mut MasterService, i: u64, value: &str| {
+            let key = format!("k{i}");
+            let h = key_hash(key.as_bytes());
+            m.write(T, h, key.as_bytes(), value.as_bytes(), &mut w())
+                .unwrap()
+        };
+        // The first write lands in segment 0; overwriting every other
+        // key leaves that segment mostly dead but "k0" live inside it.
+        let (_, kept) = write(&mut m, 0, "stays-put");
+        for i in 1..60 {
+            write(&mut m, i, "first-generation");
+        }
+        for i in 1..60 {
+            write(&mut m, i, "second-generation");
+        }
+        assert_ne!(m.log.head_segment_id(), kept.segment);
+        let weak = Arc::downgrade(&m.log.segment(kept.segment).unwrap());
+
+        // Read and gather through the segment: both window it.
+        let h = key_hash(b"k0");
+        let (value, _) = m.read(T, h, Some(b"k0"), &mut w()).unwrap();
+        let gathered = m.gather_hashes(T, &[h], &mut w());
+        assert_eq!(gathered.len(), 1);
+
+        let cleaner = Cleaner {
+            utilization_threshold: 0.95,
+            max_segments_per_pass: 4,
+        };
+        let mut victims = Vec::new();
+        while let Some(stats) = m.clean_once(&cleaner) {
+            victims.extend(stats.victims);
+        }
+        assert!(victims.contains(&kept.segment), "segment was not cleaned");
+        // In flight, the response still owns its bytes (DESIGN.md §3.5)…
+        assert_eq!(&value[..], b"stays-put");
+        assert_eq!(&gathered[0].value[..], b"stays-put");
+        assert!(weak.upgrade().is_some());
+        // …and once it is gone, so is the segment.
+        drop((value, gathered));
+        assert!(
+            weak.upgrade().is_none(),
+            "the window cache pins the segment"
+        );
+        // The relocated copy serves the next read.
+        let (value, _) = m.read(T, h, Some(b"k0"), &mut w()).unwrap();
+        assert_eq!(&value[..], b"stays-put");
     }
 
     #[test]

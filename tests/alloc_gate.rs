@@ -7,6 +7,15 @@
 //! global allocator: if a change reintroduces a per-record allocation on
 //! either path, the per-record allocation rate regresses past the floor
 //! and this test fails. (`ci.sh` runs it as part of the tier-1 suite.)
+//! The gate has the benchmark's shape — Pulls of [`PULL_BUDGET_BYTES`]
+//! over a log of many segments, so every batch touches tens of them —
+//! because a per-batch cost that scales with segments touched (a window
+//! taken per Pull instead of kept per master) is invisible on a log of
+//! two.
+//!
+//! The same allocator counts bytes, which pins the hash table's promise
+//! that its memory follows the data: nothing per bucket until a stripe's
+//! first insert.
 //!
 //! The trace layer has the same shape of promise: an armed tracer copies
 //! each event into a ring and an args arena it already owns, a disarmed
@@ -16,8 +25,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
+use rocksteady::PULL_BUDGET_BYTES;
 use rocksteady_common::{key_hash, HashRange, ScanCursor, TableId};
-use rocksteady_logstore::LogConfig;
+use rocksteady_hashtable::{HashTable, MAX_BUCKETS_PER_STRIPE};
+use rocksteady_logstore::{LogConfig, LogRef};
 use rocksteady_master::{MasterConfig, MasterService, ReplayDest, TabletRole, Work};
 use rocksteady_trace::Tracer;
 use rocksteady_workload::core::primary_key;
@@ -25,10 +36,14 @@ use rocksteady_workload::core::primary_key;
 struct Counting;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes ever asked for (never decremented; a realloc counts its new
+/// size), so a difference bounds what a stretch of code allocated.
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -36,6 +51,7 @@ unsafe impl GlobalAlloc for Counting {
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -45,6 +61,10 @@ static COUNTER: Counting = Counting;
 
 fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+fn bytes() -> u64 {
+    BYTES.load(Ordering::Relaxed)
 }
 
 /// The counter is process-wide, so the tests that read it take turns.
@@ -57,10 +77,13 @@ fn exclusive() -> MutexGuard<'static, ()> {
 const T: TableId = TableId(1);
 const RECORDS: u64 = 10_000;
 
-fn loaded_master() -> MasterService {
+/// A master whose log rolls every ~100 records: 10 000 of them fill
+/// about a hundred segments, and a Pull — which arrives in hash order,
+/// not log order — touches most of them in every batch.
+fn empty_master() -> MasterService {
     let mut m = MasterService::new(MasterConfig {
         log: LogConfig {
-            segment_bytes: 1 << 20,
+            segment_bytes: 16 << 10,
             max_segments: None,
         },
         hash_buckets: (RECORDS as usize / 4).next_power_of_two(),
@@ -68,6 +91,11 @@ fn loaded_master() -> MasterService {
         ..MasterConfig::default()
     });
     m.add_tablet(T, HashRange::full(), TabletRole::Owner);
+    m
+}
+
+fn loaded_master() -> MasterService {
+    let mut m = empty_master();
     let value = [0xabu8; 100];
     for rank in 0..RECORDS {
         let key = primary_key(rank, 30);
@@ -80,27 +108,25 @@ fn loaded_master() -> MasterService {
 fn gather_and_replay_stay_allocation_free_per_record() {
     let _turn = exclusive();
     let source = loaded_master();
-    let mut target = MasterService::new(MasterConfig {
-        log: LogConfig {
-            segment_bytes: 1 << 20,
-            max_segments: None,
-        },
-        hash_buckets: (RECORDS as usize / 4).next_power_of_two(),
-        hash_stripes: 64,
-        ..MasterConfig::default()
-    });
-    target.add_tablet(T, HashRange::full(), TabletRole::Owner);
+    assert!(
+        source.log.stats().segments > 50,
+        "the log must be many segments"
+    );
+    let mut target = empty_master();
     let mut work = Work::default();
 
     // Gather the whole table in Pull-sized batches, counting allocations.
     // Everything gathered aliases the log (zero-copy slices); the only
-    // allowed allocations are batch-level: the records Vec's growth
-    // doublings and one window handle per touched segment.
+    // allowed allocations are the batch's records Vec, sized once from
+    // the budget, and one window handle per segment — per segment of the
+    // *log*, taken the first time any Pull touches it, not per segment
+    // per Pull.
     let mut batches: Vec<Vec<rocksteady_proto::Record>> = Vec::new();
     let mut cursor = Some(ScanCursor::default());
     let before = allocs();
     while let Some(c) = cursor {
-        let (recs, next) = source.gather_range(T, HashRange::full(), c, 64 * 1024, &mut work);
+        let budget = PULL_BUDGET_BYTES as u64;
+        let (recs, next) = source.gather_range(T, HashRange::full(), c, budget, &mut work);
         if !recs.is_empty() {
             batches.push(recs);
         }
@@ -109,10 +135,11 @@ fn gather_and_replay_stay_allocation_free_per_record() {
     let gather_allocs = allocs() - before;
     let gathered: u64 = batches.iter().map(|b| b.len() as u64).sum();
     assert_eq!(gathered, RECORDS, "gather must visit every record");
-    // Floor: strictly sub-per-record. Batch Vec growth across ~25
-    // doublings per 64 KB batch plus segment windows lands well under
-    // 0.05 allocations per record; 0.10 leaves headroom without letting
-    // a true per-record allocation (1.0/record) sneak in.
+    assert!(batches.len() > 50, "the table must take many Pulls");
+    // Floor: strictly sub-per-record. ~80 batch Vecs plus ~100 segment
+    // windows land near 0.02 allocations per record; 0.10 leaves
+    // headroom without letting through a window per segment per Pull
+    // (≥ 0.2/record at this shape) or a true per-record allocation.
     assert!(
         (gather_allocs as f64) < 0.10 * RECORDS as f64,
         "gather allocation regression: {gather_allocs} allocs for {RECORDS} records"
@@ -208,4 +235,51 @@ fn recording_trace_events_allocates_nothing_per_event() {
         emit_rpc(&off, rpc);
     }
     assert_eq!(allocs() - before, 0, "a disarmed tracer allocated");
+}
+
+/// A hash table's memory follows its data: building one allocates the
+/// stripe directory and no bucket, and a table whose keys all hash into
+/// the upper half of hash space never allocates the lower half's stripes.
+#[test]
+fn hash_table_allocates_a_stripe_on_its_first_insert() {
+    let _turn = exclusive();
+    let at = |i: u64| LogRef {
+        segment: i,
+        offset: 0,
+    };
+
+    // The benchmark's per-master table: 2^19 buckets, 168 MB if eager.
+    let before = bytes();
+    let ht = HashTable::new(1 << 19, 256);
+    let built = bytes() - before;
+    assert!(
+        built < 1 << 20,
+        "an empty table allocated {built} bytes before its first upsert"
+    );
+
+    // One insert allocates exactly one stripe; that is the unit.
+    let before = bytes();
+    ht.upsert(T, 0, at(0), |_| true);
+    let stripe_bytes = bytes() - before;
+    assert!(
+        stripe_bytes > 0,
+        "the first upsert must allocate its stripe"
+    );
+    let stripes = ht.bucket_count() / MAX_BUCKETS_PER_STRIPE as u64;
+
+    // 100 000 hashes spread over the upper half only.
+    let ht = HashTable::new(1 << 19, 256);
+    let before = bytes();
+    for i in 0..100_000u64 {
+        let hash = (1 << 63) | i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 1;
+        ht.upsert(T, hash, at(i), |_| true);
+    }
+    let grown = bytes() - before;
+    assert!(ht.len() > 99_000);
+    // Every upper stripe is hit, so this is tight: half the stripes, and
+    // less than one stripe's worth of whatever else the process did.
+    assert!(
+        grown < (stripes / 2 + 1) * stripe_bytes,
+        "upper-half table allocated {grown} bytes, over half of {stripes} stripes of {stripe_bytes}"
+    );
 }
