@@ -12,12 +12,15 @@
 #      replication lane follows the segment (no log rescan on the write
 #      path, no lane flag, no head appends from the cleaner); reachability
 #      (two vendored crates and no criterion, every config field read,
-#      every RPC verb sent); one prefetch helper, one window cache per
-#      master and no per-Pull slice reader
+#      every RPC verb sent, every YCSB option set by a caller); one
+#      prefetch helper, one window cache per master and no per-Pull
+#      slice reader; one scenario module (the migrating range, the
+#      preload and the Migrate literal each in one file), one bench
+#      target, no environment switches
 #   5. the frozen repo benchmark still builds and self-checks
 #   6. examples smoke: quickstart clean and fault-injected, every JSON
 #      export loaded and checked by key; crash_recovery
-#   7. bench smoke: day_in_the_life
+#   7. bench smoke: figures day_in_the_life fig05
 #   8. allocation gate: gather/replay migration hot path stays
 #      sub-per-record on a many-segment log; recording a trace event
 #      allocates nothing; hash-table stripes allocate on first insert
@@ -108,6 +111,29 @@ if [ "$caches" != "crates/master/src/service.rs " ]; then
     echo "FAIL: WindowCache::new() outside MasterService::new: $caches"; exit 1
 fi
 
+# One scenario module: what the migrating range is, how a table is
+# preloaded and what a Migrate command looks like are each written down
+# in one file under crates/ tests/ examples/ (benchmark/ keeps its copy
+# until its Pinned API is unfrozen, ROADMAP item 3); the figures are one
+# bench target; and nothing forks a run on the environment.
+one_file() { # <what> <pattern> <the one file>
+    local found
+    found=$(grep -rlE --include='*.rs' "$2" crates tests examples | sort | tr '\n' ' ')
+    if [ "$found" != "$3 " ]; then
+        echo "FAIL: $1 belongs in $3 only, found in: $found"; exit 1
+    fi
+}
+one_file 'fn upper' 'fn upper\(' crates/cluster/src/scenarios.rs
+one_file 'const MID' 'const MID\b' crates/cluster/src/scenarios.rs
+one_file 'the preload (load_table calls)' '\.load_table\(' crates/cluster/src/scenarios.rs
+one_file 'the ControlCmd::Migrate literal' 'ControlCmd::Migrate \{' crates/cluster/src/control.rs
+if [ "$(grep -c '^\[\[bench\]\]' crates/bench/Cargo.toml)" != 1 ]; then
+    echo "FAIL: crates/bench has more than the one figures target"; exit 1
+fi
+if grep -rn --include='*.rs' 'env::var' crates examples; then
+    echo "FAIL: a run forks on an environment variable; take an argument"; exit 1
+fi
+
 # Reachability (a): the host-time harness is benchmark/, so the
 # workspace vendors only what crates/ links against.
 if [ "$(ls vendor | tr '\n' ' ')" != "bytes parking_lot " ]; then
@@ -151,7 +177,20 @@ def constructed(name):
     return False
 unsent = [v for v in variants if v != 'Delete' and not constructed(v)]
 assert not unsent, f'Request variants no actor sends: {unsent}'
-print(f'config gate: every field read; {len(variants)} Request variants, all sent (Delete allow-listed)')
+
+# (d) A YCSB option somebody sets: every pub field of YcsbConfig that
+# ycsb_b does not take as a parameter is assigned by a test, bench,
+# example or benchmark workload. One only ycsb_b ever sets is a constant.
+ycsb = srcs['crates/workload/src/ycsb.rs']
+fields = re.findall(r'pub (\w+):', ycsb.split('pub struct YcsbConfig {')[1].split('\n}')[0])
+params = re.findall(r'(\w+):', ycsb.split('pub fn ycsb_b(')[1].split(')')[0])
+callers = [p for pat in ('crates/*/src/**/*.rs', 'tests/**/*.rs', 'examples/*.rs', 'benchmark/src/*.rs')
+           for p in glob.glob(pat, recursive=True) if not p.startswith('crates/workload/')]
+calls = '\n'.join(open(p).read() for p in callers)
+unset = [f for f in fields if f not in params and not re.search(rf'\.{f}\s*(=[^=]|\+=)', calls)]
+assert not unset, f'YcsbConfig fields no caller sets: {unset}'
+print(f'config gate: every field read; {len(variants)} Request variants, all sent (Delete allow-listed); '
+      f'{len(fields)} YcsbConfig fields, all set by a caller')
 EOF
 
 echo "==> cleaner x replication x recovery, optimized (debug asserts off, real timings)"
@@ -167,7 +206,7 @@ rm -f target/quickstart-trace.json target/quickstart-metrics.json target/quickst
     target/quickstart-audit.json target/quickstart-audit.dot target/quickstart-journeys.json \
     target/quickstart-incident.json
 cargo run --release --example quickstart
-ROCKSTEADY_QUICKSTART_FAULT=1 cargo run --release --example quickstart
+cargo run --release --example quickstart -- --fault
 
 echo "==> export gate: every target/quickstart-*.json parses and says what it should"
 python3 - <<'EOF'
@@ -237,10 +276,10 @@ grep -q ';idle ' target/quickstart-profile.folded
 test -s target/quickstart-audit.dot
 grep -q '^digraph ownership' target/quickstart-audit.dot
 
-echo "==> figure benches export CSV through the shared exporter"
-for fig in fig05_bottlenecks fig09_10_11_timelines fig12_skew fig13_14_priority_pulls; do
-    grep -q 'export_csv(' "crates/bench/benches/${fig}.rs" \
-        || { echo "FAIL: ${fig} does not use bench::export_csv"; exit 1; }
+echo "==> figures export CSV through the shared exporter"
+for fig in fig05 fig09_10_11 fig12 fig13_14; do
+    grep -q 'report.export_csv(' "crates/bench/src/figures/${fig}.rs" \
+        || { echo "FAIL: ${fig} does not use Report::export_csv"; exit 1; }
 done
 
 echo "==> metrics + profiler + audit + flightrec crates deny missing docs"
@@ -252,10 +291,11 @@ grep -q '#!\[deny(missing_docs)\]' crates/flightrec/src/lib.rs
 echo "==> examples: crash_recovery"
 cargo run --release --example crash_recovery
 
-echo "==> bench smoke: day_in_the_life (rebalancer + armed auditor, zero violations)"
+echo "==> bench smoke: figures day_in_the_life (rebalancer + armed auditor, zero violations) fig05"
 rm -f target/figures/day_in_the_life_summary.csv target/figures/day_in_the_life_latency.csv \
-    target/figures/day_in_the_life_moves.csv
-ROCKSTEADY_BENCH_SMOKE=1 cargo bench -p rocksteady-bench --bench day_in_the_life
+    target/figures/day_in_the_life_moves.csv target/figures/fig05_steady_rates.csv
+cargo bench -p rocksteady-bench --bench figures -- day_in_the_life fig05
+test -s target/figures/fig05_steady_rates.csv
 test -s target/figures/day_in_the_life_summary.csv
 test -s target/figures/day_in_the_life_moves.csv
 head -1 target/figures/day_in_the_life_moves.csv \

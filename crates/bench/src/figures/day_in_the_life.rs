@@ -17,63 +17,24 @@
 //! while doing so, and the whole day must be byte-deterministic per
 //! seed.
 
-use rocksteady_bench::{check, export_csv, merged_latency_rows, print_table1, TABLE};
+use rocksteady_cluster::scenarios::{preload_tablets, TABLE};
 use rocksteady_cluster::{
     AdmissionCaps, Cluster, ClusterBuilder, ClusterConfig, GreedyLoadDelta, RebalancerConfig,
 };
-use rocksteady_common::{CostModel, HashRange, Nanos, ServerId, MILLISECOND, SECOND};
-use rocksteady_workload::{LoadShape, YcsbConfig};
+use rocksteady_common::{CostModel, Nanos, ServerId, MILLISECOND};
+use rocksteady_workload::{ClientStatsHandle, LoadShape, YcsbConfig};
+
+use super::merged_latency_rows;
+use crate::Report;
 
 const SERVERS: usize = 4;
 const TABLETS: u32 = 16;
 const KEYS: u64 = 120_000;
 const CLIENTS: usize = 6;
-
-struct Scale {
-    rate_per_client: f64,
-    day: Nanos,
-    dwell: Nanos,
-    flip_at: Nanos,
-}
-
-fn scale() -> Scale {
-    if std::env::var("ROCKSTEADY_BENCH_SMOKE").is_ok() {
-        Scale {
-            rate_per_client: 60_000.0,
-            day: 2_500 * MILLISECOND,
-            dwell: 500 * MILLISECOND,
-            flip_at: 1_500 * MILLISECOND,
-        }
-    } else {
-        Scale {
-            rate_per_client: 60_000.0,
-            day: 8 * SECOND,
-            dwell: 1_500 * MILLISECOND,
-            flip_at: 5 * SECOND,
-        }
-    }
-}
-
-/// The initial placement: 16 equal hash-range tablets, dealt four per
-/// server in bucket order, so the drifting hot region maps onto whole
-/// tablets (the granularity the rebalancer can move).
-fn tablet_layout() -> Vec<(HashRange, ServerId)> {
-    let width = (1u128 << 64) / u128::from(TABLETS);
-    (0..TABLETS)
-        .map(|b| {
-            let start = (u128::from(b) * width) as u64;
-            let end = if b == TABLETS - 1 {
-                u64::MAX
-            } else {
-                ((u128::from(b) + 1) * width - 1) as u64
-            };
-            (
-                HashRange { start, end },
-                ServerId(b / (TABLETS / SERVERS as u32)),
-            )
-        })
-        .collect()
-}
+const RATE_PER_CLIENT: f64 = 60_000.0;
+const DAY: Nanos = 2_500 * MILLISECOND;
+const DWELL: Nanos = 500 * MILLISECOND;
+const FLIP_AT: Nanos = 1_500 * MILLISECOND;
 
 fn base_config() -> ClusterConfig {
     // Timeline-figure scaling (see rocksteady_bench docs): dispatch
@@ -113,8 +74,8 @@ fn rebalancer_config() -> RebalancerConfig {
     }
 }
 
-fn run_day(rebalance: bool, s: &Scale) -> Cluster {
-    let mut cfg = base_config();
+fn run_day(base: &ClusterConfig, rebalance: bool) -> Cluster {
+    let mut cfg = base.clone();
     if rebalance {
         cfg.rebalancer = Some(rebalancer_config());
     }
@@ -134,33 +95,33 @@ fn run_day(rebalance: bool, s: &Scale) -> Cluster {
     fr.detectors.slo_burn = None;
     cfg.flight_recorder = Some(fr);
     let mut b = ClusterBuilder::new(cfg);
-    let dir = b.directory();
-    for i in 0..CLIENTS {
-        let mut y = YcsbConfig::ycsb_b(dir.clone(), TABLE, KEYS, s.rate_per_client);
-        y.max_outstanding = 128;
-        y.seed = 700 + i as u64;
-        // Morning-to-evening drift for most clients; the last flips its
-        // working set abruptly mid-day (the reactive worst case).
-        y.shape = if i == CLIENTS - 1 {
-            LoadShape::SkewFlip {
-                at: s.flip_at,
-                buckets: TABLETS,
-                hot_weight: 0.7,
-            }
-        } else {
-            LoadShape::DiurnalDrift {
-                dwell: s.dwell,
-                buckets: TABLETS,
-                hot_weight: 0.7,
-            }
-        };
-        b.add_ycsb(y);
-    }
+    let mut y = YcsbConfig::ycsb_b(b.directory(), TABLE, KEYS, RATE_PER_CLIENT);
+    y.max_outstanding = 128;
+    y.seed = 700;
+    // Morning-to-evening drift for most clients; the last flips its
+    // working set abruptly mid-day (the reactive worst case).
+    y.shape = LoadShape::DiurnalDrift {
+        dwell: DWELL,
+        buckets: TABLETS,
+        hot_weight: 0.7,
+    };
+    b.add_ycsb_clients(CLIENTS - 1, y.clone());
+    y.seed += CLIENTS as u64 - 1;
+    y.shape = LoadShape::SkewFlip {
+        at: FLIP_AT,
+        buckets: TABLETS,
+        hot_weight: 0.7,
+    };
+    b.add_ycsb(y);
     let mut cluster = b.build();
-    cluster.create_table(TABLE, &tablet_layout());
-    cluster.load_table(TABLE, KEYS, 30, 100);
-    cluster.seed_backups();
-    cluster.run_until(s.day);
+    // The initial placement: 16 equal hash-range tablets, dealt four per
+    // server in bucket order, so the drifting hot region maps onto whole
+    // tablets (the granularity the rebalancer can move).
+    let owners: Vec<ServerId> = (0..TABLETS)
+        .map(|b| ServerId(b / (TABLETS / SERVERS as u32)))
+        .collect();
+    preload_tablets(&mut cluster, &owners, KEYS, 100);
+    cluster.run_until(DAY);
     cluster
 }
 
@@ -169,26 +130,35 @@ fn breach_minutes(cluster: &Cluster) -> f64 {
     (slo.breach_intervals * cluster.cfg.sample_interval) as f64 / 60e9
 }
 
-fn main() {
-    let s = scale();
-    let cfg = base_config();
-    print_table1(
+/// Operations completed over the day, and the start (ms) of the last
+/// 100 ms bucket in which a read completed.
+fn goodput(cluster: &Cluster) -> (u64, Nanos) {
+    let completed = |c: &ClientStatsHandle| c.borrow().objects.merged().count();
+    let ops = cluster.client_stats.iter().map(completed).sum();
+    let last = merged_latency_rows(cluster, 0, DAY)
+        .last()
+        .map_or(0, |row| row.0);
+    (ops, last / MILLISECOND)
+}
+
+pub(super) fn figure(report: &mut Report) {
+    let base = base_config();
+    report.table1(
         "Day in the life: autonomous rebalancing vs static placement",
-        &cfg,
+        &base,
         &format!(
-            "{KEYS} records x 100 B in {TABLETS} tablets, {CLIENTS} clients x {:.0} ops/s, \
+            "{KEYS} records x 100 B in {TABLETS} tablets, {CLIENTS} clients x {RATE_PER_CLIENT:.0} ops/s, \
              drifting hotspot (dwell {} ms) + skew flip at {} ms, day = {} ms",
-            s.rate_per_client,
-            s.dwell / MILLISECOND,
-            s.flip_at / MILLISECOND,
-            s.day / MILLISECOND
+            DWELL / MILLISECOND,
+            FLIP_AT / MILLISECOND,
+            DAY / MILLISECOND
         ),
     );
 
-    let off = run_day(false, &s);
-    let on = run_day(true, &s);
+    let off = run_day(&base, false);
+    let on = run_day(&base, true);
 
-    let report = on.rebalancer.borrow().clone();
+    let rebalancer = on.rebalancer.borrow().clone();
     let peak = on.peak_concurrent_migrations();
     let (bm_off, bm_on) = (breach_minutes(&off), breach_minutes(&on));
 
@@ -206,14 +176,28 @@ fn main() {
         off.slo_report().breach_intervals,
         on.slo_report().breach_intervals
     );
-    println!("{:>24} {:>16} {:>16}", "moves admitted", 0, report.admitted);
     println!(
         "{:>24} {:>16} {:>16}",
-        "moves completed", 0, report.completed
+        "moves admitted", 0, rebalancer.admitted
+    );
+    println!(
+        "{:>24} {:>16} {:>16}",
+        "moves completed", 0, rebalancer.completed
     );
     println!("{:>24} {:>16} {:>16}", "peak concurrent", 0, peak);
+    // Not gated (ROADMAP item 4): a window in which nothing completes
+    // cannot breach, so read the breach rows next to these two.
+    let (goodput_off, goodput_on) = (goodput(&off), goodput(&on));
+    println!(
+        "{:>24} {:>16} {:>16}",
+        "ops completed", goodput_off.0, goodput_on.0
+    );
+    println!(
+        "{:>24} {:>16} {:>16}",
+        "last read bucket (ms)", goodput_off.1, goodput_on.1
+    );
     println!();
-    for mv in &report.moves {
+    for mv in &rebalancer.moves {
         println!(
             "  t={:>6} ms  migration {:>12}: tablet [{:#018x}..] {} -> {}",
             mv.at / MILLISECOND,
@@ -227,13 +211,13 @@ fn main() {
 
     // Determinism: the whole day — rebalancer decisions included — must
     // replay bit-identically from the same seed.
-    let on2 = run_day(true, &s);
+    let on2 = run_day(&base, true);
     let deterministic = on.sim.events_processed() == on2.sim.events_processed()
-        && report.moves == on2.rebalancer.borrow().moves;
+        && rebalancer.moves == on2.rebalancer.borrow().moves;
 
     let mut rows = Vec::new();
     for (mode, cluster) in [("static", &off), ("rebalanced", &on)] {
-        for (t, p50, p999) in merged_latency_rows(cluster, 0, s.day) {
+        for (t, p50, p999) in merged_latency_rows(cluster, 0, DAY) {
             rows.push(vec![
                 mode.to_string(),
                 t.to_string(),
@@ -242,13 +226,13 @@ fn main() {
             ]);
         }
     }
-    export_csv("day_in_the_life_latency", "mode,t_ns,p50_ns,p999_ns", &rows);
+    report.export_csv("day_in_the_life_latency", "mode,t_ns,p50_ns,p999_ns", &rows);
     // The placement decisions themselves, next to the latency series
     // they explain: one row per admitted move, in issue order.
-    export_csv(
+    report.export_csv(
         "day_in_the_life_moves",
         "t_ns,migration_id,table,range_start,range_end,source,target",
-        &report
+        &rebalancer
             .moves
             .iter()
             .map(|mv| {
@@ -264,7 +248,7 @@ fn main() {
             })
             .collect::<Vec<_>>(),
     );
-    export_csv(
+    report.export_csv(
         "day_in_the_life_summary",
         "mode,breach_intervals,breach_minutes,moves_admitted,moves_completed,peak_concurrent",
         &[
@@ -280,36 +264,35 @@ fn main() {
                 "rebalanced".into(),
                 on.slo_report().breach_intervals.to_string(),
                 format!("{bm_on:.4}"),
-                report.admitted.to_string(),
-                report.completed.to_string(),
+                rebalancer.admitted.to_string(),
+                rebalancer.completed.to_string(),
                 peak.to_string(),
             ],
         ],
     );
 
-    let mut ok = true;
-    ok &= check(
-        report.completed >= 2,
+    report.check(
+        rebalancer.completed >= 2,
         &format!(
             "rebalancer completed >= 2 migrations ({})",
-            report.completed
+            rebalancer.completed
         ),
     );
-    ok &= check(
+    report.check(
         peak >= 2,
         &format!("at least 2 migrations ran concurrently (peak {peak})"),
     );
-    ok &= check(
+    report.check(
         bm_on < bm_off,
         &format!("rebalancer cut SLO breach-minutes ({bm_off:.3} -> {bm_on:.3})"),
     );
-    ok &= check(deterministic, "same seed replays the day byte-identically");
+    report.check(deterministic, "same seed replays the day byte-identically");
     // The auditor's verdict on the whole day, both placements: every
     // ownership transfer single-owner-clean, every completed migration
     // conservation-verified, nothing leaked at any point.
     for (mode, cluster) in [("static", &off), ("rebalanced", &on)] {
         let audit = cluster.audit_report();
-        ok &= check(
+        report.check(
             audit.violations == 0,
             &format!(
                 "auditor found zero violations over the {mode} day \
@@ -323,7 +306,7 @@ fn main() {
     // bundle here is a false positive.
     for (mode, cluster) in [("static", &off), ("rebalanced", &on)] {
         let triggers: Vec<&str> = cluster.incident_log().iter().map(|i| i.trigger).collect();
-        ok &= check(
+        report.check(
             triggers.is_empty(),
             &format!(
                 "flight recorder stayed quiet over the {mode} day \
@@ -334,7 +317,7 @@ fn main() {
             ),
         );
     }
-    // `report.completed` counts moves the target *accepted* (it answers
+    // `rebalancer.completed` counts moves the target *accepted* (it answers
     // at registration), so late admissions can still be mid-flight when
     // the day ends; conservation is judged against runs that finished.
     let finished = on
@@ -342,7 +325,7 @@ fn main() {
         .iter()
         .filter(|(_, _, st)| st.finished_at.is_some())
         .count() as u64;
-    ok &= check(
+    report.check(
         finished >= 2 && on.audit_report().migrations_verified == finished,
         &format!(
             "every finished move conservation-verified ({} verified of {} finished)",
@@ -350,5 +333,4 @@ fn main() {
             finished
         ),
     );
-    std::process::exit(i32::from(!ok));
 }

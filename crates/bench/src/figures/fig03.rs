@@ -8,11 +8,14 @@
 //! until the dispatch cores saturate and throughput collapses toward a
 //! single server's.
 
-use rocksteady_bench::{check, mean, print_table1, TABLE};
-use rocksteady_cluster::{ClusterBuilder, ClusterConfig};
+use rocksteady_cluster::scenarios::{preload_tablets, slice, TABLE};
+use rocksteady_cluster::{ClusterBuilder, ClusterConfig, UtilPoint};
 use rocksteady_common::time::fmt_nanos;
-use rocksteady_common::{CostModel, HashRange, ServerId, MILLISECOND, SECOND};
+use rocksteady_common::{CostModel, HashRange, Nanos, ServerId, MILLISECOND, SECOND};
 use rocksteady_workload::SpreadConfig;
+
+use super::mean;
+use crate::Report;
 
 const SERVERS: usize = 7;
 const CLIENTS: usize = 14;
@@ -30,32 +33,14 @@ struct Row {
     worker_cores: f64,
 }
 
-fn run(spread: usize) -> Row {
-    // Multi-read handlers on real RAMCloud cost ~2.3 us per object
-    // (Figure 3 shows ~0.8 worker utilization at ~600k multigets/s per
-    // server); the default model's leaner read path is tuned for
-    // single-object RPCs, so this experiment carries its own
-    // calibration.
-    let cost = CostModel {
-        read_per_object_ns: 2_300,
-        ..CostModel::default()
-    };
-    let cfg = ClusterConfig {
-        servers: SERVERS,
-        workers: 12,
-        replicas: 0,
-        cost,
-        sample_interval: 10 * MILLISECOND,
-        series_interval: 10 * MILLISECOND,
-        ..ClusterConfig::default()
-    };
-    let mut b = ClusterBuilder::new(cfg);
+fn run(base: &ClusterConfig, spread: usize) -> Row {
+    let mut b = ClusterBuilder::new(base.clone());
     let dir = b.directory();
     // Tablet split: one range per server; key ranks classified below.
-    let mut cluster_keys: Vec<(ServerId, Vec<u64>)> = (0..SERVERS)
-        .map(|i| (ServerId(i as u32), Vec::new()))
-        .collect();
-    let ranges = HashRange::full().split(SERVERS);
+    let owners: Vec<ServerId> = (0..SERVERS).map(|i| ServerId(i as u32)).collect();
+    let mut cluster_keys: Vec<(ServerId, Vec<u64>)> =
+        owners.iter().map(|owner| (*owner, Vec::new())).collect();
+    let ranges: Vec<HashRange> = (0..SERVERS).map(|i| slice(i, SERVERS)).collect();
     for rank in 0..KEYS {
         let hash = rocksteady_workload::core::primary_hash(rank, 30);
         let idx = ranges.iter().position(|r| r.contains(hash)).unwrap();
@@ -74,13 +59,7 @@ fn run(spread: usize) -> Row {
         });
     }
     let mut cluster = b.build();
-    let tablets: Vec<_> = ranges
-        .iter()
-        .enumerate()
-        .map(|(i, r)| (*r, ServerId(i as u32)))
-        .collect();
-    cluster.create_table(TABLE, &tablets);
-    cluster.load_table(TABLE, KEYS, 30, 100);
+    preload_tablets(&mut cluster, &owners, KEYS, 100);
     cluster.run_until(END);
 
     // Client-side: objects/s and latency over the measurement window.
@@ -101,36 +80,45 @@ fn run(spread: usize) -> Row {
     }
     let secs = (END - WARMUP) as f64 / SECOND as f64;
 
-    // Server-side: mean utilization over the window.
+    // Server-side: mean utilization over the window (every server has
+    // the same number of samples, so the mean of means is the mean).
     let util = cluster.util.borrow();
-    let mut dispatch = Vec::new();
-    let mut workers = Vec::new();
-    for points in util.by_server.values() {
-        for p in points.iter().filter(|p| p.at >= WARMUP) {
-            dispatch.push(p.dispatch);
-            workers.push(p.worker_cores);
-        }
-    }
+    let over_servers = |f: fn(&UtilPoint) -> f64| {
+        let per_server = owners.iter().map(|s| util.mean(*s, WARMUP, Nanos::MAX, f));
+        mean(&per_server.collect::<Vec<_>>())
+    };
     Row {
         spread,
         objects_per_sec: objects as f64 / secs,
         p50: lat.percentile(0.5),
         p999: lat.percentile(0.999),
-        dispatch: mean(&dispatch),
-        worker_cores: mean(&workers),
+        dispatch: over_servers(|p| p.dispatch),
+        worker_cores: over_servers(|p| p.worker_cores),
     }
 }
 
-fn main() {
-    let cfg = ClusterConfig {
+pub(super) fn figure(report: &mut Report) {
+    // Multi-read handlers on real RAMCloud cost ~2.3 us per object
+    // (Figure 3 shows ~0.8 worker utilization at ~600k multigets/s per
+    // server); the default model's leaner read path is tuned for
+    // single-object RPCs, so this experiment carries its own
+    // calibration.
+    let cost = CostModel {
+        read_per_object_ns: 2_300,
+        ..CostModel::default()
+    };
+    let base = ClusterConfig {
         servers: SERVERS,
         workers: 12,
         replicas: 0,
+        cost,
+        sample_interval: 10 * MILLISECOND,
+        series_interval: 10 * MILLISECOND,
         ..ClusterConfig::default()
     };
-    print_table1(
+    report.table1(
         "Figure 3: multiget spread",
-        &cfg,
+        &base,
         &format!("{CLIENTS} clients x {CONCURRENCY} back-to-back 7-key multigets, {KEYS} keys"),
     );
 
@@ -138,7 +126,7 @@ fn main() {
         "{:>7} {:>16} {:>10} {:>10} {:>10} {:>12}",
         "spread", "objects/s (M)", "median", "99.9th", "dispatch", "workers busy"
     );
-    let rows: Vec<Row> = (1..=7).map(run).collect();
+    let rows: Vec<Row> = (1..=7).map(|spread| run(&base, spread)).collect();
     for r in &rows {
         println!(
             "{:>7} {:>16.2} {:>10} {:>10} {:>10.2} {:>12.1}",
@@ -152,38 +140,36 @@ fn main() {
     }
     println!();
 
-    let mut ok = true;
-    ok &= check(
+    report.check(
         rows[1].objects_per_sec < 0.92 * rows[0].objects_per_sec,
         &format!(
             "spread 2 drops cluster throughput (paper: -23%; got {:+.0}%)",
             100.0 * (rows[1].objects_per_sec / rows[0].objects_per_sec - 1.0)
         ),
     );
-    ok &= check(
+    report.check(
         rows[0].objects_per_sec / rows[6].objects_per_sec >= 2.0,
         &format!(
             "locality is worth a large factor end to end (paper: 4.3x; got {:.1}x)",
             rows[0].objects_per_sec / rows[6].objects_per_sec
         ),
     );
-    ok &= check(
+    report.check(
         rows[6].dispatch > rows[0].dispatch + 0.2,
         &format!(
             "dispatch load rises with spread ({:.2} -> {:.2})",
             rows[0].dispatch, rows[6].dispatch
         ),
     );
-    ok &= check(
+    report.check(
         rows[6].worker_cores < rows[0].worker_cores,
         &format!(
             "workers idle out as dispatch saturates ({:.1} -> {:.1} cores)",
             rows[0].worker_cores, rows[6].worker_cores
         ),
     );
-    ok &= check(
+    report.check(
         rows[6].p999 > rows[0].p999,
         "tail latency grows with spread",
     );
-    std::process::exit(i32::from(!ok));
 }

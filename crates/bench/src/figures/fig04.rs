@@ -11,15 +11,17 @@
 //!   more dispatch load, because every scan's record fetch now fans out
 //!   to two tablets.
 
-use rocksteady_bench::{check, mean, print_table1, TABLE};
+use rocksteady_cluster::scenarios::{preload_tablets, TABLE};
 use rocksteady_cluster::{Cluster, ClusterBuilder, ClusterConfig};
 use rocksteady_common::ids::IndexId;
 use rocksteady_common::time::fmt_nanos;
 use rocksteady_common::zipf::KeyDist;
-use rocksteady_common::{CostModel, HashRange, ServerId, MILLISECOND, SECOND};
+use rocksteady_common::{CostModel, Nanos, ServerId, MILLISECOND, SECOND};
 use rocksteady_master::Indexlet;
 use rocksteady_workload::scan::secondary_key;
 use rocksteady_workload::ScanConfig;
+
+use crate::Report;
 
 const KEYS: u64 = 200_000;
 const WARMUP: u64 = 100 * MILLISECOND;
@@ -49,25 +51,7 @@ struct Row {
     total_dispatch: f64,
 }
 
-fn build(setup: Setup, scans_per_sec: f64) -> Cluster {
-    // SLIK-style range scans over a B-tree of a million 30 B keys cost
-    // tens of microseconds of worker time (descent + key comparisons +
-    // cache misses); that is what makes the indexlet the contended
-    // resource this figure studies — the paper's 1i+1t configuration
-    // breaks down long before the backing table's dispatch does.
-    let cost = CostModel {
-        index_lookup_ns: 25_000,
-        ..CostModel::default()
-    };
-    let cfg = ClusterConfig {
-        servers: 4,
-        workers: 12,
-        replicas: 0,
-        cost,
-        sample_interval: 20 * MILLISECOND,
-        series_interval: 20 * MILLISECOND,
-        ..ClusterConfig::default()
-    };
+fn build(base: &ClusterConfig, setup: Setup, scans_per_sec: f64) -> Cluster {
     let index = IndexId(0);
     let split_sec = secondary_key(KEYS / 2, 30);
     let indexlets = match setup {
@@ -77,7 +61,7 @@ fn build(setup: Setup, scans_per_sec: f64) -> Cluster {
             (split_sec.clone(), None, ServerId(3)),
         ],
     };
-    let mut b = ClusterBuilder::new(cfg);
+    let mut b = ClusterBuilder::new(base.clone());
     let dir = b.directory();
     for i in 0..CLIENTS {
         b.add_scan(ScanConfig {
@@ -95,32 +79,11 @@ fn build(setup: Setup, scans_per_sec: f64) -> Cluster {
         });
     }
     let mut cluster = b.build();
-    let mid = u64::MAX / 2 + 1;
-    match setup {
-        Setup::TwoIndexTwoTablets => {
-            cluster.create_table(
-                TABLE,
-                &[
-                    (
-                        HashRange {
-                            start: 0,
-                            end: mid - 1,
-                        },
-                        ServerId(0),
-                    ),
-                    (
-                        HashRange {
-                            start: mid,
-                            end: u64::MAX,
-                        },
-                        ServerId(1),
-                    ),
-                ],
-            );
-        }
-        _ => cluster.create_table(TABLE, &[(HashRange::full(), ServerId(0))]),
-    }
-    cluster.load_table(TABLE, KEYS, 30, 100);
+    let owners: &[ServerId] = match setup {
+        Setup::TwoIndexTwoTablets => &[ServerId(0), ServerId(1)],
+        _ => &[ServerId(0)],
+    };
+    preload_tablets(&mut cluster, owners, KEYS, 100);
 
     // Populate the indexlet(s).
     let mut whole = Indexlet::new(TABLE, index, Vec::new(), None);
@@ -140,8 +103,8 @@ fn build(setup: Setup, scans_per_sec: f64) -> Cluster {
     cluster
 }
 
-fn run(setup: Setup, scans_per_sec: f64) -> Row {
-    let mut cluster = build(setup, scans_per_sec);
+fn run(base: &ClusterConfig, setup: Setup, scans_per_sec: f64) -> Row {
+    let mut cluster = build(base, setup, scans_per_sec);
     cluster.run_until(END);
 
     let mut lat = rocksteady_common::Histogram::new();
@@ -156,32 +119,36 @@ fn run(setup: Setup, scans_per_sec: f64) -> Row {
         }
     }
     let util = cluster.util.borrow();
-    let mut per_server_dispatch = Vec::new();
-    for points in util.by_server.values() {
-        let d: Vec<f64> = points
-            .iter()
-            .filter(|p| p.at >= WARMUP)
-            .map(|p| p.dispatch)
-            .collect();
-        per_server_dispatch.push(mean(&d));
-    }
+    let dispatch = |server| util.mean(ServerId(server), WARMUP, Nanos::MAX, |p| p.dispatch);
     Row {
         achieved: scans as f64 * 4.0 / ((END - WARMUP) as f64 / SECOND as f64),
         p999: lat.percentile(0.999),
-        total_dispatch: per_server_dispatch.iter().sum(),
+        total_dispatch: (0..base.servers as u32).map(dispatch).sum(),
     }
 }
 
-fn main() {
-    let cfg = ClusterConfig {
+pub(super) fn figure(report: &mut Report) {
+    // SLIK-style range scans over a B-tree of a million 30 B keys cost
+    // tens of microseconds of worker time (descent + key comparisons +
+    // cache misses); that is what makes the indexlet the contended
+    // resource this figure studies — the paper's 1i+1t configuration
+    // breaks down long before the backing table's dispatch does.
+    let cost = CostModel {
+        index_lookup_ns: 25_000,
+        ..CostModel::default()
+    };
+    let base = ClusterConfig {
         servers: 4,
         workers: 12,
         replicas: 0,
+        cost,
+        sample_interval: 20 * MILLISECOND,
+        series_interval: 20 * MILLISECOND,
         ..ClusterConfig::default()
     };
-    print_table1(
+    report.table1(
         "Figure 4: index scaling vs read throughput",
-        &cfg,
+        &base,
         &format!("{KEYS} records x 100 B, 30 B primary + secondary keys, 4-record scans, Zipf 0.5"),
     );
 
@@ -198,7 +165,7 @@ fn main() {
     let mut table = Vec::new();
     for setup in setups {
         for rate in rates {
-            let row = run(setup, rate / 4.0); // offered objects/s -> scans/s
+            let row = run(&base, setup, rate / 4.0); // offered objects/s -> scans/s
             println!(
                 "{:<24} {:>14.0} {:>16.0} {:>10} {:>16.2}",
                 setup.name(),
@@ -225,15 +192,14 @@ fn main() {
     let c_hi = at(Setup::TwoIndexTwoTablets, 2_400_000.0);
     let a_lo = at(Setup::OneIndexOneTablet, 1_200_000.0);
 
-    let mut ok = true;
-    ok &= check(
+    report.check(
         a_lo.p999 < 100_000,
         &format!(
             "at low load one indexlet + one tablet meets the 100us SLA ({})",
             fmt_nanos(a_lo.p999)
         ),
     );
-    ok &= check(
+    report.check(
         a_hi.p999 > 2 * b_hi.p999,
         &format!(
             "at high load the single indexlet's tail explodes vs the split ({} vs {})",
@@ -241,19 +207,18 @@ fn main() {
             fmt_nanos(b_hi.p999)
         ),
     );
-    ok &= check(
+    report.check(
         b_hi.achieved > 1.2 * a_hi.achieved || a_hi.p999 > 100_000,
         &format!(
             "splitting the index raises throughput under the SLA (paper: +54%; {:.0} vs {:.0})",
             b_hi.achieved, a_hi.achieved
         ),
     );
-    ok &= check(
+    report.check(
         c_hi.total_dispatch > b_hi.total_dispatch,
         &format!(
             "also splitting the table adds dispatch load for the same work (paper: +26%; {:.2} vs {:.2})",
             c_hi.total_dispatch, b_hi.total_dispatch
         ),
     );
-    std::process::exit(i32::from(!ok));
 }

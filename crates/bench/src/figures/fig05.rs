@@ -19,12 +19,14 @@
 //! per core) and exports both a per-core CSV and folded flamegraph
 //! stacks per variant.
 
-use rocksteady_bench::{check, export_csv, print_table1, standard_setup, FIGURE_DATA_DIR, TABLE};
+use rocksteady_cluster::scenarios::{preload_tablets, TABLE};
 use rocksteady_cluster::{Activity, ClusterBuilder, ClusterConfig, ControlCmd};
 use rocksteady_common::time::mb_per_sec;
-use rocksteady_common::{HashRange, ServerId, MILLISECOND, SECOND};
+use rocksteady_common::{HashRange, ServerId, MILLISECOND};
 use rocksteady_master::TabletRole;
 use rocksteady_proto::msg::BaselineOpts;
+
+use crate::{Report, FIGURE_DATA_DIR};
 
 const KEYS: u64 = 150_000;
 
@@ -44,17 +46,8 @@ struct VariantRun {
     source_gather_ns: u64,
 }
 
-fn run_variant(name: &str, csv_name: &str, opts: BaselineOpts) -> VariantRun {
-    let cfg = ClusterConfig {
-        servers: 5,
-        workers: 12,
-        replicas: 3,
-        segment_bytes: 1 << 20,
-        sample_interval: 10 * MILLISECOND,
-        profiling: true,
-        ..ClusterConfig::default()
-    };
-    let mut b = ClusterBuilder::new(cfg);
+fn run_variant(base: &ClusterConfig, name: &str, csv_name: &str, opts: BaselineOpts) -> VariantRun {
+    let mut b = ClusterBuilder::new(base.clone());
     b.at(
         10 * MILLISECOND,
         ControlCmd::MigrateBaseline {
@@ -67,9 +60,7 @@ fn run_variant(name: &str, csv_name: &str, opts: BaselineOpts) -> VariantRun {
     );
     let mut cluster = b.build();
     // The whole table migrates; load it all on the source.
-    cluster.create_table(TABLE, &[(HashRange::full(), ServerId(0))]);
-    cluster.load_table(TABLE, KEYS, 30, 100);
-    cluster.seed_backups();
+    preload_tablets(&mut cluster, &[ServerId(0)], KEYS, 100);
     // The baseline target pre-registers the receiving tablet (§2.3).
     cluster
         .node(ServerId(1))
@@ -168,38 +159,26 @@ fn run_variant(name: &str, csv_name: &str, opts: BaselineOpts) -> VariantRun {
     }
 }
 
-fn main() {
-    let cfg = ClusterConfig {
+pub(super) fn figure(report: &mut Report) {
+    let base = ClusterConfig {
         servers: 5,
         workers: 12,
         replicas: 3,
+        segment_bytes: 1 << 20,
+        sample_interval: 10 * MILLISECOND,
+        profiling: true,
         ..ClusterConfig::default()
     };
-    print_table1(
+    report.table1(
         "Figure 5: baseline-migration bottleneck breakdown",
-        &cfg,
+        &base,
         &format!("{KEYS} records x 100 B payload, whole-table baseline migration"),
     );
-    // Exercise the shared setup path once so the helper stays honest.
-    {
-        let mut b = ClusterBuilder::new(cfg);
-        b.at(
-            SECOND * 100, // never fires inside this probe
-            ControlCmd::MigrateBaseline {
-                table: TABLE,
-                range: rocksteady_bench::upper(),
-                source: ServerId(0),
-                target: ServerId(1),
-                opts: BaselineOpts::default(),
-            },
-        );
-        let mut probe = b.build();
-        standard_setup(&mut probe, 100, 100);
-    }
 
     println!("{:<22} {:>13}", "variant", "steady rate");
-    let full = run_variant("Full", "full", BaselineOpts::default());
+    let full = run_variant(&base, "Full", "full", BaselineOpts::default());
     let no_rerepl = run_variant(
+        &base,
         "Skip Re-replication",
         "skip_rereplication",
         BaselineOpts {
@@ -208,6 +187,7 @@ fn main() {
         },
     );
     let no_replay = run_variant(
+        &base,
         "Skip Replay on Target",
         "skip_replay",
         BaselineOpts {
@@ -216,6 +196,7 @@ fn main() {
         },
     );
     let no_tx = run_variant(
+        &base,
         "Skip Tx to Target",
         "skip_tx",
         BaselineOpts {
@@ -224,6 +205,7 @@ fn main() {
         },
     );
     let no_copy = run_variant(
+        &base,
         "Skip Copy for Tx",
         "skip_copy",
         BaselineOpts {
@@ -244,7 +226,7 @@ fn main() {
         println!("  t={t_ms:>5} ms  {mbps:>7.0} MB/s");
     }
 
-    export_csv(
+    report.export_csv(
         "fig05_steady_rates",
         "variant,mb_per_s",
         &variants
@@ -252,7 +234,7 @@ fn main() {
             .map(|(v, r)| vec![v.to_string(), format!("{:.1}", r.rate)])
             .collect::<Vec<_>>(),
     );
-    export_csv(
+    report.export_csv(
         "fig05_rate_over_time_full",
         "t_ms,mb_per_s",
         &full
@@ -264,7 +246,7 @@ fn main() {
     // The measured decomposition: per-core activity ledger of the
     // source and target, all variants in one CSV, plus per-variant
     // folded stacks for flamegraph.pl.
-    export_csv(
+    report.export_csv(
         "fig05_core_decomposition",
         "variant,server,core,activity,ns",
         &variants
@@ -280,29 +262,28 @@ fn main() {
     println!("\nwrote fig05_core_decomposition.csv + per-variant .folded stacks");
 
     println!();
-    let mut ok = true;
-    ok &= check(
+    report.check(
         no_copy.rate > no_tx.rate
             && no_tx.rate > no_replay.rate
             && no_replay.rate > no_rerepl.rate
             && no_rerepl.rate > full.rate,
         "each skipped stage raises the migration rate (ordering matches Figure 5)",
     );
-    ok &= check(
+    report.check(
         (60.0..=300.0).contains(&full.rate),
         &format!(
             "full baseline lands near the paper's ~130 MB/s (got {:.0})",
             full.rate
         ),
     );
-    ok &= check(
+    report.check(
         no_replay.rate / full.rate >= 2.5,
         &format!(
             "skipping target replay+re-replication gives the paper's >3x jump (got {:.1}x)",
             no_replay.rate / full.rate
         ),
     );
-    ok &= check(
+    report.check(
         no_copy.rate / no_tx.rate >= 1.2,
         &format!(
             "the staging copy costs more than transmission (copy lever {:.2}x)",
@@ -311,20 +292,19 @@ fn main() {
     );
     // Ledger-level checks: the decomposition is measured, conserving,
     // and tracks what each variant actually disabled.
-    ok &= check(
+    report.check(
         variants.iter().all(|(_, r)| r.conserved),
         "busy + idle sums exactly to wall-clock on every core, every variant",
     );
-    ok &= check(
+    report.check(
         full.target_replay_ns > 0 && full.source_gather_ns > 0,
         "full variant charges both target replay and source gather time",
     );
-    ok &= check(
+    report.check(
         no_replay.target_replay_ns == 0,
         &format!(
             "skip_replay variant charges no target replay time (got {} ns)",
             no_replay.target_replay_ns
         ),
     );
-    std::process::exit(i32::from(!ok));
 }

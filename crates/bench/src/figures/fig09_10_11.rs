@@ -7,15 +7,15 @@
 //! timeline buckets here are 20 ms where the paper's are 1 s. Rates,
 //! utilizations, and latency distributions are directly comparable.
 
-use rocksteady_bench::{
-    check, export_csv, mean, merged_latency_rows, print_table1, standard_setup,
-    total_throughput_rows, upper, TABLE,
-};
+use rocksteady_cluster::scenarios::{preload_split, upper, TABLE};
 use rocksteady_cluster::{Cluster, ClusterBuilder, ClusterConfig, ControlCmd};
 use rocksteady_common::time::{fmt_nanos, mb_per_sec};
 use rocksteady_common::{MigrationId, Nanos, ServerId, MILLISECOND, SECOND};
 use rocksteady_master::TabletRole;
 use rocksteady_workload::YcsbConfig;
+
+use super::{mean, merged_latency_rows, total_throughput_rows};
+use crate::Report;
 
 const KEYS: u64 = 300_000;
 const CLIENTS: usize = 8;
@@ -37,27 +37,16 @@ struct Out {
     rate_mbps: f64,
 }
 
-fn run(variant: Variant) -> Out {
-    let mut cfg = ClusterConfig {
-        servers: 4,
-        workers: 12,
-        replicas: 2,
-        segment_bytes: 1 << 20,
-        sample_interval: 10 * MILLISECOND,
-        series_interval: 20 * MILLISECOND,
-        ..ClusterConfig::default()
-    };
+fn run(base: &ClusterConfig, variant: Variant) -> Out {
+    let mut cfg = base.clone();
     if variant == Variant::NoPriorityPulls {
         cfg.migration.priority_pulls = false;
     }
     let mut b = ClusterBuilder::new(cfg);
-    let dir = b.directory();
-    for i in 0..CLIENTS {
-        let mut y = YcsbConfig::ycsb_b(dir.clone(), TABLE, KEYS, RATE_PER_CLIENT);
-        y.max_outstanding = 128;
-        y.seed = 100 + i as u64;
-        b.add_ycsb(y);
-    }
+    let mut y = YcsbConfig::ycsb_b(b.directory(), TABLE, KEYS, RATE_PER_CLIENT);
+    y.max_outstanding = 128;
+    y.seed = 100;
+    b.add_ycsb_clients(CLIENTS, y);
     let cmd = match variant {
         Variant::SourceRetains => ControlCmd::MigrateBaseline {
             table: TABLE,
@@ -66,19 +55,13 @@ fn run(variant: Variant) -> Out {
             target: ServerId(1),
             opts: Default::default(),
         },
-        _ => ControlCmd::Migrate {
-            id: MigrationId(1),
-            table: TABLE,
-            range: upper(),
-            source: ServerId(0),
-            target: ServerId(1),
-        },
+        _ => ControlCmd::migrate(MigrationId(1), TABLE, upper(), ServerId(0), ServerId(1)),
     };
     b.at(MIG_AT, cmd);
     let mut cluster = b.build();
     // 1 KB values: enough data (~300 MB) that the migration spans
     // several timeline buckets, as the paper's 13.9 GB did.
-    standard_setup(&mut cluster, KEYS, 1_000);
+    preload_split(&mut cluster, KEYS, 1_000);
     if variant == Variant::SourceRetains {
         cluster
             .node(ServerId(1))
@@ -114,32 +97,24 @@ fn run(variant: Variant) -> Out {
     }
 }
 
-/// Total completed ops/s across all clients per series bucket (shared
-/// timeline path — same merge the other figures use).
-fn total_throughput(out: &Out, from: Nanos, to: Nanos) -> Vec<(Nanos, f64)> {
-    total_throughput_rows(&out.cluster, from, to)
-}
-
-/// Per-bucket (median, p999) read latency merged across clients.
-fn merged_latency(out: &Out, from: Nanos, to: Nanos) -> Vec<(Nanos, u64, u64)> {
-    merged_latency_rows(&out.cluster, from, to)
-}
-
 /// `"Rocksteady"` -> `"rocksteady"`, `"No Priority Pulls"` -> `"no_priority_pulls"`.
 fn slug(name: &str) -> String {
     name.to_ascii_lowercase().replace(' ', "_")
 }
 
-fn main() {
-    let cfg = ClusterConfig {
+pub(super) fn figure(report: &mut Report) {
+    let base = ClusterConfig {
         servers: 4,
         workers: 12,
         replicas: 2,
+        segment_bytes: 1 << 20,
+        sample_interval: 10 * MILLISECOND,
+        series_interval: 20 * MILLISECOND,
         ..ClusterConfig::default()
     };
-    print_table1(
+    report.table1(
         "Figures 9/10/11: YCSB-B across a live migration",
-        &cfg,
+        &base,
         &format!(
             "{KEYS} records x 1 KB, {CLIENTS} clients x {RATE_PER_CLIENT:.0} ops/s, migrate half at t={}",
             fmt_nanos(MIG_AT)
@@ -147,9 +122,9 @@ fn main() {
     );
 
     let variants = [
-        run(Variant::Rocksteady),
-        run(Variant::NoPriorityPulls),
-        run(Variant::SourceRetains),
+        run(&base, Variant::Rocksteady),
+        run(&base, Variant::NoPriorityPulls),
+        run(&base, Variant::SourceRetains),
     ];
 
     for out in &variants {
@@ -167,8 +142,8 @@ fn main() {
         );
         let from = MIG_AT.saturating_sub(100 * MILLISECOND);
         let to = (out.mig_window.1 + 300 * MILLISECOND).min(END);
-        let tp = total_throughput(out, from, to);
-        let lat = merged_latency(out, from, to);
+        let tp = total_throughput_rows(&out.cluster, from, to);
+        let lat = merged_latency_rows(&out.cluster, from, to);
         for ((t, ops), (_, p50, p999)) in tp.iter().zip(lat.iter()) {
             println!(
                 "  {:>8} {:>12.0} {:>10} {:>10}",
@@ -181,26 +156,23 @@ fn main() {
         println!("Fig 11 (utilization averaged over the migration window):");
         let util = out.cluster.util.borrow();
         for server in [ServerId(0), ServerId(1)] {
-            let pts: Vec<_> = util.by_server[&server]
-                .iter()
-                .filter(|p| p.at >= out.mig_window.0 && p.at < out.mig_window.1)
-                .collect();
-            let d = mean(&pts.iter().map(|p| p.dispatch).collect::<Vec<_>>());
-            let w = mean(&pts.iter().map(|p| p.worker_cores).collect::<Vec<_>>());
+            let (start, end) = out.mig_window;
+            let d = util.mean(server, start, end, |p| p.dispatch);
+            let w = util.mean(server, start, end, |p| p.worker_cores);
             println!("  {server}: dispatch {d:.2}, active workers {w:.1}");
         }
         println!();
 
         // Machine-readable series for re-plotting.
         let s = slug(out.name);
-        export_csv(
+        report.export_csv(
             &format!("fig09_throughput_{s}"),
             "t_ns,ops_per_s",
             &tp.iter()
                 .map(|(t, v)| vec![t.to_string(), format!("{v:.1}")])
                 .collect::<Vec<_>>(),
         );
-        export_csv(
+        report.export_csv(
             &format!("fig10_latency_{s}"),
             "t_ns,p50_ns,p999_ns",
             &lat.iter()
@@ -221,7 +193,7 @@ fn main() {
                 ]);
             }
         }
-        export_csv(
+        report.export_csv(
             &format!("fig11_util_{s}"),
             "t_ns,server,dispatch,worker_cores",
             &util_rows,
@@ -232,33 +204,32 @@ fn main() {
     let rock = &variants[0];
     let nopp = &variants[1];
     let base = &variants[2];
-    let mut ok = true;
 
     // Figure 9a: throughput recovers to at least the pre-migration level
     // after migration (open load drains its backlog).
     let pre = mean(
-        &total_throughput(rock, MIG_AT - 200 * MILLISECOND, MIG_AT)
+        &total_throughput_rows(&rock.cluster, MIG_AT - 200 * MILLISECOND, MIG_AT)
             .iter()
             .map(|(_, v)| *v)
             .collect::<Vec<_>>(),
     );
     let post_from = rock.mig_window.1 + 100 * MILLISECOND;
     let post = mean(
-        &total_throughput(rock, post_from, END)
+        &total_throughput_rows(&rock.cluster, post_from, END)
             .iter()
             .map(|(_, v)| *v)
             .collect::<Vec<_>>(),
     );
-    ok &= check(
+    report.check(
         post >= 0.9 * pre,
         &format!("Fig 9a: throughput recovers after migration (pre {pre:.0}, post {post:.0})"),
     );
 
     // Figure 10a: the migration's 99.9th percentile stays within a few
     // hundred microseconds, and the median returns to single-digit us.
-    let during = merged_latency(rock, rock.mig_window.0, rock.mig_window.1);
+    let during = merged_latency_rows(&rock.cluster, rock.mig_window.0, rock.mig_window.1);
     let worst_p999 = during.iter().map(|(_, _, p)| *p).max().unwrap_or(0);
-    ok &= check(
+    report.check(
         worst_p999 <= 600_000,
         &format!(
             "Fig 10a: 99.9th during migration bounded (worst {})",
@@ -267,9 +238,9 @@ fn main() {
     );
     // Steady state well after the migration (give the lazy
     // re-replication burst and the client backlog time to drain).
-    let post_lat = merged_latency(rock, END - 300 * MILLISECOND, END);
+    let post_lat = merged_latency_rows(&rock.cluster, END - 300 * MILLISECOND, END);
     let post_p50 = post_lat.iter().map(|(_, p, _)| *p).max().unwrap_or(0);
-    ok &= check(
+    report.check(
         post_p50 <= 20_000,
         &format!(
             "Fig 10a: median back to microseconds after ({})",
@@ -297,7 +268,7 @@ fn main() {
     };
     let rock_c = completed(rock);
     let nopp_c = completed(nopp);
-    ok &= check(
+    report.check(
         (nopp_c as f64) < 0.9 * rock_c as f64,
         &format!(
             "Fig 9b: fewer reads complete mid-migration without PriorityPulls ({nopp_c} vs {rock_c})"
@@ -307,7 +278,7 @@ fn main() {
     // this scale the retry traffic of the no-PP variant partly offsets
     // that, so the check only requires the two to be comparable.
     let ratio = nopp.rate_mbps / rock.rate_mbps.max(1e-9);
-    ok &= check(
+    report.check(
         (0.4..=2.5).contains(&ratio),
         &format!(
             "Fig 9b: migration rates comparable without PriorityPulls ({:.0} vs {:.0} MB/s, ratio {ratio:.2}; paper +19%)",
@@ -317,7 +288,7 @@ fn main() {
 
     // Figure 9c: the baseline migrates slower than Rocksteady (paper:
     // 549 vs 758 MB/s).
-    ok &= check(
+    report.check(
         base.rate_mbps < rock.rate_mbps,
         &format!(
             "Fig 9c: source-retains migrates slower ({:.0} vs {:.0} MB/s)",
@@ -332,20 +303,10 @@ fn main() {
         rock.mig_window.0,
         rock.mig_window.1.max(rock.mig_window.0 + 50 * MILLISECOND),
     );
-    let avg_dispatch = |s: ServerId| {
-        let pts: Vec<f64> = util.by_server[&s]
-            .iter()
-            .filter(|p| p.at >= win.0 && p.at < win.1)
-            .map(|p| p.dispatch)
-            .collect();
-        mean(&pts)
-    };
-    let d_src = avg_dispatch(ServerId(0));
-    let d_tgt = avg_dispatch(ServerId(1));
-    ok &= check(
+    let d_src = util.mean(ServerId(0), win.0, win.1, |p| p.dispatch);
+    let d_tgt = util.mean(ServerId(1), win.0, win.1, |p| p.dispatch);
+    report.check(
         d_tgt > 0.25 * d_src,
         &format!("Fig 11a: target dispatch engages immediately (src {d_src:.2}, tgt {d_tgt:.2})"),
     );
-
-    std::process::exit(i32::from(!ok));
 }

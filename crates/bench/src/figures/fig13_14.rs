@@ -12,14 +12,15 @@
 //!   adding median jitter — but answer waiting clients directly, so
 //!   their 99.9th can be lower.
 
-use rocksteady_bench::{
-    check, export_csv, mean, merged_latency_rows, print_table1, standard_setup, upper, TABLE,
-};
+use rocksteady_cluster::scenarios::{preload_split, upper, TABLE};
 use rocksteady_cluster::{Cluster, ClusterBuilder, ClusterConfig, ControlCmd};
 use rocksteady_common::time::fmt_nanos;
 use rocksteady_common::{Histogram, MigrationId, Nanos, ServerId, MILLISECOND, SECOND};
 use rocksteady_workload::YcsbConfig;
 use std::collections::HashSet;
+
+use super::merged_latency_rows;
+use crate::Report;
 
 const KEYS: u64 = 300_000;
 const CLIENTS: usize = 8;
@@ -33,38 +34,20 @@ struct Out {
     cluster: Cluster,
 }
 
-fn run(sync: bool) -> Out {
-    let mut cfg = ClusterConfig {
-        servers: 4,
-        workers: 12,
-        replicas: 2,
-        sample_interval: 10 * MILLISECOND,
-        series_interval: 20 * MILLISECOND,
-        tracing: true,
-        ..ClusterConfig::default()
-    };
-    cfg.migration.background_pulls = false; // the §4.4 isolation
+fn run(base: &ClusterConfig, sync: bool) -> Out {
+    let mut cfg = base.clone();
     cfg.migration.sync_priority_pulls = sync;
     let mut b = ClusterBuilder::new(cfg);
-    let dir = b.directory();
-    for i in 0..CLIENTS {
-        let mut y = YcsbConfig::ycsb_b(dir.clone(), TABLE, KEYS, RATE_PER_CLIENT);
-        y.max_outstanding = 64;
-        y.seed = 500 + i as u64;
-        b.add_ycsb(y);
-    }
+    let mut y = YcsbConfig::ycsb_b(b.directory(), TABLE, KEYS, RATE_PER_CLIENT);
+    y.max_outstanding = 64;
+    y.seed = 500;
+    b.add_ycsb_clients(CLIENTS, y);
     b.at(
         MIG_AT,
-        ControlCmd::Migrate {
-            id: MigrationId(1),
-            table: TABLE,
-            range: upper(),
-            source: ServerId(0),
-            target: ServerId(1),
-        },
+        ControlCmd::migrate(MigrationId(1), TABLE, upper(), ServerId(0), ServerId(1)),
     );
     let mut cluster = b.build();
-    standard_setup(&mut cluster, KEYS, 100);
+    preload_split(&mut cluster, KEYS, 100);
     // Record the trace only around the migration window (first 300 ms
     // after the start command) to bound memory; muting the recorder
     // never perturbs the simulation itself.
@@ -90,13 +73,7 @@ fn latency_series(out: &Out) -> Vec<(Nanos, u64, u64)> {
 
 fn target_worker_util(out: &Out, from: Nanos, to: Nanos) -> f64 {
     let util = out.cluster.util.borrow();
-    mean(
-        &util.by_server[&ServerId(1)]
-            .iter()
-            .filter(|p| p.at >= from && p.at < to)
-            .map(|p| p.worker_cores)
-            .collect::<Vec<_>>(),
-    )
+    util.mean(ServerId(1), from, to, |p| p.worker_cores)
 }
 
 /// Peak simultaneous worker occupancy on the target: synchronous
@@ -184,21 +161,25 @@ fn median_jitter(out: &Out, pre_median: u64) -> usize {
         .count()
 }
 
-fn main() {
-    let cfg = ClusterConfig {
+pub(super) fn figure(report: &mut Report) {
+    let mut base = ClusterConfig {
         servers: 4,
         workers: 12,
         replicas: 2,
+        sample_interval: 10 * MILLISECOND,
+        series_interval: 20 * MILLISECOND,
+        tracing: true,
         ..ClusterConfig::default()
     };
-    print_table1(
+    base.migration.background_pulls = false; // the §4.4 isolation
+    report.table1(
         "Figures 13/14: PriorityPulls without background Pulls",
-        &cfg,
+        &base,
         &format!("{KEYS} records x 100 B, {CLIENTS} clients x {RATE_PER_CLIENT:.0} ops/s, bulk Pulls disabled"),
     );
 
-    let asynchronous = run(false);
-    let synchronous = run(true);
+    let asynchronous = run(&base, false);
+    let synchronous = run(&base, true);
 
     for out in [&asynchronous, &synchronous] {
         println!("--- {} ---", out.name);
@@ -263,7 +244,7 @@ fn main() {
         } else {
             "async_batched"
         };
-        export_csv(
+        report.export_csv(
             &format!("fig13_decomp_{s}"),
             "series,reads,queue_p50_ns,service_p50_ns,hold_p50_ns,hold_p999_ns",
             &split
@@ -280,7 +261,7 @@ fn main() {
                 })
                 .collect::<Vec<_>>(),
         );
-        export_csv(
+        report.export_csv(
             &format!("fig13_latency_{s}"),
             "t_ns,p50_ns,p999_ns",
             &latency_series(out)
@@ -289,7 +270,7 @@ fn main() {
                 .collect::<Vec<_>>(),
         );
         let util = out.cluster.util.borrow();
-        export_csv(
+        report.export_csv(
             &format!("fig14_target_workers_{s}"),
             "t_ns,worker_cores",
             &util.by_server[&ServerId(1)]
@@ -299,7 +280,6 @@ fn main() {
         );
     }
 
-    let mut ok = true;
     // Fig 13a: the async median recovers almost immediately — within
     // 100 ms of migration start it is back near the pre-migration value.
     let pre_median = latency_series(&asynchronous)
@@ -314,7 +294,7 @@ fn main() {
         .map(|(_, p50, _)| *p50)
         .collect();
     let async_median_after = async_after.iter().copied().max().unwrap_or(0);
-    ok &= check(
+    report.check(
         async_median_after <= pre_median.saturating_mul(3),
         &format!(
             "Fig 13a: async median recovers quickly (pre {}, after {})",
@@ -326,7 +306,7 @@ fn main() {
     // async batched mode does not exhibit (§4.4).
     let async_jitter = median_jitter(&asynchronous, pre_median);
     let sync_jitter = median_jitter(&synchronous, pre_median);
-    ok &= check(
+    report.check(
         sync_jitter >= async_jitter,
         &format!("Fig 13b: sync mode shows at least as much median jitter ({sync_jitter} vs {async_jitter} buckets)"),
     );
@@ -368,7 +348,7 @@ fn main() {
     };
     let (a_p50, a_p999) = during(&asynchronous);
     let (s_p50, s_p999) = during(&synchronous);
-    ok &= check(
+    report.check(
         s_p999 <= a_p999.saturating_mul(13) / 10,
         &format!(
             "Fig 13: sync 99.9th no worse than async (sync {} vs async {})",
@@ -376,7 +356,7 @@ fn main() {
             fmt_nanos(a_p999)
         ),
     );
-    ok &= check(
+    report.check(
         a_p50 <= s_p50.saturating_mul(13) / 10,
         &format!(
             "Fig 13: async median no worse than sync (async {} vs sync {})",
@@ -393,12 +373,12 @@ fn main() {
             .instant_arg_histogram("priority-pull", "service")
             .count()
     };
-    ok &= check(
+    report.check(
         out_traced(&asynchronous) && out_traced(&synchronous),
         "traces captured reads during the migration window",
     );
     let crossed_reads = |out: &Out| decomp_split(out)[1].1;
-    ok &= check(
+    report.check(
         crossed_reads(&asynchronous) > 0 && crossed_reads(&synchronous) > 0,
         &format!(
             "journey split captured migration-crossing reads (async {}, sync {})",
@@ -406,7 +386,7 @@ fn main() {
             crossed_reads(&synchronous)
         ),
     );
-    ok &= check(
+    report.check(
         pp_rpcs(&synchronous) >= pp_rpcs(&asynchronous),
         &format!(
             "Fig 14: batching sends no more PP RPCs than sync ({} vs {})",
@@ -422,7 +402,7 @@ fn main() {
             .iter()
             .map(|c| c.borrow().objects.merged().count())
             .sum();
-        ok &= check(
+        report.check(
             served > 100_000,
             &format!(
                 "{}: clients keep completing operations ({served})",
@@ -430,5 +410,4 @@ fn main() {
             ),
         );
     }
-    std::process::exit(i32::from(!ok));
 }

@@ -11,10 +11,12 @@
 //! - for 1 KB objects neither side limits migration before the NIC's
 //!   5 GB/s line rate does.
 
-use rocksteady_bench::{check, print_table1, TABLE};
+use rocksteady_cluster::scenarios::{preload_tablets, TABLE};
 use rocksteady_cluster::{ClusterBuilder, ClusterConfig, ControlCmd};
 use rocksteady_common::time::mb_per_sec;
 use rocksteady_common::{HashRange, MigrationId, ServerId, MILLISECOND, SECOND};
+
+use crate::Report;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Side {
@@ -24,19 +26,12 @@ enum Side {
 
 /// Migrates a whole table with `workers` on the measured side and 24 on
 /// the other; returns the achieved rate in MB/s.
-fn run(side: Side, workers: usize, value_len: usize) -> f64 {
+fn run(base: &ClusterConfig, side: Side, workers: usize, value_len: usize) -> f64 {
     let keys: u64 = match value_len {
         v if v >= 1_000 => 60_000,
         _ => 200_000,
     };
-    let mut cfg = ClusterConfig {
-        servers: 2,
-        workers: 24,
-        replicas: 0,
-        segment_bytes: 1 << 20,
-        sample_interval: 10 * MILLISECOND,
-        ..ClusterConfig::default()
-    };
+    let mut cfg = base.clone();
     let measured = match side {
         Side::Source => ServerId(0),
         Side::Target => ServerId(1),
@@ -46,19 +41,13 @@ fn run(side: Side, workers: usize, value_len: usize) -> f64 {
     // constant factor more partitions than worker cores").
     cfg.migration.partitions = (2 * workers).max(8);
     let mut b = ClusterBuilder::new(cfg);
+    let whole = HashRange::full();
     b.at(
         MILLISECOND,
-        ControlCmd::Migrate {
-            id: MigrationId(1),
-            table: TABLE,
-            range: HashRange::full(),
-            source: ServerId(0),
-            target: ServerId(1),
-        },
+        ControlCmd::migrate(MigrationId(1), TABLE, whole, ServerId(0), ServerId(1)),
     );
     let mut cluster = b.build();
-    cluster.create_table(TABLE, &[(HashRange::full(), ServerId(0))]);
-    cluster.load_table(TABLE, keys, 30, value_len);
+    preload_tablets(&mut cluster, &[ServerId(0)], keys, value_len);
     let finished = cluster
         .run_until_migrated(ServerId(1), MigrationId(1), 30 * SECOND)
         .expect("migration completes");
@@ -66,16 +55,18 @@ fn run(side: Side, workers: usize, value_len: usize) -> f64 {
     mb_per_sec(bytes, finished - MILLISECOND)
 }
 
-fn main() {
-    let cfg = ClusterConfig {
+pub(super) fn figure(report: &mut Report) {
+    let base = ClusterConfig {
         servers: 2,
         workers: 24,
         replicas: 0,
+        segment_bytes: 1 << 20,
+        sample_interval: 10 * MILLISECOND,
         ..ClusterConfig::default()
     };
-    print_table1(
+    report.table1(
         "Figure 15: source/target migration scalability",
-        &cfg,
+        &base,
         "unloaded; one side's worker count swept, the other fixed at 24",
     );
 
@@ -89,10 +80,10 @@ fn main() {
     let mut src1k = Vec::new();
     let mut tgt1k = Vec::new();
     for &w in &sweep {
-        let s128 = run(Side::Source, w, 100);
-        let t128 = run(Side::Target, w, 100);
-        let s1k = run(Side::Source, w, 1_000);
-        let t1k = run(Side::Target, w, 1_000);
+        let s128 = run(&base, Side::Source, w, 100);
+        let t128 = run(&base, Side::Target, w, 100);
+        let s1k = run(&base, Side::Source, w, 1_000);
+        let t1k = run(&base, Side::Target, w, 1_000);
         println!("{w:>8} {s128:>18.0} {t128:>18.0} {s1k:>18.0} {t1k:>18.0}");
         src128.push(s128);
         tgt128.push(t128);
@@ -101,16 +92,15 @@ fn main() {
     }
     println!("\nline rate: 5000 MB/s");
 
-    let mut ok = true;
     // Scaling: both sides speed up substantially from 1 to 8 workers.
-    ok &= check(
+    report.check(
         src128[3] > 2.5 * src128[0],
         &format!(
             "source pull processing scales with workers ({:.0} -> {:.0} MB/s)",
             src128[0], src128[3]
         ),
     );
-    ok &= check(
+    report.check(
         tgt128[3] > 2.5 * tgt128[0],
         &format!(
             "target replay scales with workers ({:.0} -> {:.0} MB/s)",
@@ -120,19 +110,19 @@ fn main() {
     // §4.5: replay binds — with equal cores the source-limited rate
     // exceeds the target-limited rate by ~1.8-2.4x for small objects.
     let ratio = src128[4] / tgt128[4].max(1.0);
-    ok &= check(
+    report.check(
         (1.3..=3.0).contains(&ratio),
         &format!("source outpaces target replay on small objects ({ratio:.2}x; paper 1.8-2.4x)"),
     );
     // Absolute anchors at 12 workers (the paper's core count).
-    ok &= check(
+    report.check(
         (3_500.0..=8_000.0).contains(&src128[4]),
         &format!(
             "source ~5.7 GB/s for 128 B at 12 workers (got {:.1} GB/s)",
             src128[4] / 1e3
         ),
     );
-    ok &= check(
+    report.check(
         (2_000.0..=4_200.0).contains(&tgt128[4]),
         &format!(
             "target ~3 GB/s for 128 B at 12 workers (got {:.1} GB/s)",
@@ -140,7 +130,7 @@ fn main() {
         ),
     );
     // 1 KB objects: the NIC (not either CPU side) limits migration.
-    ok &= check(
+    report.check(
         src1k[4] > 3_000.0 && tgt1k[4] > 3_000.0,
         &format!(
             "for 1 KB objects neither side limits below ~line rate (src {:.1}, tgt {:.1} GB/s)",
@@ -148,5 +138,4 @@ fn main() {
             tgt1k[4] / 1e3
         ),
     );
-    std::process::exit(i32::from(!ok));
 }

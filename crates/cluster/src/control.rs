@@ -61,6 +61,25 @@ pub enum ControlCmd {
     },
 }
 
+impl ControlCmd {
+    /// [`ControlCmd::Migrate`] from its five values in declaration order.
+    pub fn migrate(
+        id: MigrationId,
+        table: TableId,
+        range: HashRange,
+        source: ServerId,
+        target: ServerId,
+    ) -> Self {
+        ControlCmd::Migrate {
+            id,
+            table,
+            range,
+            source,
+            target,
+        }
+    }
+}
+
 /// A command scheduled at a virtual time.
 #[derive(Debug, Clone)]
 pub struct ControlEvent {
@@ -193,5 +212,25 @@ impl Actor<Envelope> for ControlActor {
                 self.fire(ctx, idx);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn migrate_equals_the_literal() {
+        let range = HashRange { start: 7, end: 9 };
+        let literal = ControlCmd::Migrate {
+            id: MigrationId(3),
+            table: TableId(5),
+            range,
+            source: ServerId(1),
+            target: ServerId(2),
+        };
+        let built =
+            ControlCmd::migrate(MigrationId(3), TableId(5), range, ServerId(1), ServerId(2));
+        assert_eq!(format!("{built:?}"), format!("{literal:?}"));
     }
 }

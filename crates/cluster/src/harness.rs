@@ -203,6 +203,18 @@ impl ClusterBuilder {
         self
     }
 
+    /// Adds `n` YCSB clients like `cfg`, seeded `cfg.seed`,
+    /// `cfg.seed + 1`, … in order.
+    pub fn add_ycsb_clients(&mut self, n: usize, cfg: YcsbConfig) -> &mut Self {
+        for i in 0..n as u64 {
+            self.add_ycsb(YcsbConfig {
+                seed: cfg.seed + i,
+                ..cfg.clone()
+            });
+        }
+        self
+    }
+
     /// Adds a multiget-spread client (Figure 3).
     pub fn add_spread(&mut self, cfg: SpreadConfig) -> &mut Self {
         self.clients.push(ClientSpec::Spread(cfg));
@@ -392,7 +404,7 @@ impl ClusterBuilder {
         // bit-identical.
         let mut client_stats_handles = Vec::new();
         // One key sampler per distinct key space, cloned into its clients.
-        let mut samplers: Vec<((u64, KeyDist, bool), KeySampler)> = Vec::new();
+        let mut samplers: Vec<((u64, KeyDist), KeySampler)> = Vec::new();
         for (idx, spec) in self.clients.into_iter().enumerate() {
             let stats = registered_client_stats(&metrics, idx, cfg.series_interval);
             client_stats_handles.push(Rc::clone(&stats));
@@ -404,11 +416,11 @@ impl ClusterBuilder {
             match spec {
                 ClientSpec::Ycsb(mut c) => {
                     c.seed ^= derived;
-                    let space = (c.num_keys, c.dist, c.scrambled);
+                    let space = (c.num_keys, c.dist);
                     let known = samplers.iter().position(|(s, _)| *s == space);
                     let at = known.unwrap_or_else(|| {
-                        let sampler = KeySampler::new(c.num_keys, c.dist, c.scrambled);
-                        samplers.push((space, sampler));
+                        // Ranks scrambled across the key space (§4.1).
+                        samplers.push((space, KeySampler::new(c.num_keys, c.dist, true)));
                         samplers.len() - 1
                     });
                     sim.add_actor(Box::new(
@@ -894,11 +906,10 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::control::ControlCmd;
+    use crate::scenarios::{preload_split, preload_tablets, upper, TABLE as T};
     use rocksteady_common::zipf::KeyDist;
     use rocksteady_common::MILLISECOND;
     use rocksteady_workload::core::primary_key;
-
-    const T: TableId = TableId(1);
 
     fn small_cfg() -> ClusterConfig {
         ClusterConfig {
@@ -920,9 +931,7 @@ mod tests {
         ycsb.dist = KeyDist::Uniform;
         b.add_ycsb(ycsb);
         let mut cluster = b.build();
-        cluster.create_table(T, &[(HashRange::full(), ServerId(0))]);
-        cluster.load_table(T, 1_000, 30, 100);
-        cluster.seed_backups();
+        preload_tablets(&mut cluster, &[ServerId(0)], 1_000, 100);
         cluster.run_until(50 * MILLISECOND);
 
         let stats = cluster.client_stats[0].borrow();
@@ -948,28 +957,13 @@ mod tests {
 
     #[test]
     fn rocksteady_migration_moves_half_the_table() {
-        let cfg = small_cfg();
-        let mid = u64::MAX / 2 + 1;
-        let upper = HashRange {
-            start: mid,
-            end: u64::MAX,
-        };
-        let mut b = ClusterBuilder::new(cfg);
+        let mut b = ClusterBuilder::new(small_cfg());
         b.at(
             5 * MILLISECOND,
-            ControlCmd::Migrate {
-                id: MigrationId(1),
-                table: T,
-                range: upper,
-                source: ServerId(0),
-                target: ServerId(1),
-            },
+            ControlCmd::migrate(MigrationId(1), T, upper(), ServerId(0), ServerId(1)),
         );
         let mut cluster = b.build();
-        cluster.create_table(T, &[(HashRange::full(), ServerId(0))]);
-        cluster.load_table(T, 3_000, 30, 100);
-        cluster.seed_backups();
-        cluster.split_tablet(T, mid);
+        preload_split(&mut cluster, 3_000, 100);
 
         let done =
             cluster.run_until_migrated(ServerId(1), MigrationId(1), 5 * rocksteady_common::SECOND);
@@ -996,7 +990,7 @@ mod tests {
                 .read_direct(T, &key)
                 .unwrap_or_else(|| panic!("rank {rank} lost"));
             assert_eq!(value, vec![0xcdu8; 100]);
-            if upper.contains(key_hash(&key)) {
+            if upper().contains(key_hash(&key)) {
                 upper_count += 1;
             }
         }
@@ -1014,36 +1008,27 @@ mod tests {
 
     #[test]
     fn baseline_migration_moves_half_the_table() {
-        let cfg = small_cfg();
-        let mid = u64::MAX / 2 + 1;
-        let upper = HashRange {
-            start: mid,
-            end: u64::MAX,
-        };
-        let mut b = ClusterBuilder::new(cfg);
+        let mut b = ClusterBuilder::new(small_cfg());
         b.at(
             5 * MILLISECOND,
             ControlCmd::MigrateBaseline {
                 table: T,
-                range: upper,
+                range: upper(),
                 source: ServerId(0),
                 target: ServerId(1),
                 opts: Default::default(),
             },
         );
         let mut cluster = b.build();
-        cluster.create_table(T, &[(HashRange::full(), ServerId(0))]);
+        preload_split(&mut cluster, 2_000, 100);
         // The baseline target must own the range when records arrive:
         // PushRecords replays into the target master directly; ownership
         // in the *map* moves only at the end (§2.3). Pre-register the
         // receiving tablet as RAMCloud's migration does.
-        cluster.load_table(T, 2_000, 30, 100);
-        cluster.seed_backups();
-        cluster.split_tablet(T, mid);
         cluster
             .node(ServerId(1))
             .master
-            .add_tablet(T, upper, TabletRole::Owner);
+            .add_tablet(T, upper(), TabletRole::Owner);
 
         for step in 1..=400u64 {
             cluster.run_until(step * 10 * MILLISECOND);
@@ -1082,9 +1067,7 @@ mod tests {
             let dir = b.directory();
             b.add_ycsb(YcsbConfig::ycsb_b(dir, T, 500, 50_000.0));
             let mut cluster = b.build();
-            cluster.create_table(T, &[(HashRange::full(), ServerId(0))]);
-            cluster.load_table(T, 500, 30, 100);
-            cluster.seed_backups();
+            preload_tablets(&mut cluster, &[ServerId(0)], 500, 100);
             cluster.run_until(20 * MILLISECOND);
             let reads = cluster.client_stats[0]
                 .borrow()

@@ -18,6 +18,7 @@ pub mod harness;
 pub mod incident;
 pub mod rebalancer;
 pub mod sampler;
+pub mod scenarios;
 pub mod slo;
 pub mod watchdog;
 

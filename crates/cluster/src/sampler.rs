@@ -49,6 +49,26 @@ pub struct UtilSeries {
 }
 
 impl UtilSeries {
+    /// Mean of `f` over `server`'s samples that start in `[from, to)`
+    /// (0.0 when there are none).
+    pub fn mean(
+        &self,
+        server: ServerId,
+        from: Nanos,
+        to: Nanos,
+        f: impl Fn(&UtilPoint) -> f64,
+    ) -> f64 {
+        let points = self.by_server.get(&server).into_iter().flatten();
+        let (sum, n) = points
+            .filter(|p| p.at >= from && p.at < to)
+            .fold((0.0, 0u32), |(sum, n), p| (sum + f(p), n + 1));
+        if n == 0 {
+            0.0
+        } else {
+            sum / f64::from(n)
+        }
+    }
+
     /// Warnings about anomalies in the collected series — one per
     /// clamped (overcommitted) dispatch window. Empty means clean;
     /// non-empty means dispatch utilization of those windows reads 1.0

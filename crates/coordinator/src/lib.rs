@@ -96,11 +96,6 @@ impl Coordinator {
             .collect()
     }
 
-    /// Whether `id` is known and alive.
-    pub fn is_alive(&self, id: ServerId) -> bool {
-        self.servers.iter().any(|(s, alive)| *s == id && *alive)
-    }
-
     // -------------------------------------------------------- tablet map --
 
     /// Installs a tablet (harness setup or post-recovery).
@@ -465,7 +460,7 @@ mod tests {
         assert!(a.merge);
         assert_eq!(c.tablet_for(T, 5).unwrap().owner, S1);
         assert!(c.lineage_deps().is_empty());
-        assert!(!c.is_alive(S2));
+        assert!(!c.alive_servers().contains(&S2));
     }
 
     #[test]

@@ -528,31 +528,6 @@ impl WindowCache {
         }
     }
 
-    /// The full serialized bytes of the entry at `r` (header + key +
-    /// value) as one zero-copy window slice — the unit the write path
-    /// replicates to backups.
-    pub fn entry_bytes(&mut self, log: &Log, r: LogRef) -> Option<Bytes> {
-        if let Some(window) = self.windows.get(&r.segment) {
-            if let Some(b) = Self::slice_entry(window, r.offset) {
-                return Some(b);
-            }
-            // Stale head-segment window; re-take below.
-        }
-        let window = log.segment_bytes(r.segment)?;
-        self.windows.insert(r.segment, window.clone());
-        Self::slice_entry(&window, r.offset)
-    }
-
-    fn slice_entry(window: &Bytes, offset: u32) -> Option<Bytes> {
-        let buf = window.as_slice();
-        let off = offset as usize;
-        if off >= buf.len() {
-            return None;
-        }
-        let (_, len) = entry::parse_trusted(&buf[off..]).ok()?;
-        Some(window.slice(off..off + len))
-    }
-
     fn decode(window: &Bytes, offset: u32) -> Option<EntrySlices> {
         let buf = window.as_slice();
         let off = offset as usize;

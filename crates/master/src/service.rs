@@ -400,16 +400,6 @@ impl MasterService {
         Ok(replaced == Some(EntryKind::Object))
     }
 
-    /// The serialized log bytes of the entry at `r` (the unit the write
-    /// path replicates to backups), as a zero-copy window aliasing the
-    /// segment. The backup's own ingest charges the memcpy; the source
-    /// only checksums the chunk onto the wire.
-    pub fn entry_bytes(&self, r: LogRef, work: &mut Work) -> Option<Bytes> {
-        let bytes = self.windows.borrow_mut().entry_bytes(&self.log, r)?;
-        work.checksummed_bytes += bytes.len() as u64;
-        Some(bytes)
-    }
-
     // ------------------------------------------------------------------
     // Secondary indexes
     // ------------------------------------------------------------------
@@ -1223,17 +1213,6 @@ mod tests {
         assert!(!target.replay_record(&stale[0], ReplayDest::MainLog, &mut w()));
         let (value, _) = target.read(T, h, Some(b"hot"), &mut w()).unwrap();
         assert_eq!(&value[..], b"new");
-    }
-
-    #[test]
-    fn entry_bytes_roundtrip_for_replication() {
-        let mut m = owner_master();
-        let h = key_hash(b"k");
-        let (_, r) = m.write(T, h, b"k", b"replicate-me", &mut w()).unwrap();
-        let bytes = m.entry_bytes(r, &mut w()).unwrap();
-        let (view, _) = rocksteady_logstore::entry::parse(&bytes).unwrap();
-        assert_eq!(view.key, b"k");
-        assert_eq!(view.value, b"replicate-me");
     }
 
     #[test]

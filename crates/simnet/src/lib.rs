@@ -600,11 +600,6 @@ impl<M: SimMessage> Simulation<M> {
         self.slots[id].alive = false;
     }
 
-    /// Whether the actor is alive.
-    pub fn is_alive(&self, id: ActorId) -> bool {
-        self.slots[id].alive
-    }
-
     fn start_if_needed(&mut self) {
         if self.started {
             return;
@@ -895,7 +890,6 @@ mod tests {
         sim.run_to_idle();
         assert!(log.borrow().is_empty());
         assert!(responses.borrow().is_empty());
-        assert!(!sim.is_alive(echo));
     }
 
     /// Timer-based ticker counting fires.

@@ -25,6 +25,8 @@ use crate::stats::ClientStatsHandle;
 const TOK_ARRIVAL: u64 = 1;
 const TOK_RETRY: u64 = 2;
 const TOK_TIMEOUT: u64 = 3;
+/// Re-issue an op if no response within this long (crash handling).
+const RPC_TIMEOUT: Nanos = 10 * rocksteady_common::MILLISECOND;
 
 /// Configuration for one YCSB client actor.
 #[derive(Debug, Clone)]
@@ -45,12 +47,8 @@ pub struct YcsbConfig {
     pub read_fraction: f64,
     /// Key popularity distribution (YCSB-B: Zipfian θ = 0.99).
     pub dist: KeyDist,
-    /// Scramble popularity ranks across the key space (YCSB default).
-    pub scrambled: bool,
     /// Maximum operations in flight before arrivals backlog.
     pub max_outstanding: usize,
-    /// Re-issue an op if no response within this long (crash handling).
-    pub rpc_timeout: Nanos,
     /// RNG seed (derive per client).
     pub seed: u64,
     /// Spatial load shape: where in the hash space arrivals concentrate
@@ -70,9 +68,7 @@ impl YcsbConfig {
             ops_per_sec,
             read_fraction: 0.95,
             dist: KeyDist::Zipfian { theta: 0.99 },
-            scrambled: true,
             max_outstanding: 64,
-            rpc_timeout: 10 * rocksteady_common::MILLISECOND,
             seed: 1,
             shape: LoadShape::Steady,
         }
@@ -133,16 +129,10 @@ pub struct YcsbClient {
 }
 
 impl YcsbClient {
-    /// Creates a client; `stats` is shared with the harness.
-    pub fn new(cfg: YcsbConfig, stats: ClientStatsHandle) -> Self {
-        let sampler = KeySampler::new(cfg.num_keys, cfg.dist, cfg.scrambled);
-        Self::with_sampler(cfg, stats, sampler)
-    }
-
-    /// [`YcsbClient::new`] with a ready-made sampler for `cfg`'s
-    /// `(num_keys, dist, scrambled)`: building one computes `zeta(n, θ)`
-    /// — `n` `powf` calls — so a harness with many clients over one key
-    /// space builds it once and hands out clones.
+    /// Creates a client; `stats` is shared with the harness, `sampler`
+    /// draws from `cfg`'s `(num_keys, dist)`: building one computes
+    /// `zeta(n, θ)` — `n` `powf` calls — so a harness with many clients
+    /// over one key space builds it once and hands out clones.
     pub fn with_sampler(cfg: YcsbConfig, stats: ClientStatsHandle, sampler: KeySampler) -> Self {
         debug_assert_eq!(sampler.domain(), cfg.num_keys);
         let rng = Prng::new(cfg.seed);
@@ -313,7 +303,7 @@ impl YcsbClient {
         if kind == OpKind::Read {
             self.stats.borrow_mut().read_attempts.inc();
         }
-        ctx.timer(self.cfg.rpc_timeout, (op_id << 8) | TOK_TIMEOUT);
+        ctx.timer(RPC_TIMEOUT, (op_id << 8) | TOK_TIMEOUT);
     }
 
     fn complete(&mut self, ctx: &mut Ctx<'_, Envelope>, op_id: u64, found: bool) {
@@ -518,8 +508,7 @@ impl Actor<Envelope> for YcsbClient {
                     let op_id = token >> 8;
                     let timed_out = match self.ops.get(&op_id) {
                         Some(op) => {
-                            op.rpc.is_some()
-                                && ctx.now().saturating_sub(op.issued) >= self.cfg.rpc_timeout
+                            op.rpc.is_some() && ctx.now().saturating_sub(op.issued) >= RPC_TIMEOUT
                         }
                         None => false,
                     };

@@ -12,20 +12,15 @@
 //! and (the point of the whole design) losing none of the acknowledged
 //! writes.
 
+use rocksteady_cluster::scenarios::{preload_split, upper, TABLE};
 use rocksteady_cluster::{ClusterBuilder, ClusterConfig, ControlCmd};
 use rocksteady_common::time::fmt_nanos;
-use rocksteady_common::{HashRange, MigrationId, ServerId, TableId, MILLISECOND, SECOND};
+use rocksteady_common::{MigrationId, ServerId, MILLISECOND, SECOND};
 use rocksteady_workload::core::primary_key;
 use rocksteady_workload::YcsbConfig;
 
 fn main() {
-    let table = TableId(1);
     let keys: u64 = 20_000;
-    let mid = u64::MAX / 2 + 1;
-    let upper = HashRange {
-        start: mid,
-        end: u64::MAX,
-    };
 
     let mut builder = ClusterBuilder::new(ClusterConfig {
         servers: 3,
@@ -36,19 +31,13 @@ fn main() {
         ..ClusterConfig::default()
     });
     let dir = builder.directory();
-    let mut ycsb = YcsbConfig::ycsb_b(dir, table, keys, 60_000.0);
+    let mut ycsb = YcsbConfig::ycsb_b(dir, TABLE, keys, 60_000.0);
     ycsb.read_fraction = 0.5; // heavy writes: the dangerous case
     builder.add_ycsb(ycsb);
     builder
         .at(
             10 * MILLISECOND,
-            ControlCmd::Migrate {
-                id: MigrationId(1),
-                table,
-                range: upper,
-                source: ServerId(0),
-                target: ServerId(1),
-            },
+            ControlCmd::migrate(MigrationId(1), TABLE, upper(), ServerId(0), ServerId(1)),
         )
         // Kill the target 1.5 ms into the migration, with pulls,
         // priority pulls, and client writes all in flight.
@@ -61,10 +50,7 @@ fn main() {
         );
 
     let mut cluster = builder.build();
-    cluster.create_table(table, &[(HashRange::full(), ServerId(0))]);
-    cluster.load_table(table, keys, 30, 100);
-    cluster.seed_backups();
-    cluster.split_tablet(table, mid);
+    preload_split(&mut cluster, keys, 100);
 
     println!(
         "migrating upper half to {}; killing it mid-migration...",
@@ -75,7 +61,7 @@ fn main() {
     let owner = cluster
         .coord
         .borrow()
-        .tablet_for(table, u64::MAX)
+        .tablet_for(TABLE, u64::MAX)
         .unwrap()
         .owner;
     println!(
@@ -106,7 +92,7 @@ fn main() {
     for rank in 0..keys {
         let key = primary_key(rank, 30);
         assert!(
-            cluster.read_direct(table, &key).is_some(),
+            cluster.read_direct(TABLE, &key).is_some(),
             "record {rank} lost in the crash!"
         );
     }
@@ -114,7 +100,7 @@ fn main() {
     let mut checked = 0;
     for (rank, version) in &confirmed {
         let key = primary_key(*rank, 30);
-        let (_, current) = cluster.read_direct(table, &key).expect("acked write lost");
+        let (_, current) = cluster.read_direct(TABLE, &key).expect("acked write lost");
         assert!(current >= *version, "acked write regressed");
         checked += 1;
     }

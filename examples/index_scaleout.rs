@@ -11,11 +11,12 @@
 //! example runs the same scan workload against one indexlet and against
 //! a split pair, showing the split raising sustainable throughput.
 
+use rocksteady_cluster::scenarios::{preload_tablets, TABLE};
 use rocksteady_cluster::{ClusterBuilder, ClusterConfig};
 use rocksteady_common::ids::IndexId;
 use rocksteady_common::time::fmt_nanos;
 use rocksteady_common::zipf::KeyDist;
-use rocksteady_common::{HashRange, ServerId, TableId, MILLISECOND, SECOND};
+use rocksteady_common::{ServerId, MILLISECOND, SECOND};
 use rocksteady_master::Indexlet;
 use rocksteady_workload::scan::secondary_key;
 use rocksteady_workload::ScanConfig;
@@ -25,7 +26,6 @@ const KEYS: u64 = 50_000;
 /// Runs `scans_per_sec` against one or two indexlets; returns
 /// (achieved scans/s, median, p999).
 fn run(indexlets: usize, scans_per_sec: f64) -> (f64, u64, u64) {
-    let table = TableId(1);
     let index = IndexId(0);
     let split = secondary_key(KEYS / 2, 30);
 
@@ -56,7 +56,7 @@ fn run(indexlets: usize, scans_per_sec: f64) -> (f64, u64, u64) {
     };
     builder.add_scan(ScanConfig {
         dir,
-        table,
+        table: TABLE,
         index,
         sec_key_len: 30,
         num_keys: KEYS,
@@ -69,11 +69,10 @@ fn run(indexlets: usize, scans_per_sec: f64) -> (f64, u64, u64) {
     });
 
     let mut cluster = builder.build();
-    cluster.create_table(table, &[(HashRange::full(), ServerId(0))]);
-    cluster.load_table(table, KEYS, 30, 100);
+    preload_tablets(&mut cluster, &[ServerId(0)], KEYS, 100);
 
     // Build the indexlet(s) exactly as the ranges above describe.
-    let mut lower = Indexlet::new(table, index, Vec::new(), None);
+    let mut lower = Indexlet::new(TABLE, index, Vec::new(), None);
     for rank in 0..KEYS {
         lower.insert(
             &secondary_key(rank, 30),

@@ -10,11 +10,10 @@
 //! server's capacity should raise throughput and flatten the tail, and
 //! PriorityPulls should keep the table continuously available.
 
+use rocksteady_cluster::scenarios::{preload_split, upper, TABLE};
 use rocksteady_cluster::{ClusterBuilder, ClusterConfig, ControlCmd};
 use rocksteady_common::time::fmt_nanos;
-use rocksteady_common::{
-    HashRange, Histogram, MigrationId, ServerId, TableId, MILLISECOND, SECOND,
-};
+use rocksteady_common::{Histogram, MigrationId, ServerId, MILLISECOND, SECOND};
 use rocksteady_workload::YcsbConfig;
 
 fn window(stats: &rocksteady_workload::ClientStats, from: u64, to: u64) -> (f64, Histogram) {
@@ -31,9 +30,7 @@ fn window(stats: &rocksteady_workload::ClientStats, from: u64, to: u64) -> (f64,
 }
 
 fn main() {
-    let table = TableId(1);
     let keys: u64 = 100_000;
-    let mid = u64::MAX / 2 + 1;
 
     let mut builder = ClusterBuilder::new(ClusterConfig {
         servers: 3,
@@ -46,28 +43,16 @@ fn main() {
     let dir = builder.directory();
     // A hot, skewed workload aimed at one server: enough load that the
     // single server's dispatch is the bottleneck.
-    let mut ycsb = YcsbConfig::ycsb_b(dir, table, keys, 600_000.0);
+    let mut ycsb = YcsbConfig::ycsb_b(dir, TABLE, keys, 600_000.0);
     ycsb.max_outstanding = 256;
     builder.add_ycsb(ycsb);
     builder.at(
         SECOND,
-        ControlCmd::Migrate {
-            id: MigrationId(1),
-            table,
-            range: HashRange {
-                start: mid,
-                end: u64::MAX,
-            },
-            source: ServerId(0),
-            target: ServerId(1),
-        },
+        ControlCmd::migrate(MigrationId(1), TABLE, upper(), ServerId(0), ServerId(1)),
     );
 
     let mut cluster = builder.build();
-    cluster.create_table(table, &[(HashRange::full(), ServerId(0))]);
-    cluster.load_table(table, keys, 30, 100);
-    cluster.seed_backups();
-    cluster.split_tablet(table, mid);
+    preload_split(&mut cluster, keys, 100);
 
     cluster.run_until(3 * SECOND);
 

@@ -2,35 +2,31 @@
 //!
 //! ```text
 //! cargo run --release --example quickstart
+//! cargo run --release --example quickstart -- --fault
 //! ```
 //!
 //! The sixty-second tour of the reproduction: three simulated RAMCloud
 //! servers, a YCSB client, one Rocksteady migration of half the key
 //! space, and verification that every record survived the move.
 
+use rocksteady_cluster::scenarios::{live_migration, preload_split, upper, TABLE};
 use rocksteady_cluster::{
     summarize, ClusterBuilder, ClusterConfig, ControlCmd, Fault, FlightRecorderConfig,
 };
 use rocksteady_common::time::fmt_nanos;
-use rocksteady_common::{HashRange, MigrationId, ServerId, TableId, MILLISECOND, SECOND};
+use rocksteady_common::{MigrationId, ServerId, MILLISECOND, SECOND};
 use rocksteady_workload::core::primary_key;
 use rocksteady_workload::YcsbConfig;
 
 fn main() {
     // Fault-injection demo (used by CI): stall a migration on purpose
     // and show the flight recorder export exactly one incident bundle.
-    if std::env::var("ROCKSTEADY_QUICKSTART_FAULT").is_ok() {
+    if std::env::args().any(|arg| arg == "--fault") {
         fault_demo();
         return;
     }
 
-    let table = TableId(1);
     let keys: u64 = 10_000;
-    let mid = u64::MAX / 2 + 1;
-    let upper = HashRange {
-        start: mid,
-        end: u64::MAX,
-    };
 
     // 1. Declare the cluster: 3 servers, 4 worker cores each, 2 backups
     //    per master, plus one YCSB-B client offering 100k ops/s — hot
@@ -56,28 +52,20 @@ fn main() {
         ..ClusterConfig::default()
     });
     let dir = builder.directory();
-    builder.add_ycsb(YcsbConfig::ycsb_b(dir, table, keys, 100_000.0));
+    builder.add_ycsb(YcsbConfig::ycsb_b(dir, TABLE, keys, 100_000.0));
 
     // 2. Script a Rocksteady migration: at t = 50 ms, move the upper half
     //    of the table from server 0 to server 1 (§3 of the paper —
     //    ownership transfers the moment it starts).
     builder.at(
         50 * MILLISECOND,
-        ControlCmd::Migrate {
-            id: MigrationId(1),
-            table,
-            range: upper,
-            source: ServerId(0),
-            target: ServerId(1),
-        },
+        ControlCmd::migrate(MigrationId(1), TABLE, upper(), ServerId(0), ServerId(1)),
     );
 
-    // 3. Build, preload, and pre-split.
+    // 3. Build, preload (everything on server 0, backups seeded), and
+    //    pre-split so the upper half is a tablet of its own.
     let mut cluster = builder.build();
-    cluster.create_table(table, &[(HashRange::full(), ServerId(0))]);
-    cluster.load_table(table, keys, 30, 100);
-    cluster.seed_backups();
-    cluster.split_tablet(table, mid);
+    preload_split(&mut cluster, keys, 100);
     println!("loaded {keys} records onto {}", ServerId(0));
 
     // 4. Run. The harness steps virtual time; everything (clients,
@@ -109,10 +97,10 @@ fn main() {
     for rank in 0..keys {
         let key = primary_key(rank, 30);
         assert!(
-            cluster.read_direct(table, &key).is_some(),
+            cluster.read_direct(TABLE, &key).is_some(),
             "record {rank} lost in migration!"
         );
-        if upper.contains(rocksteady_common::key_hash(&key)) {
+        if upper().contains(rocksteady_common::key_hash(&key)) {
             moved += 1;
         }
     }
@@ -275,7 +263,7 @@ fn main() {
     //     detectors (migration stall, replay backlog, SLO burn,
     //     dispatch overcommit, lineage age) on every sampling interval
     //     of this run — a healthy migration trips none of them. Run
-    //     with ROCKSTEADY_QUICKSTART_FAULT=1 to watch a deliberately
+    //     with `-- --fault` to watch a deliberately
     //     stalled migration produce an incident bundle.
     let final_slo = cluster.slo_report();
     println!(
@@ -302,13 +290,7 @@ fn top_cause(breach: &str) -> &str {
 /// triggered by the migration-stall detector, lands in
 /// `target/quickstart-incident.json`.
 fn fault_demo() {
-    let table = TableId(1);
     let keys: u64 = 5_000;
-    let mid = u64::MAX / 2 + 1;
-    let upper = HashRange {
-        start: mid,
-        end: u64::MAX,
-    };
 
     // Bounded rings: the recorder works from fixed memory, and the
     // bundle's drop counters show the compaction at work.
@@ -333,24 +315,8 @@ fn fault_demo() {
     // The fault: every Pull bound for the source is lost, so gather
     // never advances and the migration hangs forever.
     builder.fault(ServerId(0), Fault::DropPulls);
-    let dir = builder.directory();
-    builder.add_ycsb(YcsbConfig::ycsb_b(dir, table, keys, 20_000.0));
-    builder.at(
-        50 * MILLISECOND,
-        ControlCmd::Migrate {
-            id: MigrationId(1),
-            table,
-            range: upper,
-            source: ServerId(0),
-            target: ServerId(1),
-        },
-    );
-
-    let mut cluster = builder.build();
-    cluster.create_table(table, &[(HashRange::full(), ServerId(0))]);
-    cluster.load_table(table, keys, 30, 100);
-    cluster.seed_backups();
-    cluster.split_tablet(table, mid);
+    // The same client, migration and preload as above, at 20k ops/s.
+    let mut cluster = live_migration(builder, keys, 20_000.0, 50 * MILLISECOND);
 
     // 20 stalled sampling intervals trip the detector; run well past it.
     cluster.run_until(2 * SECOND);

@@ -17,10 +17,10 @@
 
 mod common;
 
-use common::{standard_setup, test_config, upper, TABLE};
-use rocksteady_cluster::{Cluster, ClusterBuilder, ClusterConfig, ControlCmd, Fault};
+use common::test_config;
+use rocksteady_cluster::scenarios::live_migration;
+use rocksteady_cluster::{Cluster, ClusterBuilder, ClusterConfig, Fault};
 use rocksteady_common::{MigrationId, ServerId, MILLISECOND, SECOND};
-use rocksteady_workload::YcsbConfig;
 
 const KEYS: u64 = 5_000;
 
@@ -35,33 +35,16 @@ fn audited_cfg(seed: u64) -> ClusterConfig {
     }
 }
 
-fn migration_script(b: &mut ClusterBuilder) {
-    b.at(
-        5 * MILLISECOND,
-        ControlCmd::Migrate {
-            id: MigrationId(1),
-            table: TABLE,
-            range: upper(),
-            source: ServerId(0),
-            target: ServerId(1),
-        },
-    );
-}
-
 fn run_audited(cfg: ClusterConfig) -> Cluster {
     run_faulted(cfg, None)
 }
 
 fn run_faulted(cfg: ClusterConfig, fault: Option<(ServerId, Fault)>) -> Cluster {
     let mut b = ClusterBuilder::new(cfg);
-    let dir = b.directory();
-    b.add_ycsb(YcsbConfig::ycsb_b(dir, TABLE, KEYS, 50_000.0));
-    migration_script(&mut b);
     if let Some((server, fault)) = fault {
         b.fault(server, fault);
     }
-    let mut cluster = b.build();
-    standard_setup(&mut cluster, KEYS);
+    let mut cluster = live_migration(b, KEYS, 50_000.0, 5 * MILLISECOND);
     cluster.run_until(100 * MILLISECOND);
     cluster
 }

@@ -8,8 +8,9 @@
 
 mod common;
 
-use common::{builder, standard_setup, upper, verify_all_readable, TABLE};
-use rocksteady_cluster::ControlCmd;
+use common::{test_config, verify_all_readable};
+use rocksteady_cluster::scenarios::{preload_split, upper, TABLE};
+use rocksteady_cluster::{ClusterBuilder, ControlCmd};
 use rocksteady_common::{key_hash, MigrationId, ServerId, MILLISECOND, SECOND};
 use rocksteady_master::TabletRole;
 use rocksteady_proto::msg::BaselineOpts;
@@ -21,10 +22,10 @@ const KEYS: u64 = 3_000;
 /// `(rank, version)` for upper-half keys readable at the target.
 fn run_and_collect(cmd: ControlCmd, expect_transfer: bool) -> Vec<(u64, u64)> {
     let baseline = matches!(cmd, ControlCmd::MigrateBaseline { .. });
-    let mut b = builder();
+    let mut b = ClusterBuilder::new(test_config());
     b.at(5 * MILLISECOND, cmd);
     let mut cluster = b.build();
-    standard_setup(&mut cluster, KEYS);
+    preload_split(&mut cluster, KEYS, 100);
     if baseline {
         // For baseline runs the receiving master needs the tablet
         // registered before records arrive (RAMCloud pre-creates it);
@@ -69,13 +70,7 @@ fn run_and_collect(cmd: ControlCmd, expect_transfer: bool) -> Vec<(u64, u64)> {
 #[test]
 fn rocksteady_and_baseline_converge_to_identical_data() {
     let rocksteady = run_and_collect(
-        ControlCmd::Migrate {
-            id: MigrationId(1),
-            table: TABLE,
-            range: upper(),
-            source: ServerId(0),
-            target: ServerId(1),
-        },
+        ControlCmd::migrate(MigrationId(1), TABLE, upper(), ServerId(0), ServerId(1)),
         true,
     );
     let baseline = run_and_collect(

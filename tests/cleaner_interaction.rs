@@ -8,7 +8,8 @@
 
 mod common;
 
-use common::{upper, verify_all_readable, TABLE};
+use common::verify_all_readable;
+use rocksteady_cluster::scenarios::{preload_split, upper, TABLE};
 use rocksteady_cluster::{Cluster, ClusterBuilder, ClusterConfig, ControlCmd};
 use rocksteady_common::zipf::KeyDist;
 use rocksteady_common::{MigrationId, Nanos, ServerId, MILLISECOND, SECOND};
@@ -29,16 +30,10 @@ fn migration_survives_concurrent_cleaning() {
     b.add_ycsb(ycsb);
     b.at(
         100 * MILLISECOND,
-        ControlCmd::Migrate {
-            id: MigrationId(1),
-            table: TABLE,
-            range: upper(),
-            source: ServerId(0),
-            target: ServerId(1),
-        },
+        ControlCmd::migrate(MigrationId(1), TABLE, upper(), ServerId(0), ServerId(1)),
     );
     let mut cluster = b.build();
-    common::standard_setup(&mut cluster, KEYS);
+    preload_split(&mut cluster, KEYS, 100);
 
     let finished = cluster
         .run_until_migrated(ServerId(1), MigrationId(1), 10 * SECOND)
@@ -81,7 +76,7 @@ fn churn(kill_owner_at: Nanos) -> Cluster {
     };
     b.at(kill_owner_at, kill);
     let mut cluster = b.build();
-    common::standard_setup(&mut cluster, CHURN_KEYS);
+    preload_split(&mut cluster, CHURN_KEYS, 100);
     cluster
 }
 
@@ -125,7 +120,7 @@ fn reads_do_not_queue_behind_a_cleaner_pass() {
     ycsb.dist = KeyDist::Uniform;
     b.add_ycsb(ycsb);
     let mut cluster = b.build();
-    common::standard_setup(&mut cluster, KEYS);
+    preload_split(&mut cluster, KEYS, 100);
     cluster.run_until(300 * MILLISECOND);
     assert!(cleaned(&cluster) > 0, "no cleaner pass reclaimed anything");
 

@@ -1,24 +1,14 @@
 //! Shared setup for the cross-crate integration tests.
 
+use rocksteady_cluster::scenarios::{preload_split, upper, TABLE};
 use rocksteady_cluster::{Cluster, ClusterBuilder, ClusterConfig, ControlCmd};
 use rocksteady_common::zipf::KeyDist;
-use rocksteady_common::{HashRange, KeyHash, MigrationId, ServerId, TableId, MILLISECOND};
+use rocksteady_common::{MigrationId, ServerId, MILLISECOND};
 use rocksteady_workload::core::primary_key;
 use rocksteady_workload::YcsbConfig;
 
-/// The table every test uses.
-pub const TABLE: TableId = TableId(1);
-/// Split point: upper half of the hash space migrates.
-pub const MID: KeyHash = u64::MAX / 2 + 1;
-/// The migrating range.
-pub fn upper() -> HashRange {
-    HashRange {
-        start: MID,
-        end: u64::MAX,
-    }
-}
-
 /// A small 3-server cluster configuration suitable for fast tests.
+#[allow(dead_code)] // not every test binary uses every helper
 pub fn test_config() -> ClusterConfig {
     ClusterConfig {
         servers: 3,
@@ -28,16 +18,6 @@ pub fn test_config() -> ClusterConfig {
         series_interval: 10 * MILLISECOND,
         ..ClusterConfig::default()
     }
-}
-
-/// Creates the table on server 0, loads `keys` records, seeds backups,
-/// and splits at [`MID`].
-#[allow(dead_code)] // not every test binary uses every helper
-pub fn standard_setup(cluster: &mut Cluster, keys: u64) {
-    cluster.create_table(TABLE, &[(HashRange::full(), ServerId(0))]);
-    cluster.load_table(TABLE, keys, 30, 100);
-    cluster.seed_backups();
-    cluster.split_tablet(TABLE, MID);
 }
 
 /// The benchmark's `write_churn` shape at test scale, run to 150 ms on
@@ -61,16 +41,10 @@ pub fn write_churn(base: ClusterConfig, client_seed: u64) -> Cluster {
     ycsb.dist = KeyDist::Uniform;
     ycsb.seed = client_seed;
     b.add_ycsb(ycsb);
-    let migrate = ControlCmd::Migrate {
-        id: MigrationId(1),
-        table: TABLE,
-        range: upper(),
-        source: ServerId(0),
-        target: ServerId(1),
-    };
+    let migrate = ControlCmd::migrate(MigrationId(1), TABLE, upper(), ServerId(0), ServerId(1));
     b.at(40 * MILLISECOND, migrate);
     let mut cluster = b.build();
-    standard_setup(&mut cluster, 5_000);
+    preload_split(&mut cluster, 5_000, 100);
     cluster.run_until(150 * MILLISECOND);
     let finished = cluster.migration_finished(ServerId(1), MigrationId(1));
     assert!(finished.is_some(), "migration never finished");
@@ -79,12 +53,6 @@ pub fn write_churn(base: ClusterConfig, client_seed: u64) -> Cluster {
         assert!(cleaned > 0, "{server:?} never cleaned a segment");
     }
     cluster
-}
-
-/// Convenience builder with the standard config.
-#[allow(dead_code)] // not every test binary uses every helper
-pub fn builder() -> ClusterBuilder {
-    ClusterBuilder::new(test_config())
 }
 
 /// Verifies that every one of `keys` records is readable through its

@@ -18,7 +18,8 @@
 
 mod common;
 
-use common::{verify_all_readable, TABLE};
+use common::verify_all_readable;
+use rocksteady_cluster::scenarios::{preload_tablets, slice, TABLE};
 use rocksteady_cluster::{
     AdmissionCaps, Cluster, ClusterBuilder, ClusterConfig, ControlCmd, GreedyLoadDelta,
     RebalancerConfig,
@@ -29,16 +30,8 @@ use rocksteady_workload::{LoadShape, YcsbConfig};
 const KEYS: u64 = 20_000;
 
 /// Quarter `i` of the hash space as a tablet range.
-fn quarter(i: u32) -> HashRange {
-    let width = 1u64 << 62;
-    HashRange {
-        start: u64::from(i) * width,
-        end: if i == 3 {
-            u64::MAX
-        } else {
-            (u64::from(i) + 1) * width - 1
-        },
-    }
+fn quarter(i: usize) -> HashRange {
+    slice(i, 4)
 }
 
 fn four_server_config() -> ClusterConfig {
@@ -55,17 +48,7 @@ fn four_server_config() -> ClusterConfig {
 /// Table in four quarter tablets: server 0 owns q0+q1, server 1 owns
 /// q2+q3.
 fn setup_quarters(cluster: &mut Cluster) {
-    cluster.create_table(
-        TABLE,
-        &[
-            (quarter(0), ServerId(0)),
-            (quarter(1), ServerId(0)),
-            (quarter(2), ServerId(1)),
-            (quarter(3), ServerId(1)),
-        ],
-    );
-    cluster.load_table(TABLE, KEYS, 30, 100);
-    cluster.seed_backups();
+    preload_tablets(cluster, &[0, 0, 1, 1].map(ServerId), KEYS, 100);
 }
 
 /// Two disjoint migrations fired at the same instant: q1 from 0 to 2
@@ -73,23 +56,11 @@ fn setup_quarters(cluster: &mut Cluster) {
 fn disjoint_pair_script(b: &mut ClusterBuilder) {
     b.at(
         10 * MILLISECOND,
-        ControlCmd::Migrate {
-            id: MigrationId(1),
-            table: TABLE,
-            range: quarter(1),
-            source: ServerId(0),
-            target: ServerId(2),
-        },
+        ControlCmd::migrate(MigrationId(1), TABLE, quarter(1), ServerId(0), ServerId(2)),
     );
     b.at(
         10 * MILLISECOND,
-        ControlCmd::Migrate {
-            id: MigrationId(2),
-            table: TABLE,
-            range: quarter(3),
-            source: ServerId(1),
-            target: ServerId(3),
-        },
+        ControlCmd::migrate(MigrationId(2), TABLE, quarter(3), ServerId(1), ServerId(3)),
     );
 }
 
@@ -155,23 +126,11 @@ fn node_serves_pulls_while_replaying_an_inbound_migration() {
     // and the target of migration 2 (q1 <- 0).
     b.at(
         10 * MILLISECOND,
-        ControlCmd::Migrate {
-            id: MigrationId(1),
-            table: TABLE,
-            range: quarter(2),
-            source: ServerId(1),
-            target: ServerId(2),
-        },
+        ControlCmd::migrate(MigrationId(1), TABLE, quarter(2), ServerId(1), ServerId(2)),
     );
     b.at(
         10 * MILLISECOND,
-        ControlCmd::Migrate {
-            id: MigrationId(2),
-            table: TABLE,
-            range: quarter(1),
-            source: ServerId(0),
-            target: ServerId(1),
-        },
+        ControlCmd::migrate(MigrationId(2), TABLE, quarter(1), ServerId(0), ServerId(1)),
     );
     let mut cluster = b.build();
     setup_quarters(&mut cluster);
@@ -366,18 +325,15 @@ fn rebalancer_sheds_tablets_from_a_hot_server() {
         policy: Box::new(GreedyLoadDelta::new(0.08, 2).with_cooldown(200 * MILLISECOND)),
     });
     let mut b = ClusterBuilder::new(cfg);
-    let dir = b.directory();
-    for i in 0..2 {
-        let mut y = YcsbConfig::ycsb_b(dir.clone(), TABLE, KEYS, 150_000.0);
-        y.seed = 40 + i;
-        // All heat on the last quarter (owned by server 1) from t=0.
-        y.shape = LoadShape::SkewFlip {
-            at: 0,
-            buckets: 4,
-            hot_weight: 0.8,
-        };
-        b.add_ycsb(y);
-    }
+    let mut y = YcsbConfig::ycsb_b(b.directory(), TABLE, KEYS, 150_000.0);
+    y.seed = 40;
+    // All heat on the last quarter (owned by server 1) from t=0.
+    y.shape = LoadShape::SkewFlip {
+        at: 0,
+        buckets: 4,
+        hot_weight: 0.8,
+    };
+    b.add_ycsb_clients(2, y);
     let mut cluster = b.build();
     setup_quarters(&mut cluster);
     cluster.run_until(SECOND);

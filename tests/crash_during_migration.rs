@@ -15,7 +15,8 @@
 
 mod common;
 
-use common::{builder, standard_setup, test_config, upper, verify_all_readable, TABLE};
+use common::{test_config, verify_all_readable};
+use rocksteady_cluster::scenarios::{preload_split, upper, TABLE};
 use rocksteady_cluster::{ClusterBuilder, ClusterConfig, ControlCmd};
 use rocksteady_common::{MigrationId, ServerId, MILLISECOND, SECOND};
 use rocksteady_workload::core::primary_key;
@@ -27,13 +28,7 @@ fn crash_script(victim: ServerId, kill_at: u64) -> Vec<(u64, ControlCmd)> {
     vec![
         (
             10 * MILLISECOND,
-            ControlCmd::Migrate {
-                id: MigrationId(1),
-                table: TABLE,
-                range: upper(),
-                source: ServerId(0),
-                target: ServerId(1),
-            },
+            ControlCmd::migrate(MigrationId(1), TABLE, upper(), ServerId(0), ServerId(1)),
         ),
         (
             kill_at,
@@ -46,7 +41,7 @@ fn crash_script(victim: ServerId, kill_at: u64) -> Vec<(u64, ControlCmd)> {
 }
 
 fn run_crash_case(victim: ServerId) -> (u64, ServerId) {
-    let mut b = builder();
+    let mut b = ClusterBuilder::new(test_config());
     let dir = b.directory();
     // Heavy writes so durably-acked updates definitely race the crash.
     let mut ycsb = YcsbConfig::ycsb_b(dir, TABLE, KEYS, 60_000.0);
@@ -58,7 +53,7 @@ fn run_crash_case(victim: ServerId) -> (u64, ServerId) {
         b.at(at, cmd);
     }
     let mut cluster = b.build();
-    standard_setup(&mut cluster, KEYS);
+    preload_split(&mut cluster, KEYS, 100);
 
     // Run long enough for detection, recovery, and client retries.
     cluster.run_until(2 * SECOND);
@@ -130,7 +125,7 @@ fn source_crash_abandons_migration_cleanly() {
         b.at(at, cmd);
     }
     let mut cluster = b.build();
-    standard_setup(&mut cluster, KEYS);
+    preload_split(&mut cluster, KEYS, 100);
 
     // The migration must be reported as abandoned, not run to deadline:
     // the driver loop exits within a couple of sample intervals of the

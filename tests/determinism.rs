@@ -7,36 +7,29 @@
 
 mod common;
 
-use common::{builder, standard_setup, upper, TABLE};
-use rocksteady_cluster::ControlCmd;
-use rocksteady_common::{MigrationId, ServerId, MILLISECOND};
+use rocksteady_cluster::scenarios::live_migration;
+use rocksteady_cluster::{Cluster, ClusterBuilder, ClusterConfig};
+use rocksteady_common::{ServerId, MILLISECOND};
 use rocksteady_simnet::SchedulerKind;
-use rocksteady_workload::YcsbConfig;
+
+/// The full migration-under-load experiment, every recorder armed.
+fn run(seed: u64, scheduler: SchedulerKind) -> Cluster {
+    let cfg = ClusterConfig {
+        seed,
+        tracing: true,
+        profiling: true,
+        audit: true,
+        scheduler,
+        ..common::test_config()
+    };
+    let mut cluster = live_migration(ClusterBuilder::new(cfg), 5_000, 50_000.0, 5 * MILLISECOND);
+    cluster.run_until(100 * MILLISECOND);
+    cluster
+}
 
 #[allow(clippy::type_complexity)]
 fn digest(seed: u64) -> (u64, u64, u64, u64, u64, String, String, String) {
-    let mut cfg = common::test_config();
-    cfg.seed = seed;
-    cfg.tracing = true;
-    cfg.profiling = true;
-    cfg.audit = true;
-    let mut b = rocksteady_cluster::ClusterBuilder::new(cfg);
-    let dir = b.directory();
-    b.add_ycsb(YcsbConfig::ycsb_b(dir, TABLE, 5_000, 50_000.0));
-    b.at(
-        5 * MILLISECOND,
-        ControlCmd::Migrate {
-            id: MigrationId(1),
-            table: TABLE,
-            range: upper(),
-            source: ServerId(0),
-            target: ServerId(1),
-        },
-    );
-    let mut cluster = b.build();
-    standard_setup(&mut cluster, 5_000);
-    cluster.run_until(100 * MILLISECOND);
-
+    let cluster = run(seed, SchedulerKind::default());
     let reads = cluster.client_stats[0].borrow().read_latency.merged();
     let events = cluster.sim.events_processed();
     let replayed = cluster.server_stats[&ServerId(1)].records_replayed.get();
@@ -55,7 +48,6 @@ fn digest(seed: u64) -> (u64, u64, u64, u64, u64, String, String, String) {
 
 #[test]
 fn identical_seeds_identical_traces() {
-    let _ = builder(); // keep common helpers exercised
     assert_eq!(digest(1234), digest(1234));
 }
 
@@ -63,28 +55,7 @@ fn identical_seeds_identical_traces() {
 /// the byte-exact trace, profiler, and audit exports the swap must
 /// preserve.
 fn sched_digest(kind: SchedulerKind) -> (u64, String, String, String, String) {
-    let mut cfg = common::test_config();
-    cfg.seed = 1234;
-    cfg.tracing = true;
-    cfg.profiling = true;
-    cfg.audit = true;
-    cfg.scheduler = kind;
-    let mut b = rocksteady_cluster::ClusterBuilder::new(cfg);
-    let dir = b.directory();
-    b.add_ycsb(YcsbConfig::ycsb_b(dir, TABLE, 5_000, 50_000.0));
-    b.at(
-        5 * MILLISECOND,
-        ControlCmd::Migrate {
-            id: MigrationId(1),
-            table: TABLE,
-            range: upper(),
-            source: ServerId(0),
-            target: ServerId(1),
-        },
-    );
-    let mut cluster = b.build();
-    standard_setup(&mut cluster, 5_000);
-    cluster.run_until(100 * MILLISECOND);
+    let cluster = run(1234, kind);
     cluster.finalize_profile();
     (
         cluster.sim.events_processed(),

@@ -18,13 +18,13 @@
 
 mod common;
 
-use common::{standard_setup, test_config, upper, TABLE};
+use common::test_config;
+use rocksteady_cluster::scenarios::live_migration;
 use rocksteady_cluster::{
-    Cluster, ClusterBuilder, ClusterConfig, ControlCmd, Fault, FlightRecorderConfig,
-    ReplayBacklogConfig, SloBurnConfig,
+    Cluster, ClusterBuilder, ClusterConfig, Fault, FlightRecorderConfig, ReplayBacklogConfig,
+    SloBurnConfig,
 };
 use rocksteady_common::{MigrationId, ServerId, MILLISECOND};
-use rocksteady_workload::YcsbConfig;
 
 const KEYS: u64 = 5_000;
 
@@ -46,23 +46,10 @@ fn run_recorded(cfg: ClusterConfig) -> Cluster {
 
 fn run_faulted(cfg: ClusterConfig, fault: Option<(ServerId, Fault)>) -> Cluster {
     let mut b = ClusterBuilder::new(cfg);
-    let dir = b.directory();
-    b.add_ycsb(YcsbConfig::ycsb_b(dir, TABLE, KEYS, 50_000.0));
     if let Some((server, fault)) = fault {
         b.fault(server, fault);
     }
-    b.at(
-        5 * MILLISECOND,
-        ControlCmd::Migrate {
-            id: MigrationId(1),
-            table: TABLE,
-            range: upper(),
-            source: ServerId(0),
-            target: ServerId(1),
-        },
-    );
-    let mut cluster = b.build();
-    standard_setup(&mut cluster, KEYS);
+    let mut cluster = live_migration(b, KEYS, 50_000.0, 5 * MILLISECOND);
     cluster.run_until(100 * MILLISECOND);
     cluster
 }

@@ -14,7 +14,8 @@
 
 mod common;
 
-use common::{standard_setup, test_config, upper, write_churn, TABLE};
+use common::{test_config, write_churn};
+use rocksteady_cluster::scenarios::{self, preload_split, preload_tablets, slice, upper, TABLE};
 use rocksteady_cluster::{
     Cluster, ClusterBuilder, ClusterConfig, ControlCmd, Fault, FlightRecorderConfig,
 };
@@ -79,13 +80,13 @@ fn armed(seed: u64) -> ClusterConfig {
 }
 
 fn migrate(id: u64, range: HashRange, source: u32, target: u32) -> ControlCmd {
-    ControlCmd::Migrate {
-        id: MigrationId(id),
-        table: TABLE,
+    ControlCmd::migrate(
+        MigrationId(id),
+        TABLE,
         range,
-        source: ServerId(source),
-        target: ServerId(target),
-    }
+        ServerId(source),
+        ServerId(target),
+    )
 }
 
 /// One YCSB client over `keys` keys at `rate` ops/s, `reads` of them
@@ -154,9 +155,8 @@ fn owner_of_upper(cluster: &Cluster) -> Option<ServerId> {
 /// migration. `before_run` sees the built cluster; tracing is (re-)armed
 /// at 6 ms, one millisecond into the migration.
 fn live_migration(cfg: ClusterConfig, before_run: impl FnOnce(&Cluster)) -> (u64, u64) {
-    let script = vec![(5, migrate(1, upper(), 0, 1))];
-    let mut cluster = build(cfg, 5_000, 50_000.0, 0.95, script);
-    standard_setup(&mut cluster, 5_000);
+    let b = ClusterBuilder::new(cfg);
+    let mut cluster = scenarios::live_migration(b, 5_000, 50_000.0, 5 * MILLISECOND);
     before_run(&cluster);
     cluster.run_until(6 * MILLISECOND);
     cluster.set_tracing(true);
@@ -175,7 +175,7 @@ fn crash(victim: u32) -> (u64, u64) {
     };
     let script = vec![(10, migrate(1, upper(), 0, 1)), (11, kill)];
     let mut cluster = build(armed(42), 20_000, 60_000.0, 0.5, script);
-    standard_setup(&mut cluster, 20_000);
+    preload_split(&mut cluster, 20_000, 100);
     cluster.run_until(150 * MILLISECOND);
     assert_eq!(owner_of_upper(&cluster), Some(ServerId(1 - victim)));
     assert!(cluster.coord.borrow().lineage_deps().is_empty());
@@ -193,7 +193,7 @@ fn baseline() -> (u64, u64) {
         opts: Default::default(),
     };
     let mut cluster = build(armed(42), 5_000, 50_000.0, 0.95, vec![(5, start)]);
-    standard_setup(&mut cluster, 5_000);
+    preload_split(&mut cluster, 5_000, 100);
     let target = cluster.node(ServerId(1));
     target.master.add_tablet(TABLE, upper(), TabletRole::Owner);
     cluster.run_until(150 * MILLISECOND);
@@ -207,25 +207,17 @@ fn baseline() -> (u64, u64) {
 /// can overtake a delayed bulk chunk of the same segment and trip the
 /// backup's offset check (a known gap, ROADMAP item 4).
 fn two_onto_one_target() -> (u64, u64) {
-    let quarter = |i: u64| HashRange {
-        start: i << 62,
-        end: ((i + 1) << 62).wrapping_sub(1),
-    };
     let cfg = ClusterConfig {
         servers: 4,
         cleaner_interval: Some(2 * MILLISECOND),
         ..armed(42)
     };
     let script = vec![
-        (10, migrate(1, quarter(1), 0, 2)),
-        (10, migrate(2, quarter(3), 1, 2)),
+        (10, migrate(1, slice(1, 4), 0, 2)),
+        (10, migrate(2, slice(3, 4), 1, 2)),
     ];
     let mut cluster = build(cfg, 20_000, 40_000.0, 1.0, script);
-    let owners = [0, 0, 1, 1].map(ServerId);
-    let tablets: Vec<_> = (0..4).map(|i| (quarter(i), owners[i as usize])).collect();
-    cluster.create_table(TABLE, &tablets);
-    cluster.load_table(TABLE, 20_000, 30, 100);
-    cluster.seed_backups();
+    preload_tablets(&mut cluster, &[0, 0, 1, 1].map(ServerId), 20_000, 100);
     cluster.run_until(150 * MILLISECOND);
     assert!(cluster.peak_concurrent_migrations() >= 2);
     for id in [1, 2].map(MigrationId) {
@@ -249,11 +241,8 @@ fn drop_pulls_in_ring_mode() -> (u64, u64) {
         ..armed(42)
     };
     let mut b = ClusterBuilder::new(cfg);
-    b.add_ycsb(YcsbConfig::ycsb_b(b.directory(), TABLE, 5_000, 50_000.0));
     b.fault(ServerId(0), Fault::DropPulls);
-    b.at(5 * MILLISECOND, migrate(1, upper(), 0, 1));
-    let mut cluster = b.build();
-    standard_setup(&mut cluster, 5_000);
+    let mut cluster = scenarios::live_migration(b, 5_000, 50_000.0, 5 * MILLISECOND);
     cluster.run_until(100 * MILLISECOND);
     assert_eq!(cluster.incident_count(), 1);
     assert!(cluster.trace.dropped() > 0 && cluster.audit.dropped() > 0);

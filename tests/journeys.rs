@@ -18,10 +18,9 @@
 
 mod common;
 
-use common::{standard_setup, upper, TABLE};
-use rocksteady_cluster::{ControlCmd, FlightRecorderConfig, Journey};
-use rocksteady_common::{MigrationId, ServerId, MILLISECOND};
-use rocksteady_workload::YcsbConfig;
+use rocksteady_cluster::scenarios::live_migration;
+use rocksteady_cluster::{ClusterBuilder, FlightRecorderConfig, Journey};
+use rocksteady_common::MILLISECOND;
 
 /// Runs the standard one-migration experiment and returns the cluster.
 fn run(seed: u64, tracing: bool, trace_capacity: Option<usize>) -> rocksteady_cluster::Cluster {
@@ -34,21 +33,7 @@ fn run(seed: u64, tracing: bool, trace_capacity: Option<usize>) -> rocksteady_cl
             ..FlightRecorderConfig::default()
         });
     }
-    let mut b = rocksteady_cluster::ClusterBuilder::new(cfg);
-    let dir = b.directory();
-    b.add_ycsb(YcsbConfig::ycsb_b(dir, TABLE, 5_000, 50_000.0));
-    b.at(
-        5 * MILLISECOND,
-        ControlCmd::Migrate {
-            id: MigrationId(1),
-            table: TABLE,
-            range: upper(),
-            source: ServerId(0),
-            target: ServerId(1),
-        },
-    );
-    let mut cluster = b.build();
-    standard_setup(&mut cluster, 5_000);
+    let mut cluster = live_migration(ClusterBuilder::new(cfg), 5_000, 50_000.0, 5 * MILLISECOND);
     cluster.run_until(60 * MILLISECOND);
     cluster
 }

@@ -4,26 +4,19 @@
 
 mod common;
 
-use common::{standard_setup, test_config, upper, verify_all_readable, MID, TABLE};
+use common::{test_config, verify_all_readable};
+use rocksteady_cluster::scenarios::{preload_split, slice, upper, TABLE};
 use rocksteady_cluster::{Cluster, ClusterBuilder, ClusterConfig, ControlCmd};
-use rocksteady_common::{HashRange, MigrationId, Nanos, ServerId, MILLISECOND, SECOND};
+use rocksteady_common::{MigrationId, Nanos, ServerId, MILLISECOND, SECOND};
 use rocksteady_metrics::SampleValue;
 use rocksteady_workload::YcsbConfig;
-
-/// The non-migrating half of the key space.
-fn lower() -> HashRange {
-    HashRange {
-        start: 0,
-        end: MID - 1,
-    }
-}
 
 fn ycsb_cluster(cfg: ClusterConfig, keys: u64, ops_per_sec: f64) -> Cluster {
     let mut b = ClusterBuilder::new(cfg);
     let dir = b.directory();
     b.add_ycsb(YcsbConfig::ycsb_b(dir, TABLE, keys, ops_per_sec));
     let mut cluster = b.build();
-    standard_setup(&mut cluster, keys);
+    preload_split(&mut cluster, keys, 100);
     cluster
 }
 
@@ -122,17 +115,11 @@ fn slo_run(migrate: bool, sla: Nanos) -> (rocksteady_cluster::SloReport, u64) {
     if migrate {
         b.at(
             10 * MILLISECOND,
-            ControlCmd::Migrate {
-                id: MigrationId(1),
-                table: TABLE,
-                range: upper(),
-                source: ServerId(0),
-                target: ServerId(1),
-            },
+            ControlCmd::migrate(MigrationId(1), TABLE, upper(), ServerId(0), ServerId(1)),
         );
     }
     let mut cluster = b.build();
-    standard_setup(&mut cluster, 3_000);
+    preload_split(&mut cluster, 3_000, 100);
     if migrate {
         cluster
             .run_until_migrated(ServerId(1), MigrationId(1), SECOND)
@@ -192,26 +179,14 @@ fn back_to_back_migrations_reset_stale_stamps() {
     let mut b = ClusterBuilder::new(test_config());
     b.at(
         5 * MILLISECOND,
-        ControlCmd::Migrate {
-            id: MigrationId(1),
-            table: TABLE,
-            range: upper(),
-            source: ServerId(0),
-            target: ServerId(1),
-        },
+        ControlCmd::migrate(MigrationId(1), TABLE, upper(), ServerId(0), ServerId(1)),
     );
     b.at(
         500 * MILLISECOND,
-        ControlCmd::Migrate {
-            id: MigrationId(2),
-            table: TABLE,
-            range: lower(),
-            source: ServerId(0),
-            target: ServerId(1),
-        },
+        ControlCmd::migrate(MigrationId(2), TABLE, slice(0, 2), ServerId(0), ServerId(1)),
     );
     let mut cluster = b.build();
-    standard_setup(&mut cluster, 3_000);
+    preload_split(&mut cluster, 3_000, 100);
 
     let first = cluster
         .run_until_migrated(ServerId(1), MigrationId(1), 400 * MILLISECOND)

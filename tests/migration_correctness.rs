@@ -7,8 +7,9 @@
 
 mod common;
 
-use common::{builder, standard_setup, upper, verify_all_readable, TABLE};
-use rocksteady_cluster::ControlCmd;
+use common::{test_config, verify_all_readable};
+use rocksteady_cluster::scenarios::{live_migration, preload_split, upper, TABLE};
+use rocksteady_cluster::{ClusterBuilder, ControlCmd};
 use rocksteady_common::{key_hash, MigrationId, ServerId, MILLISECOND, SECOND};
 use rocksteady_master::{OpError, TabletRole, Work};
 use rocksteady_workload::core::primary_key;
@@ -18,7 +19,7 @@ const KEYS: u64 = 4_000;
 
 #[test]
 fn migration_under_writes_preserves_every_record_and_update() {
-    let mut b = builder();
+    let mut b = ClusterBuilder::new(test_config());
     let dir = b.directory();
     // Aggressive write mix so plenty of writes race the migration.
     let mut ycsb = YcsbConfig::ycsb_b(dir, TABLE, KEYS, 30_000.0);
@@ -26,16 +27,10 @@ fn migration_under_writes_preserves_every_record_and_update() {
     b.add_ycsb(ycsb);
     b.at(
         10 * MILLISECOND,
-        ControlCmd::Migrate {
-            id: MigrationId(1),
-            table: TABLE,
-            range: upper(),
-            source: ServerId(0),
-            target: ServerId(1),
-        },
+        ControlCmd::migrate(MigrationId(1), TABLE, upper(), ServerId(0), ServerId(1)),
     );
     let mut cluster = b.build();
-    standard_setup(&mut cluster, KEYS);
+    preload_split(&mut cluster, KEYS, 100);
 
     let finished = cluster.run_until_migrated(ServerId(1), MigrationId(1), 10 * SECOND);
     assert!(finished.is_some(), "migration did not complete");
@@ -114,21 +109,8 @@ fn client_experience_recovers_after_migration() {
     // and map refreshes, but zero lost operations and no NotFound for
     // keys that exist.
     const BIG: u64 = 30_000;
-    let mut b = builder();
-    let dir = b.directory();
-    b.add_ycsb(YcsbConfig::ycsb_b(dir, TABLE, BIG, 100_000.0));
-    b.at(
-        10 * MILLISECOND,
-        ControlCmd::Migrate {
-            id: MigrationId(1),
-            table: TABLE,
-            range: upper(),
-            source: ServerId(0),
-            target: ServerId(1),
-        },
-    );
-    let mut cluster = b.build();
-    standard_setup(&mut cluster, BIG);
+    let b = ClusterBuilder::new(test_config());
+    let mut cluster = live_migration(b, BIG, 100_000.0, 10 * MILLISECOND);
     let finished = cluster
         .run_until_migrated(ServerId(1), MigrationId(1), 10 * SECOND)
         .expect("migration finished");

@@ -3,35 +3,22 @@
 
 mod common;
 
-use common::{builder, standard_setup, upper, TABLE};
-use rocksteady_cluster::{ClusterBuilder, ControlCmd};
+use common::test_config;
+use rocksteady_cluster::scenarios::{live_migration, preload_tablets, TABLE};
+use rocksteady_cluster::ClusterBuilder;
 use rocksteady_common::ids::IndexId;
 use rocksteady_common::zipf::KeyDist;
-use rocksteady_common::{HashRange, MigrationId, ServerId, MILLISECOND, SECOND};
+use rocksteady_common::{MigrationId, ServerId, MILLISECOND, SECOND};
 use rocksteady_master::Indexlet;
 use rocksteady_workload::scan::secondary_key;
-use rocksteady_workload::{ScanConfig, YcsbConfig};
+use rocksteady_workload::ScanConfig;
 
 #[test]
 fn priority_pulls_fire_and_shed_source_load() {
     const KEYS: u64 = 30_000;
-    let mut b = builder();
-    let dir = b.directory();
     // Hot Zipfian reads: the hot keys should arrive via PriorityPulls.
-    let ycsb = YcsbConfig::ycsb_b(dir, TABLE, KEYS, 150_000.0);
-    b.add_ycsb(ycsb);
-    b.at(
-        10 * MILLISECOND,
-        ControlCmd::Migrate {
-            id: MigrationId(1),
-            table: TABLE,
-            range: upper(),
-            source: ServerId(0),
-            target: ServerId(1),
-        },
-    );
-    let mut cluster = b.build();
-    standard_setup(&mut cluster, KEYS);
+    let b = ClusterBuilder::new(test_config());
+    let mut cluster = live_migration(b, KEYS, 150_000.0, 10 * MILLISECOND);
     cluster
         .run_until_migrated(ServerId(1), MigrationId(1), 10 * SECOND)
         .expect("migration completes");
@@ -56,21 +43,8 @@ fn no_priority_pull_variant_starves_reads_until_bulk_arrival() {
     const KEYS: u64 = 30_000;
     let mut cfg = common::test_config();
     cfg.migration.priority_pulls = false;
-    let mut b = ClusterBuilder::new(cfg);
-    let dir = b.directory();
-    b.add_ycsb(YcsbConfig::ycsb_b(dir, TABLE, KEYS, 150_000.0));
-    b.at(
-        10 * MILLISECOND,
-        ControlCmd::Migrate {
-            id: MigrationId(1),
-            table: TABLE,
-            range: upper(),
-            source: ServerId(0),
-            target: ServerId(1),
-        },
-    );
-    let mut cluster = b.build();
-    standard_setup(&mut cluster, KEYS);
+    let b = ClusterBuilder::new(cfg);
+    let mut cluster = live_migration(b, KEYS, 150_000.0, 10 * MILLISECOND);
     cluster
         .run_until_migrated(ServerId(1), MigrationId(1), 10 * SECOND)
         .expect("migration completes");
@@ -89,7 +63,7 @@ fn no_priority_pull_variant_starves_reads_until_bulk_arrival() {
 fn index_scans_span_split_indexlets_and_tablets() {
     const KEYS: u64 = 5_000;
     let index = IndexId(0);
-    let mut b = builder();
+    let mut b = ClusterBuilder::new(test_config());
     let dir = b.directory();
     // Index split at the median secondary key: indexlet 0 on server 1,
     // indexlet 1 on server 2; the table itself lives on server 0.
@@ -111,9 +85,7 @@ fn index_scans_span_split_indexlets_and_tablets() {
         seed: 5,
     });
     let mut cluster = b.build();
-    cluster.create_table(TABLE, &[(HashRange::full(), ServerId(0))]);
-    cluster.load_table(TABLE, KEYS, 30, 100);
-    cluster.seed_backups();
+    preload_tablets(&mut cluster, &[ServerId(0)], KEYS, 100);
 
     // Build the two indexlets and fill them with sec-key -> hash entries.
     {

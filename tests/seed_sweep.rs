@@ -5,7 +5,8 @@
 
 mod common;
 
-use common::{test_config, write_churn, TABLE};
+use common::{test_config, write_churn};
+use rocksteady_cluster::scenarios::TABLE;
 use rocksteady_cluster::ClusterConfig;
 use rocksteady_workload::core::primary_key;
 

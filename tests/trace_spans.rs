@@ -9,8 +9,9 @@ mod common;
 
 use std::collections::HashMap;
 
-use common::{standard_setup, test_config, upper, TABLE};
-use rocksteady_cluster::{Cluster, ClusterBuilder, ClusterConfig, ControlCmd};
+use common::test_config;
+use rocksteady_cluster::scenarios::{live_migration, preload_split, TABLE};
+use rocksteady_cluster::{Cluster, ClusterBuilder, ClusterConfig};
 use rocksteady_common::{MigrationId, ServerId, MILLISECOND, SECOND};
 use rocksteady_trace::Phase;
 use rocksteady_workload::YcsbConfig;
@@ -27,7 +28,7 @@ fn ycsb_cluster(cfg: ClusterConfig, keys: u64, ops_per_sec: f64) -> Cluster {
     let dir = b.directory();
     b.add_ycsb(YcsbConfig::ycsb_b(dir, TABLE, keys, ops_per_sec));
     let mut cluster = b.build();
-    standard_setup(&mut cluster, keys);
+    preload_split(&mut cluster, keys, 100);
     cluster
 }
 
@@ -129,21 +130,8 @@ fn disabled_tracing_records_nothing_and_arming_does_not_perturb() {
 /// lanes) and contains every expected phase span.
 #[test]
 fn migration_trace_validates_with_all_phases() {
-    let mut b = ClusterBuilder::new(traced_config());
-    let dir = b.directory();
-    b.add_ycsb(YcsbConfig::ycsb_b(dir, TABLE, 5_000, 40_000.0));
-    b.at(
-        5 * MILLISECOND,
-        ControlCmd::Migrate {
-            id: MigrationId(1),
-            table: TABLE,
-            range: upper(),
-            source: ServerId(0),
-            target: ServerId(1),
-        },
-    );
-    let mut cluster = b.build();
-    standard_setup(&mut cluster, 5_000);
+    let b = ClusterBuilder::new(traced_config());
+    let mut cluster = live_migration(b, 5_000, 40_000.0, 5 * MILLISECOND);
     let done = cluster.run_until_migrated(ServerId(1), MigrationId(1), 5 * SECOND);
     assert!(done.is_some(), "migration never finished");
     cluster.run_until(cluster.now() + 10 * MILLISECOND);
