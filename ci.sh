@@ -20,10 +20,15 @@
 #   5. the frozen repo benchmark still builds and self-checks
 #   6. examples smoke: quickstart clean and fault-injected, every JSON
 #      export loaded and checked by key; crash_recovery
-#   7. bench smoke: figures day_in_the_life fig05
+#   7. bench smoke: figures day_in_the_life fig05; fig04 run in two
+#      processes prints the same thing (no send order taken from a std
+#      HashMap's per-process iteration order)
 #   8. allocation gate: gather/replay migration hot path stays
 #      sub-per-record on a many-segment log; recording a trace event
-#      allocates nothing; hash-table stripes allocate on first insert
+#      allocates nothing; hash-table stripes allocate on first insert;
+#      histograms hold only what was recorded; a YCSB op costs its
+#      client one allocation
+#   9. tools/hostprof still compiles (when there is a C compiler)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -308,7 +313,25 @@ peak=$(awk -F, '$1 == "rebalanced" { print $6 }' target/figures/day_in_the_life_
 test -s target/figures/day_in_the_life_latency.csv
 head -1 target/figures/day_in_the_life_latency.csv | grep -q '^mode,t_ns,p50_ns,p999_ns$'
 
-echo "==> allocation gate: migration gather/replay path, trace recording"
+echo "==> two-process determinism: figures fig04, twice, identical output"
+# Each process seeds std's RandomState afresh, so anything that sends,
+# schedules or exports in a std HashMap's iteration order differs here
+# (ScanClient's fan-out did: the two loaded 2i+2t rows, <= 0.2 %).
+fig04() { cargo bench -q -p rocksteady-bench --bench figures -- fig04 | grep -v '^wrote '; }
+fig04 > target/fig04.first
+fig04 > target/fig04.second
+diff target/fig04.first target/fig04.second \
+    || { echo "FAIL: fig04 differs between two processes"; exit 1; }
+
+echo "==> allocation gate: gather/replay, trace recording, histograms, the YCSB client"
 cargo test -q --test alloc_gate
+
+echo "==> tools/hostprof: the sampler compiles, the fold script parses"
+if command -v cc >/dev/null; then
+    cc -Wall -Wextra -Werror -O2 -shared -fPIC -o target/hostprof.so tools/hostprof/hostprof.c
+else
+    echo "no C compiler; skipped"
+fi
+python3 -c 'import ast, sys; ast.parse(open(sys.argv[1]).read())' tools/hostprof/fold.py
 
 echo "CI OK"

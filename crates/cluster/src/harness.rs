@@ -8,7 +8,7 @@ use bytes::Bytes;
 use rocksteady::MigrationConfig;
 use rocksteady_audit::{AuditKind, AuditReport, AuditSink};
 use rocksteady_common::json::{JsonWriter, Raw};
-use rocksteady_common::zipf::{KeyDist, KeySampler};
+use rocksteady_common::zipf::KeySampler;
 use rocksteady_common::{
     key_hash, CostModel, HashRange, KeyHash, MigrationId, Nanos, ServerId, TableId, SECOND,
 };
@@ -23,6 +23,7 @@ use rocksteady_server::{Fault, MigrationRunStamps, ServerConfig, ServerNode};
 use rocksteady_simnet::{Directory, NicConfig, SchedulerKind, Simulation};
 use rocksteady_trace::journey::{self, Journey};
 use rocksteady_trace::Tracer;
+use rocksteady_workload::shape::bucket_ranks;
 use rocksteady_workload::stats::registered_client_stats;
 use rocksteady_workload::{
     ClientStatsHandle, ScanClient, ScanConfig, SpreadClient, SpreadConfig, YcsbClient, YcsbConfig,
@@ -403,8 +404,10 @@ impl ClusterBuilder {
         // perturbs every random stream while same-seed runs stay
         // bit-identical.
         let mut client_stats_handles = Vec::new();
-        // One key sampler per distinct key space, cloned into its clients.
-        let mut samplers: Vec<((u64, KeyDist), KeySampler)> = Vec::new();
+        // One key sampler and one rank-by-region table per distinct key
+        // space, cloned into its clients.
+        let mut samplers = Vec::new();
+        let mut region_ranks = Vec::new();
         for (idx, spec) in self.clients.into_iter().enumerate() {
             let stats = registered_client_stats(&metrics, idx, cfg.series_interval);
             client_stats_handles.push(Rc::clone(&stats));
@@ -416,15 +419,16 @@ impl ClusterBuilder {
             match spec {
                 ClientSpec::Ycsb(mut c) => {
                     c.seed ^= derived;
-                    let space = (c.num_keys, c.dist);
-                    let known = samplers.iter().position(|(s, _)| *s == space);
-                    let at = known.unwrap_or_else(|| {
-                        // Ranks scrambled across the key space (§4.1).
-                        samplers.push((space, KeySampler::new(c.num_keys, c.dist, true)));
-                        samplers.len() - 1
+                    // Ranks scrambled across the key space (§4.1).
+                    let sampler = shared(&mut samplers, (c.num_keys, c.dist), || {
+                        KeySampler::new(c.num_keys, c.dist, true)
+                    });
+                    let regions = (c.num_keys, c.key_len, c.shape.buckets());
+                    let ranks = shared(&mut region_ranks, regions, || {
+                        bucket_ranks(c.num_keys, c.key_len, c.shape.buckets())
                     });
                     sim.add_actor(Box::new(
-                        YcsbClient::with_sampler(c, stats, samplers[at].1.clone())
+                        YcsbClient::with_sampler(c, stats, sampler, ranks)
                             .with_trace(trace.clone())
                             .with_audit(audit.clone()),
                     ));
@@ -459,6 +463,16 @@ impl ClusterBuilder {
             cfg,
         }
     }
+}
+
+/// The value `made` under `key`, made the first time `key` is asked for
+/// and cloned out after that.
+fn shared<K: PartialEq, V: Clone>(made: &mut Vec<(K, V)>, key: K, make: impl FnOnce() -> V) -> V {
+    if let Some((_, value)) = made.iter().find(|(k, _)| *k == key) {
+        return value.clone();
+    }
+    made.push((key, make()));
+    made[made.len() - 1].1.clone()
 }
 
 /// A built cluster, ready to preload and run.

@@ -17,7 +17,19 @@ const SUB_COUNT: u64 = 1 << SUB_BITS;
 /// the last bucket. 2^62 ns ≈ 146 years of virtual time.
 const MAX_INDEX: usize = ((63 - SUB_BITS as usize) + 1) * SUB_COUNT as usize;
 
+/// Buckets are allocated in blocks of this many (one power-of-two range,
+/// 512 B), so a histogram's memory follows the spread of what it holds.
+const BLOCK: usize = SUB_COUNT as usize;
+
 /// A log-bucketed histogram of `u64` values (typically nanoseconds).
+///
+/// Only the buckets between the lowest and highest recorded value are
+/// stored, rounded out to whole [`BLOCK`]s: an empty histogram owns no
+/// heap memory, one counting to *n* owns 512 B, and a 5–100 µs latency
+/// distribution about 2.5 KB of the 29.7 KB the full range would take.
+/// A [`TimeSeries`] keeps one per interval per client and the samplers
+/// diff and clone cumulative ones every virtual millisecond, so what an
+/// untouched bucket costs is paid thousands of times a run.
 ///
 /// # Examples
 ///
@@ -33,17 +45,15 @@ const MAX_INDEX: usize = ((63 - SUB_BITS as usize) + 1) * SUB_COUNT as usize;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Histogram {
+    /// Counts of buckets `base .. base + counts.len()`; every bucket
+    /// outside holds zero. Both ends sit on [`BLOCK`] boundaries.
     counts: Vec<u64>,
+    /// Bucket index of `counts[0]` (0 while `counts` is empty).
+    base: usize,
     total: u64,
     sum: u128,
     min: u64,
     max: u64,
-    /// Lowest touched bucket index (`usize::MAX` when empty): scans
-    /// (percentile, delta, merge) walk only `[lo, hi]` instead of the
-    /// full ~3 700-bucket array — the samplers diff and rank histograms
-    /// every virtual millisecond.
-    lo: usize,
-    hi: usize,
 }
 
 impl Default for Histogram {
@@ -53,16 +63,15 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// Creates an empty histogram.
+    /// Creates an empty histogram. Allocates nothing.
     pub fn new() -> Self {
         Histogram {
-            counts: vec![0; MAX_INDEX + 1],
+            counts: Vec::new(),
+            base: 0,
             total: 0,
             sum: 0,
             min: u64::MAX,
             max: 0,
-            lo: usize::MAX,
-            hi: 0,
         }
     }
 
@@ -87,6 +96,43 @@ impl Histogram {
         }
     }
 
+    /// Largest value the bucket at `idx` can hold, given that nothing
+    /// above `max` was recorded (the top bucket has no upper edge).
+    fn bucket_high(idx: usize, max: u64) -> u64 {
+        if idx >= MAX_INDEX {
+            max
+        } else {
+            Self::bucket_low(idx + 1) - 1
+        }
+    }
+
+    /// Grows `counts` to the whole blocks covering buckets `lo..=hi`, in
+    /// one exactly-sized allocation; what was stored keeps its place.
+    #[cold]
+    fn cover(&mut self, lo: usize, hi: usize) {
+        let mut start = lo - lo % BLOCK;
+        let mut end = hi - hi % BLOCK + BLOCK;
+        if !self.counts.is_empty() {
+            start = start.min(self.base);
+            end = end.max(self.base + self.counts.len());
+        }
+        let mut grown = Vec::with_capacity(end - start);
+        grown.resize(self.base.saturating_sub(start), 0);
+        grown.extend_from_slice(&self.counts);
+        grown.resize(end - start, 0);
+        self.counts = grown;
+        self.base = start;
+    }
+
+    /// The stored count of bucket `idx`; zero for one never touched.
+    fn bucket(&self, idx: usize) -> u64 {
+        // A bucket below `base` wraps to a huge offset and misses too.
+        self.counts
+            .get(idx.wrapping_sub(self.base))
+            .copied()
+            .unwrap_or(0)
+    }
+
     /// Records one observation.
     pub fn record(&mut self, value: u64) {
         self.record_n(value, 1);
@@ -98,9 +144,10 @@ impl Histogram {
             return;
         }
         let idx = Self::index_of(value);
-        self.counts[idx] += n;
-        self.lo = self.lo.min(idx);
-        self.hi = self.hi.max(idx);
+        if idx.wrapping_sub(self.base) >= self.counts.len() {
+            self.cover(idx, idx);
+        }
+        self.counts[idx - self.base] += n;
         self.total += n;
         self.sum += value as u128 * n as u128;
         self.min = self.min.min(value);
@@ -148,24 +195,10 @@ impl Histogram {
         let q = q.clamp(0.0, 1.0);
         let target = ((q * self.total as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
-        for (idx, &c) in self
-            .counts
-            .iter()
-            .enumerate()
-            .take(self.hi + 1)
-            .skip(self.lo)
-        {
-            if c == 0 {
-                continue;
-            }
+        for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= target {
-                let hi = if idx >= MAX_INDEX {
-                    self.max
-                } else {
-                    Self::bucket_low(idx + 1).saturating_sub(1)
-                };
-                return hi.clamp(self.min, self.max);
+                return Self::bucket_high(self.base + i, self.max).clamp(self.min, self.max);
             }
         }
         self.max
@@ -184,43 +217,39 @@ impl Histogram {
     /// saturate to zero rather than underflowing.
     pub fn delta_since(&self, prev: &Histogram) -> Histogram {
         let mut out = Histogram::new();
-        let mut first = None;
-        let mut last = None;
-        if self.total > 0 {
-            // Any surplus bucket of `self` lies within `self`'s touched
-            // range; `prev`-only buckets saturate to zero regardless.
-            for idx in self.lo..=self.hi {
-                let d = self.counts[idx].saturating_sub(prev.counts[idx]);
-                if d > 0 {
-                    out.counts[idx] = d;
-                    out.total += d;
-                    first.get_or_insert(idx);
-                    last = Some(idx);
-                }
-            }
-        }
         out.sum = self.sum.saturating_sub(prev.sum);
+        // Any surplus bucket of `self` is one `self` stores; `prev`-only
+        // buckets saturate to zero regardless.
+        let surplus = |idx| self.bucket(idx).saturating_sub(prev.bucket(idx));
+        let stored = self.base..self.base + self.counts.len();
+        let first = stored.clone().find(|&idx| surplus(idx) > 0);
+        let last = stored.rev().find(|&idx| surplus(idx) > 0);
         if let (Some(first), Some(last)) = (first, last) {
-            out.lo = first;
-            out.hi = last;
+            out.cover(first, last);
+            for idx in first..=last {
+                let d = surplus(idx);
+                out.counts[idx - out.base] = d;
+                out.total += d;
+            }
             out.min = Self::bucket_low(first).max(self.min);
-            out.max = if last >= MAX_INDEX {
-                self.max
-            } else {
-                (Self::bucket_low(last + 1) - 1).min(self.max)
-            };
+            out.max = Self::bucket_high(last, self.max).min(self.max);
         }
         out
     }
 
     /// Adds all observations from `other` into `self`.
     pub fn merge(&mut self, other: &Histogram) {
-        if other.total > 0 {
-            for idx in other.lo..=other.hi {
-                self.counts[idx] += other.counts[idx];
+        let first = other.counts.iter().position(|&c| c > 0);
+        let last = other.counts.iter().rposition(|&c| c > 0);
+        if let (Some(first), Some(last)) = (first, last) {
+            let (lo, hi) = (other.base + first, other.base + last);
+            if lo < self.base || hi >= self.base + self.counts.len() {
+                self.cover(lo, hi);
             }
-            self.lo = self.lo.min(other.lo);
-            self.hi = self.hi.max(other.hi);
+            let mine = &mut self.counts[lo - self.base..];
+            for (count, add) in mine.iter_mut().zip(&other.counts[first..=last]) {
+                *count += add;
+            }
             self.min = self.min.min(other.min);
             self.max = self.max.max(other.max);
         }
@@ -228,17 +257,9 @@ impl Histogram {
         self.sum += other.sum;
     }
 
-    /// Discards all observations.
+    /// Discards all observations, and the memory that held them.
     pub fn clear(&mut self) {
-        if self.total > 0 {
-            self.counts[self.lo..=self.hi].fill(0);
-        }
-        self.total = 0;
-        self.sum = 0;
-        self.min = u64::MAX;
-        self.max = 0;
-        self.lo = usize::MAX;
-        self.hi = 0;
+        *self = Histogram::new();
     }
 }
 
@@ -314,9 +335,171 @@ impl TimeSeries {
     }
 }
 
+/// The histogram as it was before it stored only what was recorded: all
+/// 3 713 buckets up front, scans bounded by the touched range. Kept as
+/// the reference the differential tests drive [`Histogram`] against.
+#[cfg(test)]
+mod dense {
+    use super::{Histogram, MAX_INDEX};
+
+    #[derive(Clone)]
+    pub struct Dense {
+        counts: Vec<u64>,
+        total: u64,
+        sum: u128,
+        min: u64,
+        max: u64,
+        lo: usize,
+        hi: usize,
+    }
+
+    impl Dense {
+        pub fn new() -> Self {
+            Dense {
+                counts: vec![0; MAX_INDEX + 1],
+                total: 0,
+                sum: 0,
+                min: u64::MAX,
+                max: 0,
+                lo: usize::MAX,
+                hi: 0,
+            }
+        }
+
+        pub fn record_n(&mut self, value: u64, n: u64) {
+            if n == 0 {
+                return;
+            }
+            let idx = Histogram::index_of(value);
+            self.counts[idx] += n;
+            self.lo = self.lo.min(idx);
+            self.hi = self.hi.max(idx);
+            self.total += n;
+            self.sum += value as u128 * n as u128;
+            self.min = self.min.min(value);
+            self.max = self.max.max(value);
+        }
+
+        pub fn count(&self) -> u64 {
+            self.total
+        }
+
+        pub fn min(&self) -> u64 {
+            if self.total == 0 {
+                0
+            } else {
+                self.min
+            }
+        }
+
+        pub fn max(&self) -> u64 {
+            self.max
+        }
+
+        pub fn mean(&self) -> f64 {
+            if self.total == 0 {
+                0.0
+            } else {
+                self.sum as f64 / self.total as f64
+            }
+        }
+
+        pub fn percentile(&self, q: f64) -> u64 {
+            if self.total == 0 {
+                return 0;
+            }
+            let q = q.clamp(0.0, 1.0);
+            let target = ((q * self.total as f64).ceil() as u64).max(1);
+            let mut seen = 0u64;
+            for (idx, &c) in self
+                .counts
+                .iter()
+                .enumerate()
+                .take(self.hi + 1)
+                .skip(self.lo)
+            {
+                if c == 0 {
+                    continue;
+                }
+                seen += c;
+                if seen >= target {
+                    let hi = if idx >= MAX_INDEX {
+                        self.max
+                    } else {
+                        Histogram::bucket_low(idx + 1).saturating_sub(1)
+                    };
+                    return hi.clamp(self.min, self.max);
+                }
+            }
+            self.max
+        }
+
+        pub fn sum_saturating(&self) -> u64 {
+            u64::try_from(self.sum).unwrap_or(u64::MAX)
+        }
+
+        pub fn delta_since(&self, prev: &Dense) -> Dense {
+            let mut out = Dense::new();
+            let mut first = None;
+            let mut last = None;
+            if self.total > 0 {
+                for idx in self.lo..=self.hi {
+                    let d = self.counts[idx].saturating_sub(prev.counts[idx]);
+                    if d > 0 {
+                        out.counts[idx] = d;
+                        out.total += d;
+                        first.get_or_insert(idx);
+                        last = Some(idx);
+                    }
+                }
+            }
+            out.sum = self.sum.saturating_sub(prev.sum);
+            if let (Some(first), Some(last)) = (first, last) {
+                out.lo = first;
+                out.hi = last;
+                out.min = Histogram::bucket_low(first).max(self.min);
+                out.max = if last >= MAX_INDEX {
+                    self.max
+                } else {
+                    (Histogram::bucket_low(last + 1) - 1).min(self.max)
+                };
+            }
+            out
+        }
+
+        pub fn merge(&mut self, other: &Dense) {
+            if other.total > 0 {
+                for idx in other.lo..=other.hi {
+                    self.counts[idx] += other.counts[idx];
+                }
+                self.lo = self.lo.min(other.lo);
+                self.hi = self.hi.max(other.hi);
+                self.min = self.min.min(other.min);
+                self.max = self.max.max(other.max);
+            }
+            self.total += other.total;
+            self.sum += other.sum;
+        }
+
+        pub fn clear(&mut self) {
+            if self.total > 0 {
+                self.counts[self.lo..=self.hi].fill(0);
+            }
+            self.total = 0;
+            self.sum = 0;
+            self.min = u64::MAX;
+            self.max = 0;
+            self.lo = usize::MAX;
+            self.hi = 0;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::dense::Dense;
     use super::*;
+    use crate::rng::Prng;
 
     #[test]
     fn empty_histogram() {
@@ -435,6 +618,107 @@ mod tests {
         assert_eq!(z.percentile(0.999), 0);
     }
 
+    /// Every observable of `h` equals the dense reference's, and `h`
+    /// stores whole blocks whose first and last each hold something.
+    fn assert_same(h: &Histogram, d: &Dense, what: &str) {
+        assert_eq!(h.count(), d.count(), "{what}: count");
+        assert_eq!(h.min(), d.min(), "{what}: min");
+        assert_eq!(h.max(), d.max(), "{what}: max");
+        assert_eq!(h.mean().to_bits(), d.mean().to_bits(), "{what}: mean");
+        assert_eq!(h.sum_saturating(), d.sum_saturating(), "{what}: sum");
+        for q in [0.0, 0.5, 0.999, 1.0] {
+            assert_eq!(h.percentile(q), d.percentile(q), "{what}: percentile({q})");
+        }
+        assert_eq!(h.base % BLOCK, 0, "{what}: base off a block boundary");
+        assert_eq!(h.counts.len() % BLOCK, 0, "{what}: a partial block");
+        for edge in [h.counts.chunks(BLOCK).next(), h.counts.chunks(BLOCK).last()] {
+            let held = edge.map_or(1, |block| block.iter().sum::<u64>());
+            assert!(held > 0, "{what}: an edge block holds nothing");
+        }
+    }
+
+    /// A value from one of the regimes the histogram sees: exact unit
+    /// buckets, client latencies, anything at all, the saturating top
+    /// bucket, and the largest value there is.
+    fn any_value(rng: &mut Prng) -> u64 {
+        match rng.next_below(8) {
+            0 => rng.next_below(SUB_COUNT),
+            1..=3 => rng.next_range(5_000, 100_000),
+            4 | 5 => rng.next_u64() >> rng.next_below(64),
+            6 => (1 << 62) + (rng.next_u64() >> 2),
+            _ => u64::MAX,
+        }
+    }
+
+    #[test]
+    fn random_interleavings_match_the_dense_reference() {
+        const SLOTS: u64 = 4;
+        for seed in 0..10 {
+            let mut rng = Prng::new(seed);
+            let mut cur: Vec<(Histogram, Dense)> = (0..SLOTS)
+                .map(|_| (Histogram::new(), Dense::new()))
+                .collect();
+            // Earlier states to diff against: some are a slot's own past
+            // (shorter than it is now), some another slot's, some were
+            // taken before a clear (longer than what replaced them).
+            let mut snaps = cur.clone();
+            for step in 0..1_000 {
+                let at = rng.next_below(SLOTS) as usize;
+                let other = rng.next_below(SLOTS) as usize;
+                let what = format!("seed {seed} step {step}");
+                match rng.next_below(16) {
+                    0..=8 => {
+                        let (value, n) = (any_value(&mut rng), rng.next_below(4));
+                        cur[at].0.record_n(value, n);
+                        cur[at].1.record_n(value, n);
+                    }
+                    9 | 10 => {
+                        let (h, d) = cur[other].clone();
+                        cur[at].0.merge(&h);
+                        cur[at].1.merge(&d);
+                    }
+                    11 => snaps[at] = cur[other].clone(),
+                    12..=14 => {
+                        let delta = (
+                            cur[at].0.delta_since(&snaps[other].0),
+                            cur[at].1.delta_since(&snaps[other].1),
+                        );
+                        assert_same(&delta.0, &delta.1, &format!("{what}: delta"));
+                        // Deltas flow on into merges and further deltas.
+                        if rng.next_below(4) == 0 {
+                            cur[other] = delta;
+                        }
+                    }
+                    _ => {
+                        cur[at].0.clear();
+                        cur[at].1.clear();
+                    }
+                }
+                assert_same(&cur[at].0, &cur[at].1, &what);
+                assert_same(&cur[other].0, &cur[other].1, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn empty_histograms_own_no_buckets() {
+        let mut h = Histogram::new();
+        assert_eq!(h.counts.capacity(), 0);
+        h.record_n(7, 0);
+        h.merge(&Histogram::new());
+        assert_eq!(h.delta_since(&Histogram::new()).counts.capacity(), 0);
+        assert_eq!(h.counts.capacity(), 0);
+        // Counting to n costs one block, a 5–100 µs spread six.
+        h.record_n(1, 1_000);
+        assert_eq!(h.counts.capacity(), BLOCK);
+        let mut lat = Histogram::new();
+        lat.record(5_000);
+        lat.record(100_000);
+        assert_eq!((lat.base, lat.counts.capacity()), (7 * BLOCK, 5 * BLOCK));
+        lat.clear();
+        assert_eq!(lat.counts.capacity(), 0);
+    }
+
     #[test]
     fn timeseries_slices_by_interval() {
         let mut ts = TimeSeries::new(1_000);
@@ -456,5 +740,26 @@ mod tests {
             ts.record(i % 100, i);
         }
         assert_eq!(ts.merged().count(), 1_000);
+    }
+
+    #[test]
+    fn timeseries_merged_over_uneven_slots_matches_the_reference() {
+        let mut rng = Prng::new(7);
+        let mut ts = TimeSeries::new(1_000);
+        let mut reference = Dense::new();
+        for _ in 0..5_000 {
+            // Most intervals see a narrow band; a few see everything.
+            let at = rng.next_below(40_000);
+            let value = if at % 7_000 < 1_000 {
+                any_value(&mut rng)
+            } else {
+                rng.next_range(5_000, 9_000)
+            };
+            ts.record(at, value);
+            reference.record_n(value, 1);
+        }
+        let lens: Vec<usize> = ts.iter().map(|(_, h)| h.counts.len()).collect();
+        assert!(lens.contains(&(2 * BLOCK)) && lens.iter().any(|&l| l > 10 * BLOCK));
+        assert_same(&ts.merged(), &reference, "merged");
     }
 }

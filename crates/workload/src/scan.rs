@@ -7,7 +7,7 @@
 //! *cluster-wide dispatch load* depends on how many servers the second
 //! step fans out to — which is exactly the trade-off Figure 4 sweeps.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use bytes::Bytes;
 use rocksteady_common::ids::IndexId;
@@ -171,8 +171,10 @@ impl ScanClient {
             return;
         }
         // Group the hashes by current tablet owner (Figure 2: the number
-        // of backing tablets dictates the fan-out).
-        let mut by_owner: HashMap<ServerId, Vec<KeyHash>> = HashMap::new();
+        // of backing tablets dictates the fan-out). Ordered, because the
+        // fetches go out in this map's order and a send order that
+        // differs between processes is a different run.
+        let mut by_owner: BTreeMap<ServerId, Vec<KeyHash>> = BTreeMap::new();
         for h in hashes {
             let Some(owner) = self.core.owner_of(h) else {
                 continue;

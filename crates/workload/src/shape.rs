@@ -13,7 +13,11 @@
 //! Shapes are pure functions of virtual time, so shaped workloads stay
 //! bit-deterministic per seed.
 
-use rocksteady_common::{KeyHash, Nanos};
+use std::rc::Rc;
+
+use rocksteady_common::{key_hash, KeyHash, Nanos};
+
+use crate::core::write_primary_key;
 
 /// How a client's offered load moves across the hash space over time.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -92,6 +96,24 @@ impl LoadShape {
 pub fn hash_bucket(hash: KeyHash, buckets: u32) -> u32 {
     let width = (1u128 << 64) / u128::from(buckets.max(1));
     ((u128::from(hash) / width) as u32).min(buckets.saturating_sub(1))
+}
+
+/// The ranks `0..num_keys` grouped by the region ([`hash_bucket`]) their
+/// primary key hashes into, one list per region in rank order — what a
+/// shaped client draws a hot arrival from. Empty when there are no
+/// regions ([`LoadShape::Steady`]). Formats and hashes every key of the
+/// key space, hence shared.
+pub fn bucket_ranks(num_keys: u64, key_len: usize, buckets: Option<u32>) -> Rc<[Vec<u64>]> {
+    let Some(buckets) = buckets else {
+        return Rc::new([]);
+    };
+    let mut by_bucket = vec![Vec::new(); buckets as usize];
+    let mut key = Vec::new();
+    for rank in 0..num_keys {
+        write_primary_key(rank, key_len, &mut key);
+        by_bucket[hash_bucket(key_hash(&key), buckets) as usize].push(rank);
+    }
+    by_bucket.into()
 }
 
 #[cfg(test)]

@@ -8,6 +8,8 @@
 //! backlogged demand reappears as the post-migration throughput spike the
 //! paper shows in Figure 9.
 
+use std::rc::Rc;
+
 use bytes::Bytes;
 use rocksteady_audit::{AuditKind, AuditSink};
 use rocksteady_common::rng::Prng;
@@ -18,8 +20,8 @@ use rocksteady_proto::{Body, Envelope, Request, Response, Status};
 use rocksteady_simnet::{Actor, Ctx, Directory, Event};
 use rocksteady_trace::Tracer;
 
-use crate::core::{primary_key, ClientCore};
-use crate::shape::{hash_bucket, LoadShape};
+use crate::core::{write_primary_key, ClientCore};
+use crate::shape::LoadShape;
 use crate::stats::ClientStatsHandle;
 
 const TOK_ARRIVAL: u64 = 1;
@@ -85,6 +87,10 @@ enum OpKind {
 struct Op {
     kind: OpKind,
     rank: u64,
+    /// The serialized key and its hash, built once when the operation
+    /// arrives; every attempt re-sends this same `Bytes`.
+    key: Bytes,
+    hash: KeyHash,
     started: Nanos,
     issued: Nanos,
     rpc: Option<RpcId>,
@@ -106,14 +112,13 @@ pub struct YcsbClient {
     ops: FxHashMap<u64, Op>,
     rpc_to_op: FxHashMap<RpcId, u64>,
     waiting_for_map: Vec<u64>,
-    /// Memoized `rank -> (hash, serialized key)`. Zipfian traffic revisits
-    /// hot ranks constantly; caching turns two heap allocations plus a
-    /// key hash per issue into a map probe and an `Arc` bump.
-    key_cache: FxHashMap<u64, (KeyHash, Bytes)>,
-    /// Ranks grouped by hash region, precomputed when the load shape
-    /// targets regions (empty for [`LoadShape::Steady`]). Lets a shaped
-    /// arrival pick uniformly inside the hot region in O(1).
-    bucket_ranks: Vec<Vec<u64>>,
+    /// Scratch the next operation's key is formatted into before it is
+    /// copied, in one allocation, into the operation's `Bytes`.
+    key_buf: Vec<u8>,
+    /// Ranks grouped by hash region ([`crate::shape::bucket_ranks`];
+    /// empty for [`LoadShape::Steady`]). Lets a shaped arrival pick
+    /// uniformly inside the hot region in O(1).
+    bucket_ranks: Rc<[Vec<u64>]>,
     next_op: u64,
     pending_arrivals: u64,
     value: Bytes,
@@ -129,37 +134,34 @@ pub struct YcsbClient {
 }
 
 impl YcsbClient {
-    /// Creates a client; `stats` is shared with the harness, `sampler`
-    /// draws from `cfg`'s `(num_keys, dist)`: building one computes
-    /// `zeta(n, θ)` — `n` `powf` calls — so a harness with many clients
-    /// over one key space builds it once and hands out clones.
-    pub fn with_sampler(cfg: YcsbConfig, stats: ClientStatsHandle, sampler: KeySampler) -> Self {
+    /// Creates a client; `stats` is shared with the harness. `sampler`
+    /// draws from `cfg`'s `(num_keys, dist)` and `bucket_ranks` is
+    /// [`crate::shape::bucket_ranks`] of its key space and shape: the
+    /// first computes `zeta(n, θ)` — `n` `powf` calls — and the second
+    /// formats and hashes every key, so a harness with many clients over
+    /// one key space builds each once and hands out clones.
+    pub fn with_sampler(
+        cfg: YcsbConfig,
+        stats: ClientStatsHandle,
+        sampler: KeySampler,
+        bucket_ranks: Rc<[Vec<u64>]>,
+    ) -> Self {
         debug_assert_eq!(sampler.domain(), cfg.num_keys);
+        debug_assert_eq!(
+            bucket_ranks.len(),
+            cfg.shape.buckets().unwrap_or(0) as usize
+        );
         let rng = Prng::new(cfg.seed);
         let value = Bytes::from(vec![0xabu8; cfg.value_len]);
-        let bucket_ranks = match cfg.shape.buckets() {
-            None => Vec::new(),
-            Some(buckets) => {
-                let mut by_bucket = vec![Vec::new(); buckets as usize];
-                for rank in 0..cfg.num_keys {
-                    let hash = key_hash(&primary_key(rank, cfg.key_len));
-                    by_bucket[hash_bucket(hash, buckets) as usize].push(rank);
-                }
-                by_bucket
-            }
-        };
         YcsbClient {
             core: ClientCore::new(cfg.dir.clone(), cfg.table),
             stats,
             sampler,
             rng,
-            ops: FxHashMap::with_capacity_and_hasher(2 * cfg.max_outstanding, Default::default()),
-            rpc_to_op: FxHashMap::with_capacity_and_hasher(
-                2 * cfg.max_outstanding,
-                Default::default(),
-            ),
+            ops: FxHashMap::default(),
+            rpc_to_op: FxHashMap::default(),
             waiting_for_map: Vec::new(),
-            key_cache: FxHashMap::default(),
+            key_buf: Vec::new(),
             bucket_ranks,
             next_op: 1,
             pending_arrivals: 0,
@@ -186,11 +188,6 @@ impl YcsbClient {
         self
     }
 
-    /// The cached key hash for `rank` (populated by the first issue).
-    fn hash_of(&self, rank: u64) -> Option<KeyHash> {
-        self.key_cache.get(&rank).map(|(h, _)| *h)
-    }
-
     fn arm_arrival(&mut self, ctx: &mut Ctx<'_, Envelope>) {
         let mean = 1e9 / self.cfg.ops_per_sec;
         let gap = self.rng.next_exp(mean).max(1.0) as Nanos;
@@ -206,6 +203,7 @@ impl YcsbClient {
                 OpKind::Write
             };
             let rank = self.sample_rank(ctx.now());
+            write_primary_key(rank, self.cfg.key_len, &mut self.key_buf);
             let id = self.next_op;
             self.next_op += 1;
             self.ops.insert(
@@ -213,6 +211,8 @@ impl YcsbClient {
                 Op {
                     kind,
                     rank,
+                    key: Bytes::copy_from_slice(&self.key_buf),
+                    hash: key_hash(&self.key_buf),
                     started: ctx.now(),
                     issued: 0,
                     rpc: None,
@@ -241,16 +241,7 @@ impl YcsbClient {
         let Some(op) = self.ops.get(&op_id) else {
             return;
         };
-        let (hash, key) = match self.key_cache.get(&op.rank) {
-            Some((h, k)) => (*h, k.clone()),
-            None => {
-                let raw = primary_key(op.rank, self.cfg.key_len);
-                let h = key_hash(&raw);
-                let k = Bytes::from(raw);
-                self.key_cache.insert(op.rank, (h, k.clone()));
-                (h, k)
-            }
-        };
+        let hash = op.hash;
         let Some(owner) = self.core.owner_of(hash) else {
             self.waiting_for_map.push(op_id);
             self.core.request_map(ctx);
@@ -261,12 +252,12 @@ impl YcsbClient {
         let req = match op.kind {
             OpKind::Read => Request::Read {
                 table: self.cfg.table,
-                key,
+                key: op.key.clone(),
                 key_hash: hash,
             },
             OpKind::Write => Request::Write {
                 table: self.cfg.table,
-                key,
+                key: op.key.clone(),
                 key_hash: hash,
                 value: self.value.clone(),
             },
@@ -339,9 +330,7 @@ impl YcsbClient {
         let Some(op) = self.ops.get(&op_id) else {
             return;
         };
-        let Some(hash) = self.hash_of(op.rank) else {
-            return;
-        };
+        let hash = op.hash;
         let Some(&(_, confirmed_at)) = self.confirmed.get(&hash) else {
             return;
         };
@@ -366,20 +355,19 @@ impl YcsbClient {
                         .confirmed_writes
                         .push((op.rank, version));
                     if self.audit.is_on() {
-                        if let Some(hash) = self.hash_of(op.rank) {
-                            let entry = self.confirmed.entry(hash).or_insert((0, 0));
-                            if version > entry.0 {
-                                *entry = (version, ctx.now());
-                            }
-                            self.audit.emit(
-                                ctx.now(),
-                                AuditKind::ClientWrite {
-                                    client: ctx.self_id() as u64,
-                                    hash,
-                                    version,
-                                },
-                            );
+                        let hash = op.hash;
+                        let entry = self.confirmed.entry(hash).or_insert((0, 0));
+                        if version > entry.0 {
+                            *entry = (version, ctx.now());
                         }
+                        self.audit.emit(
+                            ctx.now(),
+                            AuditKind::ClientWrite {
+                                client: ctx.self_id() as u64,
+                                hash,
+                                version,
+                            },
+                        );
                     }
                 }
                 self.complete(ctx, op_id, true);

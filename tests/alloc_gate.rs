@@ -20,18 +20,31 @@
 //! The trace layer has the same shape of promise: an armed tracer copies
 //! each event into a ring and an args arena it already owns, a disarmed
 //! one does nothing, so neither allocates per event.
+//!
+//! The measuring apparatus makes two more: a histogram owns only the
+//! buckets between the values it was given, so the thousands a run keeps
+//! (one per interval per series per client) cost what they hold; and a
+//! YCSB operation costs its client one allocation — the key — however
+//! many distinct keys the client has touched.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use rocksteady::PULL_BUDGET_BYTES;
-use rocksteady_common::{key_hash, HashRange, ScanCursor, TableId};
+use rocksteady_common::zipf::KeySampler;
+use rocksteady_common::{
+    key_hash, HashRange, Histogram, ScanCursor, ServerId, TableId, TimeSeries, SECOND,
+};
 use rocksteady_hashtable::{HashTable, MAX_BUCKETS_PER_STRIPE};
 use rocksteady_logstore::{LogConfig, LogRef};
 use rocksteady_master::{MasterConfig, MasterService, ReplayDest, TabletRole, Work};
+use rocksteady_proto::{Body, Envelope, Request, Response, TabletDescriptor, TabletState};
+use rocksteady_simnet::{Actor, Ctx, Directory, Event, NicConfig, SchedulerKind, Simulation};
 use rocksteady_trace::Tracer;
 use rocksteady_workload::core::primary_key;
+use rocksteady_workload::shape::bucket_ranks;
+use rocksteady_workload::{client_stats, YcsbClient, YcsbConfig};
 
 struct Counting;
 
@@ -282,4 +295,131 @@ fn hash_table_allocates_a_stripe_on_its_first_insert() {
         grown < (stripes / 2 + 1) * stripe_bytes,
         "upper-half table allocated {grown} bytes, over half of {stripes} stripes of {stripe_bytes}"
     );
+}
+
+/// A histogram's memory follows what it holds: nothing when empty, and
+/// the intervals a series skips are empty.
+#[test]
+fn histograms_allocate_only_for_what_they_hold() {
+    let _turn = exclusive();
+
+    let before = allocs();
+    let empty = Histogram::new();
+    assert_eq!(allocs() - before, 0, "an empty histogram allocated");
+    drop(empty);
+
+    // One 5 µs sample: a block or so, not the 29.7 KB full range.
+    let mut slot = Histogram::new();
+    let before = bytes();
+    slot.record(5_000);
+    let one_sample = bytes() - before;
+    assert!(
+        (1..=8 << 10).contains(&one_sample),
+        "a one-sample histogram allocated {one_sample} bytes"
+    );
+
+    // A record that lands 1 000 intervals on materialises the slots
+    // between — their structs, in the series' own vector — and bucket
+    // storage for none of them: just the recorded slot's, as above.
+    let mut series = TimeSeries::new(1_000);
+    series.record(0, 5_000);
+    let before = bytes();
+    series.record(1_001_000, 5_000);
+    let skipped = bytes() - before;
+    assert_eq!(series.len(), 1_002);
+    let slots = 2 * 1_002 * std::mem::size_of::<Histogram>() as u64;
+    assert!(
+        skipped <= slots + one_sample,
+        "skipping 1 000 intervals allocated {skipped} bytes, over {slots} of slots + {one_sample}"
+    );
+}
+
+/// Coordinator and server in one: hands out a map that names itself the
+/// owner of everything and answers every read with the key it asked
+/// for, allocating nothing per request.
+struct ReadStub;
+
+impl Actor<Envelope> for ReadStub {
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+
+    fn on_event(&mut self, ctx: &mut Ctx<'_, Envelope>, event: Event<Envelope>) {
+        let Event::Message { src, payload } = event else {
+            return;
+        };
+        let resp = match payload.body {
+            Body::Req(Request::GetTabletMap) => Response::TabletMapOk {
+                tablets: vec![TabletDescriptor {
+                    table: T,
+                    range: HashRange::full(),
+                    owner: ServerId(0),
+                    state: TabletState::Normal,
+                }],
+            },
+            Body::Req(Request::Read { key, .. }) => Response::ReadOk {
+                value: key,
+                version: 1,
+            },
+            _ => return,
+        };
+        ctx.send(src, Envelope::resp(payload.rpc, resp).with_ctx(payload.ctx));
+    }
+}
+
+/// A YCSB read costs its client exactly one allocation, the key's
+/// `Bytes`: nothing per attempt, nothing per distinct rank (there is no
+/// key table to grow), nothing per latency sample once the histogram
+/// covers the one latency the stub produces.
+#[test]
+fn a_ycsb_read_costs_the_client_one_allocation() {
+    const KEYS: u64 = 1_000_000;
+    let _turn = exclusive();
+    let mut dir = Directory::default();
+    dir.servers.insert(ServerId(0), 0);
+    let mut cfg = YcsbConfig::ycsb_b(dir, T, KEYS, 100_000.0);
+    cfg.read_fraction = 1.0;
+    // One interval for the whole run: a new interval is a new histogram,
+    // which is the series' allocation and not the operation's.
+    let stats = client_stats(1_000 * SECOND);
+    let sampler = KeySampler::new(KEYS, cfg.dist, true);
+    let ranks = bucket_ranks(KEYS, cfg.key_len, cfg.shape.buckets());
+    // The reference scheduler: a heap's storage stops growing once the
+    // pending timeouts level off, where the calendar wheel goes on
+    // giving slots their first capacity for a simulated second.
+    let mut sim: Simulation<Envelope> =
+        Simulation::with_scheduler(NicConfig::default(), 7, SchedulerKind::BinaryHeap);
+    sim.add_actor(Box::new(ReadStub));
+    sim.add_actor(Box::new(YcsbClient::with_sampler(
+        cfg,
+        stats.clone(),
+        sampler,
+        ranks,
+    )));
+
+    let mut issued_by = |target: u64| {
+        while stats.borrow().read_attempts.get() < target {
+            assert!(sim.step(), "the client stopped issuing");
+        }
+        (stats.borrow().read_attempts.get(), allocs())
+    };
+    // Warm until the 10 ms RPC timeouts pending have levelled off (at
+    // 1 000) and every table that holds them has stopped doubling.
+    let (warm, a0) = issued_by(3_000);
+    let (half, a1) = issued_by(8_000);
+    let (full, a2) = issued_by(13_000);
+    // One per read, plus at most a handful for what grows by doubling
+    // or by the block (the event slab, a histogram meeting a new
+    // latency): a per-rank or per-attempt cost would add thousands.
+    for (what, allocated, reads) in [
+        ("first", a1 - a0, half - warm),
+        ("second", a2 - a1, full - half),
+    ] {
+        assert!(
+            (reads..=reads + 8).contains(&allocated),
+            "{what} 5 000 reads: {allocated} allocations for {reads} reads"
+        );
+    }
+    assert_eq!(stats.borrow().retries.get(), 0);
+    assert!(stats.borrow().read_hist.with(|h| h.count()) >= 10_000);
 }
