@@ -174,8 +174,9 @@ pub struct ClusterBuilder {
 
 impl ClusterBuilder {
     /// Starts building; actor ids are assigned deterministically
-    /// (coordinator, then servers, control, sampler, then clients), so
-    /// the [`Directory`] is available immediately for client configs.
+    /// (coordinator, then servers, control, sampler, SLO monitor,
+    /// watchdog, the rebalancer when armed, then clients), so the
+    /// [`Directory`] is available immediately for client configs.
     pub fn new(cfg: ClusterConfig) -> Self {
         let mut dir = Directory {
             coordinator: 0,

@@ -68,24 +68,6 @@ impl UtilSeries {
             sum / f64::from(n)
         }
     }
-
-    /// Warnings about anomalies in the collected series — one per
-    /// clamped (overcommitted) dispatch window. Empty means clean;
-    /// non-empty means dispatch utilization of those windows reads 1.0
-    /// but the core was double-charged (see
-    /// `node_dispatch_overcommit_total` for the same signal as a
-    /// counter).
-    pub fn validate(&self) -> Vec<String> {
-        self.overcommit
-            .iter()
-            .map(|(server, at, excess)| {
-                format!(
-                    "dispatch overcommitted by {excess} ns on server {}                      in the window starting at {at} (clamped to 1.0)",
-                    server.0
-                )
-            })
-            .collect()
-    }
 }
 
 /// Shared handle to the collected series.
@@ -174,7 +156,7 @@ impl SamplerActor {
             // boundary lands in the next window) and structurally (the
             // model double-books the core). Clamp to [0, 1] for the
             // figures, but surface every clamped window as a counter
-            // bump and a validate() warning instead of hiding it.
+            // bump and an `overcommit` entry instead of hiding it.
             let dispatch = if w.dispatch > self.interval {
                 self.registry
                     .counter(
@@ -288,8 +270,8 @@ mod tests {
     /// Dispatch is one core: a busy charge posted at a tick boundary can
     /// land in the next window, so the ratio is clamped to [0, 1] — but
     /// no longer silently: the clamp bumps the overcommit counter and
-    /// leaves a validate() warning. Worker cores are deliberately not
-    /// clamped (W cores).
+    /// records the window in `overcommit`. Worker cores are deliberately
+    /// not clamped (W cores).
     #[test]
     fn dispatch_utilization_is_clamped_to_unit_and_counted() {
         let reg = Registry::new();
@@ -305,9 +287,6 @@ mod tests {
         // The clamp is visible, not silent.
         assert_eq!(stats.dispatch_overcommit.get(), 1);
         assert_eq!(util.overcommit, vec![(ServerId(0), 0, 2 * MILLISECOND)]);
-        let warnings = util.validate();
-        assert_eq!(warnings.len(), 1);
-        assert!(warnings[0].contains("overcommitted by"), "{}", warnings[0]);
     }
 
     /// An in-bounds window neither counts nor warns.
@@ -319,7 +298,7 @@ mod tests {
         stats.dispatch_busy_ns.add(MILLISECOND / 2);
         s.sample(MILLISECOND);
         assert_eq!(stats.dispatch_overcommit.get(), 0);
-        assert!(out.borrow().validate().is_empty());
+        assert!(out.borrow().overcommit.is_empty());
     }
 
     /// `capture` gates only the snapshot buffer; the utilization series

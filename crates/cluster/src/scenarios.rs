@@ -3,7 +3,7 @@
 //! One table of 30 B keys, cut into equal tablets of the hash space and
 //! preloaded as if it had been written through the replicated write
 //! path. This is the only file that says what the migrating range is
-//! and how a preload is ordered (`ci.sh` checks); a caller that needs a
+//! and how a preload is ordered (`tests/structure.rs` checks); a caller that needs a
 //! different topology, client mix or script still calls
 //! [`ClusterBuilder`], and one that needs a different preload adds it
 //! here.

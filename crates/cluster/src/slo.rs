@@ -203,8 +203,9 @@ impl SloMonitor {
         report.at = now;
         report.window_reads = window.count();
         if window.count() == 0 {
-            // Nothing completed: leave the last percentiles in place and
-            // never count a breach (no client observed anything).
+            // Nothing completed: the window's percentiles read 0, the
+            // gauges keep their last values, and no breach is counted
+            // (no client observed anything).
             report.p50 = 0;
             report.p999 = 0;
             drop(report);

@@ -10,6 +10,12 @@
 //! or value at the current position needs a leading comma, which is
 //! enough because opening a container clears it and writing a value or
 //! closing a container sets it.
+//!
+//! Debug builds also check nesting: a close must match the innermost
+//! open container, a key may only sit directly inside an object, and a
+//! finished document has nothing left open. So every export a debug
+//! test writes is checked as it is built, with no reader; release
+//! builds carry none of it.
 
 /// A value [`JsonWriter`] knows how to serialize.
 pub trait JsonValue {
@@ -204,6 +210,41 @@ impl<T: JsonValue + ?Sized> JsonValue for &T {
 pub struct JsonWriter {
     out: String,
     need_comma: bool,
+    #[cfg(debug_assertions)]
+    nesting: Nesting,
+}
+
+/// The open containers as a stack of bits, innermost in bit 0
+/// (1 = object): 64 levels, far deeper than any export goes.
+#[cfg(debug_assertions)]
+#[derive(Debug, Default)]
+struct Nesting {
+    objects: u64,
+    depth: u32,
+}
+
+#[cfg(debug_assertions)]
+impl Nesting {
+    fn push(&mut self, object: bool) {
+        assert!(self.depth < u64::BITS, "JSON nested deeper than 64");
+        self.objects = self.objects << 1 | u64::from(object);
+        self.depth += 1;
+    }
+
+    fn pop(&mut self, object: bool) {
+        assert!(self.depth > 0, "JSON close with nothing open");
+        assert_eq!(
+            self.in_object(),
+            object,
+            "JSON close does not match the innermost open container"
+        );
+        self.objects >>= 1;
+        self.depth -= 1;
+    }
+
+    fn in_object(&self) -> bool {
+        self.depth > 0 && self.objects & 1 == 1
+    }
 }
 
 impl JsonWriter {
@@ -218,12 +259,14 @@ impl JsonWriter {
     pub fn with_capacity(bytes: usize) -> Self {
         JsonWriter {
             out: String::with_capacity(bytes),
-            need_comma: false,
+            ..JsonWriter::default()
         }
     }
 
     #[inline]
     fn open(&mut self, c: char) -> &mut Self {
+        #[cfg(debug_assertions)]
+        self.nesting.push(c == '{');
         if self.need_comma {
             self.out.push(',');
         }
@@ -234,6 +277,8 @@ impl JsonWriter {
 
     #[inline]
     fn close(&mut self, c: char) -> &mut Self {
+        #[cfg(debug_assertions)]
+        self.nesting.pop(c == '}');
         self.out.push(c);
         self.need_comma = true;
         self
@@ -263,6 +308,11 @@ impl JsonWriter {
     /// Writes `"key":`; the next call supplies the value.
     #[inline(always)]
     pub fn key(&mut self, key: &str) -> &mut Self {
+        #[cfg(debug_assertions)]
+        assert!(
+            self.nesting.in_object(),
+            "JSON key {key:?} outside an object"
+        );
         if self.need_comma {
             self.out.push(',');
         }
@@ -292,6 +342,8 @@ impl JsonWriter {
 
     /// The finished document.
     pub fn finish(self) -> String {
+        #[cfg(debug_assertions)]
+        assert_eq!(self.nesting.depth, 0, "JSON finished with containers open");
         self.out
     }
 }
@@ -364,5 +416,61 @@ mod tests {
             w.value(Raw(&inner)).value(Raw("null")).end_arr().end_obj();
         });
         assert_eq!(got, r#"{"a":{"x":1},"l":[{"x":1},null]}"#);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "does not match the innermost open container")]
+    fn end_arr_closing_an_object_panics_in_debug() {
+        doc(|w| {
+            w.arr().obj().end_arr();
+        });
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "does not match the innermost open container")]
+    fn end_obj_closing_an_array_panics_in_debug() {
+        doc(|w| {
+            w.obj().key("l").arr().end_obj();
+        });
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "close with nothing open")]
+    fn closing_with_nothing_open_panics_in_debug() {
+        doc(|w| {
+            w.obj().end_obj().end_obj();
+        });
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside an object")]
+    fn a_key_inside_an_array_panics_in_debug() {
+        doc(|w| {
+            w.obj().key("l").arr().key("k");
+        });
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "finished with containers open")]
+    fn finishing_with_a_container_open_panics_in_debug() {
+        doc(|w| {
+            w.obj().key("l").arr().end_arr();
+        });
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "nested deeper than 64")]
+    fn nesting_past_the_bit_stack_panics_in_debug() {
+        doc(|w| {
+            for _ in 0..65 {
+                w.arr();
+            }
+        });
     }
 }

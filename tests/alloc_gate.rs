@@ -6,7 +6,7 @@
 //! per-record heap boxes. This gate pins that property with a counting
 //! global allocator: if a change reintroduces a per-record allocation on
 //! either path, the per-record allocation rate regresses past the floor
-//! and this test fails. (`ci.sh` runs it as part of the tier-1 suite.)
+//! and this test fails. (Tier-1, `cargo test -q`, runs it.)
 //! The gate has the benchmark's shape — Pulls of [`PULL_BUDGET_BYTES`]
 //! over a log of many segments, so every batch touches tens of them —
 //! because a per-batch cost that scales with segments touched (a window
