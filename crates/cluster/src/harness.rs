@@ -178,13 +178,10 @@ impl ClusterBuilder {
     /// when armed, then clients), so the [`Directory`] is available
     /// immediately for client configs.
     pub fn new(cfg: ClusterConfig) -> Self {
-        let mut dir = Directory {
+        let dir = Directory {
             coordinator: 0,
-            servers: HashMap::new(),
+            servers: (1..=cfg.servers).collect(),
         };
-        for i in 0..cfg.servers {
-            dir.servers.insert(ServerId(i as u32), 1 + i);
-        }
         ClusterBuilder {
             cfg,
             dir,

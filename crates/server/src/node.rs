@@ -1431,7 +1431,7 @@ impl ServerNode {
     /// abandoned (the coordinator's recovery plan supersedes them,
     /// §3.4).
     fn on_server_down(&mut self, ctx: &mut Ctx<'_, Envelope>, server: ServerId) {
-        let Some(&dead) = self.dir.servers.get(&server) else {
+        let Some(&dead) = self.dir.servers.get(server.0 as usize) else {
             return;
         };
         self.cfg.backup_actors.retain(|a| *a != dead);

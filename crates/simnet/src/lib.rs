@@ -46,8 +46,9 @@ pub type ActorId = usize;
 pub struct Directory {
     /// The coordinator's actor id.
     pub coordinator: ActorId,
-    /// Actor id of each server.
-    pub servers: std::collections::HashMap<rocksteady_common::ServerId, ActorId>,
+    /// Actor id of each server, indexed by `ServerId` (ids are dense:
+    /// a cluster numbers its servers `0..n`).
+    pub servers: Vec<ActorId>,
 }
 
 impl Directory {
@@ -60,7 +61,7 @@ impl Directory {
     pub fn actor_of(&self, id: rocksteady_common::ServerId) -> ActorId {
         *self
             .servers
-            .get(&id)
+            .get(id.0 as usize)
             .unwrap_or_else(|| panic!("unknown server {id}"))
     }
 }
@@ -122,7 +123,8 @@ pub struct Ctx<'a, M> {
     /// Deterministic per-simulation RNG (actors should derive their own
     /// streams at setup; this one is for ad-hoc jitter).
     pub rng: &'a mut Prng,
-    actions: &'a mut Vec<Action<M>>,
+    actions: &'a mut Vec<Action>,
+    slab: &'a mut EventSlab<M>,
 }
 
 impl<'a, M> Ctx<'a, M> {
@@ -139,7 +141,8 @@ impl<'a, M> Ctx<'a, M> {
     /// Sends `payload` to `dst` through the NIC model. Delivery time is
     /// `max(now, sender nic free) + wire + one_way_latency`.
     pub fn send(&mut self, dst: ActorId, payload: M) {
-        self.actions.push(Action::Send { dst, payload });
+        let idx = self.slab.alloc(payload);
+        self.actions.push(Action::Send { dst, idx });
     }
 
     /// Arms a timer that fires back on this actor after `delay`.
@@ -155,23 +158,33 @@ impl<'a, M> Ctx<'a, M> {
     }
 }
 
-enum Action<M> {
-    Send { dst: ActorId, payload: M },
+/// What an event asked the kernel to do, applied in order once the
+/// handler returns. A send names its payload's [`EventSlab`] slot, so
+/// the buffer moves 24-byte handles, never a message.
+enum Action {
+    Send { dst: ActorId, idx: u32 },
     Timer { delay: Nanos, token: u64 },
     Kill { actor: ActorId },
 }
 
+/// [`QRef::src`] of a timer: it comes from no actor.
+const TIMER: u32 = u32::MAX;
+
 /// A queued event's scheduling ticket: deadline, global sequence
-/// number (total order tie-break), destination lane, and the payload's
-/// slab index. 24 bytes, `Copy` — the only thing the queue tiers move
-/// around; the payload itself is written into the [`EventSlab`] once
-/// at push and read out once at pop.
+/// number (total order tie-break), destination, and the event itself —
+/// a timer's token, or a message's sender and slab index. 32 bytes,
+/// `Copy` — the only thing the queue tiers move around. A timer is
+/// whole in its ticket; a message's payload stays in the
+/// [`EventSlab`] from the send until its delivery.
 #[derive(Clone, Copy)]
 struct QRef {
     at: Nanos,
     seq: u64,
     dst: u32,
-    idx: u32,
+    /// The sending actor, or [`TIMER`].
+    src: u32,
+    /// A timer's token, or a message's slab index.
+    key: u64,
 }
 
 impl PartialEq for QRef {
@@ -191,13 +204,15 @@ impl Ord for QRef {
     }
 }
 
-/// Slab interning pending event payloads: a payload is moved in once
-/// when queued and out once when delivered, no matter how many times
-/// the scheduler reshuffles its [`QRef`] (heap sifts, wheel-to-near
-/// migration, bucket sorts). Freed slots recycle LIFO, so the hot
-/// working set stays small and cache-resident.
+/// Slab holding the payloads of messages in flight: [`Ctx::send`]
+/// moves a payload in, the kernel stamps it in place when the sender's
+/// NIC takes it, and delivery moves it out — one copy in and one out,
+/// however often the scheduler reshuffles its [`QRef`] (heap sifts,
+/// wheel-to-near migration, bucket sorts). Timers never come here.
+/// Freed slots recycle LIFO, so the hot working set stays small and
+/// cache-resident.
 struct EventSlab<M> {
-    slots: Vec<Option<Event<M>>>,
+    slots: Vec<Option<M>>,
     free: Vec<u32>,
 }
 
@@ -209,25 +224,29 @@ impl<M> EventSlab<M> {
         }
     }
 
-    fn alloc(&mut self, event: Event<M>) -> u32 {
+    fn alloc(&mut self, payload: M) -> u32 {
         match self.free.pop() {
             Some(idx) => {
                 debug_assert!(self.slots[idx as usize].is_none());
-                self.slots[idx as usize] = Some(event);
+                self.slots[idx as usize] = Some(payload);
                 idx
             }
             None => {
                 let idx = u32::try_from(self.slots.len()).expect("event slab overflow");
-                self.slots.push(Some(event));
+                self.slots.push(Some(payload));
                 idx
             }
         }
     }
 
-    fn take(&mut self, idx: u32) -> Event<M> {
-        let event = self.slots[idx as usize].take().expect("empty slab slot");
+    fn get_mut(&mut self, idx: u32) -> &mut M {
+        self.slots[idx as usize].as_mut().expect("empty slab slot")
+    }
+
+    fn take(&mut self, idx: u32) -> M {
+        let payload = self.slots[idx as usize].take().expect("empty slab slot");
         self.free.push(idx);
-        event
+        payload
     }
 }
 
@@ -545,7 +564,7 @@ pub struct Simulation<M: SimMessage> {
     rng: Prng,
     started: bool,
     events_processed: u64,
-    actions: Vec<Action<M>>,
+    actions: Vec<Action>,
 }
 
 impl<M: SimMessage> Simulation<M> {
@@ -606,17 +625,14 @@ impl<M: SimMessage> Simulation<M> {
         }
         self.started = true;
         for id in 0..self.slots.len() {
-            let mut actions = std::mem::take(&mut self.actions);
-            {
-                let mut ctx = Ctx {
-                    now: self.now,
-                    self_id: id,
-                    rng: &mut self.rng,
-                    actions: &mut actions,
-                };
-                self.slots[id].actor.on_start(&mut ctx);
-            }
-            self.actions = actions;
+            let mut ctx = Ctx {
+                now: self.now,
+                self_id: id,
+                rng: &mut self.rng,
+                actions: &mut self.actions,
+                slab: &mut self.slab,
+            };
+            self.slots[id].actor.on_start(&mut ctx);
             self.flush_actions(id);
         }
     }
@@ -628,7 +644,8 @@ impl<M: SimMessage> Simulation<M> {
         let mut actions = std::mem::take(&mut self.actions);
         for action in actions.drain(..) {
             match action {
-                Action::Send { dst, mut payload } => {
+                Action::Send { dst, idx } => {
+                    let payload = self.slab.get_mut(idx);
                     // Stamp the virtual send time before the NIC charges
                     // serialization: receivers use it to split network
                     // time out of end-to-end latency (trace layer).
@@ -642,10 +659,10 @@ impl<M: SimMessage> Simulation<M> {
                     // round-trip time.
                     payload.stamp_departed(depart);
                     let at = depart + self.nic.one_way_latency_ns;
-                    self.push(at, dst, Event::Message { src, payload });
+                    self.push(at, dst, src as u32, idx.into());
                 }
                 Action::Timer { delay, token } => {
-                    self.push(self.now + delay, src, Event::Timer { token });
+                    self.push(self.now + delay, src, TIMER, token);
                 }
                 Action::Kill { actor } => {
                     self.slots[actor].alive = false;
@@ -669,15 +686,15 @@ impl<M: SimMessage> Simulation<M> {
             .expect("actor type mismatch")
     }
 
-    fn push(&mut self, at: Nanos, dst: ActorId, event: Event<M>) {
+    fn push(&mut self, at: Nanos, dst: ActorId, src: u32, key: u64) {
         let seq = self.seq;
         self.seq += 1;
-        let idx = self.slab.alloc(event);
         self.queue.push(QRef {
             at,
             seq,
             dst: dst as u32,
-            idx,
+            src,
+            key,
         });
     }
 
@@ -690,22 +707,27 @@ impl<M: SimMessage> Simulation<M> {
         let dst = q.dst as ActorId;
         debug_assert!(q.at >= self.now, "time went backwards");
         self.now = q.at;
-        let event = self.slab.take(q.idx);
+        // Taken before the liveness check: a message to a dead actor
+        // still frees its slot.
+        let event = match q.src {
+            TIMER => Event::Timer { token: q.key },
+            src => Event::Message {
+                src: src as ActorId,
+                payload: self.slab.take(q.key as u32),
+            },
+        };
         if !self.slots[dst].alive {
             return true;
         }
         self.events_processed += 1;
-        let mut actions = std::mem::take(&mut self.actions);
-        {
-            let mut ctx = Ctx {
-                now: self.now,
-                self_id: dst,
-                rng: &mut self.rng,
-                actions: &mut actions,
-            };
-            self.slots[dst].actor.on_event(&mut ctx, event);
-        }
-        self.actions = actions;
+        let mut ctx = Ctx {
+            now: self.now,
+            self_id: dst,
+            rng: &mut self.rng,
+            actions: &mut self.actions,
+            slab: &mut self.slab,
+        };
+        self.slots[dst].actor.on_event(&mut ctx, event);
         self.flush_actions(dst);
         true
     }
@@ -737,9 +759,19 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    #[derive(Debug)]
+    #[derive(Debug, Default)]
     struct Ping {
         bytes: u64,
+        tag: u64,
+        sent_at: Nanos,
+        departed_at: Nanos,
+    }
+
+    fn ping(bytes: u64) -> Ping {
+        Ping {
+            bytes,
+            ..Ping::default()
+        }
     }
 
     impl WireSized for Ping {
@@ -748,7 +780,15 @@ mod tests {
         }
     }
 
-    impl SimMessage for Ping {}
+    impl SimMessage for Ping {
+        fn stamp_sent(&mut self, now: Nanos) {
+            self.sent_at = now;
+        }
+
+        fn stamp_departed(&mut self, at: Nanos) {
+            self.departed_at = at;
+        }
+    }
 
     /// Replies to every message; logs delivery times.
     struct Echo {
@@ -765,12 +805,7 @@ mod tests {
             if let Event::Message { src, payload } = event {
                 self.log.borrow_mut().push((ctx.now(), src));
                 if self.reply {
-                    ctx.send(
-                        src,
-                        Ping {
-                            bytes: payload.bytes,
-                        },
-                    );
+                    ctx.send(src, ping(payload.bytes));
                 }
             }
         }
@@ -791,7 +826,7 @@ mod tests {
 
         fn on_start(&mut self, ctx: &mut Ctx<'_, Ping>) {
             for _ in 0..self.n {
-                ctx.send(self.dst, Ping { bytes: self.bytes });
+                ctx.send(self.dst, ping(self.bytes));
             }
         }
 
@@ -829,6 +864,52 @@ mod tests {
         assert_eq!(log.len(), 1);
         // wire (1000 ns) + latency (1000 ns).
         assert_eq!(log[0].0, 2_000);
+    }
+
+    /// Logs each message's arrival time and the two stamps it carries.
+    struct Stamps {
+        log: Rc<RefCell<Vec<(Nanos, Nanos, Nanos)>>>,
+    }
+
+    impl Actor<Ping> for Stamps {
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+
+        fn on_event(&mut self, ctx: &mut Ctx<'_, Ping>, event: Event<Ping>) {
+            if let Event::Message { payload, .. } = event {
+                let stamps = (ctx.now(), payload.sent_at, payload.departed_at);
+                self.log.borrow_mut().push(stamps);
+            }
+        }
+    }
+
+    /// The kernel stamps a payload in its slab slot, after the send:
+    /// the receiver sees the send time and the departure that the wire
+    /// and the NIC queue set.
+    #[test]
+    fn stamps_written_in_the_slab_reach_the_receiver() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = Simulation::new(nic(), 1);
+        let dst = sim.add_actor(Box::new(Stamps {
+            log: Rc::clone(&log),
+        }));
+        sim.add_actor(Box::new(Blaster {
+            dst,
+            n: 2,
+            bytes: 5_000,
+            responses: Rc::new(RefCell::new(Vec::new())),
+        }));
+        sim.run_to_idle();
+        // Both sent at 0; 1 µs of wire each, the second queued behind the
+        // first; then 1 µs of latency.
+        assert_eq!(*log.borrow(), vec![(2_000, 0, 1_000), (3_000, 0, 2_000)]);
+    }
+
+    #[test]
+    fn tickets_and_actions_stay_small() {
+        assert!(std::mem::size_of::<Action>() <= 24);
+        assert!(std::mem::size_of::<QRef>() <= 32);
     }
 
     #[test]
@@ -890,6 +971,9 @@ mod tests {
         sim.run_to_idle();
         assert!(log.borrow().is_empty());
         assert!(responses.borrow().is_empty());
+        // The five dropped messages gave their slots back.
+        assert_eq!(sim.slab.slots.len(), 5);
+        assert_eq!(sim.slab.free.len(), sim.slab.slots.len());
     }
 
     /// Timer-based ticker counting fires.
@@ -931,6 +1015,8 @@ mod tests {
         }));
         sim.run_to_idle();
         assert_eq!(*fires.borrow(), vec![500, 1_000, 1_500, 2_000]);
+        // A timer lives in its ticket: the slab never held one.
+        assert!(sim.slab.slots.is_empty());
     }
 
     #[test]
@@ -975,12 +1061,69 @@ mod tests {
         out
     }
 
+    /// Alternately arms a timer and sends itself an empty message (no
+    /// wire time), all due after `delay`; logs tokens and tags as they
+    /// arrive.
+    struct MixedArmer {
+        delay: Nanos,
+        arrived: Rc<RefCell<Vec<u64>>>,
+    }
+
+    impl Actor<Ping> for MixedArmer {
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Ping>) {
+            for i in 0..64 {
+                if i % 2 == 0 {
+                    ctx.timer(self.delay, i);
+                } else {
+                    let me = ctx.self_id();
+                    ctx.send(me, Ping { tag: i, ..ping(0) });
+                }
+            }
+        }
+
+        fn on_event(&mut self, _ctx: &mut Ctx<'_, Ping>, event: Event<Ping>) {
+            let id = match event {
+                Event::Timer { token } => token,
+                Event::Message { payload, .. } => payload.tag,
+            };
+            self.arrived.borrow_mut().push(id);
+        }
+    }
+
+    fn mixed_log(kind: SchedulerKind, delay: Nanos) -> Vec<u64> {
+        let arrived = Rc::new(RefCell::new(Vec::new()));
+        let nic = NicConfig {
+            one_way_latency_ns: delay,
+            ..nic()
+        };
+        let mut sim = Simulation::with_scheduler(nic, 1, kind);
+        sim.add_actor(Box::new(MixedArmer {
+            delay,
+            arrived: Rc::clone(&arrived),
+        }));
+        sim.run_to_idle();
+        let out = arrived.borrow().clone();
+        out
+    }
+
     #[test]
     fn schedulers_deliver_identical_orders() {
         assert_eq!(
             delivery_log(SchedulerKind::Calendar),
             delivery_log(SchedulerKind::BinaryHeap)
         );
+        // Timers (in the ticket) and messages (in the slab) due at one
+        // deadline pop in arm/send order, whichever calendar tier —
+        // near bucket, wheel, outer ring — they were pushed into.
+        for delay in [1_000, 5_000, 3_000_000] {
+            for kind in [SchedulerKind::Calendar, SchedulerKind::BinaryHeap] {
+                assert_eq!(mixed_log(kind, delay), (0..64).collect::<Vec<u64>>());
+            }
+        }
     }
 
     /// Many timers armed for the *same* deadline must fire in arming

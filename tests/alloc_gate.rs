@@ -26,6 +26,10 @@
 //! (one per interval per series per client) cost what they hold; and a
 //! YCSB operation costs its client one allocation — the key — however
 //! many distinct keys the client has touched.
+//!
+//! Under all of them, the event kernel allocates nothing per event: the
+//! payload slab, the action buffer and the calendar queue's lists are
+//! recycled once warm.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,7 +38,8 @@ use std::sync::{Mutex, MutexGuard};
 use rocksteady::PULL_BUDGET_BYTES;
 use rocksteady_common::zipf::KeySampler;
 use rocksteady_common::{
-    key_hash, HashRange, Histogram, ScanCursor, ServerId, TableId, TimeSeries, SECOND,
+    key_hash, HashRange, Histogram, ScanCursor, ServerId, SimMessage, TableId, TimeSeries,
+    WireSized, MILLISECOND, SECOND,
 };
 use rocksteady_hashtable::{HashTable, MAX_BUCKETS_PER_STRIPE};
 use rocksteady_logstore::{LogConfig, LogRef};
@@ -376,7 +381,7 @@ fn a_ycsb_read_costs_the_client_one_allocation() {
     const KEYS: u64 = 1_000_000;
     let _turn = exclusive();
     let mut dir = Directory::default();
-    dir.servers.insert(ServerId(0), 0);
+    dir.servers.push(0);
     let mut cfg = YcsbConfig::ycsb_b(dir, T, KEYS, 100_000.0);
     cfg.read_fraction = 1.0;
     // One interval for the whole run: a new interval is a new histogram,
@@ -422,4 +427,68 @@ fn a_ycsb_read_costs_the_client_one_allocation() {
     }
     assert_eq!(stats.borrow().retries.get(), 0);
     assert!(stats.borrow().read_hist.with(|h| h.count()) >= 10_000);
+}
+
+/// An empty message: the kernel's cost without a payload's.
+struct Ball;
+
+impl WireSized for Ball {
+    fn wire_size(&self) -> u64 {
+        64
+    }
+}
+
+impl SimMessage for Ball {}
+
+/// Returns every ball to its sender; with `tick` set, also re-arms a
+/// timer of that period forever.
+struct Rally {
+    tick: Option<u64>,
+}
+
+impl Actor<Ball> for Rally {
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+
+    fn on_start(&mut self, ctx: &mut Ctx<'_, Ball>) {
+        if let Some(period) = self.tick {
+            ctx.timer(period, 0);
+            ctx.send(1 - ctx.self_id(), Ball);
+        }
+    }
+
+    fn on_event(&mut self, ctx: &mut Ctx<'_, Ball>, event: Event<Ball>) {
+        match event {
+            Event::Message { src, payload } => ctx.send(src, payload),
+            Event::Timer { token } => {
+                ctx.timer(self.tick.expect("only the ticking side arms"), token)
+            }
+        }
+    }
+}
+
+/// The event kernel recycles everything it holds: once the calendar
+/// queue's slots have had their first events, a ping-pong plus a
+/// re-arming timer runs with no allocation at all — the payload slab
+/// and the action buffer are reused, never grown.
+#[test]
+fn the_event_kernel_allocates_nothing_per_event() {
+    const EVENTS: u64 = 100_000;
+    let _turn = exclusive();
+    let mut sim: Simulation<Ball> =
+        Simulation::with_scheduler(NicConfig::default(), 1, SchedulerKind::Calendar);
+    sim.add_actor(Box::new(Rally { tick: Some(7_000) }));
+    sim.add_actor(Box::new(Rally { tick: None }));
+    // The timer crosses into the next ≈ 1 ms epoch at the end of each,
+    // so every slot of the outer ring (1 024 epochs, ≈ 1.1 s) gets its
+    // list once; the inner wheel's slots fill within the first turns.
+    sim.run_until(1_200 * MILLISECOND);
+    let warm = sim.events_processed();
+    let before = allocs();
+    while sim.events_processed() < warm + EVENTS {
+        assert!(sim.step(), "the rally stopped");
+    }
+    let allocated = allocs() - before;
+    assert_eq!(allocated, 0, "{allocated} allocations in {EVENTS} events");
 }

@@ -1,15 +1,20 @@
 #!/usr/bin/env python3
 """Symbolise a hostprof.out and fold it.
 
-    fold.py <binary> <hostprof.out> [--root NAME] [--top N]
+    fold.py <binary> <hostprof.out> [--root NAME] [--top N] [--by-caller]
 
 Prints folded stacks (`outer;inner count`, what flamegraph tools read)
 or, with --top, the N functions with the most inclusive samples beside
 their self samples. --root keeps only samples with a frame whose name
 contains NAME and drops the frames outside it, so shares are of that
-call (e.g. the benchmark's timed `run`). Frames are resolved with
-`addr2line -f -i`, so inlined callees appear when the binary carries
-line tables (CARGO_PROFILE_RELEASE_DEBUG=line-tables-only).
+call (e.g. the benchmark's timed `run`). --by-caller charges each self
+sample of a shared library (libc's `memmove`, `malloc`, `memset`, ...)
+to the nearest frame of the program's own code, skipping the standard
+library's (`core::`, `alloc::`, `std::`) but naming the innermost of
+those beside it, and prints the top callers (--top N, default 30).
+Frames are resolved with `addr2line -f -i`, so inlined callees appear
+when the binary carries line tables
+(CARGO_PROFILE_RELEASE_DEBUG=line-tables-only).
 """
 import collections
 import os
@@ -18,9 +23,40 @@ import subprocess
 import sys
 
 
+def is_library(frame):
+    return frame.startswith('[') and frame.endswith(']')
+
+
+def is_std(frame):
+    return frame.lstrip('<').startswith(('core::', 'alloc::', 'std::', 'hashbrown::'))
+
+
+def by_caller(folded, top):
+    """Prints the shared-library self samples by (library, caller)."""
+    total = sum(folded.values())
+    callers = collections.Counter()
+    for stack, n in folded.items():
+        frames = stack.split(';')
+        if not is_library(frames[-1]):
+            continue
+        own = [f for f in frames if not is_library(f)]
+        caller = next((f for f in reversed(own) if not is_std(f)), '?')
+        via = own[-1] if own and own[-1] != caller else None
+        callers[(frames[-1], caller, via)] += n
+    in_libs = sum(callers.values())
+    print(f'{total} samples, {in_libs} ({100 * in_libs / max(total, 1):.1f}%) '
+          'self in shared libraries')
+    for (library, caller, via), n in callers.most_common(top):
+        through = f'  (via {via})' if via else ''
+        print(f'{100 * n / total:6.1f}% {n:6d}  {library} <- {caller}{through}')
+
+
 def main():
     args = sys.argv[1:]
     opt = {}
+    if '--by-caller' in args:
+        args.remove('--by-caller')
+        opt['--by-caller'] = True
     for flag in ('--root', '--top'):
         if flag in args:
             at = args.index(flag)
@@ -79,6 +115,9 @@ def main():
             stack = stack[hits[0]:]
         folded[';'.join(stack)] += 1
 
+    if '--by-caller' in opt:
+        by_caller(folded, int(opt.get('--top', 30)))
+        return
     if '--top' not in opt:
         for stack, n in sorted(folded.items()):
             print(stack, n)
