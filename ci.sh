@@ -11,8 +11,10 @@ run cargo clippy --workspace --all-targets -- -D warnings
 run cargo build --release
 run cargo test -q
 run cargo test -q --workspace --exclude rocksteady-repro
-# The one run with debug assertions off and real timings.
+# The runs with debug assertions off and real timings: there only the
+# tests' own comparisons catch a short replica.
 run cargo test -q --release --test cleaner_interaction
+run cargo test -q --release --test replication
 # The pinned digests again, in a second process with its own RandomState.
 run cargo test -q --release --test golden
 # The frozen repo benchmark builds against crates/ and checks itself.

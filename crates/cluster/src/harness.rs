@@ -1,7 +1,7 @@
 //! Cluster construction and experiment driving.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -282,9 +282,9 @@ impl ClusterBuilder {
         // Actors 1..=S: servers, each replicating to the next `replicas`
         // servers in the ring (master + backup co-residency, Figure 1).
         let replicas = cfg.replicas.min(cfg.servers.saturating_sub(1));
-        let mut server_stats = HashMap::new();
+        let mut server_stats = BTreeMap::new();
         let mut servers = Vec::with_capacity(cfg.servers);
-        let mut backups_of = HashMap::new();
+        let mut backups_of = BTreeMap::new();
         for i in 0..cfg.servers {
             let id = ServerId(i as u32);
             coord.borrow_mut().register_server(id);
@@ -468,7 +468,7 @@ pub struct Cluster {
     /// Shared coordinator state (tablet map, lineage deps).
     pub coord: CoordHandle,
     /// Per-server monotonic counters.
-    pub server_stats: HashMap<ServerId, StatsHandle>,
+    pub server_stats: BTreeMap<ServerId, StatsHandle>,
     /// Per-client series, in `add_*` order.
     pub client_stats: Vec<ClientStatsHandle>,
     /// Sampled utilization/migration series.
@@ -484,7 +484,7 @@ pub struct Cluster {
     /// cluster was built with `cfg.rebalancer` set).
     pub rebalancer: RebalancerHandle,
     /// Backup ring: which servers hold each master's replicas.
-    pub backups_of: HashMap<ServerId, Vec<ServerId>>,
+    pub backups_of: BTreeMap<ServerId, Vec<ServerId>>,
     /// The shared trace buffer (disarmed unless `cfg.tracing`).
     pub trace: Tracer,
     /// The shared per-core activity ledger (disarmed unless

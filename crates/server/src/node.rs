@@ -63,19 +63,6 @@ struct MigrationRun {
     pp_ctx: FxHashMap<KeyHash, CausalCtx>,
 }
 
-impl MigrationRun {
-    /// Commits every worker's side log into the main log (§3.1.3) and
-    /// returns how many there were.
-    fn commit_sidelogs(&mut self) -> u64 {
-        let mut committed = 0;
-        for side in self.sidelogs.iter_mut().filter_map(Option::take) {
-            side.commit().expect("side log commit");
-            committed += 1;
-        }
-        committed
-    }
-}
-
 struct BaselineRun {
     mig: BaselineMigration,
     target: ServerId,
@@ -1231,13 +1218,27 @@ impl ServerNode {
         service.max(1)
     }
 
+    /// Commits `run`'s side logs — only its own, concurrent runs' stay
+    /// open — into the main log (§3.1.3) and returns how many there were.
+    /// The adopted segments re-replicate lazily on the bulk lane (§3.4);
+    /// the commit records naming them are head bytes, and leave with the
+    /// next foreground shipment.
+    fn hand_over_sidelogs(&mut self, ctx: &mut Ctx<'_, Envelope>, run: &mut MigrationRun) -> u64 {
+        let mut committed = 0;
+        for side in run.sidelogs.iter_mut().filter_map(Option::take) {
+            side.commit().expect("side log commit");
+            committed += 1;
+        }
+        self.ship_adopted(ctx, ctx.now(), Vec::new());
+        committed
+    }
+
     /// Drops in-flight migration run `id`: the source died, the
     /// coordinator rejected the start, or a recovery plan superseded it
     /// (§3.4). The abandonment is stamped (per run), counted, traced,
-    /// and the run's own side logs are committed (their records were
-    /// already replayed into the hash table, and another run's finish
-    /// must not sweep up this run's stale segments). Other in-flight
-    /// runs are untouched.
+    /// and the run's own side logs are handed over like a finished run's
+    /// (their records were already replayed into the hash table and stay
+    /// live here). Other in-flight runs are untouched.
     fn abandon_migration(
         &mut self,
         ctx: &mut Ctx<'_, Envelope>,
@@ -1248,11 +1249,7 @@ impl ServerNode {
             return;
         };
         let mut run = self.migrations.remove(idx);
-        if run.commit_sidelogs() > 0 {
-            // The replayed records stay live here; their segments are
-            // adopted now and re-replicate lazily like a finished run's.
-            self.ship_adopted(ctx, ctx.now(), Vec::new());
-        }
+        self.hand_over_sidelogs(ctx, &mut run);
         // A rejected run never registered ownership anywhere but locally
         // (the coordinator said no before the flip): drop the provisional
         // tablet so this master stops claiming hashes it will never
@@ -1280,13 +1277,7 @@ impl ServerNode {
             return;
         };
         let mut run = self.migrations.remove(idx);
-        // Only THIS run's side logs; concurrent runs' stay open.
-        let sidelogs = run.commit_sidelogs();
-        // Lazy re-replication (§3.4): the committed side segments — and
-        // the head bytes naming them — ship in the background, yielding
-        // to foreground write replication.
-        let sends = self.plan(Scope::Backlog, ctx.now());
-        self.send_chunks(ctx, sends, None);
+        let sidelogs = self.hand_over_sidelogs(ctx, &mut run);
         // Become a plain owner.
         let mgr = &run.mgr;
         self.master

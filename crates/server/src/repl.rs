@@ -1,15 +1,17 @@
 //! The replication manager (§2.3): a serialized ~380 MB/s resource with
 //! two lanes, plus the ack groups that wait on its shipments.
 //!
-//! The lane is a property of the *segment*. Head bytes — client writes,
-//! recovery and baseline replay — ride the foreground lane; adopted
+//! The lane is a property of the *segment*, and a segment never changes
+//! lane. Head bytes — client writes, recovery and baseline replay, and
+//! the commit records of side logs — ride the foreground lane; adopted
 //! segments — migration side logs (§3.4's lazy re-replication), cleaner
 //! survivors — ride the bulk lane. Bulk chunks queue behind both lanes,
 //! foreground chunks only behind their own, so bulk bytes never sit
-//! inside a client write's ack group. The manager keeps the segments
-//! that still have unshipped bytes instead of re-deriving them from the
-//! whole log on every write; it decides *what* leaves *when*, the shell
-//! allocates the RPCs and sends.
+//! inside a client write's ack group, and each segment's chunks leave in
+//! offset order, as a backup's append check needs. The manager keeps
+//! the segments that still have unshipped bytes instead of re-deriving
+//! them from the whole log on every write; it decides *what* leaves
+//! *when*, the shell allocates the RPCs and sends.
 
 use std::sync::Arc;
 
@@ -66,19 +68,15 @@ struct Unshipped {
 }
 
 /// Which unshipped segments one plan covers, and so on which lane.
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy)]
 pub(crate) enum Scope {
-    /// The write path: the head, and heads rolled since, on the
-    /// foreground lane.
+    /// The head, and heads rolled since, on the foreground lane: the
+    /// write path's delta, and any commit record appended since.
     Heads,
     /// Adopted segments only, on the bulk lane, none leaving before
     /// `not_before` (a cleaner pass ships its survivors once the modeled
-    /// copy is paid for).
+    /// copy is paid for; committed side logs leave at once).
     Adopted { not_before: Nanos },
-    /// A migration's side logs were just committed: every unshipped byte
-    /// — the adopted segments and the head bytes holding their commit
-    /// records — in log order on the bulk lane (§3.4).
-    Backlog,
 }
 
 #[derive(Default)]
@@ -151,13 +149,11 @@ impl ReplManager {
         let (bulk, not_before) = match scope {
             Scope::Heads => (false, now),
             Scope::Adopted { not_before } => (true, not_before),
-            Scope::Backlog => (true, now),
         };
         let mut sends = Vec::new();
         for u in &mut self.unshipped {
             let committed = u.seg.committed();
-            let covered = scope == Scope::Backlog || u.adopted == bulk;
-            if !covered || committed <= u.shipped {
+            if u.adopted != bulk || committed <= u.shipped {
                 continue;
             }
             let window = u.seg.committed_as_bytes();
@@ -232,7 +228,8 @@ impl ReplManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rocksteady_logstore::{EntryKind, LogConfig, ENTRY_HEADER_BYTES};
+    use rocksteady_common::rng::Prng;
+    use rocksteady_logstore::{EntryKind, LogConfig, SideLog, ENTRY_HEADER_BYTES};
 
     /// 1 byte/ns: a chunk's occupancy equals its length.
     fn cost() -> CostModel {
@@ -256,7 +253,7 @@ mod tests {
     /// One `bytes`-long side segment (migration replay, cleaner
     /// survivors), adopted; returns its id.
     fn adopt(log: &Log, bytes: usize) -> u64 {
-        let seg = Segment::new(log.alloc_segment_id(), 1 << 20);
+        let seg = Segment::new(log.alloc_segment_id(), bytes);
         seg.append_raw(&vec![9; bytes]).expect("fits");
         let id = seg.id();
         log.adopt_segment(Arc::new(seg));
@@ -329,7 +326,8 @@ mod tests {
         let mut r = ReplManager::default();
         r.mark_durable(&log);
         assert!(r.plan(Scope::Heads, 0, &log, &[3], &cost()).is_empty());
-        assert!(r.plan(Scope::Backlog, 0, &log, &[3], &cost()).is_empty());
+        let adopted = Scope::Adopted { not_before: 0 };
+        assert!(r.plan(adopted, 0, &log, &[3], &cost()).is_empty());
     }
 
     #[test]
@@ -395,20 +393,77 @@ mod tests {
     }
 
     #[test]
-    fn a_side_log_commit_drains_heads_and_adopted_in_log_order_on_the_bulk_lane() {
-        let (mut r, log) = (ReplManager::default(), log());
+    fn a_committed_side_log_ships_on_the_bulk_lane_and_its_record_with_the_heads() {
+        let (mut r, log) = (ReplManager::default(), Arc::new(log()));
         write(&log, 100);
-        let side = adopt(&log, 1_000);
+        assert_eq!(r.plan(Scope::Heads, 0, &log, &[3], &cost())[0].delay, 100);
+        let side = SideLog::new(Arc::clone(&log));
+        let value = vec![9; 1_000 - ENTRY_HEADER_BYTES];
+        side.append(EntryKind::Object, 1, 0, 1, b"", &value)
+            .expect("fits");
+        let id = side.commit().expect("commit")[0];
+        // The hand-off ships the side segment alone, on the bulk lane,
+        // behind the head's chunk on the foreground lane (free at 100).
+        let shape = |sends: Vec<ChunkSend>| -> Vec<_> {
+            let shape = sends
+                .iter()
+                .map(|s| (s.segment, s.offset, s.data.len(), s.delay));
+            shape.collect()
+        };
+        let sends = r.plan(Scope::Adopted { not_before: 0 }, 0, &log, &[3], &cost());
+        assert_eq!(shape(sends), [(id, 0, 1_000, 1_100)]);
+        // The commit record, naming one segment, leaves with the next
+        // write's delta: right after the head's first chunk, and not
+        // behind the busy bulk lane.
         write(&log, 50);
-        let sends = r.plan(Scope::Backlog, 0, &log, &[3], &cost());
-        let shape: Vec<_> = sends
-            .iter()
-            .map(|s| (s.segment, s.data.len(), s.delay))
-            .collect();
-        assert_eq!(shape, [(0, 150, 150), (side, 1_000, 1_150)]);
-        // Booked on the bulk lane: a write right after does not queue.
-        write(&log, 40);
-        assert_eq!(r.plan(Scope::Heads, 0, &log, &[3], &cost())[0].delay, 40);
+        let sends = r.plan(Scope::Heads, 0, &log, &[3], &cost());
+        let bytes = ENTRY_HEADER_BYTES + 8 + 50;
+        assert_eq!(shape(sends), [(0, 100, bytes, 100 + bytes as Nanos)]);
+    }
+
+    /// Seeded walks of writes, adoptions and both kinds of plan: each
+    /// (segment, backup) stream leaves in offset order, every chunk
+    /// starting where the last one ended and departing no earlier.
+    #[test]
+    fn every_segment_departs_in_offset_order_whatever_the_interleaving() {
+        for seed in 0..10 {
+            let (mut r, log, mut rng) = (ReplManager::default(), log(), Prng::new(seed));
+            let mut now = 0;
+            // (segment, backup) → (end of the last chunk, its departure).
+            let mut streams: FxHashMap<(u64, ActorId), (u32, Nanos)> = FxHashMap::default();
+            for step in 0..1_000 {
+                now += rng.next_below(2_000);
+                let sends = match rng.next_below(4) {
+                    0 => {
+                        let bytes = rng.next_range(ENTRY_HEADER_BYTES as u64, 60_000);
+                        write(&log, bytes as usize);
+                        continue;
+                    }
+                    1 => {
+                        adopt(&log, rng.next_range(1, 100_000) as usize);
+                        continue;
+                    }
+                    2 => r.plan(Scope::Heads, now, &log, &[3, 4], &cost()),
+                    _ => {
+                        let not_before = now + rng.next_below(5_000);
+                        r.plan(Scope::Adopted { not_before }, now, &log, &[3, 4], &cost())
+                    }
+                };
+                for s in sends {
+                    let departs = now + s.delay;
+                    let (end, last) = streams.entry((s.segment, s.backup)).or_default();
+                    assert!(
+                        s.offset == *end && departs >= *last,
+                        "seed {seed} step {step}: segment {}'s chunk at {} departs at {departs}, \
+                         after one ending at {end} that departs at {last}",
+                        s.segment,
+                        s.offset,
+                    );
+                    *end = s.offset + s.data.len() as u32;
+                    *last = departs;
+                }
+            }
+        }
     }
 
     #[test]

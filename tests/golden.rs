@@ -28,11 +28,21 @@ use rocksteady_workload::YcsbConfig;
 /// digest of `fault/drop-pulls-ring`, whose incident bundle carries
 /// client trace events) moved once, when the sampler, SLO monitor and
 /// watchdog became one observer: two fewer timer events per sampling
-/// tick, and the rebalancer's and clients' actor ids down by two.
+/// tick, and the rebalancer's and clients' actor ids down by two. The
+/// seven scenarios in which a Rocksteady run finishes moved again, both
+/// digests, when a finish began handing its side logs over as an abandon
+/// and a cleaner pass do: the side segments alone on the bulk lane, the
+/// commit record left in the head for the next foreground shipment
+/// instead of draining ahead of them on the bulk lane.
 const GOLDEN: &[(&str, u64, u64)] = &[
-    ("migration/seed1234", 0x9a6ec2c572b1a695, 0xc34d6eecf5b35143),
-    ("migration/seed7", 0x2ae6d8e0927e7ad9, 0xb07f2120c3ca09e9),
-    ("migration/seed42", 0x88e4a5430f9110d1, 0x22445c502978fccd),
+    // Migration 1's finish: its commit record leaves inside the next
+    // client write's chunk, and its side segments no longer queue
+    // behind it on the bulk lane.
+    ("migration/seed1234", 0x1178c34435288343, 0x628a45b883d28c82),
+    // The same finish hand-off under seed 7's client schedule.
+    ("migration/seed7", 0x0c99ac78ce95f8c3, 0x52cccca0f6f2a8f2),
+    // The same finish hand-off under seed 42's.
+    ("migration/seed42", 0x1441713e52297aa6, 0x3e50963b87c33e01),
     // The two crash digests moved once before, when crash failover
     // stopped walking a hash map's buckets for ascending RPC-id order;
     // `crash/source` moved again when an abandoned run's side segments
@@ -41,20 +51,24 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("crash/source", 0xdaf50e5c63ffa2f4, 0x2b7f35c227228ac8),
     ("crash/target", 0x029ddafc35ebba8d, 0xced0571c805b951c),
     ("baseline/fig5", 0xa8e96518be59b0ea, 0xe81dacd7bb620f39),
+    // The finish hand-off, with waiting reads' PriorityPulls synchronous.
     (
         "migration/sync-priority-pulls",
-        0x10c69b9afb287f7b,
-        0xcb2342a5fa958c67,
+        0x588b5405498b0df3,
+        0x68bd2fa3fdb04693,
     ),
+    // Both finishes hand over this way; the second's commit record no
+    // longer waits behind the first run's side segments on the bulk lane.
     (
         "migration/two-onto-one-target",
-        0x499f8250ab416910,
-        0x48c132f9ed045edb,
+        0x0b4d6b9d491654f4,
+        0x557cb67e005fd8d2,
     ),
+    // Seed 42's finish hand-off, with tracing armed from 6 ms.
     (
         "migration/tracing-armed-mid-run",
-        0xd20bab36c9cd2ae4,
-        0x061299223026b962,
+        0xbe95811a5f43e393,
+        0x09952c589705f14e,
     ),
     (
         "fault/drop-pulls-ring",
@@ -62,11 +76,13 @@ const GOLDEN: &[(&str, u64, u64)] = &[
         0x7ee5607cdfb7772f,
     ),
     // Moved once before, when cleaner survivors stopped going into the
-    // head and riding the next write's foreground shipment.
+    // head and riding the next write's foreground shipment; now the
+    // finish hand-off, its side segments sharing the bulk lane with
+    // survivors.
     (
         "migration/write-churn",
-        0xddd9fadf0f9afa8b,
-        0x447e52fec0f4cadc,
+        0x5c1342c5f7b1e097,
+        0x7bc1ce13a0ff7c8c,
     ),
 ];
 
@@ -204,10 +220,9 @@ fn baseline() -> (u64, u64) {
 }
 
 /// Two migrations from different sources onto one target, in flight at
-/// the same time, with the cleaner ticking on every server. Read-only:
-/// a foreground write racing the first finisher's lazy re-replication
-/// can overtake a delayed bulk chunk of the same segment and trip the
-/// backup's offset check (a known gap, ROADMAP item 1 (b)).
+/// the same time, with the cleaner ticking on every server. Read-only;
+/// `replication.rs` runs the same shape with writes and checks every
+/// backup's image of the target's log.
 fn two_onto_one_target() -> (u64, u64) {
     let cfg = ClusterConfig {
         servers: 4,

@@ -1,0 +1,94 @@
+//! A finished migration's side logs re-replicate lazily (§3.4), and that
+//! must never cost a backup a valid image of the target's log: every
+//! closed segment held whole, the head held as a prefix. Head bytes —
+//! the commit records naming the side segments among them — ride the
+//! foreground lane only (DESIGN.md §3.3), so no write's chunk of the head
+//! can overtake an earlier chunk of it queued behind bulk traffic.
+
+mod common;
+
+use std::sync::Arc;
+
+use rocksteady_cluster::scenarios::{preload_tablets, slice, TABLE};
+use rocksteady_cluster::{Cluster, ClusterBuilder, ClusterConfig, ControlCmd};
+use rocksteady_common::zipf::KeyDist;
+use rocksteady_common::{MigrationId, ServerId, MILLISECOND, SECOND};
+use rocksteady_logstore::ENTRY_HEADER_BYTES;
+use rocksteady_workload::YcsbConfig;
+
+const KEYS: u64 = 20_000;
+const VALUE: usize = 100;
+const TARGET: ServerId = ServerId(2);
+
+/// Four servers, two replicas, 64 KiB segments. At 10 ms quarters 1 and
+/// 3 move from servers 0 and 1 onto server 2, while one client
+/// overwrites uniformly half the time, so the target's head keeps
+/// growing, and rolling, across both finishes.
+fn two_onto_one_with_writes() -> Cluster {
+    let cfg = ClusterConfig {
+        servers: 4,
+        segment_bytes: 1 << 16,
+        ..common::test_config()
+    };
+    let mut b = ClusterBuilder::new(cfg);
+    let mut ycsb = YcsbConfig::ycsb_b(b.directory(), TABLE, KEYS, 40_000.0);
+    ycsb.read_fraction = 0.5;
+    ycsb.dist = KeyDist::Uniform;
+    b.add_ycsb(ycsb);
+    for (id, quarter, source) in [(1, 1, 0), (2, 3, 1)] {
+        let range = slice(quarter, 4);
+        let migrate = ControlCmd::migrate(MigrationId(id), TABLE, range, ServerId(source), TARGET);
+        b.at(10 * MILLISECOND, migrate);
+    }
+    let mut cluster = b.build();
+    preload_tablets(&mut cluster, &[0, 0, 1, 1].map(ServerId), KEYS, VALUE);
+    cluster
+}
+
+#[test]
+fn backups_hold_the_targets_log_after_two_runs_finish_onto_it() {
+    let mut cluster = two_onto_one_with_writes();
+    let finished = [1, 2].map(|id| {
+        let run = MigrationId(id);
+        let at = cluster.run_until_migrated(TARGET, run, SECOND);
+        at.unwrap_or_else(|| panic!("{run:?} never finished"))
+    });
+
+    // The later finish lands while the earlier run's side segments still
+    // occupy the target's bulk lane.
+    let stamps = cluster.migration_runs().into_iter();
+    let mut runs: Vec<_> = stamps.filter(|(s, ..)| *s == TARGET).collect();
+    runs.sort_by_key(|(_, _, st)| st.finished_at);
+    let side_bytes = runs[0].2.replay_applied * (ENTRY_HEADER_BYTES + 30 + VALUE) as u64;
+    let bulk_busy = cluster.cfg.cost.replication_occupancy_ns(side_bytes);
+    let gap = finished[0].abs_diff(finished[1]);
+    assert!(
+        gap < bulk_busy,
+        "the finishes are {gap} ns apart, the first run's side logs ship in {bulk_busy} ns"
+    );
+
+    let last = finished[0].max(finished[1]);
+    cluster.run_until(last + 50 * MILLISECOND);
+    let log = Arc::clone(&cluster.node(TARGET).master.log);
+    let segments = log.segments_snapshot();
+    for backup in cluster.backups_of[&TARGET].clone() {
+        let images = cluster.node(backup).backup.fetch(TARGET, 0);
+        for seg in &segments {
+            let image = images.iter().find(|i| i.id == seg.id());
+            let held = image.map_or(&[][..], |i| &i.data[..]);
+            let logged = seg.committed_bytes();
+            let (kind, valid) = if seg.is_closed() {
+                ("closed segment", held == logged)
+            } else {
+                ("head", logged.starts_with(held))
+            };
+            assert!(
+                valid,
+                "{backup:?}'s image of {kind} {} is {} bytes, not a copy of the log's {}",
+                seg.id(),
+                held.len(),
+                logged.len(),
+            );
+        }
+    }
+}

@@ -58,6 +58,9 @@ const RULES: &[Rule] = &[
     Rule { name: "no_lane_bool", decided: "§3.3", why: "the replication lane follows the segment, not a flag",
         check: |t| grep(t, |p| p.starts_with("crates/server/src/"), lane_bool),
         mutant: ("crates/server/src/repl.rs", "", "fn ship(bulk: bool) {}\n") },
+    Rule { name: "head_bytes_ride_the_foreground_lane", decided: "§3.3", why: "no Scope drains head bytes onto the bulk lane",
+        check: |t| grep(t, |p| p.starts_with("crates/server/src/"), |l| any(l, &["Backlog"])),
+        mutant: ("crates/server/src/repl.rs", "pub(crate) enum Scope {", "pub(crate) enum Scope {\n    Backlog,") },
     Rule { name: "cleaner_never_appends_to_the_head", decided: "§3.3", why: "cleaned survivors go to a side log",
         check: |t| grep(t, |p| p == "crates/logstore/src/cleaner.rs", |l| any(l, &["log.append("])),
         mutant: ("crates/logstore/src/cleaner.rs", "", "fn f(log: &mut Log) { log.append(&[]); }\n") },
@@ -123,9 +126,9 @@ const RULES: &[Rule] = &[
             "report.export_csv("),
         mutant: ("crates/bench/src/figures/fig12.rs", "report.export_csv(", "write_csv(") },
     Rule { name: "cluster_iterates_no_std_hashmap", decided: "§3.1",
-        why: "std HashMap order differs per process; simnet names none, cluster's harness.rs iterates its maps outside the event loop",
-        check: |t| grep(t, |p| p.starts_with("crates/simnet/src/")
-            || p.starts_with("crates/cluster/src/") && p != "crates/cluster/src/harness.rs", |l| any(l, &["HashMap"])),
+        why: "std HashMap order differs per process; simnet and cluster name none",
+        check: |t| grep(t, |p| p.starts_with("crates/simnet/src/") || p.starts_with("crates/cluster/src/"),
+            |l| any(l, &["HashMap"])),
         mutant: ("crates/simnet/src/lib.rs", "", "use std::collections::HashMap;\n") },
     Rule { name: "observability_crates_are_documented", decided: "§2", why: "four crates deny missing docs",
         check: |t| lacking(t, ["metrics", "profiler", "audit", "flightrec"].map(|c| format!("crates/{c}/src/lib.rs")),
