@@ -15,6 +15,9 @@ run cargo test -q --workspace --exclude rocksteady-repro
 # tests' own comparisons catch a short replica.
 run cargo test -q --release --test cleaner_interaction
 run cargo test -q --release --test replication
+# The hash table's packing bounds are assert!s, not debug_assert!s: its
+# bound and property tests must pass in the build the benchmark measures.
+run cargo test -q --release -p rocksteady-hashtable
 # The pinned digests again, in a second process with its own RandomState.
 run cargo test -q --release --test golden
 # The frozen repo benchmark builds against crates/ and checks itself.

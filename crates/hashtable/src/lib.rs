@@ -18,18 +18,28 @@
 //!
 //! # Layout
 //!
-//! Buckets are RAMCloud-style fixed arrays of [`SLOTS_PER_BUCKET`] inline
-//! slots stored in one flat allocation per lock stripe — no per-bucket
-//! heap indirection on the hot path. Each slot is guarded by a 16-bit
-//! *partial hash* (the low 16 bits of the key hash; bucket placement uses
-//! the high bits, so the tag stays discriminating within a bucket). The
-//! tag array sits at the front of the bucket, so a lookup touches only
-//! the bucket's first cache line unless a tag matches; only then is the
-//! full slot compared. A **probe** is such a full-slot examination — tag
-//! rejections are not probes, which is exactly the cost the tags remove
-//! from the §4.5 model. Buckets that overflow their inline slots chain
-//! into a per-bucket spill vector (pathological collision patterns only;
-//! removals promote spilled entries back inline).
+//! A bucket is [`SLOTS_PER_BUCKET`] 16-byte slots and nothing else:
+//! 128 B, two cache lines, stored in one flat allocation per lock stripe —
+//! no per-bucket heap indirection on the hot path. A slot holds the full
+//! 64-bit key hash and one packed word: an occupied bit, the table id
+//! (< 2¹⁵), the segment id (< 2²⁴) and the byte offset (< 2²⁴; a log
+//! refuses segments over [`MAX_SEGMENT_BYTES`], so every offset it hands
+//! out fits). Storing a reference past those bounds panics, in every
+//! build. The eight hashes fill the bucket's first line and the eight
+//! words its second.
+//!
+//! Each slot is guarded by a 16-bit *partial hash* (the low 16 bits of
+//! the key hash; bucket placement uses the high bits, so the tag stays
+//! discriminating within a bucket). A lookup reads the first line's
+//! tags and touches the second — occupancy, table id, reference — only
+//! where a tag matches, so a miss reads one line. A **probe**
+//! is such a full-slot examination — tag rejections are not probes,
+//! which is exactly the cost the tags remove from the §4.5 model. A
+//! bucket whose eight slots are all occupied spills further entries into
+//! a chain its stripe keeps (pathological collision patterns only;
+//! removals promote spilled entries back inline, so a chain exists only
+//! beside a full bucket, and a per-stripe bitmap says which buckets have
+//! one without looking).
 //!
 //! The table is striped-locked and thread-safe; buckets within one stripe
 //! share a lock, and stripes cover contiguous bucket ranges so disjoint
@@ -60,17 +70,16 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use parking_lot::RwLock;
 use rocksteady_common::prefetch::prefetch;
 use rocksteady_common::{KeyHash, TableId};
-use rocksteady_logstore::LogRef;
+use rocksteady_logstore::{LogRef, MAX_SEGMENT_BYTES};
 
 pub use rocksteady_common::range::{HashRange, ScanCursor as Cursor};
 
-/// Inline slots per bucket, mirroring RAMCloud's eight-entry cache-line
-/// buckets.
+/// Inline slots per bucket, mirroring RAMCloud's eight-entry buckets.
 pub const SLOTS_PER_BUCKET: usize = 8;
 
-/// Upper bound on buckets per lock stripe: 128 buckets × ~320 B keeps the
-/// run scanned under one read lock around the size of an L2 way, so a
-/// Pull's scan stays cache-resident while it holds the lock.
+/// Upper bound on buckets per lock stripe: 128 buckets × 128 B = 16 KiB
+/// keeps the run scanned under one read lock well inside L2, so a Pull's
+/// scan stays cache-resident while it holds the lock.
 pub const MAX_BUCKETS_PER_STRIPE: usize = 128;
 
 /// How many buckets ahead of the one being visited [`HashTable::
@@ -121,25 +130,124 @@ impl<T> Probed<Option<T>> {
     };
 }
 
-/// The 16-bit partial hash stored next to each occupied slot. Bucket
-/// indexing consumes high bits, so the low bits stay independent.
+/// The 16-bit partial hash of a slot. Bucket indexing consumes high
+/// bits, so the low bits stay independent.
 #[inline]
 fn tag_of(hash: KeyHash) -> u16 {
     hash as u16
 }
 
-/// A fixed eight-slot bucket. Field order puts the tag array and
-/// occupancy bitmap first so the filtering state shares the bucket's
-/// leading cache line.
+// The packed word, high bit to low: occupied | table | segment | offset.
+const OFFSET_BITS: u32 = 24;
+const SEGMENT_BITS: u32 = 24;
+const TABLE_BITS: u32 = 15;
+const SEGMENT_SHIFT: u32 = OFFSET_BITS;
+const TABLE_SHIFT: u32 = SEGMENT_SHIFT + SEGMENT_BITS;
+const OCCUPIED: u64 = 1 << 63;
+/// The bits that say whose a slot is: occupied and table id.
+const HEAD_MASK: u64 = !0 << TABLE_SHIFT;
+
+const _: () = assert!(TABLE_SHIFT + TABLE_BITS == 63, "one word, no gaps");
+const _: () = assert!(MAX_SEGMENT_BYTES <= 1 << OFFSET_BITS);
+
+/// The head bits (occupied + table id) of `table`'s slots, or `None`
+/// for a table id the word cannot hold.
+#[inline]
+fn head_of(table: TableId) -> Option<u64> {
+    (table.0 < 1 << TABLE_BITS).then_some(OCCUPIED | table.0 << TABLE_SHIFT)
+}
+
+/// The head a search compares slots against: 0 for a table id no slot
+/// can hold, which no occupied slot's head equals.
+#[inline]
+fn search_head(table: TableId) -> u64 {
+    head_of(table).unwrap_or(0)
+}
+
+/// One slot: the full key hash, and table id plus log reference packed
+/// into one word behind an occupied bit. All-zero is an empty slot. A
+/// spill chain stores it whole; a [`Bucket`] splits it across its lines.
+#[derive(Clone, Copy, Default)]
+struct Packed {
+    hash: KeyHash,
+    word: u64,
+}
+
+impl Packed {
+    /// Packs an entry. The bounds are checked in every build and each
+    /// panic names the field that does not fit.
+    fn new(table: TableId, hash: KeyHash, log_ref: LogRef) -> Self {
+        let Some(head) = head_of(table) else {
+            panic!("table id {} does not fit in {TABLE_BITS} bits", table.0);
+        };
+        Packed {
+            hash,
+            word: head | pack_ref(log_ref),
+        }
+    }
+
+    #[inline]
+    fn is_occupied(self) -> bool {
+        self.word & OCCUPIED != 0
+    }
+
+    /// Whether this slot is `head`'s table's entry for exactly `hash`.
+    #[inline]
+    fn holds(self, head: u64, hash: KeyHash) -> bool {
+        self.word & HEAD_MASK == head && self.hash == hash
+    }
+
+    #[inline]
+    fn log_ref(self) -> LogRef {
+        LogRef {
+            segment: self.word >> SEGMENT_SHIFT & ((1 << SEGMENT_BITS) - 1),
+            offset: (self.word & ((1 << OFFSET_BITS) - 1)) as u32,
+        }
+    }
+
+    #[inline]
+    fn slot(self) -> Slot {
+        Slot {
+            table: TableId(self.word >> TABLE_SHIFT & ((1 << TABLE_BITS) - 1)),
+            hash: self.hash,
+            log_ref: self.log_ref(),
+        }
+    }
+}
+
+/// The segment and offset bits of a packed word; panics naming the
+/// field that does not fit.
+fn pack_ref(r: LogRef) -> u64 {
+    assert!(
+        r.segment < 1 << SEGMENT_BITS,
+        "segment id {} does not fit in {SEGMENT_BITS} bits",
+        r.segment
+    );
+    assert!(
+        u64::from(r.offset) < 1 << OFFSET_BITS,
+        "offset {} does not fit in {OFFSET_BITS} bits",
+        r.offset
+    );
+    r.segment << SEGMENT_SHIFT | u64::from(r.offset)
+}
+
+/// A fixed eight-slot bucket: 128 B, two cache lines, nothing but slots.
+/// Slot `i` is `hashes[i]` plus `words[i]` (a [`Packed`] split in two):
+/// the first line holds all eight hashes, and with them the tags, so a
+/// search that no tag admits — almost every miss — reads that line
+/// only; the second holds the packed words, read for a tag-admitted
+/// slot and by scans.
+///
+/// 128 B rather than RAMCloud's 64 because a slot keeps the full hash
+/// and the table id: `scan_range` filters on both without reading the
+/// log, and `for_each_in_range(table, range, _)` hands out whole
+/// [`Slot`]s. The spill chain lives in the stripe, not here.
 ///
 /// # Invariant: the all-zero byte pattern is a valid, empty bucket
 ///
-/// Every field is zero when empty — tags and slots are plain integers,
-/// `occupied` is an empty bitmap, and `overflow` is `None` (the
-/// guaranteed null-pointer niche of `Option<Box<_>>`). A stripe's first
-/// `upsert` relies on this to build its bucket array from `alloc_zeroed`
-/// without running a constructor per bucket. Adding a field that is not
-/// valid-when-zero breaks that construction.
+/// A stripe's first `upsert` relies on this to build its bucket array
+/// from `alloc_zeroed` without running a constructor per bucket. Adding
+/// a field that is not valid-when-zero breaks that construction.
 ///
 /// What the zeroing does *not* buy is lazily faulted memory: for an
 /// over-aligned type like this one Rust's `alloc_zeroed` is
@@ -147,49 +255,30 @@ fn tag_of(hash: KeyHash) -> u16 {
 /// touched at once. Memory stays proportional to the data because a
 /// stripe is only allocated when something is inserted into it, not
 /// because of how it is zeroed.
-#[repr(C, align(64))]
-#[derive(Clone)]
+#[repr(C, align(128))]
 struct Bucket {
-    /// Partial hashes of occupied slots (stale values where unoccupied).
-    tags: [u16; SLOTS_PER_BUCKET],
-    /// Bitmap of occupied inline slots.
-    occupied: u8,
-    /// Inline entries; valid only where `occupied` has the bit set.
-    slots: [Slot; SLOTS_PER_BUCKET],
-    /// Spill chain for buckets with more than eight colliding entries;
-    /// boxed so the empty case is a null pointer (see invariant above —
-    /// `Option<Vec<_>>`'s `None` is not guaranteed to be all-zero bytes,
-    /// `Option<Box<_>>`'s is, and overflow is rare enough that the extra
-    /// indirection never shows up).
-    #[allow(clippy::box_collection)]
-    overflow: Option<Box<Vec<Slot>>>,
+    hashes: [KeyHash; SLOTS_PER_BUCKET],
+    words: [u64; SLOTS_PER_BUCKET],
 }
 
 impl Bucket {
-    /// Visits every occupied entry (inline then overflow).
-    ///
-    /// A counted loop on purpose: its trip count is known, so a caller
-    /// whose `f` does nothing (`scan_range`'s no-op `peek`) costs nothing
-    /// — the compiler cannot delete a `while occ != 0` bit-walk, which it
-    /// has to assume might not end.
-    fn for_each(&self, mut f: impl FnMut(&Slot)) {
-        for (i, slot) in self.slots.iter().enumerate() {
-            if self.occupied & (1 << i) != 0 {
-                f(slot);
-            }
-        }
-        if let Some(of) = &self.overflow {
-            for slot in of.iter() {
-                f(slot);
-            }
+    #[inline]
+    fn get(&self, i: usize) -> Packed {
+        Packed {
+            hash: self.hashes[i],
+            word: self.words[i],
         }
     }
 
-    /// The overflow chain as a (possibly empty) slice.
-    fn spill(&self) -> &[Slot] {
-        self.overflow.as_deref().map_or(&[], Vec::as_slice)
+    #[inline]
+    fn set(&mut self, i: usize, p: Packed) {
+        self.hashes[i] = p.hash;
+        self.words[i] = p.word;
     }
 }
+
+const _: () = assert!(std::mem::size_of::<Bucket>() == 128);
+const _: () = assert!(std::mem::align_of::<Bucket>() == 128);
 
 /// Allocates `n` empty buckets as one flat zeroed slice (and touches all
 /// of it — see the invariant on [`Bucket`]).
@@ -211,10 +300,164 @@ fn zeroed_buckets(n: usize) -> Box<[Bucket]> {
     }
 }
 
+/// Where a search found its entry in a bucket.
+#[derive(Clone, Copy)]
+enum At {
+    /// Inline slot index.
+    Inline(usize),
+    /// Index into the bucket's spill chain.
+    Spilled(usize),
+}
+
+/// One stripe's buckets and the spill chains of those that overflowed.
+#[derive(Default)]
+struct Buckets {
+    /// All of the stripe's buckets in one flat allocation — or none and
+    /// no allocation until the stripe's first `upsert`.
+    array: Box<[Bucket]>,
+    /// Bit `b` is set exactly when bucket `b` has a spill chain, so a
+    /// lookup or scan asks for a chain only where one exists.
+    spilled: u128,
+    /// `(bucket, entries in spill order)`, one per set bit of `spilled`,
+    /// never empty. A chain exists only while all eight of its bucket's
+    /// slots are occupied: entries spill only from a full bucket, and a
+    /// removal from the bucket promotes the chain's last entry inline.
+    chains: Vec<(usize, Vec<Packed>)>,
+}
+
+const _: () = assert!(MAX_BUCKETS_PER_STRIPE <= u128::BITS as usize);
+
+impl Buckets {
+    /// Position of bucket `b`'s chain in `chains`, if it has one.
+    fn chain_index(&self, b: usize) -> Option<usize> {
+        if self.spilled >> b & 1 == 0 {
+            return None;
+        }
+        self.chains.iter().position(|(at, _)| *at == b)
+    }
+
+    /// Bucket `b`'s spilled entries (usually none).
+    fn chain(&self, b: usize) -> &[Packed] {
+        self.chain_index(b).map_or(&[], |c| &self.chains[c].1)
+    }
+
+    /// Visits every occupied entry of bucket `b`, inline then spilled.
+    ///
+    /// A counted loop on purpose: its trip count is known, so a caller
+    /// whose `f` does nothing (`scan_range`'s no-op `peek`) costs nothing
+    /// — the compiler cannot delete a `while occ != 0` bit-walk, which it
+    /// has to assume might not end.
+    #[inline]
+    fn for_each(&self, b: usize, mut f: impl FnMut(Packed)) {
+        let bucket = &self.array[b];
+        for i in 0..SLOTS_PER_BUCKET {
+            let p = bucket.get(i);
+            if p.is_occupied() {
+                f(p);
+            }
+        }
+        for &p in self.chain(b) {
+            f(p);
+        }
+    }
+
+    /// Finds bucket `b`'s entry of `head`'s table for exactly `hash` that
+    /// `is_match` accepts, and where it is, counting probes by the §4.5 rule: an inline
+    /// slot is a probe when it is occupied and its tag matches, a
+    /// spilled entry always is. Inline slots are searched in index
+    /// order, then the chain in spill order.
+    #[inline]
+    fn find(
+        &self,
+        b: usize,
+        head: u64,
+        hash: KeyHash,
+        mut is_match: impl FnMut(LogRef) -> bool,
+    ) -> (Option<(At, Packed)>, u32) {
+        let tag = tag_of(hash);
+        let bucket = &self.array[b];
+        // Same-tag slots, from the hash line alone; occupancy is in the
+        // word line, read only for these (an empty slot's hash is 0).
+        let mut candidates = 0u32;
+        for (i, &h) in bucket.hashes.iter().enumerate() {
+            candidates |= u32::from(tag_of(h) == tag) << i;
+        }
+        let mut probes = 0;
+        while candidates != 0 {
+            let i = candidates.trailing_zeros() as usize;
+            candidates &= candidates - 1;
+            let p = bucket.get(i);
+            if !p.is_occupied() {
+                continue;
+            }
+            probes += 1;
+            if p.holds(head, hash) && is_match(p.log_ref()) {
+                return (Some((At::Inline(i), p)), probes);
+            }
+        }
+        for (j, &p) in self.chain(b).iter().enumerate() {
+            probes += 1;
+            if p.holds(head, hash) && is_match(p.log_ref()) {
+                return (Some((At::Spilled(j), p)), probes);
+            }
+        }
+        (None, probes)
+    }
+
+    fn set(&mut self, b: usize, at: At, p: Packed) {
+        match at {
+            At::Inline(i) => self.array[b].set(i, p),
+            At::Spilled(j) => {
+                let c = self.chain_index(b).expect("a spilled entry has a chain");
+                self.chains[c].1[j] = p;
+            }
+        }
+    }
+
+    /// Puts a new entry in bucket `b`'s first free slot, or at the end of
+    /// its chain when all eight are occupied.
+    fn insert(&mut self, b: usize, entry: Packed) {
+        let bucket = &mut self.array[b];
+        if let Some(free) = bucket.words.iter().position(|w| w & OCCUPIED == 0) {
+            bucket.set(free, entry);
+            return;
+        }
+        match self.chain_index(b) {
+            Some(c) => self.chains[c].1.push(entry),
+            None => {
+                self.chains.push((b, vec![entry]));
+                self.spilled |= 1 << b;
+            }
+        }
+    }
+
+    /// Takes the entry at `at` out of bucket `b`. An inline slot is
+    /// refilled from the end of the chain, so the chain stays empty
+    /// unless the bucket is full.
+    fn take(&mut self, b: usize, at: At) {
+        let Some(c) = self.chain_index(b) else {
+            let At::Inline(i) = at else {
+                unreachable!("a spilled entry has a chain")
+            };
+            self.array[b].set(i, Packed::default());
+            return;
+        };
+        let chain = &mut self.chains[c].1;
+        match at {
+            At::Inline(i) => self.array[b].set(i, chain.pop().expect("chains are never empty")),
+            At::Spilled(j) => {
+                chain.swap_remove(j);
+            }
+        }
+        if chain.is_empty() {
+            self.chains.swap_remove(c);
+            self.spilled &= !(1 << b);
+        }
+    }
+}
+
 struct Stripe {
-    /// All of this stripe's buckets in one flat allocation — or no
-    /// buckets and no allocation until the stripe's first `upsert`.
-    buckets: RwLock<Box<[Bucket]>>,
+    buckets: RwLock<Buckets>,
 }
 
 /// The hash table itself.
@@ -244,7 +487,7 @@ impl HashTable {
         let buckets_per_stripe = (bucket_count as usize) / stripe_count;
         let stripes = (0..stripe_count)
             .map(|_| Stripe {
-                buckets: RwLock::new(Box::default()),
+                buckets: RwLock::default(),
             })
             .collect();
         HashTable {
@@ -293,42 +536,16 @@ impl HashTable {
         &self,
         table: TableId,
         hash: KeyHash,
-        mut is_match: impl FnMut(LogRef) -> bool,
+        is_match: impl FnMut(LogRef) -> bool,
     ) -> Probed<Option<LogRef>> {
         let (stripe, b) = self.locate(self.bucket_of(hash));
         let buckets = stripe.buckets.read();
-        let Some(bucket) = buckets.get(b) else {
+        if buckets.array.is_empty() {
             return Probed::MISS;
-        };
-        let tag = tag_of(hash);
-        let mut probes = 0;
-        let mut occ = bucket.occupied;
-        while occ != 0 {
-            let i = occ.trailing_zeros() as usize;
-            occ &= occ - 1;
-            if bucket.tags[i] != tag {
-                continue;
-            }
-            probes += 1;
-            let slot = &bucket.slots[i];
-            if slot.table == table && slot.hash == hash && is_match(slot.log_ref) {
-                return Probed {
-                    value: Some(slot.log_ref),
-                    probes,
-                };
-            }
         }
-        for slot in bucket.spill() {
-            probes += 1;
-            if slot.table == table && slot.hash == hash && is_match(slot.log_ref) {
-                return Probed {
-                    value: Some(slot.log_ref),
-                    probes,
-                };
-            }
-        }
+        let (found, probes) = buckets.find(b, search_head(table), hash, is_match);
         Probed {
-            value: None,
+            value: found.map(|(_, p)| p.log_ref()),
             probes,
         }
     }
@@ -337,69 +554,30 @@ impl HashTable {
     ///
     /// `is_match` identifies which colliding entry (if any) represents the
     /// same key; when it returns true the slot is repointed at `new_ref`
-    /// and the old reference is returned.
+    /// and the old reference is returned. Panics if the table id, the
+    /// segment id or the offset does not fit its field of the slot.
     pub fn upsert(
         &self,
         table: TableId,
         hash: KeyHash,
         new_ref: LogRef,
-        mut is_match: impl FnMut(LogRef) -> bool,
+        is_match: impl FnMut(LogRef) -> bool,
     ) -> Probed<Upsert> {
+        let entry = Packed::new(table, hash, new_ref);
         let (stripe, b) = self.locate(self.bucket_of(hash));
         let mut buckets = stripe.buckets.write();
-        if buckets.is_empty() {
-            *buckets = zeroed_buckets(self.buckets_per_stripe);
+        if buckets.array.is_empty() {
+            buckets.array = zeroed_buckets(self.buckets_per_stripe);
         }
-        let bucket = &mut buckets[b];
-        let tag = tag_of(hash);
-        let mut probes = 0;
-        let mut occ = bucket.occupied;
-        while occ != 0 {
-            let i = occ.trailing_zeros() as usize;
-            occ &= occ - 1;
-            if bucket.tags[i] != tag {
-                continue;
-            }
-            probes += 1;
-            let slot = &mut bucket.slots[i];
-            if slot.table == table && slot.hash == hash && is_match(slot.log_ref) {
-                let old = slot.log_ref;
-                slot.log_ref = new_ref;
-                return Probed {
-                    value: Upsert::Replaced(old),
-                    probes,
-                };
-            }
+        let (found, probes) = buckets.find(b, entry.word & HEAD_MASK, hash, is_match);
+        if let Some((at, old)) = found {
+            buckets.set(b, at, entry);
+            return Probed {
+                value: Upsert::Replaced(old.log_ref()),
+                probes,
+            };
         }
-        if let Some(of) = &mut bucket.overflow {
-            for slot in of.iter_mut() {
-                probes += 1;
-                if slot.table == table && slot.hash == hash && is_match(slot.log_ref) {
-                    let old = slot.log_ref;
-                    slot.log_ref = new_ref;
-                    return Probed {
-                        value: Upsert::Replaced(old),
-                        probes,
-                    };
-                }
-            }
-        }
-        let slot = Slot {
-            table,
-            hash,
-            log_ref: new_ref,
-        };
-        if bucket.occupied != u8::MAX {
-            let i = (!bucket.occupied).trailing_zeros() as usize;
-            bucket.tags[i] = tag;
-            bucket.slots[i] = slot;
-            bucket.occupied |= 1 << i;
-        } else {
-            bucket
-                .overflow
-                .get_or_insert_with(Default::default)
-                .push(slot);
-        }
+        buckets.insert(b, entry);
         self.len.fetch_add(1, Ordering::Relaxed);
         Probed {
             value: Upsert::Inserted,
@@ -413,68 +591,30 @@ impl HashTable {
         &self,
         table: TableId,
         hash: KeyHash,
-        mut is_match: impl FnMut(LogRef) -> bool,
+        is_match: impl FnMut(LogRef) -> bool,
     ) -> Probed<Option<LogRef>> {
         let (stripe, b) = self.locate(self.bucket_of(hash));
         let mut buckets = stripe.buckets.write();
-        let Some(bucket) = buckets.get_mut(b) else {
+        if buckets.array.is_empty() {
             return Probed::MISS;
-        };
-        let tag = tag_of(hash);
-        let mut probes = 0;
-        let mut occ = bucket.occupied;
-        while occ != 0 {
-            let i = occ.trailing_zeros() as usize;
-            occ &= occ - 1;
-            if bucket.tags[i] != tag {
-                continue;
-            }
-            probes += 1;
-            let slot = bucket.slots[i];
-            if slot.table == table && slot.hash == hash && is_match(slot.log_ref) {
-                // Promote a spilled entry into the freed inline slot so the
-                // overflow chain stays empty in the common case.
-                if let Some(spill) = bucket.overflow.as_mut().and_then(|of| of.pop()) {
-                    bucket.tags[i] = tag_of(spill.hash);
-                    bucket.slots[i] = spill;
-                } else {
-                    bucket.occupied &= !(1 << i);
-                }
-                self.len.fetch_sub(1, Ordering::Relaxed);
-                return Probed {
-                    value: Some(slot.log_ref),
-                    probes,
-                };
-            }
         }
-        if let Some(of) = &mut bucket.overflow {
-            for i in 0..of.len() {
-                probes += 1;
-                let slot = of[i];
-                if slot.table == table && slot.hash == hash && is_match(slot.log_ref) {
-                    of.swap_remove(i);
-                    self.len.fetch_sub(1, Ordering::Relaxed);
-                    return Probed {
-                        value: Some(slot.log_ref),
-                        probes,
-                    };
-                }
-            }
-        }
-        Probed {
-            value: None,
-            probes,
-        }
+        let (found, probes) = buckets.find(b, search_head(table), hash, is_match);
+        let value = found.map(|(at, old)| {
+            buckets.take(b, at);
+            self.len.fetch_sub(1, Ordering::Relaxed);
+            old.log_ref()
+        });
+        Probed { value, probes }
     }
 
-    /// Asks the cache for the bucket `hash` lands in — its leading line:
-    /// tags, occupancy and the first slot — ahead of the `upsert` (or
-    /// `lookup`) that will touch it. A hint only, and nothing at all for
-    /// a stripe that has no buckets yet.
+    /// Asks the cache for the bucket `hash` lands in — both of its lines
+    /// — ahead of the `upsert` (or `lookup`) that will touch it. A hint
+    /// only, and nothing at all for a stripe that has no buckets yet.
     pub fn prefetch(&self, hash: KeyHash) {
         let (stripe, b) = self.locate(self.bucket_of(hash));
-        if let Some(bucket) = stripe.buckets.read().get(b) {
-            prefetch(bucket as *const Bucket);
+        if let Some(bucket) = stripe.buckets.read().array.get(b) {
+            prefetch(&bucket.hashes);
+            prefetch(&bucket.words);
         }
     }
 
@@ -482,35 +622,21 @@ impl HashTable {
     ///
     /// The cleaner's relocation path: succeeds only if the slot still
     /// points at `old`, so a racing write that superseded the entry wins.
+    /// Panics, like [`HashTable::upsert`], if `new` does not fit a slot.
     pub fn update_ref(&self, table: TableId, hash: KeyHash, old: LogRef, new: LogRef) -> bool {
+        let new = pack_ref(new);
         let (stripe, b) = self.locate(self.bucket_of(hash));
         let mut buckets = stripe.buckets.write();
-        let Some(bucket) = buckets.get_mut(b) else {
+        if buckets.array.is_empty() {
+            return false;
+        }
+        let head = search_head(table);
+        let Some((at, _)) = buckets.find(b, head, hash, |r| r == old).0 else {
             return false;
         };
-        let tag = tag_of(hash);
-        let mut occ = bucket.occupied;
-        while occ != 0 {
-            let i = occ.trailing_zeros() as usize;
-            occ &= occ - 1;
-            if bucket.tags[i] != tag {
-                continue;
-            }
-            let slot = &mut bucket.slots[i];
-            if slot.table == table && slot.hash == hash && slot.log_ref == old {
-                slot.log_ref = new;
-                return true;
-            }
-        }
-        if let Some(of) = &mut bucket.overflow {
-            for slot in of.iter_mut() {
-                if slot.table == table && slot.hash == hash && slot.log_ref == old {
-                    slot.log_ref = new;
-                    return true;
-                }
-            }
-        }
-        false
+        let word = head | new;
+        buckets.set(b, at, Packed { hash, word });
+        true
     }
 
     /// Visits whole buckets of entries in `range` belonging to `table`,
@@ -552,7 +678,8 @@ impl HashTable {
         }
         let first_bucket = self.bucket_of(range.start).max(cursor.bucket);
         let last_bucket = self.bucket_of(range.end);
-        let wanted = |slot: &Slot| slot.table == table && range.contains(slot.hash);
+        let head = search_head(table);
+        let wanted = |p: Packed| p.word & HEAD_MASK == head && range.contains(p.hash);
         let mut probes = 0u32;
         let mut accepted = 0u64;
         let mut bucket = first_bucket;
@@ -561,7 +688,7 @@ impl HashTable {
             let stripe_last =
                 (((stripe_idx + 1) * self.buckets_per_stripe - 1) as u64).min(last_bucket);
             let buckets = self.stripes[stripe_idx].buckets.read();
-            if buckets.is_empty() {
+            if buckets.array.is_empty() {
                 // A run of empty buckets accepts nothing, so the budget
                 // test below could only have fired at its first bucket
                 // (a budget of zero); otherwise the whole run is passed.
@@ -578,17 +705,17 @@ impl HashTable {
             while bucket <= stripe_last {
                 let horizon = (bucket + SCAN_LOOKAHEAD_BUCKETS).min(stripe_last);
                 while ahead <= horizon {
-                    buckets[ahead as usize % self.buckets_per_stripe].for_each(|slot| {
-                        if wanted(slot) {
-                            peek(slot);
+                    buckets.for_each(ahead as usize % self.buckets_per_stripe, |p| {
+                        if wanted(p) {
+                            peek(&p.slot());
                         }
                     });
                     ahead += 1;
                 }
-                buckets[bucket as usize % self.buckets_per_stripe].for_each(|slot| {
+                buckets.for_each(bucket as usize % self.buckets_per_stripe, |p| {
                     probes += 1;
-                    if wanted(slot) {
-                        accepted += visit(slot);
+                    if wanted(p) {
+                        accepted += visit(&p.slot());
                     }
                 });
                 bucket += 1;
@@ -728,7 +855,7 @@ mod tests {
         let high = u64::MAX - 7; // stripe 7
         ht.upsert(T, low, r(1, 0), |_| true);
         let touched = |ht: &HashTable| {
-            let written = |s: &&Stripe| !s.buckets.read().is_empty();
+            let written = |s: &&Stripe| !s.buckets.read().array.is_empty();
             ht.stripes.iter().filter(written).count()
         };
         assert_eq!(touched(&ht), 1);
@@ -810,6 +937,245 @@ mod tests {
             assert_eq!(ht.remove(T, i, |_| true).value, Some(r(i, 0)), "key {i}");
         }
         assert!(ht.is_empty());
+    }
+
+    /// The packed word holds every field up to its bound, and a table id
+    /// past it is never found (it cannot have been stored).
+    #[test]
+    fn largest_packable_entry_round_trips() {
+        let ht = HashTable::new(64, 8);
+        let table = TableId((1 << 15) - 1);
+        let big = r((1 << 24) - 1, (1 << 24) - 1);
+        ht.upsert(table, 9, big, |_| true);
+        assert_eq!(ht.lookup(table, 9, |_| true).value, Some(big));
+        let mut seen = Vec::new();
+        ht.for_each_in_range(table, HashRange::full(), |s| seen.push(*s));
+        let want = Slot {
+            table,
+            hash: 9,
+            log_ref: big,
+        };
+        assert_eq!(seen, vec![want]);
+        let beyond = TableId(1 << 15);
+        // Same tag: examined, as today's rule counts, and not a match.
+        assert_eq!(ht.lookup(beyond, 9, |_| true).value, None);
+        assert_eq!(ht.lookup(beyond, 9, |_| true).probes, 1);
+        assert_eq!(ht.remove(beyond, 9, |_| true).value, None);
+        assert!(!ht.update_ref(beyond, 9, big, r(1, 0)));
+        ht.for_each_in_range(beyond, HashRange::full(), |_| panic!("not its table"));
+    }
+
+    #[test]
+    #[should_panic(expected = "table id 32768 does not fit")]
+    fn a_table_id_past_15_bits_is_refused() {
+        HashTable::new(64, 8).upsert(TableId(1 << 15), 1, r(1, 0), |_| true);
+    }
+
+    #[test]
+    #[should_panic(expected = "segment id 16777216 does not fit")]
+    fn a_segment_id_past_24_bits_is_refused() {
+        HashTable::new(64, 8).upsert(T, 1, r(1 << 24, 0), |_| true);
+    }
+
+    #[test]
+    #[should_panic(expected = "offset 16777216 does not fit")]
+    fn an_offset_past_24_bits_is_refused() {
+        HashTable::new(64, 8).upsert(T, 1, r(1, 1 << 24), |_| true);
+    }
+
+    /// The bucket as it was before slots were packed, searched by the
+    /// rule the §4.5 costs are calibrated on: eight optional inline slots
+    /// in index order (a probe where the tag matches), then a spill list
+    /// (every entry a probe). Inserts take the lowest free slot, else the
+    /// list's end; removing an inline entry refills its slot from the
+    /// list's end, removing a spilled one swaps the list's last entry in.
+    #[derive(Default)]
+    struct ModelBucket {
+        inline: [Option<Slot>; SLOTS_PER_BUCKET],
+        spill: Vec<Slot>,
+    }
+
+    impl ModelBucket {
+        fn find(
+            &self,
+            table: TableId,
+            hash: KeyHash,
+            mut is_match: impl FnMut(LogRef) -> bool,
+        ) -> (Option<(At, Slot)>, u32) {
+            let mut hit = |s: &Slot| s.table == table && s.hash == hash && is_match(s.log_ref);
+            let mut probes = 0;
+            for (i, s) in self.inline.iter().enumerate() {
+                let Some(s) = s.filter(|s| tag_of(s.hash) == tag_of(hash)) else {
+                    continue;
+                };
+                probes += 1;
+                if hit(&s) {
+                    return (Some((At::Inline(i), s)), probes);
+                }
+            }
+            for (j, s) in self.spill.iter().enumerate() {
+                probes += 1;
+                if hit(s) {
+                    return (Some((At::Spilled(j), *s)), probes);
+                }
+            }
+            (None, probes)
+        }
+
+        fn get_mut(&mut self, at: At) -> &mut Slot {
+            match at {
+                At::Inline(i) => self.inline[i].as_mut().expect("occupied"),
+                At::Spilled(j) => &mut self.spill[j],
+            }
+        }
+
+        fn lookup(
+            &self,
+            t: TableId,
+            h: KeyHash,
+            m: impl FnMut(LogRef) -> bool,
+        ) -> (Option<LogRef>, u32) {
+            let (found, probes) = self.find(t, h, m);
+            (found.map(|(_, s)| s.log_ref), probes)
+        }
+
+        fn upsert(&mut self, new: Slot, m: impl FnMut(LogRef) -> bool) -> Probed<Upsert> {
+            let (found, probes) = self.find(new.table, new.hash, m);
+            if let Some((at, old)) = found {
+                *self.get_mut(at) = new;
+                return Probed {
+                    value: Upsert::Replaced(old.log_ref),
+                    probes,
+                };
+            }
+            match self.inline.iter_mut().find(|s| s.is_none()) {
+                Some(free) => *free = Some(new),
+                None => self.spill.push(new),
+            }
+            Probed {
+                value: Upsert::Inserted,
+                probes: probes + 1,
+            }
+        }
+
+        fn remove(
+            &mut self,
+            t: TableId,
+            h: KeyHash,
+            m: impl FnMut(LogRef) -> bool,
+        ) -> Probed<Option<LogRef>> {
+            let (found, probes) = self.find(t, h, m);
+            let value = found.map(|(at, old)| {
+                match at {
+                    At::Inline(i) => self.inline[i] = self.spill.pop(),
+                    At::Spilled(j) => {
+                        self.spill.swap_remove(j);
+                    }
+                }
+                old.log_ref
+            });
+            Probed { value, probes }
+        }
+
+        /// Every entry in scan order: inline by index, then spilled.
+        fn entries(&self) -> Vec<Slot> {
+            self.inline
+                .iter()
+                .flatten()
+                .chain(&self.spill)
+                .copied()
+                .collect()
+        }
+    }
+
+    /// Random upserts, removes and update_refs on keys that share one
+    /// bucket and a handful of tags (equal hashes, duplicate keys, and
+    /// tag 0, which an empty slot's zeroed hash shares, included): a
+    /// spill chain exists only beside a full bucket, and every answer,
+    /// probe count and scan order is the model's.
+    #[test]
+    fn spill_needs_a_full_bucket_and_probes_match_the_model() {
+        use rocksteady_common::rng::Prng;
+        for seed in 0..64 {
+            let mut rng = Prng::new(0x5b11_0000 + seed);
+            let ht = HashTable::new(2, 1); // hashes below 1 << 63: bucket 0
+            let mut model = ModelBucket::default();
+            let removes = rng.next_range(2, 4);
+            for step in 0..rng.next_range(50, 400) {
+                let table = TableId(1 + rng.next_below(2));
+                let hash =
+                    rng.next_below(6) << 40 | [0xbeef, 0x1234, 0][rng.next_below(3) as usize];
+                let rule = rng.next_below(3);
+                let is_match = |c: LogRef| match rule {
+                    0 => true,
+                    1 => c.offset & 1 == 0,
+                    _ => false,
+                };
+                let new = r(rng.next_below(50), rng.next_below(4) as u32);
+                let ctx = format!("seed {seed} step {step}");
+                match rng.next_below(8) {
+                    0..=2 => {
+                        let slot = Slot {
+                            table,
+                            hash,
+                            log_ref: new,
+                        };
+                        let got = ht.upsert(table, hash, new, is_match);
+                        assert_eq!(got, model.upsert(slot, is_match), "{ctx}: upsert");
+                    }
+                    op if op < 3 + removes => {
+                        let got = ht.remove(table, hash, is_match);
+                        assert_eq!(got, model.remove(table, hash, is_match), "{ctx}: remove");
+                    }
+                    _ => {
+                        // Usually a reference the key holds, so some succeed.
+                        let old = model
+                            .entries()
+                            .into_iter()
+                            .find(|s| s.table == table && s.hash == hash)
+                            .map_or(new, |s| s.log_ref);
+                        let want = match model.find(table, hash, |c| c == old).0 {
+                            Some((at, _)) => {
+                                model.get_mut(at).log_ref = new;
+                                true
+                            }
+                            None => false,
+                        };
+                        assert_eq!(
+                            ht.update_ref(table, hash, old, new),
+                            want,
+                            "{ctx}: update_ref"
+                        );
+                    }
+                }
+                let got = ht.lookup(table, hash, is_match);
+                assert_eq!(
+                    (got.value, got.probes),
+                    model.lookup(table, hash, is_match),
+                    "{ctx}: lookup"
+                );
+                assert_eq!(ht.len(), model.entries().len(), "{ctx}: len");
+
+                let buckets = ht.stripes[0].buckets.read();
+                assert_eq!(
+                    buckets.spilled.count_ones() as usize,
+                    buckets.chains.len(),
+                    "{ctx}"
+                );
+                for (b, chain) in &buckets.chains {
+                    assert!(!chain.is_empty(), "{ctx}: empty chain kept");
+                    assert_eq!(buckets.spilled >> b & 1, 1, "{ctx}: chain without its bit");
+                    let full = buckets.array[*b].words.iter().all(|w| w & OCCUPIED != 0);
+                    assert!(full, "{ctx}: spill beside a bucket with a free slot");
+                }
+                drop(buckets);
+                let mut seen = Vec::new();
+                ht.for_each_in_range(table, HashRange::full(), |s| seen.push(*s));
+                let mut want = model.entries();
+                want.retain(|s| s.table == table);
+                assert_eq!(seen, want, "{ctx}: scan order");
+            }
+        }
     }
 
     #[test]

@@ -16,9 +16,11 @@ use rocksteady_logstore::LogRef;
 const T: TableId = TableId(1);
 const CASES: u64 = 96;
 
+/// A reference drawn from `v`, inside what a slot can hold: a 24-bit
+/// segment id and an offset below 2²⁴.
 fn r(v: u64) -> LogRef {
     LogRef {
-        segment: v,
+        segment: v >> 40,
         offset: (v % 97) as u32,
     }
 }

@@ -31,6 +31,11 @@ pub struct LogConfig {
     pub max_segments: Option<usize>,
 }
 
+/// Largest `segment_bytes` a [`Log`] accepts: 16 MiB, twice RAMCloud's
+/// 8 MB. The hash table packs an entry's byte offset into 24 bits, so a
+/// larger segment could hold an entry no slot can point at.
+pub const MAX_SEGMENT_BYTES: usize = 16 << 20;
+
 impl Default for LogConfig {
     fn default() -> Self {
         LogConfig {
@@ -153,8 +158,14 @@ pub struct Log {
 }
 
 impl Log {
-    /// Creates an empty log with one open head segment.
+    /// Creates an empty log with one open head segment. Panics if
+    /// `config.segment_bytes` exceeds [`MAX_SEGMENT_BYTES`].
     pub fn new(config: LogConfig) -> Self {
+        assert!(
+            config.segment_bytes <= MAX_SEGMENT_BYTES,
+            "segment_bytes {} exceeds MAX_SEGMENT_BYTES ({MAX_SEGMENT_BYTES})",
+            config.segment_bytes
+        );
         let head = Arc::new(Segment::new(0, config.segment_bytes));
         let mut segments = FxHashMap::default();
         segments.insert(0, Arc::clone(&head));
@@ -567,6 +578,15 @@ mod tests {
             segment_bytes: 256,
             max_segments: None,
         })
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_SEGMENT_BYTES")]
+    fn segments_past_the_indexable_size_are_refused() {
+        Log::new(LogConfig {
+            segment_bytes: MAX_SEGMENT_BYTES + 1,
+            max_segments: None,
+        });
     }
 
     #[test]

@@ -309,11 +309,10 @@ impl MasterService {
             TabletRole::MigratingOutTo { .. } => return Err(OpError::UnknownTablet),
             TabletRole::Recovering => return Err(OpError::Recovering),
         };
-        let log = Arc::clone(&self.log);
         let found = match key {
             Some(k) => self
                 .hashtable
-                .lookup(table, hash, Self::key_matcher(&log, k)),
+                .lookup(table, hash, Self::key_matcher(&self.log, k)),
             None => self.hashtable.lookup(table, hash, |_| true),
         };
         work.probes += found.probes as u64;

@@ -266,7 +266,7 @@ fn hash_table_allocates_a_stripe_on_its_first_insert() {
         offset: 0,
     };
 
-    // The benchmark's per-master table: 2^19 buckets, 168 MB if eager.
+    // The benchmark's per-master table: 2^19 buckets, 64 MiB if eager.
     let before = bytes();
     let ht = HashTable::new(1 << 19, 256);
     let built = bytes() - before;
@@ -275,13 +275,15 @@ fn hash_table_allocates_a_stripe_on_its_first_insert() {
         "an empty table allocated {built} bytes before its first upsert"
     );
 
-    // One insert allocates exactly one stripe; that is the unit.
+    // One insert allocates exactly one stripe of 128-byte buckets and
+    // nothing else (no spill chain): that is the unit.
     let before = bytes();
     ht.upsert(T, 0, at(0), |_| true);
     let stripe_bytes = bytes() - before;
-    assert!(
-        stripe_bytes > 0,
-        "the first upsert must allocate its stripe"
+    assert_eq!(
+        stripe_bytes,
+        (MAX_BUCKETS_PER_STRIPE * 128) as u64,
+        "the first upsert must allocate exactly its stripe"
     );
     let stripes = ht.bucket_count() / MAX_BUCKETS_PER_STRIPE as u64;
 
