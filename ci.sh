@@ -15,6 +15,9 @@ run cargo test -q --workspace --exclude rocksteady-repro
 # tests' own comparisons catch a short replica.
 run cargo test -q --release --test cleaner_interaction
 run cargo test -q --release --test replication
+# Eight seeds of write_churn, every client operation checked for
+# linearizability with debug assertions off.
+run cargo test -q --release --test seed_sweep
 # The hash table's packing bounds are assert!s, not debug_assert!s: its
 # bound and property tests must pass in the build the benchmark measures.
 run cargo test -q --release -p rocksteady-hashtable

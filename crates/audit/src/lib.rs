@@ -9,8 +9,8 @@
 //! show *where time goes*; this crate continuously proves *the protocol
 //! did the right thing*.
 //!
-//! Producers (coordinator actor, server nodes, the rebalancer, YCSB
-//! clients) emit [`AuditEvent`]s through a shared [`AuditSink`] — the
+//! Producers (coordinator actor, server nodes, the rebalancer) emit
+//! [`AuditEvent`]s through a shared [`AuditSink`] — the
 //! same zero-cost-when-disarmed handle shape as `Tracer`/`Profiler`: a
 //! disarmed sink is `None` and every emit is one branch, no clock
 //! reads, no allocation (callers guard payload construction with
@@ -33,8 +33,13 @@
 //! 4. **lineage** — a lineage dependency is created before the commit
 //!    that uses it, dropped exactly once, and fully dropped when a
 //!    participant crashes;
-//! 5. **read-your-writes** — a client that saw `WriteOk{version}` never
-//!    subsequently reads an older version (or a miss) of that key.
+//! 5. **linearizable** — every key's client history is: YCSB clients
+//!    report each completed operation ([`AuditSink::client_op`], not an
+//!    event), and one invoked after another completed sees at least
+//!    its version (a write, a greater one); answered writes' versions
+//!    are unique; and, once the history ends ([`AuditSink::end_history`]),
+//!    every version read was written or is the key's preload, below
+//!    every answered write.
 //!
 //! On top of the recorded stream sits the **explain engine**: given a
 //! migration id or an SLO-breach interval it walks the causal chain
@@ -46,7 +51,7 @@
 #![deny(missing_docs)]
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use rocksteady_common::json::JsonWriter;
@@ -64,15 +69,15 @@ pub mod invariants {
     pub const CONSERVATION: usize = 2;
     /// Lineage deps: created before use, dropped exactly once.
     pub const LINEAGE: usize = 3;
-    /// Per-client-session read-your-writes.
-    pub const READ_YOUR_WRITES: usize = 4;
+    /// Every key's client history is linearizable.
+    pub const LINEARIZABLE: usize = 4;
     /// Stable names, indexed by the constants above.
     pub const NAMES: [&str; 5] = [
         "single-owner",
         "version-floor",
         "conservation",
         "lineage",
-        "read-your-writes",
+        "linearizable",
     ];
 }
 
@@ -331,27 +336,6 @@ pub enum AuditKind {
         /// Whether the run completed (vs. refused/abandoned).
         completed: bool,
     },
-
-    // ------------------------------------------------------ client-side --
-    /// A YCSB client saw `WriteOk { version }` for `hash`.
-    ClientWrite {
-        /// Client actor id.
-        client: u64,
-        /// Key hash written.
-        hash: KeyHash,
-        /// Version the server assigned.
-        version: u64,
-    },
-    /// A YCSB client completed a read of a key it previously wrote
-    /// (`version == 0` means the read missed).
-    ClientRead {
-        /// Client actor id.
-        client: u64,
-        /// Key hash read.
-        hash: KeyHash,
-        /// Version observed (0 = not found).
-        version: u64,
-    },
 }
 
 impl AuditKind {
@@ -380,9 +364,65 @@ impl AuditKind {
             AuditKind::RebalanceProposed { .. } => "rebalance-proposed",
             AuditKind::RebalanceAdmitted { .. } => "rebalance-admitted",
             AuditKind::RebalanceOutcome { .. } => "rebalance-outcome",
-            AuditKind::ClientWrite { .. } => "client-write",
-            AuditKind::ClientRead { .. } => "client-read",
         }
+    }
+}
+
+/// What a completed client operation returned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome {
+    /// A read returned, or a write was assigned, this version.
+    Version(u64),
+    /// A read found no object.
+    Miss,
+    /// A write that may or may not have applied: its attempt timed out,
+    /// or it was still in flight when the run ended.
+    Indeterminate,
+}
+
+/// The `client` of the end-of-run read-back's operations.
+pub const READ_BACK: u64 = u64::MAX;
+
+/// One completed client operation on one key: the unit of the
+/// `linearizable` invariant ([`AuditSink::client_op`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClientOp {
+    /// Client actor id, or [`READ_BACK`].
+    pub client: u64,
+    /// Key hash (YCSB clients share the scenarios' one table).
+    pub hash: KeyHash,
+    /// A write (else a read).
+    pub write: bool,
+    /// When the client invoked the operation (before its first attempt).
+    pub invoked: Nanos,
+    /// When it completed.
+    pub completed: Nanos,
+    /// What it returned.
+    pub outcome: Outcome,
+}
+
+impl ClientOp {
+    /// The version the operation saw or wrote; a miss sees 0.
+    fn seen(&self) -> u64 {
+        match self.outcome {
+            Outcome::Version(v) => v,
+            _ => 0,
+        }
+    }
+}
+
+impl std::fmt::Display for ClientOp {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.client {
+            READ_BACK => f.write_str("the read-back")?,
+            client => write!(f, "client {client}")?,
+        }
+        f.write_str(if self.write { " wrote " } else { " read " })?;
+        match self.outcome {
+            Outcome::Miss => f.write_str("a miss")?,
+            _ => write!(f, "v{}", self.seen())?,
+        }
+        write!(f, " [{}, {}]", self.invoked, self.completed)
     }
 }
 
@@ -405,12 +445,14 @@ pub struct Violation {
     pub invariant: &'static str,
     /// Virtual time of the violating event.
     pub at: Nanos,
-    /// Sequence number of the violating event.
+    /// Sequence number of the violating event (for `linearizable`, the
+    /// stream's length then: client operations are not events).
     pub seq: u64,
     /// Human-readable description (integers only; deterministic).
     pub detail: String,
     /// Causal chain: sequence numbers of the events that led here, in
-    /// causal order, ending with the violating event.
+    /// causal order, ending with the violating event (empty for
+    /// `linearizable`, whose detail names both operations).
     pub chain: Vec<u64>,
 }
 
@@ -580,22 +622,42 @@ impl MigTrack {
     }
 }
 
+/// One version a key's client history has seen.
+#[derive(Debug, Clone, Copy)]
+struct Seen {
+    /// The first operation to complete with this version.
+    first: ClientOp,
+    /// The answered write that produced it, once one has.
+    writer: Option<ClientOp>,
+}
+
+/// One key's client history, folded to what `linearizable` needs: one
+/// entry per version seen, so it grows with answered writes, not with
+/// operations.
+#[derive(Debug, Default)]
+struct KeyHistory {
+    /// By version.
+    seen: Vec<Seen>,
+    /// Writes that may have applied, each with a version nobody knows.
+    indeterminate: usize,
+}
+
 /// The online checker: ingests each event as it is emitted and records
 /// violations immediately, with the causal chain that led there.
 #[derive(Debug, Default)]
 pub struct InvariantAuditor {
     tablets: Vec<TabletTrack>,
     /// Live tablet index by exact `(table, start, end)`.
-    live: HashMap<(u64, u64, u64), usize>,
-    migs: HashMap<u64, MigTrack>,
+    live: BTreeMap<(u64, u64, u64), usize>,
+    migs: BTreeMap<u64, MigTrack>,
     /// Live lineage deps: id -> (source, target, added_seq).
-    lineage: HashMap<u64, (ServerId, ServerId, u64)>,
+    lineage: BTreeMap<u64, (ServerId, ServerId, u64)>,
     /// Last floor sample per server: (floor, seq).
-    floors: HashMap<u32, (u64, u64)>,
-    /// Max confirmed written version per (client, hash) -> (version, seq).
-    written: HashMap<(u64, u64), (u64, u64)>,
+    floors: BTreeMap<u32, (u64, u64)>,
+    /// Client history per key hash.
+    keys: BTreeMap<KeyHash, KeyHistory>,
     /// Pending rebalancer admissions: migration id -> seq.
-    rebalance_admits: HashMap<u64, u64>,
+    rebalance_admits: BTreeMap<u64, u64>,
     checked: [u64; 5],
     violated: [u64; 5],
     violations: Vec<Violation>,
@@ -921,13 +983,12 @@ impl InvariantAuditor {
                 // lands (it follows the plan's LineageDropped events), no
                 // live dep may involve the dead server.
                 self.checked[invariants::LINEAGE] += 1;
-                let mut stale: Vec<(u64, u64)> = self
+                let stale: Vec<(u64, u64)> = self
                     .lineage
                     .iter()
                     .filter(|(_, (s, t, _))| *s == server || *t == server)
                     .map(|(id, (_, _, added))| (*id, *added))
                     .collect();
-                stale.sort_unstable();
                 for (id, added) in stale {
                     self.violate(
                         invariants::LINEAGE,
@@ -1092,42 +1153,82 @@ impl InvariantAuditor {
                 self.rebalance_admits.insert(id.0, seq);
             }
             AuditKind::RebalanceOutcome { .. } => {}
-            AuditKind::ClientWrite {
-                client,
-                hash,
-                version,
-            } => {
-                let entry = self.written.entry((client, hash)).or_insert((0, seq));
-                if version > entry.0 {
-                    *entry = (version, seq);
-                }
+        }
+    }
+
+    /// `linearizable`, per key, with operations arriving in completion
+    /// order and versions as the read-mapping (so no search: Gibbons &
+    /// Korach): an operation invoked after another completed sees at
+    /// least that one's version — a write a greater one — and no two
+    /// answered writes share a version. `seq` is the event stream's
+    /// length: client operations are not events, so violations carry
+    /// no chain and name both operations in their detail.
+    fn client_op(&mut self, seq: u64, op: ClientOp) {
+        self.checked[invariants::LINEARIZABLE] += 1;
+        let h = self.keys.entry(op.hash).or_default();
+        if op.outcome == Outcome::Indeterminate {
+            h.indeterminate += 1;
+            return;
+        }
+        let (v, mut found) = (op.seen(), Vec::new());
+        // The highest version some operation had completed with when this
+        // one was invoked. From the top, the walk passes only versions
+        // first seen while this operation was in flight.
+        let mut top_down = h.seen.iter().rev().map(|s| s.first);
+        if let Some(prior) = top_down.find(|p| p.completed <= op.invoked) {
+            if v < prior.seen() || (op.write && v == prior.seen()) {
+                found.push((op.hash, format!("{op} after {prior}")));
             }
-            AuditKind::ClientRead {
-                client,
-                hash,
-                version,
-            } => {
-                if let Some(&(max, wseq)) = self.written.get(&(client, hash)) {
-                    self.checked[invariants::READ_YOUR_WRITES] += 1;
-                    if version < max {
-                        let what = if version == 0 {
-                            "a miss".to_string()
-                        } else {
-                            format!("version {version}")
-                        };
-                        self.violate(
-                            invariants::READ_YOUR_WRITES,
-                            at,
-                            seq,
-                            format!(
-                                "client {} read {} for hash {:#x} after its own confirmed write of version {}",
-                                client, what, hash, max
-                            ),
-                            vec![wseq],
-                        );
-                    }
-                }
+        }
+        match h.seen.binary_search_by_key(&v, |s| s.first.seen()) {
+            Ok(i) if op.write => match h.seen[i].writer {
+                Some(other) => found.push((op.hash, format!("{op} and {other} share a version"))),
+                None => h.seen[i].writer = Some(op),
+            },
+            Err(i) if v > 0 => {
+                // Most keys only ever see one version: hold exactly one.
+                h.seen.reserve_exact(usize::from(h.seen.is_empty()));
+                let writer = op.write.then_some(op);
+                h.seen.insert(i, Seen { first: op, writer });
             }
+            _ => {}
+        }
+        self.client_violations(op.completed, seq, found);
+    }
+
+    /// The rest of `linearizable`, once every operation is in (writes
+    /// still in flight as indeterminate): each version a read returned
+    /// was written by an answered or an indeterminate write, or is the
+    /// key's one preloaded version, below every answered write's.
+    fn end_history(&mut self, at: Nanos, seq: u64) {
+        let mut found = Vec::new();
+        for (&hash, h) in &self.keys {
+            let unwritten = h.seen.iter().filter(|s| s.writer.is_none());
+            let unwritten: Vec<ClientOp> = unwritten.map(|s| s.first).collect();
+            // Indeterminate writes explain the highest of them; the
+            // lowest is the one that may be preloaded.
+            let left = &unwritten[..unwritten.len().saturating_sub(h.indeterminate)];
+            match (left, h.seen.iter().find_map(|s| s.writer)) {
+                ([a, b, ..], _) => found.push((hash, format!("no write explains {a} or {b}"))),
+                ([r], Some(w)) if r.seen() > w.seen() => {
+                    found.push((hash, format!("no write explains {r}, above {w}")))
+                }
+                _ => {}
+            }
+        }
+        self.client_violations(at, seq, found);
+    }
+
+    fn client_violations(&mut self, at: Nanos, seq: u64, found: Vec<(KeyHash, String)>) {
+        for (hash, detail) in found {
+            self.violated[invariants::LINEARIZABLE] += 1;
+            self.violations.push(Violation {
+                invariant: invariants::NAMES[invariants::LINEARIZABLE],
+                at,
+                seq,
+                detail: format!("hash {hash:#x}: {detail}"),
+                chain: Vec::new(),
+            });
         }
     }
 }
@@ -1255,25 +1356,15 @@ impl AuditSink {
         });
     }
 
-    /// Records one event at virtual time `at` and runs the online checks.
-    /// A disarmed sink returns immediately.
-    pub fn emit(&self, at: Nanos, kind: AuditKind) {
+    /// Runs `check` on an armed sink and counts the violations it found
+    /// into the metrics. A disarmed sink returns immediately.
+    fn check(&self, check: impl FnOnce(&mut AuditCore)) {
         let Some(core) = &self.0 else { return };
         let mut core = core.borrow_mut();
-        let seq = core.events.total();
-        let ev = AuditEvent { at, seq, kind };
-        core.events.push(ev);
         let before = core.auditor.violations.len();
-        core.auditor.ingest(&ev);
-        let verified = matches!(ev.kind, AuditKind::MigrationFinished { id, .. }
-            if core.auditor.migs.get(&id.0).map(|m| m.verified) == Some(true));
+        check(&mut core);
         if let Some(m) = &core.metrics {
-            m.events.inc();
-            if verified {
-                m.verified.inc();
-            }
-            let after = core.auditor.violations.len();
-            for v in &core.auditor.violations[before..after] {
+            for v in &core.auditor.violations[before..] {
                 let idx = invariants::NAMES
                     .iter()
                     .position(|n| *n == v.invariant)
@@ -1281,6 +1372,39 @@ impl AuditSink {
                 m.violations[idx].inc();
             }
         }
+    }
+
+    /// Records one event at virtual time `at` and runs the online checks.
+    /// A disarmed sink returns immediately.
+    pub fn emit(&self, at: Nanos, kind: AuditKind) {
+        self.check(|core| {
+            let seq = core.events.total();
+            let ev = AuditEvent { at, seq, kind };
+            core.events.push(ev);
+            core.auditor.ingest(&ev);
+            let verified = matches!(ev.kind, AuditKind::MigrationFinished { id, .. }
+                if core.auditor.migs.get(&id.0).map(|m| m.verified) == Some(true));
+            if let Some(m) = &core.metrics {
+                m.events.inc();
+                if verified {
+                    m.verified.inc();
+                }
+            }
+        });
+    }
+
+    /// Checks one completed client operation against its key's history
+    /// (`linearizable`). Operations arrive in completion order and are
+    /// not events: the stream and its ring never hold them.
+    pub fn client_op(&self, op: ClientOp) {
+        self.check(|core| core.auditor.client_op(core.events.total(), op));
+    }
+
+    /// Closes the client history at `at`, once every operation has been
+    /// reported (writes still in flight as [`Outcome::Indeterminate`]):
+    /// checks that each version a read returned was written.
+    pub fn end_history(&self, at: Nanos) {
+        self.check(|core| core.auditor.end_history(at, core.events.total()));
     }
 
     /// Number of events ingested so far, including any discarded by
@@ -1343,10 +1467,7 @@ impl AuditSink {
                 .end_obj();
         }
         w.end_arr().key("migrations").arr();
-        let mut ids: Vec<u64> = a.migs.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let m = &a.migs[&id];
+        for (id, m) in &a.migs {
             w.obj()
                 .field("id", id)
                 .field("table", m.table.0)
@@ -1526,10 +1647,7 @@ impl AuditSink {
         // carries the writer of its own fields.
         type WriteCause<'a> = Box<dyn Fn(&mut JsonWriter) + 'a>;
         let mut causes: Vec<(u64, u64, WriteCause<'_>)> = Vec::new();
-        let mut ids: Vec<u64> = a.migs.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let m = &a.migs[&id];
+        for (&id, m) in &a.migs {
             let end = m.ended_at.unwrap_or(to);
             let begin = m.admitted_at;
             let overlap = end.min(to).saturating_sub(begin.max(from));
@@ -1731,7 +1849,7 @@ mod tests {
         assert_eq!(rep.migrations_tracked, 1);
         for (name, checked, violated) in &rep.per_invariant {
             assert_eq!(*violated, 0, "{name}");
-            if *name != "version-floor" && *name != "read-your-writes" {
+            if *name != "version-floor" && *name != "linearizable" {
                 assert!(*checked > 0, "{name} never checked");
             }
         }
@@ -1999,54 +2117,156 @@ mod tests {
         assert_eq!(sink.violations().len(), 2);
     }
 
-    #[test]
-    fn read_your_writes_violation_fires() {
+    /// An operation of `client` on key 0xabc (preloaded at v3) over
+    /// `[invoked, completed]` that saw `v`; 0 is a read's miss and a
+    /// write's unknown version.
+    fn op(client: u64, write: bool, invoked: Nanos, completed: Nanos, v: u64) -> ClientOp {
+        let outcome = match (v, write) {
+            (0, false) => Outcome::Miss,
+            (0, true) => Outcome::Indeterminate,
+            _ => Outcome::Version(v),
+        };
+        let hash = 0xabc;
+        ClientOp {
+            client,
+            hash,
+            write,
+            invoked,
+            completed,
+            outcome,
+        }
+    }
+
+    fn read(client: u64, invoked: Nanos, completed: Nanos, v: u64) -> ClientOp {
+        op(client, false, invoked, completed, v)
+    }
+
+    fn write(client: u64, invoked: Nanos, completed: Nanos, v: u64) -> ClientOp {
+        op(client, true, invoked, completed, v)
+    }
+
+    /// What `linearizable` says of `ops`, fed in completion order to a
+    /// fresh sink, once the history ends.
+    fn history(ops: &[ClientOp]) -> Vec<String> {
         let sink = AuditSink::armed();
-        sink.emit(
-            1,
-            AuditKind::ClientWrite {
-                client: 9,
-                hash: 0xabc,
-                version: 40,
-            },
-        );
-        sink.emit(
-            2,
-            AuditKind::ClientRead {
-                client: 9,
-                hash: 0xabc,
-                version: 40,
-            },
-        );
-        sink.emit(
-            3,
-            AuditKind::ClientRead {
-                client: 9,
-                hash: 0xdef,
-                version: 1,
-            },
-        );
-        assert_eq!(sink.report().violations, 0);
-        sink.emit(
-            4,
-            AuditKind::ClientRead {
-                client: 9,
-                hash: 0xabc,
-                version: 39,
-            },
-        );
-        sink.emit(
-            5,
-            AuditKind::ClientRead {
-                client: 9,
-                hash: 0xabc,
-                version: 0,
-            },
-        );
+        ops.iter().for_each(|op| sink.client_op(*op));
+        sink.end_history(1_000);
         let v = sink.violations();
-        assert_eq!(v.len(), 2);
-        assert!(v.iter().all(|v| v.invariant == "read-your-writes"));
-        assert_eq!(v[0].chain, vec![0, 3]);
+        assert!(v.iter().all(|v| v.invariant == "linearizable"));
+        assert_eq!(
+            sink.report().per_invariant[invariants::LINEARIZABLE],
+            ("linearizable", ops.len() as u64, v.len() as u64)
+        );
+        let detail = |v: Violation| v.detail.strip_prefix("hash 0xabc: ").map(String::from);
+        v.into_iter()
+            .map(|v| detail(v).expect("names the key"))
+            .collect()
+    }
+
+    #[test]
+    fn a_stale_read_after_an_answered_write_fires() {
+        let found = history(&[
+            read(1, 0, 10, 3),
+            write(1, 20, 30, 10),
+            read(2, 40, 50, 3),
+            read(2, 60, 70, 0),
+            read(READ_BACK, 90, 90, 3),
+        ]);
+        assert_eq!(
+            found,
+            [
+                "client 2 read v3 [40, 50] after client 1 wrote v10 [20, 30]",
+                "client 2 read a miss [60, 70] after client 1 wrote v10 [20, 30]",
+                "the read-back read v3 [90, 90] after client 1 wrote v10 [20, 30]",
+            ]
+        );
+    }
+
+    #[test]
+    fn a_read_that_goes_backwards_after_another_read_fires() {
+        // Both reads overlap the write; the second began after the first
+        // had seen v10, so it may not see v3.
+        let found = history(&[
+            read(2, 10, 20, 10),
+            read(3, 30, 40, 3),
+            write(1, 0, 100, 10),
+        ]);
+        assert_eq!(
+            found,
+            ["client 3 read v3 [30, 40] after client 2 read v10 [10, 20]"]
+        );
+    }
+
+    #[test]
+    fn a_duplicate_write_version_fires() {
+        let found = history(&[write(1, 0, 10, 10), write(2, 5, 15, 10)]);
+        assert_eq!(
+            found,
+            ["client 2 wrote v10 [5, 15] and client 1 wrote v10 [0, 10] share a version"]
+        );
+    }
+
+    #[test]
+    fn write_versions_out_of_real_time_order_fire() {
+        let found = history(&[
+            write(1, 0, 10, 20),
+            write(2, 20, 30, 15),
+            read(3, 40, 50, 25),
+            write(4, 60, 70, 25),
+        ]);
+        assert_eq!(
+            found,
+            [
+                "client 2 wrote v15 [20, 30] after client 1 wrote v20 [0, 10]",
+                "client 4 wrote v25 [60, 70] after client 3 read v25 [40, 50]",
+            ]
+        );
+    }
+
+    #[test]
+    fn a_version_no_write_explains_fires() {
+        let found = history(&[write(1, 0, 10, 10), read(2, 20, 30, 15)]);
+        assert_eq!(
+            found,
+            ["no write explains client 2 read v15 [20, 30], above client 1 wrote v10 [0, 10]"]
+        );
+    }
+
+    #[test]
+    fn a_second_unexplained_version_on_one_key_fires() {
+        let found = history(&[read(1, 0, 10, 3), read(2, 20, 30, 4)]);
+        assert_eq!(
+            found,
+            ["no write explains client 1 read v3 [0, 10] or client 2 read v4 [20, 30]"]
+        );
+    }
+
+    #[test]
+    fn overlapping_operations_may_return_either_version() {
+        let found = history(&[
+            read(2, 10, 20, 3),
+            read(3, 15, 25, 10),
+            read(4, 18, 30, 3),
+            read(5, 50, 60, 10),
+            write(2, 50, 70, 20),
+            read(6, 60, 80, 10),
+            write(1, 0, 100, 10),
+        ]);
+        assert!(found.is_empty(), "{found:?}");
+    }
+
+    #[test]
+    fn a_timed_out_writes_version_may_be_read() {
+        let found = history(&[
+            read(3, 0, 5, 3),
+            write(1, 0, 10, 0),
+            read(2, 20, 30, 15),
+            write(1, 40, 50, 20),
+            // Still in flight when the run ended; the read-back sees it.
+            write(4, 60, 90, 0),
+            read(READ_BACK, 90, 90, 25),
+        ]);
+        assert!(found.is_empty(), "{found:?}");
     }
 
     #[test]

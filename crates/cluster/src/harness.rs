@@ -20,7 +20,7 @@ use rocksteady_profiler::{critical_path, CriticalPathReport, Profiler};
 use rocksteady_proto::Envelope;
 use rocksteady_server::stats::{registered_stats, StatsHandle};
 use rocksteady_server::{Fault, MigrationRunStamps, ServerConfig, ServerNode};
-use rocksteady_simnet::{Directory, NicConfig, SchedulerKind, Simulation};
+use rocksteady_simnet::{ActorId, Directory, NicConfig, SchedulerKind, Simulation};
 use rocksteady_trace::journey::{self, Journey};
 use rocksteady_trace::Tracer;
 use rocksteady_workload::shape::bucket_ranks;
@@ -109,13 +109,14 @@ pub struct ClusterConfig {
     /// build predating the rebalancer.
     pub rebalancer: Option<RebalancerConfig>,
     /// Arm the cluster-wide protocol auditor (`rocksteady-audit`): the
-    /// coordinator, every server, the rebalancer, and YCSB clients emit
+    /// coordinator, every server and the rebalancer emit
     /// ownership/lineage/migration/version-floor events into one shared
     /// stream, checked online against the Rocksteady invariants and
-    /// exportable as a causal "explain" report. Off by default; armed,
-    /// every emission is pure state mutation (no timers, no clock
-    /// perturbation), so `events_processed()` and all existing exports
-    /// stay byte-identical.
+    /// exportable as a causal "explain" report, and YCSB clients report
+    /// every completed operation to its linearizability check. Off by
+    /// default; armed, every emission is pure state mutation (no timers,
+    /// no clock perturbation), so `events_processed()` and all existing
+    /// exports stay byte-identical.
     pub audit: bool,
     /// Arm the always-on flight recorder (`rocksteady-flightrec`): ring
     /// capacities for the trace/audit buffers, a watchdog detector
@@ -392,6 +393,7 @@ impl ClusterBuilder {
         // distinct key space, cloned into its clients.
         let mut samplers = Vec::new();
         let mut region_ranks = Vec::new();
+        let mut ycsb = Vec::new();
         for (idx, (spec, stats)) in self.clients.into_iter().zip(&client_stats).enumerate() {
             let stats = Rc::clone(stats);
             let derived = cfg
@@ -410,11 +412,13 @@ impl ClusterBuilder {
                     let ranks = shared(&mut region_ranks, regions, || {
                         bucket_ranks(c.num_keys, c.key_len, c.shape.buckets())
                     });
-                    sim.add_actor(Box::new(
-                        YcsbClient::with_sampler(c, stats, sampler, ranks)
-                            .with_trace(trace.clone())
-                            .with_audit(audit.clone()),
-                    ));
+                    ycsb.push(
+                        sim.add_actor(Box::new(
+                            YcsbClient::with_sampler(c, stats, sampler, ranks)
+                                .with_trace(trace.clone())
+                                .with_audit(audit.clone()),
+                        )),
+                    );
                 }
                 ClientSpec::Spread(mut c) => {
                     c.seed ^= derived;
@@ -443,6 +447,7 @@ impl ClusterBuilder {
             profiler,
             audit,
             incidents,
+            ycsb,
             cfg,
         }
     }
@@ -497,6 +502,8 @@ pub struct Cluster {
     pub incidents: IncidentLogHandle,
     /// The configuration the cluster was built with.
     pub cfg: ClusterConfig,
+    /// The YCSB clients' actor ids.
+    pub(crate) ycsb: Vec<ActorId>,
 }
 
 impl Cluster {
@@ -893,7 +900,7 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::control::ControlCmd;
-    use crate::scenarios::{preload_split, preload_tablets, upper, TABLE as T};
+    use crate::scenarios::{preload_split, preload_tablets, read_back, upper, TABLE as T};
     use rocksteady_common::zipf::KeyDist;
     use rocksteady_common::MILLISECOND;
     use rocksteady_workload::core::primary_key;
@@ -1039,10 +1046,7 @@ mod tests {
             ServerId(1),
             "baseline never transferred ownership"
         );
-        for rank in 0..2_000u64 {
-            let key = primary_key(rank, 30);
-            assert!(cluster.read_direct(T, &key).is_some(), "rank {rank} lost");
-        }
+        read_back(&mut cluster, 2_000);
     }
 
     /// The observer is the only actor on the sampling cadence and arms one

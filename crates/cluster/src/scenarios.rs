@@ -8,8 +8,10 @@
 //! [`ClusterBuilder`], and one that needs a different preload adds it
 //! here.
 
-use rocksteady_common::{HashRange, KeyHash, MigrationId, Nanos, ServerId, TableId};
-use rocksteady_workload::YcsbConfig;
+use rocksteady_audit::{ClientOp, Outcome, READ_BACK};
+use rocksteady_common::{key_hash, HashRange, KeyHash, MigrationId, Nanos, ServerId, TableId};
+use rocksteady_workload::core::primary_key;
+use rocksteady_workload::{YcsbClient, YcsbConfig};
 
 use crate::{Cluster, ClusterBuilder, ControlCmd};
 
@@ -57,6 +59,38 @@ pub fn live_migration(mut b: ClusterBuilder, keys: u64, ops_per_sec: f64, at: Na
     let mut cluster = b.build();
     preload_split(&mut cluster, keys, 100);
     cluster
+}
+
+/// Ends a run: asserts that each of `keys` ranks reads back through its
+/// owner, and returns how many live in [`upper`]. Each read-back joins
+/// the audit's client history as a read invoked after the run ended, the
+/// writes still in flight as indeterminate, and the history ends — so
+/// "every acknowledged write is stored" is the `linearizable` check's
+/// real-time rule, and a clean run reports no violation of it.
+pub fn read_back(cluster: &mut Cluster, keys: u64) -> u64 {
+    let now = cluster.now();
+    for &id in &cluster.ycsb {
+        let client = cluster.sim.actor_as::<YcsbClient>(id);
+        client.report_writes_in_flight(id, now);
+    }
+    let mut in_upper = 0;
+    for rank in 0..keys {
+        let key = primary_key(rank, 30);
+        let read = cluster.read_direct(TABLE, &key);
+        let (_, version) = read.unwrap_or_else(|| panic!("rank {rank} is unreadable"));
+        let hash = key_hash(&key);
+        cluster.audit.client_op(ClientOp {
+            client: READ_BACK,
+            hash,
+            write: false,
+            invoked: now,
+            completed: now,
+            outcome: Outcome::Version(version),
+        });
+        in_upper += u64::from(upper().contains(hash));
+    }
+    cluster.audit.end_history(now);
+    in_upper
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 use std::rc::Rc;
 
 use bytes::Bytes;
-use rocksteady_audit::{AuditKind, AuditSink};
+use rocksteady_audit::{AuditSink, ClientOp, Outcome};
 use rocksteady_common::rng::Prng;
 use rocksteady_common::zipf::{KeyDist, KeySampler};
 use rocksteady_common::FxHashMap;
@@ -123,14 +123,9 @@ pub struct YcsbClient {
     pending_arrivals: u64,
     value: Bytes,
     trace: Tracer,
-    /// Protocol auditing (zero-cost when disarmed): confirmed writes and
-    /// read-backs feed the auditor's read-your-writes spot checks.
+    /// Protocol auditing (one branch when disarmed): every completed
+    /// operation joins its key's history for the `linearizable` check.
     audit: AuditSink,
-    /// Per-key max confirmed write `(version, confirmed_at)`, kept only
-    /// while the audit sink is armed. A read is spot-checked only when it
-    /// was *issued after* that confirmation — in-flight reads racing the
-    /// write are legitimately allowed to see the older version.
-    confirmed: FxHashMap<KeyHash, (u64, Nanos)>,
 }
 
 impl YcsbClient {
@@ -168,7 +163,6 @@ impl YcsbClient {
             value,
             trace: Tracer::off(),
             audit: AuditSink::off(),
-            confirmed: FxHashMap::default(),
             cfg,
         }
     }
@@ -181,8 +175,9 @@ impl YcsbClient {
         self
     }
 
-    /// Arms protocol auditing: confirmed writes and subsequent reads of
-    /// the same keys are reported for read-your-writes spot checks.
+    /// Arms protocol auditing: each completed operation — a read's
+    /// version or miss, a write's version, a timed-out write attempt as
+    /// indeterminate — is reported to the `linearizable` checker.
     pub fn with_audit(mut self, audit: AuditSink) -> Self {
         self.audit = audit;
         self
@@ -319,72 +314,49 @@ impl YcsbClient {
         self.drain_arrivals(ctx);
     }
 
-    /// Reports a completed read (version 0 = miss) for read-your-writes
-    /// spot checking, but only when this key has a confirmed write and
-    /// the read attempt was issued after that confirmation — earlier
-    /// reads may legitimately observe the pre-write version.
-    fn audit_read(&mut self, ctx: &Ctx<'_, Envelope>, op_id: u64, version: u64) {
-        if !self.audit.is_on() {
-            return;
-        }
-        let Some(op) = self.ops.get(&op_id) else {
+    /// Reports operation `op_id`, completed at `now` with `outcome`, to
+    /// the audit's `linearizable` checker.
+    fn report(&self, client: usize, now: Nanos, op_id: u64, outcome: Outcome) {
+        let Some(op) = self.audit.is_on().then(|| self.ops.get(&op_id)).flatten() else {
             return;
         };
-        let hash = op.hash;
-        let Some(&(_, confirmed_at)) = self.confirmed.get(&hash) else {
-            return;
-        };
-        if op.issued > confirmed_at {
-            self.audit.emit(
-                ctx.now(),
-                AuditKind::ClientRead {
-                    client: ctx.self_id() as u64,
-                    hash,
-                    version,
-                },
-            );
+        self.audit.client_op(ClientOp {
+            client: client as u64,
+            hash: op.hash,
+            write: op.kind == OpKind::Write,
+            invoked: op.started,
+            completed: now,
+            outcome,
+        });
+    }
+
+    /// Reports, as indeterminate at `now`, each write with an attempt
+    /// still in flight: the run ends, and it may or may not apply.
+    /// `client` is this client's actor id.
+    pub fn report_writes_in_flight(&self, client: usize, now: Nanos) {
+        for (&op_id, op) in &self.ops {
+            if op.kind == OpKind::Write && op.rpc.is_some() {
+                self.report(client, now, op_id, Outcome::Indeterminate);
+            }
         }
     }
 
     fn on_op_response(&mut self, ctx: &mut Ctx<'_, Envelope>, op_id: u64, resp: Response) {
+        let (client, now) = (ctx.self_id(), ctx.now());
         match resp {
-            Response::WriteOk { version } => {
-                if let Some(op) = self.ops.get(&op_id) {
-                    self.stats
-                        .borrow_mut()
-                        .confirmed_writes
-                        .push((op.rank, version));
-                    if self.audit.is_on() {
-                        let hash = op.hash;
-                        let entry = self.confirmed.entry(hash).or_insert((0, 0));
-                        if version > entry.0 {
-                            *entry = (version, ctx.now());
-                        }
-                        self.audit.emit(
-                            ctx.now(),
-                            AuditKind::ClientWrite {
-                                client: ctx.self_id() as u64,
-                                hash,
-                                version,
-                            },
-                        );
-                    }
+            Response::WriteOk { version } | Response::ReadOk { version, .. } => {
+                if let Some(op) = self.ops.get(&op_id).filter(|op| op.kind == OpKind::Write) {
+                    let mut stats = self.stats.borrow_mut();
+                    stats.confirmed_writes.push((op.rank, version));
                 }
-                self.complete(ctx, op_id, true);
-            }
-            Response::ReadOk { version, .. } => {
-                self.audit_read(ctx, op_id, version);
+                self.report(client, now, op_id, Outcome::Version(version));
                 self.complete(ctx, op_id, true);
             }
             Response::DeleteOk { .. } => {
                 self.complete(ctx, op_id, true);
             }
             Response::Err(Status::NotFound) => {
-                if let Some(op) = self.ops.get(&op_id) {
-                    if op.kind == OpKind::Read {
-                        self.audit_read(ctx, op_id, 0);
-                    }
-                }
+                self.report(client, now, op_id, Outcome::Miss);
                 self.complete(ctx, op_id, false)
             }
             Response::Err(Status::Retry { after }) => {
@@ -502,6 +474,11 @@ impl Actor<Envelope> for YcsbClient {
                     };
                     if timed_out {
                         self.stats.borrow_mut().timeouts.inc();
+                        // A write attempt may have applied unanswered.
+                        if self.ops[&op_id].kind == OpKind::Write {
+                            let unknown = Outcome::Indeterminate;
+                            self.report(ctx.self_id(), ctx.now(), op_id, unknown);
+                        }
                         if let Some(op) = self.ops.get_mut(&op_id) {
                             if let Some(rpc) = op.rpc.take() {
                                 self.rpc_to_op.remove(&rpc);

@@ -12,11 +12,11 @@
 //! and (the point of the whole design) losing none of the acknowledged
 //! writes.
 
-use rocksteady_cluster::scenarios::{preload_split, upper, TABLE};
+use rocksteady_audit::invariants::LINEARIZABLE;
+use rocksteady_cluster::scenarios::{preload_split, read_back, upper, TABLE};
 use rocksteady_cluster::{ClusterBuilder, ClusterConfig, ControlCmd};
 use rocksteady_common::time::fmt_nanos;
 use rocksteady_common::{MigrationId, ServerId, MILLISECOND, SECOND};
-use rocksteady_workload::core::primary_key;
 use rocksteady_workload::YcsbConfig;
 
 fn main() {
@@ -28,6 +28,7 @@ fn main() {
         replicas: 2,
         sample_interval: 10 * MILLISECOND,
         series_interval: 100 * MILLISECOND,
+        audit: true,
         ..ClusterConfig::default()
     });
     let dir = builder.directory();
@@ -88,23 +89,13 @@ fn main() {
     );
 
     // The contract: every record present, every acknowledged write
-    // durable.
-    for rank in 0..keys {
-        let key = primary_key(rank, 30);
-        assert!(
-            cluster.read_direct(TABLE, &key).is_some(),
-            "record {rank} lost in the crash!"
-        );
-    }
-    let confirmed = cluster.client_stats[0].borrow().confirmed_writes.clone();
-    let mut checked = 0;
-    for (rank, version) in &confirmed {
-        let key = primary_key(*rank, 30);
-        let (_, current) = cluster.read_direct(TABLE, &key).expect("acked write lost");
-        assert!(current >= *version, "acked write regressed");
-        checked += 1;
-    }
-    println!("verified {keys} records and all {checked} acknowledged writes survived");
+    // durable — each read, the read-back's too, saw every write answered
+    // before it began.
+    read_back(&mut cluster, keys);
+    let audit = cluster.audit_report();
+    assert_eq!(audit.violations, 0, "{:?}", cluster.audit.violations());
+    let (_, ops, _) = audit.per_invariant[LINEARIZABLE];
+    println!("verified {keys} records; {ops} client operations are linearizable");
 
     let stats = cluster.client_stats[0].borrow();
     let reads = stats.read_latency.merged();

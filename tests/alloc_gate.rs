@@ -32,8 +32,7 @@
 //! recycled once warm.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::cell::Cell;
 
 use rocksteady::PULL_BUDGET_BYTES;
 use rocksteady_common::zipf::KeySampler;
@@ -53,23 +52,33 @@ use rocksteady_workload::{client_stats, YcsbClient, YcsbConfig};
 
 struct Counting;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Bytes ever asked for (never decremented; a realloc counts its new
-/// size), so a difference bounds what a stretch of code allocated.
-static BYTES: AtomicU64 = AtomicU64::new(0);
+// The counters are per thread. Everything gated here runs on its test's
+// thread, while the test harness allocates on its own threads (spawning
+// the next test, collecting a result) at moments no test controls: a
+// process-wide count charged those to whichever test was measuring.
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes ever asked for (never decremented; a realloc counts its new
+    /// size), so a difference bounds what a stretch of code allocated.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(size: usize) {
+    // `try_with`: a thread's storage may already be gone as it exits.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + size as u64));
+}
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -78,18 +87,11 @@ unsafe impl GlobalAlloc for Counting {
 static COUNTER: Counting = Counting;
 
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 fn bytes() -> u64 {
-    BYTES.load(Ordering::Relaxed)
-}
-
-/// The counter is process-wide, so the tests that read it take turns.
-static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
-
-fn exclusive() -> MutexGuard<'static, ()> {
-    ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner())
+    BYTES.with(Cell::get)
 }
 
 const T: TableId = TableId(1);
@@ -124,7 +126,6 @@ fn loaded_master() -> MasterService {
 
 #[test]
 fn gather_and_replay_stay_allocation_free_per_record() {
-    let _turn = exclusive();
     let source = loaded_master();
     assert!(
         source.log.stats().segments > 50,
@@ -222,7 +223,6 @@ fn emit_rpc(t: &Tracer, rpc: u64) {
 #[test]
 fn recording_trace_events_allocates_nothing_per_event() {
     const RPCS: u64 = 10_000;
-    let _turn = exclusive();
 
     // Armed, in ring mode, small enough to compact several times: the
     // heads were reserved when the ring was built, so the only
@@ -260,7 +260,6 @@ fn recording_trace_events_allocates_nothing_per_event() {
 /// the upper half of hash space never allocates the lower half's stripes.
 #[test]
 fn hash_table_allocates_a_stripe_on_its_first_insert() {
-    let _turn = exclusive();
     let at = |i: u64| LogRef {
         segment: i,
         offset: 0,
@@ -297,7 +296,7 @@ fn hash_table_allocates_a_stripe_on_its_first_insert() {
     let grown = bytes() - before;
     assert!(ht.len() > 99_000);
     // Every upper stripe is hit, so this is tight: half the stripes, and
-    // less than one stripe's worth of whatever else the process did.
+    // less than one stripe's worth of whatever else the thread did.
     assert!(
         grown < (stripes / 2 + 1) * stripe_bytes,
         "upper-half table allocated {grown} bytes, over half of {stripes} stripes of {stripe_bytes}"
@@ -308,8 +307,6 @@ fn hash_table_allocates_a_stripe_on_its_first_insert() {
 /// the intervals a series skips are empty.
 #[test]
 fn histograms_allocate_only_for_what_they_hold() {
-    let _turn = exclusive();
-
     let before = allocs();
     let empty = Histogram::new();
     assert_eq!(allocs() - before, 0, "an empty histogram allocated");
@@ -381,7 +378,6 @@ impl Actor<Envelope> for ReadStub {
 #[test]
 fn a_ycsb_read_costs_the_client_one_allocation() {
     const KEYS: u64 = 1_000_000;
-    let _turn = exclusive();
     let mut dir = Directory::default();
     dir.servers.push(0);
     let mut cfg = YcsbConfig::ycsb_b(dir, T, KEYS, 100_000.0);
@@ -477,7 +473,6 @@ impl Actor<Ball> for Rally {
 #[test]
 fn the_event_kernel_allocates_nothing_per_event() {
     const EVENTS: u64 = 100_000;
-    let _turn = exclusive();
     let mut sim: Simulation<Ball> =
         Simulation::with_scheduler(NicConfig::default(), 1, SchedulerKind::Calendar);
     sim.add_actor(Box::new(Rally { tick: Some(7_000) }));

@@ -13,14 +13,17 @@
 //!   source skip its ownership flip (so both ends serve the range with
 //!   no dual-serving window ever closing) makes the single-owner
 //!   invariant fire, with a causal chain that reaches back to the
-//!   migration's admission.
+//!   migration's admission, and the linearizable one, naming a write
+//!   the source answered and the read-back that missed it.
 
 mod common;
 
 use common::test_config;
-use rocksteady_cluster::scenarios::live_migration;
+use rocksteady_audit::invariants::LINEARIZABLE;
+use rocksteady_cluster::scenarios::{live_migration, read_back, TABLE};
 use rocksteady_cluster::{Cluster, ClusterBuilder, ClusterConfig, Fault};
 use rocksteady_common::{MigrationId, ServerId, MILLISECOND, SECOND};
+use rocksteady_workload::YcsbConfig;
 
 const KEYS: u64 = 5_000;
 
@@ -36,14 +39,7 @@ fn audited_cfg(seed: u64) -> ClusterConfig {
 }
 
 fn run_audited(cfg: ClusterConfig) -> Cluster {
-    run_faulted(cfg, None)
-}
-
-fn run_faulted(cfg: ClusterConfig, fault: Option<(ServerId, Fault)>) -> Cluster {
-    let mut b = ClusterBuilder::new(cfg);
-    if let Some((server, fault)) = fault {
-        b.fault(server, fault);
-    }
+    let b = ClusterBuilder::new(cfg);
     let mut cluster = live_migration(b, KEYS, 50_000.0, 5 * MILLISECOND);
     cluster.run_until(100 * MILLISECOND);
     cluster
@@ -87,7 +83,8 @@ fn clean_migration_audits_clean_and_verified() {
     );
 
     let report = cluster.audit_report();
-    assert!(report.events > 1_000, "only {} audit events", report.events);
+    let (_, ops, _) = report.per_invariant[LINEARIZABLE];
+    assert!(ops > 1_000, "only {ops} client operations checked");
     assert_eq!(
         report.violations,
         0,
@@ -168,28 +165,34 @@ fn explain_engine_reconstructs_the_causal_story() {
 /// The injected protocol bug: the source answers `PrepareMigration`
 /// with its version ceiling but never flips the tablet out of `Owner`,
 /// so both ends serve the range forever. The auditor must catch the
-/// dual-serving window that never closed — and explain it causally.
+/// dual-serving window that never closed — and explain it causally —
+/// and the writes the source answered after the target had pulled its
+/// copy: the read-back, through the map's owner, does not see them.
+/// Neither client sees an anomaly during the run: the source never
+/// turns one away, so neither refreshes its map, and both use its copy.
 #[test]
 fn skipped_source_flip_trips_the_single_owner_invariant() {
-    let fault = (ServerId(0), Fault::SkipSourceFlip);
-    let cluster = run_faulted(audited_cfg(42), Some(fault));
+    let mut b = ClusterBuilder::new(audited_cfg(42));
+    b.fault(ServerId(0), Fault::SkipSourceFlip);
+    b.add_ycsb(YcsbConfig::ycsb_b(b.directory(), TABLE, KEYS, 50_000.0));
+    let mut cluster = live_migration(b, KEYS, 50_000.0, 5 * MILLISECOND);
+    cluster.run_until(100 * MILLISECOND);
     assert!(
         cluster
             .migration_finished(ServerId(1), MigrationId(1))
             .is_some(),
         "migration should still complete under the skipped flip"
     );
+    let during = cluster.audit.violations();
+    assert!(
+        during.iter().all(|v| v.invariant != "linearizable"),
+        "{during:?}"
+    );
+    read_back(&mut cluster, KEYS);
 
     let violations = cluster.audit.violations();
-    let single_owner: Vec<_> = violations
-        .iter()
-        .filter(|v| v.invariant == "single-owner")
-        .collect();
-    assert!(
-        !single_owner.is_empty(),
-        "auditor missed the skipped ownership flip: {violations:?}"
-    );
-    let v = single_owner[0];
+    let first = |name| violations.iter().find(|v| v.invariant == name);
+    let v = first("single-owner").expect("auditor missed the skipped ownership flip");
     assert!(
         !v.chain.is_empty(),
         "violation carries no causal chain: {v:?}"
@@ -197,6 +200,15 @@ fn skipped_source_flip_trips_the_single_owner_invariant() {
     assert!(
         v.detail.contains("window"),
         "detail unhelpful: {}",
+        v.detail
+    );
+    // A write the source answered, and the later read-back that missed it.
+    let v = first("linearizable").expect("read-back saw every write");
+    let (read, write) = v.detail.split_once(" after ").expect("two operations");
+    assert!(read.contains("the read-back read v"), "{}", v.detail);
+    assert!(
+        write.starts_with("client ") && write.contains(" wrote v"),
+        "{}",
         v.detail
     );
     // The bugged migration must not count as conservation-verified

@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::{test_config, verify_all_readable};
+use common::{assert_read_back, test_config};
 use rocksteady_cluster::scenarios::{preload_split, upper, TABLE};
 use rocksteady_cluster::{ClusterBuilder, ControlCmd};
 use rocksteady_common::{key_hash, MigrationId, ServerId, MILLISECOND, SECOND};
@@ -45,7 +45,7 @@ fn run_and_collect(cmd: ControlCmd, expect_transfer: bool) -> Vec<(u64, u64)> {
         .owner;
     if expect_transfer {
         assert_eq!(owner, ServerId(1), "ownership did not transfer");
-        verify_all_readable(&mut cluster, KEYS);
+        assert_read_back(&mut cluster, KEYS);
     } else {
         assert_eq!(owner, ServerId(0), "lever variant must not transfer");
     }

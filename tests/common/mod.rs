@@ -1,13 +1,13 @@
 //! Shared setup for the cross-crate integration tests.
 
-use rocksteady_cluster::scenarios::{preload_split, upper, TABLE};
+use rocksteady_cluster::scenarios::{preload_split, read_back, upper, TABLE};
 use rocksteady_cluster::{Cluster, ClusterBuilder, ClusterConfig, ControlCmd};
 use rocksteady_common::zipf::KeyDist;
 use rocksteady_common::{MigrationId, ServerId, MILLISECOND};
-use rocksteady_workload::core::primary_key;
 use rocksteady_workload::YcsbConfig;
 
-/// A small 3-server cluster configuration suitable for fast tests.
+/// A small 3-server cluster configuration suitable for fast tests, its
+/// auditor (and so the `linearizable` check) armed.
 #[allow(dead_code)] // not every test binary uses every helper
 pub fn test_config() -> ClusterConfig {
     ClusterConfig {
@@ -16,6 +16,7 @@ pub fn test_config() -> ClusterConfig {
         replicas: 2,
         sample_interval: MILLISECOND,
         series_interval: 10 * MILLISECOND,
+        audit: true,
         ..ClusterConfig::default()
     }
 }
@@ -55,20 +56,24 @@ pub fn write_churn(base: ClusterConfig, client_seed: u64) -> Cluster {
     cluster
 }
 
-/// Verifies that every one of `keys` records is readable through its
-/// current owner; returns how many live in the upper (migrated) half.
+/// Ends a run with `scenarios::read_back` and asserts the audit found
+/// nothing: every one of `keys` records reads back, and every client
+/// operation, the read-back's too, saw each write answered before it
+/// began. Returns how many records live in the upper half.
 #[allow(dead_code)] // not every test binary uses every helper
-pub fn verify_all_readable(cluster: &mut Cluster, keys: u64) -> u64 {
-    let mut upper_count = 0;
-    for rank in 0..keys {
-        let key = primary_key(rank, 30);
-        assert!(
-            cluster.read_direct(TABLE, &key).is_some(),
-            "rank {rank} is unreadable"
-        );
-        if upper().contains(rocksteady_common::key_hash(&key)) {
-            upper_count += 1;
-        }
-    }
-    upper_count
+pub fn assert_read_back(cluster: &mut Cluster, keys: u64) -> u64 {
+    let moved = read_back(cluster, keys);
+    let found = cluster.audit.violations();
+    assert!(found.is_empty(), "{found:?}");
+    moved
+}
+
+/// Writes the clients completed: a clean `linearizable` report says
+/// something about writes only when this is not 0.
+#[allow(dead_code)] // not every test binary uses every helper
+pub fn answered_writes(cluster: &Cluster) -> u64 {
+    let stats = cluster.client_stats.iter();
+    stats
+        .map(|s| s.borrow().write_latency.merged().count())
+        .sum()
 }

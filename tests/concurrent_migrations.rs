@@ -18,7 +18,7 @@
 
 mod common;
 
-use common::verify_all_readable;
+use common::{assert_read_back, test_config};
 use rocksteady_cluster::scenarios::{preload_tablets, slice, TABLE};
 use rocksteady_cluster::{
     AdmissionCaps, Cluster, ClusterBuilder, ClusterConfig, ControlCmd, GreedyLoadDelta,
@@ -37,11 +37,7 @@ fn quarter(i: usize) -> HashRange {
 fn four_server_config() -> ClusterConfig {
     ClusterConfig {
         servers: 4,
-        workers: 4,
-        replicas: 2,
-        sample_interval: MILLISECOND,
-        series_interval: 10 * MILLISECOND,
-        ..ClusterConfig::default()
+        ..test_config()
     }
 }
 
@@ -112,7 +108,7 @@ fn two_disjoint_migrations_complete_concurrently() {
     assert!(coord.lineage_deps().is_empty());
     drop(coord);
 
-    verify_all_readable(&mut cluster, KEYS);
+    assert_read_back(&mut cluster, KEYS);
 }
 
 #[test]
@@ -162,7 +158,7 @@ fn node_serves_pulls_while_replaying_an_inbound_migration() {
     assert!(coord.lineage_deps().is_empty());
     drop(coord);
 
-    verify_all_readable(&mut cluster, KEYS);
+    assert_read_back(&mut cluster, KEYS);
 }
 
 #[test]
@@ -215,7 +211,7 @@ fn crash_of_one_participant_leaves_the_other_migration_unharmed() {
     assert!(coord.lineage_deps().is_empty());
     drop(coord);
 
-    verify_all_readable(&mut cluster, KEYS);
+    assert_read_back(&mut cluster, KEYS);
 }
 
 /// Source-crash variant, with the protocol auditor armed: kill
@@ -227,9 +223,7 @@ fn crash_of_one_participant_leaves_the_other_migration_unharmed() {
 /// window around the crash on the crash, not on migration pressure.
 #[test]
 fn source_crash_drops_dead_lineage_and_leaves_survivor_verified() {
-    let mut cfg = four_server_config();
-    cfg.audit = true;
-    let mut b = ClusterBuilder::new(cfg);
+    let mut b = ClusterBuilder::new(four_server_config());
     let dir = b.directory();
     let mut ycsb = YcsbConfig::ycsb_b(dir, TABLE, KEYS, 40_000.0);
     ycsb.read_fraction = 0.5;
@@ -294,7 +288,7 @@ fn source_crash_drops_dead_lineage_and_leaves_survivor_verified() {
         assert!(crash_pos < mig_pos, "crash not ranked first: {explain}");
     }
 
-    verify_all_readable(&mut cluster, KEYS);
+    assert_read_back(&mut cluster, KEYS);
 }
 
 #[test]
@@ -363,7 +357,7 @@ fn rebalancer_sheds_tablets_from_a_hot_server() {
         owners.iter().filter(|o| **o == ServerId(1)).count() < 2,
         "hot server still owns {owners:?}"
     );
-    verify_all_readable(&mut cluster, KEYS);
+    assert_read_back(&mut cluster, KEYS);
 }
 
 #[test]

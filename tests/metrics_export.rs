@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::{test_config, verify_all_readable};
+use common::{assert_read_back, test_config};
 use rocksteady_cluster::scenarios::{preload_split, slice, upper, TABLE};
 use rocksteady_cluster::{Cluster, ClusterBuilder, ClusterConfig, ControlCmd};
 use rocksteady_common::{MigrationId, Nanos, ServerId, MILLISECOND, SECOND};
@@ -229,7 +229,7 @@ fn back_to_back_migrations_reset_stale_stamps() {
 
     // Both halves moved; every record is readable on the new owner, and
     // the cumulative replay counter covers the whole table.
-    verify_all_readable(&mut cluster, 3_000);
+    assert_read_back(&mut cluster, 3_000);
     let final_view = cluster.server_stats[&ServerId(1)].view();
     assert!(
         final_view.records_replayed >= 3_000,

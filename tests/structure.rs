@@ -126,10 +126,14 @@ const RULES: &[Rule] = &[
             "report.export_csv("),
         mutant: ("crates/bench/src/figures/fig12.rs", "report.export_csv(", "write_csv(") },
     Rule { name: "cluster_iterates_no_std_hashmap", decided: "§3.1",
-        why: "std HashMap order differs per process; simnet and cluster name none",
-        check: |t| grep(t, |p| p.starts_with("crates/simnet/src/") || p.starts_with("crates/cluster/src/"),
+        why: "std HashMap order differs per process; simnet, cluster and audit name none",
+        check: |t| grep(t, |p| ["simnet", "cluster", "audit"].iter().any(|c| p.starts_with(&format!("crates/{c}/src/"))),
             |l| any(l, &["HashMap"])),
         mutant: ("crates/simnet/src/lib.rs", "", "use std::collections::HashMap;\n") },
+    Rule { name: "one_client_oracle", decided: "§3.13", why: "the audit's linearizable check is the one oracle of client reads",
+        check: |t| grep(t, |p| rust(p) && !p.starts_with("crates/workload/src/"),
+            |l| any(l, &["confirmed_writes", "verify_all_readable"])),
+        mutant: ("tests/seed_sweep.rs", "", "fn f(c: &Cluster) { c.client_stats[0].borrow().confirmed_writes.len(); }\n") },
     Rule { name: "observability_crates_are_documented", decided: "§2", why: "four crates deny missing docs",
         check: |t| lacking(t, ["metrics", "profiler", "audit", "flightrec"].map(|c| format!("crates/{c}/src/lib.rs")),
             "#![deny(missing_docs)]"),
