@@ -30,8 +30,10 @@ run cargo run --release --example quickstart
 run cargo run --release --example quickstart -- --fault
 run cargo run --release --example crash_recovery
 run cargo bench -p rocksteady-bench --bench figures -- day_in_the_life fig05
-# Two processes seed std's RandomState apart, so fig04 prints the same
-# thing twice only if nothing sends in a std HashMap's iteration order.
+# No crate names std's HashMap or HashSet (tests/structure.rs), but order
+# can still depend on the process in ways no text rule sees: a
+# RandomState in a dependency, an address used as a key. Two processes
+# must print fig04 the same.
 fig04() { cargo bench -q -p rocksteady-bench --bench figures -- fig04 | grep -v '^wrote '; }
 fig04 >target/fig04.first
 fig04 >target/fig04.second

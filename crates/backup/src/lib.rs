@@ -15,11 +15,9 @@
 //! The store holds real bytes; recovery integration tests parse them back
 //! with full checksum verification.
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
 use parking_lot::Mutex;
-use rocksteady_common::ServerId;
+use rocksteady_common::{FxHashMap, ServerId};
 use rocksteady_proto::msg::SegmentImage;
 
 /// One backup's replica store.
@@ -30,7 +28,7 @@ use rocksteady_proto::msg::SegmentImage;
 pub struct BackupService {
     /// This backup's server id (for reporting only).
     pub id: ServerId,
-    replicas: Mutex<HashMap<(ServerId, u64), Replica>>,
+    replicas: Mutex<FxHashMap<(ServerId, u64), Replica>>,
 }
 
 /// A replica holds the appended frames as-is (reference-counted slices
@@ -66,7 +64,7 @@ impl BackupService {
     pub fn new(id: ServerId) -> Self {
         BackupService {
             id,
-            replicas: Mutex::new(HashMap::new()),
+            replicas: Mutex::new(FxHashMap::default()),
         }
     }
 

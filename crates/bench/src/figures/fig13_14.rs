@@ -15,9 +15,8 @@
 use rocksteady_cluster::scenarios::{preload_split, upper, TABLE};
 use rocksteady_cluster::{Cluster, ClusterBuilder, ClusterConfig, ControlCmd};
 use rocksteady_common::time::fmt_nanos;
-use rocksteady_common::{Histogram, MigrationId, Nanos, ServerId, MILLISECOND, SECOND};
+use rocksteady_common::{FxHashSet, Histogram, MigrationId, Nanos, ServerId, MILLISECOND, SECOND};
 use rocksteady_workload::YcsbConfig;
-use std::collections::HashSet;
 
 use super::merged_latency_rows;
 use crate::Report;
@@ -106,7 +105,7 @@ type DecompSeries = (&'static str, u64, Histogram, Histogram, Histogram);
 /// pre-migration profile while crossing reads absorb the queue/hold
 /// cost of the miss path.
 fn decomp_split(out: &Out) -> Vec<DecompSeries> {
-    let crossed: HashSet<u64> = out
+    let crossed: FxHashSet<u64> = out
         .cluster
         .journeys()
         .iter()

@@ -23,10 +23,8 @@
 //! (Albatross et al., which §6 cites as the family this mechanism
 //! belongs to).
 
-use std::collections::HashSet;
-
 use bytes::Bytes;
-use rocksteady_common::{HashRange, ServerId, TableId};
+use rocksteady_common::{FxHashSet, HashRange, ServerId, TableId};
 use rocksteady_logstore::EntryKind;
 use rocksteady_master::{MasterService, TabletRole, Work};
 use rocksteady_proto::msg::BaselineOpts;
@@ -85,7 +83,7 @@ pub struct BaselineMigration {
     pub batch_bytes: u64,
     phase: Phase,
     /// Fully-scanned segment ids.
-    scanned: HashSet<u64>,
+    scanned: FxHashSet<u64>,
     /// Current position: segment id + entry offset.
     pos: Option<(u64, u32)>,
     /// Per-segment scan bounds captured at seal time: entries beyond
@@ -119,7 +117,7 @@ impl BaselineMigration {
             opts,
             batch_bytes,
             phase: Phase::Scanning,
-            scanned: HashSet::new(),
+            scanned: FxHashSet::default(),
             pos: None,
             seal_bounds: None,
             records_identified: 0,

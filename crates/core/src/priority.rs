@@ -15,9 +15,7 @@
 //!   so repeated reads of missing keys become `NotFound` instead of an
 //!   endless retry loop.
 
-use std::collections::HashSet;
-
-use rocksteady_common::KeyHash;
+use rocksteady_common::{FxHashSet, KeyHash};
 
 /// What the server should tell a client whose read missed (§3.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,16 +34,16 @@ pub struct PriorityPullBatcher {
     /// Hashes requested by clients, waiting to be sent.
     pending: Vec<KeyHash>,
     /// Membership mirror of `pending` for O(1) de-dup.
-    pending_set: HashSet<KeyHash>,
+    pending_set: FxHashSet<KeyHash>,
     /// Hashes in the currently-in-flight PriorityPull.
-    in_flight: HashSet<KeyHash>,
+    in_flight: FxHashSet<KeyHash>,
     /// Hashes the source answered with no record (deleted/never existed).
-    absent: HashSet<KeyHash>,
+    absent: FxHashSet<KeyHash>,
     /// Hashes whose record has come back and is being (or has been)
     /// replayed: a re-miss in the response->replay window must NOT
     /// re-request — "the source never serves a request for a key more
     /// than once after migration starts" (§3.3).
-    served_set: HashSet<KeyHash>,
+    served_set: FxHashSet<KeyHash>,
     /// Unique records priority-pulled (statistics).
     served: u64,
 }
@@ -95,7 +93,7 @@ impl PriorityPullBatcher {
     /// set of hashes the source had records for. Hashes it did not return
     /// are recorded as absent.
     pub fn on_response(&mut self, returned: impl IntoIterator<Item = KeyHash>) {
-        let returned: HashSet<KeyHash> = returned.into_iter().collect();
+        let returned: FxHashSet<KeyHash> = returned.into_iter().collect();
         for h in self.in_flight.drain() {
             if returned.contains(&h) {
                 self.served += 1;

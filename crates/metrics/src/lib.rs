@@ -35,7 +35,7 @@
 #![deny(missing_docs)]
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use rocksteady_common::json::JsonWriter;
@@ -245,7 +245,7 @@ struct Instrument {
 struct Inner {
     instruments: Vec<Instrument>,
     /// `(name, rendered labels)` → index into `instruments`.
-    index: HashMap<(&'static str, String), usize>,
+    index: BTreeMap<(&'static str, String), usize>,
 }
 
 /// What a well-formed registry contained (see [`Registry::validate`]).
@@ -395,8 +395,8 @@ impl Registry {
     /// `(name, labels)`.
     pub fn validate(&self) -> Result<RegistrySummary, String> {
         let inner = self.0.borrow();
-        let mut kinds: HashMap<&'static str, &'static str> = HashMap::new();
-        let mut seen: HashMap<(&'static str, String), usize> = HashMap::new();
+        let mut kinds: BTreeMap<&'static str, &'static str> = BTreeMap::new();
+        let mut seen: BTreeMap<(&'static str, String), usize> = BTreeMap::new();
         for (i, ins) in inner.instruments.iter().enumerate() {
             if !valid_ident(ins.name) {
                 return Err(format!("invalid metric name {:?}", ins.name));
@@ -416,7 +416,7 @@ impl Registry {
                 return Err(format!("duplicate label key on {}", ins.name));
             }
             match kinds.entry(ins.name) {
-                std::collections::hash_map::Entry::Occupied(e) => {
+                std::collections::btree_map::Entry::Occupied(e) => {
                     if *e.get() != ins.slot.kind() {
                         return Err(format!(
                             "family {} registered as both {} and {}",
@@ -426,7 +426,7 @@ impl Registry {
                         ));
                     }
                 }
-                std::collections::hash_map::Entry::Vacant(e) => {
+                std::collections::btree_map::Entry::Vacant(e) => {
                     e.insert(ins.slot.kind());
                 }
             }
@@ -672,7 +672,7 @@ impl DeltaScraper {
 
     fn rebuild(&mut self, reg: &Registry) {
         let inner = reg.0.borrow();
-        let mut carried: HashMap<(&'static str, String), u64> = self
+        let mut carried: BTreeMap<(&'static str, String), u64> = self
             .entries
             .drain(..)
             .map(|e| ((e.name, e.rendered), e.last))

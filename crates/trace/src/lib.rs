@@ -596,8 +596,8 @@ impl Tracer {
         // Per-lane nesting: sort spans by (start, -end) and sweep with
         // an enclosure stack; partial overlap is the only failure.
         type Lane = Vec<(Nanos, Nanos, &'static str)>;
-        let mut lanes: std::collections::HashMap<(u64, u64), Lane> =
-            std::collections::HashMap::new();
+        let mut lanes: std::collections::BTreeMap<(u64, u64), Lane> =
+            std::collections::BTreeMap::new();
         let mut spans = 0usize;
         for ev in events {
             if ev.ph == Phase::Span {

@@ -7,13 +7,13 @@
 //! *cluster-wide dispatch load* depends on how many servers the second
 //! step fans out to — which is exactly the trade-off Figure 4 sweeps.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use rocksteady_common::ids::IndexId;
 use rocksteady_common::rng::Prng;
 use rocksteady_common::zipf::{KeyDist, KeySampler};
-use rocksteady_common::{KeyHash, Nanos, RpcId, ServerId, TableId};
+use rocksteady_common::{FxHashMap, KeyHash, Nanos, RpcId, ServerId, TableId};
 use rocksteady_proto::{Body, Envelope, Request, Response};
 use rocksteady_simnet::{Actor, Ctx, Directory, Event};
 
@@ -78,8 +78,8 @@ pub struct ScanClient {
     stats: ClientStatsHandle,
     sampler: KeySampler,
     rng: Prng,
-    ops: HashMap<u64, Op>,
-    rpc_to_op: HashMap<RpcId, u64>,
+    ops: FxHashMap<u64, Op>,
+    rpc_to_op: FxHashMap<RpcId, u64>,
     next_op: u64,
     pending_arrivals: u64,
     map_ready: bool,
@@ -95,8 +95,8 @@ impl ScanClient {
             stats,
             sampler,
             rng,
-            ops: HashMap::new(),
-            rpc_to_op: HashMap::new(),
+            ops: FxHashMap::default(),
+            rpc_to_op: FxHashMap::default(),
             next_op: 1,
             pending_arrivals: 0,
             map_ready: false,

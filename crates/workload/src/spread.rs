@@ -9,11 +9,9 @@
 //! paper uses this to show dispatch saturation destroying locality
 //! gains (§2.1).
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
 use rocksteady_common::rng::Prng;
-use rocksteady_common::{Nanos, RpcId, ServerId, TableId};
+use rocksteady_common::{FxHashMap, Nanos, RpcId, ServerId, TableId};
 use rocksteady_proto::{Body, Envelope, Request, Response};
 use rocksteady_simnet::{Actor, Ctx, Directory, Event};
 
@@ -55,8 +53,8 @@ pub struct SpreadClient {
     core: ClientCore,
     stats: ClientStatsHandle,
     rng: Prng,
-    ops: HashMap<u64, Op>,
-    rpc_to_op: HashMap<RpcId, u64>,
+    ops: FxHashMap<u64, Op>,
+    rpc_to_op: FxHashMap<RpcId, u64>,
     next_op: u64,
 }
 
@@ -75,8 +73,8 @@ impl SpreadClient {
             core: ClientCore::new(cfg.dir.clone(), cfg.table),
             stats,
             rng,
-            ops: HashMap::new(),
-            rpc_to_op: HashMap::new(),
+            ops: FxHashMap::default(),
+            rpc_to_op: FxHashMap::default(),
             next_op: 1,
             cfg,
         }

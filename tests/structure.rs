@@ -126,9 +126,9 @@ const RULES: &[Rule] = &[
             "report.export_csv("),
         mutant: ("crates/bench/src/figures/fig12.rs", "report.export_csv(", "write_csv(") },
     Rule { name: "cluster_iterates_no_std_hashmap", decided: "§3.1",
-        why: "std HashMap order differs per process; simnet, cluster and audit name none",
-        check: |t| grep(t, |p| ["simnet", "cluster", "audit"].iter().any(|c| p.starts_with(&format!("crates/{c}/src/"))),
-            |l| any(l, &["HashMap"])),
+        why: "std HashMap/HashSet order differs per process; crates name FxHashMap/FxHashSet or a BTreeMap",
+        check: |t| grep(t, |p| src(p) && p != "crates/common/src/fxmap.rs", |l| l.match_indices("Hash")
+            .any(|(i, _)| ["HashMap", "HashSet"].iter().any(|h| l[i..].starts_with(h)) && !l[..i].ends_with("Fx"))),
         mutant: ("crates/simnet/src/lib.rs", "", "use std::collections::HashMap;\n") },
     Rule { name: "one_client_oracle", decided: "§3.13", why: "the audit's linearizable check is the one oracle of client reads",
         check: |t| grep(t, |p| rust(p) && !p.starts_with("crates/workload/src/"),
