@@ -18,11 +18,12 @@ use common::{test_config, write_churn};
 use rocksteady_audit::invariants::LINEARIZABLE;
 use rocksteady_cluster::scenarios::{self, preload_split, preload_tablets, slice, upper, TABLE};
 use rocksteady_cluster::{
-    Cluster, ClusterBuilder, ClusterConfig, ControlCmd, Fault, FlightRecorderConfig,
+    AdmissionCaps, Cluster, ClusterBuilder, ClusterConfig, ControlCmd, Fault, FlightRecorderConfig,
+    GreedyLoadDelta, RebalancerConfig,
 };
 use rocksteady_common::{HashRange, MigrationId, ServerId, MILLISECOND};
 use rocksteady_master::TabletRole;
-use rocksteady_workload::YcsbConfig;
+use rocksteady_workload::{LoadShape, YcsbConfig};
 
 /// The pinned `(schedule, exports)` digests, in the order
 /// `all_scenarios` runs them. Every digest moved once, when YCSB clients
@@ -63,6 +64,11 @@ const GOLDEN: &[(&str, u64, u64)] = &[
         "migration/write-churn",
         0x47b15411a97d3942,
         0x1b56f913955d00ac,
+    ),
+    (
+        "rebalance/hot-quarter",
+        0xf332d420b2841000,
+        0xa4b1e2ccd73bbbf7,
     ),
 ];
 
@@ -249,6 +255,37 @@ fn drop_pulls_in_ring_mode() -> (u64, u64) {
     digest(&cluster)
 }
 
+/// The placement loop closed: four servers, every quarter on server 0
+/// or 1, two clients whose heat sits on the last quarter, and a 20 ms
+/// rebalancer that sheds server 1 while the flight recorder watches.
+fn hot_quarter() -> (u64, u64) {
+    let cfg = ClusterConfig {
+        servers: 4,
+        sla: Some(300_000),
+        flight_recorder: Some(FlightRecorderConfig::default()),
+        rebalancer: Some(RebalancerConfig {
+            interval: 20 * MILLISECOND,
+            caps: AdmissionCaps::default(),
+            policy: Box::new(GreedyLoadDelta::new(0.08, 2).with_cooldown(200 * MILLISECOND)),
+        }),
+        ..armed(42)
+    };
+    let mut b = ClusterBuilder::new(cfg);
+    let mut ycsb = YcsbConfig::ycsb_b(b.directory(), TABLE, 4_000, 60_000.0);
+    ycsb.shape = LoadShape::SkewFlip {
+        at: 0,
+        buckets: 4,
+        hot_weight: 0.8,
+    };
+    b.add_ycsb_clients(2, ycsb);
+    let mut cluster = b.build();
+    preload_tablets(&mut cluster, &[0, 0, 1, 1].map(ServerId), 4_000, 100);
+    cluster.run_until(45 * MILLISECOND);
+    let report = cluster.rebalancer.borrow().clone();
+    assert!(report.completed >= 1, "no move completed: {report:?}");
+    digest(&cluster)
+}
+
 fn all_scenarios() -> Vec<(&'static str, (u64, u64))> {
     let plain = |seed| live_migration(armed(seed), |_| {});
     let mut sync_pulls = armed(42);
@@ -271,6 +308,7 @@ fn all_scenarios() -> Vec<(&'static str, (u64, u64))> {
         ),
         ("fault/drop-pulls-ring", drop_pulls_in_ring_mode()),
         ("migration/write-churn", digest(&write_churn(armed(42), 1))),
+        ("rebalance/hot-quarter", hot_quarter()),
     ]
 }
 
