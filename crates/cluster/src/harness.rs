@@ -35,7 +35,7 @@ use crate::control::{ControlActor, ControlEvent};
 use crate::coordinator_actor::{CoordHandle, CoordinatorActor};
 use crate::incident::{incidents_to_json, Incident};
 use crate::observer::Observer;
-use crate::rebalancer::{RebalancerActor, RebalancerConfig, RebalancerHandle, RebalancerReport};
+use crate::rebalancer::{Rebalancer, RebalancerConfig, RebalancerHandle, RebalancerReport};
 use crate::sampler::{Sampler, SnapshotLogHandle, UtilSeries, UtilSeriesHandle};
 use crate::slo::{SloHandle, SloMonitor, SloReport};
 use crate::watchdog::{IncidentLogHandle, WatchdogCore};
@@ -103,10 +103,11 @@ pub struct ClusterConfig {
     pub scheduler: SchedulerKind,
     /// Arm the autonomous rebalancer: a placement loop that scrapes
     /// per-server load each interval and issues admission-controlled
-    /// `MigrateTablet` RPCs (see [`crate::rebalancer`]). `None` (the
-    /// default) installs no actor at all, so a disarmed cluster's event
-    /// schedule — and `events_processed()` — is byte-identical to a
-    /// build predating the rebalancer.
+    /// `MigrateTablet` RPCs (see [`crate::rebalancer`]). It runs inside
+    /// the always-installed observer's ticks, so its interval must be a
+    /// multiple of `sample_interval`, and arming it adds no event and
+    /// renumbers no actor: only the migrations it starts move the
+    /// schedule. `None` (the default) disarms it.
     pub rebalancer: Option<RebalancerConfig>,
     /// Arm the cluster-wide protocol auditor (`rocksteady-audit`): the
     /// coordinator, every server and the rebalancer emit
@@ -175,8 +176,8 @@ pub struct ClusterBuilder {
 
 impl ClusterBuilder {
     /// Starts building; actor ids are assigned deterministically
-    /// (coordinator, then servers, control, observer, the rebalancer
-    /// when armed, then clients), so the [`Directory`] is available
+    /// (coordinator, then servers, control, observer, then clients,
+    /// whatever is armed), so the [`Directory`] is available
     /// immediately for client configs.
     pub fn new(cfg: ClusterConfig) -> Self {
         let dir = Directory {
@@ -241,8 +242,22 @@ impl ClusterBuilder {
     }
 
     /// Builds the simulation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an armed rebalancer's interval is not a positive
+    /// multiple of `sample_interval`: its decisions ride the observer's
+    /// ticks.
     pub fn build(self) -> Cluster {
         let cfg = self.cfg;
+        if let Some(rb) = &cfg.rebalancer {
+            assert!(
+                rb.interval > 0 && rb.interval.is_multiple_of(cfg.sample_interval),
+                "rebalancer interval {} ns is not a multiple of sample_interval {} ns",
+                rb.interval,
+                cfg.sample_interval
+            );
+        }
         let mut sim = Simulation::with_scheduler(cfg.nic, cfg.seed, cfg.scheduler);
         let coord: CoordHandle = Rc::new(RefCell::new(Coordinator::new()));
         let util: UtilSeriesHandle = Rc::new(RefCell::new(UtilSeries::default()));
@@ -337,7 +352,7 @@ impl ClusterBuilder {
 
         // Control, then the observer: the one actor on the sampling
         // cadence, reading the clients' stats, so those are registered
-        // first.
+        // first, and carrying the rebalancer when armed.
         sim.add_actor(Box::new(ControlActor::new(self.dir.clone(), self.script)));
         let client_stats: Vec<ClientStatsHandle> = (0..self.clients.len())
             .map(|idx| registered_client_stats(&metrics, idx, cfg.series_interval))
@@ -354,10 +369,20 @@ impl ClusterBuilder {
                 Rc::clone(&incidents),
             )
         });
+        let rebalancer: RebalancerHandle = Rc::new(RefCell::new(RebalancerReport::default()));
         sim.add_actor(Box::new(Observer::new(
             cfg.sample_interval,
-            servers.clone(),
+            servers,
             client_stats.clone(),
+            cfg.rebalancer.clone().map(|rb| {
+                Rebalancer::new(
+                    rb,
+                    Rc::clone(&coord),
+                    self.dir.clone(),
+                    Rc::clone(&rebalancer),
+                    audit.clone(),
+                )
+            }),
             Sampler::new(
                 cfg.sample_interval,
                 metrics.clone(),
@@ -368,23 +393,6 @@ impl ClusterBuilder {
             SloMonitor::new(cfg.sample_interval, &metrics, cfg.sla, Rc::clone(&slo)),
             watchdog,
         )));
-
-        // Autonomous rebalancer, only when armed: installing an actor —
-        // even an idle one — would shift actor ids and the event
-        // schedule, and the disarmed harness must stay byte-identical
-        // to the no-rebalancer baseline.
-        let rebalancer: RebalancerHandle = Rc::new(RefCell::new(RebalancerReport::default()));
-        if let Some(rb) = cfg.rebalancer.clone() {
-            sim.add_actor(Box::new(RebalancerActor::new(
-                rb,
-                Rc::clone(&coord),
-                self.dir.clone(),
-                servers,
-                Rc::clone(&slo),
-                Rc::clone(&rebalancer),
-                audit.clone(),
-            )));
-        }
 
         // Clients. Each client's seed is folded together with the
         // cluster seed and its index, so changing the cluster seed

@@ -5,10 +5,11 @@
 //! servers each running a master and a backup behind one dispatch core
 //! and `W` workers, clients offering load, a control actor that fires
 //! scripted events (start a migration at t=10s, kill the target at
-//! t=15s), and one observer that, every sampling interval, derives
-//! per-server utilization and migration progress (the raw series behind
-//! Figures 5 and 9–14), closes an SLO window over the clients' read
-//! latencies, and runs the flight recorder's detectors when armed.
+//! t=15s), and one observer that, every sampling interval, runs the
+//! autonomous rebalancer's placement decision when armed and due,
+//! derives per-server utilization and migration progress (the raw series
+//! behind Figures 5 and 9–14), closes an SLO window over the clients'
+//! read latencies, and runs the flight recorder's detectors when armed.
 //!
 //! Everything is driven through [`ClusterBuilder`] (declare topology,
 //! clients, script) and [`Cluster`] (preload data, run, harvest series).
@@ -29,8 +30,7 @@ pub use coordinator_actor::CoordinatorActor;
 pub use harness::{Cluster, ClusterBuilder, ClusterConfig};
 pub use incident::{incidents_to_json, summarize, Incident, INCIDENT_SCHEMA};
 pub use rebalancer::{
-    IssuedMove, RebalancerActor, RebalancerConfig, RebalancerHandle, RebalancerReport,
-    REBALANCER_MIG_BASE,
+    IssuedMove, RebalancerConfig, RebalancerHandle, RebalancerReport, REBALANCER_MIG_BASE,
 };
 pub use rocksteady_flightrec::{
     DetectorConfig, DetectorReading, DispatchOvercommitConfig, FlightRecorderConfig,

@@ -1,15 +1,22 @@
 //! The one actor on the sampling cadence.
 //!
 //! Every `sample_interval` of virtual time the observer reads the
-//! servers' and clients' stats handles three ways, in this order: the
-//! utilization [`Sampler`], the [`SloMonitor`] window, and — when
+//! servers' and clients' stats handles up to four ways, in this order:
+//! the [`Rebalancer`], when `ClusterConfig::rebalancer` is armed and the
+//! tick's time is a multiple of its interval; the utilization
+//! [`Sampler`]; the [`SloMonitor`] window; and — when
 //! `ClusterConfig::flight_recorder` is armed — the [`WatchdogCore`]'s
-//! detectors, which read the window the monitor has just closed.
+//! detectors, which read the window the monitor has just closed. So the
+//! rebalancer decides on the SLO window closed one tick earlier, and its
+//! audit events precede the watchdog's read.
 //!
 //! It is always installed and arms one timer per tick whatever is armed:
-//! metrics capture, the SLA and the flight recorder change what a tick
-//! records, never the event schedule, so arming them cannot perturb a
-//! deterministic run (`events_processed()` is identical either way).
+//! metrics capture, the SLA, the flight recorder and the rebalancer
+//! change what a tick records, never the timer schedule, so arming them
+//! adds no event of their own (`events_processed()` is identical either
+//! way, save for the migrations a rebalancer starts). The rebalancer's
+//! `MigrateTablet`s leave from this actor, and their answers come back
+//! to it.
 
 use rocksteady_common::{Nanos, ServerId};
 use rocksteady_proto::Envelope;
@@ -17,17 +24,20 @@ use rocksteady_server::stats::StatsHandle;
 use rocksteady_simnet::{Actor, Ctx, Event};
 use rocksteady_workload::ClientStatsHandle;
 
+use crate::rebalancer::Rebalancer;
 use crate::sampler::Sampler;
 use crate::slo::SloMonitor;
 use crate::watchdog::WatchdogCore;
 
-/// The sampler, the SLO monitor and the armed watchdog on one timer.
+/// The armed rebalancer, the sampler, the SLO monitor and the armed
+/// watchdog on one timer.
 pub(crate) struct Observer {
     interval: Nanos,
     /// Every server's stats, in `ServerId` order.
     servers: Vec<(ServerId, StatsHandle)>,
     /// Every client's stats, in `add_*` order.
     clients: Vec<ClientStatsHandle>,
+    rebalancer: Option<Rebalancer>,
     sampler: Sampler,
     slo: SloMonitor,
     watchdog: Option<WatchdogCore>,
@@ -39,6 +49,7 @@ impl Observer {
         interval: Nanos,
         servers: Vec<(ServerId, StatsHandle)>,
         clients: Vec<ClientStatsHandle>,
+        rebalancer: Option<Rebalancer>,
         sampler: Sampler,
         slo: SloMonitor,
         watchdog: Option<WatchdogCore>,
@@ -47,6 +58,7 @@ impl Observer {
             interval,
             servers,
             clients,
+            rebalancer,
             sampler,
             slo,
             watchdog,
@@ -64,14 +76,24 @@ impl Actor<Envelope> for Observer {
     }
 
     fn on_event(&mut self, ctx: &mut Ctx<'_, Envelope>, event: Event<Envelope>) {
-        if let Event::Timer { .. } = event {
-            let now = ctx.now();
-            self.sampler.sample(now, &self.servers);
-            let slo = self.slo.evaluate(now, &self.clients);
-            if let Some(watchdog) = &mut self.watchdog {
-                watchdog.tick(now, self.interval, &self.servers, &self.clients, &slo);
+        let now = ctx.now();
+        match event {
+            Event::Timer { .. } => {
+                if let Some(rebalancer) = self.rebalancer.as_mut().filter(|r| r.due(now)) {
+                    rebalancer.tick(ctx, &self.servers, self.slo.headroom());
+                }
+                self.sampler.sample(now, &self.servers);
+                let slo = self.slo.evaluate(now, &self.clients);
+                if let Some(watchdog) = &mut self.watchdog {
+                    watchdog.tick(now, self.interval, &self.servers, &self.clients, &slo);
+                }
+                ctx.timer(self.interval, 0);
             }
-            ctx.timer(self.interval, 0);
+            Event::Message { payload, .. } => {
+                if let Some(rebalancer) = &mut self.rebalancer {
+                    rebalancer.answered(now, &payload);
+                }
+            }
         }
     }
 }

@@ -1,23 +1,25 @@
-//! The autonomous rebalancer actor: closes the loop from load to
-//! placement.
+//! The autonomous rebalancer: closes the loop from load to placement.
 //!
 //! Rocksteady's premise is that migration is cheap enough to use as a
-//! routine load-management tool (§1). This actor is the missing
-//! operator: on a fixed cadence it samples per-server load from the
-//! shared stats handles (dispatch utilization — the resource that
-//! saturates first — and op rates), reads tablet ownership from the
-//! coordinator map and tail headroom from the live SLO monitor, asks a
-//! pluggable [`PlacementPolicy`] for tablet moves, and issues the
-//! admitted ones as ordinary `MigrateTablet` RPCs — the same path a
-//! scripted `ControlCmd::Migrate` takes. [`AdmissionCaps`] bounds how
-//! many migrations run at once per source, per target, and
+//! routine load-management tool (§1). [`Rebalancer`] is the missing
+//! operator, and the observer's fourth reader: on each observer tick
+//! whose time is a multiple of [`RebalancerConfig::interval`] — first in
+//! that tick, before the sampler — it takes per-server load from the
+//! observer's stats handles (dispatch utilization — the resource that
+//! saturates first — and op rates, as deltas over its own interval),
+//! reads tablet ownership from the coordinator map and tail headroom
+//! from the SLO window the monitor closed one tick earlier, asks a
+//! pluggable [`PlacementPolicy`] for tablet moves, and sends the admitted
+//! ones as ordinary `MigrateTablet` RPCs through the observer — the same
+//! path a scripted `ControlCmd::Migrate` takes. [`AdmissionCaps`] bounds
+//! how many migrations run at once per source, per target, and
 //! cluster-wide, so reactive placement can never pile unbounded
 //! migration load onto one participant.
 //!
-//! The actor is installed only when [`ClusterConfig::rebalancer`] is
-//! set: a cluster built without one has an event schedule identical to
-//! a build predating this module. With it set, everything remains
-//! deterministic per seed — the tick cadence is fixed, every scrape
+//! It owns no actor and no timer, so arming [`ClusterConfig::rebalancer`]
+//! adds no event and renumbers no actor: a policy that proposes nothing
+//! leaves the schedule exactly as a disarmed cluster's. Everything stays
+//! deterministic per seed — the cadence is the observer's, every scrape
 //! iterates servers in `ServerId` order, and policies are pure.
 //!
 //! [`ClusterConfig::rebalancer`]: crate::ClusterConfig::rebalancer
@@ -33,10 +35,9 @@ use rocksteady_rebalancer::{
     AdmissionCaps, ClusterView, MoveInFlight, MoveProposal, PlacementPolicy, ServerLoad, TabletInfo,
 };
 use rocksteady_server::stats::StatsHandle;
-use rocksteady_simnet::{Actor, Ctx, Directory, Event};
+use rocksteady_simnet::{Ctx, Directory};
 
 use crate::coordinator_actor::CoordHandle;
-use crate::slo::SloHandle;
 
 /// Rebalancer ids start here so they can never collide with the small
 /// literal ids experiment scripts hand to `ControlCmd::Migrate`.
@@ -45,7 +46,9 @@ pub const REBALANCER_MIG_BASE: u64 = 1 << 32;
 /// Configuration for the autonomous rebalancer.
 #[derive(Debug, Clone)]
 pub struct RebalancerConfig {
-    /// Decision cadence (virtual time between load scrapes).
+    /// Decision cadence (virtual time between load scrapes); a multiple
+    /// of `ClusterConfig::sample_interval`, as the observer's ticks carry
+    /// the decisions.
     pub interval: Nanos,
     /// Concurrency ceilings for admitted migrations.
     pub caps: AdmissionCaps,
@@ -94,20 +97,16 @@ pub struct RebalancerReport {
 /// Shared handle to the rebalancer's report.
 pub type RebalancerHandle = Rc<RefCell<RebalancerReport>>;
 
-/// The rebalancer actor. One per cluster, installed after the observer
-/// when configured.
-pub struct RebalancerActor {
+/// The placement loop. One per armed cluster, held by the observer.
+pub(crate) struct Rebalancer {
     interval: Nanos,
     caps: AdmissionCaps,
     policy: Box<dyn PlacementPolicy>,
     coord: CoordHandle,
     dir: Directory,
-    /// Per-server stats handles in `ServerId` order (scrape order is
-    /// part of the deterministic schedule).
-    server_stats: Vec<(ServerId, StatsHandle)>,
-    slo: SloHandle,
     out: RebalancerHandle,
-    /// Cumulative counters at the previous tick, for windowed deltas.
+    /// Cumulative counters at the previous decision, for deltas over
+    /// this loop's own interval (not the sampler's clamped windows).
     prev_dispatch_ns: BTreeMap<ServerId, u64>,
     prev_ops: BTreeMap<ServerId, u64>,
     /// Issued moves awaiting the target's final response, in issue order.
@@ -120,26 +119,22 @@ pub struct RebalancerActor {
     audit: AuditSink,
 }
 
-impl RebalancerActor {
-    /// Creates the actor around the cluster's shared state;
-    /// `server_stats` is in `ServerId` order.
-    pub fn new(
+impl Rebalancer {
+    /// A loop over the cluster's shared coordinator map, reporting into
+    /// `out`.
+    pub(crate) fn new(
         cfg: RebalancerConfig,
         coord: CoordHandle,
         dir: Directory,
-        server_stats: Vec<(ServerId, StatsHandle)>,
-        slo: SloHandle,
         out: RebalancerHandle,
         audit: AuditSink,
     ) -> Self {
-        RebalancerActor {
+        Rebalancer {
             interval: cfg.interval,
             caps: cfg.caps,
             policy: cfg.policy,
             coord,
             dir,
-            server_stats,
-            slo,
             out,
             prev_dispatch_ns: BTreeMap::new(),
             prev_ops: BTreeMap::new(),
@@ -150,12 +145,22 @@ impl RebalancerActor {
         }
     }
 
+    /// Whether an observer tick at `now` carries a decision.
+    pub(crate) fn due(&self, now: Nanos) -> bool {
+        now.is_multiple_of(self.interval)
+    }
+
     /// Samples per-server load over the last interval and assembles the
     /// policy's view of the cluster.
-    fn scrape(&mut self, now: Nanos) -> ClusterView {
+    fn scrape(
+        &mut self,
+        now: Nanos,
+        server_stats: &[(ServerId, StatsHandle)],
+        slo_headroom: Option<i64>,
+    ) -> ClusterView {
         let map = self.coord.borrow().tablet_map();
-        let mut servers = Vec::with_capacity(self.server_stats.len());
-        for (id, stats) in &self.server_stats {
+        let mut servers = Vec::with_capacity(server_stats.len());
+        for (id, stats) in server_stats {
             let busy = stats.dispatch_busy_ns.get();
             let ops = stats.ops_served.get();
             let prev_busy = self.prev_dispatch_ns.insert(*id, busy).unwrap_or(0);
@@ -200,14 +205,21 @@ impl RebalancerActor {
         ClusterView {
             at: now,
             servers,
-            slo_headroom: self.slo.borrow().headroom(),
+            slo_headroom,
             in_flight,
         }
     }
 
-    fn tick(&mut self, ctx: &mut Ctx<'_, Envelope>) {
+    /// One decision over `servers` (in `ServerId` order) and the last
+    /// closed SLO window's headroom: propose, admit, and send.
+    pub(crate) fn tick(
+        &mut self,
+        ctx: &mut Ctx<'_, Envelope>,
+        servers: &[(ServerId, StatsHandle)],
+        slo_headroom: Option<i64>,
+    ) {
         let now = ctx.now();
-        let view = self.scrape(now);
+        let view = self.scrape(now, servers, slo_headroom);
         let proposals = self.policy.propose(&view);
         self.out.borrow_mut().ticks += 1;
         self.out.borrow_mut().proposed += proposals.len() as u64;
@@ -266,47 +278,30 @@ impl RebalancerActor {
             );
         }
     }
-}
 
-impl Actor<Envelope> for RebalancerActor {
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Envelope>) {
-        ctx.timer(self.interval, 0);
-    }
-
-    fn on_event(&mut self, ctx: &mut Ctx<'_, Envelope>, event: Event<Envelope>) {
-        match event {
-            Event::Timer { .. } => {
-                self.tick(ctx);
-                ctx.timer(self.interval, 0);
-            }
-            Event::Message { payload, .. } => {
-                // The target answers our MigrateTablet when the run
-                // finishes (MigrateTabletOk) or fails (anything else);
-                // either way the move stops counting against the caps.
-                if let Some(mv) = self.in_flight.remove(&payload.rpc) {
-                    let ok = matches!(payload.body, Body::Resp(Response::MigrateTabletOk));
-                    let mut out = self.out.borrow_mut();
-                    if ok {
-                        out.completed += 1;
-                    } else {
-                        out.rejected += 1;
-                    }
-                    drop(out);
-                    if self.audit.is_on() {
-                        self.audit.emit(
-                            ctx.now(),
-                            AuditKind::RebalanceOutcome {
-                                id: mv.id,
-                                completed: ok,
-                            },
-                        );
-                    }
-                }
-            }
+    /// Takes a target's answer to one of our `MigrateTablet`s, sent when
+    /// the run finishes (`MigrateTabletOk`) or fails (anything else);
+    /// either way the move stops counting against the caps.
+    pub(crate) fn answered(&mut self, now: Nanos, answer: &Envelope) {
+        let Some(mv) = self.in_flight.remove(&answer.rpc) else {
+            return;
+        };
+        let ok = matches!(answer.body, Body::Resp(Response::MigrateTabletOk));
+        let mut out = self.out.borrow_mut();
+        if ok {
+            out.completed += 1;
+        } else {
+            out.rejected += 1;
+        }
+        drop(out);
+        if self.audit.is_on() {
+            self.audit.emit(
+                now,
+                AuditKind::RebalanceOutcome {
+                    id: mv.id,
+                    completed: ok,
+                },
+            );
         }
     }
 }

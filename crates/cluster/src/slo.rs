@@ -9,7 +9,8 @@
 //! into the registry and keeps a queryable [`SloReport`] that answers
 //! "are clients being hurt right now?": the flight-recorder watchdog
 //! reads its burn rates, experiments read it through
-//! `Cluster::slo_report`, and the rebalancer copies its headroom into
+//! `Cluster::slo_report`, and the rebalancer, which runs before it in
+//! the same observer tick, copies the previous window's headroom into
 //! `ClusterView::slo_headroom` (which no policy reads yet).
 //!
 //! The monitor answers *that* the tail breached; its post-hoc companion
@@ -189,6 +190,11 @@ impl SloMonitor {
         self.g_burn_fast.set(fast as i64);
         self.g_burn_slow.set(slow as i64);
         (fast, slow)
+    }
+
+    /// The last closed window's [`SloReport::headroom`].
+    pub(crate) fn headroom(&self) -> Option<i64> {
+        self.out.borrow().headroom()
     }
 
     /// Closes the window ending at `now` over every client's cumulative

@@ -364,12 +364,12 @@ fn rebalancer_sheds_tablets_from_a_hot_server() {
 fn disarmed_rebalancer_reports_nothing_and_schedule_matches_default() {
     // `rebalancer: None` is the default; the report handle exists but
     // stays all-zero, and building with an explicit `None` is
-    // event-identical to the config default (no hidden actor).
-    let run = |explicit_none: bool| {
+    // event-identical to the config default (no hidden actor). Armed
+    // with a policy that proposes nothing, the rebalancer ticks inside
+    // the observer's tick: no event of its own, no client renumbered.
+    let run = |arm: fn(&mut ClusterConfig)| {
         let mut cfg = four_server_config();
-        if explicit_none {
-            cfg.rebalancer = None;
-        }
+        arm(&mut cfg);
         let mut b = ClusterBuilder::new(cfg);
         let dir = b.directory();
         b.add_ycsb(YcsbConfig::ycsb_b(dir, TABLE, KEYS, 40_000.0));
@@ -378,10 +378,24 @@ fn disarmed_rebalancer_reports_nothing_and_schedule_matches_default() {
         cluster.run_until(200 * MILLISECOND);
         cluster
     };
-    let a = run(false);
-    let b = run(true);
+    let a = run(|_| {});
+    let b = run(|cfg| cfg.rebalancer = None);
+    let idle = run(|cfg| {
+        cfg.rebalancer = Some(RebalancerConfig {
+            interval: 20 * MILLISECOND,
+            caps: AdmissionCaps::default(),
+            policy: Box::new(GreedyLoadDelta::new(0.12, 0)),
+        })
+    });
     assert_eq!(a.sim.events_processed(), b.sim.events_processed());
     assert_eq!(a.rebalancer.borrow().ticks, 0);
     assert_eq!(a.rebalancer.borrow().admitted, 0);
     assert!(a.rebalancer.borrow().moves.is_empty());
+    let ticks = idle.rebalancer.borrow().ticks;
+    assert!(ticks > 0, "the armed rebalancer never ticked");
+    assert_eq!(
+        idle.sim.events_processed(),
+        a.sim.events_processed(),
+        "an armed rebalancer that proposes nothing ({ticks} ticks) cost events"
+    );
 }

@@ -130,6 +130,11 @@ const RULES: &[Rule] = &[
         check: |t| grep(t, |p| src(p) && p != "crates/common/src/fxmap.rs", |l| l.match_indices("Hash")
             .any(|(i, _)| ["HashMap", "HashSet"].iter().any(|h| l[i..].starts_with(h)) && !l[..i].ends_with("Fx"))),
         mutant: ("crates/simnet/src/lib.rs", "", "use std::collections::HashMap;\n") },
+    Rule { name: "one_observer", decided: "§3.12", why: "a periodic reading is a field of the observer, not an actor",
+        check: |t| grep(t, |p| p.starts_with("crates/cluster/src/")
+            && !["control", "coordinator_actor", "observer"].iter().any(|a| p == format!("crates/cluster/src/{a}.rs")),
+            |l| any(l, &["impl Actor<Envelope> for"])),
+        mutant: ("crates/cluster/src/rebalancer.rs", "", "struct Beat; impl Actor<Envelope> for Beat {}\n") },
     Rule { name: "one_client_oracle", decided: "§3.13", why: "the audit's linearizable check is the one oracle of client reads",
         check: |t| grep(t, |p| rust(p) && !p.starts_with("crates/workload/src/"),
             |l| any(l, &["confirmed_writes", "verify_all_readable"])),
