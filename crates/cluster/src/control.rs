@@ -49,16 +49,6 @@ pub enum ControlCmd {
         /// in well under a second; default scripts use ~1 ms).
         detect_after: Nanos,
     },
-    /// Internal: deliver the delayed crash report created by `Kill`.
-    #[doc(hidden)]
-    ReportOnly {
-        /// Crashed server to report.
-        server: ServerId,
-        /// Pre-allocated RPC id.
-        rpc: RpcId,
-        /// Coordinator actor.
-        coordinator: rocksteady_simnet::ActorId,
-    },
 }
 
 impl ControlCmd {
@@ -93,6 +83,9 @@ pub struct ControlEvent {
 pub struct ControlActor {
     dir: Directory,
     script: Vec<ControlEvent>,
+    /// The crash reports `Kill`s scheduled, `(victim, rpc)` in order;
+    /// timer token `script.len() + i` delivers the `i`-th.
+    reports: Vec<(ServerId, RpcId)>,
     next_rpc: u64,
 }
 
@@ -102,6 +95,7 @@ impl ControlActor {
         ControlActor {
             dir,
             script,
+            reports: Vec::new(),
             next_rpc: 1,
         }
     }
@@ -164,31 +158,11 @@ impl ControlActor {
                 detect_after,
             } => {
                 ctx.kill(self.dir.actor_of(server));
-                // Report after the detection delay via a timer encoded as
-                // a synthetic one-shot script entry.
+                // Model failure detection: report after the delay.
                 let rpc = self.alloc_rpc();
-                let _ = detect_after; // the timer below carries the delay
-                let coordinator = self.dir.coordinator;
-                // Model detection: delay the report.
-                self.script.push(ControlEvent {
-                    at: ctx.now() + detect_after,
-                    cmd: ControlCmd::ReportOnly {
-                        server,
-                        rpc,
-                        coordinator,
-                    },
-                });
-                ctx.timer(detect_after, (self.script.len() - 1) as u64);
-            }
-            ControlCmd::ReportOnly {
-                server,
-                rpc,
-                coordinator,
-            } => {
-                ctx.send(
-                    coordinator,
-                    Envelope::req(rpc, Request::ReportCrash { server }),
-                );
+                let token = self.script.len() + self.reports.len();
+                ctx.timer(detect_after, token as u64);
+                self.reports.push((server, rpc));
             }
         }
     }
@@ -208,8 +182,15 @@ impl Actor<Envelope> for ControlActor {
     fn on_event(&mut self, ctx: &mut Ctx<'_, Envelope>, event: Event<Envelope>) {
         if let Event::Timer { token } = event {
             let idx = token as usize;
-            if idx < self.script.len() {
-                self.fire(ctx, idx);
+            match idx.checked_sub(self.script.len()) {
+                None => self.fire(ctx, idx),
+                Some(report) => {
+                    let (server, rpc) = self.reports[report];
+                    ctx.send(
+                        self.dir.coordinator,
+                        Envelope::req(rpc, Request::ReportCrash { server }),
+                    );
+                }
             }
         }
     }

@@ -22,13 +22,15 @@
 //!   another Pull — if the target is busy serving clients, migration
 //!   slows itself down instead of queueing unboundedly (§3.1.2).
 
-use rocksteady_common::{HashRange, KeyHash, Nanos, ScanCursor, ServerId, TableId};
+use rocksteady_common::{HashRange, KeyHash, ScanCursor, ServerId, TableId};
 use rocksteady_proto::Record;
 
 use crate::config::{MigrationConfig, PRIORITY_PULL_BATCH};
 use crate::priority::{MissOutcome, PriorityPullBatcher};
 
 /// A batch of records ready to be replayed on an idle worker.
+/// [`MigrationManager::poll`] hands out PriorityPull batches before bulk
+/// ones (§3.3 — a client is actively waiting on them).
 #[derive(Debug, Clone)]
 pub struct ReplayBatch {
     /// Which pull partition produced it (`None` for PriorityPull
@@ -36,9 +38,6 @@ pub struct ReplayBatch {
     pub partition: Option<usize>,
     /// The records.
     pub records: Vec<Record>,
-    /// PriorityPull records replay ahead of bulk records (§3.3 — a
-    /// client is actively waiting on them).
-    pub urgent: bool,
 }
 
 /// What the server actor should do next.
@@ -106,16 +105,10 @@ pub struct MigrationStats {
     pub pulls_sent: u64,
     /// Records received via bulk Pulls.
     pub pull_records: u64,
-    /// Wire bytes received via bulk Pulls.
-    pub pull_bytes: u64,
     /// PriorityPull RPCs issued.
     pub priority_pulls_sent: u64,
     /// Records received via PriorityPulls.
     pub priority_records: u64,
-    /// Virtual time the migration started (set by the server).
-    pub started_at: Nanos,
-    /// Virtual time the migration finished (set by the server).
-    pub finished_at: Nanos,
 }
 
 #[derive(Debug)]
@@ -244,14 +237,12 @@ impl MigrationManager {
         partition: usize,
         records: Vec<Record>,
         next: Option<ScanCursor>,
-        wire_bytes: u64,
     ) {
         let p = &mut self.partitions[partition];
         debug_assert!(p.in_flight);
         p.in_flight = false;
         p.cursor = next;
         self.stats.pull_records += records.len() as u64;
-        self.stats.pull_bytes += wire_bytes;
         if records.is_empty() {
             // Nothing to replay (empty tail of the partition).
             debug_assert!(next.is_none(), "pulls only return empty at exhaustion");
@@ -261,10 +252,10 @@ impl MigrationManager {
         }
     }
 
-    /// A PriorityPull returned; `requested` is the batch that was sent.
-    pub fn on_priority_pull_response(&mut self, requested: &[KeyHash], records: Vec<Record>) {
+    /// A PriorityPull returned `records`; hashes of the batch sent that
+    /// came back with none are absent at the source.
+    pub fn on_priority_pull_response(&mut self, records: Vec<Record>) {
         self.batcher.on_response(records.iter().map(|r| r.key_hash));
-        let _ = requested; // the batcher already tracked the in-flight set
         self.stats.priority_records += records.len() as u64;
         if !records.is_empty() {
             self.pp_ready.push(records);
@@ -344,7 +335,7 @@ impl MigrationManager {
             }
         }
 
-        // Replay scheduling: urgent PriorityPull records first, then bulk
+        // Replay scheduling: PriorityPull records first, then bulk
         // partitions; each scheduled bulk batch immediately pipelines the
         // partition's next Pull (§3.1.2).
         while idle_workers > 0 {
@@ -353,7 +344,6 @@ impl MigrationManager {
                 actions.push(Action::Replay(ReplayBatch {
                     partition: None,
                     records,
-                    urgent: true,
                 }));
                 continue;
             }
@@ -367,7 +357,6 @@ impl MigrationManager {
             actions.push(Action::Replay(ReplayBatch {
                 partition: Some(i),
                 records,
-                urgent: false,
             }));
             if let Some(cursor) = p.cursor {
                 if !p.in_flight {
@@ -454,7 +443,7 @@ mod tests {
     fn replay_goes_to_idle_workers_and_pipelines_next_pull() {
         let mut m = running_manager(2);
         m.poll(0);
-        m.on_pull_response(0, vec![rec(1)], Some(ScanCursor { bucket: 9 }), 100);
+        m.on_pull_response(0, vec![rec(1)], Some(ScanCursor { bucket: 9 }));
         // No idle workers: the response sits ready, no new pull (flow
         // control, §3.1.2).
         assert!(m.poll(0).is_empty());
@@ -465,7 +454,6 @@ mod tests {
             &actions[0],
             Action::Replay(ReplayBatch {
                 partition: Some(0),
-                urgent: false,
                 ..
             })
         ));
@@ -482,7 +470,7 @@ mod tests {
     fn completes_only_after_replays_finish() {
         let mut m = running_manager(1);
         m.poll(0);
-        m.on_pull_response(0, vec![rec(1), rec(2)], None, 200);
+        m.on_pull_response(0, vec![rec(1), rec(2)], None);
         let actions = m.poll(4);
         assert_eq!(
             actions.len(),
@@ -509,7 +497,7 @@ mod tests {
             }
         }
         for i in 0..4 {
-            m.on_pull_response(i, Vec::new(), None, 0);
+            m.on_pull_response(i, Vec::new(), None);
         }
         let actions = m.poll(2);
         assert!(matches!(actions[..], [Action::Finished]));
@@ -526,13 +514,12 @@ mod tests {
             [Action::SendPriorityPull { hashes }] => assert_eq!(hashes, &vec![42]),
             other => panic!("{other:?}"),
         }
-        m.on_priority_pull_response(&[42], vec![rec(42)]);
+        m.on_priority_pull_response(vec![rec(42)]);
         let actions = m.poll(1);
         assert!(matches!(
             &actions[0],
             Action::Replay(ReplayBatch {
                 partition: None,
-                urgent: true,
                 ..
             })
         ));
@@ -543,15 +530,15 @@ mod tests {
     fn urgent_replay_preempts_bulk_when_one_worker() {
         let mut m = running_manager(1);
         m.poll(0);
-        m.on_pull_response(0, vec![rec(1)], Some(ScanCursor { bucket: 3 }), 100);
+        m.on_pull_response(0, vec![rec(1)], Some(ScanCursor { bucket: 3 }));
         m.on_read_miss(42);
         let actions = m.poll(0);
         assert!(matches!(&actions[..], [Action::SendPriorityPull { .. }]));
-        m.on_priority_pull_response(&[42], vec![rec(42)]);
+        m.on_priority_pull_response(vec![rec(42)]);
         let actions = m.poll(1);
         // The single worker must take the PriorityPull records first.
         match &actions[0] {
-            Action::Replay(b) => assert!(b.urgent),
+            Action::Replay(b) => assert_eq!(b.partition, None),
             other => panic!("{other:?}"),
         }
     }
@@ -560,7 +547,7 @@ mod tests {
     fn miss_after_partition_done_is_not_found() {
         let mut m = running_manager(1);
         m.poll(0);
-        m.on_pull_response(0, vec![rec(1)], None, 100);
+        m.on_pull_response(0, vec![rec(1)], None);
         assert_eq!(
             m.on_read_miss(77),
             MissOutcome::Wait,
@@ -604,11 +591,10 @@ mod tests {
     fn stats_accumulate() {
         let mut m = running_manager(2);
         m.poll(1);
-        m.on_pull_response(0, vec![rec(1), rec(2)], None, 250);
-        m.on_pull_response(1, vec![rec(3)], None, 130);
+        m.on_pull_response(0, vec![rec(1), rec(2)], None);
+        m.on_pull_response(1, vec![rec(3)], None);
         let _ = m.poll(2);
         assert_eq!(m.stats.pull_records, 3);
-        assert_eq!(m.stats.pull_bytes, 380);
         assert_eq!(m.stats.pulls_sent, 2);
     }
 }

@@ -438,7 +438,7 @@ impl ServerNode {
                     .pull_returned(now, span_start, mig, partition, n, wire, nic);
                 self.stats.migration_gathered(mig, n);
                 if let Some(run) = self.run_mut(mig) {
-                    run.mgr.on_pull_response(partition, records, next, wire);
+                    run.mgr.on_pull_response(partition, records, next);
                 }
                 self.poll_and_run_migrations(ctx);
             }
@@ -449,7 +449,7 @@ impl ServerNode {
                     .priority_pull_returned(now, span_start, mig, batch, n, nic);
                 self.stats.migration_gathered(mig, n);
                 if let Some(run) = self.run_mut(mig) {
-                    run.mgr.on_priority_pull_response(&hashes, records);
+                    run.mgr.on_priority_pull_response(records);
                 }
                 self.poll_and_run_migrations(ctx);
             }
