@@ -165,7 +165,7 @@ impl Rebalancer {
             let ops = stats.ops_served.get();
             let prev_busy = self.prev_dispatch_ns.insert(*id, busy).unwrap_or(0);
             let prev_ops = self.prev_ops.insert(*id, ops).unwrap_or(0);
-            let window = self.interval.max(1) as f64;
+            let window = self.interval as f64;
             let mut tablets: Vec<TabletInfo> = map
                 .iter()
                 .filter(|t| t.owner == *id && t.state == TabletState::Normal)
