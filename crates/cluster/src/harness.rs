@@ -1080,6 +1080,22 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(
+        expected = "rebalancer interval 1500000 ns is not a multiple of sample_interval 1000000 ns"
+    )]
+    fn a_rebalancer_off_the_sampling_cadence_is_rejected() {
+        let rebalancer = RebalancerConfig {
+            interval: 1_500_000,
+            ..RebalancerConfig::default()
+        };
+        let cfg = ClusterConfig {
+            rebalancer: Some(rebalancer),
+            ..small_cfg()
+        };
+        ClusterBuilder::new(cfg).build();
+    }
+
+    #[test]
     fn deterministic_replay_same_seed() {
         let run = |seed| {
             let mut cfg = small_cfg();

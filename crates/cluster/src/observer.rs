@@ -2,21 +2,18 @@
 //!
 //! Every `sample_interval` of virtual time the observer reads the
 //! servers' and clients' stats handles up to four ways, in this order:
-//! the [`Rebalancer`], when `ClusterConfig::rebalancer` is armed and the
-//! tick's time is a multiple of its interval; the utilization
-//! [`Sampler`]; the [`SloMonitor`] window; and — when
+//! the [`Rebalancer`] when `ClusterConfig::rebalancer` is armed and the
+//! tick's time is a multiple of its interval, the utilization
+//! [`Sampler`], the [`SloMonitor`] window, and — when
 //! `ClusterConfig::flight_recorder` is armed — the [`WatchdogCore`]'s
-//! detectors, which read the window the monitor has just closed. So the
-//! rebalancer decides on the SLO window closed one tick earlier, and its
-//! audit events precede the watchdog's read.
+//! detectors, which read the window the monitor has just closed.
 //!
 //! It is always installed and arms one timer per tick whatever is armed:
 //! metrics capture, the SLA, the flight recorder and the rebalancer
 //! change what a tick records, never the timer schedule, so arming them
-//! adds no event of their own (`events_processed()` is identical either
-//! way, save for the migrations a rebalancer starts). The rebalancer's
-//! `MigrateTablet`s leave from this actor, and their answers come back
-//! to it.
+//! cannot perturb a deterministic run — only the migrations a rebalancer
+//! starts do. Those `MigrateTablet`s leave from this actor, and their
+//! answers come back to it.
 
 use rocksteady_common::{Nanos, ServerId};
 use rocksteady_proto::Envelope;
