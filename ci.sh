@@ -21,6 +21,9 @@ run cargo test -q --release --test seed_sweep
 # The hash table's packing bounds are assert!s, not debug_assert!s: its
 # bound and property tests must pass in the build the benchmark measures.
 run cargo test -q --release -p rocksteady-hashtable
+# The trace arity cap is a debug_assert!: release builds must record an
+# over-wide event whole, and only a release run of its test shows that.
+run cargo test -q --release -p rocksteady-trace
 # The pinned digests again, in a second process with its own RandomState.
 run cargo test -q --release --test golden
 # The frozen repo benchmark builds against crates/ and checks itself.

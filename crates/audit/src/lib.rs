@@ -55,7 +55,9 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use rocksteady_common::json::JsonWriter;
-use rocksteady_common::{HashRange, KeyHash, MigrationId, Nanos, Ring, ServerId, TableId};
+use rocksteady_common::{
+    FxHashMap, HashRange, KeyHash, MigrationId, Nanos, Ring, ServerId, TableId,
+};
 use rocksteady_metrics::{Counter, Registry};
 
 /// The invariant catalog: index order is stable and shared by the
@@ -654,8 +656,9 @@ pub struct InvariantAuditor {
     lineage: BTreeMap<u64, (ServerId, ServerId, u64)>,
     /// Last floor sample per server: (floor, seq).
     floors: BTreeMap<u32, (u64, u64)>,
-    /// Client history per key hash.
-    keys: BTreeMap<KeyHash, KeyHistory>,
+    /// Client history per key hash: probed once per operation and
+    /// walked once, in hash order, at [`InvariantAuditor::end_history`].
+    keys: FxHashMap<KeyHash, KeyHistory>,
     /// Pending rebalancer admissions: migration id -> seq.
     rebalance_admits: BTreeMap<u64, u64>,
     checked: [u64; 5],
@@ -1216,6 +1219,8 @@ impl InvariantAuditor {
                 _ => {}
             }
         }
+        // The table's order is its hasher's; the report's is the hash's.
+        found.sort_unstable_by_key(|&(hash, _)| hash);
         self.client_violations(at, seq, found);
     }
 
@@ -2230,6 +2235,30 @@ mod tests {
             found,
             ["no write explains client 2 read v15 [20, 30], above client 1 wrote v10 [0, 10]"]
         );
+    }
+
+    /// Keys found at the history's end are reported in hash order,
+    /// whatever order their table holds them in.
+    #[test]
+    fn unexplained_versions_at_the_end_are_reported_by_hash() {
+        let sink = AuditSink::armed();
+        for hash in [0xf00, 0xabc, 0xdef] {
+            sink.client_op(ClientOp {
+                hash,
+                ..read(1, 0, 10, 3)
+            });
+            sink.client_op(ClientOp {
+                hash,
+                ..read(2, 20, 30, 4)
+            });
+        }
+        sink.end_history(1_000);
+        let hashes: Vec<String> = sink
+            .violations()
+            .into_iter()
+            .map(|v| v.detail[..10].to_string())
+            .collect();
+        assert_eq!(hashes, ["hash 0xabc", "hash 0xdef", "hash 0xf00"]);
     }
 
     #[test]

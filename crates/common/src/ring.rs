@@ -10,8 +10,9 @@
 //!
 //! A bounded ring reserves its bound when it is built, so it never
 //! reallocates mid-run. [`TailRing`] adds a variable-length tail per
-//! entry (a trace event's args) in one shared arena that is cut in step
-//! with the entries, so recording an entry allocates nothing either.
+//! entry (a trace event's arg values) in one shared arena that is cut
+//! in step with the entries, so recording an entry allocates nothing
+//! either.
 
 /// A contiguous buffer, unbounded or drop-oldest-half bounded.
 #[derive(Debug, Clone)]
@@ -121,30 +122,17 @@ impl<T, A> TailRing<T, A> {
         }
     }
 
-    /// Appends `item` and its `tail`.
+    /// Appends `item` and its `tail`, which is copied into the arena as
+    /// it is iterated.
     #[inline]
-    pub fn push(&mut self, item: T, tail: &[A])
-    where
-        A: Copy,
-    {
+    pub fn push(&mut self, item: T, tail: impl IntoIterator<Item = A>) {
         let start = self.tails_cut + self.tails.len() as u64;
         if self.heads.push((item, start)) > 0 {
             let cut = (self.heads.as_slice()[0].1 - self.tails_cut) as usize;
             self.tails.drain(..cut);
             self.tails_cut += cut as u64;
         }
-        self.tails.extend_from_slice(tail);
-    }
-
-    /// Appends `more` to the newest entry's tail (which ends where the
-    /// arena does, so it can still grow).
-    #[inline]
-    pub fn extend_tail(&mut self, more: &[A])
-    where
-        A: Copy,
-    {
-        debug_assert!(!self.is_empty(), "no entry to extend");
-        self.tails.extend_from_slice(more);
+        self.tails.extend(tail);
     }
 
     /// Retained entries.
@@ -260,13 +248,10 @@ mod tests {
     }
 
     /// Entry `i` carries `i % 4` copies of `i` as its tail, so every
-    /// tail names its owner; odd entries get theirs in two pieces.
+    /// tail names its owner.
     fn push_numbered(r: &mut TailRing<u64, u64>, entries: std::ops::Range<u64>) {
         for i in entries {
-            let tail = &[i; 3][..(i % 4) as usize];
-            let split = (i % 2) as usize;
-            r.push(i, &tail[..split]);
-            r.extend_tail(&tail[split..]);
+            r.push(i, std::iter::repeat_n(i, (i % 4) as usize));
         }
     }
 

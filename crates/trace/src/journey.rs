@@ -31,7 +31,7 @@ use std::fmt::Write as _;
 use rocksteady_common::json::JsonWriter;
 use rocksteady_common::Nanos;
 
-use crate::{Arg, Events, Phase, TraceEvent};
+use crate::{Args, Events, Phase, TraceEvent};
 
 /// Schema tag stamped into [`export_json`] output.
 pub const JOURNEYS_SCHEMA: &str = "rocksteady-journeys-v1";
@@ -338,12 +338,14 @@ impl ServerInstant {
 /// where the last one matched: 14 string compares for the 14-arg
 /// decomposition instant instead of 14 per name. (It wraps around, so
 /// any order still resolves; arg names are unique within an event.)
-fn pick<const N: usize>(args: &[Arg], names: [&str; N]) -> [Option<u64>; N] {
+fn pick<const N: usize>(args: Args<'_>, names: [&str; N]) -> [Option<u64>; N] {
     let mut at = 0;
     names.map(|name| {
-        let i = (at..args.len()).chain(0..at).find(|&i| args[i].0 == name)?;
+        let i = (at..args.len())
+            .chain(0..at)
+            .find(|&i| args.names[i] == name)?;
         at = i + 1;
-        Some(args[i].1)
+        Some(args.values[i])
     })
 }
 
@@ -724,12 +726,19 @@ mod tests {
     /// any order of names resolves, a missing one is `None`.
     #[test]
     fn pick_resolves_any_order() {
-        let args = [("a", 1), ("b", 2), ("c", 3)];
-        assert_eq!(pick(&args, ["a", "b", "c"]), [Some(1), Some(2), Some(3)]);
+        let args = Args {
+            names: &["a", "b", "c"],
+            values: &[1, 2, 3],
+        };
+        assert_eq!(pick(args, ["a", "b", "c"]), [Some(1), Some(2), Some(3)]);
         assert_eq!(
-            pick(&args, ["c", "a", "x", "b"]),
+            pick(args, ["c", "a", "x", "b"]),
             [Some(3), Some(1), None, Some(2)]
         );
-        assert_eq!(pick(&[], ["a"]), [None]);
+        let none = Args {
+            names: &[],
+            values: &[],
+        };
+        assert_eq!(pick(none, ["a"]), [None]);
     }
 }

@@ -33,18 +33,31 @@
 //! reads, no arg construction (callers must guard arg-building with
 //! [`Tracer::is_on`]).
 //!
-//! Zero-allocation-on guarantee: an armed tracer copies an event's
-//! fixed-size [`EventHead`] into the ring and its args — handed over as
-//! a slice, normally a stack array — into the ring's args arena. No
-//! event owns heap memory, so recording allocates nothing (the arena
-//! grows by doubling to its steady size, a bounded ring's heads are
-//! reserved up front) and dropping or compacting the buffer frees
-//! nothing per event. `tests/alloc_gate.rs` pins both guarantees.
+//! Zero-allocation-on guarantee: a buffer stores per event only what
+//! varies per event. What is constant per call site — name, category,
+//! phase and arg names — is interned once per buffer, the first time
+//! the buffer sees it, as a *schema*; the ring then holds a 40 B slot
+//! per event (times, lanes, schema id) and its arena the arg values,
+//! 8 B each. No event owns heap memory, so recording allocates nothing
+//! past a schema's first sight (the arena grows by doubling to its
+//! steady size, a bounded ring's slots are reserved up front) and
+//! dropping or compacting the buffer frees nothing per event.
+//! `tests/alloc_gate.rs` pins both guarantees.
+//!
+//! Schemas are looked up by the *addresses* of their `&'static str`s
+//! and written out by their *content*: two content-equal names at
+//! different addresses get two schemas that export the same bytes, and
+//! the address-keyed index is only probed, never iterated, so no output
+//! depends on where a string lives.
 
 use std::cell::RefCell;
+use std::hash::Hasher;
+use std::iter::{Copied, Zip};
 use std::ops::Deref;
 use std::rc::Rc;
+use std::{fmt, ptr, slice};
 
+use rocksteady_common::fxmap::{FxHashMap, FxHasher};
 use rocksteady_common::json::{JsonWriter, Micros};
 use rocksteady_common::{Histogram, Nanos, TailRing};
 
@@ -120,12 +133,15 @@ pub type Arg = (&'static str, u64);
 
 /// Most args one event may carry (the widest emitter, the per-RPC
 /// decomposition instant, carries 14). The cap is what bounds a ring
-/// tracer's args arena at `capacity × MAX_ARGS` slots; going over it is
-/// an emitter bug, caught by a debug assertion.
+/// tracer's arena at `capacity × MAX_ARGS` values; going over it is an
+/// emitter bug, caught by a debug assertion (a release build records
+/// the event whole).
 pub const MAX_ARGS: usize = 16;
 
 /// The fixed-size part of a recorded event: everything but its args.
-/// All names are `&'static str`, so a head is plain copyable data.
+/// All names are `&'static str`, so a head is plain copyable data. The
+/// buffer does not store heads: a reader gets each one rebuilt from the
+/// event's slot and schema.
 #[derive(Debug, Clone, Copy)]
 pub struct EventHead {
     /// Event name (chrome `name`).
@@ -144,21 +160,92 @@ pub struct EventHead {
     pub tid: u64,
 }
 
+/// What the ring holds per event: everything that varies per event but
+/// its arg values. 40 B; with the ring's arena offset beside it, 48 B.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    ts: Nanos,
+    dur: Nanos,
+    pid: u64,
+    tid: u64,
+    /// Index into the buffer's schema table.
+    schema: u32,
+}
+
+/// What is constant per call site, stored once per buffer: the event's
+/// name, category, phase and arg names (for a flow event, its leading
+/// `flow` id's name first).
+#[derive(Debug)]
+struct Schema {
+    name: &'static str,
+    cat: &'static str,
+    ph: Phase,
+    args: Box<[&'static str]>,
+}
+
+/// An event as a record call hands it over, before it is filed.
+struct Emitted<'r> {
+    head: EventHead,
+    /// `flow`'s id, recorded ahead of `args`.
+    lead: Option<Arg>,
+    args: &'r [Arg],
+}
+
+impl Emitted<'_> {
+    fn all_args(&self) -> impl Iterator<Item = Arg> + '_ {
+        self.lead.into_iter().chain(self.args.iter().copied())
+    }
+
+    fn arity(&self) -> usize {
+        usize::from(self.lead.is_some()) + self.args.len()
+    }
+
+    /// Hash of the schema's string addresses, phase and arity: the
+    /// index's key. Equal schemas hash equal; unequal ones that collide
+    /// are told apart by [`Emitted::is`].
+    fn key(&self) -> u64 {
+        let h = &self.head;
+        let mut hasher = FxHasher::default();
+        hasher.write_usize(h.name.as_ptr() as usize);
+        hasher.write_usize(h.cat.as_ptr() as usize);
+        hasher.write_u64((h.ph as u64) << 32 | self.arity() as u64);
+        for (name, _) in self.all_args() {
+            hasher.write_usize(name.as_ptr() as usize);
+        }
+        hasher.finish()
+    }
+
+    /// Whether `schema` is this event's: every string the same address
+    /// and length (`ptr::eq` on a `&str` compares both), so the answer
+    /// never depends on a hash.
+    fn is(&self, schema: &Schema) -> bool {
+        let h = &self.head;
+        ptr::eq(h.name, schema.name)
+            && ptr::eq(h.cat, schema.cat)
+            && h.ph == schema.ph
+            && self.arity() == schema.args.len()
+            && self
+                .all_args()
+                .zip(&schema.args[..])
+                .all(|((a, _), b)| ptr::eq(a, *b))
+    }
+}
+
 /// One recorded event as a reader sees it: its [`EventHead`] (reached
 /// through `Deref`, so `ev.name`, `ev.ts`, … read as fields) and its
-/// args, both borrowed from the trace buffer.
+/// args, borrowed from the trace buffer.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceEvent<'a> {
-    head: &'a EventHead,
+    head: EventHead,
     /// Structured integer arguments, in recording order.
-    pub args: &'a [Arg],
+    pub args: Args<'a>,
 }
 
 impl Deref for TraceEvent<'_> {
     type Target = EventHead;
 
     fn deref(&self) -> &EventHead {
-        self.head
+        &self.head
     }
 }
 
@@ -167,7 +254,55 @@ impl TraceEvent<'_> {
     /// want one or two args of an event. A fold over every event that
     /// wants many (the journey stitcher) walks `args` once instead.
     pub fn arg(&self, name: &str) -> Option<u64> {
-        self.args.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
+        self.args.iter().find(|&(n, _)| n == name).map(|(_, v)| v)
+    }
+}
+
+/// One event's args, in recording order: names from its schema, values
+/// from the arena. `Copy`, and iterable as often as a reader likes.
+#[derive(Clone, Copy)]
+pub struct Args<'a> {
+    names: &'a [&'static str],
+    values: &'a [u64],
+}
+
+/// The iterator of an event's [`Args`].
+pub type ArgsIter<'a> = Zip<Copied<slice::Iter<'a, &'static str>>, Copied<slice::Iter<'a, u64>>>;
+
+impl<'a> Args<'a> {
+    /// A fresh walk over the args.
+    pub fn iter(&self) -> ArgsIter<'a> {
+        self.names.iter().copied().zip(self.values.iter().copied())
+    }
+
+    /// How many args the event carries.
+    pub fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// Whether the event carries no args.
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// The `i`-th arg.
+    pub fn get(&self, i: usize) -> Option<Arg> {
+        Some((*self.names.get(i)?, self.values[i]))
+    }
+}
+
+impl<'a> IntoIterator for Args<'a> {
+    type Item = Arg;
+    type IntoIter = ArgsIter<'a>;
+
+    fn into_iter(self) -> ArgsIter<'a> {
+        self.iter()
+    }
+}
+
+impl fmt::Debug for Args<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -177,16 +312,16 @@ impl TraceEvent<'_> {
 /// so a reader can walk it as often as it likes.
 #[derive(Debug, Clone, Copy)]
 pub struct Events<'a> {
-    ring: &'a TailRing<EventHead, Arg>,
-    /// The positions in `ring` still to be yielded.
+    buf: &'a TraceBuf,
+    /// The positions in the ring still to be yielded.
     from: usize,
     to: usize,
 }
 
 impl<'a> Events<'a> {
-    fn of(ring: &'a TailRing<EventHead, Arg>) -> Self {
-        let (from, to) = (0, ring.len());
-        Events { ring, from, to }
+    fn of(buf: &'a TraceBuf) -> Self {
+        let (from, to) = (0, buf.events.len());
+        Events { buf, from, to }
     }
 
     /// A fresh walk over the events (`.rev()` for newest first).
@@ -202,7 +337,7 @@ impl<'a> Events<'a> {
     /// The events completing at or after `since`. The buffer is
     /// completion-ordered, so that window is a suffix.
     pub fn since(&self, since: Nanos) -> Events<'a> {
-        let first = self.ring.partition_point(|ev| ev.ts + ev.dur < since);
+        let first = self.buf.events.partition_point(|ev| ev.ts + ev.dur < since);
         Events {
             from: first.clamp(self.from, self.to),
             ..*self
@@ -211,12 +346,26 @@ impl<'a> Events<'a> {
 
     /// Args carried by the events from here to the buffer's end.
     fn args_len(&self) -> usize {
-        self.ring.tail_len_from(self.from)
+        self.buf.events.tail_len_from(self.from)
     }
 
     fn event(&self, i: usize) -> TraceEvent<'a> {
-        let (head, args) = self.ring.get(i);
-        TraceEvent { head, args }
+        let (slot, values) = self.buf.events.get(i);
+        let schema = &self.buf.schemas[slot.schema as usize];
+        let head = EventHead {
+            name: schema.name,
+            cat: schema.cat,
+            ph: schema.ph,
+            ts: slot.ts,
+            dur: slot.dur,
+            pid: slot.pid,
+            tid: slot.tid,
+        };
+        let names = &schema.args;
+        TraceEvent {
+            head,
+            args: Args { names, values },
+        }
     }
 }
 
@@ -251,11 +400,61 @@ impl ExactSizeIterator for Events<'_> {}
 /// The shared event buffer behind an enabled [`Tracer`].
 #[derive(Debug, Default)]
 pub struct TraceBuf {
-    events: TailRing<EventHead, Arg>,
+    /// One slot per event, its arg values in the arena.
+    events: TailRing<Slot, u64>,
+    /// Every schema seen, by id, in first-sight order. Compaction
+    /// evicts slots, never a schema.
+    schemas: Vec<Schema>,
+    /// Schema ids by [`Emitted::key`], which hashes addresses: probed,
+    /// never iterated, and every hit checked.
+    index: FxHashMap<u64, u32>,
     /// Recording gate: an armed tracer can be muted for warm-up windows
     /// without giving up the buffer (benches trace only the migration
     /// window this way).
     recording: bool,
+}
+
+impl TraceBuf {
+    #[inline]
+    fn push(&mut self, ev: Emitted<'_>) {
+        let schema = self.schema_of(&ev);
+        let h = ev.head;
+        let slot = Slot {
+            ts: h.ts,
+            dur: h.dur,
+            pid: h.pid,
+            tid: h.tid,
+            schema,
+        };
+        self.events.push(slot, ev.all_args().map(|(_, v)| v));
+    }
+
+    /// `ev`'s schema id: the index's candidate if it is `ev`'s, else a
+    /// scan of the table, else a new schema.
+    #[inline]
+    fn schema_of(&mut self, ev: &Emitted<'_>) -> u32 {
+        let key = ev.key();
+        match self.index.get(&key) {
+            Some(&id) if self.schemas.get(id as usize).is_some_and(|s| ev.is(s)) => id,
+            _ => self.find_or_add(ev, key),
+        }
+    }
+
+    #[cold]
+    fn find_or_add(&mut self, ev: &Emitted<'_>, key: u64) -> u32 {
+        if let Some(id) = self.schemas.iter().position(|s| ev.is(s)) {
+            return id as u32;
+        }
+        let id = u32::try_from(self.schemas.len()).expect("fewer than 2^32 schemas");
+        self.schemas.push(Schema {
+            name: ev.head.name,
+            cat: ev.head.cat,
+            ph: ev.head.ph,
+            args: ev.all_args().map(|(name, _)| name).collect(),
+        });
+        self.index.insert(key, id);
+        id
+    }
 }
 
 /// Validation result: what a well-formed trace contained.
@@ -272,10 +471,10 @@ pub struct TraceSummary {
 ///
 /// Every record call takes its args as `impl AsRef<[Arg]>` — a stack
 /// array or slice on the hot paths; a `Vec` is accepted too — and
-/// copies them into the buffer's arena. Being generic, those calls are
-/// instantiated in the emitter's crate; they are `#[inline(never)]` so
-/// that a site guarded by [`Tracer::is_on`] carries one call, not the
-/// recording body, on its cold side.
+/// copies their values into the buffer's arena. Being generic, those
+/// calls are instantiated in the emitter's crate; they are
+/// `#[inline(never)]` so that a site guarded by [`Tracer::is_on`]
+/// carries one call, not the recording body, on its cold side.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer(Option<Rc<RefCell<TraceBuf>>>);
 
@@ -285,10 +484,11 @@ impl Tracer {
         Tracer(None)
     }
 
-    fn recording_into(events: TailRing<EventHead, Arg>) -> Self {
+    fn recording_into(events: TailRing<Slot, u64>) -> Self {
         Tracer(Some(Rc::new(RefCell::new(TraceBuf {
             events,
             recording: true,
+            ..TraceBuf::default()
         }))))
     }
 
@@ -331,24 +531,19 @@ impl Tracer {
         }
     }
 
-    /// Copies `head` and `lead` + `args` into the buffer.
+    /// Files `head` and `lead` + `args` in the buffer.
     #[inline]
     fn record(&self, head: EventHead, lead: Option<Arg>, args: &[Arg]) {
         if let Some(buf) = &self.0 {
             let mut buf = buf.borrow_mut();
             if buf.recording {
+                let ev = Emitted { head, lead, args };
                 debug_assert!(
-                    lead.iter().len() + args.len() <= MAX_ARGS,
+                    ev.arity() <= MAX_ARGS,
                     "event {} carries more than {MAX_ARGS} args",
                     head.name
                 );
-                match lead {
-                    Some(lead) => {
-                        buf.events.push(head, &[lead]);
-                        buf.events.extend_tail(args);
-                    }
-                    None => buf.events.push(head, args),
-                }
+                buf.push(ev);
             }
         }
     }
@@ -456,8 +651,8 @@ impl Tracer {
     /// disabled).
     pub fn with_events<R>(&self, f: impl FnOnce(Events<'_>) -> R) -> R {
         match &self.0 {
-            Some(buf) => f(Events::of(&buf.borrow().events)),
-            None => f(Events::of(&TailRing::default())),
+            Some(buf) => f(Events::of(&buf.borrow())),
+            None => f(Events::of(&TraceBuf::default())),
         }
     }
 
@@ -645,7 +840,8 @@ mod tests {
     pub(crate) fn rebuilt<'a>(events: impl Iterator<Item = TraceEvent<'a>>) -> Tracer {
         let t = Tracer::armed();
         for ev in events {
-            t.record(*ev, None, ev.args);
+            let args: Vec<Arg> = ev.args.iter().collect();
+            t.record(*ev, None, &args);
         }
         t
     }
@@ -807,11 +1003,11 @@ mod tests {
         t.flow("f", "flow", 3, 0, 10, false, 77, &args[..MAX_ARGS - 1]);
         t.with_events(|events| {
             let wide = events.iter().next().unwrap();
-            assert_eq!(wide.args, args);
+            assert!(wide.args.iter().eq(args), "{:?}", wide.args);
             assert_eq!(wide.arg("a15"), Some(u64::MAX - 15));
             let flow = events.iter().nth(1).unwrap();
             assert_eq!(flow.args.len(), MAX_ARGS);
-            assert_eq!(flow.args[0], ("flow", 77));
+            assert_eq!(flow.args.get(0), Some(("flow", 77)));
         });
         let json = t.export_chrome_json();
         let want: Vec<String> = args.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
@@ -827,6 +1023,149 @@ mod tests {
     fn exceeding_the_arity_cap_is_caught_in_debug() {
         let t = Tracer::armed();
         t.instant("too-wide", "rpc", 1, 0, 0, [("x", 0); MAX_ARGS + 1]);
+    }
+
+    /// Release builds drop the arity check, not the args: an event over
+    /// the cap is recorded, read back and exported whole, in order.
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn over_wide_events_stay_whole_in_release() {
+        const WIDE: usize = MAX_ARGS + 3;
+        const NAMES: [&str; WIDE] = [
+            "a0", "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "a9", "a10", "a11", "a12", "a13",
+            "a14", "a15", "a16", "a17", "a18",
+        ];
+        let args: [Arg; WIDE] = std::array::from_fn(|i| (NAMES[i], 11 * i as u64));
+        let t = Tracer::armed();
+        t.instant("wide", "rpc", 3, 0, 10, args);
+        t.flow("f", "flow", 3, 0, 10, true, 77, args);
+        t.with_events(|events| {
+            let mut events = events.iter();
+            let wide = events.next().unwrap();
+            assert!(wide.args.iter().eq(args), "{:?}", wide.args);
+            let flow = events.next().unwrap();
+            let want = std::iter::once(("flow", 77)).chain(args);
+            assert!(flow.args.iter().eq(want), "{:?}", flow.args);
+        });
+        let json = t.export_chrome_json();
+        let want: Vec<String> = args.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+        let want = want.join(",");
+        assert!(json.contains(&format!("\"args\":{{{want}}}")), "{json}");
+        assert!(
+            json.contains(&format!("\"args\":{{\"flow\":77,{want}}}")),
+            "{json}"
+        );
+    }
+
+    /// The ring holds 48 B per event — slot and arena offset — and the
+    /// arena 8 B per arg.
+    #[test]
+    fn a_retained_event_costs_a_slot_and_its_values() {
+        assert_eq!(std::mem::size_of::<(Slot, u64)>(), 48);
+        let t = Tracer::armed();
+        t.instant("rpc", "rpc", 1, 0, 5, [("queue", 40), ("service", 2)]);
+        let buf = t.0.as_ref().unwrap().borrow();
+        assert_eq!(buf.events.get(0).1, [40, 2]);
+    }
+
+    fn schemas(t: &Tracer) -> usize {
+        t.0.as_ref().map_or(0, |buf| buf.borrow().schemas.len())
+    }
+
+    /// Content-equal strings at different addresses are two schemas to
+    /// the index and the same bytes to the export.
+    #[test]
+    fn schemas_are_found_by_address_and_exported_by_content() {
+        let leak = |s: &str| -> &'static str { Box::leak(s.into()) };
+        let (name, cat, arg) = (leak("read"), leak("rpc"), leak("queue"));
+        let (one, two) = (Tracer::armed(), Tracer::armed());
+        for i in 0..6u64 {
+            one.instant("read", "rpc", 1, 0, i, [("queue", i)]);
+            match i % 2 {
+                0 => two.instant("read", "rpc", 1, 0, i, [("queue", i)]),
+                _ => two.instant(name, cat, 1, 0, i, [(arg, i)]),
+            }
+        }
+        assert_eq!((schemas(&one), schemas(&two)), (1, 2));
+        assert_eq!(one.export_chrome_json(), two.export_chrome_json());
+    }
+
+    /// A wrong id in the index for an event's key — another schema's,
+    /// or none at all — costs a scan, never a misfiled event.
+    #[test]
+    fn a_wrong_index_entry_never_misfiles_an_event() {
+        // Statics: one address per name, wherever it is used.
+        static A: &str = "a";
+        static B: &str = "b";
+        static C: &str = "c";
+        static X: &str = "x";
+        let key = |name, ph, args| {
+            let head = EventHead {
+                name,
+                cat: A,
+                ph,
+                ts: 0,
+                dur: 0,
+                pid: 0,
+                tid: 0,
+            };
+            Emitted {
+                head,
+                lead: None,
+                args,
+            }
+            .key()
+        };
+        let (b_key, c_key) = (key(B, Phase::Instant, &[(X, 0)]), key(C, Phase::Span, &[]));
+        let build = |plant: bool| {
+            let t = Tracer::armed();
+            t.span(A, A, 1, 1, 0, 10, [(X, 1)]);
+            t.instant(B, A, 1, 0, 20, [(X, 2)]);
+            if plant {
+                let mut buf = t.0.as_ref().unwrap().borrow_mut();
+                buf.index.insert(b_key, 0);
+                buf.index.insert(c_key, 99);
+            }
+            t.instant(B, A, 1, 0, 30, [(X, 3)]);
+            t.span(C, A, 1, 1, 25, 10, []);
+            t.instant(B, A, 1, 0, 40, [(X, 4)]);
+            t
+        };
+        let (clean, planted) = (build(false), build(true));
+        assert_eq!((schemas(&clean), schemas(&planted)), (3, 3));
+        // The planted keys are the ones the record calls probe.
+        let index = &clean.0.as_ref().unwrap().borrow().index;
+        assert_eq!((index.get(&b_key), index.get(&c_key)), (Some(&1), Some(&2)));
+        let ids = |t: &Tracer| {
+            let buf = t.0.as_ref().unwrap().borrow();
+            (0..buf.events.len())
+                .map(|i| buf.events.get(i).0.schema)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(ids(&planted), [0, 1, 1, 2, 1]);
+        assert_eq!(ids(&clean), ids(&planted));
+        assert_eq!(clean.export_chrome_json(), planted.export_chrome_json());
+    }
+
+    /// Compaction evicts slots, never a schema: an event whose every
+    /// earlier copy was evicted files under its first id again.
+    #[test]
+    fn compaction_keeps_every_schema() {
+        static FIRST: &str = "first";
+        let t = Tracer::with_capacity(8);
+        t.instant(FIRST, "m", 1, 0, 0, [("x", 7)]);
+        for ts in 1..=40 {
+            t.span("later", "m", 1, 1, ts, 0, []);
+        }
+        assert!(t.with_events(|events| events.iter().all(|ev| ev.name == "later")));
+        t.instant(FIRST, "m", 1, 0, 41, [("x", 8)]);
+        assert_eq!(schemas(&t), 2);
+        t.with_events(|events| {
+            let last = events.iter().next_back().unwrap();
+            assert_eq!((last.name, last.arg("x")), (FIRST, Some(8)));
+        });
+        let buf = t.0.as_ref().unwrap().borrow();
+        assert_eq!(buf.events.get(buf.events.len() - 1).0.schema, 0);
     }
 
     /// RPC-shaped traffic (a 14-arg server instant, its flow end, a

@@ -18,8 +18,8 @@
 //! first insert.
 //!
 //! The trace layer has the same shape of promise: an armed tracer copies
-//! each event into a ring and an args arena it already owns, a disarmed
-//! one does nothing, so neither allocates per event.
+//! each event's slot and arg values into a ring and an arena it already
+//! owns, a disarmed one does nothing, so neither allocates per event.
 //!
 //! The measuring apparatus makes two more: a histogram owns only the
 //! buckets between the values it was given, so the thousands a run keeps
@@ -225,24 +225,36 @@ fn recording_trace_events_allocates_nothing_per_event() {
     const RPCS: u64 = 10_000;
 
     // Armed, in ring mode, small enough to compact several times: the
-    // heads were reserved when the ring was built, so the only
-    // allocations left are the args arena's doublings up to its steady
-    // size (16 for the ≈ 70 k slots it peaks at) — none per event, none
-    // per compaction.
-    let ring = Tracer::with_capacity(1 << 14);
-    let before = allocs();
-    for rpc in 1..=RPCS {
-        emit_rpc(&ring, rpc);
-    }
-    let armed_allocs = allocs() - before;
-    assert_eq!(ring.len() as u64 + ring.dropped(), 4 * RPCS);
-    assert!(
-        ring.dropped() >= 2 << 13,
-        "the ring compacted at least twice"
+    // slots were reserved when the ring was built, so the only
+    // allocations left are the arena's doublings up to the ≈ 70 k values
+    // it peaks at and the first sight of each of the four schemas — 20
+    // in all, none per event, none per compaction. So twice the events,
+    // each run on a fresh ring, cost exactly as many.
+    let armed = |rpcs: u64| {
+        let ring = Tracer::with_capacity(1 << 14);
+        let before = allocs();
+        for rpc in 1..=rpcs {
+            emit_rpc(&ring, rpc);
+        }
+        let allocated = allocs() - before;
+        assert_eq!(ring.len() as u64 + ring.dropped(), 4 * rpcs);
+        assert!(
+            ring.dropped() >= 2 << 13,
+            "the ring compacted at least twice"
+        );
+        allocated
+    };
+    let (once, twice) = (armed(RPCS), armed(2 * RPCS));
+    assert_eq!(
+        once,
+        twice,
+        "trace recording allocates per event: {once} allocs for {} events, {twice} for {}",
+        4 * RPCS,
+        8 * RPCS
     );
     assert!(
-        armed_allocs <= 24,
-        "trace recording allocation regression: {armed_allocs} allocs for {} events",
+        once <= 24,
+        "trace recording allocation regression: {once} allocs for {} events",
         4 * RPCS
     );
 
