@@ -41,9 +41,12 @@ fig04() { cargo bench -q -p rocksteady-bench --bench figures -- fig04 | grep -v 
 fig04 >target/fig04.first
 fig04 >target/fig04.second
 run diff target/fig04.first target/fig04.second
-# tools/hostprof: the sampler compiles and the fold script parses.
+# tools/hostprof: the sampler and the allocation logger compile and the
+# fold script parses.
 command -v cc >/dev/null &&
     run cc -Wall -Wextra -Werror -O2 -shared -fPIC -o target/hostprof.so tools/hostprof/hostprof.c
+command -v cc >/dev/null &&
+    run cc -Wall -Wextra -Werror -O2 -shared -fPIC -o target/alloclog.so tools/hostprof/alloclog.c
 command -v python3 >/dev/null &&
     run python3 -c 'import ast, sys; ast.parse(open(sys.argv[1]).read())' tools/hostprof/fold.py
 echo "CI OK"

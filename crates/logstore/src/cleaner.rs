@@ -50,8 +50,14 @@ pub struct CleanStats {
     /// Ids of the reclaimed segments. Their backup replicas may be freed
     /// once the survivor segments of this pass are durable.
     pub victims: Vec<u64>,
-    /// Bytes of segment capacity returned to the system.
+    /// Bytes of segment memory returned to the system: each victim's
+    /// buffer, which for a survivor adopted as a closed copy is its
+    /// committed bytes, not its capacity.
     pub bytes_reclaimed: u64,
+    /// Ids of the survivor segments this pass adopted. A sparse one is a
+    /// closed copy of the segment survivors were written into, so a
+    /// window cache must forget these ids as it forgets the victims'.
+    pub survivors: Vec<u64>,
     /// Live entries moved to survivor segments.
     pub entries_relocated: u64,
     /// Dead entries discarded.
@@ -127,14 +133,14 @@ impl Cleaner {
         });
         // Survivors join the log before any victim leaves it.
         if stats.entries_relocated > 0 {
-            survivors.commit()?;
+            stats.survivors = survivors.commit()?;
         }
         relocated?;
         for seg in victims {
             if log.remove_segment(seg.id()).is_some() {
                 stats.segments_cleaned += 1;
                 stats.victims.push(seg.id());
-                stats.bytes_reclaimed += seg.capacity() as u64;
+                stats.bytes_reclaimed += seg.allocated_bytes() as u64;
             }
         }
         Ok(Some(stats))
@@ -298,6 +304,105 @@ mod tests {
         assert_eq!(head.committed() - head_before, commit_record);
         let again = cleaner.clean_once(&log, &mut reloc).unwrap();
         assert!(again.is_none_or(|s| s.entries_relocated == 0));
+    }
+
+    /// A log whose one closed segment keeps one live entry among eight
+    /// dead ones (their overwrites fill the head): cleaning relocates
+    /// that entry alone into a survivor segment.
+    fn one_live_in_the_first_segment() -> (Arc<Log>, MapRelocator) {
+        let log = Arc::new(Log::new(LogConfig {
+            segment_bytes: 512,
+            max_segments: None,
+        }));
+        let mut reloc = MapRelocator::new();
+        for (version, keys) in [(1, 0..9u64), (2, 1..9)] {
+            for i in keys {
+                let r = log
+                    .append(
+                        EntryKind::Object,
+                        1,
+                        i,
+                        version,
+                        &i.to_le_bytes(),
+                        b"0123456789",
+                    )
+                    .unwrap();
+                if let Some(old) = reloc.current.insert(i, r) {
+                    log.mark_dead(old, 53);
+                }
+            }
+        }
+        (log, reloc)
+    }
+
+    #[test]
+    fn survivors_follow_the_side_log_adoption_rule() {
+        let (log, mut reloc) = one_live_in_the_first_segment();
+        let (_, seen) = log.joined_since(0);
+        let cleaner = Cleaner {
+            utilization_threshold: 0.95,
+            max_segments_per_pass: 100,
+        };
+        let stats = cleaner.clean_once(&log, &mut reloc).unwrap().unwrap();
+        let (joined, _) = log.joined_since(seen);
+        let ids: Vec<u64> = joined.iter().map(|j| j.segment.id()).collect();
+        assert_eq!(ids, stats.survivors);
+        for j in &joined {
+            let seg = &j.segment;
+            let sparse = seg.committed() * crate::sidelog::SPARSE_FILL_DIVISOR <= seg.capacity();
+            let expected = if sparse {
+                seg.committed()
+            } else {
+                seg.capacity()
+            };
+            assert_eq!(seg.allocated_bytes(), expected, "segment {}", seg.id());
+        }
+        assert!(
+            joined
+                .iter()
+                .any(|j| j.segment.allocated_bytes() < j.segment.capacity()),
+            "no survivor was sparse"
+        );
+    }
+
+    #[test]
+    fn a_cleaned_copy_reclaims_its_buffer_not_its_capacity() {
+        let (log, mut reloc) = one_live_in_the_first_segment();
+        let first = Cleaner {
+            utilization_threshold: 0.95,
+            max_segments_per_pass: 1,
+        };
+        let stats = first.clean_once(&log, &mut reloc).unwrap().unwrap();
+        let survivor = log.segment(stats.survivors[0]).unwrap();
+        assert!(survivor.allocated_bytes() < survivor.capacity());
+        // Kill every entry in the survivor, then clean only it.
+        for (offset, view) in survivor.iter_entries() {
+            let old = LogRef {
+                segment: survivor.id(),
+                offset,
+            };
+            let hash = view.key_hash;
+            let new = log
+                .append(
+                    EntryKind::Object,
+                    1,
+                    hash,
+                    3,
+                    &hash.to_le_bytes(),
+                    b"0123456789",
+                )
+                .unwrap();
+            reloc.current.insert(hash, new);
+            log.mark_dead(old, view.serialized_len() as u64);
+        }
+        assert_eq!(survivor.utilization(), 0.0);
+        let again = Cleaner {
+            utilization_threshold: 0.01,
+            max_segments_per_pass: 1,
+        };
+        let stats = again.clean_once(&log, &mut reloc).unwrap().unwrap();
+        assert_eq!(stats.victims, vec![survivor.id()]);
+        assert_eq!(stats.bytes_reclaimed, survivor.allocated_bytes() as u64);
     }
 
     #[test]

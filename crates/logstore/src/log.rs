@@ -102,6 +102,10 @@ pub struct LogStats {
     pub live_bytes: u64,
     /// Entries appended over the log's lifetime (monotonic).
     pub appended_entries: u64,
+    /// Bytes of memory the segments' buffers hold: their capacity, or
+    /// their committed bytes for sparse side segments adopted as closed
+    /// copies.
+    pub allocated_bytes: u64,
 }
 
 struct Inner {
@@ -434,18 +438,17 @@ impl Log {
     /// Aggregate statistics.
     pub fn stats(&self) -> LogStats {
         let inner = self.inner.read();
-        let mut committed = 0u64;
-        let mut live = 0u64;
-        for seg in inner.segments.values() {
-            committed += seg.committed() as u64;
-            live += seg.live_bytes();
-        }
-        LogStats {
+        let mut stats = LogStats {
             segments: inner.segments.len(),
-            committed_bytes: committed,
-            live_bytes: live,
             appended_entries: self.appended_entries.load(Ordering::Relaxed),
+            ..LogStats::default()
+        };
+        for seg in inner.segments.values() {
+            stats.committed_bytes += seg.committed() as u64;
+            stats.live_bytes += seg.live_bytes();
+            stats.allocated_bytes += seg.allocated_bytes() as u64;
         }
+        stats
     }
 }
 
@@ -530,13 +533,33 @@ impl WindowCache {
     }
 
     /// Drops the windows of `segments` — the cleaner's victims, which
-    /// have left the log. Slices already handed out keep their segment
-    /// alive on their own; the cache just stops being the reason a
-    /// cleaned segment's memory is still resident.
+    /// have left the log, and the segments a side-log commit adopted,
+    /// which may now be closed copies of the ones windowed. Slices
+    /// already handed out keep their segment alive on their own; the
+    /// cache just stops being the reason a cleaned or replaced segment's
+    /// memory is still resident.
     pub fn forget(&mut self, segments: &[u64]) {
         for id in segments {
             self.windows.remove(id);
         }
+    }
+
+    /// Ids whose cached window does not alias the segment `log` holds
+    /// under that id now — it left the log, or a side-log commit replaced
+    /// it with a closed copy — in ascending order. Empty while the owner
+    /// forgets what cleaning and commits retire.
+    pub fn stale(&self, log: &Log) -> Vec<u64> {
+        let mut stale: Vec<u64> = self
+            .windows
+            .iter()
+            .filter(|(id, window)| {
+                log.segment(**id)
+                    .is_none_or(|seg| seg.committed_bytes().as_ptr() != window.as_ptr())
+            })
+            .map(|(id, _)| *id)
+            .collect();
+        stale.sort_unstable();
+        stale
     }
 
     fn decode(window: &Bytes, offset: u32) -> Option<EntrySlices> {

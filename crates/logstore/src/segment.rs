@@ -13,7 +13,7 @@
 //! what lets migration pulls and replication ship references to segment
 //! memory without copies (§3.2).
 
-use std::alloc::{alloc_zeroed, dealloc, Layout};
+use std::alloc::{alloc, alloc_zeroed, dealloc, Layout};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -39,9 +39,17 @@ impl AsRef<[u8]> for CommittedWindow {
 }
 
 /// A fixed-capacity, append-only byte region holding serialized entries.
+///
+/// A segment's buffer is normally `capacity` bytes long. A closed copy
+/// ([`Segment::closed_copy`]) owns only its committed bytes but keeps
+/// the logical `capacity`, so everything computed from it — free space,
+/// utilization, the cleaner's choice — reads the same as the original's.
 pub struct Segment {
     id: u64,
     base: *mut u8,
+    /// Length of the allocation at `base`: `capacity` for a segment made
+    /// by [`Segment::new`], the committed length for a closed copy.
+    buf_len: usize,
     capacity: usize,
     /// Bytes published to readers. Monotonic; stored with `Release` after
     /// the bytes below it are fully written, loaded with `Acquire`.
@@ -59,11 +67,12 @@ pub struct Segment {
 }
 
 // SAFETY: the raw buffer is owned exclusively by this Segment (allocated
-// in `new`, freed in `drop`, never aliased externally). All mutation goes
-// through `append_*`, which serializes writers behind `append_lock` and
-// publishes bytes with a release store of `committed`; readers only
-// dereference bytes below an acquire-load of `committed`. Therefore
-// sending or sharing a Segment across threads cannot produce a data race.
+// in `new` or `closed_copy`, freed in `drop`, never aliased externally).
+// All mutation goes through `append_*`, which serializes writers behind
+// `append_lock` and publishes bytes with a release store of `committed`;
+// readers only dereference bytes below an acquire-load of `committed`.
+// Therefore sending or sharing a Segment across threads cannot produce a
+// data race.
 unsafe impl Send for Segment {}
 // SAFETY: see the `Send` justification; shared access is race-free by the
 // publication protocol above.
@@ -85,12 +94,47 @@ impl Segment {
         Segment {
             id,
             base,
+            buf_len: capacity,
             capacity,
             committed: AtomicUsize::new(0),
             append_lock: Mutex::new(()),
             closed: AtomicBool::new(false),
             live_bytes: AtomicU64::new(0),
             entries: AtomicU64::new(0),
+        }
+    }
+
+    /// A closed segment holding a copy of this one's committed bytes in a
+    /// buffer of exactly that length, with the same id, capacity, live
+    /// bytes and entry count. Every offset into this segment reads the
+    /// same entry in the copy, and the copy refuses appends.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this segment is open (a later append would be lost) or
+    /// empty (there is nothing to copy).
+    pub fn closed_copy(&self) -> Segment {
+        assert!(self.is_closed(), "copy of an open segment");
+        let bytes = self.committed_bytes();
+        assert!(!bytes.is_empty(), "copy of an empty segment");
+        let layout = Layout::array::<u8>(bytes.len()).expect("segment layout");
+        // SAFETY: `layout` has non-zero size (checked above) and valid
+        // alignment for u8.
+        let base = unsafe { alloc(layout) };
+        assert!(!base.is_null(), "segment allocation failed");
+        // SAFETY: `base` is a fresh allocation of `bytes.len()` bytes, so
+        // it is valid for the write and cannot overlap `bytes`.
+        unsafe { std::ptr::copy_nonoverlapping(bytes.as_ptr(), base, bytes.len()) };
+        Segment {
+            id: self.id,
+            base,
+            buf_len: bytes.len(),
+            capacity: self.capacity,
+            committed: AtomicUsize::new(bytes.len()),
+            append_lock: Mutex::new(()),
+            closed: AtomicBool::new(true),
+            live_bytes: AtomicU64::new(self.live_bytes()),
+            entries: AtomicU64::new(self.entry_count()),
         }
     }
 
@@ -102,6 +146,12 @@ impl Segment {
     /// Total byte capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// Bytes of memory the segment's buffer holds: its capacity, or its
+    /// committed length for a [`Segment::closed_copy`].
+    pub fn allocated_bytes(&self) -> usize {
+        self.buf_len
     }
 
     /// Bytes currently published to readers.
@@ -201,7 +251,8 @@ impl Segment {
             return None;
         }
         let offset = self.committed.load(Ordering::Relaxed);
-        if offset + len > self.capacity {
+        // The buffer is `capacity` long: only a closed copy's is shorter.
+        if offset + len > self.buf_len {
             return None;
         }
         // SAFETY: `offset..offset + len` is within the allocation
@@ -284,9 +335,9 @@ impl Segment {
 
 impl Drop for Segment {
     fn drop(&mut self) {
-        let layout = Layout::array::<u8>(self.capacity).expect("segment layout");
-        // SAFETY: `base` was allocated in `new` with exactly this layout
-        // and is freed exactly once (drop).
+        let layout = Layout::array::<u8>(self.buf_len).expect("segment layout");
+        // SAFETY: `base` was allocated in `new` or `closed_copy` with
+        // exactly this layout and is freed exactly once (drop).
         unsafe { dealloc(self.base, layout) };
     }
 }
@@ -296,6 +347,7 @@ impl std::fmt::Debug for Segment {
         f.debug_struct("Segment")
             .field("id", &self.id)
             .field("capacity", &self.capacity)
+            .field("allocated", &self.buf_len)
             .field("committed", &self.committed())
             .field("closed", &self.is_closed())
             .field("live_bytes", &self.live_bytes())

@@ -12,6 +12,12 @@
 //! Side logs also keep their statistics local and merge them only at
 //! commit, because RAMCloud's cleaner needs accurate log statistics and
 //! contended global counters would defeat the design (§3.1.3).
+//!
+//! A side log's last segment is usually far from full — one per worker
+//! per migration, however few records the worker replayed — so commit
+//! adopts a sparse segment as a closed copy of its committed bytes (see
+//! [`SPARSE_FILL_DIVISOR`]) and the full-size buffer is freed once the
+//! last reader of it lets go.
 
 use std::sync::Arc;
 
@@ -20,6 +26,28 @@ use parking_lot::Mutex;
 use crate::entry::EntryKind;
 use crate::log::{Log, LogError, LogRef};
 use crate::segment::Segment;
+
+/// A side segment whose committed bytes fill at most `1 /
+/// SPARSE_FILL_DIVISOR` of its capacity is adopted as a
+/// [`Segment::closed_copy`]; a fuller one is adopted as it is.
+///
+/// The copy writes `committed` bytes and lets `capacity` go, so it
+/// returns `capacity − committed` bytes net: at most half full, that is
+/// at least what it copies, and the commit never copies more than the
+/// side log's own bytes. Both sides of the comparison are facts of the
+/// segment, not of the workload, so no caller would set it differently.
+pub const SPARSE_FILL_DIVISOR: usize = 2;
+
+/// The segment to adopt for the closed side segment `seg`: a copy of its
+/// committed bytes if it is sparse, else `seg`. An empty segment has
+/// nothing to copy and is adopted as it is.
+fn adoptable(seg: Arc<Segment>) -> Arc<Segment> {
+    let committed = seg.committed();
+    if committed == 0 || committed * SPARSE_FILL_DIVISOR > seg.capacity() {
+        return seg;
+    }
+    Arc::new(seg.closed_copy())
+}
 
 /// An uncommitted chain of segments owned by one replay worker.
 pub struct SideLog {
@@ -94,17 +122,25 @@ impl SideLog {
     }
 
     /// Commits this side log into the parent log: closes and adopts every
-    /// segment, then appends a `SideLogCommit` metadata record naming the
-    /// adopted segment ids. Returns the adopted ids.
+    /// segment — a sparse one as a closed copy ([`SPARSE_FILL_DIVISOR`]) —
+    /// then appends a `SideLogCommit` metadata record naming the adopted
+    /// segment ids. Returns the adopted ids.
     ///
     /// After commit, every [`LogRef`] previously returned by
-    /// [`SideLog::append`] resolves through the parent log.
+    /// [`SideLog::append`] resolves through the parent log, to the same
+    /// bytes. A `Bytes` window taken before commit keeps the original
+    /// alive and reads the same bytes; a holder that caches windows must
+    /// forget the returned ids, or it keeps the full-size original.
+    /// A `mark_dead` racing the commit on another thread may land on the
+    /// original; the copy then over-counts live bytes, which only delays
+    /// cleaning it.
     pub fn commit(self) -> Result<Vec<u64>, LogError> {
         let inner = self.inner.into_inner();
         let mut ids = Vec::with_capacity(inner.segments.len());
         for seg in inner.segments {
             ids.push(seg.id());
-            self.parent.adopt_segment(seg);
+            seg.close();
+            self.parent.adopt_segment(adoptable(seg));
         }
         // The commit record's value lists the adopted segment ids; crash
         // recovery uses it to know the side segments belong to this log.
@@ -220,6 +256,101 @@ mod tests {
             }
         });
         assert_eq!(commit_records, vec![ids]);
+    }
+
+    fn parent_of(segment_bytes: usize) -> Arc<Log> {
+        Arc::new(Log::new(LogConfig {
+            segment_bytes,
+            max_segments: None,
+        }))
+    }
+
+    /// Appends `n` 53-byte entries to `side` and returns their refs.
+    fn fill(side: &SideLog, n: u64) -> Vec<LogRef> {
+        (0..n)
+            .map(|i| {
+                side.append(EntryKind::Object, 1, i, 1, &i.to_le_bytes(), b"0123456789")
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_sparse_side_segment_is_adopted_as_a_closed_copy() {
+        let log = parent_of(4096);
+        let side = SideLog::new(Arc::clone(&log));
+        let refs = fill(&side, 10);
+        log.mark_dead(refs[3], 53);
+        let original = Arc::clone(&side.segments_snapshot()[0]);
+        assert!(original.committed() * SPARSE_FILL_DIVISOR <= original.capacity());
+        let ids = side.commit().unwrap();
+        assert_eq!(ids, vec![original.id()]);
+        let adopted = log.segment(original.id()).unwrap();
+        assert!(!Arc::ptr_eq(&adopted, &original));
+        assert!(adopted.is_closed() && original.is_closed());
+        assert_eq!(adopted.capacity(), original.capacity());
+        assert_eq!(adopted.committed(), original.committed());
+        assert_eq!(adopted.live_bytes(), original.live_bytes());
+        assert_eq!(adopted.entry_count(), original.entry_count());
+        assert_eq!(adopted.utilization(), original.utilization());
+        assert_eq!(adopted.free_space(), 0);
+        assert_eq!(adopted.committed_bytes(), original.committed_bytes());
+        assert_eq!(adopted.allocated_bytes(), adopted.committed());
+        assert!(adopted
+            .append(EntryKind::Object, 1, 0, 2, b"k", b"v")
+            .is_none());
+        for (i, r) in refs.iter().enumerate() {
+            assert_eq!(log.entry(*r).unwrap().key_hash, i as u64);
+        }
+    }
+
+    #[test]
+    fn a_side_segment_more_than_half_full_is_adopted_as_is() {
+        let log = parent_of(1024);
+        let side = SideLog::new(Arc::clone(&log));
+        fill(&side, 10);
+        let original = Arc::clone(&side.segments_snapshot()[0]);
+        assert!(original.committed() * SPARSE_FILL_DIVISOR > original.capacity());
+        side.commit().unwrap();
+        let adopted = log.segment(original.id()).unwrap();
+        assert!(Arc::ptr_eq(&adopted, &original));
+        assert_eq!(adopted.allocated_bytes(), adopted.capacity());
+    }
+
+    #[test]
+    fn a_window_taken_before_commit_keeps_the_original_until_it_drops() {
+        let log = parent_of(4096);
+        let side = SideLog::new(Arc::clone(&log));
+        fill(&side, 4);
+        let id = side.segments_snapshot()[0].id();
+        let weak = Arc::downgrade(&log.segment(id).unwrap());
+        let window = log.segment_bytes(id).unwrap();
+        side.commit().unwrap();
+        // The log now serves the copy; the window still reads the
+        // original, byte for byte.
+        assert_eq!(window, log.segment_bytes(id).unwrap());
+        assert_ne!(
+            window.as_ptr(),
+            log.segment(id).unwrap().committed_bytes().as_ptr()
+        );
+        assert!(weak.upgrade().is_some());
+        drop(window);
+        assert!(
+            weak.upgrade().is_none(),
+            "the original outlived its last window"
+        );
+    }
+
+    #[test]
+    fn the_ledger_counts_buffers_not_capacity() {
+        let log = parent_of(4096);
+        let before = log.stats();
+        assert_eq!(before.allocated_bytes, 4096);
+        let side = SideLog::new(Arc::clone(&log));
+        fill(&side, 4);
+        let side_bytes = side.bytes();
+        side.commit().unwrap();
+        assert_eq!(log.stats().allocated_bytes, 4096 + side_bytes);
     }
 
     #[test]

@@ -576,6 +576,31 @@ impl MasterService {
         applied
     }
 
+    /// Commits `side` into the log and returns the adopted segment ids.
+    /// This is the master's one commit path — migration hand-over,
+    /// abandonment and (through [`MasterService::clean_once`]) the
+    /// cleaner's survivors all end in `forget_adopted`.
+    pub fn commit_side_log(&mut self, side: SideLog) -> Result<Vec<u64>, LogError> {
+        let adopted = side.commit()?;
+        self.forget_adopted(&adopted);
+        Ok(adopted)
+    }
+
+    /// A commit adopts a sparse segment as a closed copy (see
+    /// `rocksteady_logstore::sidelog::SPARSE_FILL_DIVISOR`): a window
+    /// taken before commit holds the full-size original, so the cache
+    /// forgets every adopted id and re-windows the segment the log holds.
+    fn forget_adopted(&mut self, adopted: &[u64]) {
+        self.windows.get_mut().forget(adopted);
+    }
+
+    /// Ids of cached windows that no longer alias the segment the log
+    /// holds under their id (see [`WindowCache::stale`]). Empty unless a
+    /// commit or a clean skipped the forget.
+    pub fn stale_windows(&self) -> Vec<u64> {
+        self.windows.borrow().stale(&self.log)
+    }
+
     /// Version-max replay of a single record into `sink`. The caller has
     /// already raised the version floor.
     fn replay_one(&self, rec: &Record, sink: &mut Sink<'_, '_>, work: &mut Work) -> bool {
@@ -703,6 +728,7 @@ impl MasterService {
         let stats = cleaner.clean_once(&self.log, &mut hooked).ok().flatten()?;
         // The victims have left the log; stop pinning their memory.
         self.windows.get_mut().forget(&stats.victims);
+        self.forget_adopted(&stats.survivors);
         Some(stats)
     }
 }
@@ -1185,6 +1211,45 @@ mod tests {
         // The relocated copy serves the next read.
         let (value, _) = m.read(T, h, Some(b"k0"), &mut w()).unwrap();
         assert_eq!(&value[..], b"stays-put");
+        assert!(m.stale_windows().is_empty());
+    }
+
+    #[test]
+    fn committed_side_logs_leave_the_window_cache() {
+        let mut m = owner_master();
+        let rec = |key: &'static [u8]| Record {
+            table: T,
+            key_hash: key_hash(key),
+            version: 9,
+            key: Bytes::from_static(key),
+            value: Bytes::from_static(b"data"),
+            tombstone: false,
+        };
+        // A one-record side segment, read before commit: the cache
+        // windows the full-size original.
+        let side = SideLog::new(Arc::clone(&m.log));
+        assert!(m.replay_record(&rec(b"a"), ReplayDest::Side(&side), &mut w()));
+        let id = side.segments_snapshot()[0].id();
+        let weak = Arc::downgrade(&m.log.segment(id).unwrap());
+        let (value, _) = m.read(T, key_hash(b"a"), Some(b"a"), &mut w()).unwrap();
+        assert_eq!(m.commit_side_log(side).unwrap(), vec![id]);
+        // The commit adopted a copy and the cache let the original go;
+        // only the response in flight still holds it.
+        assert!(m.stale_windows().is_empty());
+        assert!(weak.upgrade().is_some());
+        drop(value);
+        assert!(
+            weak.upgrade().is_none(),
+            "the window cache pins the original"
+        );
+        let (value, _) = m.read(T, key_hash(b"a"), Some(b"a"), &mut w()).unwrap();
+        assert_eq!(&value[..], b"data");
+        // A commit that bypasses the master leaves the cache stale.
+        let side = SideLog::new(Arc::clone(&m.log));
+        assert!(m.replay_record(&rec(b"b"), ReplayDest::Side(&side), &mut w()));
+        m.read(T, key_hash(b"b"), Some(b"b"), &mut w()).unwrap();
+        let ids = side.commit().unwrap();
+        assert_eq!(m.stale_windows(), ids);
     }
 
     #[test]

@@ -1226,7 +1226,7 @@ impl ServerNode {
     fn hand_over_sidelogs(&mut self, ctx: &mut Ctx<'_, Envelope>, run: &mut MigrationRun) -> u64 {
         let mut committed = 0;
         for side in run.sidelogs.iter_mut().filter_map(Option::take) {
-            side.commit().expect("side log commit");
+            self.master.commit_side_log(side).expect("side log commit");
             committed += 1;
         }
         self.ship_adopted(ctx, ctx.now(), Vec::new());

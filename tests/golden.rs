@@ -262,6 +262,10 @@ fn drop_pulls_in_ring_mode() -> (u64, u64) {
 /// or 1, two clients whose heat sits on the last quarter, and a 20 ms
 /// rebalancer that sheds server 1 while the flight recorder watches.
 fn hot_quarter() -> (u64, u64) {
+    digest(&hot_quarter_cluster())
+}
+
+fn hot_quarter_cluster() -> Cluster {
     let cfg = ClusterConfig {
         servers: 4,
         sla: Some(300_000),
@@ -286,7 +290,7 @@ fn hot_quarter() -> (u64, u64) {
     cluster.run_until(45 * MILLISECOND);
     let report = cluster.rebalancer.borrow().clone();
     assert!(report.completed >= 1, "no move completed: {report:?}");
-    digest(&cluster)
+    cluster
 }
 
 fn all_scenarios() -> Vec<(&'static str, (u64, u64))> {
@@ -329,4 +333,35 @@ fn schedules_match_the_pinned_digests() {
         got.as_slice() == GOLDEN,
         "digests moved; if intended, GOLDEN becomes:\n{table}"
     );
+}
+
+/// The memory side of the same run: a committed side segment is adopted
+/// at the size of what it holds (at most twice its committed bytes, a
+/// sparse one as a closed copy), and no master's window cache still
+/// pins a full-size original the commit replaced.
+#[test]
+fn hot_quarter_adopts_side_segments_at_the_size_they_hold() {
+    let mut cluster = hot_quarter_cluster();
+    let mut copies = 0;
+    for id in 0..cluster.cfg.servers as u32 {
+        let master = &cluster.node(ServerId(id)).master;
+        let (joined, _) = master.log.joined_since(0);
+        for seg in joined.iter().filter(|j| j.adopted).map(|j| &j.segment) {
+            let (allocated, committed) = (seg.allocated_bytes(), seg.committed());
+            assert!(
+                allocated <= 2 * committed,
+                "server {id} segment {}: {allocated} B held for {committed} B",
+                seg.id()
+            );
+            copies += usize::from(allocated < seg.capacity());
+        }
+        let stats = master.log.stats();
+        let held: u64 = joined
+            .iter()
+            .map(|j| j.segment.allocated_bytes() as u64)
+            .sum();
+        assert_eq!(stats.allocated_bytes, held, "server {id}: ledger");
+        assert_eq!(master.stale_windows(), Vec::<u64>::new(), "server {id}");
+    }
+    assert!(copies > 0, "no side segment was adopted as a copy");
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Symbolise a hostprof.out and fold it.
+"""Symbolise a hostprof.out and fold it, or tally an alloclog.out.
 
     fold.py <binary> <hostprof.out> [--root NAME] [--top N] [--by-caller]
+    fold.py <binary> <alloclog.out> --alloc [--root NAME] [--top N]
 
 Prints folded stacks (`outer;inner count`, what flamegraph tools read)
 or, with --top, the N functions with the most inclusive samples beside
@@ -12,6 +13,11 @@ sample of a shared library (libc's `memmove`, `malloc`, `memset`, ...)
 to the nearest frame of the program's own code, skipping the standard
 library's (`core::`, `alloc::`, `std::`) but naming the innermost of
 those beside it, and prints the top callers (--top N, default 30).
+--alloc reads alloclog.c's output instead, one large allocation a line,
+and prints per first program frame (the innermost frame of the
+program's own code, as --by-caller picks it) the bytes allocated, the
+count and the share of those bytes glibc served from its heap rather
+than from a mmap of their own (--top N rows, default 30).
 Frames are resolved with `addr2line -f -i`, so inlined callees appear
 when the binary carries line tables
 (CARGO_PROFILE_RELEASE_DEBUG=line-tables-only).
@@ -28,7 +34,18 @@ def is_library(frame):
 
 
 def is_std(frame):
-    return frame.lstrip('<').startswith(('core::', 'alloc::', 'std::', 'hashbrown::'))
+    # `__rust_alloc` / `__rdl_alloc` are the global allocator's shims.
+    return frame.lstrip('<').startswith(
+        ('core::', 'alloc::', 'std::', 'hashbrown::', '__rust', '__rdl'))
+
+
+def first_own(frames):
+    """The innermost frame of the program's own code (outermost first in
+    `frames`), and the innermost standard-library frame below it."""
+    own = [f for f in frames if not is_library(f)]
+    caller = next((f for f in reversed(own) if not is_std(f)), '?')
+    via = own[-1] if own and own[-1] != caller else None
+    return caller, via
 
 
 def by_caller(folded, top):
@@ -39,9 +56,7 @@ def by_caller(folded, top):
         frames = stack.split(';')
         if not is_library(frames[-1]):
             continue
-        own = [f for f in frames if not is_library(f)]
-        caller = next((f for f in reversed(own) if not is_std(f)), '?')
-        via = own[-1] if own and own[-1] != caller else None
+        caller, via = first_own(frames)
         callers[(frames[-1], caller, via)] += n
     in_libs = sum(callers.values())
     print(f'{total} samples, {in_libs} ({100 * in_libs / max(total, 1):.1f}%) '
@@ -51,12 +66,29 @@ def by_caller(folded, top):
         print(f'{100 * n / total:6.1f}% {n:6d}  {library} <- {caller}{through}')
 
 
+def by_owner(stacks, sizes, top):
+    """Prints the logged allocations by first program frame."""
+    owners = collections.defaultdict(lambda: [0, 0, 0])  # bytes, count, heap bytes
+    for stack, (size, kind) in zip(stacks, sizes):
+        row = owners[first_own(stack)[0]]
+        row[0] += size
+        row[1] += 1
+        row[2] += size if kind == 'h' else 0
+    total = sum(r[0] for r in owners.values())
+    heap = sum(r[2] for r in owners.values())
+    print(f'{sum(r[1] for r in owners.values())} allocations, {total / 2**20:.1f} MiB, '
+          f'{heap / 2**20:.1f} MiB ({100 * heap / max(total, 1):.1f}%) heap-served')
+    for owner, (size, n, in_heap) in sorted(owners.items(), key=lambda kv: -kv[1][0])[:top]:
+        print(f'{size / 2**20:9.1f} MiB {n:7d}  heap {100 * in_heap / size:5.1f}%  {owner}')
+
+
 def main():
     args = sys.argv[1:]
     opt = {}
-    if '--by-caller' in args:
-        args.remove('--by-caller')
-        opt['--by-caller'] = True
+    for flag in ('--by-caller', '--alloc'):
+        if flag in args:
+            args.remove(flag)
+            opt[flag] = True
     for flag in ('--root', '--top'):
         if flag in args:
             at = args.index(flag)
@@ -78,7 +110,12 @@ def main():
     def module(addr):
         return next((name for lo, hi, name in maps if lo <= addr < hi), None)
 
-    samples = [[int(a, 16) for a in line.split()] for line in samples_text.splitlines()]
+    lines = [line.split() for line in samples_text.splitlines()]
+    if '--alloc' in opt:
+        # Each line leads with the allocation's size and h(eap)/m(map).
+        sizes = [(int(f[0]), f[1]) for f in lines]
+        lines = [f[2:] for f in lines]
+    samples = [[int(a, 16) for a in f] for f in lines]
     # A return address points after its call; one byte back is inside it.
     mine = os.path.basename(binary)
     wanted = sorted({a - 1 for s in samples for a in s
@@ -103,17 +140,21 @@ def main():
         # nearest exported symbol.
         return names.get(addr - 1) or ['[' + os.path.basename(module(addr) or '?') + ']']
 
-    folded = collections.Counter()
+    stacks = []  # per sample, outermost frame first; None if outside --root
     for sample in samples:
-        stack = []  # outermost first
+        stack = []
         for addr in reversed(sample):
             stack += reversed(frames(addr))
         if '--root' in opt:
             hits = [i for i, f in enumerate(stack) if opt['--root'] in f]
-            if not hits:
-                continue
-            stack = stack[hits[0]:]
-        folded[';'.join(stack)] += 1
+            stack = stack[hits[0]:] if hits else None
+        stacks.append(stack)
+
+    if '--alloc' in opt:
+        kept = [(s, z) for s, z in zip(stacks, sizes) if s is not None]
+        by_owner([s for s, _ in kept], [z for _, z in kept], int(opt.get('--top', 30)))
+        return
+    folded = collections.Counter(';'.join(s) for s in stacks if s is not None)
 
     if '--by-caller' in opt:
         by_caller(folded, int(opt.get('--top', 30)))
