@@ -16,6 +16,7 @@ mod common;
 
 use common::{test_config, write_churn};
 use rocksteady_audit::invariants::LINEARIZABLE;
+use rocksteady_audit::AuditKind;
 use rocksteady_cluster::scenarios::{self, preload_split, preload_tablets, slice, upper, TABLE};
 use rocksteady_cluster::{
     AdmissionCaps, Cluster, ClusterBuilder, ClusterConfig, ControlCmd, Fault, FlightRecorderConfig,
@@ -121,11 +122,61 @@ fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
     })
 }
 
+/// `(from, owner)` of every segment in the audit JSON's `timeline`.
+fn timeline_segments(audit_json: &str) -> Vec<(u64, u64)> {
+    let start = audit_json.find("\"timeline\":[").expect("audit JSON has a timeline");
+    let end = start + audit_json[start..].find("\"violations\":").unwrap();
+    let number = |s: &str, key: &str| -> u64 {
+        let at = s.find(key).unwrap_or_else(|| panic!("{key} missing in {s}")) + key.len();
+        let digits = s[at..].split(|c: char| !c.is_ascii_digit()).next();
+        digits.unwrap().parse().unwrap()
+    };
+    audit_json[start..end]
+        .split("{\"from\":")
+        .skip(1)
+        .map(|seg| (number(seg, ""), number(seg, "\"owner\":")))
+        .collect()
+}
+
+/// Every ownership transfer the audit retained — a migration start, a
+/// baseline flip, a recovery assignment — opens a timeline segment at
+/// its time owned by the new owner. The previous owner is not checked:
+/// during a migration the timeline already shows the target, so the
+/// segment a recovery closes may be the target's, not the crashed one's.
+fn assert_timeline_carries_transfers(cluster: &Cluster) {
+    let segments = timeline_segments(&cluster.export_audit_json());
+    let transfers: Vec<(u64, u64)> = cluster
+        .audit
+        .with_events(|events| {
+            events
+                .iter()
+                .filter_map(|ev| match ev.kind {
+                    AuditKind::MigrationStart { target, .. }
+                    | AuditKind::BaselineFlip { target, .. } => Some((ev.at, target.0.into())),
+                    AuditKind::RecoveryPlanned {
+                        recovery_master, ..
+                    } => Some((ev.at, recovery_master.0.into())),
+                    _ => None,
+                })
+                .collect()
+        })
+        .unwrap_or_default();
+    assert!(!transfers.is_empty(), "no ownership transfer retained");
+    for transfer in &transfers {
+        assert!(
+            segments.contains(transfer),
+            "transfer (at, new owner) {transfer:?} has no timeline segment: {segments:?}"
+        );
+    }
+}
+
 /// `(schedule, exports)` digests of a finished run, whose clients saw
-/// a linearizable history.
+/// a linearizable history and whose audit timeline carries every
+/// ownership transfer.
 fn digest(cluster: &Cluster) -> (u64, u64) {
     let (_, _, stale) = cluster.audit_report().per_invariant[LINEARIZABLE];
     assert_eq!(stale, 0, "{:?}", cluster.audit.violations());
+    assert_timeline_carries_transfers(cluster);
     cluster.finalize_profile();
     let schedule = [
         cluster.export_trace_json(),
