@@ -7,6 +7,8 @@ cd "$(dirname "$0")"
 run() { echo "==> $*"; "$@"; }
 run cargo fmt --all -- --check
 run cargo clippy --workspace --all-targets -- -D warnings
+# Doc links must resolve: a deleted function cannot leave a dangling one.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 # Tier-1 (ROADMAP.md), then every other package's tests, each run once.
 run cargo build --release
 run cargo test -q

@@ -44,9 +44,10 @@
 //! On top of the recorded stream sits the **explain engine**: given a
 //! migration id or an SLO-breach interval it walks the causal chain
 //! (rebalancer decision → admission → pull/replay pressure → outcome)
-//! and renders a ranked, deterministic JSON report; the full ownership-
-//! transfer history also exports as a DOT graph. All exports are
-//! integer-only and byte-identical across same-seed runs.
+//! and renders a ranked, deterministic JSON report. The full ownership-
+//! transfer history is the JSON export's `timeline`: every transfer
+//! opens a segment owned by the new owner. All exports are integer-only
+//! and byte-identical across same-seed runs.
 
 #![deny(missing_docs)]
 
@@ -1529,81 +1530,6 @@ impl AuditSink {
         w.finish()
     }
 
-    /// The ownership-transfer history as a DOT digraph: one node per
-    /// server, one edge per transfer (migration start, baseline flip, or
-    /// crash-recovery reassignment). Empty graph when disarmed.
-    pub fn export_dot(&self) -> String {
-        let mut out = String::from("digraph ownership {\n  rankdir=LR;\n");
-        let Some(core) = &self.0 else {
-            out.push_str("}\n");
-            return out;
-        };
-        let core = core.borrow();
-        let mut servers: Vec<u32> = Vec::new();
-        let mut edges: Vec<String> = Vec::new();
-        let note = |servers: &mut Vec<u32>, s: ServerId| {
-            if !servers.contains(&s.0) {
-                servers.push(s.0);
-            }
-        };
-        for ev in core.events.as_slice() {
-            match ev.kind {
-                AuditKind::TabletCreated { owner, .. } => note(&mut servers, owner),
-                AuditKind::MigrationStart {
-                    id,
-                    table,
-                    range,
-                    source,
-                    target,
-                } => {
-                    note(&mut servers, source);
-                    note(&mut servers, target);
-                    edges.push(format!(
-                        "  \"s{}\" -> \"s{}\" [label=\"m{} t{} [{:#x},{:#x}] @{}\"];\n",
-                        source.0, target.0, id.0, table.0, range.start, range.end, ev.at
-                    ));
-                }
-                AuditKind::BaselineFlip {
-                    table,
-                    range,
-                    source,
-                    target,
-                } => {
-                    note(&mut servers, source);
-                    note(&mut servers, target);
-                    edges.push(format!(
-                        "  \"s{}\" -> \"s{}\" [label=\"baseline t{} [{:#x},{:#x}] @{}\" style=dashed];\n",
-                        source.0, target.0, table.0, range.start, range.end, ev.at
-                    ));
-                }
-                AuditKind::RecoveryPlanned {
-                    table,
-                    range,
-                    crashed,
-                    recovery_master,
-                    ..
-                } => {
-                    note(&mut servers, crashed);
-                    note(&mut servers, recovery_master);
-                    edges.push(format!(
-                        "  \"s{}\" -> \"s{}\" [label=\"recovery t{} [{:#x},{:#x}] @{}\" style=dotted];\n",
-                        crashed.0, recovery_master.0, table.0, range.start, range.end, ev.at
-                    ));
-                }
-                _ => {}
-            }
-        }
-        servers.sort_unstable();
-        for s in servers {
-            out.push_str(&format!("  \"s{s}\";\n"));
-        }
-        for e in edges {
-            out.push_str(&e);
-        }
-        out.push_str("}\n");
-        out
-    }
-
     // -------------------------------------------------- explain engine --
 
     /// Walks migration `id`'s causal chain — rebalancer decision (if
@@ -2328,16 +2254,14 @@ mod tests {
         let build = || {
             let sink = AuditSink::armed();
             clean_migration(&sink);
-            (sink.export_json(100), sink.export_dot())
+            sink.export_json(100)
         };
-        let (j1, d1) = build();
-        let (j2, d2) = build();
-        assert_eq!(j1, j2);
-        assert_eq!(d1, d2);
+        let j1 = build();
+        assert_eq!(j1, build());
         assert!(j1.starts_with("{\"schema\":\"rocksteady-audit-v1\""));
         assert!(j1.contains("\"violations\":[]"));
         assert!(j1.contains("\"timeline\":["));
-        assert!(d1.contains("\"s0\" -> \"s1\""));
+        assert!(j1.contains("\"source\":0,\"target\":1,"));
     }
 
     #[test]
@@ -2413,10 +2337,10 @@ mod tests {
         );
         let json = reg.snapshot(100).to_json();
         assert!(json.contains("audit_events_total"));
-        assert!(json.contains("audit_migrations_verified_total"));
-        assert!(json.contains("audit_violations_total"));
-        let prom = reg.snapshot(100).to_prometheus();
-        assert!(prom.contains("audit_violations_total{invariant=\"version-floor\"} 1"));
-        assert!(prom.contains("audit_migrations_verified_total 1"));
+        assert!(json.contains(
+            r#"{"name":"audit_violations_total","labels":{"invariant":"version-floor"},"type":"counter","value":1}"#
+        ));
+        assert!(json
+            .contains(r#"{"name":"audit_migrations_verified_total","type":"counter","value":1}"#));
     }
 }

@@ -20,6 +20,7 @@ use std::path::PathBuf;
 
 use rocksteady_cluster::ClusterConfig;
 use rocksteady_common::time::fmt_nanos;
+use rocksteady_simnet::NicConfig;
 
 pub mod figures;
 
@@ -92,6 +93,7 @@ impl Report {
 }
 
 fn table1(title: &str, cfg: &ClusterConfig, extra: &str) -> String {
+    let nic = NicConfig::default();
     let mut out = format!("== {title} ==\nTable 1 (simulated cluster configuration)\n");
     out += &format!(
         "  servers: {} (+1 coordinator) | workers/server: {} | replicas: {}\n",
@@ -99,8 +101,8 @@ fn table1(title: &str, cfg: &ClusterConfig, extra: &str) -> String {
     );
     out += &format!(
         "  NIC: {:.1} GB/s line rate, {} one-way | dispatch: {}/msg\n",
-        cfg.nic.bytes_per_ns,
-        fmt_nanos(cfg.nic.one_way_latency_ns),
+        nic.bytes_per_ns,
+        fmt_nanos(nic.one_way_latency_ns),
         fmt_nanos(cfg.cost.dispatch_per_msg_ns),
     );
     out += &format!(

@@ -57,8 +57,6 @@ pub struct ClusterConfig {
     pub workers: usize,
     /// Calibrated cost model.
     pub cost: CostModel,
-    /// Network parameters.
-    pub nic: NicConfig,
     /// Log segment size in bytes.
     pub segment_bytes: usize,
     /// Hash-table buckets per master.
@@ -84,7 +82,7 @@ pub struct ClusterConfig {
     /// one branch per would-be event.
     pub tracing: bool,
     /// Arm periodic full-registry snapshot capture (one [`rocksteady_metrics::Snapshot`]
-    /// per sampling interval, exportable as JSON/Prometheus series).
+    /// per sampling interval, exported as one JSON series).
     /// Instruments always record and on-demand exports always work; this
     /// only gates the per-interval buffer, and the observer's cadence is
     /// fixed either way, so arming cannot perturb the event schedule.
@@ -137,7 +135,6 @@ impl Default for ClusterConfig {
             servers: 4,
             workers: 4,
             cost: CostModel::default(),
-            nic: NicConfig::default(),
             segment_bytes: 1 << 18,
             hash_buckets: 1 << 14,
             replicas: 3,
@@ -258,7 +255,7 @@ impl ClusterBuilder {
                 cfg.sample_interval
             );
         }
-        let mut sim = Simulation::with_scheduler(cfg.nic, cfg.seed, cfg.scheduler);
+        let mut sim = Simulation::with_scheduler(NicConfig::default(), cfg.seed, cfg.scheduler);
         let coord: CoordHandle = Rc::new(RefCell::new(Coordinator::new()));
         let util: UtilSeriesHandle = Rc::new(RefCell::new(UtilSeries::default()));
         let metrics = Registry::new();
@@ -739,12 +736,6 @@ impl Cluster {
         self.metrics.snapshot(self.now()).to_json()
     }
 
-    /// Serializes the full registry in Prometheus text exposition
-    /// format at the current virtual time.
-    pub fn export_metrics_prometheus(&self) -> String {
-        self.metrics.snapshot(self.now()).to_prometheus()
-    }
-
     /// The periodic snapshot series captured under `metrics: true`, as
     /// one JSON array (one element per sampling interval).
     pub fn export_metrics_series_json(&self) -> String {
@@ -845,13 +836,6 @@ impl Cluster {
     /// `rocksteady-audit-v1`). Byte-identical across same-seed runs.
     pub fn export_audit_json(&self) -> String {
         self.audit.export_json(self.now())
-    }
-
-    /// The ownership-transfer graph (which tablets moved between which
-    /// servers, and how) as Graphviz DOT. Byte-identical across
-    /// same-seed runs.
-    pub fn export_audit_dot(&self) -> String {
-        self.audit.export_dot()
     }
 
     /// Ranks the audited causes most likely responsible for an SLO

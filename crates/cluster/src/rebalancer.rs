@@ -1,7 +1,7 @@
 //! The autonomous rebalancer: closes the loop from load to placement.
 //!
 //! Rocksteady's premise is that migration is cheap enough to use as a
-//! routine load-management tool (§1). [`Rebalancer`] is the missing
+//! routine load-management tool (§1). `Rebalancer` is the missing
 //! operator, and the observer's fourth reader: on each observer tick
 //! whose time is a multiple of [`RebalancerConfig::interval`] — first in
 //! that tick, before the sampler — it takes per-server load from the

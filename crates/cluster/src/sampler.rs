@@ -5,8 +5,8 @@
 //! every `Observer` tick the `Sampler` differences four counters of each
 //! server's [`NodeStats`] handles and appends one [`UtilPoint`] per
 //! server. When metrics capture is armed it also appends one full
-//! registry snapshot per interval to a shared buffer for the
-//! JSON/Prometheus export path.
+//! registry snapshot per interval to a shared buffer for the JSON
+//! export.
 //!
 //! [`NodeStats`]: rocksteady_server::stats::NodeStats
 

@@ -107,10 +107,6 @@ pub struct CostModel {
     pub priority_pull_fixed_ns: Nanos,
     /// Source-side cost per record looked up for a PriorityPull.
     pub priority_pull_per_record_ns: Nanos,
-    /// Whether the transport copies records into transmit staging buffers
-    /// (the DPDK-driver copy the paper measures; §3.2). `false` models the
-    /// zero-copy scatter/gather DMA path.
-    pub copy_for_tx: bool,
 }
 
 impl Default for CostModel {
@@ -137,7 +133,6 @@ impl Default for CostModel {
             replay_per_record_ns: 420,
             priority_pull_fixed_ns: 400,
             priority_pull_per_record_ns: 250,
-            copy_for_tx: true,
         }
     }
 }
@@ -161,14 +156,11 @@ impl CostModel {
     }
 
     /// Worker time to gather one record of `bytes` total size into a Pull
-    /// response on the source (§3.1.1): bucket walk + checksum + staging
-    /// copy (if the transport copies for tx).
+    /// response on the source (§3.1.1): bucket walk + checksum + the copy
+    /// into the transport's transmit staging buffers (the DPDK-driver copy
+    /// the paper measures; §3.2).
     pub fn pull_record_ns(&self, bytes: u64) -> Nanos {
-        let mut ns = self.pull_per_record_ns + self.checksum_ns(bytes);
-        if self.copy_for_tx {
-            ns += self.copy_ns(bytes);
-        }
-        ns
+        self.pull_per_record_ns + self.checksum_ns(bytes) + self.copy_ns(bytes)
     }
 
     /// Worker time to replay one record of `bytes` total size on the
@@ -215,15 +207,5 @@ mod tests {
         let tgt_gbps = 12.0 * 128.0 / m.replay_record_ns(128) as f64;
         assert!((4.3..=7.2).contains(&src_gbps), "source {src_gbps} GB/s");
         assert!((2.2..=3.8).contains(&tgt_gbps), "target {tgt_gbps} GB/s");
-    }
-
-    #[test]
-    fn zero_copy_reduces_pull_cost() {
-        let copying = CostModel::default();
-        let zero_copy = CostModel {
-            copy_for_tx: false,
-            ..CostModel::default()
-        };
-        assert!(zero_copy.pull_record_ns(1024) < copying.pull_record_ns(1024));
     }
 }

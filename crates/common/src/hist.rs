@@ -24,8 +24,8 @@ const BLOCK: usize = SUB_COUNT as usize;
 /// A log-bucketed histogram of `u64` values (typically nanoseconds).
 ///
 /// Only the buckets between the lowest and highest recorded value are
-/// stored, rounded out to whole [`BLOCK`]s: an empty histogram owns no
-/// heap memory, one counting to *n* owns 512 B, and a 5–100 µs latency
+/// stored, rounded out to whole 64-bucket blocks: an empty histogram owns
+/// no heap memory, one counting to *n* owns 512 B, and a 5–100 µs latency
 /// distribution about 2.5 KB of the 29.7 KB the full range would take.
 /// A [`TimeSeries`] keeps one per interval per client and the samplers
 /// diff and clone cumulative ones every virtual millisecond, so what an

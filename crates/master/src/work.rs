@@ -5,7 +5,7 @@
 //! [`Work`] receipt — hash-table probes, bytes memcpy'd, bytes
 //! checksummed, log appends — and the server actor converts it to
 //! nanoseconds through the calibrated
-//! [`CostModel`](rocksteady_common::CostModel).
+//! [`CostModel`].
 
 use rocksteady_common::{CostModel, Nanos};
 

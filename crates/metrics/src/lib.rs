@@ -19,9 +19,9 @@
 //!   returns a handle to the existing cell, so two components naming
 //!   the same instrument share it.
 //! - **Snapshots** are taken under the virtual clock and expose every
-//!   instrument in one deterministically ordered view, exportable as
-//!   integer-only JSON ([`Snapshot::to_json`]) or Prometheus text
-//!   ([`Snapshot::to_prometheus`]). Same seed ⇒ byte-identical exports.
+//!   instrument in one deterministically ordered view, exported as
+//!   integer-only JSON ([`Snapshot::to_json`]). Same seed ⇒
+//!   byte-identical exports.
 //! - **Windowed scraping**: [`DeltaScraper`] differences counters per
 //!   interval, tolerating resets without underflow — the metrics slice
 //!   of a flight-recorder incident bundle.
@@ -262,7 +262,7 @@ pub struct RegistrySummary {
 /// Registration is idempotent on `(name, labels)`: registering the same
 /// series twice returns a handle to the same cell. Registering one name
 /// with two different instrument kinds panics — that is a programming
-/// error the exposition formats cannot represent.
+/// error the export cannot represent (one `type` per family).
 #[derive(Debug, Clone, Default)]
 pub struct Registry(Rc<RefCell<Inner>>);
 
@@ -530,83 +530,6 @@ impl Snapshot {
         w.end_arr().end_obj();
         w.finish()
     }
-
-    /// Exports in the Prometheus text exposition format. Histograms
-    /// export as summaries (`{quantile="..."}` plus `_sum`/`_count`),
-    /// matching how the paper reads its SLA ("99.9% of requests finished
-    /// within X").
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::with_capacity(64 + self.rows.len() * 128);
-        let mut last_family: Option<&'static str> = None;
-        for row in &self.rows {
-            if last_family != Some(row.name) {
-                out.push_str("# HELP ");
-                out.push_str(row.name);
-                out.push(' ');
-                out.push_str(row.help);
-                out.push('\n');
-                out.push_str("# TYPE ");
-                out.push_str(row.name);
-                out.push(' ');
-                out.push_str(match row.value {
-                    SampleValue::Counter(_) => "counter",
-                    SampleValue::Gauge(_) => "gauge",
-                    SampleValue::Histogram(_) => "summary",
-                });
-                out.push('\n');
-                last_family = Some(row.name);
-            }
-            let labels = render_labels(&row.labels);
-            match &row.value {
-                SampleValue::Counter(v) => {
-                    push_series(&mut out, row.name, &labels, None, &v.to_string());
-                }
-                SampleValue::Gauge(v) => {
-                    push_series(&mut out, row.name, &labels, None, &v.to_string());
-                }
-                SampleValue::Histogram(s) => {
-                    for (q, v) in [("0.5", s.p50), ("0.99", s.p99), ("0.999", s.p999)] {
-                        let q = format!("quantile=\"{q}\"");
-                        push_series(&mut out, row.name, &labels, Some(&q), &v.to_string());
-                    }
-                    push_series(
-                        &mut out,
-                        &format!("{}_sum", row.name),
-                        &labels,
-                        None,
-                        &s.sum.to_string(),
-                    );
-                    push_series(
-                        &mut out,
-                        &format!("{}_count", row.name),
-                        &labels,
-                        None,
-                        &s.count.to_string(),
-                    );
-                }
-            }
-        }
-        out
-    }
-}
-
-fn push_series(out: &mut String, name: &str, labels: &str, extra: Option<&str>, value: &str) {
-    out.push_str(name);
-    let has_labels = !labels.is_empty() || extra.is_some();
-    if has_labels {
-        out.push('{');
-        out.push_str(labels);
-        if let Some(extra) = extra {
-            if !labels.is_empty() {
-                out.push(',');
-            }
-            out.push_str(extra);
-        }
-        out.push('}');
-    }
-    out.push(' ');
-    out.push_str(value);
-    out.push('\n');
 }
 
 // ---------------------------------------------------------- delta scraper --
@@ -864,22 +787,6 @@ mod tests {
         assert!(a.contains("\"p50\":"));
         // Unset stamp exports as -1.
         assert!(a.contains("{\"name\":\"mark\",\"type\":\"gauge\",\"value\":-1}"));
-    }
-
-    #[test]
-    fn prometheus_text_shape() {
-        let reg = Registry::new();
-        reg.counter("ops_total", "operations", &[("server", "0".into())])
-            .add(12);
-        let h = reg.histogram("read_ns", "read latency", &[]);
-        h.record(500);
-        let text = reg.snapshot(0).to_prometheus();
-        assert!(text.contains("# TYPE ops_total counter\n"));
-        assert!(text.contains("ops_total{server=\"0\"} 12\n"));
-        assert!(text.contains("# TYPE read_ns summary\n"));
-        assert!(text.contains("read_ns{quantile=\"0.999\"}"));
-        assert!(text.contains("read_ns_count 1\n"));
-        assert!(text.contains("read_ns_sum 500\n"));
     }
 
     #[test]

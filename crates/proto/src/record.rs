@@ -2,7 +2,7 @@
 //!
 //! Pull and PriorityPull responses, replication payloads, and recovery
 //! transfers all move records in this form. It mirrors the log-entry
-//! format ([`rocksteady_logstore::entry`]) but is independent of it: the
+//! format (`rocksteady_logstore::entry`) but is independent of it: the
 //! wire format carries the key hash and version so the receiver can
 //! replay without rehashing, exactly as RAMCloud's migration does.
 

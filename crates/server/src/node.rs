@@ -1,11 +1,10 @@
 //! The server actor: the simulator shell around the protocol cores.
 //!
-//! The shell owns the [`Ctx`]. The cores — [`crate::sched`],
-//! [`crate::rpc`], [`crate::repl`], [`crate::recovery`] and the
-//! migration managers in the `rocksteady` crate — are pure state
-//! machines that *return* what to send and what to charge; the shell
-//! performs those effects, in the order returned, and reports each
-//! protocol event once to [`crate::telemetry`]. What is left here is
+//! The shell owns the [`Ctx`]. The cores — the crate's private `sched`,
+//! `rpc`, `repl` and `recovery` modules and the migration managers in
+//! the `rocksteady` crate — are pure state machines that *return* what
+//! to send and what to charge; the shell performs those effects, in the
+//! order returned, and reports each protocol event once to `telemetry`. What is left here is
 //! routing: requests to handlers, responses to the state they complete,
 //! manager actions to messages.
 
@@ -623,7 +622,9 @@ impl ServerNode {
                 Some(self.repl.open_group(sends.len() as u32, then))
             }
             // Nothing to ship (no backups, or a concurrent shipment
-            // already covered our bytes): respond immediately.
+            // already covered our bytes): respond immediately. When that
+            // shipment is still unacked, a backup crash now loses an
+            // acknowledged write (crate docs; ROADMAP.md gap 1 (a)).
             Some(respond) => return self.finish_wait(ctx, worker, respond),
             None => None,
         };
@@ -1416,11 +1417,12 @@ impl ServerNode {
 
     /// Membership update: `server` is dead. Drop it from the backup set
     /// and fail over everything outstanding to it — replication waits
-    /// are credited (RAMCloud re-replicates elsewhere; we degrade to
-    /// R-1 replicas and document it), blocked sync PriorityPulls turn
-    /// into client retries, and migrations involving the dead peer are
-    /// abandoned (the coordinator's recovery plan supersedes them,
-    /// §3.4).
+    /// are credited as if the dead backup had acked, blocked sync
+    /// PriorityPulls turn into client retries, and migrations involving
+    /// the dead peer are abandoned (the coordinator's recovery plan
+    /// supersedes them, §3.4). The credit is ROADMAP.md gap 1 (c): a
+    /// write can be answered on fewer than R acks, and nothing
+    /// re-replicates its segments, where RAMCloud restores R.
     fn on_server_down(&mut self, ctx: &mut Ctx<'_, Envelope>, server: ServerId) {
         let Some(&dead) = self.dir.servers.get(server.0 as usize) else {
             return;

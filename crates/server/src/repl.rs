@@ -212,8 +212,9 @@ impl ReplManager {
     }
 
     /// One chunk of `group` was acked — or its backup died, which counts
-    /// the same (we degrade to R-1 replicas rather than wedge the
-    /// writer). Returns what to do when that was its last chunk.
+    /// the same: a dead backup is an ack (ROADMAP.md gap 1 (c)), so the
+    /// writer is answered with R−1 replicas or, at R = 1, none. Returns
+    /// what to do when that was its last chunk.
     pub(crate) fn credit(&mut self, group: u64) -> Option<Durable> {
         let g = self.groups.get_mut(&group)?;
         g.remaining -= 1;

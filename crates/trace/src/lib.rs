@@ -70,7 +70,8 @@ pub mod journey;
 /// the crate docs), so each logically-concurrent strand of work gets
 /// its own lane. Server actors lay their lanes out as follows; the
 /// critical-path walker in `rocksteady-profiler` reverses the mapping
-/// with [`worker_index`] / [`pull_partition`].
+/// with [`worker_index`](lanes::worker_index) /
+/// [`pull_partition`](lanes::pull_partition).
 pub mod lanes {
     /// Dispatch-core lane: per-RPC decomposition instants.
     pub const RPC: u64 = 0;

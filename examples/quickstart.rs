@@ -127,19 +127,17 @@ fn main() {
     );
 
     // 8. Export the unified metrics registry: every server counter,
-    //    client histogram, and SLO gauge, as deterministic JSON and
-    //    Prometheus text. Same seed, byte-identical files.
+    //    client histogram, and SLO gauge, as deterministic JSON. Same
+    //    seed, byte-identical file.
     let metrics = cluster
         .metrics
         .validate()
         .expect("metrics invariants violated");
     let json_path = "target/quickstart-metrics.json";
-    let prom_path = "target/quickstart-metrics.prom";
     std::fs::write(json_path, cluster.export_metrics_json()).expect("write metrics json");
-    std::fs::write(prom_path, cluster.export_metrics_prometheus()).expect("write metrics prom");
     let slo = cluster.slo_report();
     println!(
-        "metrics: {} instruments -> {json_path} + {prom_path}; {} snapshots captured",
+        "metrics: {} instruments -> {json_path}; {} snapshots captured",
         metrics.instruments,
         cluster.snapshots.borrow().len(),
     );
@@ -223,11 +221,9 @@ fn main() {
     assert_eq!(audit.migrations_verified, 1, "migration not verified");
     let audit_path = "target/quickstart-audit.json";
     std::fs::write(audit_path, cluster.export_audit_json()).expect("write audit json");
-    let dot_path = "target/quickstart-audit.dot";
-    std::fs::write(dot_path, cluster.export_audit_dot()).expect("write audit dot");
     println!(
         "audit: {} events, {} invariant checks, 0 violations; migration \
-         conservation-verified -> {audit_path} + {dot_path}",
+         conservation-verified -> {audit_path}",
         audit.events,
         audit
             .per_invariant

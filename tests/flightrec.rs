@@ -239,8 +239,8 @@ fn ring_mode_keeps_trace_memory_bounded() {
         .expect("wrapped ring must validate");
     // Drop accounting surfaces in the registry (satellite: the
     // `trace_events_dropped_total` family).
-    let prom = cluster.export_metrics_prometheus();
-    assert!(prom.contains("trace_events_dropped_total"));
+    let json = cluster.export_metrics_json();
+    assert!(json.contains(r#""name":"trace_events_dropped_total""#));
     // The audit ring kept its checker state: total ingested events
     // exceed what the bounded buffer retains.
     assert!(cluster.audit.dropped() > 0 || cluster.audit.events_len() <= 1024);
