@@ -13,6 +13,10 @@ run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 run cargo build --release
 run cargo test -q
 run cargo test -q --workspace --exclude rocksteady-repro
+# The protocol's mutant table (tests/mutants.rs): each row's bug is built
+# in a copy of the tree under target/mutants, and its killer must fail.
+# Prints one verdict a row and `mutants: killed k / n`.
+run cargo test -q --test mutants -- --ignored --nocapture
 # The runs with debug assertions off and real timings: there only the
 # tests' own comparisons catch a short replica.
 run cargo test -q --release --test cleaner_interaction

@@ -19,8 +19,8 @@ use rocksteady_metrics::Registry;
 use rocksteady_profiler::{critical_path, CriticalPathReport, Profiler};
 use rocksteady_proto::Envelope;
 use rocksteady_server::stats::{registered_stats, StatsHandle};
-use rocksteady_server::{Fault, MigrationRunStamps, ServerConfig, ServerNode};
-use rocksteady_simnet::{ActorId, Directory, NicConfig, SchedulerKind, Simulation};
+use rocksteady_server::{MigrationRunStamps, ServerConfig, ServerNode};
+use rocksteady_simnet::{ActorId, Directory, LossRule, NicConfig, SchedulerKind, Simulation};
 use rocksteady_trace::journey::{self, Journey};
 use rocksteady_trace::Tracer;
 use rocksteady_workload::shape::bucket_ranks;
@@ -168,7 +168,7 @@ pub struct ClusterBuilder {
     dir: Directory,
     clients: Vec<ClientSpec>,
     script: Vec<ControlEvent>,
-    faults: Vec<(ServerId, Fault)>,
+    losses: Vec<(ServerId, LossRule<Envelope>)>,
 }
 
 impl ClusterBuilder {
@@ -186,7 +186,7 @@ impl ClusterBuilder {
             dir,
             clients: Vec::new(),
             script: Vec::new(),
-            faults: Vec::new(),
+            losses: Vec::new(),
         }
     }
 
@@ -231,10 +231,11 @@ impl ClusterBuilder {
         self
     }
 
-    /// Makes `server` exhibit `fault` (at most one per server; the last
-    /// call wins). For tests that prove a detector or invariant fires.
-    pub fn fault(&mut self, server: ServerId, fault: Fault) -> &mut Self {
-        self.faults.push((server, fault));
+    /// Makes the network lose every message to `server` that `rule`
+    /// names (one rule per server; the last call wins), as
+    /// [`Simulation::lose`] does.
+    pub fn lose(&mut self, server: ServerId, rule: LossRule<Envelope>) -> &mut Self {
+        self.losses.push((server, rule));
         self
     }
 
@@ -332,19 +333,18 @@ impl ClusterBuilder {
                 migration: cfg.migration.clone(),
                 cleaner_interval: cfg.cleaner_interval,
             };
-            let mut node = ServerNode::new(
+            let actor = sim.add_actor(Box::new(ServerNode::new(
                 server_cfg,
                 self.dir.clone(),
                 stats,
                 trace.clone(),
                 profiler.clone(),
                 audit.clone(),
-            );
-            for (_, fault) in self.faults.iter().filter(|(server, _)| *server == id) {
-                node.inject_fault(*fault);
-            }
-            let actor = sim.add_actor(Box::new(node));
+            )));
             debug_assert_eq!(actor, 1 + i);
+        }
+        for (server, rule) in self.losses {
+            sim.lose(self.dir.actor_of(server), rule);
         }
 
         // Control, then the observer: the one actor on the sampling

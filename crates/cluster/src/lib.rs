@@ -44,7 +44,6 @@ pub use rocksteady_rebalancer::{
     AdmissionCaps, ClusterView, GreedyLoadDelta, MoveInFlight, MoveProposal, PlacementPolicy,
     ServerLoad, TabletInfo,
 };
-pub use rocksteady_server::Fault;
 pub use rocksteady_simnet::SchedulerKind;
 pub use rocksteady_trace::journey::{Hop, Journey, JOURNEYS_SCHEMA};
 pub use sampler::{SnapshotLogHandle, UtilPoint, UtilSeries, UtilSeriesHandle};

@@ -10,6 +10,7 @@
 
 use rocksteady_audit::{ClientOp, Outcome, READ_BACK};
 use rocksteady_common::{key_hash, HashRange, KeyHash, MigrationId, Nanos, ServerId, TableId};
+use rocksteady_proto::{Body, Envelope, Request};
 use rocksteady_workload::core::primary_key;
 use rocksteady_workload::{YcsbClient, YcsbConfig};
 
@@ -59,6 +60,16 @@ pub fn live_migration(mut b: ClusterBuilder, keys: u64, ops_per_sec: f64, at: Na
     let mut cluster = b.build();
     preload_split(&mut cluster, keys, 100);
     cluster
+}
+
+/// The loss rule of a stalled migration ([`ClusterBuilder::lose`] on
+/// its source): every `Pull` and `PriorityPull`, so gather makes no
+/// progress (PriorityPulls too, or client misses would trickle it).
+pub fn pulls(env: &Envelope) -> bool {
+    matches!(
+        env.body,
+        Body::Req(Request::Pull { .. } | Request::PriorityPull { .. })
+    )
 }
 
 /// Ends a run: asserts that each of `keys` ranks reads back through its

@@ -59,25 +59,6 @@ pub use stats::{MigrationRunStamps, NodeStats};
 
 pub use rocksteady_simnet::Directory;
 
-/// A protocol bug a test harness can make one server exhibit, to prove
-/// that a watchdog or an invariant check catches it. Installed through
-/// `ClusterBuilder::fault`; consulted only by the [`ServerNode`] shell,
-/// never by a protocol core, and never set in production.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fault {
-    /// Every inbound `Pull` and `PriorityPull` is lost before the
-    /// dispatch core sees it: gather makes no progress and migrations
-    /// sourced here hang in flight (PriorityPulls too — otherwise client
-    /// traffic trickles gather progress and masks the stall).
-    DropPulls,
-    /// As a migration target, accept pulled batches but never replay
-    /// them, so records pile up between gather and replay.
-    DeferReplay,
-    /// As a migration source, answer `PrepareMigration` with the version
-    /// ceiling but skip the ownership flip, so both ends serve the range.
-    SkipSourceFlip,
-}
-
 /// Configuration for one simulated server.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {

@@ -32,7 +32,7 @@ use crate::rpc::{Pending, RpcTable, SyncWait};
 use crate::sched::{Deferred, Placement, Quantum, ReplyTo, Sched, Task};
 use crate::stats::StatsHandle;
 use crate::telemetry::{AbandonReason, NodeTelemetry, RpcSpan};
-use crate::{Directory, Fault, ServerConfig};
+use crate::{Directory, ServerConfig};
 
 // Timer token kinds (low 8 bits).
 const KIND_DISPATCH: u64 = 1;
@@ -79,8 +79,6 @@ pub struct ServerNode {
     pub backup: BackupService,
     stats: StatsHandle,
     tel: NodeTelemetry,
-    /// The protocol bug a test harness asked this node to exhibit.
-    fault: Option<Fault>,
 
     sched: Sched,
     rpcs: RpcTable,
@@ -117,7 +115,6 @@ impl ServerNode {
             master: MasterService::new(cfg.master.clone()),
             backup: BackupService::new(cfg.id),
             tel: NodeTelemetry::new(cfg.id, pid, cfg.workers, trace, profiler, audit),
-            fault: None,
             sched: Sched::new(cfg.workers, cfg.migration.sync_priority_pulls),
             rpcs: RpcTable::default(),
             repl: ReplManager::default(),
@@ -140,12 +137,6 @@ impl ServerNode {
     /// backups directly, so the replication manager doesn't re-ship it.
     pub fn mark_log_durable(&mut self) {
         self.repl.mark_durable(&self.master.log);
-    }
-
-    /// Makes this node misbehave as `fault` describes. Harness-only,
-    /// for tests that prove a watchdog or invariant check fires.
-    pub fn inject_fault(&mut self, fault: Fault) {
-        self.fault = Some(fault);
     }
 
     // ------------------------------------------------------------ sends --
@@ -260,18 +251,11 @@ impl ServerNode {
                 range,
                 target,
             } => {
-                let ceiling = if self.fault == Some(Fault::SkipSourceFlip) {
-                    // Answer with the ceiling but keep serving the range:
-                    // a real split brain for the auditor to catch.
-                    Some(self.master.version_ceiling())
-                } else {
-                    let flipped =
-                        rocksteady::source::handle_prepare(&mut self.master, table, range, target);
-                    if flipped.is_some() {
-                        self.tel.prepare_flipped(now, table, range);
-                    }
-                    flipped
-                };
+                let ceiling =
+                    rocksteady::source::handle_prepare(&mut self.master, table, range, target);
+                if ceiling.is_some() {
+                    self.tel.prepare_flipped(now, table, range);
+                }
                 let resp = match ceiling {
                     Some(version_ceiling) => Response::PrepareMigrationOk { version_ceiling },
                     None => Response::Err(Status::UnknownTablet),
@@ -1160,11 +1144,6 @@ impl ServerNode {
                     self.tel.priority_pull_sent(now, pp_ctx, rpc);
                     self.send(ctx, dst, Envelope::req(rpc, req).with_ctx(pp_ctx));
                 }
-                Action::Replay(_) if self.fault == Some(Fault::DeferReplay) => {
-                    // Accept the batch but never replay it. The manager
-                    // already pipelined the partition's next Pull, so
-                    // gather keeps running while replay stays flat.
-                }
                 Action::Replay(batch) => {
                     let Some(worker) = self.sched.claim_idle() else {
                         debug_assert!(false, "manager scheduled replay with no idle worker");
@@ -1498,17 +1477,8 @@ impl Actor<Envelope> for ServerNode {
     fn on_event(&mut self, ctx: &mut Ctx<'_, Envelope>, event: Event<Envelope>) {
         let tok = match event {
             Event::Message { src, payload } => {
-                // Faults that lose messages act here, where the envelope
-                // is handed to the node: the dispatch core never sees it.
-                let lost = self.fault == Some(Fault::DropPulls)
-                    && matches!(
-                        payload.body,
-                        Body::Req(Request::Pull { .. } | Request::PriorityPull { .. })
-                    );
-                if !lost {
-                    self.sched.receive(src, ctx.now(), payload);
-                    self.ensure_dispatch(ctx);
-                }
+                self.sched.receive(src, ctx.now(), payload);
+                self.ensure_dispatch(ctx);
                 return;
             }
             Event::Timer { token } => token,

@@ -12,7 +12,8 @@
 //!   queue behind each other exactly as they would on a real 40 Gbps
 //!   port (§2.2, §3.2);
 //! - delivery adds a fixed one-way latency (propagation + switch);
-//! - messages to dead actors are dropped (crash testing, §3.4).
+//! - messages to dead actors are dropped (crash testing, §3.4), and an
+//!   actor's loss rule drops the messages it names (a lossy link).
 //!
 //! Execution is single-threaded and fully deterministic: events are
 //! ordered by `(time, sequence number)`, so the same setup and seed
@@ -250,9 +251,14 @@ impl<M> EventSlab<M> {
     }
 }
 
+/// Which messages a lossy link drops: true for each one it loses.
+pub type LossRule<M> = fn(&M) -> bool;
+
 struct Slot<M> {
     actor: Box<dyn Actor<M>>,
     alive: bool,
+    /// Which inbound messages the network loses ([`Simulation::lose`]).
+    lose: Option<LossRule<M>>,
     /// Earliest time this actor's NIC can begin the next transmission.
     nic_free: Nanos,
 }
@@ -597,6 +603,7 @@ impl<M: SimMessage> Simulation<M> {
         self.slots.push(Slot {
             actor,
             alive: true,
+            lose: None,
             nic_free: 0,
         });
         self.slots.len() - 1
@@ -617,6 +624,13 @@ impl<M: SimMessage> Simulation<M> {
     /// to it is silently dropped (a crashed server, §3.4).
     pub fn kill(&mut self, id: ActorId) {
         self.slots[id].alive = false;
+    }
+
+    /// Makes the network lose every message to `id` that `rule` names.
+    /// A lost message reaches the receiver and counts in
+    /// [`Simulation::events_processed`]; the actor never sees it.
+    pub fn lose(&mut self, id: ActorId, rule: LossRule<M>) {
+        self.slots[id].lose = Some(rule);
     }
 
     fn start_if_needed(&mut self) {
@@ -720,6 +734,11 @@ impl<M: SimMessage> Simulation<M> {
             return true;
         }
         self.events_processed += 1;
+        if let (Event::Message { payload, .. }, Some(lose)) = (&event, self.slots[dst].lose) {
+            if lose(payload) {
+                return true;
+            }
+        }
         let mut ctx = Ctx {
             now: self.now,
             self_id: dst,
@@ -973,6 +992,35 @@ mod tests {
         assert!(responses.borrow().is_empty());
         // The five dropped messages gave their slots back.
         assert_eq!(sim.slab.slots.len(), 5);
+        assert_eq!(sim.slab.free.len(), sim.slab.slots.len());
+    }
+
+    #[test]
+    fn lost_messages_count_and_free_their_slots() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let responses = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = Simulation::new(nic(), 1);
+        let echo = sim.add_actor(Box::new(Echo {
+            log: Rc::clone(&log),
+            reply: false,
+        }));
+        for bytes in [100, 200, 300] {
+            sim.add_actor(Box::new(Blaster {
+                dst: echo,
+                n: 2,
+                bytes,
+                responses: Rc::clone(&responses),
+            }));
+        }
+        sim.lose(echo, |p| p.bytes == 200);
+        sim.run_to_idle();
+        // The four messages the rule rejects reach the echo; the two it
+        // names are lost there, yet each still counts as an event.
+        let srcs: Vec<ActorId> = log.borrow().iter().map(|&(_, src)| src).collect();
+        assert_eq!(srcs, [1, 1, 3, 3]);
+        assert_eq!(sim.events_processed(), 6);
+        // The two lost messages gave their slots back too.
+        assert_eq!(sim.slab.slots.len(), 6);
         assert_eq!(sim.slab.free.len(), sim.slab.slots.len());
     }
 

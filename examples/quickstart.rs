@@ -9,16 +9,18 @@
 //! servers, a YCSB client, one Rocksteady migration of half the key
 //! space, and verification that every record survived the move.
 
-use rocksteady_cluster::scenarios::{live_migration, preload_split, read_back, upper, TABLE};
+use rocksteady_cluster::scenarios::{
+    live_migration, preload_split, pulls, read_back, upper, TABLE,
+};
 use rocksteady_cluster::{
-    summarize, ClusterBuilder, ClusterConfig, ControlCmd, Fault, FlightRecorderConfig,
+    summarize, ClusterBuilder, ClusterConfig, ControlCmd, FlightRecorderConfig,
 };
 use rocksteady_common::time::fmt_nanos;
 use rocksteady_common::{MigrationId, ServerId, MILLISECOND, SECOND};
 use rocksteady_workload::YcsbConfig;
 
 fn main() {
-    // Fault-injection demo (used by CI): stall a migration on purpose
+    // Stalled-migration demo (used by CI): lose the pulls on purpose
     // and show the flight recorder export exactly one incident bundle.
     if std::env::args().any(|arg| arg == "--fault") {
         fault_demo();
@@ -271,9 +273,9 @@ fn top_cause(breach: &str) -> &str {
     &breach[start..end]
 }
 
-/// Deliberately stall a migration (the source swallows every bulk Pull)
-/// and let the flight recorder catch it: exactly one incident bundle,
-/// triggered by the migration-stall detector, lands in
+/// Deliberately stall a migration (the network loses every Pull to the
+/// source) and let the flight recorder catch it: exactly one incident
+/// bundle, triggered by the migration-stall detector, lands in
 /// `target/quickstart-incident.json`.
 fn fault_demo() {
     let keys: u64 = 5_000;
@@ -298,9 +300,9 @@ fn fault_demo() {
     };
 
     let mut builder = ClusterBuilder::new(cfg);
-    // The fault: every Pull bound for the source is lost, so gather
-    // never advances and the migration hangs forever.
-    builder.fault(ServerId(0), Fault::DropPulls);
+    // The fault: the network loses every Pull bound for the source, so
+    // gather never advances and the migration hangs forever.
+    builder.lose(ServerId(0), pulls);
     // The same client, migration and preload as above, at 20k ops/s.
     let mut cluster = live_migration(builder, keys, 20_000.0, 50 * MILLISECOND);
 

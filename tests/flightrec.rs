@@ -7,11 +7,12 @@
 //!   folded profile byte-identical to a disarmed run of the same seed.
 //! - **Quiet when healthy**: clean migrations under load across several
 //!   seeds produce zero incidents.
-//! - **Sensitive to injected faults**: a stalled migration (source
-//!   swallows pulls), a replay backlog (target defers replay), and an
-//!   SLO burn each produce *exactly one* incident bundle whose trigger
-//!   names the right dominant cause — and the bundle is byte-identical
-//!   across same-seed runs.
+//! - **Sensitive to real causes**: a stalled migration (the network
+//!   loses every pull to the source), a replay backlog (a target whose
+//!   replay costs 100× the model's), and an SLO burn each produce
+//!   *exactly one* incident bundle whose trigger names the right
+//!   dominant cause — and the bundle is byte-identical across same-seed
+//!   runs.
 //! - **Bounded in ring mode**: with ring capacities set, the trace
 //!   buffer never exceeds its capacity while the drop counters account
 //!   for everything evicted.
@@ -19,9 +20,9 @@
 mod common;
 
 use common::test_config;
-use rocksteady_cluster::scenarios::live_migration;
+use rocksteady_cluster::scenarios::{live_migration, pulls};
 use rocksteady_cluster::{
-    Cluster, ClusterBuilder, ClusterConfig, Fault, FlightRecorderConfig, ReplayBacklogConfig,
+    Cluster, ClusterBuilder, ClusterConfig, FlightRecorderConfig, ReplayBacklogConfig,
     SloBurnConfig,
 };
 use rocksteady_common::{MigrationId, ServerId, MILLISECOND};
@@ -41,14 +42,10 @@ fn recorded_cfg(seed: u64, fr: Option<FlightRecorderConfig>) -> ClusterConfig {
 }
 
 fn run_recorded(cfg: ClusterConfig) -> Cluster {
-    run_faulted(cfg, None)
+    run(ClusterBuilder::new(cfg))
 }
 
-fn run_faulted(cfg: ClusterConfig, fault: Option<(ServerId, Fault)>) -> Cluster {
-    let mut b = ClusterBuilder::new(cfg);
-    if let Some((server, fault)) = fault {
-        b.fault(server, fault);
-    }
+fn run(b: ClusterBuilder) -> Cluster {
     let mut cluster = live_migration(b, KEYS, 50_000.0, 5 * MILLISECOND);
     cluster.run_until(100 * MILLISECOND);
     cluster
@@ -98,14 +95,15 @@ fn clean_runs_produce_zero_incidents() {
     }
 }
 
-/// The source swallowing every pull stalls gather forever; the
+/// The network losing every pull to the source stalls gather forever; the
 /// migration-stall detector must catch it, exactly once, and the bundle
 /// must carry the whole forensic record.
 #[test]
 fn stalled_migration_fires_exactly_one_incident() {
     let run = || {
-        let cfg = recorded_cfg(42, Some(FlightRecorderConfig::default()));
-        run_faulted(cfg, Some((ServerId(0), Fault::DropPulls)))
+        let mut b = ClusterBuilder::new(recorded_cfg(42, Some(FlightRecorderConfig::default())));
+        b.lose(ServerId(0), pulls);
+        run(b)
     };
     let cluster = run();
 
@@ -145,8 +143,8 @@ fn stalled_migration_fires_exactly_one_incident() {
     );
 }
 
-/// The target deferring every replay batch lets gather race ahead of
-/// replay; the replay-backlog watermark must catch the divergence,
+/// A target whose replay costs 100× the model's lets gather race ahead
+/// of replay; the replay-backlog watermark must catch the divergence,
 /// exactly once, before the stall detector's longer fuse.
 #[test]
 fn replay_backlog_fires_exactly_one_incident() {
@@ -158,8 +156,9 @@ fn replay_backlog_fires_exactly_one_incident() {
         watermark_records: 500,
         sustain_intervals: 3,
     });
-    let fault = (ServerId(1), Fault::DeferReplay);
-    let cluster = run_faulted(recorded_cfg(42, Some(fr)), Some(fault));
+    let mut cfg = recorded_cfg(42, Some(fr));
+    cfg.cost.replay_per_record_ns *= 100;
+    let cluster = run_recorded(cfg);
 
     let incidents = cluster.incident_log();
     assert_eq!(

@@ -19,7 +19,7 @@ use rocksteady_audit::invariants::LINEARIZABLE;
 use rocksteady_audit::AuditKind;
 use rocksteady_cluster::scenarios::{self, preload_split, preload_tablets, slice, upper, TABLE};
 use rocksteady_cluster::{
-    AdmissionCaps, Cluster, ClusterBuilder, ClusterConfig, ControlCmd, Fault, FlightRecorderConfig,
+    AdmissionCaps, Cluster, ClusterBuilder, ClusterConfig, ControlCmd, FlightRecorderConfig,
     GreedyLoadDelta, RebalancerConfig,
 };
 use rocksteady_common::{HashRange, MigrationId, ServerId, MILLISECOND};
@@ -293,7 +293,7 @@ fn two_onto_one_target() -> (u64, u64) {
     digest(&cluster)
 }
 
-/// The source swallows every pull, so the migration stalls and the
+/// The network loses every pull to the source, so the migration stalls and the
 /// flight recorder exports one incident bundle; both rings are small
 /// enough to wrap, so every `dropped` field and every evicted-prefix
 /// path (chain lookups, truncated journeys) is exercised.
@@ -308,7 +308,7 @@ fn drop_pulls_in_ring_mode() -> (u64, u64) {
         ..armed(42)
     };
     let mut b = ClusterBuilder::new(cfg);
-    b.fault(ServerId(0), Fault::DropPulls);
+    b.lose(ServerId(0), scenarios::pulls);
     let mut cluster = scenarios::live_migration(b, 5_000, 50_000.0, 5 * MILLISECOND);
     cluster.run_until(100 * MILLISECOND);
     assert_eq!(cluster.incident_count(), 1);

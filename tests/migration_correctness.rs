@@ -8,7 +8,7 @@
 mod common;
 
 use common::{answered_writes, assert_read_back, test_config};
-use rocksteady_cluster::scenarios::{live_migration, preload_split, upper, TABLE};
+use rocksteady_cluster::scenarios::{live_migration, preload_split, pulls, upper, TABLE};
 use rocksteady_cluster::{ClusterBuilder, ControlCmd};
 use rocksteady_common::{key_hash, MigrationId, ServerId, MILLISECOND, SECOND};
 use rocksteady_master::{OpError, TabletRole, Work};
@@ -87,6 +87,34 @@ fn migration_under_writes_preserves_every_record_and_update() {
             .map(|t| t.role),
         Some(TabletRole::Owner)
     );
+}
+
+/// With every pull to the source lost, nothing of the range ever
+/// replays, so only the version ceiling the source returns at Prepare
+/// puts the target's writes after the source's: every key the target
+/// overwrites was overwritten at the source first, and the audit's
+/// `linearizable` check requires the later write's version to be higher.
+#[test]
+fn target_writes_outrank_the_source_with_nothing_replayed() {
+    const FEW: u64 = 200;
+    let mut b = ClusterBuilder::new(test_config());
+    b.lose(ServerId(0), pulls);
+    let mut ycsb = YcsbConfig::ycsb_b(b.directory(), TABLE, FEW, 50_000.0);
+    ycsb.read_fraction = 0.0;
+    b.add_ycsb(ycsb);
+    let migrate = ControlCmd::migrate(MigrationId(1), TABLE, upper(), ServerId(0), ServerId(1));
+    b.at(10 * MILLISECOND, migrate);
+    let mut cluster = b.build();
+    preload_split(&mut cluster, FEW, 100);
+    cluster.run_until(30 * MILLISECOND);
+
+    assert!(cluster
+        .migration_finished(ServerId(1), MigrationId(1))
+        .is_none());
+    let on_target = cluster.server_stats[&ServerId(1)].ops_served.get();
+    assert!(on_target > 100, "the target answered {on_target} writes");
+    let found = cluster.audit.violations();
+    assert!(found.is_empty(), "{found:?}");
 }
 
 #[test]

@@ -40,6 +40,9 @@ const RULES: &[Rule] = &[
         check: |t| grep(t, src, |l| l.match_indices("test_")
             .any(|(i, _)| !l[..i].ends_with(ident) && l[i + 5..].starts_with(|c: char| c.is_ascii_lowercase()))),
         mutant: ("crates/core/src/config.rs", "", "pub fn test_skip_source_flip() {}\n") },
+    Rule { name: "no_fault_switches", decided: "§3.2", why: "a protocol bug is a row of tests/mutants.rs, not a server switch",
+        check: |t| grep(t, |p| p.starts_with("crates/server/src/"), |l| any(l, &["Fault", "inject_"])),
+        mutant: ("crates/server/src/lib.rs", "", "pub fn inject_fault() {}\n") },
     Rule { name: "one_json_emitter", decided: "§3.16", why: "only rocksteady_common::json spells out JSON punctuation",
         check: |t| grep(t, |p| src(p) && p != "crates/common/src/json.rs",
             |l| any(l, &[r#"push_str("{\""#, r#"push_str(",\""#, r#"push_str("\":"#, r#""{{\""#])),
