@@ -22,7 +22,7 @@
 use rocksteady_cluster::scenarios::{preload_tablets, TABLE};
 use rocksteady_cluster::{Activity, ClusterBuilder, ClusterConfig, ControlCmd};
 use rocksteady_common::time::mb_per_sec;
-use rocksteady_common::{HashRange, ServerId, MILLISECOND};
+use rocksteady_common::{HashRange, MigrationId, ServerId, MILLISECOND};
 use rocksteady_master::TabletRole;
 use rocksteady_proto::msg::BaselineOpts;
 
@@ -51,6 +51,7 @@ fn run_variant(base: &ClusterConfig, name: &str, csv_name: &str, opts: BaselineO
     b.at(
         10 * MILLISECOND,
         ControlCmd::MigrateBaseline {
+            id: MigrationId(1),
             table: TABLE,
             range: HashRange::full(),
             source: ServerId(0),

@@ -49,6 +49,7 @@ fn run(base: &ClusterConfig, variant: Variant) -> Out {
     b.add_ycsb_clients(CLIENTS, y);
     let cmd = match variant {
         Variant::SourceRetains => ControlCmd::MigrateBaseline {
+            id: MigrationId(1),
             table: TABLE,
             range: upper(),
             source: ServerId(0),
@@ -70,20 +71,17 @@ fn run(base: &ClusterConfig, variant: Variant) -> Out {
     }
     cluster.run_until(END);
 
-    // Migration window: from start until bytes stop flowing into the
-    // target (Rocksteady) / out of the source (baseline).
-    let tgt = cluster.server_stats[&ServerId(1)].view();
-    let src = cluster.server_stats[&ServerId(0)].view();
-    let (bytes, finished) = match variant {
-        Variant::SourceRetains => (
-            src.bytes_migrated_out,
-            src.migration_finished_at.unwrap_or(END),
-        ),
-        _ => (
-            tgt.bytes_migrated_in,
-            tgt.migration_finished_at.unwrap_or(END),
-        ),
+    // Migration window: from start until the run's record on the node
+    // that ran it — the target (Rocksteady), the source (baseline) —
+    // reads finished; the bytes are the ones that node moved.
+    let stats = |node| &cluster.server_stats[&ServerId(node)];
+    let (node, bytes) = match variant {
+        Variant::SourceRetains => (ServerId(0), stats(0).bytes_migrated_out.get()),
+        _ => (ServerId(1), stats(1).bytes_migrated_in.get()),
     };
+    let finished = cluster
+        .migration_finished(node, MigrationId(1))
+        .unwrap_or(END);
     let rate = mb_per_sec(bytes, finished.saturating_sub(MIG_AT).max(1));
     Out {
         name: match variant {

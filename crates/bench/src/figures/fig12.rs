@@ -43,9 +43,8 @@ fn run(base: &ClusterConfig, theta: f64) -> (f64, f64, Vec<(Nanos, f64)>) {
     let util = cluster.util.borrow();
     let dispatch = |from, to| util.mean(ServerId(0), from, to, |p| p.dispatch);
     let pre = dispatch(MIG_AT - 200 * MILLISECOND, MIG_AT);
-    let finished = cluster.server_stats[&ServerId(1)]
-        .migration_finished_at
-        .get()
+    let finished = cluster
+        .migration_finished(ServerId(1), MigrationId(1))
         .unwrap_or(END);
     let during = dispatch(MIG_AT, finished.max(MIG_AT + 20 * MILLISECOND));
     let series = util.by_server[&ServerId(0)]

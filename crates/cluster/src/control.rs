@@ -29,6 +29,8 @@ pub enum ControlCmd {
     },
     /// Send `MigrateTabletBaseline` to `source` (§2.3 baseline).
     MigrateBaseline {
+        /// Unique id for this migration run.
+        id: MigrationId,
         /// Table to migrate.
         table: TableId,
         /// Range to migrate.
@@ -132,6 +134,7 @@ impl ControlActor {
                 );
             }
             ControlCmd::MigrateBaseline {
+                id,
                 table,
                 range,
                 source,
@@ -145,6 +148,7 @@ impl ControlActor {
                     Envelope::req(
                         rpc,
                         Request::MigrateTabletBaseline {
+                            id,
                             table,
                             range,
                             target,

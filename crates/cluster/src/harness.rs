@@ -632,53 +632,54 @@ impl Cluster {
         self.sim.now()
     }
 
-    /// When migration `id` on `target` completed, if it has.
+    /// When migration `id` finished on `node`, the server that ran it
+    /// (a Rocksteady run's target, a baseline run's source), if it has.
     ///
-    /// Keyed by migration id, not by "the" migration: a target can host
-    /// several overlapping runs and each keeps its own stamps.
-    pub fn migration_finished(&self, target: ServerId, id: MigrationId) -> Option<Nanos> {
-        self.server_stats[&target]
+    /// Keyed by migration id, not by "the" migration: a node can run
+    /// several overlapping runs and each keeps its own record.
+    pub fn migration_finished(&self, node: ServerId, id: MigrationId) -> Option<Nanos> {
+        self.server_stats[&node]
             .migration_run(id)
             .and_then(|r| r.finished_at)
     }
 
-    /// When migration `id` on `target` was abandoned (source died, a
+    /// When migration `id` was abandoned on `node` (the peer died, a
     /// recovery plan superseded the run, or the coordinator rejected the
     /// start), if it was.
-    pub fn migration_abandoned(&self, target: ServerId, id: MigrationId) -> Option<Nanos> {
-        self.server_stats[&target]
+    pub fn migration_abandoned(&self, node: ServerId, id: MigrationId) -> Option<Nanos> {
+        self.server_stats[&node]
             .migration_run(id)
             .and_then(|r| r.abandoned_at)
     }
 
-    /// Runs until migration `id` targeting `target` finishes or
-    /// `deadline` passes; returns the finish time if it completed.
-    /// Returns `None` as soon as that run is abandoned rather than
-    /// spinning to the deadline. Other in-flight migrations neither
-    /// satisfy nor disturb the wait.
+    /// Runs until migration `id` finishes on `node` or `deadline`
+    /// passes; returns the finish time if it completed. Returns `None`
+    /// as soon as that run is abandoned rather than spinning to the
+    /// deadline. Other in-flight migrations neither satisfy nor disturb
+    /// the wait.
     pub fn run_until_migrated(
         &mut self,
-        target: ServerId,
+        node: ServerId,
         id: MigrationId,
         deadline: Nanos,
     ) -> Option<Nanos> {
         let step = self.cfg.sample_interval.max(1_000_000);
         while self.now() < deadline {
-            if let Some(t) = self.migration_finished(target, id) {
+            if let Some(t) = self.migration_finished(node, id) {
                 return Some(t);
             }
-            if self.migration_abandoned(target, id).is_some() {
+            if self.migration_abandoned(node, id).is_some() {
                 return None;
             }
             let next = (self.now() + step).min(deadline);
             self.run_until(next);
         }
-        self.migration_finished(target, id)
+        self.migration_finished(node, id)
     }
 
     /// Every migration run recorded anywhere in the cluster, as
-    /// `(target, id, stamps)` sorted by id then target — the raw
-    /// material for concurrency analysis.
+    /// `(node, id, record)` sorted by id then node, where `node` ran the
+    /// run — the raw material for concurrency analysis.
     pub fn migration_runs(&self) -> Vec<(ServerId, MigrationId, MigrationRunStamps)> {
         let mut out: Vec<_> = self
             .server_stats
@@ -998,6 +999,7 @@ mod tests {
         b.at(
             5 * MILLISECOND,
             ControlCmd::MigrateBaseline {
+                id: MigrationId(1),
                 table: T,
                 range: upper(),
                 source: ServerId(0),

@@ -208,17 +208,20 @@ pub const DETECTOR_COOLDOWN_NS: Nanos = SECOND;
 
 // ------------------------------------------------------------ sample --
 
-/// Progress counters of one migration run, as seen from its target.
+/// Progress counters of one migration run, as seen from the node running
+/// the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationSample {
     /// Migration id.
     pub id: u64,
-    /// Target server id.
+    /// Id of the server running the run: a Rocksteady run's target, a
+    /// baseline run's source.
     pub target: u32,
     /// Whether the run is still in flight (begun, neither finished nor
     /// abandoned).
     pub in_flight: bool,
-    /// Records gathered over the wire (bulk pulls + priority pulls).
+    /// Records gathered over the wire (bulk pulls + priority pulls, or
+    /// a baseline source's pushed batches).
     pub gathered: u64,
     /// Records received by replay (handed to a replay batch).
     pub replay_received: u64,

@@ -7,13 +7,13 @@
 //! mechanisms (hand-differenced `NodeStats` fields, `ClientStats`
 //! counters, per-bench printouts). The [`Registry`] unifies them:
 //!
-//! - **Instruments** are cheap shared handles: a [`Counter`] is one
-//!   `Rc<Cell<u64>>` bump, a [`Gauge`] one `Cell<i64>` store, a
-//!   [`Stamp`] an optional virtual-time mark, and a [`Histo`] records
-//!   into the HDR-style `rocksteady_common::Histogram`. Recording never
-//!   allocates and never touches the registry lock-free shared state
-//!   beyond the instrument's own cell, so arming metrics cannot perturb
-//!   the simulation schedule.
+//! - **Instruments** are cheap shared handles of three kinds: a
+//!   [`Counter`] is one `Rc<Cell<u64>>` bump, a [`Gauge`] one
+//!   `Cell<i64>` store, and a [`Histo`] records into the HDR-style
+//!   `rocksteady_common::Histogram`. Recording never allocates and never
+//!   touches the registry lock-free shared state beyond the
+//!   instrument's own cell, so arming metrics cannot perturb the
+//!   simulation schedule.
 //! - **Labels** distinguish instances of one family (`server="0"`,
 //!   `client="2"`). Registration deduplicates on `(name, labels)` and
 //!   returns a handle to the existing cell, so two components naming
@@ -107,40 +107,6 @@ impl Gauge {
     }
 }
 
-/// An optional virtual-time mark (e.g. "when the current migration
-/// started"). Exported as a gauge whose value is the time in
-/// nanoseconds, or `-1` while unset.
-#[derive(Debug, Clone, Default)]
-pub struct Stamp(Rc<Cell<Option<Nanos>>>);
-
-impl Stamp {
-    /// Marks the stamp at time `t`.
-    #[inline]
-    pub fn set(&self, t: Nanos) {
-        self.0.set(Some(t));
-    }
-
-    /// Clears the stamp.
-    #[inline]
-    pub fn clear(&self) {
-        self.0.set(None);
-    }
-
-    /// The mark, if set.
-    #[inline]
-    pub fn get(&self) -> Option<Nanos> {
-        self.0.get()
-    }
-
-    /// Exposition value: the mark, or `-1` while unset.
-    fn as_gauge(&self) -> i64 {
-        match self.0.get() {
-            Some(t) => t as i64,
-            None => -1,
-        }
-    }
-}
-
 /// A shared HDR histogram instrument (log-bucketed, ≤1.6% relative
 /// error — see `rocksteady_common::Histogram`).
 #[derive(Debug, Clone)]
@@ -219,7 +185,6 @@ pub type Label = (&'static str, String);
 enum Slot {
     Counter(Counter),
     Gauge(Gauge),
-    Stamp(Stamp),
     Histo(Histo),
 }
 
@@ -227,7 +192,7 @@ impl Slot {
     fn kind(&self) -> &'static str {
         match self {
             Slot::Counter(_) => "counter",
-            Slot::Gauge(_) | Slot::Stamp(_) => "gauge",
+            Slot::Gauge(_) => "gauge",
             Slot::Histo(_) => "histogram",
         }
     }
@@ -337,14 +302,6 @@ impl Registry {
         }
     }
 
-    /// Registers (or finds) a virtual-time stamp series.
-    pub fn stamp(&self, name: &'static str, help: &'static str, labels: &[Label]) -> Stamp {
-        match self.register(name, help, labels, Slot::Stamp(Stamp::default())) {
-            Slot::Stamp(s) => s,
-            _ => unreachable!(),
-        }
-    }
-
     /// Registers (or finds) a histogram series.
     pub fn histogram(&self, name: &'static str, help: &'static str, labels: &[Label]) -> Histo {
         match self.register(name, help, labels, Slot::Histo(Histo::default())) {
@@ -377,7 +334,6 @@ impl Registry {
                 value: match &ins.slot {
                     Slot::Counter(c) => SampleValue::Counter(c.get()),
                     Slot::Gauge(g) => SampleValue::Gauge(g.get()),
-                    Slot::Stamp(s) => SampleValue::Gauge(s.as_gauge()),
                     Slot::Histo(h) => SampleValue::Histogram(h.summary()),
                 },
             })
@@ -461,7 +417,7 @@ fn valid_ident(s: &str) -> bool {
 pub enum SampleValue {
     /// Counter total.
     Counter(u64),
-    /// Gauge value (stamps export as gauges, `-1` when unset).
+    /// Gauge value.
     Gauge(i64),
     /// Histogram percentile summary.
     Histogram(HistoSummary),
@@ -714,7 +670,7 @@ mod tests {
     }
 
     #[test]
-    fn counter_gauge_stamp_histo_basics() {
+    fn counter_gauge_histo_basics() {
         let reg = Registry::new();
         let c = reg.counter("ops", "ops", &[]);
         assert_eq!(c.inc(), 1);
@@ -723,17 +679,11 @@ mod tests {
         g.set(-3);
         g.add(1);
         assert_eq!(g.get(), -2);
-        let s = reg.stamp("started_at", "s", &[]);
-        assert_eq!(s.get(), None);
-        s.set(42);
-        assert_eq!(s.get(), Some(42));
-        s.clear();
-        assert_eq!(s.as_gauge(), -1);
         let h = reg.histogram("lat", "l", &[]);
         h.record(100);
         h.record(200);
         assert_eq!(h.summary().count, 2);
-        assert_eq!(reg.len(), 4);
+        assert_eq!(reg.len(), 3);
     }
 
     #[test]
@@ -767,12 +717,11 @@ mod tests {
             for v in [10, 20, 30] {
                 h.record(v);
             }
-            reg.stamp("mark", "m", &[]);
             reg.snapshot(1_000).to_json()
         };
         let a = build();
         assert_eq!(a, build());
-        // Sorted: a_gauge, lat_ns, mark, z_ops{0}, z_ops{1}.
+        // Sorted: a_gauge, lat_ns, z_ops{0}, z_ops{1}.
         let ia = a.find("a_gauge").unwrap();
         let il = a.find("lat_ns").unwrap();
         let iz0 = a
@@ -785,8 +734,6 @@ mod tests {
         assert!(a.contains("\"at\":1000"));
         assert!(a.contains("\"type\":\"gauge\",\"value\":-5"));
         assert!(a.contains("\"p50\":"));
-        // Unset stamp exports as -1.
-        assert!(a.contains("{\"name\":\"mark\",\"type\":\"gauge\",\"value\":-1}"));
     }
 
     #[test]

@@ -196,6 +196,9 @@ pub enum Request {
     /// Control → source: run RAMCloud's pre-existing source-driven
     /// migration (§2.3), with optional phase levers for Figure 5.
     MigrateTabletBaseline {
+        /// Unique id for this migration run; names the source's record
+        /// of it.
+        id: MigrationId,
         /// Table being migrated.
         table: TableId,
         /// Tablet hash range.

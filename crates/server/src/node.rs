@@ -63,6 +63,7 @@ struct MigrationRun {
 }
 
 struct BaselineRun {
+    id: MigrationId,
     mig: BaselineMigration,
     target: ServerId,
     opts: BaselineOpts,
@@ -302,6 +303,7 @@ impl ServerNode {
                 self.run_migration_actions(ctx, id, vec![first]);
             }
             Request::MigrateTabletBaseline {
+                id,
                 table,
                 range,
                 target,
@@ -315,8 +317,13 @@ impl ServerNode {
                     self.respond(ctx, src, rpc, resp, CausalCtx::NONE);
                     return;
                 };
-                self.stats.begin_migration(now);
-                self.baseline = Some(BaselineRun { mig, target, opts });
+                self.stats.begin_migration_run(id, now);
+                self.baseline = Some(BaselineRun {
+                    id,
+                    mig,
+                    target,
+                    opts,
+                });
                 self.sched.enqueue(Priority::Background, Task::BaselineStep);
                 self.respond(ctx, src, rpc, Response::MigrateTabletOk, CausalCtx::NONE);
             }
@@ -448,7 +455,7 @@ impl ServerNode {
             (Pending::BaselineTransferAck, _) => {
                 if let Some(mut run) = self.baseline.take() {
                     run.mig.on_ownership_transferred(&mut self.master);
-                    self.stats.migration_finished_at.set(now);
+                    self.stats.finish_migration_run(run.id, now);
                 }
             }
             (Pending::FetchSegments { recovery }, Response::SegmentsOk { segments }) => {
@@ -510,7 +517,7 @@ impl ServerNode {
                 self.tel.rpc_assigned(now, to.src, to.rpc, service_ns);
                 service_ns
             }
-            Task::BaselineStep => self.exec_baseline_step(worker),
+            Task::BaselineStep => self.exec_baseline_step(now, worker),
             Task::RecoveryReplay { recovery } => self.exec_recovery_replay(now, worker, recovery),
             Task::CleanerPass => self.exec_cleaner_pass(ctx),
         };
@@ -1280,7 +1287,7 @@ impl ServerNode {
 
     // ---------------------------------------------------------- baseline --
 
-    fn exec_baseline_step(&mut self, worker: usize) -> Nanos {
+    fn exec_baseline_step(&mut self, now: Nanos, worker: usize) -> Nanos {
         let Some(run) = &mut self.baseline else {
             return self.cfg.cost.op_fixed_ns;
         };
@@ -1300,6 +1307,7 @@ impl ServerNode {
                     self.sched.workers[worker].deferred.push(next);
                     return service;
                 }
+                self.stats.migration_gathered(run.id, records.len() as u64);
                 let req = Request::PushRecords {
                     table: run.mig.table,
                     records,
@@ -1318,7 +1326,9 @@ impl ServerNode {
                 (self.dir.coordinator, Pending::BaselineTransferAck, req)
             }
             BaselineAction::Done => {
+                // A Figure 5 lever run stops here, ownership unmoved.
                 if run.mig.is_done() {
+                    self.stats.finish_migration_run(run.id, now);
                     self.baseline = None;
                 }
                 return service;
@@ -1412,7 +1422,9 @@ impl ServerNode {
                 Pending::ReplAck { group: Some(g) } => self.credit_ack_group(ctx, g),
                 Pending::SyncPriorityPull(wait) => self.fail_sync_priority_pull(ctx, wait),
                 Pending::PushRecords | Pending::BaselineTransferAck => {
-                    self.baseline.take_if(|run| run.target == server);
+                    if let Some(run) = self.baseline.take_if(|run| run.target == server) {
+                        self.stats.abandon_migration_run(run.id, ctx.now());
+                    }
                 }
                 Pending::FetchSegments { recovery } => self.on_fetch_failed(ctx, recovery, server),
                 // Runs whose source died are swept below, RPC in flight

@@ -5,18 +5,20 @@
 //! differences them per sampling interval. Migration progress counters
 //! feed the rate-over-time plots (Figures 5 and 9).
 //!
-//! Every field is a `rocksteady-metrics` instrument registered under the
-//! `node_*` families with a `server` label, so one registry snapshot
+//! Every counter is a `rocksteady-metrics` instrument registered under
+//! the `node_*` families with a `server` label, so one registry snapshot
 //! exposes the whole fleet. [`NodeStats`] itself is just the typed
 //! bundle of handles a server holds; [`NodeStats::view`] is the
-//! plain-integer compatibility view tests and examples read.
+//! plain-integer compatibility view tests and examples read. A
+//! migration run — Rocksteady on its target, the baseline on its
+//! source — has one record, [`MigrationRunStamps`], keyed by its id.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use rocksteady_common::{MigrationId, Nanos, ServerId};
-use rocksteady_metrics::{Counter, Registry, Stamp};
+use rocksteady_metrics::{Counter, Registry};
 
 /// Instrument bundle for one server. Cheap to record into (each handle
 /// is one shared cell); shared with the harness through `Rc`.
@@ -40,15 +42,6 @@ pub struct NodeStats {
     /// Record wire bytes sent out by migration from this master (pull
     /// responses + baseline pushes).
     pub bytes_migrated_out: Counter,
-    /// Virtual time the current/last migration started on this node, if
-    /// any. Reset semantics: [`NodeStats::begin_migration`] clears the
-    /// finish/abandon stamps so a second run cannot inherit stale marks.
-    pub migration_started_at: Stamp,
-    /// Virtual time that migration finished, if it has.
-    pub migration_finished_at: Stamp,
-    /// Virtual time the current/last migration was abandoned (source
-    /// died or a recovery plan superseded the run), if it was.
-    pub migration_abandoned_at: Stamp,
     /// Migration runs abandoned on this node (§3.4 crash paths).
     pub migrations_abandoned: Counter,
     /// `Retry { after }` hints sent to clients (read misses, recovering
@@ -72,17 +65,16 @@ pub struct NodeStats {
     /// dispatch events). The cluster sampler clamps utilization to 1.0
     /// but counts each clamped window here instead of hiding it.
     pub dispatch_overcommit: Counter,
-    /// Per-run migration stamps, keyed by migration id. The single-slot
-    /// `migration_*_at` stamps above record only the *last* run (kept for
-    /// the exported gauge families); with several migrations overlapping
-    /// on one node the harness must consult this map to learn a
-    /// *specific* run's fate. Shared through the outer [`StatsHandle`]
-    /// `Rc`, not through the registry.
+    /// The record of every migration run this node ran, keyed by
+    /// migration id: a Rocksteady run lives on its target, a baseline run
+    /// on its source. Several runs may overlap on one node; each keeps
+    /// its own stamps. Shared through the outer [`StatsHandle`] `Rc`,
+    /// not through the registry.
     pub migration_runs: Rc<RefCell<BTreeMap<u64, MigrationRunStamps>>>,
 }
 
 /// Start/finish/abandon stamps plus gather/replay progress counters for
-/// one migration run on one node. The progress counters are what the
+/// one migration run on the node running it. The progress counters are what the
 /// flight recorder's stall and backlog detectors watch: a run that is
 /// in flight while none of them advance is wedged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,7 +85,8 @@ pub struct MigrationRunStamps {
     pub finished_at: Option<Nanos>,
     /// Virtual time the run was abandoned, if it was.
     pub abandoned_at: Option<Nanos>,
-    /// Records gathered over the wire (bulk + priority pulls).
+    /// Records gathered over the wire: bulk + priority pulls on a
+    /// Rocksteady target, pushed batches on a baseline source.
     pub gathered: u64,
     /// Records handed to replay batches.
     pub replay_received: u64,
@@ -147,21 +140,6 @@ impl NodeStats {
                 "record wire bytes sent out by migration",
                 &l,
             ),
-            migration_started_at: reg.stamp(
-                "node_migration_started_at_ns",
-                "virtual time the current/last migration started (-1 if never)",
-                &l,
-            ),
-            migration_finished_at: reg.stamp(
-                "node_migration_finished_at_ns",
-                "virtual time the current/last migration finished (-1 if not)",
-                &l,
-            ),
-            migration_abandoned_at: reg.stamp(
-                "node_migration_abandoned_at_ns",
-                "virtual time the current/last migration was abandoned (-1 if not)",
-                &l,
-            ),
             migrations_abandoned: reg.counter(
                 "node_migrations_abandoned",
                 "migration runs abandoned on this node",
@@ -206,27 +184,10 @@ impl NodeStats {
         }
     }
 
-    /// Starts a migration run's accounting: stamps the start and clears
-    /// the finish/abandon stamps. Both the Rocksteady and the baseline
-    /// paths must call this — a second migration on the same node must
-    /// not inherit its predecessor's `finished_at`/`abandoned_at` (the
-    /// harness polls those to decide the *current* run's fate).
-    pub fn begin_migration(&self, now: Nanos) {
-        self.migration_started_at.set(now);
-        self.migration_finished_at.clear();
-        self.migration_abandoned_at.clear();
-    }
-
     // -------------------------------------------------- per-run stamps --
-    //
-    // The legacy single-slot stamps above are kept for exported gauges
-    // and last-run compatibility; these id-keyed variants are the
-    // authoritative record once migrations overlap on a node.
 
-    /// Starts per-run accounting for migration `id` (and updates the
-    /// legacy last-run stamps).
+    /// Starts the record of migration `id`.
     pub fn begin_migration_run(&self, id: MigrationId, now: Nanos) {
-        self.begin_migration(now);
         self.migration_runs.borrow_mut().insert(
             id.0,
             MigrationRunStamps {
@@ -258,7 +219,6 @@ impl NodeStats {
 
     /// Stamps migration `id` finished on this node.
     pub fn finish_migration_run(&self, id: MigrationId, now: Nanos) {
-        self.migration_finished_at.set(now);
         if let Some(r) = self.migration_runs.borrow_mut().get_mut(&id.0) {
             r.finished_at = Some(now);
         }
@@ -266,7 +226,6 @@ impl NodeStats {
 
     /// Stamps migration `id` abandoned on this node.
     pub fn abandon_migration_run(&self, id: MigrationId, now: Nanos) {
-        self.migration_abandoned_at.set(now);
         if let Some(r) = self.migration_runs.borrow_mut().get_mut(&id.0) {
             r.abandoned_at = Some(now);
         }
@@ -298,9 +257,6 @@ impl NodeStats {
             records_replayed: self.records_replayed.get(),
             bytes_migrated_in: self.bytes_migrated_in.get(),
             bytes_migrated_out: self.bytes_migrated_out.get(),
-            migration_started_at: self.migration_started_at.get(),
-            migration_finished_at: self.migration_finished_at.get(),
-            migration_abandoned_at: self.migration_abandoned_at.get(),
             migrations_abandoned: self.migrations_abandoned.get(),
             retry_hints_sent: self.retry_hints_sent.get(),
             priority_pull_deferrals: self.priority_pull_deferrals.get(),
@@ -326,9 +282,6 @@ pub struct NodeStatsView {
     pub records_replayed: u64,
     pub bytes_migrated_in: u64,
     pub bytes_migrated_out: u64,
-    pub migration_started_at: Option<Nanos>,
-    pub migration_finished_at: Option<Nanos>,
-    pub migration_abandoned_at: Option<Nanos>,
     pub migrations_abandoned: u64,
     pub retry_hints_sent: u64,
     pub priority_pull_deferrals: u64,
@@ -359,20 +312,7 @@ mod tests {
         let b = NodeStats::register(&reg, ServerId(2));
         a.pulls_served.inc();
         assert_eq!(b.pulls_served.get(), 1);
-        assert_eq!(reg.validate().unwrap().instruments, 19);
-    }
-
-    #[test]
-    fn begin_migration_clears_stale_stamps() {
-        let s = NodeStats::default();
-        s.begin_migration(10);
-        s.migration_finished_at.set(50);
-        // Second run: stale finish/abandon marks must not survive.
-        s.begin_migration(100);
-        let v = s.view();
-        assert_eq!(v.migration_started_at, Some(100));
-        assert_eq!(v.migration_finished_at, None);
-        assert_eq!(v.migration_abandoned_at, None);
+        assert_eq!(reg.validate().unwrap().instruments, 16);
     }
 
     #[test]
@@ -383,8 +323,7 @@ mod tests {
         s.begin_migration_run(m2, 20);
         s.finish_migration_run(m1, 30);
         // The second run beginning (and the first finishing) must not
-        // clobber either run's record — the single-slot bug this map
-        // replaces.
+        // clobber either run's record.
         let r1 = s.migration_run(m1).unwrap();
         assert_eq!(r1.started_at, 10);
         assert_eq!(r1.finished_at, Some(30));

@@ -886,11 +886,11 @@ mod tests {
     }
 
     /// Logs each message's arrival time and the two stamps it carries.
-    struct Stamps {
+    struct ArrivalLog {
         log: Rc<RefCell<Vec<(Nanos, Nanos, Nanos)>>>,
     }
 
-    impl Actor<Ping> for Stamps {
+    impl Actor<Ping> for ArrivalLog {
         fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
             self
         }
@@ -910,7 +910,7 @@ mod tests {
     fn stamps_written_in_the_slab_reach_the_receiver() {
         let log = Rc::new(RefCell::new(Vec::new()));
         let mut sim = Simulation::new(nic(), 1);
-        let dst = sim.add_actor(Box::new(Stamps {
+        let dst = sim.add_actor(Box::new(ArrivalLog {
             log: Rc::clone(&log),
         }));
         sim.add_actor(Box::new(Blaster {

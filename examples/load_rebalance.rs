@@ -56,9 +56,7 @@ fn main() {
 
     cluster.run_until(3 * SECOND);
 
-    let finished = cluster.server_stats[&ServerId(1)]
-        .migration_finished_at
-        .get();
+    let finished = cluster.migration_finished(ServerId(1), MigrationId(1));
     let stats = cluster.client_stats[0].borrow();
     // Before: [0.2s, 1.0s); after: the second after migration completed.
     let (tp_before, lat_before) = window(&stats, 200 * MILLISECOND, SECOND);

@@ -77,10 +77,8 @@ fn main() {
     cluster.run_until(finished + 100 * MILLISECOND);
 
     // 5. Inspect what happened.
-    let started = cluster.server_stats[&ServerId(1)]
-        .migration_started_at
-        .get()
-        .unwrap();
+    let (_, _, run) = cluster.migration_runs()[0];
+    let started = run.started_at;
     let tgt = cluster.server_stats[&ServerId(1)].view();
     println!(
         "migration took {} and moved {:.1} MB ({} records replayed)",

@@ -4,7 +4,8 @@
 //! not in outcome: after either completes, the target owns the range and
 //! serves byte-identical records. The Figure 5 lever variants
 //! deliberately break parts of the pipeline and must *not* transfer
-//! ownership.
+//! ownership. Either way the baseline leaves one record, on its source,
+//! that reads finished.
 
 mod common;
 
@@ -21,12 +22,15 @@ const KEYS: u64 = 3_000;
 /// Runs a migration mechanism and returns the sorted list of
 /// `(rank, version)` for upper-half keys readable at the target.
 fn run_and_collect(cmd: ControlCmd, expect_transfer: bool) -> Vec<(u64, u64)> {
-    let baseline = matches!(cmd, ControlCmd::MigrateBaseline { .. });
+    let baseline = match cmd {
+        ControlCmd::MigrateBaseline { id, .. } => Some(id),
+        _ => None,
+    };
     let mut b = ClusterBuilder::new(test_config());
     b.at(5 * MILLISECOND, cmd);
     let mut cluster = b.build();
     preload_split(&mut cluster, KEYS, 100);
-    if baseline {
+    if baseline.is_some() {
         // For baseline runs the receiving master needs the tablet
         // registered before records arrive (RAMCloud pre-creates it);
         // Rocksteady registers its own PullingFrom tablet.
@@ -36,6 +40,17 @@ fn run_and_collect(cmd: ControlCmd, expect_transfer: bool) -> Vec<(u64, u64)> {
             .add_tablet(TABLE, upper(), TabletRole::Owner);
     }
     cluster.run_until(3 * SECOND);
+    if let Some(id) = baseline {
+        // The source holds the run's one record. A lever run finishes
+        // when its scan stops; a full run when ownership moves, with
+        // every pushed batch credited to it.
+        assert!(cluster.migration_finished(ServerId(0), id).is_some());
+        assert_eq!(cluster.peak_concurrent_migrations(), 1);
+        if expect_transfer {
+            let (_, _, run) = cluster.migration_runs()[0];
+            assert!(run.gathered > 0, "no progress recorded");
+        }
+    }
 
     let owner = cluster
         .coord
@@ -75,6 +90,7 @@ fn rocksteady_and_baseline_converge_to_identical_data() {
     );
     let baseline = run_and_collect(
         ControlCmd::MigrateBaseline {
+            id: MigrationId(1),
             table: TABLE,
             range: upper(),
             source: ServerId(0),
@@ -94,6 +110,7 @@ fn rocksteady_and_baseline_converge_to_identical_data() {
 fn skip_copy_lever_identifies_but_moves_nothing() {
     let moved = run_and_collect(
         ControlCmd::MigrateBaseline {
+            id: MigrationId(1),
             table: TABLE,
             range: upper(),
             source: ServerId(0),
@@ -116,6 +133,7 @@ fn skip_copy_lever_identifies_but_moves_nothing() {
 fn skip_replay_lever_transmits_but_target_stores_nothing() {
     let moved = run_and_collect(
         ControlCmd::MigrateBaseline {
+            id: MigrationId(1),
             table: TABLE,
             range: upper(),
             source: ServerId(0),

@@ -11,7 +11,9 @@
 //!   lost, even though migrated data was never re-replicated;
 //! - **source crashes** → the target (already the owner) replays the
 //!   source's replicated log to fill in whatever had not been pulled
-//!   yet.
+//!   yet;
+//! - **a baseline's target crashes** → the source, which never gave up
+//!   ownership, records the run abandoned.
 
 mod common;
 
@@ -19,6 +21,7 @@ use common::{answered_writes, assert_read_back, test_config};
 use rocksteady_cluster::scenarios::{preload_split, upper, TABLE};
 use rocksteady_cluster::{ClusterBuilder, ClusterConfig, ControlCmd};
 use rocksteady_common::{MigrationId, ServerId, MILLISECOND, SECOND};
+use rocksteady_master::TabletRole;
 use rocksteady_workload::YcsbConfig;
 
 const KEYS: u64 = 20_000;
@@ -126,11 +129,10 @@ fn source_crash_abandons_migration_cleanly() {
     let abandoned_at = cluster
         .migration_abandoned(target, MigrationId(1))
         .expect("abandonment not stamped");
-    {
-        let s = cluster.server_stats[&target].view();
-        assert_eq!(s.migrations_abandoned, 1);
-        assert!(s.migration_started_at.unwrap() < abandoned_at);
-    }
+    let s = cluster.server_stats[&target].view();
+    assert_eq!(s.migrations_abandoned, 1);
+    let (_, _, run) = cluster.migration_runs()[0];
+    assert!(run.started_at < abandoned_at);
     // The abandonment left a trace event behind.
     let abandoned_events = cluster.trace.with_events(|events| {
         events
@@ -164,4 +166,41 @@ fn source_crash_abandons_migration_cleanly() {
         reads.count()
     );
     assert_eq!(stats.not_found.get(), 0);
+}
+
+/// A baseline run (§2.3) whose target dies mid-copy ends abandoned in
+/// its source's record rather than staying in flight, and ownership
+/// never left the source.
+#[test]
+fn baseline_target_crash_abandons_the_run() {
+    let mut b = ClusterBuilder::new(test_config());
+    let (id, source, target) = (MigrationId(1), ServerId(0), ServerId(1));
+    let start = ControlCmd::MigrateBaseline {
+        id,
+        table: TABLE,
+        range: upper(),
+        source,
+        target,
+        opts: Default::default(),
+    };
+    b.at(5 * MILLISECOND, start);
+    let kill = ControlCmd::Kill {
+        server: target,
+        detect_after: MILLISECOND,
+    };
+    b.at(10 * MILLISECOND, kill);
+    let mut cluster = b.build();
+    // 10 MB to copy: the run is still pushing when the target dies.
+    preload_split(&mut cluster, KEYS, 1_000);
+    let receiving = cluster.node(target);
+    receiving
+        .master
+        .add_tablet(TABLE, upper(), TabletRole::Owner);
+
+    let finished = cluster.run_until_migrated(source, id, SECOND);
+    assert!(finished.is_none(), "baseline finished onto a dead target");
+    let abandoned = cluster.migration_abandoned(source, id);
+    assert!(abandoned.is_some_and(|t| t > 10 * MILLISECOND));
+    let coord = cluster.coord.borrow();
+    assert_eq!(coord.tablet_for(TABLE, u64::MAX).unwrap().owner, source);
 }

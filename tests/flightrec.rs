@@ -20,12 +20,13 @@
 mod common;
 
 use common::test_config;
-use rocksteady_cluster::scenarios::{live_migration, pulls};
+use rocksteady_cluster::scenarios::{live_migration, preload_split, pulls, upper, TABLE};
 use rocksteady_cluster::{
-    Cluster, ClusterBuilder, ClusterConfig, FlightRecorderConfig, ReplayBacklogConfig,
-    SloBurnConfig,
+    Cluster, ClusterBuilder, ClusterConfig, ControlCmd, FlightRecorderConfig, MigrationStallConfig,
+    ReplayBacklogConfig, SloBurnConfig,
 };
-use rocksteady_common::{MigrationId, ServerId, MILLISECOND};
+use rocksteady_common::{MigrationId, ServerId, MILLISECOND, SECOND};
+use rocksteady_master::TabletRole;
 
 const KEYS: u64 = 5_000;
 
@@ -93,6 +94,53 @@ fn clean_runs_produce_zero_incidents() {
         );
         assert_eq!(cluster.export_incidents_json(), "[]");
     }
+}
+
+/// A baseline run (§2.3) keeps its record on its source, which credits
+/// every pushed batch to it: the run stays in flight for more intervals
+/// than the stall detector tolerates, advances on each, and nothing
+/// fires.
+#[test]
+fn baseline_run_shows_progress_and_fires_no_stall() {
+    let cfg = recorded_cfg(42, Some(FlightRecorderConfig::default()));
+    let tick = cfg.sample_interval;
+    let mut b = ClusterBuilder::new(cfg);
+    let id = MigrationId(1);
+    let start = ControlCmd::MigrateBaseline {
+        id,
+        table: TABLE,
+        range: upper(),
+        source: ServerId(0),
+        target: ServerId(1),
+        opts: Default::default(),
+    };
+    b.at(5 * MILLISECOND, start);
+    let mut cluster = b.build();
+    preload_split(&mut cluster, 20_000, 1_000);
+    let target = cluster.node(ServerId(1));
+    target.master.add_tablet(TABLE, upper(), TabletRole::Owner);
+
+    let finished = cluster.run_until_migrated(ServerId(0), id, SECOND);
+    let finished = finished.expect("baseline never finished");
+    let (node, _, run) = cluster.migration_runs()[0];
+    assert_eq!(
+        node,
+        ServerId(0),
+        "the baseline's record lives on its source"
+    );
+    let stall = MigrationStallConfig::default().stall_intervals;
+    assert!(
+        finished - run.started_at > (stall + 1) * tick,
+        "the run ({} ns) is too short for a stall to show",
+        finished - run.started_at
+    );
+    assert_eq!(
+        cluster.incident_count(),
+        0,
+        "{}",
+        cluster.export_incidents_json()
+    );
+    assert!(run.gathered > 0);
 }
 
 /// The network losing every pull to the source stalls gather forever; the

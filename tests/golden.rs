@@ -37,37 +37,40 @@ use rocksteady_workload::{LoadShape, YcsbConfig};
 /// Every exports digest moved once more, and no schedule digest, when
 /// the ownership DOT graph left the exports hash: the audit JSON's
 /// `timeline` carries every transfer it drew (checked in `digest`).
+/// Every exports digest moved once more, and no schedule digest, when
+/// the metrics JSON lost the three `node_migration_*_at_ns` gauge
+/// families: a migration run's one record is its per-run stamps.
 const GOLDEN: &[(&str, u64, u64)] = &[
-    ("migration/seed1234", 0xd3c6c665fbe33c29, 0x8bfc787183ea4108),
-    ("migration/seed7", 0x5b774e940eb3eb68, 0x38b6aad0d75b3fc1),
-    ("migration/seed42", 0x9f1886ecfad6c766, 0x764a175d74163dec),
-    ("crash/source", 0x26a1e33f2f11f47c, 0xdcfc5e6db276afaf),
-    ("crash/target", 0x4f4c86be7b25f61c, 0x5959a6e7e3a28813),
-    ("baseline/fig5", 0x855ab386d7497954, 0xae1ee9327932625b),
+    ("migration/seed1234", 0xd3c6c665fbe33c29, 0xd19a91793de4af5d),
+    ("migration/seed7", 0x5b774e940eb3eb68, 0x995b4b37ebf69e7a),
+    ("migration/seed42", 0x9f1886ecfad6c766, 0x5a9faa998fe8e1d9),
+    ("crash/source", 0x26a1e33f2f11f47c, 0x5664b54a4295cda7),
+    ("crash/target", 0x4f4c86be7b25f61c, 0x3a2d82b5d04696d0),
+    ("baseline/fig5", 0x855ab386d7497954, 0xeb272589ed0eed56),
     (
         "migration/sync-priority-pulls",
         0xa1472df4538c33af,
-        0xa5622bce9223a5a2,
+        0xaf5971cac6117e23,
     ),
     (
         "migration/two-onto-one-target",
         0x372b740ce8518680,
-        0x2d489d5431d4250e,
+        0xa11fe7ba9635052e,
     ),
     (
         "migration/tracing-armed-mid-run",
         0x71e6c13ca1396feb,
-        0x91bd86703ef61c87,
+        0xe112eb9b39c64956,
     ),
     (
         "fault/drop-pulls-ring",
         0x2df61edc22bf5552,
-        0x587fef8c8036a0f5,
+        0x01ed720e78aa431a,
     ),
     (
         "migration/write-churn",
         0x47b15411a97d3942,
-        0x33653c121cff57aa,
+        0x2bfada2c12e7f8cc,
     ),
     // Schedule moved once, exports not, when the rebalancer became the
     // observer's fourth reader: client actor ids fell by one (trace pids,
@@ -75,7 +78,7 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     (
         "rebalance/hot-quarter",
         0xf88dba859cb19065,
-        0x658f09bdb2673d71,
+        0xb7ed012e3879f005,
     ),
 ];
 
@@ -254,6 +257,7 @@ fn crash(victim: u32) -> (u64, u64) {
 /// ownership at the end, with re-replication on the target.
 fn baseline() -> (u64, u64) {
     let start = ControlCmd::MigrateBaseline {
+        id: MigrationId(1),
         table: TABLE,
         range: upper(),
         source: ServerId(0),

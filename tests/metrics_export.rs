@@ -169,13 +169,11 @@ fn slo_monitor_flags_migration_breaches_but_not_idle_load() {
     );
 }
 
-/// Regression test for stale migration stamps: a target that has
-/// already completed one migration must not report the old
-/// `finished_at` once the next migration begins (previously the
-/// baseline path never cleared it, and `run_until_migrated` would
-/// return immediately with the first run's stamp).
+/// Back-to-back migrations onto one target keep one record each: while
+/// the second run is in flight its record reads started and not
+/// finished, and the first run's finish stays where it was.
 #[test]
-fn back_to_back_migrations_reset_stale_stamps() {
+fn back_to_back_migrations_keep_one_record_each() {
     let mut b = ClusterBuilder::new(test_config());
     b.at(
         5 * MILLISECOND,
@@ -193,23 +191,21 @@ fn back_to_back_migrations_reset_stale_stamps() {
         .expect("first migration never finished");
     assert!(first < 400 * MILLISECOND);
 
-    // Once the second command fires, `begin_migration` must clear the
-    // first run's stamps: while the second run is in flight the target
-    // reports started-but-not-finished. Poll in 10 us steps (the
+    // Poll in 10 us steps until the second run's record appears (the
     // unloaded run takes ~300 us, so the in-flight state is visible at
     // this granularity).
     cluster.run_until(500 * MILLISECOND);
     let mut saw_in_flight = false;
     for step in 1..=2_000u64 {
         cluster.run_until(500 * MILLISECOND + step * 10_000);
-        let view = cluster.server_stats[&ServerId(1)].view();
-        if view
-            .migration_started_at
-            .is_some_and(|s| s >= 500 * MILLISECOND)
-        {
+        let stats = &cluster.server_stats[&ServerId(1)];
+        if let Some(run) = stats.migration_run(MigrationId(2)) {
+            assert!(run.started_at >= 500 * MILLISECOND);
+            assert!(run.in_flight(), "second run seen finished: {run:?}");
             assert_eq!(
-                view.migration_finished_at, None,
-                "first run's finished_at leaked into the second migration"
+                cluster.migration_finished(ServerId(1), MigrationId(1)),
+                Some(first),
+                "the second run moved the first run's finish"
             );
             saw_in_flight = true;
             break;
@@ -217,14 +213,13 @@ fn back_to_back_migrations_reset_stale_stamps() {
     }
     assert!(saw_in_flight, "second migration never began");
 
-    // So waiting on the second migration observes its own completion,
-    // not the stale stamp.
+    // Waiting on the second migration observes its own completion.
     let second = cluster
         .run_until_migrated(ServerId(1), MigrationId(2), 5 * SECOND)
         .expect("second migration never finished");
     assert!(
         second > 500 * MILLISECOND,
-        "run_until_migrated returned the first run's stamp ({second})"
+        "run_until_migrated returned the first run's finish ({second})"
     );
 
     // Both halves moved; every record is readable on the new owner, and

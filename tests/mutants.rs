@@ -74,6 +74,11 @@ const MUTANTS: &[Mutant] = &[
         replacement: "let lane = if true {",
         killer: ("crates/server/src/repl.rs", "bulk_queues_behind_both_lanes_and_foreground_only_behind_its_own"),
         promise: "head bytes ride the foreground lane, never behind bulk re-replication", decided: "§3.3" },
+    Mutant { file: "crates/coordinator/src/lib.rs",
+        anchor: "self.lineage.push(LineageDep {",
+        replacement: "drop(LineageDep {",
+        killer: ("crates/coordinator/src/lib.rs", "crash_of_migration_target_reverts_to_source_with_lineage_tail"),
+        promise: "a migration's start records the lineage dependency a target crash replays from", decided: "§3.7" },
 ];
 
 fn read(path: &str) -> String {

@@ -43,6 +43,10 @@ const RULES: &[Rule] = &[
     Rule { name: "no_fault_switches", decided: "§3.2", why: "a protocol bug is a row of tests/mutants.rs, not a server switch",
         check: |t| grep(t, |p| p.starts_with("crates/server/src/"), |l| any(l, &["Fault", "inject_"])),
         mutant: ("crates/server/src/lib.rs", "", "pub fn inject_fault() {}\n") },
+    Rule { name: "one_run_record", decided: "§3.9", why: "a migration run's one record is its id-keyed MigrationRunStamps",
+        check: |t| grep(t, rust, |l| any(l, &["migration_started_at", "migration_finished_at",
+            "migration_abandoned_at", "Slot::Stamp", ".stamp("])),
+        mutant: ("examples/load_rebalance.rs", "", "fn f(r: &Registry) { r.stamp(\"at\", \"at\", &[]); }\n") },
     Rule { name: "one_json_emitter", decided: "§3.16", why: "only rocksteady_common::json spells out JSON punctuation",
         check: |t| grep(t, |p| src(p) && p != "crates/common/src/json.rs",
             |l| any(l, &[r#"push_str("{\""#, r#"push_str(",\""#, r#"push_str("\":"#, r#""{{\""#])),
