@@ -10,7 +10,12 @@
 //! did the right thing*.
 //!
 //! Producers (coordinator actor, server nodes, the rebalancer) emit
-//! [`AuditEvent`]s through a shared [`AuditSink`] — the
+//! [`AuditEvent`]s through a shared [`AuditSink`]. An [`AuditKind`]
+//! carries only the facts the checker, the explain engine or an export
+//! reads, and nothing another record already holds: a coordinator's
+//! rejection shows as the target's `MigrationAbandoned`, and the
+//! rebalancer's proposals and move outcomes are counts in its report,
+//! not events. The sink is the
 //! same zero-cost-when-disarmed handle shape as `Tracer`/`Profiler`: a
 //! disarmed sink is `None` and every emit is one branch, no clock
 //! reads, no allocation (callers guard payload construction with
@@ -84,22 +89,6 @@ pub mod invariants {
     ];
 }
 
-/// Why a lineage dependency was dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropCause {
-    /// The migration committed normally.
-    Commit,
-    /// A participant crashed; the coordinator's recovery plan dropped it.
-    Crash,
-}
-
-/// How a server came to claim serving authority over a range.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClaimVia {
-    /// Crash-recovery replay finished; the range reopened on this master.
-    Recovery,
-}
-
 /// Why a server stopped claiming serving authority over a range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReleaseVia {
@@ -156,12 +145,6 @@ pub enum AuditKind {
         /// Range under migration.
         range: HashRange,
     },
-    /// The coordinator rejected a `MigrationStarting` (id reuse or range
-    /// overlap with an in-flight run).
-    MigrationRejected {
-        /// The rejected id.
-        id: MigrationId,
-    },
     /// A baseline migration transferred ownership in one step (§2.3).
     BaselineFlip {
         /// Table transferred.
@@ -181,19 +164,16 @@ pub enum AuditKind {
         source: ServerId,
         /// Whose log tail is depended upon (migration target).
         target: ServerId,
-        /// First covered segment of the target's log tail.
-        from_segment: u64,
     },
-    /// A lineage dependency was dropped.
+    /// A lineage dependency was dropped: its migration committed, or a
+    /// participant crashed and the recovery plan dropped it.
     LineageDropped {
         /// Owning migration.
         id: MigrationId,
-        /// Why it was dropped.
-        cause: DropCause,
     },
     /// The coordinator processed a crash report for `server`. Emitted
-    /// *after* the matching `LineageDropped { cause: Crash }` events so
-    /// the auditor can check the dead server's deps are fully gone.
+    /// *after* the `LineageDropped` events of its recovery plan so the
+    /// auditor can check the dead server's deps are fully gone.
     ServerCrashed {
         /// The dead server.
         server: ServerId,
@@ -204,12 +184,8 @@ pub enum AuditKind {
         table: TableId,
         /// Range to recover.
         range: HashRange,
-        /// Whose data is reconstructed.
-        crashed: ServerId,
         /// The surviving master that replays and takes ownership.
         recovery_master: ServerId,
-        /// Whether it merges onto an existing copy (lineage tail).
-        merge: bool,
     },
 
     // ------------------------------------------------------ master-side --
@@ -227,7 +203,8 @@ pub enum AuditKind {
         /// The admitting target.
         target: ServerId,
     },
-    /// A server began claiming serving authority over a range.
+    /// Crash-recovery replay finished: the range reopened on `server`,
+    /// which now claims serving authority over it.
     NodeClaim {
         /// The claiming server.
         server: ServerId,
@@ -235,8 +212,6 @@ pub enum AuditKind {
         table: TableId,
         /// Range.
         range: HashRange,
-        /// How the claim arose.
-        via: ClaimVia,
     },
     /// A server stopped claiming serving authority over a range.
     NodeRelease {
@@ -260,8 +235,6 @@ pub enum AuditKind {
     Gathered {
         /// Migration id.
         id: MigrationId,
-        /// Pull partition (`u64::MAX` for PriorityPull batches).
-        partition: u64,
         /// Records in the batch.
         records: u64,
         /// Whether this was a PriorityPull response.
@@ -276,7 +249,8 @@ pub enum AuditKind {
         /// Records actually applied (the rest were version-superseded).
         applied: u64,
     },
-    /// The source serviced a PriorityPull (§3.3).
+    /// The source serviced a PriorityPull (§3.3). No check reads it; the
+    /// repo benchmark's `audit.emit_ns` probe emits it.
     PriorityServed {
         /// The serving source.
         server: ServerId,
@@ -291,8 +265,6 @@ pub enum AuditKind {
     MigrationFinished {
         /// Migration id.
         id: MigrationId,
-        /// The finishing target.
-        target: ServerId,
         /// Records the manager counted from bulk pulls.
         pull_records: u64,
         /// Records the manager counted from priority pulls.
@@ -303,41 +275,15 @@ pub enum AuditKind {
     MigrationAbandoned {
         /// Migration id.
         id: MigrationId,
-        /// The abandoning target.
-        target: ServerId,
     },
 
     // ------------------------------------------------- rebalancer-side --
-    /// The placement policy proposed a move (pre-admission).
-    RebalanceProposed {
-        /// Move source.
-        source: ServerId,
-        /// Move target.
-        target: ServerId,
-        /// Table.
-        table: TableId,
-        /// Range.
-        range: HashRange,
-    },
-    /// Admission control admitted the move and issued `MigrateTablet`.
+    /// Admission control admitted a move and issued `MigrateTablet`: the
+    /// head of the migration's causal chain. The move's endpoints arrive
+    /// with the target's `MigrationAdmitted`.
     RebalanceAdmitted {
         /// The assigned migration id (`>= 1 << 32`).
         id: MigrationId,
-        /// Move source.
-        source: ServerId,
-        /// Move target.
-        target: ServerId,
-        /// Table.
-        table: TableId,
-        /// Range.
-        range: HashRange,
-    },
-    /// The target answered the rebalancer's `MigrateTablet`.
-    RebalanceOutcome {
-        /// The issued migration id.
-        id: MigrationId,
-        /// Whether the run completed (vs. refused/abandoned).
-        completed: bool,
     },
 }
 
@@ -349,7 +295,6 @@ impl AuditKind {
             AuditKind::TabletSplit { .. } => "tablet-split",
             AuditKind::MigrationStart { .. } => "migration-start",
             AuditKind::MigrationCommit { .. } => "migration-commit",
-            AuditKind::MigrationRejected { .. } => "migration-rejected",
             AuditKind::BaselineFlip { .. } => "baseline-flip",
             AuditKind::LineageAdded { .. } => "lineage-added",
             AuditKind::LineageDropped { .. } => "lineage-dropped",
@@ -364,9 +309,7 @@ impl AuditKind {
             AuditKind::PriorityServed { .. } => "priority-served",
             AuditKind::MigrationFinished { .. } => "migration-finished",
             AuditKind::MigrationAbandoned { .. } => "migration-abandoned",
-            AuditKind::RebalanceProposed { .. } => "rebalance-proposed",
             AuditKind::RebalanceAdmitted { .. } => "rebalance-admitted",
-            AuditKind::RebalanceOutcome { .. } => "rebalance-outcome",
         }
     }
 }
@@ -857,7 +800,6 @@ impl InvariantAuditor {
                 server,
                 table,
                 range,
-                via: ClaimVia::Recovery,
             } => {
                 if let Some(idx) = self.live_idx(table, range) {
                     let t = &mut self.tablets[idx];
@@ -891,7 +833,6 @@ impl InvariantAuditor {
                     self.tablets[idx].push_segment(at, target, "migrating");
                 }
             }
-            AuditKind::MigrationRejected { .. } => {}
             AuditKind::MigrationCommit { id, table, range } => {
                 let chain = self.migs.get(&id.0).map(|m| m.chain()).unwrap_or_default();
                 if let Some(m) = self.migs.get_mut(&id.0) {
@@ -937,12 +878,7 @@ impl InvariantAuditor {
                     self.check_serving(idx, at, seq, vec![seq]);
                 }
             }
-            AuditKind::LineageAdded {
-                id,
-                source,
-                target,
-                from_segment: _,
-            } => {
+            AuditKind::LineageAdded { id, source, target } => {
                 self.checked[invariants::LINEAGE] += 1;
                 if self.lineage.contains_key(&id.0) {
                     let prior = self.lineage[&id.0].2;
@@ -959,7 +895,7 @@ impl InvariantAuditor {
                     m.lineage_seq = Some(seq);
                 }
             }
-            AuditKind::LineageDropped { id, cause: _ } => {
+            AuditKind::LineageDropped { id } => {
                 self.checked[invariants::LINEAGE] += 1;
                 match self.lineage.remove(&id.0) {
                     Some(_) => {
@@ -1024,9 +960,7 @@ impl InvariantAuditor {
             AuditKind::RecoveryPlanned {
                 table,
                 range,
-                crashed: _,
                 recovery_master,
-                merge: _,
             } => {
                 if let Some(idx) = self.live_idx(table, range) {
                     self.tablets[idx].push_segment(at, recovery_master, "recovering");
@@ -1052,7 +986,6 @@ impl InvariantAuditor {
             }
             AuditKind::Gathered {
                 id,
-                partition: _,
                 records,
                 priority,
             } => {
@@ -1078,7 +1011,6 @@ impl InvariantAuditor {
             AuditKind::PriorityServed { .. } => {}
             AuditKind::MigrationFinished {
                 id,
-                target: _,
                 pull_records,
                 priority_records,
             } => {
@@ -1086,7 +1018,7 @@ impl InvariantAuditor {
                 // and the event-accumulated gather counts agree with the
                 // manager's own totals.
                 self.checked[invariants::CONSERVATION] += 1;
-                let (detail, chain, ok, ended) = {
+                let (detail, chain, ok) = {
                     let m = self.migs.entry(id.0).or_default();
                     m.finished_seq = Some(seq);
                     m.ended_at = Some(at);
@@ -1111,10 +1043,8 @@ impl InvariantAuditor {
                         ),
                         m.chain(),
                         ok,
-                        at,
                     )
                 };
-                let _ = ended;
                 if !ok {
                     self.violate(invariants::CONSERVATION, at, seq, detail, chain);
                 }
@@ -1146,17 +1076,15 @@ impl InvariantAuditor {
                     }
                 }
             }
-            AuditKind::MigrationAbandoned { id, target: _ } => {
+            AuditKind::MigrationAbandoned { id } => {
                 let m = self.migs.entry(id.0).or_default();
                 m.abandoned_seq = Some(seq);
                 m.ended_at = Some(at);
                 m.outcome = 2;
             }
-            AuditKind::RebalanceProposed { .. } => {}
-            AuditKind::RebalanceAdmitted { id, .. } => {
+            AuditKind::RebalanceAdmitted { id } => {
                 self.rebalance_admits.insert(id.0, seq);
             }
-            AuditKind::RebalanceOutcome { .. } => {}
         }
     }
 
@@ -1697,7 +1625,6 @@ mod tests {
                 id: M,
                 source: S0,
                 target: S1,
-                from_segment: 3,
             },
         );
         sink.emit(
@@ -1714,7 +1641,6 @@ mod tests {
             40,
             AuditKind::Gathered {
                 id: M,
-                partition: 0,
                 records: 90,
                 priority: false,
             },
@@ -1723,7 +1649,6 @@ mod tests {
             41,
             AuditKind::Gathered {
                 id: M,
-                partition: u64::MAX,
                 records: 10,
                 priority: true,
             },
@@ -1748,7 +1673,6 @@ mod tests {
             60,
             AuditKind::MigrationFinished {
                 id: M,
-                target: S1,
                 pull_records: 90,
                 priority_records: 10,
             },
@@ -1761,13 +1685,7 @@ mod tests {
                 range: FULL,
             },
         );
-        sink.emit(
-            70,
-            AuditKind::LineageDropped {
-                id: M,
-                cause: DropCause::Commit,
-            },
-        );
+        sink.emit(70, AuditKind::LineageDropped { id: M });
     }
 
     #[test]
@@ -1866,7 +1784,6 @@ mod tests {
             60,
             AuditKind::MigrationFinished {
                 id: M,
-                target: S1,
                 pull_records: 0,
                 priority_records: 0,
             },
@@ -1911,7 +1828,6 @@ mod tests {
                 server: S2,
                 table: T,
                 range: FULL,
-                via: ClaimVia::Recovery,
             },
         );
         assert!(sink
@@ -1992,7 +1908,6 @@ mod tests {
             40,
             AuditKind::Gathered {
                 id: M,
-                partition: 0,
                 records: 100,
                 priority: false,
             },
@@ -2009,7 +1924,6 @@ mod tests {
             60,
             AuditKind::MigrationFinished {
                 id: M,
-                target: S1,
                 pull_records: 100,
                 priority_records: 0,
             },
@@ -2023,13 +1937,7 @@ mod tests {
     fn lineage_lifecycle_violations_fire() {
         let sink = AuditSink::armed();
         // Dropped before created.
-        sink.emit(
-            5,
-            AuditKind::LineageDropped {
-                id: M,
-                cause: DropCause::Commit,
-            },
-        );
+        sink.emit(5, AuditKind::LineageDropped { id: M });
         // Created, then still live at the owner's crash.
         sink.emit(
             10,
@@ -2037,7 +1945,6 @@ mod tests {
                 id: MigrationId(8),
                 source: S0,
                 target: S1,
-                from_segment: 0,
             },
         );
         sink.emit(20, AuditKind::ServerCrashed { server: S1 });
@@ -2304,7 +2211,6 @@ mod tests {
             60,
             AuditKind::MigrationFinished {
                 id: M,
-                target: S1,
                 pull_records: 0,
                 priority_records: 0,
             },

@@ -13,7 +13,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use rocksteady_audit::{AuditKind, AuditSink, DropCause};
+use rocksteady_audit::{AuditKind, AuditSink};
 use rocksteady_common::RpcId;
 use rocksteady_coordinator::Coordinator;
 use rocksteady_proto::{Body, Envelope, Request, Response};
@@ -27,8 +27,6 @@ pub struct CoordinatorActor {
     state: CoordHandle,
     dir: Directory,
     next_rpc: u64,
-    /// Recoveries in flight: our RecoverTablet rpc ids.
-    pending_recoveries: Vec<RpcId>,
     /// Protocol auditing (zero-cost when disarmed).
     audit: AuditSink,
 }
@@ -41,7 +39,6 @@ impl CoordinatorActor {
             state,
             dir,
             next_rpc: 1,
-            pending_recoveries: Vec::new(),
             audit,
         }
     }
@@ -67,31 +64,19 @@ impl CoordinatorActor {
                     target,
                     lineage_from_segment,
                 );
-                if self.audit.is_on() {
-                    if ok {
-                        self.audit.emit(
-                            ctx.now(),
-                            AuditKind::LineageAdded {
-                                id,
-                                source,
-                                target,
-                                from_segment: lineage_from_segment,
-                            },
-                        );
-                        self.audit.emit(
-                            ctx.now(),
-                            AuditKind::MigrationStart {
-                                id,
-                                table,
-                                range,
-                                source,
-                                target,
-                            },
-                        );
-                    } else {
-                        self.audit
-                            .emit(ctx.now(), AuditKind::MigrationRejected { id });
-                    }
+                if ok && self.audit.is_on() {
+                    self.audit
+                        .emit(ctx.now(), AuditKind::LineageAdded { id, source, target });
+                    self.audit.emit(
+                        ctx.now(),
+                        AuditKind::MigrationStart {
+                            id,
+                            table,
+                            range,
+                            source,
+                            target,
+                        },
+                    );
                 }
                 if ok {
                     Response::Ok
@@ -113,13 +98,7 @@ impl CoordinatorActor {
                 if ok && self.audit.is_on() {
                     self.audit
                         .emit(ctx.now(), AuditKind::MigrationCommit { id, table, range });
-                    self.audit.emit(
-                        ctx.now(),
-                        AuditKind::LineageDropped {
-                            id,
-                            cause: DropCause::Commit,
-                        },
-                    );
+                    self.audit.emit(ctx.now(), AuditKind::LineageDropped { id });
                 }
                 Response::Ok
             }
@@ -174,13 +153,7 @@ impl CoordinatorActor {
                         .collect();
                     for id in deps_before {
                         if !deps_after.contains(&id) {
-                            self.audit.emit(
-                                ctx.now(),
-                                AuditKind::LineageDropped {
-                                    id,
-                                    cause: DropCause::Crash,
-                                },
-                            );
+                            self.audit.emit(ctx.now(), AuditKind::LineageDropped { id });
                         }
                     }
                     self.audit
@@ -191,9 +164,7 @@ impl CoordinatorActor {
                             AuditKind::RecoveryPlanned {
                                 table: a.table,
                                 range: a.range,
-                                crashed: a.crashed,
                                 recovery_master: a.recovery_master,
-                                merge: a.merge,
                             },
                         );
                     }
@@ -212,7 +183,6 @@ impl CoordinatorActor {
                 for a in assignments {
                     let id = RpcId(self.next_rpc);
                     self.next_rpc += 1;
-                    self.pending_recoveries.push(id);
                     let dst = self.dir.actor_of(a.recovery_master);
                     ctx.send(
                         dst,
@@ -246,9 +216,6 @@ impl Actor<Envelope> for CoordinatorActor {
         if let Event::Message { src, payload } = event {
             match payload.body {
                 Body::Req(req) => self.handle(ctx, src, payload.rpc, req),
-                Body::Resp(Response::RecoverTabletOk { .. }) => {
-                    self.pending_recoveries.retain(|r| *r != payload.rpc);
-                }
                 Body::Resp(_) => {}
             }
         }

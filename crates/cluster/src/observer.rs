@@ -88,7 +88,7 @@ impl Actor<Envelope> for Observer {
             }
             Event::Message { payload, .. } => {
                 if let Some(rebalancer) = &mut self.rebalancer {
-                    rebalancer.answered(now, &payload);
+                    rebalancer.answered(&payload);
                 }
             }
         }

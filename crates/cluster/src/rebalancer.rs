@@ -223,19 +223,6 @@ impl Rebalancer {
         let proposals = self.policy.propose(&view);
         self.out.borrow_mut().ticks += 1;
         self.out.borrow_mut().proposed += proposals.len() as u64;
-        if self.audit.is_on() {
-            for p in &proposals {
-                self.audit.emit(
-                    now,
-                    AuditKind::RebalanceProposed {
-                        source: p.source,
-                        target: p.target,
-                        table: p.table,
-                        range: p.range,
-                    },
-                );
-            }
-        }
         let admitted = self.caps.admit(&view.in_flight, proposals);
         for p in admitted {
             self.next_mig += 1;
@@ -252,18 +239,7 @@ impl Rebalancer {
             out.admitted += 1;
             out.moves.push(issued);
             drop(out);
-            if self.audit.is_on() {
-                self.audit.emit(
-                    now,
-                    AuditKind::RebalanceAdmitted {
-                        id,
-                        source: p.source,
-                        target: p.target,
-                        table: p.table,
-                        range: p.range,
-                    },
-                );
-            }
+            self.audit.emit(now, AuditKind::RebalanceAdmitted { id });
             ctx.send(
                 self.dir.actor_of(p.target),
                 Envelope::req(
@@ -282,26 +258,16 @@ impl Rebalancer {
     /// Takes a target's answer to one of our `MigrateTablet`s, sent when
     /// the run finishes (`MigrateTabletOk`) or fails (anything else);
     /// either way the move stops counting against the caps.
-    pub(crate) fn answered(&mut self, now: Nanos, answer: &Envelope) {
-        let Some(mv) = self.in_flight.remove(&answer.rpc) else {
+    pub(crate) fn answered(&mut self, answer: &Envelope) {
+        if self.in_flight.remove(&answer.rpc).is_none() {
             return;
-        };
+        }
         let ok = matches!(answer.body, Body::Resp(Response::MigrateTabletOk));
         let mut out = self.out.borrow_mut();
         if ok {
             out.completed += 1;
         } else {
             out.rejected += 1;
-        }
-        drop(out);
-        if self.audit.is_on() {
-            self.audit.emit(
-                now,
-                AuditKind::RebalanceOutcome {
-                    id: mv.id,
-                    completed: ok,
-                },
-            );
         }
     }
 }

@@ -128,11 +128,6 @@ impl ServerNode {
         }
     }
 
-    /// Shared statistics handle.
-    pub fn stats(&self) -> StatsHandle {
-        std::rc::Rc::clone(&self.stats)
-    }
-
     /// Marks everything currently in the log as already replicated.
     /// Harness-only: used after preloaded data has been copied onto the
     /// backups directly, so the replication manager doesn't re-ship it.

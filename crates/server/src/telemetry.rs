@@ -15,7 +15,7 @@
 //! serialized by the batcher, and migration phases tile.
 
 use rocksteady::MigrationStats;
-use rocksteady_audit::{AuditKind, AuditSink, ClaimVia, ReleaseVia};
+use rocksteady_audit::{AuditKind, AuditSink, ReleaseVia};
 use rocksteady_common::{
     CausalCtx, FxHashMap, HashRange, MigrationId, Nanos, RpcId, ServerId, TableId,
 };
@@ -475,7 +475,7 @@ impl NodeTelemetry {
             let lane = lanes::pull(partition);
             self.span("mig:pull", "migration", lane, t0, now, &args);
         }
-        self.gathered(now, id, partition as u64, records, false);
+        self.gathered(now, id, records, false);
     }
 
     /// A batched PriorityPull for `hashes` hashes came back.
@@ -493,13 +493,12 @@ impl NodeTelemetry {
             let lane = lanes::PRIORITY_PULL;
             self.span("mig:priority-pull", "migration", lane, t0, now, &args);
         }
-        self.gathered(now, id, u64::MAX, records, true);
+        self.gathered(now, id, records, true);
     }
 
-    fn gathered(&self, now: Nanos, id: MigrationId, partition: u64, records: u64, priority: bool) {
+    fn gathered(&self, now: Nanos, id: MigrationId, records: u64, priority: bool) {
         self.audit(now, |_| AuditKind::Gathered {
             id,
-            partition,
             records,
             priority,
         });
@@ -537,7 +536,7 @@ impl NodeTelemetry {
         if let Some((table, range)) = released {
             self.released(now, table, range, ReleaseVia::Abandon);
         }
-        self.audit(now, |target| AuditKind::MigrationAbandoned { id, target });
+        self.audit(now, |_| AuditKind::MigrationAbandoned { id });
         let anchors = self.migrations.remove(&id);
         if self.trace.is_on() {
             let lane = lanes::MIGRATION;
@@ -563,9 +562,8 @@ impl NodeTelemetry {
         sidelogs: u64,
     ) {
         self.phase_done(now, id, phase);
-        self.audit(now, |target| AuditKind::MigrationFinished {
+        self.audit(now, |_| AuditKind::MigrationFinished {
             id,
-            target,
             pull_records: stats.pull_records,
             priority_records: stats.priority_records,
         });
@@ -596,7 +594,6 @@ impl NodeTelemetry {
             server,
             table,
             range,
-            via: ClaimVia::Recovery,
         });
         self.version_floor(now, floor);
     }

@@ -17,8 +17,9 @@
 //!
 //! All clients share [`core::ClientCore`]: tablet-map caching with
 //! refresh-on-`UnknownTablet` (exactly how RAMCloud clients chase a
-//! migrated tablet, §3), retry-with-back-off on `Retry` responses, RPC
-//! timeouts for crash tests, and latency recording into per-interval
+//! migrated tablet, §3) and RPC-id allocation. [`ycsb::YcsbClient`]
+//! adds back-off on `Retry` responses and RPC timeouts for crash tests;
+//! [`stats::ClientStats`] records latencies into per-interval
 //! [`TimeSeries`](rocksteady_common::TimeSeries).
 
 pub mod core;

@@ -14,6 +14,10 @@
 
 mod common;
 
+use std::collections::BTreeSet;
+use std::fs;
+use std::sync::OnceLock;
+
 use common::{test_config, write_churn};
 use rocksteady_audit::invariants::LINEARIZABLE;
 use rocksteady_audit::AuditKind;
@@ -40,6 +44,13 @@ use rocksteady_workload::{LoadShape, YcsbConfig};
 /// Every exports digest moved once more, and no schedule digest, when
 /// the metrics JSON lost the three `node_migration_*_at_ns` gauge
 /// families: a migration run's one record is its per-run stamps.
+/// Both of `rebalance/hot-quarter`'s digests moved, and no other, when
+/// the audit stream stopped recording the rebalancer's proposals and
+/// move outcomes: that run held one of each, so the audit JSON's
+/// `events` fell from 48 to 46 (schedule), as did `audit_events_total`
+/// in the metrics snapshot and series and the sequence numbers in the
+/// breach explain's chains (exports). Its trace, folded profile,
+/// journeys, `events_processed()` and every audit verdict are unchanged.
 const GOLDEN: &[(&str, u64, u64)] = &[
     ("migration/seed1234", 0xd3c6c665fbe33c29, 0xd19a91793de4af5d),
     ("migration/seed7", 0x5b774e940eb3eb68, 0x995b4b37ebf69e7a),
@@ -77,8 +88,8 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     // audit client ids, journeys) and `events_processed()` by its ticks.
     (
         "rebalance/hot-quarter",
-        0xf88dba859cb19065,
-        0xb7ed012e3879f005,
+        0x48e217fc35b71607,
+        0x5c28fb3a87541856,
     ),
 ];
 
@@ -181,10 +192,18 @@ fn assert_timeline_carries_transfers(cluster: &Cluster) {
     }
 }
 
-/// `(schedule, exports)` digests of a finished run, whose clients saw
-/// a linearizable history and whose audit timeline carries every
+/// What the golden table keeps of one finished run.
+struct Run {
+    schedule: u64,
+    exports: u64,
+    /// The labels of the audit events the run retained.
+    labels: BTreeSet<&'static str>,
+}
+
+/// The digests and audit labels of a finished run, whose clients saw a
+/// linearizable history and whose audit timeline carries every
 /// ownership transfer.
-fn digest(cluster: &Cluster) -> (u64, u64) {
+fn digest(cluster: &Cluster) -> Run {
     let (_, _, stale) = cluster.audit_report().per_invariant[LINEARIZABLE];
     assert_eq!(stale, 0, "{:?}", cluster.audit.violations());
     assert_timeline_carries_transfers(cluster);
@@ -211,10 +230,15 @@ fn digest(cluster: &Cluster) -> (u64, u64) {
             .unwrap_or_else(none),
         cluster.export_incidents_json(),
     ];
-    (
-        fnv1a(schedule.iter().flat_map(|e| e.bytes()).chain(events)),
-        fnv1a(exports.iter().flat_map(|e| e.bytes().chain([0]))),
-    )
+    let labels = cluster
+        .audit
+        .with_events(|events| events.iter().map(|ev| ev.kind.label()).collect())
+        .expect("every scenario arms the audit");
+    Run {
+        schedule: fnv1a(schedule.iter().flat_map(|e| e.bytes()).chain(events)),
+        exports: fnv1a(exports.iter().flat_map(|e| e.bytes().chain([0]))),
+        labels,
+    }
 }
 
 fn owner_of_upper(cluster: &Cluster) -> Option<ServerId> {
@@ -225,7 +249,7 @@ fn owner_of_upper(cluster: &Cluster) -> Option<ServerId> {
 /// The `determinism.rs` scenario: YCSB-B across one Rocksteady
 /// migration. `before_run` sees the built cluster; tracing is (re-)armed
 /// at 6 ms, one millisecond into the migration.
-fn live_migration(cfg: ClusterConfig, before_run: impl FnOnce(&Cluster)) -> (u64, u64) {
+fn live_migration(cfg: ClusterConfig, before_run: impl FnOnce(&Cluster)) -> Run {
     let b = ClusterBuilder::new(cfg);
     let mut cluster = scenarios::live_migration(b, 5_000, 50_000.0, 5 * MILLISECOND);
     before_run(&cluster);
@@ -239,7 +263,7 @@ fn live_migration(cfg: ClusterConfig, before_run: impl FnOnce(&Cluster)) -> (u64
 
 /// The `crash_during_migration.rs` setup: write-heavy load, `victim`
 /// killed one millisecond into the migration, recovery runs to the end.
-fn crash(victim: u32) -> (u64, u64) {
+fn crash(victim: u32) -> Run {
     let kill = ControlCmd::Kill {
         server: ServerId(victim),
         detect_after: MILLISECOND,
@@ -255,7 +279,7 @@ fn crash(victim: u32) -> (u64, u64) {
 
 /// The Figure-5 baseline: the source scans, pushes, and transfers
 /// ownership at the end, with re-replication on the target.
-fn baseline() -> (u64, u64) {
+fn baseline() -> Run {
     let start = ControlCmd::MigrateBaseline {
         id: MigrationId(1),
         table: TABLE,
@@ -277,7 +301,7 @@ fn baseline() -> (u64, u64) {
 /// the same time, with the cleaner ticking on every server. Read-only;
 /// `replication.rs` runs the same shape with writes and checks every
 /// backup's image of the target's log.
-fn two_onto_one_target() -> (u64, u64) {
+fn two_onto_one_target() -> Run {
     let cfg = ClusterConfig {
         servers: 4,
         cleaner_interval: Some(2 * MILLISECOND),
@@ -301,7 +325,7 @@ fn two_onto_one_target() -> (u64, u64) {
 /// flight recorder exports one incident bundle; both rings are small
 /// enough to wrap, so every `dropped` field and every evicted-prefix
 /// path (chain lookups, truncated journeys) is exercised.
-fn drop_pulls_in_ring_mode() -> (u64, u64) {
+fn drop_pulls_in_ring_mode() -> Run {
     let cfg = ClusterConfig {
         sla: Some(300_000),
         flight_recorder: Some(FlightRecorderConfig {
@@ -323,7 +347,7 @@ fn drop_pulls_in_ring_mode() -> (u64, u64) {
 /// The placement loop closed: four servers, every quarter on server 0
 /// or 1, two clients whose heat sits on the last quarter, and a 20 ms
 /// rebalancer that sheds server 1 while the flight recorder watches.
-fn hot_quarter() -> (u64, u64) {
+fn hot_quarter() -> Run {
     digest(&hot_quarter_cluster())
 }
 
@@ -355,7 +379,13 @@ fn hot_quarter_cluster() -> Cluster {
     cluster
 }
 
-fn all_scenarios() -> Vec<(&'static str, (u64, u64))> {
+/// Every scenario, run once and shared by the tests below.
+fn runs() -> &'static [(&'static str, Run)] {
+    static RUNS: OnceLock<Vec<(&'static str, Run)>> = OnceLock::new();
+    RUNS.get_or_init(all_scenarios)
+}
+
+fn all_scenarios() -> Vec<(&'static str, Run)> {
     let plain = |seed| live_migration(armed(seed), |_| {});
     let mut sync_pulls = armed(42);
     sync_pulls.migration.sync_priority_pulls = true;
@@ -383,9 +413,9 @@ fn all_scenarios() -> Vec<(&'static str, (u64, u64))> {
 
 #[test]
 fn schedules_match_the_pinned_digests() {
-    let got: Vec<_> = all_scenarios()
-        .into_iter()
-        .map(|(name, (schedule, exports))| (name, schedule, exports))
+    let got: Vec<_> = runs()
+        .iter()
+        .map(|(name, run)| (*name, run.schedule, run.exports))
         .collect();
     let table: String = got
         .iter()
@@ -395,6 +425,28 @@ fn schedules_match_the_pinned_digests() {
         got.as_slice() == GOLDEN,
         "digests moved; if intended, GOLDEN becomes:\n{table}"
     );
+}
+
+/// Every kind `AuditKind::label` declares is retained by some scenario:
+/// a kind that no run produces is as dead as a field nothing reads.
+#[test]
+fn every_audit_kind_has_a_producer() {
+    let produced: BTreeSet<&str> = runs()
+        .iter()
+        .flat_map(|(_, run)| run.labels.iter().copied())
+        .collect();
+    let audit = fs::read_to_string("crates/audit/src/lib.rs").expect("the audit crate");
+    let label = audit
+        .split("pub fn label(")
+        .nth(1)
+        .expect("AuditKind::label");
+    let arms = label.split("\n    }\n").next().unwrap_or_default();
+    let declared: BTreeSet<&str> = arms
+        .split("=> \"")
+        .skip(1)
+        .filter_map(|rest| rest.split('"').next())
+        .collect();
+    assert_eq!(produced, declared, "produced vs declared audit kinds");
 }
 
 /// The memory side of the same run: a committed side segment is adopted

@@ -26,6 +26,7 @@ const NODE: &str = "crates/server/src/node.rs";
 const SCENARIOS: &str = "crates/cluster/src/scenarios.rs";
 const MSG: &str = "crates/proto/src/msg.rs";
 const YCSB: &str = "crates/workload/src/ycsb.rs";
+const AUDIT: &str = "crates/audit/src/lib.rs";
 
 #[rustfmt::skip]
 const RULES: &[Rule] = &[
@@ -50,7 +51,7 @@ const RULES: &[Rule] = &[
     Rule { name: "one_json_emitter", decided: "§3.16", why: "only rocksteady_common::json spells out JSON punctuation",
         check: |t| grep(t, |p| src(p) && p != "crates/common/src/json.rs",
             |l| any(l, &[r#"push_str("{\""#, r#"push_str(",\""#, r#"push_str("\":"#, r#""{{\""#])),
-        mutant: ("crates/audit/src/lib.rs", "", "fn f(s: &mut String) { s.push_str(\"{\\\"a\\\":1}\"); }\n") },
+        mutant: (AUDIT, "", "fn f(s: &mut String) { s.push_str(\"{\\\"a\\\":1}\"); }\n") },
     Rule { name: "one_ring_compaction", decided: "§3.16", why: "only common::ring drops a buffer's prefix (`.drain(..n);`)",
         check: |t| grep(t, |p| rust(p) && p != "crates/common/src/ring.rs", |l| l.split(".drain(..").skip(1)
             .any(|rest| rest.find(')').is_some_and(|i| i > 0 && rest[i..].starts_with(");")))),
@@ -146,10 +147,20 @@ const RULES: &[Rule] = &[
         check: |t| grep(t, |p| rust(p) && !p.starts_with("crates/workload/src/"),
             |l| any(l, &["confirmed_writes", "verify_all_readable"])),
         mutant: ("tests/seed_sweep.rs", "", "fn f(c: &Cluster) { c.client_stats[0].borrow().confirmed_writes.len(); }\n") },
+    Rule { name: "audit_records_what_it_reads", decided: "§3.13",
+        why: "an audit event carries what the checker, explain or an export reads; PriorityServed alone is unread, \
+            kept for the benchmark's audit.emit_ns probe",
+        check: |t| [
+            grep(t, rust, |l| any(l, &["MigrationRejected", "RebalanceProposed", "RebalanceOutcome", "DropCause", "ClaimVia"])),
+            grep(t, |p| p == AUDIT, |l| any(l, &[": _,", ": _ }"])),
+            grep_method(t, AUDIT, "fn ingest(", |l| !l.contains("PriorityServed")
+                && (l.trim_end().ends_with("=> {}") || l.contains(" .. }") || l.trim() == "..")),
+        ].concat(),
+        mutant: (AUDIT, "AuditKind::RebalanceAdmitted { id } => {", "AuditKind::RebalanceAdmitted { id, .. } => {") },
     Rule { name: "observability_crates_are_documented", decided: "§2", why: "four crates deny missing docs",
         check: |t| lacking(t, ["metrics", "profiler", "audit", "flightrec"].map(|c| format!("crates/{c}/src/lib.rs")),
             "#![deny(missing_docs)]"),
-        mutant: ("crates/audit/src/lib.rs", "#![deny(missing_docs)]", "#![warn(missing_docs)]") },
+        mutant: (AUDIT, "#![deny(missing_docs)]", "#![warn(missing_docs)]") },
 ];
 
 /// A file above its first `#[cfg(test)]` line, `//` comments cut off;
@@ -221,6 +232,21 @@ fn grep(t: &Tree, scope: impl Fn(&str) -> bool, hit: impl Fn(&str) -> bool) -> V
         }
     }
     found
+}
+
+/// `file:line: text` for each line `hit` matches in the method of `file`
+/// that starts at `head` and ends at its first line `    }`.
+fn grep_method(t: &Tree, file: &str, head: &str, hit: Test) -> Vec<String> {
+    let code = &t[file];
+    let Some(at) = code.find(head) else {
+        return vec![format!("{file}:1: lacks {head}")];
+    };
+    let first = code[..at].matches('\n').count() + 1;
+    let body = code[at..].split("\n    }\n").next().unwrap_or("");
+    let lines = body.lines().enumerate().filter(|(_, l)| hit(l));
+    lines
+        .map(|(i, l)| format!("{file}:{}: {}", first + i, l.trim()))
+        .collect()
 }
 
 /// `path:1` for each of `paths` that does not hold `pattern`.
