@@ -3,11 +3,14 @@
 //! `determinism.rs` proves a run equals *itself*; this file pins what
 //! the run *is*. Each scenario arms every observability layer, drives
 //! one protocol path end to end, and folds the byte-exact trace, folded
-//! profile, audit and journey exports plus `events_processed()` into one
-//! FNV-1a digest (the *schedule* column). The *exports* column hashes
-//! every other export of the same run — metrics snapshot and series,
-//! critical path, both explains, incident bundles — so a change to how
-//! an export is *written* cannot hide behind an unchanged schedule. A
+//! profile, audit and journey exports into one FNV-1a digest (the
+//! *schedule* column). The *exports* column hashes every other export of
+//! the same run — metrics snapshot and series, critical path, both
+//! explains, incident bundles — so a change to how an export is
+//! *written* cannot hide behind an unchanged schedule. The *events*
+//! column is `events_processed()`, pinned apart so that a change to how
+//! many events the kernel runs (fewer timers) shows that no export moved
+//! with it. A
 //! change that claims to preserve behaviour must leave every constant
 //! below untouched; a change that means to move one pastes the table
 //! the failing assert prints and says why.
@@ -30,7 +33,7 @@ use rocksteady_common::{HashRange, MigrationId, ServerId, MILLISECOND};
 use rocksteady_master::TabletRole;
 use rocksteady_workload::{LoadShape, YcsbConfig};
 
-/// The pinned `(schedule, exports)` digests, in the order
+/// The pinned `(schedule, exports, events)` of each scenario, in the order
 /// `all_scenarios` runs them. Every digest moved once, when YCSB clients
 /// stopped emitting audit events and began reporting each operation to
 /// the `linearizable` check: the audit JSON lost its client events, the
@@ -51,45 +54,83 @@ use rocksteady_workload::{LoadShape, YcsbConfig};
 /// in the metrics snapshot and series and the sequence numbers in the
 /// breach explain's chains (exports). Its trace, folded profile,
 /// journeys, `events_processed()` and every audit verdict are unchanged.
-const GOLDEN: &[(&str, u64, u64)] = &[
-    ("migration/seed1234", 0xd3c6c665fbe33c29, 0xd19a91793de4af5d),
-    ("migration/seed7", 0x5b774e940eb3eb68, 0x995b4b37ebf69e7a),
-    ("migration/seed42", 0x9f1886ecfad6c766, 0x5a9faa998fe8e1d9),
-    ("crash/source", 0x26a1e33f2f11f47c, 0x5664b54a4295cda7),
-    ("crash/target", 0x4f4c86be7b25f61c, 0x3a2d82b5d04696d0),
-    ("baseline/fig5", 0x855ab386d7497954, 0xeb272589ed0eed56),
+/// Every schedule digest moved once, and no exports digest, when the
+/// event count left the schedule fold for the events column.
+const GOLDEN: &[(&str, u64, u64, u64)] = &[
+    (
+        "migration/seed1234",
+        0x6779688b181812d7,
+        0xd19a91793de4af5d,
+        32555,
+    ),
+    (
+        "migration/seed7",
+        0xe1ad792848e2d0e6,
+        0x995b4b37ebf69e7a,
+        32635,
+    ),
+    (
+        "migration/seed42",
+        0x02df9a9f4af9193c,
+        0x5a9faa998fe8e1d9,
+        32611,
+    ),
+    (
+        "crash/source",
+        0x33fa6e9f9ccdcc07,
+        0x5664b54a4295cda7,
+        81719,
+    ),
+    (
+        "crash/target",
+        0x0dd7ca19a5cf8e15,
+        0x3a2d82b5d04696d0,
+        80745,
+    ),
+    (
+        "baseline/fig5",
+        0x4e398ede26863625,
+        0xeb272589ed0eed56,
+        48723,
+    ),
     (
         "migration/sync-priority-pulls",
-        0xa1472df4538c33af,
+        0x006249661aa5cf6f,
         0xaf5971cac6117e23,
+        32601,
     ),
     (
         "migration/two-onto-one-target",
-        0x372b740ce8518680,
+        0xa51db9e660e57b8d,
         0xa11fe7ba9635052e,
+        37419,
     ),
     (
         "migration/tracing-armed-mid-run",
-        0x71e6c13ca1396feb,
+        0xf1965d6771951f19,
         0xe112eb9b39c64956,
+        32611,
     ),
     (
         "fault/drop-pulls-ring",
-        0x2df61edc22bf5552,
+        0xc2e92e4f4f049c8a,
         0x01ed720e78aa431a,
+        23684,
     ),
     (
         "migration/write-churn",
-        0x47b15411a97d3942,
+        0xafb74befd332d417,
         0x2bfada2c12e7f8cc,
+        177584,
     ),
     // Schedule moved once, exports not, when the rebalancer became the
     // observer's fourth reader: client actor ids fell by one (trace pids,
     // audit client ids, journeys) and `events_processed()` by its ticks.
     (
         "rebalance/hot-quarter",
-        0x48e217fc35b71607,
+        0xbf788c71ff703ffe,
         0x5c28fb3a87541856,
+        35322,
     ),
 ];
 
@@ -196,6 +237,7 @@ fn assert_timeline_carries_transfers(cluster: &Cluster) {
 struct Run {
     schedule: u64,
     exports: u64,
+    events: u64,
     /// The labels of the audit events the run retained.
     labels: BTreeSet<&'static str>,
 }
@@ -214,7 +256,6 @@ fn digest(cluster: &Cluster) -> Run {
         cluster.export_audit_json(),
         cluster.export_journeys_json(),
     ];
-    let events = cluster.sim.events_processed().to_le_bytes();
     let none = || String::from("none");
     let exports = [
         cluster.export_metrics_json(),
@@ -235,8 +276,9 @@ fn digest(cluster: &Cluster) -> Run {
         .with_events(|events| events.iter().map(|ev| ev.kind.label()).collect())
         .expect("every scenario arms the audit");
     Run {
-        schedule: fnv1a(schedule.iter().flat_map(|e| e.bytes()).chain(events)),
+        schedule: fnv1a(schedule.iter().flat_map(|e| e.bytes())),
         exports: fnv1a(exports.iter().flat_map(|e| e.bytes().chain([0]))),
+        events: cluster.sim.events_processed(),
         labels,
     }
 }
@@ -415,11 +457,11 @@ fn all_scenarios() -> Vec<(&'static str, Run)> {
 fn schedules_match_the_pinned_digests() {
     let got: Vec<_> = runs()
         .iter()
-        .map(|(name, run)| (*name, run.schedule, run.exports))
+        .map(|(name, run)| (*name, run.schedule, run.exports, run.events))
         .collect();
     let table: String = got
         .iter()
-        .map(|(name, s, e)| format!("    (\"{name}\", {s:#018x}, {e:#018x}),\n"))
+        .map(|(name, s, e, n)| format!("    (\"{name}\", {s:#018x}, {e:#018x}, {n}),\n"))
         .collect();
     assert!(
         got.as_slice() == GOLDEN,
