@@ -55,6 +55,8 @@ command -v cc >/dev/null &&
     run cc -Wall -Wextra -Werror -O2 -shared -fPIC -o target/alloclog.so tools/hostprof/alloclog.c
 command -v python3 >/dev/null &&
     run python3 -c 'import ast, sys; ast.parse(open(sys.argv[1]).read())' tools/hostprof/fold.py
+# tools/pairs.sh (the A/B pairs of the benchmark) parses.
+run bash -n tools/pairs.sh
 # The non-test line count a change's size is quoted in (CHANGES.md).
 run tools/loc.sh
 echo "CI OK"

@@ -8,6 +8,7 @@
 //! backlogged demand reappears as the post-migration throughput spike the
 //! paper shows in Figure 9.
 
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -29,6 +30,9 @@ const TOK_RETRY: u64 = 2;
 const TOK_TIMEOUT: u64 = 3;
 /// Re-issue an op if no response within this long (crash handling).
 const RPC_TIMEOUT: Nanos = 10 * rocksteady_common::MILLISECOND;
+
+/// One attempt's timeout: its deadline, operation and attempt number.
+type Deadline = (Nanos, u64, u32);
 
 /// Configuration for one YCSB client actor.
 #[derive(Debug, Clone)]
@@ -112,6 +116,13 @@ pub struct YcsbClient {
     ops: FxHashMap<u64, Op>,
     rpc_to_op: FxHashMap<RpcId, u64>,
     waiting_for_map: Vec<u64>,
+    /// Every attempt issued in the last [`RPC_TIMEOUT`], oldest first:
+    /// the timeout is constant and attempts are issued in time order, so
+    /// the deadlines are sorted as they are pushed. One `TOK_TIMEOUT`
+    /// timer is pending exactly while this is not empty, for an entry
+    /// at or behind the front; an entry whose attempt has ended stays
+    /// until it reaches the front.
+    deadlines: VecDeque<Deadline>,
     /// Scratch the next operation's key is formatted into before it is
     /// copied, in one allocation, into the operation's `Bytes`.
     key_buf: Vec<u8>,
@@ -156,6 +167,7 @@ impl YcsbClient {
             ops: FxHashMap::default(),
             rpc_to_op: FxHashMap::default(),
             waiting_for_map: Vec::new(),
+            deadlines: VecDeque::new(),
             key_buf: Vec::new(),
             bucket_ranks,
             next_op: 1,
@@ -289,7 +301,48 @@ impl YcsbClient {
         if kind == OpKind::Read {
             self.stats.borrow_mut().read_attempts.inc();
         }
-        ctx.timer(RPC_TIMEOUT, (op_id << 8) | TOK_TIMEOUT);
+        if self.deadlines.is_empty() {
+            ctx.timer(RPC_TIMEOUT, TOK_TIMEOUT);
+        }
+        self.deadlines
+            .push_back((ctx.now() + RPC_TIMEOUT, op_id, attempt));
+    }
+
+    /// The deadline timer fired: drops the entries whose attempt has
+    /// ended (answered, retried, or waiting for the map), times out each
+    /// live one that is due, oldest first, and re-arms for the oldest
+    /// live entry left.
+    fn on_deadline(&mut self, ctx: &mut Ctx<'_, Envelope>) {
+        while let Some(&(deadline, op_id, attempt)) = self.deadlines.front() {
+            let live = self
+                .ops
+                .get(&op_id)
+                .is_some_and(|op| op.attempts == attempt && op.rpc.is_some());
+            if live && deadline > ctx.now() {
+                ctx.timer(deadline - ctx.now(), TOK_TIMEOUT);
+                return;
+            }
+            self.deadlines.pop_front();
+            if live {
+                self.time_out(ctx, op_id);
+            }
+        }
+    }
+
+    /// Gives up on `op_id`'s attempt in flight: the owner may have
+    /// crashed, so the operation waits for a fresh map and is re-issued
+    /// from it.
+    fn time_out(&mut self, ctx: &mut Ctx<'_, Envelope>, op_id: u64) {
+        self.stats.borrow_mut().timeouts.inc();
+        // A write attempt may have applied unanswered.
+        if self.ops[&op_id].kind == OpKind::Write {
+            self.report(ctx.self_id(), ctx.now(), op_id, Outcome::Indeterminate);
+        }
+        if let Some(rpc) = self.ops.get_mut(&op_id).and_then(|op| op.rpc.take()) {
+            self.rpc_to_op.remove(&rpc);
+        }
+        self.waiting_for_map.push(op_id);
+        self.core.request_map(ctx);
     }
 
     fn complete(&mut self, ctx: &mut Ctx<'_, Envelope>, op_id: u64, found: bool) {
@@ -464,35 +517,207 @@ impl Actor<Envelope> for YcsbClient {
                 TOK_RETRY => {
                     self.issue(ctx, token >> 8);
                 }
-                TOK_TIMEOUT => {
-                    let op_id = token >> 8;
-                    let timed_out = match self.ops.get(&op_id) {
-                        Some(op) => {
-                            op.rpc.is_some() && ctx.now().saturating_sub(op.issued) >= RPC_TIMEOUT
-                        }
-                        None => false,
-                    };
-                    if timed_out {
-                        self.stats.borrow_mut().timeouts.inc();
-                        // A write attempt may have applied unanswered.
-                        if self.ops[&op_id].kind == OpKind::Write {
-                            let unknown = Outcome::Indeterminate;
-                            self.report(ctx.self_id(), ctx.now(), op_id, unknown);
-                        }
-                        if let Some(op) = self.ops.get_mut(&op_id) {
-                            if let Some(rpc) = op.rpc.take() {
-                                self.rpc_to_op.remove(&rpc);
-                            }
-                        }
-                        // The owner may have crashed: refresh and retry.
-                        self.waiting_for_map.push(op_id);
-                        if self.core.request_map(ctx).is_none() && !self.core.map_pending() {
-                            self.issue(ctx, op_id);
-                        }
-                    }
-                }
+                TOK_TIMEOUT => self.on_deadline(ctx),
                 _ => {}
             },
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use rocksteady_common::zipf::KeySampler;
+    use rocksteady_common::{HashRange, ServerId, MILLISECOND};
+    use rocksteady_proto::{TabletDescriptor, TabletState};
+    use rocksteady_simnet::{NicConfig, Simulation};
+
+    use super::*;
+    use crate::shape::bucket_ranks;
+    use crate::stats::client_stats;
+
+    const T: TableId = TableId(1);
+
+    /// How the stub answers a data request, given its attempt number
+    /// (`None`: never).
+    type Answer = fn(&Request, u32) -> Option<Response>;
+
+    /// Coordinator and server in one: hands out a map that names itself
+    /// the owner of everything and answers each attempt as told.
+    struct Stub(Answer);
+
+    impl Actor<Envelope> for Stub {
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+
+        fn on_event(&mut self, ctx: &mut Ctx<'_, Envelope>, event: Event<Envelope>) {
+            let Event::Message { src, payload } = event else {
+                return;
+            };
+            let resp = match &payload.body {
+                Body::Req(Request::GetTabletMap) => Some(Response::TabletMapOk {
+                    tablets: vec![TabletDescriptor {
+                        table: T,
+                        range: HashRange::full(),
+                        owner: ServerId(0),
+                        state: TabletState::Normal,
+                    }],
+                }),
+                Body::Req(req) => (self.0)(req, payload.ctx.hop),
+                Body::Resp(_) => None,
+            };
+            if let Some(resp) = resp {
+                ctx.send(src, Envelope::resp(payload.rpc, resp).with_ctx(payload.ctx));
+            }
+        }
+    }
+
+    /// What the client did, read off its state around each event.
+    #[derive(Default)]
+    struct Record {
+        /// Each attempt issued, in issue order (its RPC id's):
+        /// `(rpc, op, attempt, issued at)`.
+        issued: Vec<(RpcId, u64, u32, Nanos)>,
+        /// Each attempt timed out, in the order it was:
+        /// `(at, op, attempt, issued at)`.
+        timed_out: Vec<(Nanos, u64, u32, Nanos)>,
+        /// `TOK_TIMEOUT` timers fired.
+        deadline_timers: u64,
+    }
+
+    /// The client under test and its record.
+    struct Watched(YcsbClient, Record);
+
+    impl Actor<Envelope> for Watched {
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Envelope>) {
+            self.0.on_start(ctx);
+        }
+
+        fn on_event(&mut self, ctx: &mut Ctx<'_, Envelope>, event: Event<Envelope>) {
+            let deadline = matches!(event, Event::Timer { token } if token & 0xff == TOK_TIMEOUT);
+            let waiting = self.0.waiting_for_map.len();
+            self.0.on_event(ctx, event);
+            let (client, record) = (&self.0, &mut self.1);
+            if deadline {
+                // A timed-out operation joins the map queue, in the
+                // order it timed out.
+                record.deadline_timers += 1;
+                for op_id in &client.waiting_for_map[waiting..] {
+                    let op = &client.ops[op_id];
+                    record
+                        .timed_out
+                        .push((ctx.now(), *op_id, op.attempts, op.issued));
+                }
+            }
+            let last = record.issued.last().map_or(RpcId(0), |i| i.0);
+            let mut new: Vec<_> = client
+                .ops
+                .iter()
+                .filter_map(|(&id, op)| {
+                    let rpc = op.rpc.filter(|&rpc| rpc > last)?;
+                    Some((rpc, id, op.attempts, op.issued))
+                })
+                .collect();
+            new.sort_unstable();
+            record.issued.extend(new);
+        }
+    }
+
+    /// Runs one client, half reads and half writes at 20 000 ops/s,
+    /// against a stub answering as `answer` says, for `until`.
+    fn run(answer: Answer, until: Nanos) -> (Record, u64) {
+        const KEYS: u64 = 1_000;
+        let mut dir = Directory::default();
+        dir.servers.push(0);
+        let mut cfg = YcsbConfig::ycsb_b(dir, T, KEYS, 20_000.0);
+        cfg.read_fraction = 0.5;
+        let stats = client_stats(10 * MILLISECOND);
+        let sampler = KeySampler::new(KEYS, cfg.dist, true);
+        let ranks = bucket_ranks(KEYS, cfg.key_len, cfg.shape.buckets());
+        let client = YcsbClient::with_sampler(cfg, stats.clone(), sampler, ranks);
+        let mut sim = Simulation::new(NicConfig::default(), 7);
+        sim.add_actor(Box::new(Stub(answer)));
+        let id = sim.add_actor(Box::new(Watched(client, Record::default())));
+        sim.run_until(until);
+        let record = std::mem::take(&mut sim.actor_as::<Watched>(id).1);
+        let timeouts = stats.borrow().timeouts.get();
+        (record, timeouts)
+    }
+
+    fn answered(req: &Request, _: u32) -> Option<Response> {
+        Some(match req {
+            Request::Write { .. } => Response::WriteOk { version: 1 },
+            _ => Response::ReadOk {
+                value: Bytes::new(),
+                version: 1,
+            },
+        })
+    }
+
+    #[test]
+    fn unanswered_attempts_time_out_in_issue_order_and_are_re_issued() {
+        let end = 100 * MILLISECOND;
+        let (record, timeouts) = run(|_, _| None, end);
+        let order: Vec<(u64, u32)> = record.issued.iter().map(|i| (i.1, i.2)).collect();
+        let timed: Vec<(u64, u32)> = record.timed_out.iter().map(|t| (t.1, t.2)).collect();
+        let due = record
+            .issued
+            .iter()
+            .filter(|i| i.3 + RPC_TIMEOUT < end)
+            .count();
+        assert!(
+            order.starts_with(&timed) && timed.len() >= due,
+            "the attempts due by {end} ns did not time out in issue order"
+        );
+        assert!(due > 300, "only {due} attempts came due");
+        assert_eq!(timeouts, timed.len() as u64);
+        for &(at, op, attempt, issued) in &record.timed_out {
+            assert_eq!(at, issued + RPC_TIMEOUT, "op {op} attempt {attempt}");
+            if at + MILLISECOND < end {
+                assert!(
+                    order.contains(&(op, attempt + 1)),
+                    "op {op} was not re-issued after attempt {attempt} timed out"
+                );
+            }
+        }
+        assert!(timed.iter().any(|&(_, attempt)| attempt >= 3));
+    }
+
+    #[test]
+    fn a_retried_operation_is_not_timed_out_on_its_first_deadline() {
+        // The first attempt is turned away with a 1 ms back-off; every
+        // later one goes unanswered.
+        let retry_first = |_: &Request, attempt: u32| {
+            (attempt == 1).then_some(Response::Err(Status::Retry { after: MILLISECOND }))
+        };
+        let (record, _) = run(retry_first, 100 * MILLISECOND);
+        assert!(record.timed_out.len() > 100);
+        for &(at, op, attempt, issued) in &record.timed_out {
+            assert!(attempt >= 2, "op {op}'s retried first attempt timed out");
+            assert_eq!(
+                at,
+                issued + RPC_TIMEOUT,
+                "op {op} attempt {attempt} timed out on another attempt's deadline"
+            );
+        }
+    }
+
+    #[test]
+    fn an_answered_client_fires_one_deadline_timer_per_rpc_timeout() {
+        let end = 200 * MILLISECOND;
+        let (record, timeouts) = run(answered, end);
+        assert_eq!(timeouts, 0);
+        assert!(record.issued.len() > 3_000);
+        let bound = end.div_ceil(RPC_TIMEOUT) + 1;
+        assert!(
+            record.deadline_timers <= bound,
+            "{} deadline timers for {} attempts in {end} ns, over {bound}",
+            record.deadline_timers,
+            record.issued.len()
+        );
     }
 }

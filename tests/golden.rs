@@ -55,73 +55,78 @@ use rocksteady_workload::{LoadShape, YcsbConfig};
 /// breach explain's chains (exports). Its trace, folded profile,
 /// journeys, `events_processed()` and every audit verdict are unchanged.
 /// Every schedule digest moved once, and no exports digest, when the
-/// event count left the schedule fold for the events column.
+/// event count left the schedule fold for the events column: run on the
+/// code of the time, this test printed the schedule and exports digests
+/// below. Only the events column moved when each YCSB client came to
+/// arm one deadline timer instead of one per attempt
+/// (`migration/seed1234` 32 555 → 28 087): the timers it dropped had
+/// never timed anything out, so no export moved.
 const GOLDEN: &[(&str, u64, u64, u64)] = &[
     (
         "migration/seed1234",
         0x6779688b181812d7,
         0xd19a91793de4af5d,
-        32555,
+        28087,
     ),
     (
         "migration/seed7",
         0xe1ad792848e2d0e6,
         0x995b4b37ebf69e7a,
-        32635,
+        28136,
     ),
     (
         "migration/seed42",
         0x02df9a9f4af9193c,
         0x5a9faa998fe8e1d9,
-        32611,
+        28131,
     ),
     (
         "crash/source",
         0x33fa6e9f9ccdcc07,
         0x5664b54a4295cda7,
-        81719,
+        73298,
     ),
     (
         "crash/target",
         0x0dd7ca19a5cf8e15,
         0x3a2d82b5d04696d0,
-        80745,
+        72418,
     ),
     (
         "baseline/fig5",
         0x4e398ede26863625,
         0xeb272589ed0eed56,
-        48723,
+        41774,
     ),
     (
         "migration/sync-priority-pulls",
         0x006249661aa5cf6f,
         0xaf5971cac6117e23,
-        32601,
+        28124,
     ),
     (
         "migration/two-onto-one-target",
         0xa51db9e660e57b8d,
         0xa11fe7ba9635052e,
-        37419,
+        31815,
     ),
     (
         "migration/tracing-armed-mid-run",
         0xf1965d6771951f19,
         0xe112eb9b39c64956,
-        32611,
+        28131,
     ),
     (
         "fault/drop-pulls-ring",
         0xc2e92e4f4f049c8a,
         0x01ed720e78aa431a,
-        23684,
+        20815,
     ),
     (
         "migration/write-churn",
         0xafb74befd332d417,
         0x2bfada2c12e7f8cc,
-        177584,
+        166452,
     ),
     // Schedule moved once, exports not, when the rebalancer became the
     // observer's fourth reader: client actor ids fell by one (trace pids,
@@ -130,7 +135,7 @@ const GOLDEN: &[(&str, u64, u64, u64)] = &[
         "rebalance/hot-quarter",
         0xbf788c71ff703ffe,
         0x5c28fb3a87541856,
-        35322,
+        31033,
     ),
 ];
 
