@@ -31,9 +31,6 @@ const TOK_TIMEOUT: u64 = 3;
 /// Re-issue an op if no response within this long (crash handling).
 const RPC_TIMEOUT: Nanos = 10 * rocksteady_common::MILLISECOND;
 
-/// One attempt's timeout: its deadline, operation and attempt number.
-type Deadline = (Nanos, u64, u32);
-
 /// Configuration for one YCSB client actor.
 #[derive(Debug, Clone)]
 pub struct YcsbConfig {
@@ -116,13 +113,13 @@ pub struct YcsbClient {
     ops: FxHashMap<u64, Op>,
     rpc_to_op: FxHashMap<RpcId, u64>,
     waiting_for_map: Vec<u64>,
-    /// Every attempt issued in the last [`RPC_TIMEOUT`], oldest first:
-    /// the timeout is constant and attempts are issued in time order, so
-    /// the deadlines are sorted as they are pushed. One `TOK_TIMEOUT`
-    /// timer is pending exactly while this is not empty, for an entry
-    /// at or behind the front; an entry whose attempt has ended stays
-    /// until it reaches the front.
-    deadlines: VecDeque<Deadline>,
+    /// `(deadline, op, attempt)` of each attempt issued and not yet
+    /// swept, oldest first: the timeout is constant and attempts are
+    /// issued in time order, so the deadlines are sorted as they are
+    /// pushed. One `TOK_TIMEOUT` timer is pending exactly while this is
+    /// not empty, for the front's deadline; an entry whose attempt has
+    /// ended stays until a sweep reaches it.
+    deadlines: VecDeque<(Nanos, u64, u32)>,
     /// Scratch the next operation's key is formatted into before it is
     /// copied, in one allocation, into the operation's `Bytes`.
     key_buf: Vec<u8>,
