@@ -422,7 +422,8 @@ fn a_ycsb_read_costs_the_client_one_allocation() {
         (stats.borrow().read_attempts.get(), allocs())
     };
     // Warm until every table the client and the kernel hold has stopped
-    // doubling: the client's ops and deadline queue, the event slab.
+    // doubling: the client's ops and deadline queue, the heap, the
+    // event slab.
     let (warm, a0) = issued_by(3_000);
     let (half, a1) = issued_by(8_000);
     let (full, a2) = issued_by(13_000);
