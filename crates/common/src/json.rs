@@ -33,6 +33,35 @@ pub struct Micros(pub u64);
 #[derive(Debug, Clone, Copy)]
 pub struct Raw<'a>(pub &'a str);
 
+/// Object members serialized once, by [`Members::render`], for a caller
+/// that writes the same keys (and values) into object after object with
+/// [`JsonWriter::members`]: one copy each time, no escaping.
+#[derive(Debug, Clone)]
+pub struct Members {
+    json: Box<str>,
+    /// Whether they end in a value (not in a key awaiting one).
+    need_comma: bool,
+}
+
+impl Members {
+    /// What `f` writes as members of an object — `"a":1,"b":"x"`, say,
+    /// or a last key, `"k":`, whose value the writer's next call after
+    /// [`JsonWriter::members`] supplies. At least one key, and every
+    /// container `f` opens closed.
+    pub fn render(f: impl FnOnce(&mut JsonWriter) -> &mut JsonWriter) -> Members {
+        let mut w = JsonWriter::new();
+        #[cfg(debug_assertions)]
+        w.nesting.push(true);
+        f(&mut w);
+        #[cfg(debug_assertions)]
+        assert_eq!(w.nesting.depth, 1, "JSON members left a container open");
+        Members {
+            json: w.out.into(),
+            need_comma: w.need_comma,
+        }
+    }
+}
+
 /// `"00" "01" … "99"`: two digits per lookup.
 const DIGIT_PAIRS: &str = "0001020304050607080910111213141516171819\
 2021222324252627282930313233343536373839\
@@ -340,6 +369,19 @@ impl JsonWriter {
         self.key(key).value(v)
     }
 
+    /// Writes `m` as the next members of the innermost open object.
+    #[inline]
+    pub fn members(&mut self, m: &Members) -> &mut Self {
+        #[cfg(debug_assertions)]
+        assert!(self.nesting.in_object(), "JSON members outside an object");
+        if self.need_comma {
+            self.out.push(',');
+        }
+        self.out.push_str(&m.json);
+        self.need_comma = m.need_comma;
+        self
+    }
+
     /// The finished document.
     pub fn finish(self) -> String {
         #[cfg(debug_assertions)]
@@ -416,6 +458,48 @@ mod tests {
             w.value(Raw(&inner)).value(Raw("null")).end_arr().end_obj();
         });
         assert_eq!(got, r#"{"a":{"x":1},"l":[{"x":1},null]}"#);
+    }
+
+    /// Rendered members write what the calls that rendered them would
+    /// have, commas included, and a rendered last key takes the next
+    /// value.
+    #[test]
+    fn rendered_members_write_what_their_calls_would() {
+        let head = Members::render(|w| w.field("n", "q\"x").field("i", 7u64));
+        let key = Members::render(|w| w.key("k"));
+        let got = doc(|w| {
+            w.arr().obj().members(&head).field("t", 1u64);
+            w.members(&key).value(2u64).end_obj();
+            w.obj().members(&key).value(3u64).end_obj().end_arr();
+        });
+        let want = doc(|w| {
+            w.arr()
+                .obj()
+                .field("n", "q\"x")
+                .field("i", 7u64)
+                .field("t", 1u64);
+            w.key("k").value(2u64).end_obj();
+            w.obj().key("k").value(3u64).end_obj().end_arr();
+        });
+        assert_eq!(got, want);
+        assert_eq!(got, r#"[{"n":"q\"x","i":7,"t":1,"k":2},{"k":3}]"#);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "JSON members left a container open")]
+    fn members_with_an_open_container_panic_in_debug() {
+        Members::render(|w| w.key("l").arr());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "members outside an object")]
+    fn members_inside_an_array_panic_in_debug() {
+        let m = Members::render(|w| w.field("a", 1u64));
+        doc(|w| {
+            w.arr().members(&m);
+        });
     }
 
     #[test]

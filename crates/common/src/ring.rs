@@ -10,9 +10,9 @@
 //!
 //! A bounded ring reserves its bound when it is built, so it never
 //! reallocates mid-run. [`TailRing`] adds a variable-length tail per
-//! entry (a trace event's arg values) in one shared arena that is cut
-//! in step with the entries, so recording an entry allocates nothing
-//! either.
+//! entry (a trace event's encoded values) in one shared arena that is
+//! cut in step with the entries and, in a bounded ring, reserved at its
+//! bound too, so recording an entry allocates nothing either.
 
 /// A contiguous buffer, unbounded or drop-oldest-half bounded.
 #[derive(Debug, Clone)]
@@ -88,16 +88,18 @@ impl<T> Ring<T> {
 
 /// A [`Ring`] whose entries each own a run of `A`s — its *tail* — in
 /// one arena shared by all of them. The arena's prefix is cut whenever
-/// the ring evicts, so the two stay in step and a push copies the tail
+/// the ring evicts, so the two stay in step and a push writes the tail
 /// into already-reserved space instead of allocating per entry.
 #[derive(Debug, Clone)]
 pub struct TailRing<T, A> {
-    /// Each entry with the absolute arena offset where its tail starts;
-    /// it ends where the next entry's starts.
-    heads: Ring<(T, u64)>,
+    /// Each entry with the arena offset where its tail starts, modulo
+    /// 2³²; it ends where the next entry's starts. The arena never
+    /// holds 2³² slots at once (`push_with` checks), so an offset minus
+    /// `tails_cut`, wrapping, is the index in `tails`.
+    heads: Ring<(T, u32)>,
     tails: Vec<A>,
-    /// Arena slots cut so far: the absolute offset of `tails[0]`.
-    tails_cut: u64,
+    /// Arena slots cut so far, modulo 2³²: the offset of `tails[0]`.
+    tails_cut: u32,
 }
 
 /// A tail ring that never drops.
@@ -113,26 +115,32 @@ impl<T, A> Default for TailRing<T, A> {
 
 impl<T, A> TailRing<T, A> {
     /// A tail ring holding at most `capacity` entries, as
-    /// [`Ring::with_capacity`]. The arena grows to its steady size by
-    /// doubling and is then reused.
-    pub fn with_capacity(capacity: usize) -> Self {
+    /// [`Ring::with_capacity`], its arena reserved for the most they
+    /// hold when no tail is longer than `tail_bound`. Reserved pages
+    /// are touched only as tails fill them, and the arena never moves:
+    /// no regrow copies it, nor leaves its old block as a hole in the
+    /// allocator's heap for later allocations to pin. A longer tail
+    /// still fits, at the cost of a regrow.
+    pub fn with_capacity(capacity: usize, tail_bound: usize) -> Self {
         TailRing {
             heads: Ring::with_capacity(capacity),
-            ..TailRing::default()
+            tails: Vec::with_capacity(capacity * tail_bound),
+            tails_cut: 0,
         }
     }
 
-    /// Appends `item` and its `tail`, which is copied into the arena as
-    /// it is iterated.
+    /// Appends `item`, then lets `tail` append its tail to the arena
+    /// (and nothing else: the arena's existing slots belong to other
+    /// entries).
     #[inline]
-    pub fn push(&mut self, item: T, tail: impl IntoIterator<Item = A>) {
-        let start = self.tails_cut + self.tails.len() as u64;
-        if self.heads.push((item, start)) > 0 {
-            let cut = (self.heads.as_slice()[0].1 - self.tails_cut) as usize;
-            self.tails.drain(..cut);
-            self.tails_cut += cut as u64;
+    pub fn push_with(&mut self, item: T, tail: impl FnOnce(&mut Vec<A>)) {
+        let len = u32::try_from(self.tails.len()).expect("a tail arena holds under 2^32 slots");
+        if self.heads.push((item, self.tails_cut.wrapping_add(len))) > 0 {
+            let cut = self.heads.as_slice()[0].1.wrapping_sub(self.tails_cut);
+            self.tails.drain(..cut as usize);
+            self.tails_cut = self.tails_cut.wrapping_add(cut);
         }
-        self.tails.extend(tail);
+        tail(&mut self.tails);
     }
 
     /// Retained entries.
@@ -154,21 +162,12 @@ impl<T, A> TailRing<T, A> {
     #[inline]
     pub fn get(&self, i: usize) -> (&T, &[A]) {
         let heads = self.heads.as_slice();
+        let at = |offset: u32| offset.wrapping_sub(self.tails_cut) as usize;
         let (item, start) = &heads[i];
-        let start = (start - self.tails_cut) as usize;
-        let end = match heads.get(i + 1) {
-            Some((_, next)) => (next - self.tails_cut) as usize,
-            None => self.tails.len(),
-        };
-        (item, &self.tails[start..end])
-    }
-
-    /// Tail slots retained from entry `i` on (`len()` gives 0).
-    pub fn tail_len_from(&self, i: usize) -> usize {
-        match self.heads.as_slice().get(i) {
-            Some((_, start)) => self.tails.len() - (start - self.tails_cut) as usize,
-            None => 0,
-        }
+        let end = heads
+            .get(i + 1)
+            .map_or(self.tails.len(), |(_, next)| at(*next));
+        (item, &self.tails[at(*start)..end])
     }
 
     /// How many leading entries satisfy `pred` (which must hold for a
@@ -251,28 +250,47 @@ mod tests {
     /// tail names its owner.
     fn push_numbered(r: &mut TailRing<u64, u64>, entries: std::ops::Range<u64>) {
         for i in entries {
-            r.push(i, std::iter::repeat_n(i, (i % 4) as usize));
+            r.push_with(i, |tails| {
+                tails.extend(std::iter::repeat_n(i, (i % 4) as usize))
+            });
         }
     }
 
-    #[test]
-    fn tails_stay_with_their_entries_through_compactions() {
-        let mut r = TailRing::with_capacity(8);
-        push_numbered(&mut r, 0..50);
-        assert!(r.dropped() >= 2 * 4, "compacted at least twice");
-        assert_eq!(r.dropped() + r.len() as u64, 50);
+    /// Every survivor reads its own tail, and the arena holds the
+    /// survivors' tails and nothing older.
+    fn assert_tails_follow(r: &TailRing<u64, u64>) {
         let mut tail_slots = 0;
         for i in 0..r.len() {
             let (&entry, tail) = r.get(i);
             assert_eq!(entry, r.dropped() + i as u64);
             assert_eq!(tail, vec![entry; (entry % 4) as usize], "entry {entry}");
-            assert_eq!(r.tail_len_from(i), r.tails.len() - tail_slots);
             tail_slots += tail.len();
         }
-        // The arena holds the survivors' tails and nothing older.
         assert_eq!(r.tails.len(), tail_slots);
-        assert_eq!(r.tail_len_from(r.len()), 0);
+    }
+
+    #[test]
+    fn tails_stay_with_their_entries_through_compactions() {
+        let mut r = TailRing::with_capacity(8, 3);
+        let reserved = r.tails.capacity();
+        assert!(reserved >= 8 * 3);
+        push_numbered(&mut r, 0..50);
+        assert_eq!(r.tails.capacity(), reserved, "the arena never moved");
+        assert!(r.dropped() >= 2 * 4, "compacted at least twice");
+        assert_eq!(r.dropped() + r.len() as u64, 50);
+        assert_tails_follow(&r);
         assert_eq!(r.partition_point(|&e| e < 47), r.len() - 3);
+    }
+
+    /// Offsets are kept modulo 2³²: an arena whose cut count wraps
+    /// past `u32::MAX` mid-run still hands each entry its own tail.
+    #[test]
+    fn tails_survive_the_offset_wrapping_past_u32_max() {
+        let mut r = TailRing::with_capacity(8, 3);
+        r.tails_cut = u32::MAX - 20;
+        push_numbered(&mut r, 0..50);
+        assert!(r.tails_cut < u32::MAX - 20, "the cut offset wrapped");
+        assert_tails_follow(&r);
     }
 
     #[test]

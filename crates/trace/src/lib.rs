@@ -36,13 +36,14 @@
 //! Zero-allocation-on guarantee: a buffer stores per event only what
 //! varies per event. What is constant per call site — name, category,
 //! phase and arg names — is interned once per buffer, the first time
-//! the buffer sees it, as a *schema*; the ring then holds a 40 B slot
-//! per event (times, lanes, schema id) and its arena the arg values,
-//! 8 B each. No event owns heap memory, so recording allocates nothing
-//! past a schema's first sight (the arena grows by doubling to its
-//! steady size, a bounded ring's slots are reserved up front) and
-//! dropping or compacting the buffer frees nothing per event.
-//! `tests/alloc_gate.rs` pins both guarantees.
+//! the buffer sees it, as a *schema*; the ring then holds a 16 B entry
+//! per event (completion time, schema id, arena offset) and its arena
+//! the rest — duration, lanes and arg values — as one LEB128 byte run,
+//! 1 B for a value below 128. No event owns heap memory, so recording
+//! allocates nothing past a schema's first sight (a bounded ring
+//! reserves its slots and its arena up front, an unbounded one's arena
+//! grows by doubling) and dropping or compacting the buffer frees
+//! nothing per event. `tests/alloc_gate.rs` pins both guarantees.
 //!
 //! Schemas are looked up by the *addresses* of their `&'static str`s
 //! and written out by their *content*: two content-equal names at
@@ -52,13 +53,12 @@
 
 use std::cell::RefCell;
 use std::hash::Hasher;
-use std::iter::{Copied, Zip};
 use std::ops::Deref;
 use std::rc::Rc;
-use std::{fmt, ptr, slice};
+use std::{fmt, ptr};
 
 use rocksteady_common::fxmap::{FxHashMap, FxHasher};
-use rocksteady_common::json::{JsonWriter, Micros};
+use rocksteady_common::json::{JsonWriter, Members, Micros};
 use rocksteady_common::{Histogram, Nanos, TailRing};
 
 pub mod journey;
@@ -139,6 +139,10 @@ pub type Arg = (&'static str, u64);
 /// the event whole).
 pub const MAX_ARGS: usize = 16;
 
+/// The longest byte run an event of at most [`MAX_ARGS`] args takes in
+/// the arena: `dur`, `pid`, `tid` and its args, 10 B each at most.
+const RUN_BOUND: usize = 10 * (3 + MAX_ARGS);
+
 /// The fixed-size part of a recorded event: everything but its args.
 /// All names are `&'static str`, so a head is plain copyable data. The
 /// buffer does not store heads: a reader gets each one rebuilt from the
@@ -161,16 +165,38 @@ pub struct EventHead {
     pub tid: u64,
 }
 
-/// What the ring holds per event: everything that varies per event but
-/// its arg values. 40 B; with the ring's arena offset beside it, 48 B.
+/// What the ring holds per event beside its byte run in the arena
+/// (`dur`, `pid`, `tid`, then the arg values, each [`put_varint`]-
+/// encoded). 12 B and 4-aligned, so with the ring's `u32` arena offset
+/// 16 B.
 #[derive(Debug, Clone, Copy)]
+#[repr(C, packed(4))]
 struct Slot {
-    ts: Nanos,
-    dur: Nanos,
-    pid: u64,
-    tid: u64,
+    /// `ts + dur`, wrapping: the buffer is completion-ordered, so this is
+    /// what [`Events::since`] searches, and `ts` is `end - dur`.
+    end: Nanos,
     /// Index into the buffer's schema table.
     schema: u32,
+}
+
+/// Appends `v` to `arena` as LEB128: seven bits a byte, low bits first,
+/// the top bit set on every byte but the last — 1 B below 2⁷, 10 B at
+/// most.
+#[inline]
+fn put_varint(arena: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        arena.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    arena.push(v as u8);
+}
+
+/// Reads one [`put_varint`] value off the front of `bytes`.
+fn take_varint(bytes: &mut &[u8]) -> u64 {
+    let last = bytes.iter().position(|&b| b < 0x80);
+    let (run, rest) = bytes.split_at(last.expect("a value ends in a byte below 0x80") + 1);
+    *bytes = rest;
+    run.iter().rfold(0, |v, &b| v << 7 | u64::from(b & 0x7f))
 }
 
 /// What is constant per call site, stored once per buffer: the event's
@@ -182,6 +208,24 @@ struct Schema {
     cat: &'static str,
     ph: Phase,
     args: Box<[&'static str]>,
+}
+
+impl Schema {
+    /// What the chrome export writes for every event of this schema:
+    /// `"name":…,"cat":…,"ph":…`, and `"arg":` for each of its args.
+    fn chrome(&self) -> (Members, Vec<Members>) {
+        let ph = match self.ph {
+            Phase::Span => "X",
+            Phase::Instant => "i",
+            Phase::Counter => "C",
+            Phase::FlowStart => "s",
+            Phase::FlowEnd => "f",
+        };
+        let (name, cat) = (self.name, self.cat);
+        let head = Members::render(|w| w.field("name", name).field("cat", cat).field("ph", ph));
+        let key = |&arg| Members::render(|w| w.key(arg));
+        (head, self.args.iter().map(key).collect())
+    }
 }
 
 /// An event as a record call hands it over, before it is filed.
@@ -240,6 +284,8 @@ pub struct TraceEvent<'a> {
     head: EventHead,
     /// Structured integer arguments, in recording order.
     pub args: Args<'a>,
+    /// Its schema's id.
+    schema: u32,
 }
 
 impl Deref for TraceEvent<'_> {
@@ -260,44 +306,46 @@ impl TraceEvent<'_> {
 }
 
 /// One event's args, in recording order: names from its schema, values
-/// from the arena. `Copy`, and iterable as often as a reader likes.
+/// from the event's byte run. It is its own iterator, decoding each
+/// value as it yields it, and `Copy`, so a reader can walk it as often
+/// as it likes.
 #[derive(Clone, Copy)]
 pub struct Args<'a> {
+    /// The names of the args still to be yielded.
     names: &'a [&'static str],
-    values: &'a [u64],
+    /// Their values, [`put_varint`]-encoded one after another.
+    bytes: &'a [u8],
 }
-
-/// The iterator of an event's [`Args`].
-pub type ArgsIter<'a> = Zip<Copied<slice::Iter<'a, &'static str>>, Copied<slice::Iter<'a, u64>>>;
 
 impl<'a> Args<'a> {
     /// A fresh walk over the args.
-    pub fn iter(&self) -> ArgsIter<'a> {
-        self.names.iter().copied().zip(self.values.iter().copied())
+    pub fn iter(&self) -> Args<'a> {
+        *self
     }
 
-    /// How many args the event carries.
+    /// How many args are left.
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.names.len()
     }
 
-    /// Whether the event carries no args.
+    /// Whether no arg is left.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.names.is_empty()
     }
 
-    /// The `i`-th arg.
+    /// The `i`-th arg: a walk over the `i` before it.
     pub fn get(&self, i: usize) -> Option<Arg> {
-        Some((*self.names.get(i)?, self.values[i]))
+        self.iter().nth(i)
     }
 }
 
-impl<'a> IntoIterator for Args<'a> {
+impl Iterator for Args<'_> {
     type Item = Arg;
-    type IntoIter = ArgsIter<'a>;
 
-    fn into_iter(self) -> ArgsIter<'a> {
-        self.iter()
+    fn next(&mut self) -> Option<Arg> {
+        let (&name, rest) = self.names.split_first()?;
+        self.names = rest;
+        Some((name, take_varint(&mut self.bytes)))
     }
 }
 
@@ -338,34 +386,39 @@ impl<'a> Events<'a> {
     /// The events completing at or after `since`. The buffer is
     /// completion-ordered, so that window is a suffix.
     pub fn since(&self, since: Nanos) -> Events<'a> {
-        let first = self.buf.events.partition_point(|ev| ev.ts + ev.dur < since);
+        let first = self.buf.events.partition_point(|slot| slot.end < since);
         Events {
             from: first.clamp(self.from, self.to),
             ..*self
         }
     }
 
-    /// Args carried by the events from here to the buffer's end.
+    /// Args carried by the events still to be yielded.
     fn args_len(&self) -> usize {
-        self.buf.events.tail_len_from(self.from)
+        let schemas = &self.buf.schemas;
+        (self.from..self.to)
+            .map(|i| schemas[self.buf.events.get(i).0.schema as usize].args.len())
+            .sum()
     }
 
     fn event(&self, i: usize) -> TraceEvent<'a> {
-        let (slot, values) = self.buf.events.get(i);
+        let (slot, mut bytes) = self.buf.events.get(i);
         let schema = &self.buf.schemas[slot.schema as usize];
+        let [dur, pid, tid] = [(); 3].map(|_| take_varint(&mut bytes));
         let head = EventHead {
             name: schema.name,
             cat: schema.cat,
             ph: schema.ph,
-            ts: slot.ts,
-            dur: slot.dur,
-            pid: slot.pid,
-            tid: slot.tid,
+            ts: slot.end.wrapping_sub(dur),
+            dur,
+            pid,
+            tid,
         };
         let names = &schema.args;
         TraceEvent {
             head,
-            args: Args { names, values },
+            args: Args { names, bytes },
+            schema: slot.schema,
         }
     }
 }
@@ -401,8 +454,8 @@ impl ExactSizeIterator for Events<'_> {}
 /// The shared event buffer behind an enabled [`Tracer`].
 #[derive(Debug, Default)]
 pub struct TraceBuf {
-    /// One slot per event, its arg values in the arena.
-    events: TailRing<Slot, u64>,
+    /// One slot per event, the rest of the event in the arena.
+    events: TailRing<Slot, u8>,
     /// Every schema seen, by id, in first-sight order. Compaction
     /// evicts slots, never a schema.
     schemas: Vec<Schema>,
@@ -421,13 +474,19 @@ impl TraceBuf {
         let schema = self.schema_of(&ev);
         let h = ev.head;
         let slot = Slot {
-            ts: h.ts,
-            dur: h.dur,
-            pid: h.pid,
-            tid: h.tid,
+            end: h.ts.wrapping_add(h.dur),
             schema,
         };
-        self.events.push(slot, ev.all_args().map(|(_, v)| v));
+        self.events.push_with(slot, |arena| {
+            // One reservation per event, as `RUN_BOUND` counts.
+            arena.reserve(10 * (3 + ev.arity()));
+            for v in [h.dur, h.pid, h.tid] {
+                put_varint(arena, v);
+            }
+            for (_, v) in ev.all_args() {
+                put_varint(arena, v);
+            }
+        });
     }
 
     /// `ev`'s schema id: the index's candidate if it is `ev`'s, else a
@@ -485,7 +544,7 @@ impl Tracer {
         Tracer(None)
     }
 
-    fn recording_into(events: TailRing<Slot, u64>) -> Self {
+    fn recording_into(events: TailRing<Slot, u8>) -> Self {
         Tracer(Some(Rc::new(RefCell::new(TraceBuf {
             events,
             recording: true,
@@ -499,12 +558,13 @@ impl Tracer {
     }
 
     /// An armed tracer in **ring mode**: the buffer is a
-    /// [`TailRing::with_capacity`], evictions are counted in
+    /// [`TailRing::with_capacity`] whose arena is reserved for
+    /// `capacity` events of [`MAX_ARGS`] args, evictions are counted in
     /// [`Tracer::dropped`]. Because the buffer is completion-ordered,
     /// dropping a prefix cannot break nesting or ordering, so
     /// [`Tracer::validate`] still passes on a wrapped buffer.
     pub fn with_capacity(capacity: usize) -> Self {
-        Self::recording_into(TailRing::with_capacity(capacity))
+        Self::recording_into(TailRing::with_capacity(capacity, RUN_BOUND))
     }
 
     /// Events discarded by ring compaction (0 when unbounded or off).
@@ -726,19 +786,10 @@ impl Tracer {
         let bytes = 64 + events.len() * EVENT_BYTES + events.args_len() * ARG_BYTES;
         let mut w = JsonWriter::with_capacity(bytes);
         w.obj().key("traceEvents").arr();
+        let schemas: Vec<_> = events.buf.schemas.iter().map(Schema::chrome).collect();
         for ev in events {
-            let ph = match ev.ph {
-                Phase::Span => "X",
-                Phase::Instant => "i",
-                Phase::Counter => "C",
-                Phase::FlowStart => "s",
-                Phase::FlowEnd => "f",
-            };
-            w.obj()
-                .field("name", ev.name)
-                .field("cat", ev.cat)
-                .field("ph", ph)
-                .field("ts", Micros(ev.ts));
+            let (head, keys) = &schemas[ev.schema as usize];
+            w.obj().members(head).field("ts", Micros(ev.ts));
             if ev.ph == Phase::Span {
                 w.field("dur", Micros(ev.dur));
             }
@@ -756,8 +807,8 @@ impl Tracer {
             w.field("pid", ev.pid).field("tid", ev.tid);
             if !ev.args.is_empty() {
                 w.key("args").obj();
-                for (k, v) in ev.args {
-                    w.field(k, v);
+                for (key, (_, v)) in keys.iter().zip(ev.args) {
+                    w.members(key).value(v);
                 }
                 w.end_obj();
             }
@@ -958,6 +1009,50 @@ mod tests {
         assert!(json.contains("\"name\":\"new\""), "{json}");
     }
 
+    /// `since(t)` keeps every event completing at `t` — a span that
+    /// started earlier included — and `args_len` counts only the events
+    /// a walk has left, from either end.
+    #[test]
+    fn since_keeps_completion_ties_and_args_len_follows_the_walk() {
+        let t = Tracer::armed();
+        t.instant("a", "m", 1, 0, 10, [("x", 1)]);
+        t.span("b", "m", 1, 1, 5, 15, [("x", 2), ("y", 3)]);
+        t.instant("c", "m", 1, 0, 20, []);
+        t.span("d", "m", 1, 2, 20, 0, [("x", 4)]);
+        t.instant("e", "m", 1, 0, 30, [("x", 5), ("y", 6), ("z", 7)]);
+        t.with_events(|events| {
+            let names = |e: Events<'_>| e.map(|ev| ev.name).collect::<String>();
+            for (since, want) in [(0, "abcde"), (10, "abcde"), (11, "bcde"), (20, "bcde")] {
+                assert_eq!(names(events.since(since)), want, "since {since}");
+            }
+            for (since, want) in [(21, "e"), (30, "e"), (31, "")] {
+                assert_eq!(names(events.since(since)), want, "since {since}");
+            }
+            let mut walk = events.since(20);
+            assert_eq!(walk.args_len(), 6);
+            walk.next_back();
+            assert_eq!(walk.args_len(), 3);
+            walk.next();
+            assert_eq!((walk.args_len(), names(walk)), (1, "cd".into()));
+        });
+    }
+
+    /// Reading past an event's args, or a name it does not carry, is
+    /// `None`.
+    #[test]
+    fn missing_args_read_as_none() {
+        let t = Tracer::armed();
+        t.instant("a", "m", 1, 0, 10, [("x", 300), ("y", 7)]);
+        t.instant("b", "m", 1, 0, 11, []);
+        t.with_events(|mut events| {
+            let a = events.next().unwrap();
+            assert_eq!((a.args.get(1), a.args.get(2)), (Some(("y", 7)), None));
+            assert_eq!((a.arg("x"), a.arg("z")), (Some(300), None));
+            let b = events.next().unwrap();
+            assert_eq!((b.args.get(0), b.arg("x")), (None, None));
+        });
+    }
+
     #[test]
     fn flow_events_export_chrome_phases_and_ids() {
         let t = Tracer::armed();
@@ -1036,7 +1131,7 @@ mod tests {
             "a0", "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "a9", "a10", "a11", "a12", "a13",
             "a14", "a15", "a16", "a17", "a18",
         ];
-        let args: [Arg; WIDE] = std::array::from_fn(|i| (NAMES[i], 11 * i as u64));
+        let args: [Arg; WIDE] = std::array::from_fn(|i| (NAMES[i], EDGES[i % EDGES.len()]));
         let t = Tracer::armed();
         t.instant("wide", "rpc", 3, 0, 10, args);
         t.flow("f", "flow", 3, 0, 10, true, 77, args);
@@ -1058,15 +1153,150 @@ mod tests {
         );
     }
 
-    /// The ring holds 48 B per event — slot and arena offset — and the
-    /// arena 8 B per arg.
+    /// The ring holds 16 B per event — slot and arena offset — and the
+    /// arena the event's LEB128 run: `dur`, `pid`, `tid`, then the args.
     #[test]
     fn a_retained_event_costs_a_slot_and_its_values() {
-        assert_eq!(std::mem::size_of::<(Slot, u64)>(), 48);
+        assert_eq!(std::mem::size_of::<(Slot, u32)>(), 16);
         let t = Tracer::armed();
-        t.instant("rpc", "rpc", 1, 0, 5, [("queue", 40), ("service", 2)]);
+        t.instant("rpc", "rpc", 1, 0, 5, [("queue", 40), ("service", 200)]);
         let buf = t.0.as_ref().unwrap().borrow();
-        assert_eq!(buf.events.get(0).1, [40, 2]);
+        assert_eq!(buf.events.get(0).1, [0, 1, 0, 40, 0x80 | 200 & 0x7f, 1]);
+    }
+
+    /// Arena bytes held by a tracer's retained events.
+    fn arena_bytes(t: &Tracer) -> usize {
+        let buf = t.0.as_ref().unwrap().borrow();
+        (0..buf.events.len())
+            .map(|i| buf.events.get(i).1.len())
+            .sum()
+    }
+
+    /// The exact ledger of one served read as `observed_rebalance`
+    /// records it, with values of its sizes (absolute stamps past 2²⁸
+    /// ns, 44-bit trace ids): five events and 26 args in 194 B — 80 B
+    /// of ring entries and a 114 B arena — where 48 B an event and 8 B
+    /// an arg took 448 B.
+    #[test]
+    fn a_served_read_costs_194_bytes() {
+        const READS: u64 = 1_000;
+        let t = Tracer::armed();
+        for i in 0..READS {
+            let (client, server, rpc) = (9, 3, 77_777 + i);
+            let trace = (client + 1) << 40 | (4_321 + i);
+            let sent = 1_234_560_000 + i * 10_000;
+            let (arrived, assigned, done) = (sent + 2_000, sent + 2_500, sent + 4_000);
+            // dur, pid, tid 3 B + flow 7 + trace 7 + attempt 1 = 18 B.
+            let flow = [("trace", trace), ("attempt", 1)];
+            t.flow("rpc-flow", "flow", client, 0, sent, true, trace ^ rpc, flow);
+            // dur 2 + pid 1 + tid 1 = 4 B.
+            t.span("read", "worker", server, 2, assigned, 1_500, []);
+            // 3 B + src 1, rpc 3, five stamps 25, net_in 2, nic_in 1,
+            // queue 2, service 2, hold 1, trace 7, hop 1 = 48 B.
+            let decomposition = [
+                ("src", client),
+                ("rpc", rpc),
+                ("sent_at", sent),
+                ("arrived", arrived),
+                ("assigned", assigned),
+                ("service_end", done),
+                ("resp_sent", done),
+                ("net_in", arrived - sent),
+                ("nic_in", 24),
+                ("queue", assigned - arrived),
+                ("service", done - assigned),
+                ("hold", 0),
+                ("trace", trace),
+                ("hop", 1),
+            ];
+            t.instant("read", "rpc", server, 0, done, decomposition);
+            // 3 B + flow 7 + trace 7 = 17 B.
+            let flow = [("trace", trace)];
+            t.flow(
+                "rpc-flow",
+                "flow",
+                server,
+                0,
+                done,
+                false,
+                trace ^ rpc,
+                flow,
+            );
+            // 3 B + rpc 3, issued 5, completed 5, e2e 2, trace 7,
+            // attempt 1, status 1 = 27 B.
+            let completed = done + 1_000;
+            let client_args = [
+                ("rpc", rpc),
+                ("issued", sent),
+                ("completed", completed),
+                ("e2e", completed - sent),
+                ("trace", trace),
+                ("attempt", 1),
+                ("status", 0),
+            ];
+            t.instant("rpc-client", "client", client, 0, completed, client_args);
+        }
+        let (events, args) = t.with_events(|e| (e.len(), e.args_len()));
+        assert_eq!((events, args), (5 * READS as usize, 26 * READS as usize));
+        assert_eq!(std::mem::size_of::<(Slot, u32)>(), 16);
+        assert_eq!(arena_bytes(&t), 114 * READS as usize);
+    }
+
+    /// Values at every LEB128 length boundary, and the extremes.
+    const EDGES: [u64; 8] = [
+        0,
+        127,
+        128,
+        (1 << 14) - 1,
+        1 << 14,
+        1 << 32,
+        1 << 63,
+        u64::MAX,
+    ];
+
+    /// Every edge value in every position — `dur`, `pid`, `tid` and each
+    /// arg, at every arity up to the cap — reads back exactly, as soon
+    /// as it is recorded and again among the survivors of a ring that
+    /// compacted many times.
+    #[test]
+    fn edge_values_round_trip_in_every_position() {
+        const NAMES: [&str; MAX_ARGS] = [
+            "a0", "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "a9", "a10", "a11", "a12", "a13",
+            "a14", "a15",
+        ];
+        let t = Tracer::with_capacity(64);
+        // (ts, dur, pid, tid) and args, as recorded.
+        type Recorded = ([u64; 4], Vec<Arg>);
+        let mut want: Vec<Recorded> = Vec::new();
+        let check = |ev: TraceEvent<'_>, (head, args): &Recorded| {
+            assert_eq!([ev.ts, ev.dur, ev.pid, ev.tid], *head);
+            assert_eq!(ev.args.len(), args.len());
+            assert!(ev.args.iter().eq(args.iter().copied()), "{:?}", ev.args);
+        };
+        for arity in 0..=MAX_ARGS {
+            for (k, &edge) in EDGES.iter().enumerate() {
+                for at in 0..3 + arity {
+                    // `edge` at position `at`, its neighbours elsewhere.
+                    let v = |p: usize| match p == at {
+                        true => edge,
+                        false => EDGES[(k + p + 1) % EDGES.len()],
+                    };
+                    let args: Vec<Arg> = (0..arity).map(|i| (NAMES[i], v(3 + i))).collect();
+                    let ts = want.len() as Nanos;
+                    t.span("edge", "codec", v(1), v(2), ts, v(0), &args);
+                    want.push(([ts, v(0), v(1), v(2)], args));
+                    t.with_events(|mut e| check(e.next_back().unwrap(), want.last().unwrap()));
+                }
+            }
+        }
+        assert!(t.dropped() >= 2 * 32, "only {} dropped", t.dropped());
+        t.with_events(|events| {
+            let survivors = &want[t.dropped() as usize..];
+            assert_eq!(events.len(), survivors.len());
+            for (ev, want) in events.zip(survivors) {
+                check(ev, want);
+            }
+        });
     }
 
     fn schemas(t: &Tracer) -> usize {

@@ -225,11 +225,10 @@ fn recording_trace_events_allocates_nothing_per_event() {
     const RPCS: u64 = 10_000;
 
     // Armed, in ring mode, small enough to compact several times: the
-    // slots were reserved when the ring was built, so the only
-    // allocations left are the arena's doublings up to the ≈ 70 k values
-    // it peaks at and the first sight of each of the four schemas — 20
-    // in all, none per event, none per compaction. So twice the events,
-    // each run on a fresh ring, cost exactly as many.
+    // slots and the arena were reserved when the ring was built, so the
+    // only allocations left are the first sight of each of the four
+    // schemas — 6 in all, none per event, none per compaction. So twice
+    // the events, each run on a fresh ring, cost exactly as many.
     let armed = |rpcs: u64| {
         let ring = Tracer::with_capacity(1 << 14);
         let before = allocs();
