@@ -29,9 +29,10 @@ run cargo test -q --release --test seed_sweep
 run cargo test -q --release -p rocksteady-hashtable
 # The trace arity cap is a debug_assert!: release builds must record an
 # over-wide event whole, and only a release run of its test shows that.
-# The tail ring's offsets wrap modulo 2^32: its tests run here with no
-# overflow checks behind the wrapping arithmetic.
-run cargo test -q --release -p rocksteady-trace -p rocksteady-common
+# The tail ring's offsets wrap modulo 2^32, and the event queue's wheel
+# is shift-and-mask arithmetic with a hand-off from its heap: their
+# tests run here with no overflow checks or debug assertions behind them.
+run cargo test -q --release -p rocksteady-trace -p rocksteady-common -p rocksteady-simnet
 # The pinned digests again, in a second process with its own RandomState.
 run cargo test -q --release --test golden
 # The frozen repo benchmark builds against crates/ and checks itself.

@@ -23,9 +23,10 @@
 //! # Scheduler
 //!
 //! Two event-queue implementations exist behind [`SchedulerKind`]: the
-//! original global binary heap and a hierarchical calendar queue
-//! (timing wheel + sorted near bucket + far heap) that makes insert and
-//! pop O(1) amortized at paper-scale event populations. Both pop events
+//! original global binary heap and a calendar queue (a sorted near
+//! bucket, a timing wheel over the current ≈ 1 ms epoch, and a heap for
+//! later epochs) that makes insert and pop O(1) amortized for the
+//! events that stay within an epoch, nearly all of them. Both pop events
 //! in exactly `(time, sequence)` order, so traces are byte-identical
 //! across the swap (the determinism suite asserts this); the calendar
 //! queue is the default. See DESIGN.md §3.11.
@@ -282,32 +283,26 @@ pub enum SchedulerKind {
 /// (unsorted O(1) pushes); only sub-µs timer re-arms hit the sorted
 /// near bucket.
 const BUCKET_SHIFT: u32 = 10;
-/// Inner-wheel span in buckets (must be a power of two): ~1 ms of
-/// horizon, covering exactly one *epoch* (`cur >> WHEEL_SHIFT`).
+/// Wheel span in buckets (must be a power of two): ~1 ms of horizon,
+/// covering exactly one *epoch* (`cur >> WHEEL_SHIFT`).
 const WHEEL_SLOTS: usize = 1024;
 const WHEEL_SHIFT: u32 = WHEEL_SLOTS.trailing_zeros();
 const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
-/// Outer-wheel span in epochs: each outer slot is one ~1 ms epoch, so
-/// the outer wheel covers ~1.07 s — RPC timeouts, sampler ticks, and
-/// series timers all land here in O(1) instead of the far heap.
-const OUTER_SLOTS: usize = 1024;
-const OUTER_WORDS: usize = OUTER_SLOTS / 64;
+/// An event's epoch is `at >> EPOCH_SHIFT`.
+const EPOCH_SHIFT: u32 = BUCKET_SHIFT + WHEEL_SHIFT;
 
 /// Hierarchical calendar queue over `(at, seq)`-ordered events.
 ///
-/// Four tiers by distance from the cursor:
-/// - `near`: the bucket the cursor is in, sorted ascending; pops come
-///   off the front ("near-bucket sorting" — a bucket is sorted once,
-///   when the cursor enters it).
+/// Three tiers by distance from the cursor:
+/// - `near`: the bucket the cursor is in, sorted so that pops come off
+///   its end in `(at, seq)` order ("near-bucket sorting" — a bucket is
+///   sorted once, when the cursor enters it).
 /// - `wheel`: unsorted per-bucket event lists for the *current epoch*
 ///   (the `WHEEL_SLOTS`-bucket window aligned at `cur >> WHEEL_SHIFT`);
 ///   O(1) push.
-/// - `outer`: unsorted per-epoch event lists for the next
-///   `OUTER_SLOTS - 1` epochs (~1 s); a whole epoch scatters into the
-///   inner wheel when the cursor enters it.
-/// - `far`: a binary heap for everything past the outer horizon
-///   (timers many seconds out); each event migrates inward at most
-///   once per tier.
+/// - `far`: a binary heap for every later epoch; when the wheel runs
+///   dry, the head's epoch moves into it whole. Under 4 % of events
+///   land here (DESIGN.md §3.11 has the census).
 struct CalendarQueue {
     /// Absolute bucket index (`at >> BUCKET_SHIFT`) of `near`.
     cur: u64,
@@ -319,9 +314,6 @@ struct CalendarQueue {
     wheel: Vec<Vec<QRef>>,
     /// One bit per wheel slot with events queued, for O(words) scans.
     occupied: [u64; WHEEL_WORDS],
-    /// Per-epoch lists for epochs after the current one.
-    outer: Vec<Vec<QRef>>,
-    outer_occupied: [u64; OUTER_WORDS],
     far: BinaryHeap<Reverse<QRef>>,
     len: usize,
 }
@@ -333,8 +325,6 @@ impl CalendarQueue {
             near: Vec::new(),
             wheel: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
             occupied: [0; WHEEL_WORDS],
-            outer: (0..OUTER_SLOTS).map(|_| Vec::new()).collect(),
-            outer_occupied: [0; OUTER_WORDS],
             far: BinaryHeap::new(),
             len: 0,
         }
@@ -351,23 +341,18 @@ impl CalendarQueue {
             // so ordering stays exact.
             let idx = self.near.partition_point(|e| (e.at, e.seq) > (q.at, q.seq));
             self.near.insert(idx, q);
-            return;
-        }
-        let epoch = b >> WHEEL_SHIFT;
-        let cur_epoch = self.cur >> WHEEL_SHIFT;
-        if epoch == cur_epoch {
-            let slot = (b as usize) & (WHEEL_SLOTS - 1);
-            self.wheel[slot].push(q);
-            self.occupied[slot / 64] |= 1 << (slot % 64);
-        } else if epoch - cur_epoch < OUTER_SLOTS as u64 {
-            // Slots can't alias two epochs: live outer entries all lie
-            // within `(cur_epoch, cur_epoch + OUTER_SLOTS)`.
-            let slot = (epoch as usize) & (OUTER_SLOTS - 1);
-            self.outer[slot].push(q);
-            self.outer_occupied[slot / 64] |= 1 << (slot % 64);
+        } else if b >> WHEEL_SHIFT == self.cur >> WHEEL_SHIFT {
+            self.push_wheel(q);
         } else {
             self.far.push(Reverse(q));
         }
+    }
+
+    /// Files an event of the current epoch under its bucket's slot.
+    fn push_wheel(&mut self, q: QRef) {
+        let slot = ((q.at >> BUCKET_SHIFT) as usize) & (WHEEL_SLOTS - 1);
+        self.wheel[slot].push(q);
+        self.occupied[slot / 64] |= 1 << (slot % 64);
     }
 
     /// Moves the cursor to the next non-empty bucket and sorts it into
@@ -375,7 +360,7 @@ impl CalendarQueue {
     fn refill(&mut self) {
         debug_assert!(self.near.is_empty() && self.len > 0);
         let epoch_base = self.cur & !(WHEEL_SLOTS as u64 - 1);
-        self.cur = match self.next_inner_from((self.cur as usize & (WHEEL_SLOTS - 1)) + 1) {
+        self.cur = match self.next_slot_from((self.cur as usize & (WHEEL_SLOTS - 1)) + 1) {
             Some(slot) => epoch_base + slot as u64,
             None => self.advance_epoch(),
         };
@@ -390,9 +375,9 @@ impl CalendarQueue {
             .sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
     }
 
-    /// First occupied inner-wheel slot at index `start` or later within
+    /// First occupied wheel slot at index `start` or later within
     /// the current epoch (no wraparound — the wheel is epoch-aligned).
-    fn next_inner_from(&self, start: usize) -> Option<usize> {
+    fn next_slot_from(&self, start: usize) -> Option<usize> {
         if start >= WHEEL_SLOTS {
             return None;
         }
@@ -410,88 +395,29 @@ impl CalendarQueue {
         }
     }
 
-    /// The current epoch's wheel is drained: advance to the next epoch
-    /// holding events (nearest occupied outer slot vs. the far head),
-    /// scatter that epoch into the inner wheel, migrate far events now
-    /// within the outer horizon, and return the first occupied bucket.
-    /// Each event crosses each tier boundary at most once, so the whole
-    /// hierarchy stays amortized O(1) per event.
+    /// The current epoch's wheel is drained: enter the far heap head's
+    /// epoch, move all of that epoch's events into the wheel, and
+    /// return the first occupied bucket. An event passes through the
+    /// heap at most once: O(log n) for the few that land there, O(1)
+    /// amortized for the rest.
     fn advance_epoch(&mut self) -> u64 {
-        let cur_epoch = self.cur >> WHEEL_SHIFT;
-        let outer_next = self.next_outer_delta().map(|d| cur_epoch + d);
-        let far_next = self
-            .far
-            .peek()
-            .map(|Reverse(q)| q.at >> (BUCKET_SHIFT + WHEEL_SHIFT));
-        let epoch = match (outer_next, far_next) {
-            (Some(o), Some(f)) => o.min(f),
-            (Some(o), None) => o,
-            (None, Some(f)) => f,
-            (None, None) => unreachable!("len > 0 with empty near, wheel, outer, and far"),
+        let Some(Reverse(head)) = self.far.peek() else {
+            unreachable!("len > 0 with empty near, wheel and far")
         };
-        // Scatter the entered epoch's events into the inner wheel.
-        let outer_slot = (epoch as usize) & (OUTER_SLOTS - 1);
-        self.outer_occupied[outer_slot / 64] &= !(1 << (outer_slot % 64));
-        let mut entering = std::mem::take(&mut self.outer[outer_slot]);
-        for q in entering.drain(..) {
-            let slot = ((q.at >> BUCKET_SHIFT) as usize) & (WHEEL_SLOTS - 1);
-            self.wheel[slot].push(q);
-            self.occupied[slot / 64] |= 1 << (slot % 64);
-        }
-        // Hand the (empty) buffer back so its capacity is recycled.
-        self.outer[outer_slot] = entering;
-        // Migrate far events inside the new outer horizon: the entered
-        // epoch's go straight to the inner wheel, later ones to outer.
-        let horizon = epoch + OUTER_SLOTS as u64;
+        let epoch = head.at >> EPOCH_SHIFT;
         while let Some(Reverse(q)) = self.far.peek() {
-            let e = q.at >> (BUCKET_SHIFT + WHEEL_SHIFT);
-            if e >= horizon {
+            if q.at >> EPOCH_SHIFT != epoch {
                 break;
             }
             let Some(Reverse(q)) = self.far.pop() else {
                 unreachable!()
             };
-            if e == epoch {
-                let slot = ((q.at >> BUCKET_SHIFT) as usize) & (WHEEL_SLOTS - 1);
-                self.wheel[slot].push(q);
-                self.occupied[slot / 64] |= 1 << (slot % 64);
-            } else {
-                let slot = (e as usize) & (OUTER_SLOTS - 1);
-                self.outer[slot].push(q);
-                self.outer_occupied[slot / 64] |= 1 << (slot % 64);
-            }
+            self.push_wheel(q);
         }
         let slot = self
-            .next_inner_from(0)
+            .next_slot_from(0)
             .expect("entered epoch must hold at least one event");
         (epoch << WHEEL_SHIFT) + slot as u64
-    }
-
-    /// Distance (in epochs) from the current epoch to the nearest
-    /// occupied outer slot, scanning the occupancy bitmap word-by-word
-    /// with wraparound (outer slots are modulo-indexed).
-    fn next_outer_delta(&self) -> Option<u64> {
-        let start = (((self.cur >> WHEEL_SHIFT) as usize) & (OUTER_SLOTS - 1)) + 1;
-        for i in 0..=OUTER_WORDS {
-            // Word index, walking wrapped slots [start, start + OUTER_SLOTS).
-            let word_idx = ((start / 64) + i) % OUTER_WORDS;
-            let mut word = self.outer_occupied[word_idx];
-            if i == 0 {
-                word &= !0u64 << (start % 64);
-            }
-            if i == OUTER_WORDS {
-                // Wrapped fully around: only slots before `start` remain.
-                word &= !(!0u64 << (start % 64));
-            }
-            if word != 0 {
-                let slot = word_idx * 64 + word.trailing_zeros() as usize;
-                let cur_slot = ((self.cur >> WHEEL_SHIFT) as usize) & (OUTER_SLOTS - 1);
-                let delta = (slot + OUTER_SLOTS - cur_slot) % OUTER_SLOTS;
-                debug_assert!(delta > 0);
-                return Some(delta as u64);
-            }
-        }
-        None
     }
 
     fn next_at(&mut self) -> Option<Nanos> {
@@ -522,16 +448,14 @@ impl CalendarQueue {
 /// implementations ([`SchedulerKind`]).
 enum EventQueue {
     Heap(BinaryHeap<Reverse<QRef>>),
-    // Boxed: the wheel + outer ring headers make the calendar ~370 B,
-    // and there is exactly one EventQueue per Simulation anyway.
-    Calendar(Box<CalendarQueue>),
+    Calendar(CalendarQueue),
 }
 
 impl EventQueue {
     fn new(kind: SchedulerKind) -> Self {
         match kind {
             SchedulerKind::BinaryHeap => EventQueue::Heap(BinaryHeap::new()),
-            SchedulerKind::Calendar => EventQueue::Calendar(Box::new(CalendarQueue::new())),
+            SchedulerKind::Calendar => EventQueue::Calendar(CalendarQueue::new()),
         }
     }
 
@@ -1166,8 +1090,11 @@ mod tests {
         );
         // Timers (in the ticket) and messages (in the slab) due at one
         // deadline pop in arm/send order, whichever calendar tier —
-        // near bucket, wheel, outer ring — they were pushed into.
-        for delay in [1_000, 5_000, 3_000_000] {
+        // near bucket, wheel, heap — they were pushed into: the last
+        // wheel bucket of the first epoch, the first of the next, and
+        // 2.5 s out.
+        let epoch = 1 << (BUCKET_SHIFT + WHEEL_SHIFT);
+        for delay in [1_000, 5_000, epoch - 1, epoch, 3_000_000, 2_500_000_000] {
             for kind in [SchedulerKind::Calendar, SchedulerKind::BinaryHeap] {
                 assert_eq!(mixed_log(kind, delay), (0..64).collect::<Vec<u64>>());
             }
@@ -1215,10 +1142,11 @@ mod tests {
         }
     }
 
-    /// Timers far past the wheel horizon (and re-arming across it) must
-    /// migrate inward in order.
+    /// Timers past the wheel's epoch (and re-arming across it) must move
+    /// inward in order: the whole run pops in the reference heap's order.
     #[test]
     fn far_horizon_timers_fire_in_order() {
+        let mut orders = Vec::new();
         for kind in [SchedulerKind::Calendar, SchedulerKind::BinaryHeap] {
             let fires = Rc::new(RefCell::new(Vec::new()));
             let mut sim = Simulation::with_scheduler(nic(), 1, kind);
@@ -1228,6 +1156,14 @@ mod tests {
                 fires: Rc::clone(&fires),
                 remaining: 5,
             }));
+            // One epoch and 1 ns: each deadline sits 1 ns further into
+            // its epoch, and is armed from the epoch before it.
+            let epochal = Rc::new(RefCell::new(Vec::new()));
+            sim.add_actor(Box::new(Ticker {
+                period: 1_048_577,
+                fires: Rc::clone(&epochal),
+                remaining: 14,
+            }));
             // A fast ticker interleaved within the horizon.
             let fast = Rc::new(RefCell::new(Vec::new()));
             sim.add_actor(Box::new(Ticker {
@@ -1235,14 +1171,26 @@ mod tests {
                 fires: Rc::clone(&fast),
                 remaining: 60,
             }));
-            sim.run_to_idle();
+            let mut popped = Vec::new();
+            while sim.step() {
+                popped.push(sim.now());
+            }
+            orders.push(popped);
             assert_eq!(
                 *fires.borrow(),
                 vec![3_000_000, 6_000_000, 9_000_000, 12_000_000, 15_000_000]
             );
+            assert_eq!(
+                *epochal.borrow(),
+                (1..=14).map(|k| k * 1_048_577).collect::<Vec<_>>()
+            );
             assert_eq!(fast.borrow().len(), 60);
             assert!(fast.borrow().windows(2).all(|w| w[0] < w[1]));
         }
+        assert_eq!(
+            orders[0], orders[1],
+            "Calendar pops out of the heap's order"
+        );
     }
 
     #[test]

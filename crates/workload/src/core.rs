@@ -48,11 +48,6 @@ impl ClientCore {
             .map(|t| t.owner)
     }
 
-    /// Whether a map fetch is already in flight.
-    pub fn map_pending(&self) -> bool {
-        self.map_rpc.is_some()
-    }
-
     /// Requests the tablet map from the coordinator (no-op if one fetch
     /// is already outstanding). Returns the RPC id when sent.
     pub fn request_map(&mut self, ctx: &mut Ctx<'_, Envelope>) -> Option<RpcId> {

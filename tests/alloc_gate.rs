@@ -44,7 +44,7 @@ use rocksteady_hashtable::{HashTable, MAX_BUCKETS_PER_STRIPE};
 use rocksteady_logstore::{LogConfig, LogRef};
 use rocksteady_master::{MasterConfig, MasterService, ReplayDest, TabletRole, Work};
 use rocksteady_proto::{Body, Envelope, Request, Response, TabletDescriptor, TabletState};
-use rocksteady_simnet::{Actor, Ctx, Directory, Event, NicConfig, SchedulerKind, Simulation};
+use rocksteady_simnet::{Actor, Ctx, Directory, Event, NicConfig, Simulation};
 use rocksteady_trace::Tracer;
 use rocksteady_workload::core::primary_key;
 use rocksteady_workload::shape::bucket_ranks;
@@ -398,14 +398,10 @@ fn a_ycsb_read_costs_the_client_one_allocation() {
     let stats = client_stats(1_000 * SECOND);
     let sampler = KeySampler::new(KEYS, cfg.dist, true);
     let ranks = bucket_ranks(KEYS, cfg.key_len, cfg.shape.buckets());
-    // The reference scheduler: a heap's storage stops growing once the
-    // pending events level off, where the calendar gives its slots their
-    // first capacity as simulated time reaches them. On `Calendar` the
-    // first 5 000 reads below cost 5 051 allocations (5 292 when every
-    // attempt armed its own timeout): the calendar's lists are still
-    // taking their first capacity 30–80 simulated ms into the run.
-    let mut sim: Simulation<Envelope> =
-        Simulation::with_scheduler(NicConfig::default(), 7, SchedulerKind::BinaryHeap);
+    // The default scheduler, the one the benchmark runs: its wheel's
+    // lists and its heap have their capacity long before the warm-up
+    // below ends.
+    let mut sim: Simulation<Envelope> = Simulation::new(NicConfig::default(), 7);
     sim.add_actor(Box::new(ReadStub));
     sim.add_actor(Box::new(YcsbClient::with_sampler(
         cfg,
@@ -421,8 +417,8 @@ fn a_ycsb_read_costs_the_client_one_allocation() {
         (stats.borrow().read_attempts.get(), allocs())
     };
     // Warm until every table the client and the kernel hold has stopped
-    // doubling: the client's ops and deadline queue, the heap, the
-    // event slab.
+    // doubling: the client's ops and deadline queue, the event queue,
+    // the event slab.
     let (warm, a0) = issued_by(3_000);
     let (half, a1) = issued_by(8_000);
     let (full, a2) = issued_by(13_000);
@@ -488,14 +484,15 @@ impl Actor<Ball> for Rally {
 #[test]
 fn the_event_kernel_allocates_nothing_per_event() {
     const EVENTS: u64 = 100_000;
-    let mut sim: Simulation<Ball> =
-        Simulation::with_scheduler(NicConfig::default(), 1, SchedulerKind::Calendar);
+    // The default scheduler, the one the benchmark runs.
+    let mut sim: Simulation<Ball> = Simulation::new(NicConfig::default(), 1);
     sim.add_actor(Box::new(Rally { tick: Some(7_000) }));
     sim.add_actor(Box::new(Rally { tick: None }));
-    // The timer crosses into the next ≈ 1 ms epoch at the end of each,
-    // so every slot of the outer ring (1 024 epochs, ≈ 1.1 s) gets its
-    // list once; the inner wheel's slots fill within the first turns.
-    sim.run_until(1_200 * MILLISECOND);
+    // A ball lands 1.8 µs after it left, in one 1 µs wheel bucket of
+    // two, and which ones shifts from epoch (≈ 1 ms) to epoch: every
+    // wheel slot has had its list by the fourth epoch, the heap its
+    // capacity at the first crossing. Ten epochs leave margin.
+    sim.run_until(10 * MILLISECOND);
     let warm = sim.events_processed();
     let before = allocs();
     while sim.events_processed() < warm + EVENTS {

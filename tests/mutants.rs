@@ -89,6 +89,11 @@ const MUTANTS: &[Mutant] = &[
         replacement: "true",
         killer: ("crates/workload/src/ycsb.rs", "a_retried_operation_is_not_timed_out_on_its_first_deadline"),
         promise: "an attempt times out `RPC_TIMEOUT` after it was issued, never on an earlier attempt's deadline", decided: "§3.11" },
+    Mutant { file: "crates/simnet/src/lib.rs",
+        anchor: "if q.at >> EPOCH_SHIFT != epoch {",
+        replacement: "if q.at >> EPOCH_SHIFT > epoch + 1 {",
+        killer: ("crates/simnet/src/lib.rs", "far_horizon_timers_fire_in_order"),
+        promise: "the kernel pops every event in `(at, seq)` order, whichever tier held it", decided: "§3.11" },
 ];
 
 fn read(path: &str) -> String {
