@@ -45,7 +45,11 @@
 //! share a lock, and stripes cover contiguous bucket ranges so disjoint
 //! hash-space partitions touch disjoint locks. Stripes are capped at
 //! [`MAX_BUCKETS_PER_STRIPE`] buckets so the run a `scan_range` holds a
-//! read lock over stays cache-resident.
+//! read lock over stays cache-resident. An owner holding the table by
+//! `&mut` needs none of that: [`HashTable::lookup_mut`],
+//! [`HashTable::upsert_mut`] and [`HashTable::prefetch`] reach a stripe
+//! through `get_mut` and run the same bodies as the locked doors, with
+//! no lock taken and no atomic read-modify-write made.
 //!
 //! A stripe allocates its buckets on its first [`HashTable::upsert`], so
 //! table memory follows the data: a server that owns nothing pays for a
@@ -362,7 +366,8 @@ impl Buckets {
     }
 
     /// Finds bucket `b`'s entry of `head`'s table for exactly `hash` that
-    /// `is_match` accepts, and where it is, counting probes by the §4.5 rule: an inline
+    /// `is_match` accepts, and where it is — nothing, with no probes, in a
+    /// stripe with no buckets yet — counting probes by the §4.5 rule: an inline
     /// slot is a probe when it is occupied and its tag matches, a
     /// spilled entry always is. Inline slots are searched in index
     /// order, then the chain in spill order.
@@ -375,7 +380,9 @@ impl Buckets {
         mut is_match: impl FnMut(LogRef) -> bool,
     ) -> (Option<(At, Packed)>, u32) {
         let tag = tag_of(hash);
-        let bucket = &self.array[b];
+        let Some(bucket) = self.array.get(b) else {
+            return (None, 0);
+        };
         // Same-tag slots, from the hash line alone; occupancy is in the
         // word line, read only for these (an empty slot's hash is 0).
         let mut candidates = 0u32;
@@ -402,6 +409,51 @@ impl Buckets {
             }
         }
         (None, probes)
+    }
+
+    /// The one lookup body behind [`HashTable::lookup`] and
+    /// [`HashTable::lookup_mut`].
+    #[inline]
+    fn lookup(
+        &self,
+        b: usize,
+        table: TableId,
+        hash: KeyHash,
+        is_match: impl FnMut(LogRef) -> bool,
+    ) -> Probed<Option<LogRef>> {
+        let (found, probes) = self.find(b, search_head(table), hash, is_match);
+        let value = found.map(|(_, p)| p.log_ref());
+        Probed { value, probes }
+    }
+
+    /// The one upsert body behind [`HashTable::upsert`] and
+    /// [`HashTable::upsert_mut`]: `entry` into bucket `b`, allocating the
+    /// stripe's `per_stripe` buckets first if it has none. The caller
+    /// counts an insert.
+    #[inline]
+    fn upsert(
+        &mut self,
+        per_stripe: usize,
+        b: usize,
+        entry: Packed,
+        is_match: impl FnMut(LogRef) -> bool,
+    ) -> Probed<Upsert> {
+        if self.array.is_empty() {
+            self.array = zeroed_buckets(per_stripe);
+        }
+        let (found, probes) = self.find(b, entry.word & HEAD_MASK, entry.hash, is_match);
+        if let Some((at, old)) = found {
+            self.set(b, at, entry);
+            return Probed {
+                value: Upsert::Replaced(old.log_ref()),
+                probes,
+            };
+        }
+        self.insert(b, entry);
+        Probed {
+            value: Upsert::Inserted,
+            probes: probes + 1,
+        }
     }
 
     fn set(&mut self, b: usize, at: At, p: Packed) {
@@ -456,9 +508,8 @@ impl Buckets {
     }
 }
 
-struct Stripe {
-    buckets: RwLock<Buckets>,
-}
+/// One lock stripe: a contiguous run of buckets behind one lock.
+type Stripe = RwLock<Buckets>;
 
 /// The hash table itself.
 pub struct HashTable {
@@ -485,11 +536,7 @@ impl HashTable {
             stripe_count *= 2;
         }
         let buckets_per_stripe = (bucket_count as usize) / stripe_count;
-        let stripes = (0..stripe_count)
-            .map(|_| Stripe {
-                buckets: RwLock::default(),
-            })
-            .collect();
+        let stripes = (0..stripe_count).map(|_| Stripe::default()).collect();
         HashTable {
             stripes,
             buckets_per_stripe,
@@ -520,34 +567,40 @@ impl HashTable {
         hash >> self.shift
     }
 
-    fn locate(&self, bucket: u64) -> (&Stripe, usize) {
-        let idx = bucket as usize;
-        (
-            &self.stripes[idx / self.buckets_per_stripe],
-            idx % self.buckets_per_stripe,
-        )
+    /// The index of `hash`'s stripe, and of its bucket within the stripe.
+    /// A `&self` door takes that stripe's lock; a `&mut self` door
+    /// reaches it through `get_mut`, which takes none.
+    fn locate(&self, hash: KeyHash) -> (usize, usize) {
+        let idx = self.bucket_of(hash) as usize;
+        (idx / self.buckets_per_stripe, idx % self.buckets_per_stripe)
     }
 
     /// Looks up the reference for `(table, hash)`.
     ///
     /// `is_match` disambiguates 64-bit hash collisions by checking the
     /// full key in the log; it receives each candidate's reference.
+    /// Takes the stripe's read lock; [`HashTable::lookup_mut`] is the
+    /// same lookup for an owner holding the table exclusively.
     pub fn lookup(
         &self,
         table: TableId,
         hash: KeyHash,
         is_match: impl FnMut(LogRef) -> bool,
     ) -> Probed<Option<LogRef>> {
-        let (stripe, b) = self.locate(self.bucket_of(hash));
-        let buckets = stripe.buckets.read();
-        if buckets.array.is_empty() {
-            return Probed::MISS;
-        }
-        let (found, probes) = buckets.find(b, search_head(table), hash, is_match);
-        Probed {
-            value: found.map(|(_, p)| p.log_ref()),
-            probes,
-        }
+        let (s, b) = self.locate(hash);
+        self.stripes[s].read().lookup(b, table, hash, is_match)
+    }
+
+    /// [`HashTable::lookup`] through `&mut self`: the stripe is reached
+    /// with `get_mut`, so no lock is taken.
+    pub fn lookup_mut(
+        &mut self,
+        table: TableId,
+        hash: KeyHash,
+        is_match: impl FnMut(LogRef) -> bool,
+    ) -> Probed<Option<LogRef>> {
+        let (s, b) = self.locate(hash);
+        self.stripes[s].get_mut().lookup(b, table, hash, is_match)
     }
 
     /// Inserts or replaces the entry for `(table, hash)`.
@@ -556,6 +609,9 @@ impl HashTable {
     /// same key; when it returns true the slot is repointed at `new_ref`
     /// and the old reference is returned. Panics if the table id, the
     /// segment id or the offset does not fit its field of the slot.
+    /// Takes the stripe's write lock and counts an insert with an atomic
+    /// add; [`HashTable::upsert_mut`] is the same upsert for an owner
+    /// holding the table exclusively.
     pub fn upsert(
         &self,
         table: TableId,
@@ -563,26 +619,34 @@ impl HashTable {
         new_ref: LogRef,
         is_match: impl FnMut(LogRef) -> bool,
     ) -> Probed<Upsert> {
-        let entry = Packed::new(table, hash, new_ref);
-        let (stripe, b) = self.locate(self.bucket_of(hash));
-        let mut buckets = stripe.buckets.write();
-        if buckets.array.is_empty() {
-            buckets.array = zeroed_buckets(self.buckets_per_stripe);
+        let (entry, (s, b)) = (Packed::new(table, hash, new_ref), self.locate(hash));
+        let up = self.stripes[s]
+            .write()
+            .upsert(self.buckets_per_stripe, b, entry, is_match);
+        if up.value == Upsert::Inserted {
+            self.len.fetch_add(1, Ordering::Relaxed);
         }
-        let (found, probes) = buckets.find(b, entry.word & HEAD_MASK, hash, is_match);
-        if let Some((at, old)) = found {
-            buckets.set(b, at, entry);
-            return Probed {
-                value: Upsert::Replaced(old.log_ref()),
-                probes,
-            };
+        up
+    }
+
+    /// [`HashTable::upsert`] through `&mut self`: the stripe is reached
+    /// with `get_mut` and an insert counted with a plain add, so no lock
+    /// is taken and no atomic read-modify-write made.
+    pub fn upsert_mut(
+        &mut self,
+        table: TableId,
+        hash: KeyHash,
+        new_ref: LogRef,
+        is_match: impl FnMut(LogRef) -> bool,
+    ) -> Probed<Upsert> {
+        let (entry, (s, b)) = (Packed::new(table, hash, new_ref), self.locate(hash));
+        let up = self.stripes[s]
+            .get_mut()
+            .upsert(self.buckets_per_stripe, b, entry, is_match);
+        if up.value == Upsert::Inserted {
+            *self.len.get_mut() += 1;
         }
-        buckets.insert(b, entry);
-        self.len.fetch_add(1, Ordering::Relaxed);
-        Probed {
-            value: Upsert::Inserted,
-            probes: probes + 1,
-        }
+        up
     }
 
     /// Removes the entry for `(table, hash)` whose reference satisfies
@@ -593,11 +657,8 @@ impl HashTable {
         hash: KeyHash,
         is_match: impl FnMut(LogRef) -> bool,
     ) -> Probed<Option<LogRef>> {
-        let (stripe, b) = self.locate(self.bucket_of(hash));
-        let mut buckets = stripe.buckets.write();
-        if buckets.array.is_empty() {
-            return Probed::MISS;
-        }
+        let (s, b) = self.locate(hash);
+        let mut buckets = self.stripes[s].write();
         let (found, probes) = buckets.find(b, search_head(table), hash, is_match);
         let value = found.map(|(at, old)| {
             buckets.take(b, at);
@@ -610,9 +671,11 @@ impl HashTable {
     /// Asks the cache for the bucket `hash` lands in — both of its lines
     /// — ahead of the `upsert` (or `lookup`) that will touch it. A hint
     /// only, and nothing at all for a stripe that has no buckets yet.
-    pub fn prefetch(&self, hash: KeyHash) {
-        let (stripe, b) = self.locate(self.bucket_of(hash));
-        if let Some(bucket) = stripe.buckets.read().array.get(b) {
+    /// Through `&mut self`, like the `_mut` doors: a hint that took the
+    /// stripe's lock would cost what it hides.
+    pub fn prefetch(&mut self, hash: KeyHash) {
+        let (s, b) = self.locate(hash);
+        if let Some(bucket) = self.stripes[s].get_mut().array.get(b) {
             prefetch(&bucket.hashes);
             prefetch(&bucket.words);
         }
@@ -625,11 +688,8 @@ impl HashTable {
     /// Panics, like [`HashTable::upsert`], if `new` does not fit a slot.
     pub fn update_ref(&self, table: TableId, hash: KeyHash, old: LogRef, new: LogRef) -> bool {
         let new = pack_ref(new);
-        let (stripe, b) = self.locate(self.bucket_of(hash));
-        let mut buckets = stripe.buckets.write();
-        if buckets.array.is_empty() {
-            return false;
-        }
+        let (s, b) = self.locate(hash);
+        let mut buckets = self.stripes[s].write();
         let head = search_head(table);
         let Some((at, _)) = buckets.find(b, head, hash, |r| r == old).0 else {
             return false;
@@ -687,7 +747,7 @@ impl HashTable {
             let stripe_idx = bucket as usize / self.buckets_per_stripe;
             let stripe_last =
                 (((stripe_idx + 1) * self.buckets_per_stripe - 1) as u64).min(last_bucket);
-            let buckets = self.stripes[stripe_idx].buckets.read();
+            let buckets = self.stripes[stripe_idx].read();
             if buckets.array.is_empty() {
                 // A run of empty buckets accepts nothing, so the budget
                 // test below could only have fired at its first bucket
@@ -850,12 +910,12 @@ mod tests {
     /// what a stripe of empty buckets would.
     #[test]
     fn never_written_stripes_miss_without_probing() {
-        let ht = HashTable::new(1 << 10, 8); // 8 stripes of 128 buckets
+        let mut ht = HashTable::new(1 << 10, 8); // 8 stripes of 128 buckets
         let low = 7u64; // stripe 0
         let high = u64::MAX - 7; // stripe 7
         ht.upsert(T, low, r(1, 0), |_| true);
         let touched = |ht: &HashTable| {
-            let written = |s: &&Stripe| !s.buckets.read().array.is_empty();
+            let written = |s: &&Stripe| !s.read().array.is_empty();
             ht.stripes.iter().filter(written).count()
         };
         assert_eq!(touched(&ht), 1);
@@ -937,6 +997,47 @@ mod tests {
             assert_eq!(ht.remove(T, i, |_| true).value, Some(r(i, 0)), "key {i}");
         }
         assert!(ht.is_empty());
+    }
+
+    /// The two doors build the same table: one sequence of inserts,
+    /// replacements and collisions — enough in one bucket to spill a
+    /// chain — upserted through the stripe lock into one table and
+    /// through `get_mut` into another gives the same answers, probes,
+    /// slots, chain and length, and both lookup doors agree on it.
+    #[test]
+    fn exclusive_and_locked_doors_build_the_same_table() {
+        let (locked, mut exclusive) = (HashTable::new(4, 1), HashTable::new(4, 1));
+        // Hashes below 1 << 62 share bucket 0; the rest spread out.
+        let hash = |i: u64| {
+            if i.is_multiple_of(3) {
+                i
+            } else {
+                i.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            }
+        };
+        for i in 0..60u64 {
+            let (h, at) = (hash(i % 40), r(i, i as u32 * 8));
+            let same = |old: LogRef| old.segment % 40 == i % 40;
+            let a = locked.upsert(T, h, at, same);
+            assert_eq!(a, exclusive.upsert_mut(T, h, at, same), "upsert {i}");
+        }
+        assert!(
+            exclusive.stripes[0].get_mut().spilled != 0,
+            "a chain spilled"
+        );
+        assert_eq!((locked.len(), exclusive.len()), (40, 40));
+        let slots = |ht: &HashTable| {
+            let mut seen = Vec::new();
+            ht.for_each_in_range(T, HashRange::full(), |s| seen.push(*s));
+            seen
+        };
+        assert_eq!(slots(&locked), slots(&exclusive));
+        for i in 0..45u64 {
+            let same = |old: LogRef| old.segment % 40 == i;
+            let a = locked.lookup(T, hash(i), same);
+            assert_eq!(a, exclusive.lookup(T, hash(i), same), "lookup {i}");
+            assert_eq!(a, exclusive.lookup_mut(T, hash(i), same), "lookup_mut {i}");
+        }
     }
 
     /// The packed word holds every field up to its bound, and a table id
@@ -1156,7 +1257,7 @@ mod tests {
                 );
                 assert_eq!(ht.len(), model.entries().len(), "{ctx}: len");
 
-                let buckets = ht.stripes[0].buckets.read();
+                let buckets = ht.stripes[0].read();
                 assert_eq!(
                     buckets.spilled.count_ones() as usize,
                     buckets.chains.len(),

@@ -219,8 +219,10 @@ impl Log {
         self.inner.read().head.id()
     }
 
-    /// Appends an entry, rolling the head segment as needed.
-    #[allow(clippy::too_many_arguments)]
+    /// Appends an entry, rolling the head segment as needed. Takes the
+    /// head through the log's read lock and counts the append with
+    /// atomic adds, so any thread may call it; [`Log::append_mut`] is
+    /// the same append for an owner holding the log exclusively.
     pub fn append(
         &self,
         kind: EntryKind,
@@ -230,37 +232,23 @@ impl Log {
         key: &[u8],
         value: &[u8],
     ) -> Result<LogRef, LogError> {
-        let need = crate::entry::serialized_len(key.len(), value.len());
-        if need > self.config.segment_bytes {
-            return Err(LogError::EntryTooLarge {
-                need,
-                capacity: self.config.segment_bytes,
-            });
-        }
-        loop {
-            // Fast path: append into the current head under the read lock.
-            {
-                let inner = self.inner.read();
-                if let Some(offset) = inner
-                    .head
-                    .append(kind, table_id, key_hash, version, key, value)
-                {
-                    self.note_append(need);
-                    return Ok(LogRef {
-                        segment: inner.head.id(),
-                        offset,
-                    });
-                }
-            }
-            // Head lacks space for this entry: roll it and retry.
-            self.roll_head(need)?;
-        }
+        append_through(self, kind, table_id, key_hash, version, key, value)
     }
 
-    fn note_append(&self, bytes: usize) {
-        self.appended_bytes
-            .fetch_add(bytes as u64, Ordering::AcqRel);
-        self.appended_entries.fetch_add(1, Ordering::Relaxed);
+    /// [`Log::append`] through `&mut self`: the borrow checker proves no
+    /// one else can reach the log, so the head is taken with `get_mut`
+    /// and the append counted with plain adds — no lock but the head
+    /// segment's own.
+    pub fn append_mut(
+        &mut self,
+        kind: EntryKind,
+        table_id: u64,
+        key_hash: u64,
+        version: u64,
+        key: &[u8],
+        value: &[u8],
+    ) -> Result<LogRef, LogError> {
+        append_through(self, kind, table_id, key_hash, version, key, value)
     }
 
     fn roll_head(&self, need: usize) -> Result<(), LogError> {
@@ -449,6 +437,68 @@ impl Log {
             stats.allocated_bytes += seg.allocated_bytes() as u64;
         }
         stats
+    }
+}
+
+/// The two ways into a log's head and append counters: `&Log` through
+/// the read lock and atomic adds, which any thread may take, and `&mut
+/// Log` through `get_mut`, which the borrow checker proves exclusive.
+trait Door: std::ops::Deref<Target = Log> {
+    /// Runs `f` on the head segment.
+    fn at_head<T>(&mut self, f: impl FnOnce(&Segment) -> T) -> T;
+    /// Counts one appended entry of `bytes`.
+    fn note_append(&mut self, bytes: u64);
+}
+
+impl Door for &Log {
+    fn at_head<T>(&mut self, f: impl FnOnce(&Segment) -> T) -> T {
+        f(&self.inner.read().head)
+    }
+
+    fn note_append(&mut self, bytes: u64) {
+        self.appended_bytes.fetch_add(bytes, Ordering::AcqRel);
+        self.appended_entries.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+impl Door for &mut Log {
+    fn at_head<T>(&mut self, f: impl FnOnce(&Segment) -> T) -> T {
+        f(&self.inner.get_mut().head)
+    }
+
+    fn note_append(&mut self, bytes: u64) {
+        *self.appended_bytes.get_mut() += bytes;
+        *self.appended_entries.get_mut() += 1;
+    }
+}
+
+/// The one append body behind [`Log::append`] and [`Log::append_mut`].
+fn append_through(
+    mut log: impl Door,
+    kind: EntryKind,
+    table_id: u64,
+    key_hash: u64,
+    version: u64,
+    key: &[u8],
+    value: &[u8],
+) -> Result<LogRef, LogError> {
+    let need = crate::entry::serialized_len(key.len(), value.len());
+    let capacity = log.config.segment_bytes;
+    if need > capacity {
+        return Err(LogError::EntryTooLarge { need, capacity });
+    }
+    loop {
+        let appended = log.at_head(|head| {
+            let offset = head.append(kind, table_id, key_hash, version, key, value)?;
+            let segment = head.id();
+            Some(LogRef { segment, offset })
+        });
+        if let Some(r) = appended {
+            log.note_append(need as u64);
+            return Ok(r);
+        }
+        // Head lacks space for this entry: roll it and retry.
+        log.roll_head(need)?;
     }
 }
 

@@ -5,13 +5,19 @@
 //! reclaims whole segments, and side logs are independent chains of
 //! segments (§2.3, §3.1.3).
 //!
-//! Concurrency contract: appends are serialized internally (one appender
-//! at a time — in RAMCloud the log head has a single writer) and become
-//! visible to readers through a release-store of the committed length.
-//! Readers may run concurrently with an append and only ever observe
-//! fully-written entries. Closed segments are immutable forever, which is
-//! what lets migration pulls and replication ship references to segment
-//! memory without copies (§3.2).
+//! Concurrency contract: appends are serialized by the segment's one
+//! mutex (one appender at a time — in RAMCloud the log head has a single
+//! writer) and become visible to readers through a release-store of the
+//! committed length. Under that mutex the appender is the only writer of
+//! `committed` and of the entry count, so it updates both with a load
+//! and a store; the mutex is the append's only locked read-modify-write.
+//! Live bytes are not counted on append: they are `committed − dead`,
+//! and [`Segment::mark_dead`], which any thread may call, is the one
+//! read-modify-write on the dead count. Readers may run concurrently
+//! with an append and only ever observe fully-written entries. Closed
+//! segments are immutable forever, which is what lets migration pulls
+//! and replication ship references to segment memory without copies
+//! (§3.2).
 
 use std::alloc::{alloc, alloc_zeroed, dealloc, Layout};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -51,24 +57,26 @@ pub struct Segment {
     /// by [`Segment::new`], the committed length for a closed copy.
     buf_len: usize,
     capacity: usize,
-    /// Bytes published to readers. Monotonic; stored with `Release` after
-    /// the bytes below it are fully written, loaded with `Acquire`.
+    /// Bytes published to readers. Monotonic; written only by the
+    /// appender holding `append_lock`, stored with `Release` after the
+    /// bytes below it are fully written, loaded with `Acquire`.
     committed: AtomicUsize,
     /// Serializes appenders; holds the reservation cursor (== committed
     /// between appends, since appends publish before releasing the lock).
     append_lock: Mutex<()>,
     closed: AtomicBool,
-    /// Bytes belonging to entries that are still live (not superseded).
-    /// The owning log decrements this as entries die; the cleaner reads
-    /// it to pick victims.
-    live_bytes: AtomicU64,
-    /// Number of entries appended.
+    /// Bytes of entries declared dead (superseded or deleted), never more
+    /// than `committed` was when they were declared: live bytes are
+    /// `committed − dead`. The owning log raises it as entries die; the
+    /// cleaner reads the difference to pick victims.
+    dead: AtomicU64,
+    /// Number of entries appended; written only under `append_lock`.
     entries: AtomicU64,
 }
 
 // SAFETY: the raw buffer is owned exclusively by this Segment (allocated
 // in `new` or `closed_copy`, freed in `drop`, never aliased externally).
-// All mutation goes through `append_*`, which serializes writers behind
+// All mutation goes through `append`, which serializes writers behind
 // `append_lock` and publishes bytes with a release store of `committed`;
 // readers only dereference bytes below an acquire-load of `committed`.
 // Therefore sending or sharing a Segment across threads cannot produce a
@@ -99,7 +107,7 @@ impl Segment {
             committed: AtomicUsize::new(0),
             append_lock: Mutex::new(()),
             closed: AtomicBool::new(false),
-            live_bytes: AtomicU64::new(0),
+            dead: AtomicU64::new(0),
             entries: AtomicU64::new(0),
         }
     }
@@ -133,7 +141,7 @@ impl Segment {
             committed: AtomicUsize::new(bytes.len()),
             append_lock: Mutex::new(()),
             closed: AtomicBool::new(true),
-            live_bytes: AtomicU64::new(self.live_bytes()),
+            dead: AtomicU64::new(self.dead.load(Ordering::Acquire)),
             entries: AtomicU64::new(self.entry_count()),
         }
     }
@@ -181,9 +189,13 @@ impl Segment {
         self.closed.load(Ordering::Acquire)
     }
 
-    /// Bytes attributed to live entries (maintained by the owning log).
+    /// Bytes attributed to live entries: committed bytes less those the
+    /// owning log declared dead.
     pub fn live_bytes(&self) -> u64 {
-        self.live_bytes.load(Ordering::Relaxed)
+        // `dead` first: it never exceeds a `committed` its marker loaded
+        // before publishing it, and `committed` only grows.
+        let dead = self.dead.load(Ordering::Acquire);
+        self.committed() as u64 - dead
     }
 
     /// Number of entries appended so far.
@@ -203,26 +215,22 @@ impl Segment {
     }
 
     /// Declares `bytes` of this segment's entries dead (superseded or
-    /// deleted). Saturates at zero.
+    /// deleted). Live bytes saturate at zero: the dead count stops at
+    /// what is committed now, so bytes appended later count as live.
     pub fn mark_dead(&self, bytes: u64) {
-        let mut cur = self.live_bytes.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_sub(bytes);
-            match self.live_bytes.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
-        }
+        // `committed` is loaded after the count it caps (an `Acquire`
+        // load pairing with the `Release` store that set it), so it is at
+        // least the `committed` that capped that count: dead never passes
+        // it. `live_bytes` loads `dead` with `Acquire` the same way.
+        let _ = self
+            .dead
+            .fetch_update(Ordering::Release, Ordering::Acquire, |dead| {
+                Some(dead.saturating_add(bytes).min(self.committed() as u64))
+            });
     }
 
     /// Appends a serialized entry; returns its byte offset, or `None` if
     /// the segment is closed or lacks space.
-    #[allow(clippy::too_many_arguments)]
     pub fn append(
         &self,
         kind: EntryKind,
@@ -233,19 +241,6 @@ impl Segment {
         value: &[u8],
     ) -> Option<u32> {
         let len = entry::serialized_len(key.len(), value.len());
-        self.append_with(len, |buf| {
-            entry::write_entry(buf, kind, table_id, key_hash, version, key, value);
-        })
-    }
-
-    /// Appends pre-serialized entry bytes verbatim (used when adopting
-    /// replicated or recovered entries whose serialized form is already
-    /// checksummed). Returns the byte offset.
-    pub fn append_raw(&self, bytes: &[u8]) -> Option<u32> {
-        self.append_with(bytes.len(), |buf| buf.copy_from_slice(bytes))
-    }
-
-    fn append_with(&self, len: usize, fill: impl FnOnce(&mut [u8])) -> Option<u32> {
         let _guard = self.append_lock.lock();
         if self.closed.load(Ordering::Relaxed) {
             return None;
@@ -260,9 +255,11 @@ impl Segment {
         // `committed` (== offset), and no other writer exists while we
         // hold `append_lock`; hence this mutable slice is unaliased.
         let buf = unsafe { std::slice::from_raw_parts_mut(self.base.add(offset), len) };
-        fill(buf);
-        self.live_bytes.fetch_add(len as u64, Ordering::Relaxed);
-        self.entries.fetch_add(1, Ordering::Relaxed);
+        entry::write_entry(buf, kind, table_id, key_hash, version, key, value);
+        // The lock makes this the only writer of the count: no
+        // read-modify-write needed.
+        let entries = self.entries.load(Ordering::Relaxed);
+        self.entries.store(entries + 1, Ordering::Relaxed);
         // Publish: everything below offset + len is now fully written.
         self.committed.store(offset + len, Ordering::Release);
         Some(offset as u32)
@@ -441,6 +438,12 @@ mod tests {
         // Saturates rather than underflowing.
         seg.mark_dead(1_000_000);
         assert_eq!(seg.live_bytes(), 0);
+        // Bytes appended after a saturating mark are live: the dead
+        // count stopped at what was committed then.
+        seg.append(EntryKind::Object, 1, 1, 2, b"k", b"w").unwrap();
+        assert_eq!(seg.live_bytes(), len);
+        assert_eq!(seg.committed() as u64, 2 * len);
+        assert!((seg.utilization() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -467,18 +470,6 @@ mod tests {
         }
         let hashes: Vec<u64> = seg.iter_entries().map(|(_, v)| v.key_hash).collect();
         assert_eq!(hashes, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn append_raw_roundtrip() {
-        let src = Segment::new(1, 4096);
-        src.append(EntryKind::Object, 3, 5, 7, b"kk", b"vv")
-            .unwrap();
-        let dst = Segment::new(2, 4096);
-        dst.append_raw(src.committed_bytes()).unwrap();
-        let (view, _) = dst.entry_at(0).unwrap();
-        assert_eq!(view.table_id, 3);
-        assert_eq!(view.key, b"kk");
     }
 
     #[test]
@@ -519,6 +510,43 @@ mod tests {
         for (_, view) in seg.iter_entries() {
             assert_eq!(view.table_id, 1);
         }
+    }
+
+    /// The counters under a real second thread: one appender, one thread
+    /// marking each appended entry dead as soon as it is published. The
+    /// entry count is written without a read-modify-write and live bytes
+    /// are `committed − dead`, so both must come out exact.
+    #[test]
+    fn concurrent_append_and_mark_dead() {
+        const N: u64 = 4_000;
+        let seg = Arc::new(Segment::new(1, 1 << 20));
+        let len = entry::serialized_len(8, 4) as u64;
+        let marker = {
+            let seg = Arc::clone(&seg);
+            std::thread::spawn(move || {
+                let mut marked = 0;
+                for i in 0..N {
+                    // Mark entry i only once it is committed, as a log
+                    // marks only entries it has appended.
+                    while (seg.committed() as u64) < (i + 1) * len {
+                        std::hint::spin_loop();
+                    }
+                    if !i.is_multiple_of(3) {
+                        seg.mark_dead(len);
+                        marked += len;
+                    }
+                }
+                marked
+            })
+        };
+        for i in 0..N {
+            seg.append(EntryKind::Object, 1, i, i, &i.to_le_bytes(), b"vvvv")
+                .expect("fits");
+        }
+        let marked = marker.join().unwrap();
+        assert_eq!(seg.entry_count(), N);
+        assert_eq!(seg.committed() as u64, N * len);
+        assert_eq!(seg.live_bytes(), N * len - marked);
     }
 
     #[test]

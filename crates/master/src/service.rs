@@ -253,9 +253,14 @@ impl MasterService {
     /// table at it, mark the entry it replaces dead, and add the work to
     /// the receipt. Returns the new location and the kind of the
     /// replaced entry, if there was one.
+    ///
+    /// `&mut self` is what lets the append and the upsert take no lock:
+    /// the hash table is reached through its `_mut` door, and the main
+    /// log through [`Log::append_mut`] whenever no side log or cleaner
+    /// pass holds a clone of its `Arc` (through its lock otherwise).
     #[allow(clippy::too_many_arguments)]
     fn put(
-        &self,
+        &mut self,
         sink: &mut Sink<'_, '_>,
         kind: EntryKind,
         table: TableId,
@@ -266,7 +271,10 @@ impl MasterService {
         work: &mut Work,
     ) -> Result<(LogRef, Option<EntryKind>), LogError> {
         let r = match sink {
-            Sink::Main => self.log.append(kind, table.0, hash, version, key, value),
+            Sink::Main => match Arc::get_mut(&mut self.log) {
+                Some(log) => log.append_mut(kind, table.0, hash, version, key, value),
+                None => self.log.append(kind, table.0, hash, version, key, value),
+            },
             Sink::Side(a) => a.append(kind, table.0, hash, version, key, value),
         }?;
         let len = serialized_len(key.len(), value.len()) as u64;
@@ -276,7 +284,7 @@ impl MasterService {
         work.checksummed_bytes += len;
         let up = self
             .hashtable
-            .upsert(table, hash, r, Self::key_matcher(&self.log, key));
+            .upsert_mut(table, hash, r, Self::key_matcher(&self.log, key));
         work.probes += up.probes as u64;
         let replaced = match up.value {
             Upsert::Replaced(old) => {
@@ -558,7 +566,7 @@ impl MasterService {
     /// arriving instead of stalling on them one record at a time. Only
     /// the hints run ahead — records are still looked up, compared and
     /// applied strictly in order, each seeing everything before it.
-    fn replay_into(&self, recs: &[Record], sink: &mut Sink<'_, '_>, work: &mut Work) -> usize {
+    fn replay_into(&mut self, recs: &[Record], sink: &mut Sink<'_, '_>, work: &mut Work) -> usize {
         let hint = |rec: &Record| {
             prefetch_bytes(&rec.key);
             prefetch_bytes(&rec.value);
@@ -603,8 +611,8 @@ impl MasterService {
 
     /// Version-max replay of a single record into `sink`. The caller has
     /// already raised the version floor.
-    fn replay_one(&self, rec: &Record, sink: &mut Sink<'_, '_>, work: &mut Work) -> bool {
-        let existing = self.hashtable.lookup(
+    fn replay_one(&mut self, rec: &Record, sink: &mut Sink<'_, '_>, work: &mut Work) -> bool {
+        let existing = self.hashtable.lookup_mut(
             rec.table,
             rec.key_hash,
             Self::key_matcher(&self.log, &rec.key),
@@ -1061,6 +1069,92 @@ mod tests {
             .read(T, key_hash(b"solo"), Some(b"solo"), &mut w())
             .unwrap();
         assert_eq!(&value[..], b"x");
+    }
+
+    /// The two doors build the same state. One sequence — load, overwriting
+    /// writes, a delete, replay into a side log and its commit, replay into
+    /// the main log — runs on a master whose log nothing else holds, so
+    /// `put` appends through `Log::append_mut`, and on one whose log an
+    /// extra `Arc` pins, so `put` appends through the log's lock. Segment
+    /// bytes and counters, table slots, length, version ceiling and every
+    /// receipt must agree.
+    #[test]
+    fn exclusive_and_locked_doors_build_the_same_state() {
+        let key = |k: u64| format!("door-{k}").into_bytes();
+        let rec = |k: u64, version: u64, tombstone: bool| Record {
+            table: T,
+            key_hash: key_hash(&key(k)),
+            version,
+            key: Bytes::from(key(k)),
+            value: Bytes::from(vec![k as u8; 40 + k as usize % 70]),
+            tombstone,
+        };
+        let run = |pin: bool| {
+            let mut m = owner_master();
+            let pinned = pin.then(|| Arc::clone(&m.log));
+            let mut receipts = Vec::new();
+            for k in 0..300 {
+                m.load_object(T, &key(k), &vec![7; 30 + k as usize % 90]);
+            }
+            for k in (0..300).step_by(7).chain(300..320) {
+                let mut work = w();
+                let out = m.write(T, key_hash(&key(k)), &key(k), b"rewritten", &mut work);
+                receipts.push((out.map(|(v, r)| (v, r.segment, r.offset)).ok(), work));
+            }
+            let mut work = w();
+            let gone = m.delete(T, key_hash(&key(14)), &key(14), &mut work);
+            receipts.push((gone.ok().map(|g| (u64::from(g), 0, 0)), work));
+            // Stale, newer, new and tombstone records, into a side log.
+            let ceiling = m.version_ceiling();
+            let side = SideLog::new(Arc::clone(&m.log));
+            let batch: Vec<Record> = (0..40)
+                .map(|i| {
+                    rec(
+                        i * 9,
+                        if i.is_multiple_of(3) { 1 } else { ceiling + i },
+                        i % 11 == 5,
+                    )
+                })
+                .collect();
+            let mut work = w();
+            let applied = m.replay_batch(&batch, ReplayDest::Side(&side), &mut work);
+            receipts.push((Some((applied as u64, 0, 0)), work));
+            m.commit_side_log(side).unwrap();
+            let ceiling = m.version_ceiling();
+            let batch: Vec<Record> = (0..40)
+                .map(|i| {
+                    rec(
+                        i * 5 + 1,
+                        if i.is_multiple_of(4) { 2 } else { ceiling + i },
+                        i % 13 == 2,
+                    )
+                })
+                .collect();
+            let mut work = w();
+            let applied = m.replay_batch(&batch, ReplayDest::MainLog, &mut work);
+            receipts.push((Some((applied as u64, 0, 0)), work));
+            assert_eq!(Arc::strong_count(&m.log), 1 + usize::from(pinned.is_some()));
+            let segments: Vec<_> = m
+                .log
+                .segments_snapshot()
+                .iter()
+                .map(|s| {
+                    let counts = (s.live_bytes(), s.entry_count(), s.is_closed());
+                    (s.id(), s.committed_bytes().to_vec(), counts)
+                })
+                .collect();
+            let mut slots = Vec::new();
+            m.hashtable
+                .for_each_in_range(T, HashRange::full(), |s| slots.push(*s));
+            let shape = (m.hashtable.len(), m.version_ceiling(), m.log.stats());
+            (segments, slots, shape, receipts)
+        };
+        let (exclusive, locked) = (run(false), run(true));
+        assert!(exclusive.0.len() > 3, "the loads rolled the head");
+        assert_eq!(exclusive.0, locked.0, "segments");
+        assert_eq!(exclusive.1, locked.1, "hash-table slots");
+        assert_eq!(exclusive.2, locked.2, "length, ceiling, log stats");
+        assert_eq!(exclusive.3, locked.3, "receipts");
     }
 
     /// The pipelined loop only hints ahead: replaying a batch equals

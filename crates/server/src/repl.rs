@@ -252,10 +252,13 @@ mod tests {
     }
 
     /// One `bytes`-long side segment (migration replay, cleaner
-    /// survivors), adopted; returns its id.
+    /// survivors) holding one entry, adopted; returns its id. `bytes` is
+    /// at least an entry header.
     fn adopt(log: &Log, bytes: usize) -> u64 {
         let seg = Segment::new(log.alloc_segment_id(), bytes);
-        seg.append_raw(&vec![9; bytes]).expect("fits");
+        let value = vec![9; bytes - ENTRY_HEADER_BYTES];
+        seg.append(EntryKind::Object, 1, 0, 1, b"", &value)
+            .expect("fits");
         let id = seg.id();
         log.adopt_segment(Arc::new(seg));
         id
@@ -288,10 +291,10 @@ mod tests {
         assert_eq!(delay(200, 50, false), 50);
         assert_eq!(delay(200, 50, false), 100);
         // Bulk starts at max(now = 250, free_at = 300, bulk_free_at = 1100).
-        assert_eq!(delay(250, 10, true), 1_100 + 10 - 250);
+        assert_eq!(delay(250, 40, true), 1_100 + 40 - 250);
         // With the bulk lane idle, bulk still yields to foreground.
         assert_eq!(delay(2_000, 500, false), 500);
-        assert_eq!(delay(2_000, 10, true), 510);
+        assert_eq!(delay(2_000, 40, true), 540);
         // A drained lane adds no delay beyond occupancy.
         assert_eq!(delay(9_000, 50, false), 50);
         // Nothing sent from 9050 on can overtake a planned chunk.
@@ -441,7 +444,10 @@ mod tests {
                         continue;
                     }
                     1 => {
-                        adopt(&log, rng.next_range(1, 100_000) as usize);
+                        adopt(
+                            &log,
+                            rng.next_range(ENTRY_HEADER_BYTES as u64, 100_000) as usize,
+                        );
                         continue;
                     }
                     2 => r.plan(Scope::Heads, now, &log, &[3, 4], &cost()),

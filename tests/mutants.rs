@@ -94,6 +94,11 @@ const MUTANTS: &[Mutant] = &[
         replacement: "if q.at >> EPOCH_SHIFT > epoch + 1 {",
         killer: ("crates/simnet/src/lib.rs", "far_horizon_timers_fire_in_order"),
         promise: "the kernel pops every event in `(at, seq)` order, whichever tier held it", decided: "§3.11" },
+    Mutant { file: "crates/logstore/src/segment.rs",
+        anchor: ".min(self.committed() as u64)",
+        replacement: "",
+        killer: ("crates/logstore/src/segment.rs", "live_byte_accounting"),
+        promise: "a segment's live bytes never fall below zero, and bytes appended after a saturating mark count as live", decided: "§3.3" },
 ];
 
 fn read(path: &str) -> String {
