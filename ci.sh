@@ -34,9 +34,10 @@ run cargo test -q --release -p rocksteady-hashtable -p rocksteady-logstore
 # The trace arity cap is a debug_assert!: release builds must record an
 # over-wide event whole, and only a release run of its test shows that.
 # The tail ring's offsets wrap modulo 2^32, and the event queue's wheel
-# is shift-and-mask arithmetic with a hand-off from its heap: their
-# tests run here with no overflow checks or debug assertions behind them.
-run cargo test -q --release -p rocksteady-trace -p rocksteady-common -p rocksteady-simnet
+# is shift-and-mask arithmetic with a hand-off from its heap, and a
+# vendored `Bytes` window is a raw pointer moved by `slice`: their tests
+# run here with no overflow checks or debug assertions behind them.
+run cargo test -q --release -p rocksteady-trace -p rocksteady-common -p rocksteady-simnet -p bytes
 # The pinned digests again, in a second process with its own RandomState.
 run cargo test -q --release --test golden
 # The frozen repo benchmark builds against crates/ and checks itself.

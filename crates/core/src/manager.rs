@@ -543,6 +543,25 @@ mod tests {
         }
     }
 
+    /// A poll that both hands out a PriorityPull batch and pipelines a
+    /// partition's next Pull emits the batch first, so it leaves on the
+    /// link to the source ahead of the bulk Pull: a waiting read is never
+    /// queued behind a background batch (PriorityPull > background Pull).
+    #[test]
+    fn priority_pull_batch_precedes_the_pipelined_pull() {
+        let mut m = running_manager(1);
+        m.poll(0);
+        m.on_pull_response(0, vec![rec(1)], Some(ScanCursor { bucket: 3 }));
+        m.on_read_miss(42);
+        let actions = m.poll(1);
+        match &actions[..] {
+            [Action::SendPriorityPull { hashes }, Action::Replay(ReplayBatch {
+                partition: Some(0), ..
+            }), Action::SendPull { partition: 0, .. }] => assert_eq!(hashes, &vec![42]),
+            other => panic!("expected the batch, then the replay and its Pull: {other:?}"),
+        }
+    }
+
     #[test]
     fn miss_after_partition_done_is_not_found() {
         let mut m = running_manager(1);

@@ -306,6 +306,53 @@ mod tests {
         assert!(again.is_none_or(|s| s.entries_relocated == 0));
     }
 
+    /// A window taken from a side log's open head reads the bytes it was
+    /// taken over through everything that happens to the segment after:
+    /// appends into it, the commit that adopts a closed copy in its
+    /// place, and the cleaner retiring that copy. The window holds the
+    /// original, whose committed prefix nothing rewrites.
+    #[test]
+    fn a_head_window_reads_its_bytes_through_append_adopt_and_clean() {
+        let log = Arc::new(Log::new(LogConfig {
+            segment_bytes: 4096,
+            max_segments: None,
+        }));
+        let side = SideLog::new(Arc::clone(&log));
+        let append = |i: u64| {
+            side.append(EntryKind::Object, 1, i, 1, &i.to_le_bytes(), b"0123456789")
+                .unwrap()
+        };
+        let mut refs = vec![append(0), append(1)];
+        let id = refs[0].segment;
+        let window = log.segment_bytes(id).unwrap();
+        let value = window.slice(window.len() - 10..);
+        let (taken, original) = (window.to_vec(), log.segment(id).unwrap());
+        let reads_as_taken = |when: &str| {
+            assert_eq!(window, taken, "window moved {when}");
+            assert_eq!(value, b"0123456789", "value moved {when}");
+            assert_eq!(window.as_ptr(), original.committed_bytes().as_ptr());
+        };
+        refs.extend((2..6).map(append));
+        assert!(refs.iter().all(|r| r.segment == id));
+        assert!(log.segment_bytes(id).unwrap().len() > window.len());
+        reads_as_taken("after appends");
+        assert_eq!(side.commit().unwrap(), vec![id]);
+        let adopted = log.segment(id).unwrap();
+        assert!(!Arc::ptr_eq(&adopted, &original), "not adopted as a copy");
+        reads_as_taken("after adoption");
+        drop(adopted);
+        for r in refs {
+            log.mark_dead(r, 53);
+        }
+        let stats = Cleaner::default()
+            .clean_once(&log, &mut MapRelocator::new())
+            .unwrap()
+            .expect("the adopted copy is all dead");
+        assert_eq!(stats.victims, vec![id]);
+        assert!(log.segment(id).is_none());
+        reads_as_taken("after cleaning");
+    }
+
     /// A log whose one closed segment keeps one live entry among eight
     /// dead ones (their overwrites fill the head): cleaning relocates
     /// that entry alone into a survivor segment.

@@ -31,8 +31,9 @@ use crate::entry::{self, EntryKind, EntryView, ParseError};
 /// `Bytes` owner exposing a segment's committed prefix.
 ///
 /// The length is captured at construction: `committed` only grows, so the
-/// captured prefix is immutable for the owner's whole lifetime, which is
-/// what `Bytes` requires of its backing storage.
+/// captured prefix is immutable for the owner's whole lifetime. That is
+/// what `Bytes::from_owner` requires: it calls `as_ref` once and reads
+/// the slice it returned for as long as the owner lives.
 struct CommittedWindow {
     segment: Arc<Segment>,
     len: usize,

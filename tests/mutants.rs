@@ -99,6 +99,16 @@ const MUTANTS: &[Mutant] = &[
         replacement: "",
         killer: ("crates/logstore/src/segment.rs", "live_byte_accounting"),
         promise: "a segment's live bytes never fall below zero, and bytes appended after a saturating mark count as live", decided: "§3.3" },
+    Mutant { file: "vendor/bytes/src/lib.rs",
+        anchor: "ptr: self.ptr.wrapping_add(start),",
+        replacement: "ptr: self.ptr,",
+        killer: ("vendor/bytes/src/lib.rs", "nested_slices_read_their_own_window"),
+        promise: "a window reads exactly the bytes it names", decided: "§3.5" },
+    Mutant { file: "crates/core/src/manager.rs",
+        anchor: "        if self.complete() {",
+        replacement: "        let batch = actions.iter().position(|a| matches!(a, Action::SendPriorityPull { .. }));\n        if let Some(batch) = batch.map(|i| actions.remove(i)) {\n            actions.push(batch);\n        }\n        if self.complete() {",
+        killer: ("crates/core/src/manager.rs", "priority_pull_batch_precedes_the_pipelined_pull"),
+        promise: "a PriorityPull batch leaves ahead of the Pull pipelined in the same poll", decided: "§3.2" },
 ];
 
 fn read(path: &str) -> String {
@@ -131,17 +141,24 @@ fn each_killer_exists() {
 
 /// The `cargo test` arguments that build the target holding `file`'s tests.
 fn target_args(file: &str) -> Vec<String> {
-    let package = |krate: &str| {
-        let manifest = read(&format!("crates/{krate}/Cargo.toml"));
+    let package = |dir: &str, krate: &str| {
+        let manifest = read(&format!("{dir}/{krate}/Cargo.toml"));
         let name = manifest.lines().find_map(|l| l.strip_prefix("name = "));
         name.expect("package name").trim_matches('"').to_string()
     };
     let stem = |name: &str| name.trim_end_matches(".rs").to_string();
     match file.split('/').collect::<Vec<_>>()[..] {
         ["tests", name] => vec!["--test".into(), stem(name)],
-        ["crates", krate, "src", ..] => vec!["-p".into(), package(krate), "--lib".into()],
+        [dir @ ("crates" | "vendor"), krate, "src", ..] => {
+            vec!["-p".into(), package(dir, krate), "--lib".into()]
+        }
         ["crates", krate, "tests", name] => {
-            vec!["-p".into(), package(krate), "--test".into(), stem(name)]
+            vec![
+                "-p".into(),
+                package("crates", krate),
+                "--test".into(),
+                stem(name),
+            ]
         }
         _ => panic!("no test target holds {file}"),
     }
