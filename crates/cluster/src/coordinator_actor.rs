@@ -213,7 +213,7 @@ impl Actor<Envelope> for CoordinatorActor {
     }
 
     fn on_event(&mut self, ctx: &mut Ctx<'_, Envelope>, event: Event<Envelope>) {
-        if let Event::Message { src, payload } = event {
+        if let Event::Message { src, payload, .. } = event {
             match payload.body {
                 Body::Req(req) => self.handle(ctx, src, payload.rpc, req),
                 Body::Resp(_) => {}

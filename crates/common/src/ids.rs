@@ -113,13 +113,11 @@ impl fmt::Display for TraceId {
 /// Contributes zero wire bytes in the simulator (it models header slack
 /// inside the fixed message header), so carrying it unconditionally can
 /// never perturb the event schedule — only trace-armed runs *record* it.
+/// 16 B: the `u64` trace id aligns the `u32` hop up to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct CausalCtx {
     /// The journey this RPC belongs to ([`TraceId::NONE`] if unattributed).
     pub trace_id: TraceId,
-    /// Low 32 bits of the rpc id of the span that caused this one
-    /// (0 when the client mints a fresh context).
-    pub parent_span: u32,
     /// Causal depth: the client's attempt counter on first issue, and
     /// +1 for every inherited fan-out (e.g. the PriorityPull issued on
     /// behalf of a waiting read).
@@ -130,18 +128,15 @@ impl CausalCtx {
     /// The empty context carried by control-plane traffic.
     pub const NONE: CausalCtx = CausalCtx {
         trace_id: TraceId::NONE,
-        parent_span: 0,
         hop: 0,
     };
 
     /// Derives the context for an RPC issued *on behalf of* the request
-    /// identified by `parent_rpc` carrying `self` — same journey, one
-    /// hop deeper.
+    /// carrying `self` — same journey, one hop deeper.
     #[must_use]
-    pub fn child(self, parent_rpc: u64) -> CausalCtx {
+    pub fn child(self) -> CausalCtx {
         CausalCtx {
             trace_id: self.trace_id,
-            parent_span: parent_rpc as u32,
             hop: self.hop + 1,
         }
     }
@@ -294,13 +289,11 @@ mod tests {
     fn causal_child_keeps_trace_and_deepens() {
         let root = CausalCtx {
             trace_id: TraceId::mint(2, 7),
-            parent_span: 0,
             hop: 1,
         };
-        let child = root.child(0x1_2345_6789);
+        let child = root.child();
         assert_eq!(child.trace_id, root.trace_id);
         assert_eq!(child.hop, 2);
-        assert_eq!(child.parent_span, 0x2345_6789);
         assert_eq!(CausalCtx::NONE.trace_id, TraceId::NONE);
     }
 }

@@ -3,8 +3,6 @@
 //! Lives in `common` (rather than the simulator) so message crates can
 //! implement it without depending on the simulation kernel.
 
-use crate::time::Nanos;
-
 /// Messages crossing the simulated network report their size so the NIC
 /// model can charge transmit serialization.
 pub trait WireSized {
@@ -12,19 +10,7 @@ pub trait WireSized {
     fn wire_size(&self) -> u64;
 }
 
-/// A message the simulation kernel can hand to a NIC. The kernel stamps
-/// the virtual send time just before computing the transmit
-/// serialization, so receivers can decompose end-to-end latency into
-/// network and host segments (the trace layer's per-RPC spans). The
-/// default is a no-op for messages that don't carry a timestamp.
-pub trait SimMessage: WireSized {
-    /// Called by the kernel when the sender's NIC accepts the message.
-    fn stamp_sent(&mut self, _now: Nanos) {}
-
-    /// Called by the kernel when the message finishes serializing onto
-    /// the wire (after queueing behind earlier transmissions). The gap
-    /// `departed - sent` is the NIC serialization + queueing delay the
-    /// profiler's critical-path analysis charges separately from
-    /// propagation. Default is a no-op.
-    fn stamp_departed(&mut self, _at: Nanos) {}
-}
+/// A message the simulation kernel can hand to a NIC. The kernel only
+/// reads its wire size: the send and departure times it keeps itself,
+/// next to the payload, and hands to the receiver with the delivery.
+pub trait SimMessage: WireSized {}

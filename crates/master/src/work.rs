@@ -3,7 +3,7 @@
 //! The storage substrate executes for real; the simulator charges virtual
 //! time for what actually happened. Every master operation fills in a
 //! [`Work`] receipt — hash-table probes, bytes memcpy'd, bytes
-//! checksummed, log appends — and the server actor converts it to
+//! checksummed, log entries scanned — and the server actor converts it to
 //! nanoseconds through the calibrated
 //! [`CostModel`].
 
@@ -14,16 +14,10 @@ use rocksteady_common::{CostModel, Nanos};
 pub struct Work {
     /// Hash-table slots examined.
     pub probes: u64,
-    /// Key hashes computed.
-    pub hashes: u64,
     /// Bytes copied through memory (staging, copy-out, log appends).
     pub copied_bytes: u64,
     /// Bytes checksummed (log-entry CRCs).
     pub checksummed_bytes: u64,
-    /// Log entries appended.
-    pub appends: u64,
-    /// Serialized bytes appended to a log.
-    pub appended_bytes: u64,
     /// Secondary-index entries visited or modified.
     pub index_entries: u64,
     /// Log entries examined by a sequential log scan (baseline
@@ -35,11 +29,8 @@ impl Work {
     /// Accumulates another receipt into this one.
     pub fn add(&mut self, other: &Work) {
         self.probes += other.probes;
-        self.hashes += other.hashes;
         self.copied_bytes += other.copied_bytes;
         self.checksummed_bytes += other.checksummed_bytes;
-        self.appends += other.appends;
-        self.appended_bytes += other.appended_bytes;
         self.index_entries += other.index_entries;
         self.scanned_entries += other.scanned_entries;
     }
@@ -51,7 +42,6 @@ impl Work {
     /// data-proportional work.
     pub fn service_ns(&self, m: &CostModel) -> Nanos {
         self.probes * m.hash_probe_ns
-            + self.hashes * m.record_hash_ns
             + m.copy_ns(self.copied_bytes)
             + m.checksum_ns(self.checksummed_bytes)
             + self.index_entries * m.index_scan_per_entry_ns
@@ -67,26 +57,20 @@ mod tests {
     fn add_accumulates_every_field() {
         let mut a = Work {
             probes: 1,
-            hashes: 2,
-            copied_bytes: 3,
-            checksummed_bytes: 4,
-            appends: 5,
-            appended_bytes: 6,
-            index_entries: 7,
-            scanned_entries: 8,
+            copied_bytes: 2,
+            checksummed_bytes: 3,
+            index_entries: 4,
+            scanned_entries: 5,
         };
         a.add(&a.clone());
         assert_eq!(
             a,
             Work {
                 probes: 2,
-                hashes: 4,
-                copied_bytes: 6,
-                checksummed_bytes: 8,
-                appends: 10,
-                appended_bytes: 12,
-                index_entries: 14,
-                scanned_entries: 16,
+                copied_bytes: 4,
+                checksummed_bytes: 6,
+                index_entries: 8,
+                scanned_entries: 10,
             }
         );
     }

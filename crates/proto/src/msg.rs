@@ -525,22 +525,16 @@ pub enum Body {
     Resp(Response),
 }
 
-/// One message on the wire: an RPC id plus request or response.
+/// One message on the wire: an RPC id, a request or response, and the
+/// causal context. Protocol data only: the simulation kernel keeps a
+/// message's send and departure times itself and hands them to the
+/// receiver beside the envelope.
 #[derive(Debug, Clone)]
 pub struct Envelope {
     /// Correlates the response with its request. Unique per sender.
     pub rpc: RpcId,
     /// The message body.
     pub body: Body,
-    /// Virtual time the sender's NIC accepted this message; stamped by
-    /// the simulation kernel (0 until sent). Receivers subtract it from
-    /// the arrival time to measure the network segment of an RPC.
-    pub sent_at: Nanos,
-    /// Virtual time the message finished serializing onto the wire
-    /// (stamped by the kernel; 0 until sent). `departed_at - sent_at`
-    /// is the NIC serialization + queueing delay, which the profiler's
-    /// critical-path analysis separates from propagation.
-    pub departed_at: Nanos,
     /// Dapper-style causal context: the journey this message belongs to.
     /// Rides every envelope unconditionally (requests carry the issuing
     /// operation's context, responses echo their request's) but models
@@ -550,14 +544,16 @@ pub struct Envelope {
     pub ctx: CausalCtx,
 }
 
+// An RPC id (8 B), a `Body` (104 B) and a `CausalCtx` (16 B): every
+// send, rx-queue entry and deferred response moves these bytes.
+const _: () = assert!(std::mem::size_of::<Envelope>() == 128);
+
 impl Envelope {
     /// Wraps a request.
     pub fn req(rpc: RpcId, request: Request) -> Self {
         Envelope {
             rpc,
             body: Body::Req(request),
-            sent_at: 0,
-            departed_at: 0,
             ctx: CausalCtx::NONE,
         }
     }
@@ -567,8 +563,6 @@ impl Envelope {
         Envelope {
             rpc,
             body: Body::Resp(response),
-            sent_at: 0,
-            departed_at: 0,
             ctx: CausalCtx::NONE,
         }
     }
@@ -597,15 +591,7 @@ impl rocksteady_common::WireSized for Envelope {
     }
 }
 
-impl rocksteady_common::SimMessage for Envelope {
-    fn stamp_sent(&mut self, now: Nanos) {
-        self.sent_at = now;
-    }
-
-    fn stamp_departed(&mut self, at: Nanos) {
-        self.departed_at = at;
-    }
-}
+impl rocksteady_common::SimMessage for Envelope {}
 
 #[cfg(test)]
 mod tests {
@@ -687,7 +673,6 @@ mod tests {
         let bare = Envelope::req(RpcId(1), Request::GetTabletMap);
         let ctxed = Envelope::req(RpcId(1), Request::GetTabletMap).with_ctx(CausalCtx {
             trace_id: TraceId::mint(3, 42),
-            parent_span: 0,
             hop: 1,
         });
         assert_eq!(bare.wire_size(), ctxed.wire_size());

@@ -29,7 +29,7 @@ use rocksteady_trace::Tracer;
 use crate::recovery::{FetchFailure, RecoveryRun};
 use crate::repl::{ChunkSend, Durable, ReplManager, Scope};
 use crate::rpc::{Pending, RpcTable, SyncWait};
-use crate::sched::{Deferred, Placement, Quantum, ReplyTo, Sched, Task};
+use crate::sched::{Deferred, Inbound, Placement, Quantum, ReplyTo, Sched, Task};
 use crate::stats::StatsHandle;
 use crate::telemetry::{AbandonReason, NodeTelemetry, RpcSpan};
 use crate::{Directory, ServerConfig};
@@ -203,10 +203,11 @@ impl ServerNode {
             .sched
             .begin_poll(ctx.now(), self.cfg.cost.dispatch_per_msg_ns);
         self.close_quantum(closed);
-        let Some((src, arrived, env)) = msg else {
+        let Some(msg) = msg else {
             return;
         };
-        let span = RpcSpan::arriving(&env, arrived);
+        let span = RpcSpan::arriving(&msg);
+        let Inbound { src, env, .. } = msg;
         match env.body {
             Body::Req(req) => self.on_request(ctx, src, env.rpc, req, span),
             Body::Resp(resp) => self.on_response(ctx, env.rpc, resp, span.nic_in),
@@ -976,7 +977,7 @@ impl ServerNode {
                 let pp = self.rpcs.open(dst, Pending::SyncPriorityPull(wait), None);
                 // The pull is issued on the blocked read's behalf: same
                 // trace id, one hop deeper.
-                let pp_ctx = reader.cctx.child(reader.rpc.0);
+                let pp_ctx = reader.cctx.child();
                 self.tel.priority_pull_sent(ctx.now(), pp_ctx, pp);
                 let hashes = vec![hash];
                 let req = Request::PriorityPull { table, hashes };
@@ -989,7 +990,7 @@ impl ServerNode {
                 // eventually covers this hash inherits the waiting
                 // read's context (first waiter wins).
                 if outcome == MissOutcome::Wait && reader.cctx.trace_id.is_some() {
-                    let asker = reader.cctx.child(reader.rpc.0);
+                    let asker = reader.cctx.child();
                     run.pp_ctx.entry(hash).or_insert(asker);
                 }
                 if outcome == MissOutcome::Wait && priority_pulls {
@@ -1382,9 +1383,7 @@ impl ServerNode {
         let Some(stats) = self.master.clean_once(&cleaner) else {
             return m.op_fixed_ns;
         };
-        self.stats
-            .segments_cleaned
-            .add(stats.segments_cleaned as u64);
+        self.stats.segments_cleaned.add(stats.victims.len() as u64);
         // Relocation copies + checksums live bytes and walks the victim
         // segment's entries.
         let service = m.copy_ns(stats.bytes_relocated)
@@ -1483,8 +1482,19 @@ impl Actor<Envelope> for ServerNode {
 
     fn on_event(&mut self, ctx: &mut Ctx<'_, Envelope>, event: Event<Envelope>) {
         let tok = match event {
-            Event::Message { src, payload } => {
-                self.sched.receive(src, ctx.now(), payload);
+            Event::Message {
+                src,
+                payload,
+                sent_at,
+                departed_at,
+            } => {
+                self.sched.receive(Inbound {
+                    src,
+                    sent_at,
+                    departed_at,
+                    arrived: ctx.now(),
+                    env: payload,
+                });
                 self.ensure_dispatch(ctx);
                 return;
             }

@@ -26,6 +26,19 @@ pub(crate) struct ReplyTo {
     pub(crate) cctx: CausalCtx,
 }
 
+/// A message in the rx queue, with the simulation kernel's stamps.
+#[derive(Debug)]
+pub(crate) struct Inbound {
+    pub(crate) src: ActorId,
+    /// When the sender's NIC accepted it.
+    pub(crate) sent_at: Nanos,
+    /// When its last byte left the sender's NIC.
+    pub(crate) departed_at: Nanos,
+    /// When it entered the rx queue.
+    pub(crate) arrived: Nanos,
+    pub(crate) env: Envelope,
+}
+
 /// A unit of worker work.
 #[derive(Debug)]
 pub(crate) enum Task {
@@ -126,7 +139,7 @@ pub(crate) enum Placement {
 }
 
 pub(crate) struct Sched {
-    rx: VecDeque<(ActorId, Nanos, Envelope)>,
+    rx: VecDeque<Inbound>,
     busy_until: Nanos,
     poll_scheduled: bool,
     /// Dispatch cost accrued while handling the current event, with its
@@ -163,9 +176,9 @@ impl Sched {
 
     // ---------------------------------------------------------- dispatch --
 
-    /// A message arrived at `now`.
-    pub(crate) fn receive(&mut self, src: ActorId, now: Nanos, env: Envelope) {
-        self.rx.push_back((src, now, env));
+    /// A message arrived.
+    pub(crate) fn receive(&mut self, msg: Inbound) {
+        self.rx.push_back(msg);
     }
 
     /// The delay after which the next dispatch poll must fire, if one
@@ -186,7 +199,7 @@ impl Sched {
         &mut self,
         now: Nanos,
         per_msg: Nanos,
-    ) -> (Option<(ActorId, Nanos, Envelope)>, Option<Quantum>) {
+    ) -> (Option<Inbound>, Option<Quantum>) {
         self.poll_scheduled = false;
         let Some(msg) = self.rx.pop_front() else {
             return (None, self.flush());
@@ -426,10 +439,16 @@ mod tests {
 
     #[test]
     fn quantum_flushes_at_64_polls_and_on_an_idle_gap() {
-        let env = || Envelope::resp(RpcId(0), Response::Ok);
+        let env = |arrived| Inbound {
+            src: 1,
+            sent_at: 0,
+            departed_at: 0,
+            arrived,
+            env: Envelope::resp(RpcId(0), Response::Ok),
+        };
         let mut s = Sched::new(1, false);
         for _ in 0..100 {
-            s.receive(1, 0, env());
+            s.receive(env(0));
         }
         assert_eq!(s.poll_due(0), Some(0));
         assert_eq!(s.poll_due(0), None, "one poll timer at a time");
@@ -454,8 +473,8 @@ mod tests {
         assert_eq!(flushed, [quantum(0, 647, 5, 2), quantum(647, 360, 0, 0)]);
 
         // Two queued messages: the first poll leaves the quantum open...
-        s.receive(1, now, env());
-        s.receive(1, now, env());
+        s.receive(env(now));
+        s.receive(env(now));
         let horizon = now + s.poll_due(now).expect("poll due");
         assert!(s.begin_poll(horizon, 10).0.is_some());
         assert_eq!(s.end_poll(horizon), None);

@@ -20,11 +20,11 @@ use rocksteady_common::{
     CausalCtx, FxHashMap, HashRange, MigrationId, Nanos, RpcId, ServerId, TableId,
 };
 use rocksteady_profiler::{Activity, Profiler};
-use rocksteady_proto::{Envelope, Request};
+use rocksteady_proto::Request;
 use rocksteady_simnet::ActorId;
 use rocksteady_trace::{lanes, Arg, Tracer};
 
-use crate::sched::{Quantum, Task};
+use crate::sched::{Inbound, Quantum, Task};
 
 /// Arrival stamps of an inbound request, captured once on the dispatch
 /// core; kept (only while tracing) as the request's latency
@@ -33,7 +33,7 @@ use crate::sched::{Quantum, Task};
 pub(crate) struct RpcSpan {
     name: &'static str,
     /// When the requester's NIC accepted the request (stamped by the
-    /// simnet kernel into `Envelope::sent_at`).
+    /// simnet kernel).
     sent_at: Nanos,
     /// When the request entered our rx queue.
     arrived: Nanos,
@@ -50,16 +50,16 @@ pub(crate) struct RpcSpan {
 }
 
 impl RpcSpan {
-    /// Stamps a message that entered the rx queue at `arrived`.
-    pub(crate) fn arriving(env: &Envelope, arrived: Nanos) -> Self {
+    /// Stamps a message taken off the rx queue.
+    pub(crate) fn arriving(msg: &Inbound) -> Self {
         RpcSpan {
             name: "",
-            sent_at: env.sent_at,
-            arrived,
+            sent_at: msg.sent_at,
+            arrived: msg.arrived,
             assigned: 0,
             service_end: 0,
-            nic_in: env.departed_at.saturating_sub(env.sent_at),
-            cctx: env.ctx,
+            nic_in: msg.departed_at - msg.sent_at,
+            cctx: msg.env.ctx,
         }
     }
 }

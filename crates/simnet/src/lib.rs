@@ -13,7 +13,12 @@
 //!   port (§2.2, §3.2);
 //! - delivery adds a fixed one-way latency (propagation + switch);
 //! - messages to dead actors are dropped (crash testing, §3.4), and an
-//!   actor's loss rule drops the messages it names (a lossy link).
+//!   actor's loss rule drops the messages it names (a lossy link);
+//! - the kernel keeps each message's stamps itself: the send time sits
+//!   next to the payload in the slab, the departure is the delivery time
+//!   less the one-way latency, and both reach the receiver as fields of
+//!   [`Event::Message`]. A payload is never written between its send and
+//!   its delivery ([`SimMessage`] declares no method).
 //!
 //! Execution is single-threaded and fully deterministic: events are
 //! ordered by `(time, sequence number)`, so the same setup and seed
@@ -77,6 +82,16 @@ pub enum Event<M> {
         src: ActorId,
         /// The payload.
         payload: M,
+        /// When the sender's NIC accepted the message: the time of its
+        /// [`Ctx::send`]. Receivers subtract it from the arrival time to
+        /// measure an RPC's network segment.
+        sent_at: Nanos,
+        /// When the message's last byte left the sender's NIC, after
+        /// serialization and queueing behind earlier sends: the arrival
+        /// time minus [`NicConfig::one_way_latency_ns`]. `departed_at -
+        /// sent_at` is the NIC time the critical-path analysis separates
+        /// from propagation.
+        departed_at: Nanos,
     },
     /// A timer armed with [`Ctx::timer`] fired.
     Timer {
@@ -143,7 +158,7 @@ impl<'a, M> Ctx<'a, M> {
     /// Sends `payload` to `dst` through the NIC model. Delivery time is
     /// `max(now, sender nic free) + wire + one_way_latency`.
     pub fn send(&mut self, dst: ActorId, payload: M) {
-        let idx = self.slab.alloc(payload);
+        let idx = self.slab.alloc(payload, self.now);
         self.actions.push(Action::Send { dst, idx });
     }
 
@@ -206,15 +221,15 @@ impl Ord for QRef {
     }
 }
 
-/// Slab holding the payloads of messages in flight: [`Ctx::send`]
-/// moves a payload in, the kernel stamps it in place when the sender's
-/// NIC takes it, and delivery moves it out — one copy in and one out,
+/// Slab holding the payloads of messages in flight, each next to its
+/// send time: [`Ctx::send`] moves a payload in, the kernel only reads
+/// its wire size, and delivery moves it out — one copy in and one out,
 /// however often the scheduler reshuffles its [`QRef`] (heap sifts,
 /// wheel-to-near migration, bucket sorts). Timers never come here.
 /// Freed slots recycle LIFO, so the hot working set stays small and
 /// cache-resident.
 struct EventSlab<M> {
-    slots: Vec<Option<M>>,
+    slots: Vec<Option<(M, Nanos)>>,
     free: Vec<u32>,
 }
 
@@ -226,29 +241,33 @@ impl<M> EventSlab<M> {
         }
     }
 
-    fn alloc(&mut self, payload: M) -> u32 {
+    fn alloc(&mut self, payload: M, sent_at: Nanos) -> u32 {
         match self.free.pop() {
             Some(idx) => {
                 debug_assert!(self.slots[idx as usize].is_none());
-                self.slots[idx as usize] = Some(payload);
+                self.slots[idx as usize] = Some((payload, sent_at));
                 idx
             }
             None => {
                 let idx = u32::try_from(self.slots.len()).expect("event slab overflow");
-                self.slots.push(Some(payload));
+                self.slots.push(Some((payload, sent_at)));
                 idx
             }
         }
     }
 
-    fn get_mut(&mut self, idx: u32) -> &mut M {
-        self.slots[idx as usize].as_mut().expect("empty slab slot")
+    fn get(&self, idx: u32) -> &M {
+        &self.slots[idx as usize]
+            .as_ref()
+            .expect("empty slab slot")
+            .0
     }
 
-    fn take(&mut self, idx: u32) -> M {
-        let payload = self.slots[idx as usize].take().expect("empty slab slot");
+    /// The payload and its send time.
+    fn take(&mut self, idx: u32) -> (M, Nanos) {
+        let sent = self.slots[idx as usize].take().expect("empty slab slot");
         self.free.push(idx);
-        payload
+        sent
     }
 }
 
@@ -583,19 +602,10 @@ impl<M: SimMessage> Simulation<M> {
         for action in actions.drain(..) {
             match action {
                 Action::Send { dst, idx } => {
-                    let payload = self.slab.get_mut(idx);
-                    // Stamp the virtual send time before the NIC charges
-                    // serialization: receivers use it to split network
-                    // time out of end-to-end latency (trace layer).
-                    payload.stamp_sent(self.now);
-                    let bytes = payload.wire_size();
+                    let bytes = self.slab.get(idx).wire_size();
                     let wire = (bytes as f64 / self.nic.bytes_per_ns).round() as Nanos;
                     let depart = self.now.max(self.slots[src].nic_free) + wire;
                     self.slots[src].nic_free = depart;
-                    // Departure stamp: serialization + NIC queueing are
-                    // `depart - sent`, which the profiler splits out of
-                    // round-trip time.
-                    payload.stamp_departed(depart);
                     let at = depart + self.nic.one_way_latency_ns;
                     self.push(at, dst, src as u32, idx.into());
                 }
@@ -649,10 +659,15 @@ impl<M: SimMessage> Simulation<M> {
         // still frees its slot.
         let event = match q.src {
             TIMER => Event::Timer { token: q.key },
-            src => Event::Message {
-                src: src as ActorId,
-                payload: self.slab.take(q.key as u32),
-            },
+            src => {
+                let (payload, sent_at) = self.slab.take(q.key as u32);
+                Event::Message {
+                    src: src as ActorId,
+                    payload,
+                    sent_at,
+                    departed_at: q.at - self.nic.one_way_latency_ns,
+                }
+            }
         };
         if !self.slots[dst].alive {
             return true;
@@ -706,8 +721,6 @@ mod tests {
     struct Ping {
         bytes: u64,
         tag: u64,
-        sent_at: Nanos,
-        departed_at: Nanos,
     }
 
     fn ping(bytes: u64) -> Ping {
@@ -723,15 +736,7 @@ mod tests {
         }
     }
 
-    impl SimMessage for Ping {
-        fn stamp_sent(&mut self, now: Nanos) {
-            self.sent_at = now;
-        }
-
-        fn stamp_departed(&mut self, at: Nanos) {
-            self.departed_at = at;
-        }
-    }
+    impl SimMessage for Ping {}
 
     /// Replies to every message; logs delivery times.
     struct Echo {
@@ -745,7 +750,7 @@ mod tests {
         }
 
         fn on_event(&mut self, ctx: &mut Ctx<'_, Ping>, event: Event<Ping>) {
-            if let Event::Message { src, payload } = event {
+            if let Event::Message { src, payload, .. } = event {
                 self.log.borrow_mut().push((ctx.now(), src));
                 if self.reply {
                     ctx.send(src, ping(payload.bytes));
@@ -809,7 +814,8 @@ mod tests {
         assert_eq!(log[0].0, 2_000);
     }
 
-    /// Logs each message's arrival time and the two stamps it carries.
+    /// Logs each message's arrival time and the two stamps delivered
+    /// with it.
     struct ArrivalLog {
         log: Rc<RefCell<Vec<(Nanos, Nanos, Nanos)>>>,
     }
@@ -820,18 +826,24 @@ mod tests {
         }
 
         fn on_event(&mut self, ctx: &mut Ctx<'_, Ping>, event: Event<Ping>) {
-            if let Event::Message { payload, .. } = event {
-                let stamps = (ctx.now(), payload.sent_at, payload.departed_at);
-                self.log.borrow_mut().push(stamps);
+            if let Event::Message {
+                sent_at,
+                departed_at,
+                ..
+            } = event
+            {
+                self.log
+                    .borrow_mut()
+                    .push((ctx.now(), sent_at, departed_at));
             }
         }
     }
 
-    /// The kernel stamps a payload in its slab slot, after the send:
-    /// the receiver sees the send time and the departure that the wire
-    /// and the NIC queue set.
+    /// The kernel keeps a message's send time in its slab slot and
+    /// derives its departure at delivery: the receiver sees the send
+    /// time and the departure that the wire and the NIC queue set.
     #[test]
-    fn stamps_written_in_the_slab_reach_the_receiver() {
+    fn the_kernels_stamps_reach_the_receiver() {
         let log = Rc::new(RefCell::new(Vec::new()));
         let mut sim = Simulation::new(nic(), 1);
         let dst = sim.add_actor(Box::new(ArrivalLog {

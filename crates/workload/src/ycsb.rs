@@ -274,7 +274,6 @@ impl YcsbClient {
         // exact attempt that caused them.
         let cctx = CausalCtx {
             trace_id: TraceId::mint(ctx.self_id() as u64, op_id),
-            parent_span: 0,
             hop: attempt,
         };
         if self.trace.is_on() {
@@ -548,7 +547,7 @@ mod tests {
         }
 
         fn on_event(&mut self, ctx: &mut Ctx<'_, Envelope>, event: Event<Envelope>) {
-            let Event::Message { src, payload } = event else {
+            let Event::Message { src, payload, .. } = event else {
                 return;
             };
             let resp = match &payload.body {

@@ -360,7 +360,7 @@ impl Actor<Envelope> for ReadStub {
     }
 
     fn on_event(&mut self, ctx: &mut Ctx<'_, Envelope>, event: Event<Envelope>) {
-        let Event::Message { src, payload } = event else {
+        let Event::Message { src, payload, .. } = event else {
             return;
         };
         let resp = match payload.body {
@@ -469,7 +469,7 @@ impl Actor<Ball> for Rally {
 
     fn on_event(&mut self, ctx: &mut Ctx<'_, Ball>, event: Event<Ball>) {
         match event {
-            Event::Message { src, payload } => ctx.send(src, payload),
+            Event::Message { src, payload, .. } => ctx.send(src, payload),
             Event::Timer { token } => {
                 ctx.timer(self.tick.expect("only the ticking side arms"), token)
             }

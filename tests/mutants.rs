@@ -109,6 +109,11 @@ const MUTANTS: &[Mutant] = &[
         replacement: "        let batch = actions.iter().position(|a| matches!(a, Action::SendPriorityPull { .. }));\n        if let Some(batch) = batch.map(|i| actions.remove(i)) {\n            actions.push(batch);\n        }\n        if self.complete() {",
         killer: ("crates/core/src/manager.rs", "priority_pull_batch_precedes_the_pipelined_pull"),
         promise: "a PriorityPull batch leaves ahead of the Pull pipelined in the same poll", decided: "§3.2" },
+    Mutant { file: "crates/simnet/src/lib.rs",
+        anchor: "departed_at: q.at - self.nic.one_way_latency_ns,",
+        replacement: "departed_at: q.at,",
+        killer: ("crates/simnet/src/lib.rs", "the_kernels_stamps_reach_the_receiver"),
+        promise: "a message departs one one-way latency before it arrives, so NIC time excludes propagation", decided: "§3.11" },
 ];
 
 fn read(path: &str) -> String {

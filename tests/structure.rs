@@ -27,6 +27,7 @@ const SCENARIOS: &str = "crates/cluster/src/scenarios.rs";
 const MSG: &str = "crates/proto/src/msg.rs";
 const YCSB: &str = "crates/workload/src/ycsb.rs";
 const AUDIT: &str = "crates/audit/src/lib.rs";
+const WIRE: &str = "crates/common/src/wire.rs";
 /// The files under `crates/` and `vendor/` that may hold unsafe code.
 const UNSAFE_DOORS: [&str; 5] = [
     "crates/common/src/prefetch.rs",
@@ -173,6 +174,14 @@ const RULES: &[Rule] = &[
         check: |t| lacking(t, ["metrics", "profiler", "audit", "flightrec"].map(|c| format!("crates/{c}/src/lib.rs")),
             "#![deny(missing_docs)]"),
         mutant: (AUDIT, "#![deny(missing_docs)]", "#![warn(missing_docs)]") },
+    Rule { name: "the_kernel_owns_its_stamps", decided: "§3.11",
+        why: "simnet keeps a message's send and departure times; SimMessage declares no method, \
+            so nothing writes a payload in flight",
+        check: |t| [
+            grep(t, |p| p.starts_with("crates/"), |l| any(l, &["stamp_sent", "stamp_departed"])),
+            grep_method(t, WIRE, "pub trait SimMessage", |l| l.contains("fn ")),
+        ].concat(),
+        mutant: (WIRE, "pub trait SimMessage: WireSized {}", "pub trait SimMessage: WireSized {\n    fn stamp_sent(&mut self, _now: u64) {}\n}") },
 ];
 
 /// A file above its first `#[cfg(test)]` line, `//` comments cut off;
