@@ -29,8 +29,10 @@ run cargo test -q --release --test seed_sweep
 # So must the log's: a segment's entry count and committed length are
 # written without read-modify-writes by its one locked appender, and its
 # live bytes are committed minus dead; its real-thread tests check that
-# with no overflow checks or debug assertions behind them.
-run cargo test -q --release -p rocksteady-hashtable -p rocksteady-logstore
+# with no overflow checks or debug assertions behind them. The master's
+# real-thread test races gathers (one log view per stripe) against
+# appends and side-log commits at release speed.
+run cargo test -q --release -p rocksteady-hashtable -p rocksteady-logstore -p rocksteady-master
 # The trace arity cap is a debug_assert!: release builds must record an
 # over-wide event whole, and only a release run of its test shows that.
 # The tail ring's offsets wrap modulo 2^32, and the event queue's wheel

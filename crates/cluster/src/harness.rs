@@ -4,7 +4,6 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use bytes::Bytes;
 use rocksteady::MigrationConfig;
 use rocksteady_audit::{AuditKind, AuditReport, AuditSink};
 use rocksteady_common::json::{JsonWriter, Raw};
@@ -580,19 +579,7 @@ impl Cluster {
     pub fn seed_backups(&mut self) {
         let owners: Vec<ServerId> = self.backups_of.keys().copied().collect();
         for owner in owners {
-            let images: Vec<(u64, Bytes)> = {
-                let node = self.node(owner);
-                let images = node
-                    .master
-                    .log
-                    .segments_snapshot()
-                    .iter()
-                    .filter(|s| s.committed() > 0)
-                    .map(|s| (s.id(), s.committed_as_bytes()))
-                    .collect();
-                node.mark_log_durable();
-                images
-            };
+            let images = self.node(owner).mark_log_durable();
             let backups = self.backups_of[&owner].clone();
             for b in backups {
                 let node = self.node(b);

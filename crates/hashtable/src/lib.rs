@@ -717,21 +717,31 @@ impl HashTable {
     /// [`MAX_BUCKETS_PER_STRIPE`] flat buckets — not once per bucket, and
     /// a stripe nothing was ever inserted into is stepped over whole.
     ///
+    /// `open` makes the view `peek` and `visit` read through: it runs
+    /// right after a stripe's read lock is taken, for a stripe that
+    /// holds buckets, and its view drops before that lock is released.
+    /// A caller resolving slots in a structure of its own (the master's
+    /// log) takes that structure's lock once per stripe run this way,
+    /// inside the stripe lock like every lookup's key matcher — never
+    /// once per slot, and never held while the next stripe is awaited.
+    ///
     /// `peek` is shown every slot `visit` is going to get, up to
     /// [`SCAN_LOOKAHEAD_BUCKETS`] buckets before `visit` gets it (never
     /// past the end of the stripe whose lock is held), so the caller can
     /// start fetching what the slot points at. It sees the same slots in
     /// the same order, plus at most that horizon beyond the bucket the
     /// budget stops the scan at; a caller with nothing to fetch passes
-    /// `|_| {}`, which compiles away.
-    pub fn scan_range(
+    /// `|_, _| {}`, which compiles away.
+    #[allow(clippy::too_many_arguments)]
+    pub fn scan_range<V>(
         &self,
         table: TableId,
         range: HashRange,
         cursor: Cursor,
         budget: u64,
-        mut peek: impl FnMut(&Slot),
-        mut visit: impl FnMut(&Slot) -> u64,
+        mut open: impl FnMut() -> V,
+        mut peek: impl FnMut(&V, &Slot),
+        mut visit: impl FnMut(&V, &Slot) -> u64,
     ) -> Probed<Option<Cursor>> {
         if range.is_empty() {
             return Probed::MISS;
@@ -759,6 +769,7 @@ impl HashTable {
                 bucket = stripe_last + 1;
                 continue;
             }
+            let view = open();
             // Next bucket to show to `peek`: on taking the stripe it
             // catches up to the horizon, then stays that far in front.
             let mut ahead = bucket;
@@ -767,7 +778,7 @@ impl HashTable {
                 while ahead <= horizon {
                     buckets.for_each(ahead as usize % self.buckets_per_stripe, |p| {
                         if wanted(p) {
-                            peek(&p.slot());
+                            peek(&view, &p.slot());
                         }
                     });
                     ahead += 1;
@@ -775,7 +786,7 @@ impl HashTable {
                 buckets.for_each(bucket as usize % self.buckets_per_stripe, |p| {
                     probes += 1;
                     if wanted(p) {
-                        accepted += visit(&p.slot());
+                        accepted += visit(&view, &p.slot());
                     }
                 });
                 bucket += 1;
@@ -806,8 +817,9 @@ impl HashTable {
                 range,
                 cursor,
                 u64::MAX,
-                |_| {},
-                |s| {
+                || (),
+                |_, _| {},
+                |_, s| {
                     visit(s);
                     0
                 },
@@ -1298,8 +1310,9 @@ mod tests {
                 range,
                 cursor,
                 50,
-                |_| {},
-                |s| {
+                || (),
+                |_, _| {},
+                |_, s| {
                     batch.push(s.hash);
                     1
                 },
@@ -1350,8 +1363,9 @@ mod tests {
             HashRange { start: 1, end: 0 },
             Cursor::default(),
             10,
-            |_| panic!("nothing to peek at"),
-            |_| -> u64 { panic!("nothing to visit") },
+            || panic!("no stripe to open"),
+            |_: &(), _| panic!("nothing to peek at"),
+            |_, _| -> u64 { panic!("nothing to visit") },
         );
         assert_eq!(out.value, None);
     }
@@ -1412,7 +1426,7 @@ mod tests {
                     let mut seen = HashSet::new();
                     let mut cursor = Cursor::default();
                     loop {
-                        let visit = |s: &Slot| {
+                        let visit = |_: &(), s: &Slot| {
                             assert!(
                                 seen.insert(s.hash),
                                 "hash {:#x} visited twice in one pass",
@@ -1420,7 +1434,15 @@ mod tests {
                             );
                             1
                         };
-                        let out = ht.scan_range(T, HashRange::full(), cursor, 64, |_| {}, visit);
+                        let out = ht.scan_range(
+                            T,
+                            HashRange::full(),
+                            cursor,
+                            64,
+                            || (),
+                            |_, _| {},
+                            visit,
+                        );
                         match out.value {
                             Some(next) => cursor = next,
                             None => break,

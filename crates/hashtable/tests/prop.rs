@@ -86,8 +86,9 @@ fn scan_matches_enumeration() {
                 range,
                 cursor,
                 budget,
-                |_| {},
-                |slot| {
+                || (),
+                |_, _| {},
+                |_, slot| {
                     seen.push(slot.hash);
                     1
                 },
@@ -188,6 +189,8 @@ fn model_scan(
 /// `visit` is, never a slot more than [`SCAN_LOOKAHEAD_BUCKETS`] buckets
 /// past the one being visited, and what it saw beyond the end of a
 /// budgeted call lies within that horizon of the returned cursor.
+/// Every slot is shown through the view opened last, and one view
+/// serves one stripe, each stripe at most once a call.
 #[test]
 fn sparse_scans_match_the_bucket_model_and_peek_keeps_its_horizon() {
     for seed in 0..CASES {
@@ -240,19 +243,35 @@ fn sparse_scans_match_the_bucket_model_and_peek_keeps_its_horizon() {
             let (want, want_next, want_probes) =
                 model_scan(&inserted, buckets_pow, range, cursor, budget, weight);
             let first = bucket_of(range.start).max(cursor.bucket);
-            // Shared by the two closures, which run interleaved.
+            // Shared by the closures, which run interleaved.
             let peeked = std::cell::RefCell::new(Vec::<u64>::new());
+            // The stripe each view opened so far served, once it served one.
+            let opened = std::cell::RefCell::new(Vec::<Option<u64>>::new());
+            let serve = |view: &usize, hash: u64| {
+                let mut opened = opened.borrow_mut();
+                assert_eq!(*view + 1, opened.len(), "seed {seed}: a stale view");
+                let stripe = bucket_of(hash) >> 7;
+                let served = *opened[*view].get_or_insert(stripe);
+                assert_eq!(served, stripe, "seed {seed}: a view crossed stripes");
+            };
             let mut visited = Vec::new();
             let out = ht.scan_range(
                 T,
                 range,
                 cursor,
                 budget,
-                |slot| {
+                || {
+                    let mut opened = opened.borrow_mut();
+                    opened.push(None);
+                    opened.len() - 1
+                },
+                |view, slot| {
+                    serve(view, slot.hash);
                     assert!(slot.table == T && range.contains(slot.hash));
                     peeked.borrow_mut().push(slot.hash);
                 },
-                |slot| {
+                |view, slot| {
+                    serve(view, slot.hash);
                     let at = bucket_of(slot.hash);
                     let mut peeked = peeked.borrow_mut();
                     assert_eq!(
@@ -274,6 +293,11 @@ fn sparse_scans_match_the_bucket_model_and_peek_keeps_its_horizon() {
             assert_eq!(visited, want, "seed {seed} call {call}: slots or order");
             assert_eq!(out.value, want_next, "seed {seed} call {call}: cursor");
             assert_eq!(out.probes, want_probes, "seed {seed} call {call}: probes");
+            let stripes: Vec<u64> = opened.borrow().iter().flatten().copied().collect();
+            assert!(
+                stripes.windows(2).all(|w| w[0] < w[1]),
+                "seed {seed} call {call}: a stripe opened twice"
+            );
             // Peeked but not visited: only past a budget stop, and only
             // as far as the scan would have looked from its last bucket.
             let stop = out.value.map_or(u64::MAX, |c| c.bucket);

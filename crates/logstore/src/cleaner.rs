@@ -53,8 +53,7 @@ pub struct CleanStats {
     /// committed bytes, not its capacity.
     pub bytes_reclaimed: u64,
     /// Ids of the survivor segments this pass adopted. A sparse one is a
-    /// closed copy of the segment survivors were written into, so a
-    /// window cache must forget these ids as it forgets the victims'.
+    /// closed copy of the segment survivors were written into.
     pub survivors: Vec<u64>,
     /// Live entries moved to survivor segments.
     pub entries_relocated: u64,

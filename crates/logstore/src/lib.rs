@@ -14,7 +14,9 @@
 //! - [`segment`]: fixed-size append-only buffers with lock-free reader
 //!   visibility (appends publish with a release store; readers acquire).
 //! - [`log`]: the master log — an open head segment plus closed segments,
-//!   per-segment live-byte accounting, entry lookup by [`LogRef`].
+//!   per-segment live-byte accounting, entry lookup by [`LogRef`], and the
+//!   one zero-copy window per segment that reads, Pull gathers and
+//!   replication slice (one lock per run of reads through a [`LogView`]).
 //! - [`sidelog`]: per-core side logs (§3.1.3) that replay workers append
 //!   into without contention, later committed into the main log.
 //! - [`cleaner`]: the cost-benefit log cleaner that relocates live entries
@@ -34,7 +36,7 @@ pub mod sidelog;
 pub use cleaner::{CleanStats, Cleaner, Relocation, Relocator};
 pub use entry::{EntryKind, EntryView, OwnedEntry, ENTRY_HEADER_BYTES};
 pub use log::{
-    EntrySlices, Joined, Log, LogConfig, LogError, LogRef, LogStats, WindowCache, MAX_SEGMENT_BYTES,
+    EntrySlices, Joined, Log, LogConfig, LogError, LogRef, LogStats, LogView, MAX_SEGMENT_BYTES,
 };
 pub use segment::Segment;
 pub use sidelog::{SideLog, SideLogAppender};

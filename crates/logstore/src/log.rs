@@ -7,12 +7,17 @@
 //! position`]) is what Rocksteady's lineage dependency points at — "the
 //! source depends on the target's recovery log *from this offset*"
 //! (§3.4).
+//!
+//! The log also hands out the zero-copy windows every reader of its
+//! memory slices: each segment it holds sits beside one committed-prefix
+//! [`Bytes`] window, taken once for a closed or adopted segment, so a
+//! window leaves exactly when its segment does (DESIGN.md §3.5).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard};
 use rocksteady_common::prefetch::prefetch_bytes;
 use rocksteady_common::FxHashMap;
 
@@ -110,12 +115,61 @@ pub struct LogStats {
 
 struct Inner {
     /// All segments by id, including the head.
-    segments: FxHashMap<u64, Arc<Segment>>,
+    segments: FxHashMap<u64, Held>,
+    /// Uncommitted side-log segments, resolvable by readers (the hash
+    /// table points into them during parallel replay, §3.1.3) but not yet
+    /// part of the log proper.
+    side: FxHashMap<u64, Held>,
     /// Every segment in the order it joined the log. Recovery and the
     /// baseline migration scan in this order.
     order: Vec<Slot>,
     /// Current head segment (open for appends).
     head: Arc<Segment>,
+}
+
+impl Inner {
+    /// The segment `id` and its window, in the log proper or registered
+    /// from a side log.
+    fn held(&self, id: u64) -> Option<&Held> {
+        self.segments.get(&id).or_else(|| self.side.get(&id))
+    }
+}
+
+/// A segment and its window: a committed prefix of it as [`Bytes`]. A
+/// closed segment's window is taken when it joins or closes and covers
+/// it whole; an open one's is re-taken when a read points past it.
+struct Held {
+    segment: Arc<Segment>,
+    window: Bytes,
+}
+
+impl Held {
+    /// `segment` beside a window of what it holds now: for an empty
+    /// segment the empty `Bytes`, which allocates nothing. (An owner
+    /// allocated beside every new segment buffer kept freed segments'
+    /// heap memory resident: EXPERIMENTS.md, "The log hands out its own
+    /// windows".)
+    fn new(segment: Arc<Segment>) -> Held {
+        let window = Bytes::new();
+        let mut held = Held { segment, window };
+        held.catch_up();
+        held
+    }
+
+    /// Whether `offset` lies past the window, in bytes the segment has
+    /// committed since the window was taken.
+    fn behind(&self, offset: u32) -> bool {
+        let offset = offset as usize;
+        offset >= self.window.len() && offset < self.segment.committed()
+    }
+
+    /// Re-takes the window if the segment committed bytes since.
+    fn catch_up(&mut self) -> &Bytes {
+        if self.window.len() < self.segment.committed() {
+            self.window = self.segment.committed_as_bytes();
+        }
+        &self.window
+    }
 }
 
 /// One segment's place in the join order.
@@ -155,10 +209,6 @@ pub struct Log {
     /// Segments that ever joined (heads opened + side segments adopted):
     /// the sequence number the next one takes.
     joins: AtomicU64,
-    /// Uncommitted side-log segments, resolvable by readers (the hash
-    /// table points into them during parallel replay, §3.1.3) but not yet
-    /// part of the log proper.
-    side_segments: RwLock<FxHashMap<u64, Arc<Segment>>>,
 }
 
 impl Log {
@@ -172,11 +222,12 @@ impl Log {
         );
         let head = Arc::new(Segment::new(0, config.segment_bytes));
         let mut segments = FxHashMap::default();
-        segments.insert(0, Arc::clone(&head));
+        segments.insert(0, Held::new(Arc::clone(&head)));
         Log {
             config,
             inner: RwLock::new(Inner {
                 segments,
+                side: FxHashMap::default(),
                 order: vec![Slot {
                     seq: 0,
                     id: 0,
@@ -188,7 +239,6 @@ impl Log {
             appended_bytes: AtomicU64::new(0),
             appended_entries: AtomicU64::new(0),
             joins: AtomicU64::new(1),
-            side_segments: RwLock::new(FxHashMap::default()),
         }
     }
 
@@ -263,9 +313,14 @@ impl Log {
             }
         }
         inner.head.close();
+        // The closed head's last window: its bytes are final now.
+        let closed = inner.head.id();
+        if let Some(held) = inner.segments.get_mut(&closed) {
+            held.catch_up();
+        }
         let id = self.next_segment_id.fetch_add(1, Ordering::Relaxed);
         let head = Arc::new(Segment::new(id, self.config.segment_bytes));
-        inner.segments.insert(id, Arc::clone(&head));
+        inner.segments.insert(id, Held::new(Arc::clone(&head)));
         self.push_slot(&mut inner, id, false);
         inner.head = head;
         Ok(())
@@ -296,7 +351,7 @@ impl Log {
         let joined = inner.order[from..]
             .iter()
             .filter_map(|slot| {
-                let segment = Arc::clone(inner.segments.get(&slot.id)?);
+                let segment = Arc::clone(&inner.segments.get(&slot.id)?.segment);
                 Some(Joined {
                     segment,
                     adopted: slot.adopted,
@@ -310,10 +365,8 @@ impl Log {
     /// uncommitted side log registered with
     /// [`Log::register_side_segment`].
     pub fn segment(&self, id: u64) -> Option<Arc<Segment>> {
-        if let Some(seg) = self.inner.read().segments.get(&id) {
-            return Some(Arc::clone(seg));
-        }
-        self.side_segments.read().get(&id).cloned()
+        let inner = self.inner.read();
+        Some(Arc::clone(&inner.held(id)?.segment))
     }
 
     /// Makes an uncommitted side-log segment resolvable by readers. The
@@ -321,7 +374,7 @@ impl Log {
     /// commit ([`Log::adopt_segment`]) later moves the segment into the
     /// log proper.
     pub fn register_side_segment(&self, seg: Arc<Segment>) {
-        self.side_segments.write().insert(seg.id(), seg);
+        self.inner.write().side.insert(seg.id(), Held::new(seg));
     }
 
     /// Snapshot of all segments in join order.
@@ -330,7 +383,7 @@ impl Log {
         inner
             .order
             .iter()
-            .filter_map(|slot| inner.segments.get(&slot.id).cloned())
+            .filter_map(|slot| Some(Arc::clone(&inner.segments.get(&slot.id)?.segment)))
             .collect()
     }
 
@@ -359,10 +412,36 @@ impl Log {
     }
 
     /// The committed prefix of segment `id` as ref-counted [`Bytes`]
-    /// aliasing the segment's backing buffer (zero-copy; see
-    /// [`Segment::committed_as_bytes`]).
+    /// aliasing the segment's backing buffer (zero-copy): the window the
+    /// log holds for it, re-taken and stored first if the segment has
+    /// committed bytes since.
     pub fn segment_bytes(&self, id: u64) -> Option<Bytes> {
-        Some(self.segment(id)?.committed_as_bytes())
+        let mut inner = self.inner.write();
+        let Inner { segments, side, .. } = &mut *inner;
+        let held = segments.get_mut(&id).or_else(|| side.get_mut(&id))?;
+        Some(held.catch_up().clone())
+    }
+
+    /// Resolves `r` to zero-copy slices of the log's window of its
+    /// segment, or `None` if the segment is gone or the offset holds no
+    /// committed entry. A ref past an open segment's window re-takes the
+    /// window and stores it, through the write lock, so the next reads of
+    /// that segment find it; a run of resolves under one lock is a
+    /// [`Log::view`].
+    pub fn entry_slices(&self, r: LogRef) -> Option<EntrySlices> {
+        let inner = self.inner.read();
+        let held = inner.held(r.segment)?;
+        if !held.behind(r.offset) {
+            return decode(&held.window, r.offset);
+        }
+        drop(inner);
+        decode(&self.segment_bytes(r.segment)?, r.offset)
+    }
+
+    /// The log's segments and windows under its read lock, for a run of
+    /// resolves that takes the lock once (see [`LogView`]).
+    pub fn view(&self) -> LogView<'_> {
+        LogView(self.inner.read())
     }
 
     /// Declares the entry at `r` (of `bytes` serialized size) dead, for
@@ -376,36 +455,40 @@ impl Log {
     /// Adopts an externally-built (side-log) segment into this log. The
     /// segment must have been allocated via [`Log::alloc_segment_id`].
     ///
-    /// Closes the segment: adopted segments are immutable.
+    /// Closes the segment: adopted segments are immutable. Its window is
+    /// taken of `seg`, which for a sparse side segment is a closed copy:
+    /// the registered original and its window leave together.
     pub fn adopt_segment(&self, seg: Arc<Segment>) {
         seg.close();
         let committed = seg.committed() as u64;
         let entries = seg.entry_count();
         let id = seg.id();
-        self.side_segments.write().remove(&id);
+        let adopted = Held::new(seg);
         let mut inner = self.inner.write();
+        inner.side.remove(&id);
         debug_assert!(
             !inner.segments.contains_key(&id),
             "segment id {id} already present"
         );
-        inner.segments.insert(id, seg);
+        inner.segments.insert(id, adopted);
         self.push_slot(&mut inner, id, true);
         drop(inner);
         self.appended_bytes.fetch_add(committed, Ordering::AcqRel);
         self.appended_entries.fetch_add(entries, Ordering::Relaxed);
     }
 
-    /// Removes a (cleaned) segment from the log, returning it. Readers
-    /// holding the `Arc` keep the memory alive; new lookups fail.
+    /// Removes a (cleaned) segment and its window from the log, returning
+    /// the segment. Readers holding the `Arc` or a slice keep the memory
+    /// alive; new lookups fail.
     pub fn remove_segment(&self, id: u64) -> Option<Arc<Segment>> {
         let mut inner = self.inner.write();
         if inner.head.id() == id {
             // The head is never cleanable.
             return None;
         }
-        let seg = inner.segments.remove(&id)?;
+        let held = inner.segments.remove(&id)?;
         inner.order.retain(|slot| slot.id != id);
-        Some(seg)
+        Some(held.segment)
     }
 
     /// Visits every committed entry in every segment, in adoption order.
@@ -431,7 +514,7 @@ impl Log {
             appended_entries: self.appended_entries.load(Ordering::Relaxed),
             ..LogStats::default()
         };
-        for seg in inner.segments.values() {
+        for Held { segment: seg, .. } in inner.segments.values() {
             stats.committed_bytes += seg.committed() as u64;
             stats.live_bytes += seg.live_bytes();
             stats.allocated_bytes += seg.allocated_bytes() as u64;
@@ -524,113 +607,64 @@ pub struct EntrySlices {
     pub value: Bytes,
 }
 
-/// Zero-copy reads: resolves [`LogRef`]s to [`EntrySlices`] out of one
-/// committed-prefix [`Bytes`] window per segment id, kept for as long as
-/// the segment is in the log. Its owner (the master's data path — reads,
-/// Pull gathers, replication) pays the one owner allocation per segment
-/// once per segment lifetime and one refcount bump per *record* — never
-/// a per-record key/value copy, never a window per batch.
+/// The log's segment table under its read lock: resolves [`LogRef`]s to
+/// [`EntrySlices`] out of the windows the log holds, taking the lock once
+/// for the whole run instead of once per record. Each resolve costs a
+/// table probe and one refcount bump per slice — never a key/value copy,
+/// never a window per call.
 ///
-/// Windows hold the segment `Arc`: a slice handed out stays valid after
-/// the cleaner retires its segment, and for the same reason the owner
-/// must [`WindowCache::forget`] retired segments or their memory is
-/// never returned. A window that predates an append into the open head
-/// segment is transparently re-taken.
+/// Nothing may take the log's write lock while a view lives — that
+/// includes [`Log::entry_slices`] and every append on the same thread —
+/// so a ref past an open segment's window gets a fresh window that is
+/// not stored. Take a view inside any hash-table stripe lock, never
+/// around one: the order is stripe, then log (DESIGN.md §3.5).
 ///
-/// Entries are decoded with [`entry::parse_trusted`]: the cache only
-/// ever walks this master's own committed log memory, whose entries were
+/// Entries are decoded with [`entry::parse_trusted`]: a view only ever
+/// walks this master's own committed log memory, whose entries were
 /// checksummed at append time.
-#[derive(Debug, Default)]
-pub struct WindowCache {
-    windows: FxHashMap<u64, Bytes>,
-}
+pub struct LogView<'a>(RwLockReadGuard<'a, Inner>);
 
-impl WindowCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        WindowCache::default()
-    }
-
-    /// Resolves `r` within `log` to zero-copy slices, or `None` if the
-    /// segment is gone or the offset holds no committed entry.
-    pub fn entry_slices(&mut self, log: &Log, r: LogRef) -> Option<EntrySlices> {
-        if let Some(window) = self.windows.get(&r.segment) {
-            if let Some(e) = Self::decode(window, r.offset) {
-                return Some(e);
-            }
-            // The memoized window may predate an append into the open
-            // head segment that this ref points at; fall through and
-            // re-window before concluding the entry doesn't exist.
+impl LogView<'_> {
+    /// [`Log::entry_slices`] under this view's lock.
+    pub fn entry_slices(&self, r: LogRef) -> Option<EntrySlices> {
+        let held = self.0.held(r.segment)?;
+        if held.behind(r.offset) {
+            return decode(&held.segment.committed_as_bytes(), r.offset);
         }
-        let window = log.segment_bytes(r.segment)?;
-        self.windows.insert(r.segment, window.clone());
-        Self::decode(&window, r.offset)
+        decode(&held.window, r.offset)
     }
 
     /// Asks the cache for the header of the entry at `r`, ahead of the
-    /// [`WindowCache::entry_slices`] that will decode it (a hint; see
-    /// [`rocksteady_common::prefetch`]). Only for segments already
-    /// windowed — taking a window is the decode's job.
+    /// [`LogView::entry_slices`] that will decode it (a hint; see
+    /// [`rocksteady_common::prefetch`]). Only within the held window.
     pub fn prefetch(&self, r: LogRef) {
         let header = r.offset as usize..r.offset as usize + ENTRY_HEADER_BYTES;
-        if let Some(bytes) = self
-            .windows
-            .get(&r.segment)
-            .and_then(|window| window.as_slice().get(header))
-        {
+        let held = self.0.held(r.segment);
+        if let Some(bytes) = held.and_then(|held| held.window.as_slice().get(header)) {
             prefetch_bytes(bytes);
         }
     }
+}
 
-    /// Drops the windows of `segments` — the cleaner's victims, which
-    /// have left the log, and the segments a side-log commit adopted,
-    /// which may now be closed copies of the ones windowed. Slices
-    /// already handed out keep their segment alive on their own; the
-    /// cache just stops being the reason a cleaned or replaced segment's
-    /// memory is still resident.
-    pub fn forget(&mut self, segments: &[u64]) {
-        for id in segments {
-            self.windows.remove(id);
-        }
+/// The entry at `offset` in `window` as slices of it, if one starts there.
+fn decode(window: &Bytes, offset: u32) -> Option<EntrySlices> {
+    let buf = window.as_slice();
+    let off = offset as usize;
+    if off >= buf.len() {
+        return None;
     }
-
-    /// Ids whose cached window does not alias the segment `log` holds
-    /// under that id now — it left the log, or a side-log commit replaced
-    /// it with a closed copy — in ascending order. Empty while the owner
-    /// forgets what cleaning and commits retire.
-    pub fn stale(&self, log: &Log) -> Vec<u64> {
-        let mut stale: Vec<u64> = self
-            .windows
-            .iter()
-            .filter(|(id, window)| {
-                log.segment(**id)
-                    .is_none_or(|seg| seg.committed_bytes().as_ptr() != window.as_ptr())
-            })
-            .map(|(id, _)| *id)
-            .collect();
-        stale.sort_unstable();
-        stale
-    }
-
-    fn decode(window: &Bytes, offset: u32) -> Option<EntrySlices> {
-        let buf = window.as_slice();
-        let off = offset as usize;
-        if off >= buf.len() {
-            return None;
-        }
-        let (view, _) = entry::parse_trusted(&buf[off..]).ok()?;
-        let key_start = off + ENTRY_HEADER_BYTES;
-        let value_start = key_start + view.key.len();
-        let value_end = value_start + view.value.len();
-        Some(EntrySlices {
-            kind: view.kind,
-            table_id: view.table_id,
-            key_hash: view.key_hash,
-            version: view.version,
-            key: window.slice(key_start..value_start),
-            value: window.slice(value_start..value_end),
-        })
-    }
+    let (view, _) = entry::parse_trusted(&buf[off..]).ok()?;
+    let key_start = off + ENTRY_HEADER_BYTES;
+    let value_start = key_start + view.key.len();
+    let value_end = value_start + view.value.len();
+    Some(EntrySlices {
+        kind: view.kind,
+        table_id: view.table_id,
+        key_hash: view.key_hash,
+        version: view.version,
+        key: window.slice(key_start..value_start),
+        value: window.slice(value_start..value_end),
+    })
 }
 
 impl std::fmt::Debug for Log {
@@ -794,6 +828,75 @@ mod tests {
         // ...but a reader holding the Arc still sees valid bytes.
         let (view, _) = seg.entry_at(first_ref.offset).unwrap();
         assert_eq!(view.key_hash, 0);
+    }
+
+    /// The head and a registered side segment are open: every ref
+    /// appended into them resolves, through a view (a fresh window) and
+    /// through the log (a stored one), and after the side segment is
+    /// adopted as a closed copy — out of the copy's own memory.
+    #[test]
+    fn refs_past_an_open_segments_window_resolve() {
+        let log = small_log();
+        let id = log.alloc_segment_id();
+        let side = Arc::new(Segment::new(id, 256));
+        log.register_side_segment(Arc::clone(&side));
+        let mut refs = Vec::new();
+        let reads = |refs: &[(LogRef, u8)], resolve: &dyn Fn(LogRef) -> Option<EntrySlices>| {
+            for &(r, v) in refs {
+                let e = resolve(r).unwrap_or_else(|| panic!("{r:?} did not resolve"));
+                assert_eq!(&e.value[..], &[v; 8]);
+            }
+        };
+        for i in 0..4u8 {
+            let head = log
+                .append(EntryKind::Object, 1, i.into(), 1, b"hk", &[i; 8])
+                .unwrap();
+            let offset = side
+                .append(EntryKind::Object, 2, i.into(), 1, b"sk", &[i + 100; 8])
+                .unwrap();
+            refs.push((head, i));
+            refs.push((
+                LogRef {
+                    segment: id,
+                    offset,
+                },
+                i + 100,
+            ));
+            let view = log.view();
+            reads(&refs, &|r| view.entry_slices(r));
+            drop(view);
+            reads(&refs, &|r| log.entry_slices(r));
+        }
+        side.close();
+        let copy = Arc::new(side.closed_copy());
+        log.adopt_segment(Arc::clone(&copy));
+        reads(&refs, &|r| log.view().entry_slices(r));
+        reads(&refs, &|r| log.entry_slices(r));
+        let first = log.view().entry_slices(refs[1].0).unwrap();
+        assert!(copy
+            .committed_bytes()
+            .as_ptr_range()
+            .contains(&first.key.as_ptr()));
+    }
+
+    /// Removing a segment removes its window: slices handed out keep the
+    /// memory, the log does not.
+    #[test]
+    fn a_removed_segment_takes_its_window_along() {
+        let log = small_log();
+        let first = log.append(EntryKind::Object, 1, 0, 1, b"k", b"v").unwrap();
+        while log.head_segment_id() == first.segment {
+            log.append(EntryKind::Object, 1, 1, 1, b"f", &[0; 64])
+                .unwrap();
+        }
+        let slices = log.entry_slices(first).unwrap();
+        let weak = Arc::downgrade(&log.segment(first.segment).unwrap());
+        log.remove_segment(first.segment).unwrap();
+        assert!(log.entry_slices(first).is_none());
+        assert!(log.view().entry_slices(first).is_none());
+        assert_eq!(&slices.value[..], b"v");
+        drop(slices);
+        assert!(weak.upgrade().is_none(), "the log kept a window");
     }
 
     #[test]

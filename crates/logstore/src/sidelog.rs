@@ -129,8 +129,9 @@ impl SideLog {
     /// After commit, every [`LogRef`] previously returned by
     /// [`SideLog::append`] resolves through the parent log, to the same
     /// bytes. A `Bytes` window taken before commit keeps the original
-    /// alive and reads the same bytes; a holder that caches windows must
-    /// forget the returned ids, or it keeps the full-size original.
+    /// alive and reads the same bytes; the log's own window of the
+    /// original leaves with it ([`Log::adopt_segment`]), so once the
+    /// windows handed out drop, so does a full-size original.
     /// A `mark_dead` racing the commit on another thread may land on the
     /// original; the copy then over-counts live bytes, which only delays
     /// cleaning it.

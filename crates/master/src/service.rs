@@ -19,7 +19,7 @@ use rocksteady_hashtable::{HashTable, Upsert};
 use rocksteady_logstore::entry::serialized_len;
 use rocksteady_logstore::{
     Cleaner, EntryKind, EntrySlices, Log, LogConfig, LogError, LogRef, Relocation, Relocator,
-    SideLog, SideLogAppender, WindowCache,
+    SideLog, SideLogAppender,
 };
 use rocksteady_proto::record::RECORD_HEADER_BYTES;
 use rocksteady_proto::Record;
@@ -107,13 +107,6 @@ pub struct MasterService {
     /// Next object version; strictly greater than every version this
     /// master has ever written or replayed.
     next_version: u64,
-    /// This master's one zero-copy window cache: one committed-prefix
-    /// `Bytes` owner per segment lifetime, so reads, Pull gathers and
-    /// replication all return refcounted slices of segment memory instead
-    /// of copying values out, and none of them takes a window per call.
-    /// Interior mutability because `read` and the gathers are `&self`;
-    /// `clean_once` evicts what the cleaner retires.
-    windows: std::cell::RefCell<WindowCache>,
 }
 
 impl MasterService {
@@ -126,7 +119,6 @@ impl MasterService {
             tablets: Vec::new(),
             indexlets: Vec::new(),
             next_version: 1,
-            windows: std::cell::RefCell::new(WindowCache::new()),
         }
     }
 
@@ -249,6 +241,26 @@ impl MasterService {
         move |r| log.with_entry(r, |v| v.key == key).unwrap_or(false)
     }
 
+    /// Looks `(table, hash)` up and resolves the entry as zero-copy
+    /// slices of the log's window, once, in the key matcher: the slot
+    /// whose entry holds `key`, or with `key = None` the hash's first
+    /// slot (`None` if its entry does not resolve).
+    fn find(
+        &self,
+        table: TableId,
+        hash: KeyHash,
+        key: Option<&[u8]>,
+        work: &mut Work,
+    ) -> Option<EntrySlices> {
+        let mut hit = None;
+        let found = self.hashtable.lookup(table, hash, |r| {
+            hit = self.log.entry_slices(r);
+            key.is_none_or(|k| hit.as_ref().is_some_and(|e| e.key.as_slice() == k))
+        });
+        work.probes += found.probes as u64;
+        found.value.and(hit)
+    }
+
     /// The one way an entry gets in: append it to `sink`, point the hash
     /// table at it, mark the entry it replaces dead, and add the work to
     /// the receipt. Returns the new location and the kind of the
@@ -315,32 +327,16 @@ impl MasterService {
             TabletRole::MigratingOutTo { .. } => return Err(OpError::UnknownTablet),
             TabletRole::Recovering => return Err(OpError::Recovering),
         };
-        let found = match key {
-            Some(k) => self
-                .hashtable
-                .lookup(table, hash, Self::key_matcher(&self.log, k)),
-            None => self.hashtable.lookup(table, hash, |_| true),
-        };
-        work.probes += found.probes as u64;
-        match found.value {
-            Some(r) => {
-                // Zero-copy on the host: the returned value is a
-                // refcounted slice of segment memory via the master's
-                // window cache. The *simulated* copy into the RPC
-                // response buffer is still charged through
-                // `work.copied_bytes` below, so timing is unchanged.
-                let e = self
-                    .windows
-                    .borrow_mut()
-                    .entry_slices(&self.log, r)
-                    .ok_or(OpError::NotFound)?;
-                if e.kind == EntryKind::Tombstone {
-                    // A tombstone slot is authoritative: the key is
-                    // deleted at (at least) this version, and
-                    // version-max replay guarantees nothing older can
-                    // resurrect it.
-                    return Err(OpError::NotFound);
-                }
+        // Zero-copy on the host: the value is a refcounted slice of the
+        // log's window. The *simulated* copy into the RPC response buffer
+        // is still charged through `work.copied_bytes`, so timing is
+        // unchanged.
+        match self.find(table, hash, key, work) {
+            // A tombstone slot is authoritative: the key is deleted at
+            // (at least) this version, and version-max replay guarantees
+            // nothing older can resurrect it.
+            Some(e) if e.kind == EntryKind::Tombstone => Err(OpError::NotFound),
+            Some(e) => {
                 work.copied_bytes += e.value.len() as u64;
                 Ok((e.value, e.version))
             }
@@ -452,7 +448,9 @@ impl MasterService {
     /// The scan runs a couple of buckets ahead of the copy-out: each
     /// slot's entry header — one cold line somewhere in the log — is
     /// asked for while the entries of earlier buckets are being decoded,
-    /// so the header misses of a batch overlap instead of queueing.
+    /// so the header misses of a batch overlap instead of queueing. Both
+    /// read through one [`Log::view`] per stripe run: the log's lock is
+    /// taken once a stripe, inside the stripe's, never once a record.
     pub fn gather_range(
         &self,
         table: TableId,
@@ -466,14 +464,14 @@ impl MasterService {
         // what there is to send.
         let room = (budget_bytes / RECORD_HEADER_BYTES).min(self.hashtable.len() as u64);
         let mut records = Vec::with_capacity(room as usize);
-        let windows = &self.windows;
         let out = self.hashtable.scan_range(
             table,
             range,
             cursor,
             budget_bytes,
-            |slot| windows.borrow().prefetch(slot.log_ref),
-            |slot| match windows.borrow_mut().entry_slices(&self.log, slot.log_ref) {
+            || self.log.view(),
+            |view, slot| view.prefetch(slot.log_ref),
+            |view, slot| match view.entry_slices(slot.log_ref) {
                 Some(e) => {
                     let rec = record_of(table, e);
                     // Wire size is computed exactly once per record,
@@ -502,18 +500,13 @@ impl MasterService {
         work: &mut Work,
     ) -> Vec<Record> {
         let mut records = Vec::with_capacity(hashes.len());
-        let mut windows = self.windows.borrow_mut();
         for &hash in hashes {
-            let found = self.hashtable.lookup(table, hash, |_| true);
-            work.probes += found.probes as u64;
-            if let Some(r) = found.value {
-                if let Some(e) = windows.entry_slices(&self.log, r) {
-                    let rec = record_of(table, e);
-                    // Zero-copy like gather_range: checksummed on the
-                    // wire, never memcpy'd.
-                    work.checksummed_bytes += rec.wire_size();
-                    records.push(rec);
-                }
+            if let Some(e) = self.find(table, hash, None, work) {
+                let rec = record_of(table, e);
+                // Zero-copy like gather_range: checksummed on the wire,
+                // never memcpy'd.
+                work.checksummed_bytes += rec.wire_size();
+                records.push(rec);
             }
         }
         records
@@ -580,31 +573,6 @@ impl MasterService {
             applied += usize::from(self.replay_one(rec, sink, work));
         }
         applied
-    }
-
-    /// Commits `side` into the log and returns the adopted segment ids.
-    /// This is the master's one commit path — migration hand-over,
-    /// abandonment and (through [`MasterService::clean_once`]) the
-    /// cleaner's survivors all end in `forget_adopted`.
-    pub fn commit_side_log(&mut self, side: SideLog) -> Result<Vec<u64>, LogError> {
-        let adopted = side.commit()?;
-        self.forget_adopted(&adopted);
-        Ok(adopted)
-    }
-
-    /// A commit adopts a sparse segment as a closed copy (see
-    /// `rocksteady_logstore::sidelog::SPARSE_FILL_DIVISOR`): a window
-    /// taken before commit holds the full-size original, so the cache
-    /// forgets every adopted id and re-windows the segment the log holds.
-    fn forget_adopted(&mut self, adopted: &[u64]) {
-        self.windows.get_mut().forget(adopted);
-    }
-
-    /// Ids of cached windows that no longer alias the segment the log
-    /// holds under their id (see [`WindowCache::stale`]). Empty unless a
-    /// commit or a clean skipped the forget.
-    pub fn stale_windows(&self) -> Vec<u64> {
-        self.windows.borrow().stale(&self.log)
     }
 
     /// Version-max replay of a single record into `sink`. The caller has
@@ -731,11 +699,7 @@ impl MasterService {
             hashtable: &self.hashtable,
             log: &log,
         };
-        let stats = cleaner.clean_once(&self.log, &mut hooked).ok().flatten()?;
-        // The victims have left the log; stop pinning their memory.
-        self.windows.get_mut().forget(&stats.victims);
-        self.forget_adopted(&stats.survivors);
-        Some(stats)
+        cleaner.clean_once(&self.log, &mut hooked).ok().flatten()
     }
 }
 
@@ -1117,7 +1081,7 @@ mod tests {
             let mut work = w();
             let applied = m.replay_batch(&batch, ReplayDest::Side(&side), &mut work);
             receipts.push((Some((applied as u64, 0, 0)), work));
-            m.commit_side_log(side).unwrap();
+            side.commit().unwrap();
             let ceiling = m.version_ceiling();
             let batch: Vec<Record> = (0..40)
                 .map(|i| {
@@ -1242,11 +1206,11 @@ mod tests {
         }
     }
 
-    /// The window cache is not a reason for a cleaned segment to stay
+    /// The log's windows are not a reason for a cleaned segment to stay
     /// resident: once the cleaner retires a segment this master has read
     /// and gathered through, only responses still in flight hold it.
     #[test]
-    fn cleaned_segments_leave_the_window_cache() {
+    fn cleaned_segments_leave_with_their_windows() {
         let mut m = MasterService::new(MasterConfig {
             log: LogConfig {
                 segment_bytes: 1024,
@@ -1296,18 +1260,17 @@ mod tests {
         assert!(weak.upgrade().is_some());
         // …and once it is gone, so is the segment.
         drop((value, gathered));
-        assert!(
-            weak.upgrade().is_none(),
-            "the window cache pins the segment"
-        );
+        assert!(weak.upgrade().is_none(), "a window pins the segment");
         // The relocated copy serves the next read.
         let (value, _) = m.read(T, h, Some(b"k0"), &mut w()).unwrap();
         assert_eq!(&value[..], b"stays-put");
-        assert!(m.stale_windows().is_empty());
     }
 
+    /// A commit adopts a sparse side segment as a closed copy, and the
+    /// log's window of the full-size original leaves with it — also when
+    /// the side log commits on its own, with no call to the master.
     #[test]
-    fn committed_side_logs_leave_the_window_cache() {
+    fn committed_side_logs_let_their_originals_go() {
         let mut m = owner_master();
         let rec = |key: &'static [u8]| Record {
             table: T,
@@ -1317,31 +1280,111 @@ mod tests {
             value: Bytes::from_static(b"data"),
             tombstone: false,
         };
-        // A one-record side segment, read before commit: the cache
-        // windows the full-size original.
+        // One record in a side segment, read before commit: the log
+        // re-windows the full-size original to serve it.
         let side = SideLog::new(Arc::clone(&m.log));
         assert!(m.replay_record(&rec(b"a"), ReplayDest::Side(&side), &mut w()));
         let id = side.segments_snapshot()[0].id();
         let weak = Arc::downgrade(&m.log.segment(id).unwrap());
         let (value, _) = m.read(T, key_hash(b"a"), Some(b"a"), &mut w()).unwrap();
-        assert_eq!(m.commit_side_log(side).unwrap(), vec![id]);
-        // The commit adopted a copy and the cache let the original go;
-        // only the response in flight still holds it.
-        assert!(m.stale_windows().is_empty());
+        assert_eq!(side.commit().unwrap(), vec![id]);
+        // The log adopted a copy and windowed it; only the response in
+        // flight still holds the original.
         assert!(weak.upgrade().is_some());
         drop(value);
-        assert!(
-            weak.upgrade().is_none(),
-            "the window cache pins the original"
-        );
+        assert!(weak.upgrade().is_none(), "a window pins the original");
         let (value, _) = m.read(T, key_hash(b"a"), Some(b"a"), &mut w()).unwrap();
         assert_eq!(&value[..], b"data");
-        // A commit that bypasses the master leaves the cache stale.
-        let side = SideLog::new(Arc::clone(&m.log));
-        assert!(m.replay_record(&rec(b"b"), ReplayDest::Side(&side), &mut w()));
-        m.read(T, key_hash(b"b"), Some(b"b"), &mut w()).unwrap();
-        let ids = side.commit().unwrap();
-        assert_eq!(m.stale_windows(), ids);
+    }
+
+    /// The master is shared across real threads: two gather the whole
+    /// table, each through one log view per stripe, while a third rolls
+    /// the log's head and fills, re-windows and commits side logs through
+    /// the log's write lock. Every pass sees every record with its value,
+    /// and no thread waits forever on another (lock order: stripe, then
+    /// log; nothing takes the log's write lock inside a view). The three
+    /// start together, and the gathers keep going until the writer is
+    /// done.
+    #[test]
+    fn gathers_race_appends_and_side_log_commits_on_real_threads() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::{mpsc, Barrier};
+        use std::time::Duration;
+
+        const RECORDS: u64 = 3_000;
+        let mut m = owner_master();
+        for i in 0..RECORDS {
+            m.write(
+                T,
+                key_hash(&i.to_le_bytes()),
+                &i.to_le_bytes(),
+                &[i as u8; 24],
+                &mut w(),
+            )
+            .unwrap();
+        }
+        let m = Arc::new(m);
+        let writing = Arc::new(AtomicBool::new(true));
+        let start = Arc::new(Barrier::new(3));
+        let (done, finished) = mpsc::channel();
+        let gather = |m: Arc<MasterService>, done: mpsc::Sender<&'static str>| {
+            let (writing, start) = (Arc::clone(&writing), Arc::clone(&start));
+            move || {
+                start.wait();
+                for pass in 0.. {
+                    if pass >= 3 && !writing.load(Ordering::Acquire) {
+                        break;
+                    }
+                    let mut cursor = Some(ScanCursor::default());
+                    let mut seen = 0;
+                    while let Some(c) = cursor {
+                        let (records, next) =
+                            m.gather_range(T, HashRange::full(), c, 4_000, &mut w());
+                        for rec in &records {
+                            let i = u64::from_le_bytes(rec.key[..].try_into().unwrap());
+                            assert_eq!(&rec.value[..], &[i as u8; 24], "key {i}");
+                        }
+                        seen += records.len() as u64;
+                        cursor = next;
+                    }
+                    assert_eq!(seen, RECORDS, "a record did not resolve");
+                }
+                done.send("gather").unwrap();
+            }
+        };
+        let writer = {
+            let (log, done, writing) = (Arc::clone(&m.log), done.clone(), Arc::clone(&writing));
+            let start = Arc::clone(&start);
+            move || {
+                start.wait();
+                for round in 0..500u64 {
+                    log.append(EntryKind::Object, 9, round, 1, b"head", &[7; 300])
+                        .unwrap();
+                    let side = SideLog::new(Arc::clone(&log));
+                    for i in 0..20u64 {
+                        let r = side
+                            .append(EntryKind::Object, 9, i, 1, &i.to_le_bytes(), b"side")
+                            .unwrap();
+                        assert_eq!(&log.entry_slices(r).unwrap().value[..], b"side");
+                    }
+                    side.commit().unwrap();
+                }
+                writing.store(false, Ordering::Release);
+                done.send("writer").unwrap();
+            }
+        };
+        let threads = [
+            std::thread::spawn(gather(Arc::clone(&m), done.clone())),
+            std::thread::spawn(gather(Arc::clone(&m), done)),
+            std::thread::spawn(writer),
+        ];
+        for _ in 0..threads.len() {
+            let who = finished.recv_timeout(Duration::from_secs(120));
+            assert!(who.is_ok(), "a thread deadlocked or died: {who:?}");
+        }
+        for thread in threads {
+            thread.join().unwrap();
+        }
     }
 
     #[test]

@@ -128,11 +128,13 @@ impl ServerNode {
         }
     }
 
-    /// Marks everything currently in the log as already replicated.
-    /// Harness-only: used after preloaded data has been copied onto the
-    /// backups directly, so the replication manager doesn't re-ship it.
-    pub fn mark_log_durable(&mut self) {
-        self.repl.mark_durable(&self.master.log);
+    /// Marks everything currently in the log as already replicated and
+    /// returns each non-empty segment's image, `(id, bytes)`, for the
+    /// caller to copy onto the backups. Harness-only: preloaded data
+    /// reaches the backups this way, so the replication manager doesn't
+    /// re-ship it.
+    pub fn mark_log_durable(&mut self) -> Vec<(u64, Bytes)> {
+        self.repl.mark_durable(&self.master.log)
     }
 
     // ------------------------------------------------------------ sends --
@@ -1209,7 +1211,7 @@ impl ServerNode {
     fn hand_over_sidelogs(&mut self, ctx: &mut Ctx<'_, Envelope>, run: &mut MigrationRun) -> u64 {
         let mut committed = 0;
         for side in run.sidelogs.iter_mut().filter_map(Option::take) {
-            self.master.commit_side_log(side).expect("side log commit");
+            side.commit().expect("side log commit");
             committed += 1;
         }
         self.ship_adopted(ctx, ctx.now(), Vec::new());

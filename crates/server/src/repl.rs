@@ -112,13 +112,18 @@ impl ReplManager {
         self.seen = seen;
     }
 
-    /// Everything in `log` right now already sits on the backups.
-    pub(crate) fn mark_durable(&mut self, log: &Log) {
+    /// Everything in `log` right now already sits on the backups: the
+    /// committed image of each non-empty segment, returned for the
+    /// caller to place there.
+    pub(crate) fn mark_durable(&mut self, log: &Log) -> Vec<(u64, Bytes)> {
         self.sync(log);
         for u in &mut self.unshipped {
             u.shipped = u.seg.committed();
         }
         self.retire();
+        let segments = log.segments_snapshot();
+        let written = segments.iter().filter(|s| s.committed() > 0);
+        written.map(|s| (s.id(), s.committed_as_bytes())).collect()
     }
 
     /// Drops closed segments with nothing left to ship; the open head

@@ -10,8 +10,9 @@
 //! The gate has the benchmark's shape — Pulls of [`PULL_BUDGET_BYTES`]
 //! over a log of many segments, so every batch touches tens of them —
 //! because a per-batch cost that scales with segments touched (a window
-//! taken per Pull instead of kept per master) is invisible on a log of
-//! two.
+//! taken per Pull instead of kept by the log beside its segment) is
+//! invisible on a log of two. Reads are gated the same way: a closed
+//! segment's window is taken once, when it closes.
 //!
 //! The same allocator counts bytes, which pins the hash table's promise
 //! that its memory follows the data: nothing per bucket until a stripe's
@@ -137,9 +138,9 @@ fn gather_and_replay_stay_allocation_free_per_record() {
     // Gather the whole table in Pull-sized batches, counting allocations.
     // Everything gathered aliases the log (zero-copy slices); the only
     // allowed allocations are the batch's records Vec, sized once from
-    // the budget, and one window handle per segment — per segment of the
-    // *log*, taken the first time any Pull touches it, not per segment
-    // per Pull.
+    // the budget, and a fresh window for each record of the open head
+    // past the head's stored window (a view stores none). Closed
+    // segments' windows were taken when they closed.
     let mut batches: Vec<Vec<rocksteady_proto::Record>> = Vec::new();
     let mut cursor = Some(ScanCursor::default());
     let before = allocs();
@@ -155,8 +156,8 @@ fn gather_and_replay_stay_allocation_free_per_record() {
     let gathered: u64 = batches.iter().map(|b| b.len() as u64).sum();
     assert_eq!(gathered, RECORDS, "gather must visit every record");
     assert!(batches.len() > 50, "the table must take many Pulls");
-    // Floor: strictly sub-per-record. ~80 batch Vecs plus ~100 segment
-    // windows land near 0.02 allocations per record; 0.10 leaves
+    // Floor: strictly sub-per-record. ~80 batch Vecs plus ~100 head
+    // records land near 0.02 allocations per record; 0.10 leaves
     // headroom without letting through a window per segment per Pull
     // (≥ 0.2/record at this shape) or a true per-record allocation.
     assert!(
@@ -179,6 +180,50 @@ fn gather_and_replay_stay_allocation_free_per_record() {
         (replay_allocs as f64) < 0.10 * RECORDS as f64,
         "replay allocation regression: {replay_allocs} allocs for {RECORDS} records"
     );
+}
+
+/// A read resolves through the window the log keeps beside each segment:
+/// a closed segment's was taken when it closed, so reading preloaded keys
+/// from closed segments allocates nothing at all, however many segments
+/// the reads touch. A key in the open head costs one window, the first
+/// time a read points past the head's, and none after.
+#[test]
+fn reads_take_no_window_of_a_closed_segment() {
+    let source = loaded_master();
+    let head = source.log.head_segment_id();
+    let (mut closed, mut open) = (Vec::new(), Vec::new());
+    for rank in 0..RECORDS {
+        let key = primary_key(rank, 30);
+        let hash = key_hash(&key);
+        let at = source.hashtable.lookup(T, hash, |_| true).value.unwrap();
+        if at.segment == head {
+            open.push((hash, key));
+        } else {
+            closed.push((hash, key));
+        }
+    }
+    assert!(closed.len() > 9 * open.len() && !open.is_empty());
+    let read = |(hash, key): &(u64, Vec<u8>)| {
+        let (value, _) = source
+            .read(T, *hash, Some(key), &mut Work::default())
+            .unwrap();
+        assert_eq!(value.len(), 100);
+    };
+    let before = allocs();
+    closed.iter().for_each(read);
+    closed.iter().for_each(read);
+    let closed_allocs = allocs() - before;
+    assert_eq!(
+        closed_allocs,
+        0,
+        "{} reads over {} closed segments",
+        2 * closed.len(),
+        source.log.stats().segments - 1
+    );
+    let before = allocs();
+    open.iter().for_each(read);
+    open.iter().for_each(read);
+    assert_eq!(allocs() - before, 1, "reads of the open head");
 }
 
 /// What one served client RPC records: the worker span, the 14-arg

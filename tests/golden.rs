@@ -30,6 +30,7 @@ use rocksteady_cluster::{
     GreedyLoadDelta, RebalancerConfig,
 };
 use rocksteady_common::{HashRange, MigrationId, ServerId, MILLISECOND};
+use rocksteady_logstore::LogRef;
 use rocksteady_master::TabletRole;
 use rocksteady_workload::{LoadShape, YcsbConfig};
 
@@ -498,7 +499,9 @@ fn every_audit_kind_has_a_producer() {
 
 /// The memory side of the same run: a committed side segment is adopted
 /// at the size of what it holds (at most twice its committed bytes, a
-/// sparse one as a closed copy), and no master's window cache still
+/// sparse one as a closed copy), and every window a master's log holds
+/// aliases the segment it holds under that id — an entry resolved
+/// through the log's table lies in that segment's bytes — so none still
 /// pins a full-size original the commit replaced.
 #[test]
 fn hot_quarter_adopts_side_segments_at_the_size_they_hold() {
@@ -522,7 +525,18 @@ fn hot_quarter_adopts_side_segments_at_the_size_they_hold() {
             .map(|j| j.segment.allocated_bytes() as u64)
             .sum();
         assert_eq!(stats.allocated_bytes, held, "server {id}: ledger");
-        assert_eq!(master.stale_windows(), Vec::<u64>::new(), "server {id}");
+        for seg in joined.iter().map(|j| &j.segment) {
+            let first = LogRef {
+                segment: seg.id(),
+                offset: 0,
+            };
+            let Some(e) = master.log.view().entry_slices(first) else {
+                continue; // an empty head
+            };
+            let held = seg.committed_bytes().as_ptr_range();
+            let own = held.contains(&e.key.as_ptr());
+            assert!(own, "server {id} segment {}: another's window", seg.id());
+        }
     }
     assert!(copies > 0, "no side segment was adopted as a copy");
 }

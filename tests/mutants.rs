@@ -114,6 +114,11 @@ const MUTANTS: &[Mutant] = &[
         replacement: "departed_at: q.at,",
         killer: ("crates/simnet/src/lib.rs", "the_kernels_stamps_reach_the_receiver"),
         promise: "a message departs one one-way latency before it arrives, so NIC time excludes propagation", decided: "§3.11" },
+    Mutant { file: "crates/logstore/src/log.rs",
+        anchor: "        inner.side.remove(&id);\n",
+        replacement: "        let mut adopted = adopted;\n        if let Some(side) = inner.side.remove(&id) {\n            adopted.window = side.window;\n        }\n",
+        killer: ("crates/master/src/service.rs", "committed_side_logs_let_their_originals_go"),
+        promise: "a commit's adopted copy takes its own window, so the full-size original leaves with the last response", decided: "§3.5" },
 ];
 
 fn read(path: &str) -> String {

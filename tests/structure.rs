@@ -84,12 +84,14 @@ const RULES: &[Rule] = &[
     Rule { name: "one_prefetch_door", decided: "§3.4", why: "the cache intrinsic lives in common::prefetch only",
         check: |t| grep(t, |p| src(p) && p != "crates/common/src/prefetch.rs", |l| any(l, &["_mm_prefetch", "core::arch"])),
         mutant: ("crates/hashtable/src/lib.rs", "", "use core::arch::x86_64::_mm_prefetch;\n") },
-    Rule { name: "no_slice_reader", decided: "§3.5", why: "gathers read through the master's WindowCache",
+    Rule { name: "no_slice_reader", decided: "§3.5", why: "gathers read through the log's own windows",
         check: |t| grep(t, |p| p.starts_with("crates/"), |l| any(l, &["slice_reader", "SliceReader"])),
         mutant: ("crates/master/src/service.rs", "", "struct SliceReader;\n") },
-    Rule { name: "one_window_cache", decided: "§3.5", why: "one window cache per master, built by MasterService::new",
-        check: |t| grep(t, |p| rust(p) && p != "crates/master/src/service.rs", |l| any(l, &["WindowCache::new()"])),
-        mutant: ("crates/master/src/index.rs", "", "fn f() { WindowCache::new(); }\n") },
+    Rule { name: "the_log_hands_out_windows", decided: "§3.5",
+        why: "a whole-segment window is taken in crates/logstore only, beside its segment; replication chunks its own",
+        check: |t| grep(t, |p| rust(p) && !p.starts_with("crates/logstore/src/") && p != "crates/server/src/repl.rs",
+            |l| any(l, &["segment_bytes(", "committed_as_bytes("])),
+        mutant: ("crates/master/src/service.rs", "", "fn f(l: &Log) -> Option<Bytes> { l.segment_bytes(0) }\n") },
     Rule { name: "one_migrating_range", decided: "§5", why: "the range scenarios move is defined in scenarios only",
         check: |t| grep(t, |p| rust(p) && p != SCENARIOS, |l| any(l, &["fn upper("])),
         mutant: ("tests/golden.rs", "", "fn upper() {}\n") },
