@@ -13,7 +13,7 @@ use rocksteady_common::{
 };
 use rocksteady_coordinator::Coordinator;
 use rocksteady_logstore::LogConfig;
-use rocksteady_master::{MasterConfig, TabletRole};
+use rocksteady_master::{LoadBatch, MasterConfig, TabletRole};
 use rocksteady_metrics::Registry;
 use rocksteady_profiler::{critical_path, CriticalPathReport, Profiler};
 use rocksteady_proto::Envelope;
@@ -38,14 +38,6 @@ use crate::rebalancer::{Rebalancer, RebalancerConfig, RebalancerHandle, Rebalanc
 use crate::sampler::{Sampler, SnapshotLogHandle, UtilSeries, UtilSeriesHandle};
 use crate::slo::{SloHandle, SloMonitor, SloReport};
 use crate::watchdog::{IncidentLogHandle, WatchdogCore};
-
-/// Keys [`Cluster::load_table`] formats, hashes, routes and prefetches
-/// before it inserts them: more bucket misses than a core keeps in
-/// flight, few enough that the first is still cached when its insert
-/// comes. Measured on `bulk_migrate`'s `setup_s` beside 4, 8, 32 and 64
-/// (EXPERIMENTS.md, "Host-time attribution"): a plateau — a constant,
-/// not a tuning knob.
-const LOAD_BLOCK: usize = 16;
 
 /// Topology + hardware parameters for one simulated cluster.
 #[derive(Debug, Clone)]
@@ -543,32 +535,32 @@ impl Cluster {
     pub fn load_table(&mut self, table: TableId, num_keys: u64, key_len: usize, value_len: usize) {
         let map = self.coord.borrow().tablet_map();
         let value = vec![0xcdu8; value_len];
-        // Single pass in blocks: each key is formatted (into a reused
-        // buffer), hashed and routed exactly once, and its hash-table
-        // bucket — a random line of its owner's table, the load's one
-        // unavoidable miss per record — is asked for; only then is the
-        // block inserted, so a block's bucket misses overlap instead of
-        // each insert waiting out its own. Every master still receives
-        // its records in rank order, so versions and log contents are
-        // what a record-at-a-time loader produces.
-        let mut block: [(Vec<u8>, KeyHash, ServerId); LOAD_BLOCK] =
-            std::array::from_fn(|_| (Vec::with_capacity(key_len), 0, ServerId(0)));
-        for first in (0..num_keys).step_by(LOAD_BLOCK) {
-            let block = &mut block[..LOAD_BLOCK.min((num_keys - first) as usize)];
-            for (rank, (key, hash, owner)) in (first..).zip(block.iter_mut()) {
-                rocksteady_workload::core::write_primary_key(rank, key_len, key);
-                *hash = key_hash(key);
-                *owner = map
-                    .iter()
-                    .find(|t| t.covers(table, *hash))
-                    .map(|t| t.owner)
-                    .expect("load_table: key not covered by any tablet");
-                self.node(*owner).master.hashtable.prefetch(*hash);
-            }
-            for (key, hash, owner) in block.iter() {
-                self.node(*owner)
-                    .master
-                    .load_object_hashed(table, *hash, key, &value);
+        // Two passes. The first formats (into a reused buffer), hashes
+        // and routes each key exactly once, and appends it to its owner's
+        // log in rank order, so versions and log contents are what a
+        // record-at-a-time loader produces; the owner files where it went
+        // by hash-table partition. The second has each owner index its
+        // records a partition at a time, so the load's one random access
+        // per record — its bucket — lands in a cached run of the table
+        // instead of missing the cache and the TLB.
+        let mut batches: Vec<Option<LoadBatch>> = (0..self.cfg.servers).map(|_| None).collect();
+        let mut key = Vec::with_capacity(key_len);
+        for rank in 0..num_keys {
+            rocksteady_workload::core::write_primary_key(rank, key_len, &mut key);
+            let hash = key_hash(&key);
+            let owner = map
+                .iter()
+                .find(|t| t.covers(table, hash))
+                .map(|t| t.owner)
+                .expect("load_table: key not covered by any tablet");
+            let master = &mut self.node(owner).master;
+            let batch =
+                batches[owner.0 as usize].get_or_insert_with(|| master.load_batch(table, num_keys));
+            master.load_append(batch, hash, &key, &value);
+        }
+        for (owner, batch) in (0..).map(ServerId).zip(batches) {
+            if let Some(batch) = batch {
+                self.node(owner).master.load_index(batch);
             }
         }
     }

@@ -46,10 +46,10 @@
 //! hash-space partitions touch disjoint locks. Stripes are capped at
 //! [`MAX_BUCKETS_PER_STRIPE`] buckets so the run a `scan_range` holds a
 //! read lock over stays cache-resident. An owner holding the table by
-//! `&mut` needs none of that: [`HashTable::lookup_mut`],
-//! [`HashTable::upsert_mut`] and [`HashTable::prefetch`] reach a stripe
-//! through `get_mut` and run the same bodies as the locked doors, with
-//! no lock taken and no atomic read-modify-write made.
+//! `&mut` needs none of that: [`HashTable::lookup_mut`] and
+//! [`HashTable::upsert_mut`] reach a stripe through `get_mut` and run
+//! the same bodies as the locked doors, with no lock taken and no atomic
+//! read-modify-write made.
 //!
 //! A stripe allocates its buckets on its first [`HashTable::upsert`], so
 //! table memory follows the data: a server that owns nothing pays for a
@@ -61,18 +61,25 @@
 //! # Memory-level parallelism
 //!
 //! A bucket is a DRAM miss, and so is the log entry each slot points at.
-//! Callers that know their next addresses overlap those misses instead
-//! of taking them one after another: [`HashTable::prefetch`] asks for a
-//! key's bucket ahead of the `upsert` that will land in it (bulk load),
-//! and [`HashTable::scan_range`] shows its caller the slots
-//! [`SCAN_LOOKAHEAD_BUCKETS`] buckets ahead of the one it is visiting, so
-//! a Pull can ask for those log entries while it copies out the current
-//! ones.
+//! A caller that knows its next addresses overlaps those misses instead
+//! of taking them one after another: [`HashTable::scan_range`] shows its
+//! caller the slots [`SCAN_LOOKAHEAD_BUCKETS`] buckets ahead of the one
+//! it is visiting, so a Pull can ask for those log entries while it
+//! copies out the current ones.
+//!
+//! A bulk load has no next address to ask for ahead of time: its keys
+//! land in random buckets of a table many times the size of the caches,
+//! and each miss also misses the TLB, which a prefetch cannot hide. So
+//! it does not insert as it appends. It files each key by
+//! [`HashTable::partition_of`] — a run of [`PARTITION_BYTES`] of
+//! buckets, whole stripes — and inserts one partition at a time, so
+//! every insert lands in buckets already in cache and in the TLB. Each
+//! bucket still sees its keys in load order, so the table ends up the
+//! same.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::RwLock;
-use rocksteady_common::prefetch::prefetch;
 use rocksteady_common::{KeyHash, TableId};
 use rocksteady_logstore::{LogRef, MAX_SEGMENT_BYTES};
 
@@ -93,6 +100,15 @@ pub const MAX_BUCKETS_PER_STRIPE: usize = 128;
 /// (EXPERIMENTS.md, "Host-time attribution"): a plateau, of which this
 /// is the middle — a constant, not a tuning knob.
 pub const SCAN_LOOKAHEAD_BUCKETS: u64 = 2;
+
+/// Bytes of buckets in one [`HashTable::partition_of`] partition (at
+/// least one stripe's worth): a run a bulk load's inserts stay inside
+/// while it fills it, small enough that its buckets and their pages
+/// stay in the cache and the TLB. Measured on `bulk_migrate`'s
+/// `setup_s` beside 256 KiB, 4 MiB, 16 MiB and the whole 64 MiB table
+/// (EXPERIMENTS.md, "The bulk load indexes by partition"): the floor of
+/// a valley from 1 to 4 MiB — a constant, not a tuning knob.
+pub const PARTITION_BYTES: usize = 1 << 20;
 
 /// One entry: a key (identified by table + hash) and where it lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -518,6 +534,9 @@ pub struct HashTable {
     bucket_count: u64,
     /// `64 - log2(bucket_count)`; bucket index = `hash >> shift`.
     shift: u32,
+    /// `log2` of the buckets in a partition; partition index =
+    /// `bucket index >> partition_bits`.
+    partition_bits: u32,
     len: AtomicUsize,
 }
 
@@ -537,11 +556,15 @@ impl HashTable {
         }
         let buckets_per_stripe = (bucket_count as usize) / stripe_count;
         let stripes = (0..stripe_count).map(|_| Stripe::default()).collect();
+        // Powers of two, so the partition is a whole number of stripes.
+        let per_partition = (PARTITION_BYTES / std::mem::size_of::<Bucket>())
+            .clamp(buckets_per_stripe, bucket_count as usize);
         HashTable {
             stripes,
             buckets_per_stripe,
             bucket_count,
             shift: 64 - bucket_count.trailing_zeros(),
+            partition_bits: per_partition.trailing_zeros(),
             len: AtomicUsize::new(0),
         }
     }
@@ -565,6 +588,19 @@ impl HashTable {
     /// bucket order.
     pub fn bucket_of(&self, hash: KeyHash) -> u64 {
         hash >> self.shift
+    }
+
+    /// How many partitions [`HashTable::partition_of`] cuts the table
+    /// into: equal runs of buckets, so equal slices of the hash space.
+    pub fn partitions(&self) -> usize {
+        (self.bucket_count >> self.partition_bits) as usize
+    }
+
+    /// The partition `hash`'s bucket lies in: its run of about
+    /// [`PARTITION_BYTES`] of buckets, whole stripes. Partitions are
+    /// numbered in hash order, like buckets.
+    pub fn partition_of(&self, hash: KeyHash) -> usize {
+        (self.bucket_of(hash) >> self.partition_bits) as usize
     }
 
     /// The index of `hash`'s stripe, and of its bucket within the stripe.
@@ -666,19 +702,6 @@ impl HashTable {
             old.log_ref()
         });
         Probed { value, probes }
-    }
-
-    /// Asks the cache for the bucket `hash` lands in — both of its lines
-    /// — ahead of the `upsert` (or `lookup`) that will touch it. A hint
-    /// only, and nothing at all for a stripe that has no buckets yet.
-    /// Through `&mut self`, like the `_mut` doors: a hint that took the
-    /// stripe's lock would cost what it hides.
-    pub fn prefetch(&mut self, hash: KeyHash) {
-        let (s, b) = self.locate(hash);
-        if let Some(bucket) = self.stripes[s].get_mut().array.get(b) {
-            prefetch(&bucket.hashes);
-            prefetch(&bucket.words);
-        }
     }
 
     /// Atomically repoints `(table, hash)` from `old` to `new`.
@@ -922,7 +945,7 @@ mod tests {
     /// what a stripe of empty buckets would.
     #[test]
     fn never_written_stripes_miss_without_probing() {
-        let mut ht = HashTable::new(1 << 10, 8); // 8 stripes of 128 buckets
+        let ht = HashTable::new(1 << 10, 8); // 8 stripes of 128 buckets
         let low = 7u64; // stripe 0
         let high = u64::MAX - 7; // stripe 7
         ht.upsert(T, low, r(1, 0), |_| true);
@@ -936,7 +959,6 @@ mod tests {
         let miss = ht.remove(T, high, |_| panic!("nothing to compare"));
         assert_eq!((miss.value, miss.probes), (None, 0));
         assert!(!ht.update_ref(T, high, r(1, 0), r(2, 0)));
-        ht.prefetch(high);
         assert_eq!(touched(&ht), 1, "only upsert allocates a stripe");
         assert_eq!(ht.len(), 1);
         // A scan crosses the six empty stripes between the two entries.
@@ -945,6 +967,23 @@ mod tests {
         let mut seen = Vec::new();
         ht.for_each_in_range(T, HashRange::full(), |s| seen.push(s.hash));
         assert_eq!(seen, vec![low, high]);
+    }
+
+    /// A partition is a whole number of stripes, [`PARTITION_BYTES`] of
+    /// buckets, and partitions are equal slices of the hash space in hash
+    /// order; a table smaller than one partition is one.
+    #[test]
+    fn partitions_are_whole_stripes_in_hash_order() {
+        let ht = HashTable::new(8 * PARTITION_BYTES / 128, 8);
+        assert_eq!(ht.partitions(), 8);
+        for (p, slice) in HashRange::full().split(8).iter().enumerate() {
+            assert_eq!(ht.partition_of(slice.start), p);
+            assert_eq!(ht.partition_of(slice.end), p);
+            assert_eq!(ht.bucket_of(slice.start) % ht.buckets_per_stripe as u64, 0);
+        }
+        let small = HashTable::new(64, 8);
+        assert_eq!(small.partitions(), 1);
+        assert_eq!(small.partition_of(u64::MAX), 0);
     }
 
     #[test]

@@ -28,6 +28,45 @@ use parking_lot::Mutex;
 
 use crate::entry::{self, EntryKind, EntryView, ParseError};
 
+/// The smallest block glibc serves from a private `mmap` (and hands
+/// back to the kernel when freed), as [`keep_in_heap`] last set it.
+static MMAP_THRESHOLD: Mutex<usize> = Mutex::new(0);
+
+/// Has glibc serve segments of `capacity` bytes from its heap and every
+/// block of twice that (2 MiB at least) from `mmap`.
+///
+/// Left to itself, glibc raises its threshold to the size of each mapped
+/// block freed, up to 32 MiB, so after a cluster's first large free the
+/// multi-megabyte transient buffers of its exports, journeys and audit
+/// sink are carved out of the heap between segments. Freed, they leave
+/// holes the next cluster's segments do not fit, and the heap's resident
+/// size grows from one cluster of a process to the next: the benchmark's
+/// `observed_rebalance` peak read 288 MB over four rounds and 313–315 MB
+/// over five or more (EXPERIMENTS.md, "The heap keeps segments, not
+/// exports").
+/// Pinned, a freed segment is still reused without a page fault.
+fn keep_in_heap(capacity: usize) {
+    let want = capacity.saturating_mul(2).clamp(2 << 20, 32 << 20);
+    let mut threshold = MMAP_THRESHOLD.lock();
+    if *threshold >= want {
+        return;
+    }
+    *threshold = want;
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn mallopt(param: i32, value: i32) -> i32;
+        }
+        /// `M_MMAP_THRESHOLD` in glibc's `<malloc.h>`.
+        const M_MMAP_THRESHOLD: i32 = -3;
+        // SAFETY: `mallopt` is glibc's documented, thread-safe setter of
+        // an allocator parameter (it takes the main arena's lock); it
+        // moves no block already allocated, only where later ones come
+        // from. `want` is at most 32 MiB, so the cast is lossless.
+        unsafe { mallopt(M_MMAP_THRESHOLD, want as i32) };
+    }
+}
+
 /// `Bytes` owner exposing a segment's committed prefix.
 ///
 /// The length is captured at construction: `committed` only grows, so the
@@ -95,6 +134,7 @@ impl Segment {
     /// Panics if `capacity` is zero or allocation fails.
     pub fn new(id: u64, capacity: usize) -> Self {
         assert!(capacity > 0, "zero-capacity segment");
+        keep_in_heap(capacity);
         let layout = Layout::array::<u8>(capacity).expect("segment layout");
         // SAFETY: `layout` has non-zero size (capacity > 0) and valid
         // alignment for u8.

@@ -27,6 +27,6 @@ pub mod work;
 
 pub use error::OpError;
 pub use index::Indexlet;
-pub use service::{MasterConfig, MasterService, ReplayDest};
+pub use service::{LoadBatch, MasterConfig, MasterService, ReplayDest};
 pub use tablet::{LocalTablet, TabletRole};
 pub use work::Work;

@@ -94,6 +94,16 @@ fn record_of(table: TableId, e: EntrySlices) -> Record {
     }
 }
 
+/// Where a bulk load's records went, filed by hash-table partition
+/// ([`HashTable::partition_of`]) in append order within each: 24 B a
+/// record. [`MasterService::load_append`] fills it and
+/// [`MasterService::load_index`] drains it.
+#[derive(Debug)]
+pub struct LoadBatch {
+    table: TableId,
+    partitions: Vec<Vec<(KeyHash, LogRef)>>,
+}
+
 /// The master service state.
 pub struct MasterService {
     /// This server's id.
@@ -263,13 +273,9 @@ impl MasterService {
 
     /// The one way an entry gets in: append it to `sink`, point the hash
     /// table at it, mark the entry it replaces dead, and add the work to
-    /// the receipt. Returns the new location and the kind of the
-    /// replaced entry, if there was one.
-    ///
-    /// `&mut self` is what lets the append and the upsert take no lock:
-    /// the hash table is reached through its `_mut` door, and the main
-    /// log through [`Log::append_mut`] whenever no side log or cleaner
-    /// pass holds a clone of its `Arc` (through its lock otherwise).
+    /// the receipt — [`MasterService::append`], then
+    /// [`MasterService::index`]. Returns the new location and the kind of
+    /// the replaced entry, if there was one.
     #[allow(clippy::too_many_arguments)]
     fn put(
         &mut self,
@@ -282,6 +288,30 @@ impl MasterService {
         value: &[u8],
         work: &mut Work,
     ) -> Result<(LogRef, Option<EntryKind>), LogError> {
+        let r = self.append(sink, kind, table, hash, version, key, value, work)?;
+        let same_key = |log: &Log, old| Self::key_matcher(log, key)(old);
+        Ok((r, self.index(table, hash, r, same_key, work)))
+    }
+
+    /// The append half of a put: the entry into `sink`, its copy and
+    /// checksum added to the receipt.
+    ///
+    /// `&mut self` is what lets the append take no lock: the main log is
+    /// reached through [`Log::append_mut`] whenever no side log or
+    /// cleaner pass holds a clone of its `Arc` (through its lock
+    /// otherwise).
+    #[allow(clippy::too_many_arguments)]
+    fn append(
+        &mut self,
+        sink: &mut Sink<'_, '_>,
+        kind: EntryKind,
+        table: TableId,
+        hash: KeyHash,
+        version: u64,
+        key: &[u8],
+        value: &[u8],
+        work: &mut Work,
+    ) -> Result<LogRef, LogError> {
         let r = match sink {
             Sink::Main => match Arc::get_mut(&mut self.log) {
                 Some(log) => log.append_mut(kind, table.0, hash, version, key, value),
@@ -292,21 +322,33 @@ impl MasterService {
         let len = serialized_len(key.len(), value.len()) as u64;
         work.copied_bytes += len;
         work.checksummed_bytes += len;
+        Ok(r)
+    }
+
+    /// The index half of a put: point the hash table at the entry at
+    /// `r`, replacing the entry `same_key` accepts, and mark that one
+    /// dead. Returns the kind of the replaced entry, if there was one.
+    /// The hash table is reached through its `_mut` door, so no lock is
+    /// taken.
+    fn index(
+        &mut self,
+        table: TableId,
+        hash: KeyHash,
+        r: LogRef,
+        mut same_key: impl FnMut(&Log, LogRef) -> bool,
+        work: &mut Work,
+    ) -> Option<EntryKind> {
+        let log = &*self.log;
         let up = self
             .hashtable
-            .upsert_mut(table, hash, r, Self::key_matcher(&self.log, key));
+            .upsert_mut(table, hash, r, |old| same_key(log, old));
         work.probes += up.probes as u64;
-        let replaced = match up.value {
-            Upsert::Replaced(old) => {
-                let seen = self
-                    .log
-                    .with_entry(old, |v| (v.serialized_len() as u64, v.kind));
-                self.log.mark_dead(old, seen.map_or(0, |(len, _)| len));
-                seen.map(|(_, kind)| kind)
-            }
-            _ => None,
+        let Upsert::Replaced(old) = up.value else {
+            return None;
         };
-        Ok((r, replaced))
+        let seen = log.with_entry(old, |v| (v.serialized_len() as u64, v.kind));
+        log.mark_dead(old, seen.map_or(0, |(len, _)| len));
+        seen.map(|(_, kind)| kind)
     }
 
     /// Reads one object by key (or, with `key = None`, by bare hash — the
@@ -621,7 +663,8 @@ impl MasterService {
     /// [`MasterService::load_object`] with the key hash precomputed —
     /// the bulk loader already hashed every key to route it to its
     /// owner, and paper-scale loads (10⁷+ records) cannot afford to
-    /// hash twice.
+    /// hash twice. One record at a time; a bulk load is
+    /// [`MasterService::load_append`] and [`MasterService::load_index`].
     pub fn load_object_hashed(
         &mut self,
         table: TableId,
@@ -629,21 +672,88 @@ impl MasterService {
         key: &[u8],
         value: &[u8],
     ) -> LogRef {
-        let version = self.take_version();
-        // Setup is not charged: the receipt is dropped.
-        let (r, _) = self
-            .put(
-                &mut Sink::Main,
-                EntryKind::Object,
-                table,
-                hash,
-                version,
-                key,
-                value,
-                &mut Work::default(),
-            )
-            .expect("load append failed");
+        let r = self.load_entry(table, hash, key, value);
+        let same_key = |log: &Log, old| Self::key_matcher(log, key)(old);
+        self.index(table, hash, r, same_key, &mut Work::default());
         r
+    }
+
+    /// Appends one loaded record to the main log with the next version.
+    /// Setup is not charged: the receipt is dropped.
+    fn load_entry(&mut self, table: TableId, hash: KeyHash, key: &[u8], value: &[u8]) -> LogRef {
+        let version = self.take_version();
+        self.append(
+            &mut Sink::Main,
+            EntryKind::Object,
+            table,
+            hash,
+            version,
+            key,
+            value,
+            &mut Work::default(),
+        )
+        .expect("load append failed")
+    }
+
+    /// An empty [`LoadBatch`] for this master's share of a bulk load of
+    /// `keys` keys of `table` hashed uniformly over the hash space. Each
+    /// partition has room for the keys its slice of the hash space can
+    /// expect, by how much of the slice this master's tablets of `table`
+    /// cover, plus four standard deviations: filling the batch moves no
+    /// buffer but by chance.
+    pub fn load_batch(&self, table: TableId, keys: u64) -> LoadBatch {
+        let slices = HashRange::full().split(self.hashtable.partitions());
+        let partitions = slices.iter().map(|slice| {
+            let mine = self.tablets.iter().filter(|t| t.table == table);
+            let covered: u128 = mine
+                .map(|t| {
+                    let (lo, hi) = (t.range.start.max(slice.start), t.range.end.min(slice.end));
+                    if lo <= hi {
+                        u128::from(hi - lo) + 1
+                    } else {
+                        0
+                    }
+                })
+                .sum();
+            let expected = ((u128::from(keys) * covered) >> 64) as usize;
+            Vec::with_capacity(expected + 4 * expected.isqrt())
+        });
+        LoadBatch {
+            table,
+            partitions: partitions.collect(),
+        }
+    }
+
+    /// The append half of a bulk load: appends one record to the log
+    /// with the next version, as [`MasterService::load_object_hashed`]
+    /// does, and files where it went in `batch` (made by this master's
+    /// [`MasterService::load_batch`]) by its hash-table partition. The
+    /// hash table is not touched until [`MasterService::load_index`].
+    pub fn load_append(&mut self, batch: &mut LoadBatch, hash: KeyHash, key: &[u8], value: &[u8]) {
+        let r = self.load_entry(batch.table, hash, key, value);
+        batch.partitions[self.hashtable.partition_of(hash)].push((hash, r));
+    }
+
+    /// The index half of a bulk load: points the hash table at every
+    /// record `batch` filed and marks each entry one of them replaces
+    /// dead, a partition at a time and in append order within each.
+    /// Every bucket, and every stripe's spill chains, see their entries
+    /// in the order record-at-a-time loading gives them, so the table
+    /// and the dead counts end up the same; but each insert lands in a
+    /// partition's buckets, already cached. A partition's buffer is
+    /// freed as soon as it is indexed.
+    pub fn load_index(&mut self, batch: LoadBatch) {
+        let mut work = Work::default();
+        for partition in batch.partitions {
+            for (hash, r) in partition {
+                // Keys are compared only on a full-hash match: read the
+                // new entry's key then, not for every record.
+                let same_key = |log: &Log, old| {
+                    log.with_entry(r, |new| Self::key_matcher(log, new.key)(old)) == Some(true)
+                };
+                self.index(batch.table, hash, r, same_key, &mut work);
+            }
+        }
     }
 
     /// Runs one log-cleaner pass, relocating live entries into survivor
@@ -1117,6 +1227,96 @@ mod tests {
         assert_eq!(exclusive.1, locked.1, "hash-table slots");
         assert_eq!(exclusive.2, locked.2, "length, ceiling, log stats");
         assert_eq!(exclusive.3, locked.3, "receipts");
+    }
+
+    /// A partitioned bulk load — [`MasterService::load_append`] for every
+    /// record, then one [`MasterService::load_index`] — leaves the master
+    /// a record-at-a-time load leaves: the same bytes and dead bytes in
+    /// every segment, the same slots in the same order over the whole
+    /// hash space, the same length. On a table small enough to spill
+    /// into chains, with keys loaded twice in one load, and on a table of
+    /// several partitions.
+    #[test]
+    fn a_partitioned_load_builds_what_record_at_a_time_loading_builds() {
+        type Loaded = (
+            Vec<(u64, Vec<u8>, u64)>,
+            Vec<rocksteady_hashtable::Slot>,
+            usize,
+        );
+        let master = |hash_buckets: usize| {
+            let mut m = MasterService::new(MasterConfig {
+                log: LogConfig {
+                    segment_bytes: 4096,
+                    max_segments: None,
+                },
+                hash_buckets,
+                hash_stripes: 16,
+                ..MasterConfig::default()
+            });
+            m.add_tablet(T, HashRange::full(), TabletRole::Owner);
+            m
+        };
+        let loaded = |m: &MasterService| -> Loaded {
+            let segments = m.log.segments_snapshot().into_iter().map(|s| {
+                let dead = s.committed() as u64 - s.live_bytes();
+                (s.id(), s.committed_bytes().to_vec(), dead)
+            });
+            let mut slots = Vec::new();
+            m.hashtable
+                .for_each_in_range(T, HashRange::full(), |s| slots.push(*s));
+            (segments.collect(), slots, m.hashtable.len())
+        };
+        let both = |hash_buckets: usize, records: &[(Vec<u8>, Vec<u8>)]| {
+            let mut single = master(hash_buckets);
+            for (key, value) in records {
+                single.load_object_hashed(T, key_hash(key), key, value);
+            }
+            let mut partitioned = master(hash_buckets);
+            let mut batch = partitioned.load_batch(T, records.len() as u64);
+            for (key, value) in records {
+                partitioned.load_append(&mut batch, key_hash(key), key, value);
+            }
+            partitioned.load_index(batch);
+            let (single, built) = (loaded(&single), loaded(&partitioned));
+            assert_eq!(single.0, built.0, "segment bytes and dead bytes");
+            assert_eq!(single.1, built.1, "hash-table slots in order");
+            assert_eq!(single.2, built.2, "length");
+            (built, partitioned)
+        };
+        let records = |keys: &mut dyn Iterator<Item = u64>| -> Vec<(Vec<u8>, Vec<u8>)> {
+            keys.enumerate()
+                .map(|(i, k)| (format!("load-{k}").into_bytes(), vec![i as u8; 20 + i % 90]))
+                .collect()
+        };
+
+        // Four buckets of eight slots for 300 keys: most of them spill.
+        let (spilled, _) = both(4, &records(&mut (0..300)));
+        assert_eq!(spilled.2, 300);
+
+        // Keys 17 and 40 twice, 5 three times: the last write wins, and
+        // the ones it replaced are dead.
+        let twice = records(&mut (0..200).chain([17, 5, 40, 5]));
+        let (replaced, m) = both(256, &twice);
+        assert_eq!(replaced.2, 200);
+        let dead: u64 = replaced.0.iter().map(|(_, _, dead)| dead).sum();
+        let sizes = |i: usize| serialized_len(twice[i].0.len(), twice[i].1.len()) as u64;
+        assert_eq!(dead, sizes(17) + sizes(5) + sizes(40) + sizes(201));
+        let (value, _) = m
+            .read(T, key_hash(b"load-5"), Some(b"load-5"), &mut w())
+            .unwrap();
+        assert_eq!(value.as_slice(), twice[203].1.as_slice());
+
+        // Four partitions, every one of them loaded.
+        let buckets = 4 * rocksteady_hashtable::PARTITION_BYTES / 128;
+        let (several, m) = both(buckets, &records(&mut (0..5000)));
+        assert_eq!(m.hashtable.partitions(), 4);
+        let mut hit: Vec<usize> = several
+            .1
+            .iter()
+            .map(|s| m.hashtable.partition_of(s.hash))
+            .collect();
+        hit.dedup();
+        assert_eq!(hit, [0, 1, 2, 3]);
     }
 
     /// The pipelined loop only hints ahead: replaying a batch equals

@@ -41,7 +41,7 @@ use rocksteady_common::{
     key_hash, HashRange, Histogram, ScanCursor, ServerId, SimMessage, TableId, TimeSeries,
     WireSized, MILLISECOND, SECOND,
 };
-use rocksteady_hashtable::{HashTable, MAX_BUCKETS_PER_STRIPE};
+use rocksteady_hashtable::{HashTable, MAX_BUCKETS_PER_STRIPE, PARTITION_BYTES};
 use rocksteady_logstore::{LogConfig, LogRef};
 use rocksteady_master::{MasterConfig, MasterService, ReplayDest, TabletRole, Work};
 use rocksteady_proto::{Body, Envelope, Request, Response, TabletDescriptor, TabletState};
@@ -62,12 +62,20 @@ thread_local! {
     /// Bytes ever asked for (never decremented; a realloc counts its new
     /// size), so a difference bounds what a stretch of code allocated.
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes asked for and not yet freed (by this thread), so a
+    /// difference says what a stretch of code left allocated.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count(size: usize) {
     // `try_with`: a thread's storage may already be gone as it exits.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
     let _ = BYTES.try_with(|n| n.set(n.get() + size as u64));
+    hold(size as i64);
+}
+
+fn hold(size: i64) {
+    let _ = LIVE.try_with(|n| n.set(n.get() + size));
 }
 
 unsafe impl GlobalAlloc for Counting {
@@ -76,10 +84,12 @@ unsafe impl GlobalAlloc for Counting {
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        hold(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
+        hold(-(layout.size() as i64));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -93,6 +103,10 @@ fn allocs() -> u64 {
 
 fn bytes() -> u64 {
     BYTES.with(Cell::get)
+}
+
+fn live() -> i64 {
+    LIVE.with(Cell::get)
 }
 
 const T: TableId = TableId(1);
@@ -123,6 +137,65 @@ fn loaded_master() -> MasterService {
         m.load_object_hashed(T, key_hash(&key), &key, &value);
     }
     m
+}
+
+/// A bulk load that indexes a partition at a time holds each record's
+/// `(hash, LogRef)` — 24 B — until its partition is indexed. Its buffers
+/// are sized from the share of the hash space each partition's tablets
+/// cover, so they grow by chance only: the whole load asks for at most
+/// 48 B a record more than loading one record at a time, and when it
+/// returns it has freed every buffer, leaving exactly the memory the
+/// record-at-a-time load leaves.
+#[test]
+fn a_partitioned_load_costs_at_most_48_bytes_a_record_and_frees_them() {
+    let value = [0xabu8; 100];
+    let keys: Vec<(u64, Vec<u8>)> = (0..RECORDS)
+        .map(|rank| primary_key(rank, 30))
+        .map(|key| (key_hash(&key), key))
+        .collect();
+    let master = || {
+        let mut m = MasterService::new(MasterConfig {
+            log: LogConfig {
+                segment_bytes: 16 << 10,
+                max_segments: None,
+            },
+            hash_buckets: 4 * PARTITION_BYTES / 128,
+            hash_stripes: 64,
+            ..MasterConfig::default()
+        });
+        m.add_tablet(T, HashRange::full(), TabletRole::Owner);
+        m
+    };
+    // (bytes asked for, bytes still held) by `load`, the master kept.
+    let measure = |load: &dyn Fn(&mut MasterService)| {
+        let mut m = master();
+        let (asked, held) = (bytes(), live());
+        load(&mut m);
+        let cost = (bytes() - asked, live() - held);
+        assert_eq!(m.hashtable.len(), RECORDS as usize);
+        (cost, m)
+    };
+    let ((single_asked, single_held), _single) = measure(&|m| {
+        for (hash, key) in &keys {
+            m.load_object_hashed(T, *hash, key, &value);
+        }
+    });
+    let ((asked, held), partitioned) = measure(&|m| {
+        let mut batch = m.load_batch(T, RECORDS);
+        for (hash, key) in &keys {
+            m.load_append(&mut batch, *hash, key, &value);
+        }
+        m.load_index(batch);
+    });
+    assert_eq!(partitioned.hashtable.partitions(), 4);
+    let extra = asked - single_asked;
+    assert!(
+        extra <= 48 * RECORDS,
+        "a partitioned load asked for {extra} B more than a record-at-a-time one, \
+         {} B a record",
+        extra / RECORDS
+    );
+    assert_eq!(held, single_held, "the load's buffers outlived it");
 }
 
 #[test]

@@ -65,8 +65,8 @@ const MUTANTS: &[Mutant] = &[
         killer: ("crates/logstore/src/cleaner.rs", "cleaning_reclaims_segments_and_preserves_live_data"),
         promise: "the cleaner relocates every live entry of a victim", decided: "§3.3" },
     Mutant { file: "crates/master/src/service.rs",
-        anchor: "        let up = self\n",
-        replacement: "        if kind == EntryKind::Tombstone {\n            let gone = self.hashtable.remove(table, hash, Self::key_matcher(&self.log, key));\n            return Ok((r, gone.value.map(|_| EntryKind::Object)));\n        }\n        let up = self\n",
+        anchor: "        let r = self.append(sink, kind, table, hash, version, key, value, work)?;\n",
+        replacement: "        let r = self.append(sink, kind, table, hash, version, key, value, work)?;\n        if kind == EntryKind::Tombstone {\n            let gone = self.hashtable.remove(table, hash, Self::key_matcher(&self.log, key));\n            return Ok((r, gone.value.map(|_| EntryKind::Object)));\n        }\n",
         killer: ("crates/core/tests/prop.rs", "replay_is_order_insensitive"),
         promise: "a tombstone keeps its hash-table slot, so no older record resurrects the key", decided: "§7" },
     Mutant { file: "crates/server/src/repl.rs",

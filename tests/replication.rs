@@ -4,15 +4,21 @@
 //! the commit records naming the side segments among them — ride the
 //! foreground lane only (DESIGN.md §3.3), so no write's chunk of the head
 //! can overtake an earlier chunk of it queued behind bulk traffic.
+//!
+//! A backup's death must not cost a master its replication factor
+//! either: what the dead backup held is copied to another before the
+//! master's own crash can need it (ROADMAP item 1, gap (c)).
 
 mod common;
 
 use std::sync::Arc;
 
+use common::{answered_writes, assert_read_back, test_config};
+
 use rocksteady_cluster::scenarios::{preload_tablets, slice, TABLE};
 use rocksteady_cluster::{Cluster, ClusterBuilder, ClusterConfig, ControlCmd};
 use rocksteady_common::zipf::KeyDist;
-use rocksteady_common::{MigrationId, ServerId, MILLISECOND, SECOND};
+use rocksteady_common::{MigrationId, Nanos, ServerId, MILLISECOND, SECOND};
 use rocksteady_logstore::ENTRY_HEADER_BYTES;
 use rocksteady_workload::YcsbConfig;
 
@@ -28,7 +34,7 @@ fn two_onto_one_with_writes() -> Cluster {
     let cfg = ClusterConfig {
         servers: 4,
         segment_bytes: 1 << 16,
-        ..common::test_config()
+        ..test_config()
     };
     let mut b = ClusterBuilder::new(cfg);
     let mut ycsb = YcsbConfig::ycsb_b(b.directory(), TABLE, KEYS, 40_000.0);
@@ -91,4 +97,41 @@ fn backups_hold_the_targets_log_after_two_runs_finish_onto_it() {
             );
         }
     }
+}
+
+/// One replica, one client overwriting half the time, and server 0's
+/// only backup killed at 10 ms; server 0 itself dies at `OWNER_DIES`,
+/// long after the backup's death was detected. Every record and every
+/// acknowledged write must read back from the recovery master: the
+/// backup's death must re-replicate server 0's log, not credit the dead
+/// backup's acks. Today `on_server_down` credits them and nothing
+/// re-replicates, so server 0's log is on no live backup when it dies.
+#[test]
+#[ignore = "ROADMAP item 1 (c): a dead backup's acks are credited and nothing re-replicates; \
+            the owner's crash then loses every record and acknowledged write"]
+fn a_dead_backup_is_replaced_before_its_masters_crash() {
+    const KEYS: u64 = 20_000;
+    const OWNER_DIES: Nanos = 60 * MILLISECOND;
+    let cfg = ClusterConfig {
+        servers: 4,
+        replicas: 1,
+        ..test_config()
+    };
+    // The ring decides the backup; read it off a cluster built alike.
+    let backup = ClusterBuilder::new(cfg.clone()).build().backups_of[&ServerId(0)][0];
+    let kill = |server| ControlCmd::Kill {
+        server,
+        detect_after: MILLISECOND,
+    };
+    let mut b = ClusterBuilder::new(cfg);
+    let mut ycsb = YcsbConfig::ycsb_b(b.directory(), TABLE, KEYS, 40_000.0);
+    ycsb.read_fraction = 0.5;
+    b.add_ycsb(ycsb);
+    b.at(10 * MILLISECOND, kill(backup));
+    b.at(OWNER_DIES, kill(ServerId(0)));
+    let mut cluster = b.build();
+    preload_tablets(&mut cluster, &[ServerId(0)], KEYS, VALUE);
+    cluster.run_until(SECOND);
+    assert!(answered_writes(&cluster) > 1_000, "too few writes answered");
+    assert_read_back(&mut cluster, KEYS);
 }

@@ -12,7 +12,10 @@
 # fixed order would lend that drift to one side.
 #
 # It prints every run's host metrics, then per metric the median and
-# quartiles of each side and "change lower in k/N". It exits non-zero
+# quartiles of each side, "change lower in k/N", and the median and
+# quartiles of the per-pair ratio change/parent: run with PARENT and
+# CHANGE the same tree, that ratio's spread is the noise floor a claim
+# on the metric must clear. It exits non-zero
 # if a `sim_*` metric, `attempted`, `failed` or an exact count differs
 # between any two runs, except the COUNTs named on the command line
 # (e.g. `simnet.events` for a change that runs fewer events), whose
@@ -20,7 +23,7 @@
 # target/pairs/WORKLOAD-seedSEED/ of the tree the tool is run from.
 set -euo pipefail
 if [ $# -lt 5 ]; then
-    sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -103,15 +106,17 @@ def quartiles(xs):
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, med, q3
 
-print(f"{'metric':<12} {'parent median [q1-q3]':>34} {'change median [q1-q3]':>34} {'change':>8}  lower")
+print(f"{'metric':<12} {'parent median [q1-q3]':>34} {'change median [q1-q3]':>34} {'change':>8}  lower"
+      f"  {'pair ratio c/p median [q1-q3]':>32}")
 for k in host:
     p = [r["result"]["metrics"][k]["value"] for r in runs["parent"]]
     c = [r["result"]["metrics"][k]["value"] for r in runs["change"]]
     (pq1, pm, pq3), (cq1, cm, cq3) = quartiles(p), quartiles(c)
+    rq1, rm, rq3 = quartiles([ci / pi for pi, ci in zip(p, c)])
     lower = sum(ci < pi for pi, ci in zip(p, c))
     side = lambda m, q1, q3: f"{m:.4f} [{q1:.4f}-{q3:.4f}]"
     print(f"{k:<12} {side(pm, pq1, pq3):>34} {side(cm, cq1, cq3):>34} "
-          f"{100 * (cm - pm) / pm:+7.2f}%  {lower}/{pairs}")
+          f"{100 * (cm - pm) / pm:+7.2f}%  {lower}/{pairs}  {side(rm, rq1, rq3):>32}")
 
 if bad:
     print("pairs: exact results differ:", *bad, sep="\n  ", file=sys.stderr)
