@@ -21,6 +21,9 @@ run cargo test -q --test mutants -- --ignored --nocapture
 # tests' own comparisons catch a short replica.
 run cargo test -q --release --test cleaner_interaction
 run cargo test -q --release --test replication
+# Whole-tablet crash recovery at release speed: a recovery master killed
+# right after it answered must have left its log on its backups.
+run cargo test -q --release --test recovery
 # Eight seeds of write_churn, every client operation checked for
 # linearizability with debug assertions off.
 run cargo test -q --release --test seed_sweep

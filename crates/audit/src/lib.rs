@@ -203,8 +203,8 @@ pub enum AuditKind {
         /// The admitting target.
         target: ServerId,
     },
-    /// Crash-recovery replay finished: the range reopened on `server`,
-    /// which now claims serving authority over it.
+    /// A crash recovery's replayed log is durable: the range reopened on
+    /// `server`, which now claims serving authority over it.
     NodeClaim {
         /// The claiming server.
         server: ServerId,

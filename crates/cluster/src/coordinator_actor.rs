@@ -108,13 +108,12 @@ impl CoordinatorActor {
                 source,
                 target,
             } => {
-                let flipped = {
-                    let mut state = self.state.borrow_mut();
-                    // Mark + complete: the baseline transfers ownership in
-                    // one step at the end (§2.3).
-                    state.baseline_starting(table, range, source, target);
-                    state.baseline_complete(table, range, source, target)
-                };
+                // The baseline transfers ownership in one step at the
+                // end (§2.3).
+                let flipped = self
+                    .state
+                    .borrow_mut()
+                    .baseline_complete(table, range, source, target);
                 if flipped && self.audit.is_on() {
                     self.audit.emit(
                         ctx.now(),
@@ -129,32 +128,13 @@ impl CoordinatorActor {
                 Response::Ok
             }
             Request::ReportCrash { server } => {
-                let deps_before: Vec<rocksteady_common::MigrationId> = if self.audit.is_on() {
-                    self.state
-                        .borrow()
-                        .lineage_deps()
-                        .iter()
-                        .map(|d| d.id)
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                let assignments = self.state.borrow_mut().handle_crash(server);
+                let (assignments, dropped) = self.state.borrow_mut().handle_crash(server);
                 if self.audit.is_on() {
                     // The crash plan drops every dep involving the dead
                     // server; the auditor checks exactly that, so the
                     // drops must land before the crash event itself.
-                    let deps_after: Vec<rocksteady_common::MigrationId> = self
-                        .state
-                        .borrow()
-                        .lineage_deps()
-                        .iter()
-                        .map(|d| d.id)
-                        .collect();
-                    for id in deps_before {
-                        if !deps_after.contains(&id) {
-                            self.audit.emit(ctx.now(), AuditKind::LineageDropped { id });
-                        }
+                    for id in dropped {
+                        self.audit.emit(ctx.now(), AuditKind::LineageDropped { id });
                     }
                     self.audit
                         .emit(ctx.now(), AuditKind::ServerCrashed { server });

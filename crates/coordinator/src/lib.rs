@@ -234,25 +234,8 @@ impl Coordinator {
         true
     }
 
-    /// A baseline migration is starting: ownership stays at the source
-    /// (§2.3); the map just notes the destination.
-    pub fn baseline_starting(
-        &mut self,
-        table: TableId,
-        range: HashRange,
-        source: ServerId,
-        target: ServerId,
-    ) -> bool {
-        match self.tablet_mut(table, range) {
-            Some(t) if t.owner == source => {
-                t.state = TabletState::MigratingToTarget { target };
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// A baseline migration finished: ownership transfers now (§2.3).
+    /// A baseline migration finished: ownership transfers now (§2.3),
+    /// in one step; until then the source owns the range.
     pub fn baseline_complete(
         &mut self,
         table: TableId,
@@ -285,7 +268,9 @@ impl Coordinator {
     /// the cluster harness delivers them as `RecoverTablet` RPCs. Tablet
     /// ownership in the map is updated immediately (clients will find the
     /// recovery master and be told to retry until replay completes).
-    pub fn handle_crash(&mut self, dead: ServerId) -> Vec<RecoveryAssignment> {
+    /// Also returned, in the order they were recorded: the ids of the
+    /// lineage dependencies the crash dropped.
+    pub fn handle_crash(&mut self, dead: ServerId) -> (Vec<RecoveryAssignment>, Vec<MigrationId>) {
         for (s, alive) in &mut self.servers {
             if *s == dead {
                 *alive = false;
@@ -360,9 +345,9 @@ impl Coordinator {
         // source of one migration, the target of another, or both at once
         // — are now resolved by the recoveries planned above. Deps between
         // two still-alive servers stay.
-        self.lineage
-            .retain(|d| d.source != dead && d.target != dead);
-        assignments
+        let involved = |d: &mut LineageDep| d.source == dead || d.target == dead;
+        let dropped = self.lineage.extract_if(.., involved).map(|d| d.id);
+        (assignments, dropped.collect())
     }
 }
 
@@ -441,7 +426,9 @@ mod tests {
     #[test]
     fn baseline_keeps_ownership_until_complete() {
         let mut c = coord();
-        assert!(c.baseline_starting(T, HashRange::full(), S1, S2));
+        assert_eq!(c.tablet_for(T, 5).unwrap().owner, S1);
+        // Only the owner can hand the range over.
+        assert!(!c.baseline_complete(T, HashRange::full(), S2, S3));
         assert_eq!(c.tablet_for(T, 5).unwrap().owner, S1);
         assert!(c.baseline_complete(T, HashRange::full(), S1, S2));
         assert_eq!(c.tablet_for(T, 5).unwrap().owner, S2);
@@ -451,7 +438,8 @@ mod tests {
     fn crash_of_migration_target_reverts_to_source_with_lineage_tail() {
         let mut c = coord();
         assert!(c.migration_starting(M1, T, HashRange::full(), S1, S2, 23));
-        let plan = c.handle_crash(S2);
+        let (plan, dropped) = c.handle_crash(S2);
+        assert_eq!(dropped, [M1]);
         assert_eq!(plan.len(), 1);
         let a = &plan[0];
         assert_eq!(a.recovery_master, S1, "ownership reverts to source");
@@ -467,7 +455,7 @@ mod tests {
     fn crash_of_migration_source_recovers_onto_target() {
         let mut c = coord();
         assert!(c.migration_starting(M1, T, HashRange::full(), S1, S2, 23));
-        let plan = c.handle_crash(S1);
+        let (plan, _) = c.handle_crash(S1);
         assert_eq!(plan.len(), 1);
         assert_eq!(plan[0].recovery_master, S2);
         assert_eq!(plan[0].crashed, S1);
@@ -542,7 +530,8 @@ mod tests {
         assert!(c.migration_starting(MigrationId(3), TableId(3), parts[2], s4, s5, 33));
         assert_eq!(c.lineage_deps().len(), 3);
 
-        let plan = c.handle_crash(S2);
+        let (plan, dropped) = c.handle_crash(S2);
+        assert_eq!(dropped, [M1, M2], "the unrelated dep is not dropped");
         assert_eq!(plan.len(), 2, "{plan:?}");
         // M1: target died → revert to source S1, replay S2's tail from 11.
         let a = plan
@@ -578,7 +567,8 @@ mod tests {
         for (i, r) in HashRange::full().split(4).into_iter().enumerate() {
             c.create_tablet(TableId(i as u64), r, S1);
         }
-        let plan = c.handle_crash(S1);
+        let (plan, dropped) = c.handle_crash(S1);
+        assert!(dropped.is_empty());
         assert_eq!(plan.len(), 4);
         let masters: Vec<ServerId> = plan.iter().map(|a| a.recovery_master).collect();
         assert!(

@@ -211,8 +211,6 @@ pub enum Request {
     /// Source → target: one batch of the baseline migration's log-scan
     /// output.
     PushRecords {
-        /// Table being migrated.
-        table: TableId,
         /// Records in this batch.
         records: Vec<Record>,
         /// Whether the target should replay into its log/hash table.

@@ -21,12 +21,6 @@ pub enum TabletState {
         /// Server the data is being pulled from.
         source: ServerId,
     },
-    /// Baseline (pre-Rocksteady) migration in flight: `owner` is still
-    /// the source and the named target only takes over at the end (§2.3).
-    MigratingToTarget {
-        /// Server the data is being copied to.
-        target: ServerId,
-    },
 }
 
 /// One entry in the coordinator's tablet map.

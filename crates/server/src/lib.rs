@@ -31,11 +31,12 @@
 //!   *assigned* to a worker; its outputs (responses, follow-up RPCs) are
 //!   released when the modeled service time elapses. State is therefore
 //!   never stale by more than one service time (≤ a few µs).
-//! - A durable write may be acknowledged while a covering replication
-//!   chunk shipped by a *concurrent* write (or by recovery) is still in
-//!   flight. This is not harmless: if a backup crashes in that window,
-//!   the acknowledged write is lost, which §3.4 rules out (durability
-//!   gap 1 (a) in ROADMAP.md).
+//! - A durable write, or a recovery master's answer, which rides the
+//!   same path, may be acknowledged while a covering replication chunk
+//!   that *another* call planned (a concurrent write's or recovery's) is
+//!   still in flight. This is not harmless: if a backup crashes in that
+//!   window, the acknowledged bytes are lost, which §3.4 rules out
+//!   (durability gap 1 (a) in ROADMAP.md).
 //! - A backup's death counts as an ack for every chunk in flight to it,
 //!   so a write held for R acks can be answered on fewer, and its
 //!   segments stay at R−1 replicas (gap 1 (c)).

@@ -21,12 +21,12 @@ use rocksteady_common::{
 use rocksteady_logstore::SideLog;
 use rocksteady_master::{MasterService, OpError, ReplayDest, TabletRole, Work};
 use rocksteady_profiler::Profiler;
-use rocksteady_proto::msg::BaselineOpts;
+use rocksteady_proto::msg::{BaselineOpts, SegmentImage};
 use rocksteady_proto::{Body, Envelope, Priority, Record, Request, Response, Status};
 use rocksteady_simnet::{Actor, ActorId, Ctx, Event};
 use rocksteady_trace::Tracer;
 
-use crate::recovery::{FetchFailure, RecoveryRun};
+use crate::recovery::RecoveryRun;
 use crate::repl::{ChunkSend, Durable, ReplManager, Scope};
 use crate::rpc::{Pending, RpcTable, SyncWait};
 use crate::sched::{Deferred, Inbound, Placement, Quantum, ReplyTo, Sched, Task};
@@ -358,12 +358,15 @@ impl ServerNode {
                     self.abandon_migration(ctx, mig, AbandonReason::Superseded);
                 }
                 let recovery = rpc.0;
-                let run =
-                    RecoveryRun::new(table, range, (src, rpc), crashed, from_segment, backups);
-                for backup in run.backups() {
-                    let (dst, req) = (self.dir.actor_of(*backup), run.fetch_request());
+                for backup in &backups {
+                    let req = Request::FetchSegments {
+                        owner: crashed,
+                        min_segment: from_segment,
+                    };
+                    let dst = self.dir.actor_of(*backup);
                     self.call(ctx, dst, Pending::FetchSegments { recovery }, req);
                 }
+                let run = RecoveryRun::new(table, range, (src, rpc), backups.len());
                 let ready = run.ready();
                 self.recoveries.insert(recovery, run);
                 if ready {
@@ -457,10 +460,7 @@ impl ServerNode {
                 }
             }
             (Pending::FetchSegments { recovery }, Response::SegmentsOk { segments }) => {
-                if let Some(run) = self.recoveries.get_mut(&recovery) {
-                    run.on_segments(segments);
-                    self.recovery_progressed(ctx, recovery);
-                }
+                self.fetched(ctx, recovery, segments);
             }
             // Error responses on protocol RPCs: drop the related state
             // rather than wedging (e.g. source died mid-migration; the
@@ -516,7 +516,7 @@ impl ServerNode {
                 service_ns
             }
             Task::BaselineStep => self.exec_baseline_step(now, worker),
-            Task::RecoveryReplay { recovery } => self.exec_recovery_replay(now, worker, recovery),
+            Task::RecoveryReplay { recovery } => self.exec_recovery_replay(worker, recovery),
             Task::CleanerPass => self.exec_cleaner_pass(ctx),
         };
         self.start_service(ctx, worker, service_ns);
@@ -550,7 +550,7 @@ impl ServerNode {
                 Deferred::BaselineContinue => {
                     self.sched.enqueue(Priority::Background, Task::BaselineStep);
                 }
-                Deferred::ShipLog { wait } => self.ship_heads(ctx, worker, wait),
+                Deferred::ShipLog(then) => self.ship_heads(ctx, then),
             }
         }
         self.sched.service_done(worker, now);
@@ -578,12 +578,17 @@ impl ServerNode {
 
     /// The durable path (§2: 15 µs writes): ship the log delta when the
     /// service time elapses and hold `worker` until the replicas ack,
-    /// then answer `resp`.
-    fn hold_for_replication(&mut self, worker: usize, to: ReplyTo, resp: Response) {
+    /// then do what `then` says (answer, release `worker`).
+    fn hold_for_replication(&mut self, worker: usize, then: Durable) {
         let w = &mut self.sched.workers[worker];
         w.held = true;
-        let wait = Some((to.src, to.rpc, resp));
-        w.deferred.push(Deferred::ShipLog { wait });
+        w.deferred.push(Deferred::ShipLog(then));
+    }
+
+    /// [`Self::hold_for_replication`], then answer `resp` to `to`.
+    fn respond_durable(&mut self, worker: usize, to: ReplyTo, resp: Response) {
+        let respond = (to.src, to.rpc, resp);
+        self.hold_for_replication(worker, Durable::Respond { worker, respond });
     }
 
     // ------------------------------------------------------- replication --
@@ -595,29 +600,19 @@ impl ServerNode {
         self.repl.plan(scope, now, log, backups, cost)
     }
 
-    /// Ships the head's not-yet-replicated bytes on the foreground lane.
-    /// If `wait` is set, an ack group releases `worker` and answers the
-    /// client once every chunk is acked.
-    fn ship_heads(
-        &mut self,
-        ctx: &mut Ctx<'_, Envelope>,
-        worker: usize,
-        wait: Option<(ActorId, RpcId, Response)>,
-    ) {
+    /// Ships the head's not-yet-replicated bytes on the foreground lane;
+    /// an ack group does what `then` says once every chunk is acked.
+    fn ship_heads(&mut self, ctx: &mut Ctx<'_, Envelope>, then: Durable) {
         let sends = self.plan(Scope::Heads, ctx.now());
-        let group = match wait {
-            Some(respond) if !sends.is_empty() => {
-                let then = Durable::Respond { worker, respond };
-                Some(self.repl.open_group(sends.len() as u32, then))
-            }
-            // Nothing to ship (no backups, or a concurrent shipment
-            // already covered our bytes): respond immediately. When that
-            // shipment is still unacked, a backup crash now loses an
-            // acknowledged write (crate docs; ROADMAP.md gap 1 (a)).
-            Some(respond) => return self.finish_wait(ctx, worker, respond),
-            None => None,
-        };
-        self.send_chunks(ctx, sends, group);
+        if sends.is_empty() {
+            // Nothing to ship (no backups, or a chunk another call
+            // planned already covers these bytes): durable now. When
+            // that chunk is still unacked, a backup crash now loses what
+            // `then` answers for (crate docs; ROADMAP.md gap 1 (a)).
+            return self.durable(ctx, then);
+        }
+        let group = self.repl.open_group(sends.len() as u32, then);
+        self.send_chunks(ctx, sends, Some(group));
     }
 
     /// Ships adopted segments on the bulk lane, none leaving before
@@ -694,10 +689,30 @@ impl ServerNode {
     }
 
     fn credit_ack_group(&mut self, ctx: &mut Ctx<'_, Envelope>, group: u64) {
-        match self.repl.credit(group) {
-            Some(Durable::Respond { worker, respond }) => self.finish_wait(ctx, worker, respond),
-            Some(Durable::FreeVictims(victims)) => self.free_victims(ctx, 0, &victims),
-            None => {}
+        if let Some(then) = self.repl.credit(group) {
+            self.durable(ctx, then);
+        }
+    }
+
+    /// What a shipment waited on is durable: do what `then` says.
+    fn durable(&mut self, ctx: &mut Ctx<'_, Envelope>, then: Durable) {
+        match then {
+            Durable::Respond { worker, respond } => self.finish_wait(ctx, worker, respond),
+            Durable::Claim {
+                worker,
+                respond,
+                table,
+                range,
+            } => {
+                // The replay raised the version floor above everything
+                // the dead participant acknowledged; clients may come
+                // back now.
+                self.master.set_tablet_role(table, range, TabletRole::Owner);
+                let floor = self.master.version_ceiling();
+                self.tel.recovered(ctx.now(), table, range, floor);
+                self.finish_wait(ctx, worker, respond);
+            }
+            Durable::FreeVictims(victims) => self.free_victims(ctx, 0, &victims),
         }
     }
 
@@ -861,7 +876,6 @@ impl ServerNode {
                 (service, Response::PriorityPullOk { records })
             }
             Request::PushRecords {
-                table: _,
                 records,
                 replay,
                 rereplicate,
@@ -875,7 +889,7 @@ impl ServerNode {
                     self.replay_into_main_log(ctx.now(), &records);
                 }
                 if replay && rereplicate {
-                    self.hold_for_replication(worker, to, Response::PushRecordsOk);
+                    self.respond_durable(worker, to, Response::PushRecordsOk);
                     return service;
                 }
                 (service, Response::PushRecordsOk)
@@ -925,7 +939,7 @@ impl ServerNode {
         outcome: Result<Response, OpError>,
     ) {
         match outcome {
-            Ok(resp) => self.hold_for_replication(worker, to, resp),
+            Ok(resp) => self.respond_durable(worker, to, resp),
             Err(err) => {
                 let resp = self.refusal(ctx, err);
                 self.defer_response(worker, to, resp);
@@ -1307,7 +1321,6 @@ impl ServerNode {
                 }
                 self.stats.migration_gathered(run.id, records.len() as u64);
                 let req = Request::PushRecords {
-                    table: run.mig.table,
                     records,
                     replay: !run.opts.skip_replay,
                     rereplicate: !run.opts.skip_replay && !run.opts.skip_rereplication,
@@ -1340,17 +1353,25 @@ impl ServerNode {
 
     // ---------------------------------------------------------- recovery --
 
-    /// A fetch of recovery run `recovery` was answered or written off:
-    /// once none is pending, the replay is queued.
-    fn recovery_progressed(&mut self, ctx: &mut Ctx<'_, Envelope>, recovery: u64) {
-        if self.recoveries[&recovery].ready() {
+    /// A fetch of recovery run `recovery` was answered, or lost with its
+    /// server (`segments` empty): once none is pending, the replay is
+    /// queued.
+    fn fetched(&mut self, ctx: &mut Ctx<'_, Envelope>, recovery: u64, segments: Vec<SegmentImage>) {
+        let Some(run) = self.recoveries.get_mut(&recovery) else {
+            return;
+        };
+        run.on_segments(segments);
+        if run.ready() {
             self.sched
                 .enqueue(Priority::Replay, Task::RecoveryReplay { recovery });
             self.try_assign(ctx);
         }
     }
 
-    fn exec_recovery_replay(&mut self, now: Nanos, worker: usize, recovery: u64) -> Nanos {
+    /// Replays the fetched images into the main log. The answer rides
+    /// the durable-write path: the tablet is claimed and the coordinator
+    /// answered once the replayed log is on the backups.
+    fn exec_recovery_replay(&mut self, worker: usize, recovery: u64) -> Nanos {
         let m = &self.cfg.cost;
         let Some(run) = self.recoveries.remove(&recovery) else {
             return m.op_fixed_ns;
@@ -1364,18 +1385,14 @@ impl ServerNode {
             + replay.replay_ns
             + (replay.scanned_entries + work.scanned_entries) * m.log_scan_per_entry_ns;
         self.stats.recovery_replayed.add(replayed);
-        // The replay raised the version floor above everything the dead
-        // participant acknowledged; clients may come back now.
-        self.master
-            .set_tablet_role(run.table, run.range, TabletRole::Owner);
-        let floor = self.master.version_ceiling();
-        self.tel.recovered(now, run.table, run.range, floor);
         let (dst, rpc) = run.coordinator_rpc;
-        let done = Envelope::resp(rpc, Response::RecoverTabletOk { replayed });
-        let deferred = &mut self.sched.workers[worker].deferred;
-        deferred.push(Deferred::Send(dst, done));
-        // Recovered data must become durable.
-        deferred.push(Deferred::ShipLog { wait: None });
+        let claim = Durable::Claim {
+            worker,
+            respond: (dst, rpc, Response::RecoverTabletOk { replayed }),
+            table: run.table,
+            range: run.range,
+        };
+        self.hold_for_replication(worker, claim);
         service
     }
 
@@ -1422,7 +1439,13 @@ impl ServerNode {
                         self.stats.abandon_migration_run(run.id, ctx.now());
                     }
                 }
-                Pending::FetchSegments { recovery } => self.on_fetch_failed(ctx, recovery, server),
+                // Every live server was asked: what only the dead one
+                // held is a gap.
+                Pending::FetchSegments { recovery } => {
+                    let n = self.stats.recovery_fetch_gaps.inc();
+                    self.tel.fetch_gap(ctx.now(), n);
+                    self.fetched(ctx, recovery, Vec::new());
+                }
                 // Runs whose source died are swept below, RPC in flight
                 // or not; nobody waits on the rest.
                 Pending::Pull { .. }
@@ -1444,29 +1467,6 @@ impl ServerNode {
             .collect();
         for id in doomed_runs {
             self.abandon_migration(ctx, id, AbandonReason::SourceDied);
-        }
-    }
-
-    /// A backup died while we were fetching the crashed master's
-    /// segments from it: re-issue the fetch against a surviving backup,
-    /// and only when none remain record an irrecoverable gap.
-    fn on_fetch_failed(&mut self, ctx: &mut Ctx<'_, Envelope>, recovery: u64, dead: ServerId) {
-        let Some(run) = self.recoveries.get_mut(&recovery) else {
-            return;
-        };
-        match run.on_fetch_failed(dead) {
-            FetchFailure::Failover(backup) => {
-                let req = run.fetch_request();
-                let n = self.stats.recovery_fetch_failovers.inc();
-                self.tel.fetch_failed_over(ctx.now(), backup, n);
-                let dst = self.dir.actor_of(backup);
-                self.call(ctx, dst, Pending::FetchSegments { recovery }, req);
-            }
-            FetchFailure::Gap => {
-                let n = self.stats.recovery_fetch_gaps.inc();
-                self.tel.fetch_gap(ctx.now(), n);
-                self.recovery_progressed(ctx, recovery);
-            }
         }
     }
 }

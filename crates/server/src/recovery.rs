@@ -1,43 +1,27 @@
 //! Lineage-driven crash recovery (§3.4), one tablet at a time.
 //!
 //! A recovery master fetches the crashed server's replicated segments
-//! from every backup, keeps the longest image of each (replicas of the
-//! open head segment may trail one another), and replays the records of
-//! the recovering range once every fetch is accounted for. A backup
-//! that dies mid-fetch is failed over to a survivor; only when none
-//! remain is the fetch written off as a gap.
+//! from every live server, keeps the longest image of each (replicas of
+//! the open head segment may trail one another), and replays the records
+//! of the recovering range once every fetch is accounted for. Every live
+//! server was asked, so a fetch to one that dies counts as an empty
+//! answer: what only it held is a gap.
 
 use bytes::Bytes;
-use rocksteady_common::{CostModel, FxHashMap, HashRange, Nanos, RpcId, ServerId, TableId};
+use rocksteady_common::{CostModel, FxHashMap, HashRange, Nanos, RpcId, TableId};
 use rocksteady_logstore::{entry, EntryKind};
 use rocksteady_proto::msg::SegmentImage;
-use rocksteady_proto::{Record, Request};
+use rocksteady_proto::Record;
 use rocksteady_simnet::ActorId;
 
 pub(crate) struct RecoveryRun {
     pub(crate) table: TableId,
     pub(crate) range: HashRange,
-    /// The coordinator's `RecoverTablet`, answered after the replay.
+    /// The coordinator's `RecoverTablet`, answered once the replayed log
+    /// is durable.
     pub(crate) coordinator_rpc: (ActorId, RpcId),
     pending_fetches: u32,
     images: FxHashMap<u64, Bytes>,
-    /// Whose log we are recovering, and from which segment on — kept so
-    /// a fetch to a dead backup can be re-issued elsewhere.
-    crashed: ServerId,
-    from_segment: u64,
-    /// The coordinator's backup list for `crashed`.
-    backups: Vec<ServerId>,
-    /// Backups that died while we were fetching from them.
-    failed_backups: Vec<ServerId>,
-}
-
-/// What to do about a fetch whose backup died.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) enum FetchFailure {
-    /// Re-issue the fetch against this surviving backup.
-    Failover(ServerId),
-    /// No backup is left: whatever only that fetch held is lost.
-    Gap,
 }
 
 /// The records to replay, with their modeled cost.
@@ -50,37 +34,19 @@ pub(crate) struct RecoveryReplay {
 }
 
 impl RecoveryRun {
-    /// A run with one fetch pending per backup.
+    /// A run with `fetches` fetches pending.
     pub(crate) fn new(
         table: TableId,
         range: HashRange,
         coordinator_rpc: (ActorId, RpcId),
-        crashed: ServerId,
-        from_segment: u64,
-        backups: Vec<ServerId>,
+        fetches: usize,
     ) -> Self {
         RecoveryRun {
             table,
             range,
             coordinator_rpc,
-            pending_fetches: backups.len() as u32,
+            pending_fetches: fetches as u32,
             images: FxHashMap::default(),
-            crashed,
-            from_segment,
-            backups,
-            failed_backups: Vec::new(),
-        }
-    }
-
-    pub(crate) fn backups(&self) -> &[ServerId] {
-        &self.backups
-    }
-
-    /// The fetch every backup is asked (and a failover re-asks).
-    pub(crate) fn fetch_request(&self) -> Request {
-        Request::FetchSegments {
-            owner: self.crashed,
-            min_segment: self.from_segment,
         }
     }
 
@@ -89,7 +55,8 @@ impl RecoveryRun {
         self.pending_fetches == 0
     }
 
-    /// One backup answered: the longest image of each segment wins.
+    /// One fetch was answered, or lost with its server (no segments):
+    /// the longest image of each segment wins.
     pub(crate) fn on_segments(&mut self, segments: Vec<SegmentImage>) {
         for img in segments {
             match self.images.get_mut(&img.id) {
@@ -101,24 +68,6 @@ impl RecoveryRun {
             }
         }
         self.pending_fetches -= 1;
-    }
-
-    /// The backup `dead` died with a fetch outstanding.
-    pub(crate) fn on_fetch_failed(&mut self, dead: ServerId) -> FetchFailure {
-        if !self.failed_backups.contains(&dead) {
-            self.failed_backups.push(dead);
-        }
-        let survivor = self
-            .backups
-            .iter()
-            .find(|b| !self.failed_backups.contains(b));
-        match survivor {
-            Some(backup) => FetchFailure::Failover(*backup),
-            None => {
-                self.pending_fetches = self.pending_fetches.saturating_sub(1);
-                FetchFailure::Gap
-            }
-        }
     }
 
     /// Walks the merged images in segment order and collects the
@@ -187,14 +136,13 @@ mod tests {
         }
     }
 
-    fn run(backups: &[u32]) -> RecoveryRun {
-        let backups = backups.iter().map(|b| ServerId(*b)).collect();
-        RecoveryRun::new(T, LOW, (0, RpcId(1)), ServerId(9), 4, backups)
+    fn run(fetches: usize) -> RecoveryRun {
+        RecoveryRun::new(T, LOW, (0, RpcId(1)), fetches)
     }
 
     #[test]
     fn longest_image_wins_and_replay_waits_for_the_last_fetch() {
-        let mut r = run(&[1, 2, 3]);
+        let mut r = run(3);
         assert!(!r.ready());
         // Backup 1 trails on the head segment; backup 2 has it all;
         // backup 3 answers last with a shorter copy again.
@@ -216,7 +164,7 @@ mod tests {
 
     #[test]
     fn replay_keeps_only_the_recovering_range_and_stops_at_corruption() {
-        let mut r = run(&[1]);
+        let mut r = run(1);
         let mut img = image(4, &[(1, 1), (5_000, 1), (2, 7)]);
         let mut bytes = img.data.to_vec();
         // A torn tail: half an entry header after the last whole entry.
@@ -246,7 +194,7 @@ mod tests {
         };
         // Died before the survivor's last ack: nobody was told to free
         // the victim, one backup has a torn prefix of the survivor.
-        let mut r = run(&[1, 2]);
+        let mut r = run(2);
         r.on_segments(vec![victim()]);
         r.on_segments(vec![victim(), image(9, &[(1, 3)])]);
         assert_eq!(
@@ -256,7 +204,7 @@ mod tests {
         );
         // Died after: backup 1 already freed the victim, backup 2 had
         // not yet; both hold the whole survivor.
-        let mut r = run(&[1, 2]);
+        let mut r = run(2);
         r.on_segments(vec![image(9, &[(1, 3), (2, 5)])]);
         r.on_segments(vec![victim(), image(9, &[(1, 3), (2, 5)])]);
         assert_eq!(
@@ -264,40 +212,25 @@ mod tests {
             [(1, 1), (1, 3), (2, 5), (1, 3), (2, 5)]
         );
         // Freed everywhere: the survivor alone has the live versions.
-        let mut r = run(&[1]);
+        let mut r = run(1);
         r.on_segments(vec![image(9, &[(1, 3), (2, 5)])]);
         assert_eq!(hashes_and_versions(&r), [(1, 3), (2, 5)]);
     }
 
     #[test]
-    fn a_dead_backup_fails_over_until_none_remain() {
-        let mut r = run(&[1, 2]);
-        assert_eq!(r.backups(), &[ServerId(1), ServerId(2)]);
-        assert!(matches!(
-            r.fetch_request(),
-            Request::FetchSegments {
-                owner: ServerId(9),
-                min_segment: 4
-            }
-        ));
-        // Backup 1 dies: its fetch moves to backup 2, still pending.
-        assert_eq!(
-            r.on_fetch_failed(ServerId(1)),
-            FetchFailure::Failover(ServerId(2))
-        );
-        assert!(!r.ready());
-        // Backup 2 answers its own fetch; the failed-over one is still out.
+    fn a_lost_fetch_counts_as_an_empty_answer() {
+        let mut r = run(2);
         r.on_segments(vec![image(4, &[(1, 1)])]);
         assert!(!r.ready());
-        // Then backup 2 dies too: nobody is left, the fetch is a gap,
-        // and the replay proceeds with what arrived.
-        assert_eq!(r.on_fetch_failed(ServerId(2)), FetchFailure::Gap);
+        // The other server died with its fetch outstanding: the replay
+        // proceeds with what arrived.
+        r.on_segments(Vec::new());
         assert!(r.ready());
         assert_eq!(r.replay(&CostModel::default()).records.len(), 1);
     }
 
     #[test]
     fn no_backups_means_ready_at_once() {
-        assert!(run(&[]).ready());
+        assert!(run(0).ready());
     }
 }

@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use rocksteady_common::{CostModel, FxHashMap, Nanos, RpcId};
+use rocksteady_common::{CostModel, FxHashMap, HashRange, Nanos, RpcId, TableId};
 use rocksteady_logstore::{Log, Segment};
 use rocksteady_proto::{Envelope, Response};
 use rocksteady_simnet::ActorId;
@@ -47,6 +47,14 @@ pub(crate) enum Durable {
     Respond {
         worker: usize,
         respond: (ActorId, RpcId, Response),
+    },
+    /// A recovery master's replayed log is durable: it owns the tablet
+    /// from now on, and answers the coordinator like a client.
+    Claim {
+        worker: usize,
+        respond: (ActorId, RpcId, Response),
+        table: TableId,
+        range: HashRange,
     },
     /// A cleaner pass's survivors are durable: these victims' replicas
     /// are garbage.

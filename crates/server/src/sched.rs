@@ -12,8 +12,10 @@ use std::collections::VecDeque;
 
 use rocksteady_common::{CausalCtx, MigrationId, Nanos, RpcId};
 use rocksteady_proto::msg::PRIORITY_LEVELS;
-use rocksteady_proto::{Envelope, Priority, Request, Response};
+use rocksteady_proto::{Envelope, Priority, Request};
 use rocksteady_simnet::ActorId;
+
+use crate::repl::Durable;
 
 /// Where the answer to an inbound request goes.
 #[derive(Debug, Clone, Copy)]
@@ -47,7 +49,8 @@ pub(crate) enum Task {
     /// One baseline-migration scan step (source).
     BaselineStep,
     /// Replay fetched segment images (crash recovery); the key names the
-    /// node's recovery run.
+    /// node's recovery run. Its answer waits for the replayed log to be
+    /// durable, like a write's.
     RecoveryReplay { recovery: u64 },
     /// One log-cleaner pass (background system task, §2.3).
     CleanerPass,
@@ -58,7 +61,7 @@ impl Task {
     /// waiting on a remote ack (see [`Sched::next_placement`]).
     fn may_hold(&self, sync_reads_hold: bool) -> bool {
         let Task::Rpc { req, .. } = self else {
-            return false;
+            return matches!(self, Task::RecoveryReplay { .. });
         };
         match req {
             Request::Write { .. } | Request::Delete { .. } => true,
@@ -82,12 +85,10 @@ pub(crate) enum Deferred {
     ReplayDone(MigrationId, Option<usize>),
     /// Schedule the next baseline scan step.
     BaselineContinue,
-    /// Ship un-replicated log bytes to the backups; if `wait` is set the
-    /// worker stays held and the named client is answered when all
-    /// replica acks return (the durable-write path).
-    ShipLog {
-        wait: Option<(ActorId, RpcId, Response)>,
-    },
+    /// Ship un-replicated log bytes to the backups, the worker held,
+    /// and do what the [`Durable`] says once every replica acked (the
+    /// durable-write path).
+    ShipLog(Durable),
 }
 
 #[derive(Debug, Default)]
@@ -349,6 +350,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use rocksteady_common::TableId;
+    use rocksteady_proto::Response;
 
     fn rpc(req: Request) -> Task {
         let to = ReplyTo {
@@ -393,6 +395,9 @@ mod tests {
     #[test]
     fn hold_capable_tasks_never_take_worker_zero() {
         assert_eq!(placed_on(2, false, delete()), Some(1));
+        // A recovery replay holds its worker until its log is durable.
+        let replay = Task::RecoveryReplay { recovery: 1 };
+        assert_eq!(placed_on(2, false, replay), Some(1));
         // A read does not hold, so it may take the reserved core —
         // unless reads block on synchronous PriorityPulls.
         assert_eq!(placed_on(2, false, read()), Some(0));

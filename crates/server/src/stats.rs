@@ -49,11 +49,8 @@ pub struct NodeStats {
     pub retry_hints_sent: Counter,
     /// Client reads deferred behind a PriorityPull during migration.
     pub priority_pull_deferrals: Counter,
-    /// Recovery segment fetches re-sent to a surviving backup after the
-    /// first backup died.
-    pub recovery_fetch_failovers: Counter,
-    /// Recovery segment fetches with no surviving backup left — data
-    /// that could not be recovered from any replica.
+    /// Recovery segment fetches lost to a server that died before it
+    /// answered: whatever only it held could not be recovered.
     pub recovery_fetch_gaps: Counter,
     /// Entries replayed by crash recovery.
     pub recovery_replayed: Counter,
@@ -155,14 +152,9 @@ impl NodeStats {
                 "client reads deferred behind a PriorityPull",
                 &l,
             ),
-            recovery_fetch_failovers: reg.counter(
-                "node_recovery_fetch_failovers",
-                "recovery fetches re-sent to a surviving backup",
-                &l,
-            ),
             recovery_fetch_gaps: reg.counter(
                 "node_recovery_fetch_gaps",
-                "recovery fetches with no surviving backup",
+                "recovery fetches lost to a dead server",
                 &l,
             ),
             recovery_replayed: reg.counter(
@@ -260,7 +252,6 @@ impl NodeStats {
             migrations_abandoned: self.migrations_abandoned.get(),
             retry_hints_sent: self.retry_hints_sent.get(),
             priority_pull_deferrals: self.priority_pull_deferrals.get(),
-            recovery_fetch_failovers: self.recovery_fetch_failovers.get(),
             recovery_fetch_gaps: self.recovery_fetch_gaps.get(),
             recovery_replayed: self.recovery_replayed.get(),
             segments_cleaned: self.segments_cleaned.get(),
@@ -285,7 +276,6 @@ pub struct NodeStatsView {
     pub migrations_abandoned: u64,
     pub retry_hints_sent: u64,
     pub priority_pull_deferrals: u64,
-    pub recovery_fetch_failovers: u64,
     pub recovery_fetch_gaps: u64,
     pub recovery_replayed: u64,
     pub segments_cleaned: u64,
@@ -312,7 +302,7 @@ mod tests {
         let b = NodeStats::register(&reg, ServerId(2));
         a.pulls_served.inc();
         assert_eq!(b.pulls_served.get(), 1);
-        assert_eq!(reg.validate().unwrap().instruments, 16);
+        assert_eq!(reg.validate().unwrap().instruments, 15);
     }
 
     #[test]

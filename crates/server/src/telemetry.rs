@@ -588,7 +588,8 @@ impl NodeTelemetry {
         self.released(now, table, range, ReleaseVia::RecoveryBlock);
     }
 
-    /// Recovery replay finished: the node owns `range`, floor at `floor`.
+    /// The replayed log is durable: the node owns `range`, floor at
+    /// `floor`.
     pub(crate) fn recovered(&self, now: Nanos, table: TableId, range: HashRange, floor: u64) {
         self.audit(now, |server| AuditKind::NodeClaim {
             server,
@@ -598,21 +599,13 @@ impl NodeTelemetry {
         self.version_floor(now, floor);
     }
 
-    /// A segment fetch moved to surviving `backup` (`total` so far).
-    pub(crate) fn fetch_failed_over(&self, now: Nanos, backup: ServerId, total: u64) {
-        let args = [("backup", backup.0 as u64), ("failovers", total)];
-        self.recovery_instant("recovery:fetch-failover", now, &args);
-    }
-
-    /// A segment fetch had no backup left to go to (`total` so far).
+    /// A segment fetch was lost with its server (`total` so far).
     pub(crate) fn fetch_gap(&self, now: Nanos, total: u64) {
-        self.recovery_instant("recovery:gap", now, &[("gaps", total)]);
-    }
-
-    fn recovery_instant(&self, name: &'static str, now: Nanos, args: &[Arg]) {
         if self.trace.is_on() {
+            let args = [("gaps", total)];
+            let (pid, lane) = (self.pid, lanes::RPC);
             self.trace
-                .instant(name, "recovery", self.pid, lanes::RPC, now, args);
+                .instant("recovery:gap", "recovery", pid, lane, now, args);
         }
     }
 }

@@ -62,71 +62,83 @@ use rocksteady_workload::{LoadShape, YcsbConfig};
 /// arm one deadline timer instead of one per attempt
 /// (`migration/seed1234` 32 555 → 28 087): the timers it dropped had
 /// never timed anything out, so no export moved.
+/// Every exports digest moved once more when the metrics lost the
+/// `node_recovery_fetch_failovers` family: the parent commit with only
+/// that family removed printed the new exports digests of every row
+/// without a crash. The two crash rows moved for a reason of their own,
+/// noted beside them.
 const GOLDEN: &[(&str, u64, u64, u64)] = &[
     (
         "migration/seed1234",
         0x6779688b181812d7,
-        0xd19a91793de4af5d,
+        0xe7f19113655d6b7b,
         28087,
     ),
     (
         "migration/seed7",
         0xe1ad792848e2d0e6,
-        0x995b4b37ebf69e7a,
+        0x556ab055243f0da0,
         28136,
     ),
     (
         "migration/seed42",
         0x02df9a9f4af9193c,
-        0x5a9faa998fe8e1d9,
+        0xe9db009ec5889dbb,
         28131,
     ),
+    // Schedule, exports and events (73 298 → 74 148) moved when the
+    // recovery master's answer came to ride the durable-write path: the
+    // replay task holds its worker, ships its log, and claims the tablet
+    // and answers once the acks are in, no longer when the task starts.
     (
         "crash/source",
-        0x33fa6e9f9ccdcc07,
-        0x5664b54a4295cda7,
-        73298,
+        0xa35cd24437e71ad3,
+        0x627a68ebcc8809b9,
+        74148,
     ),
+    // Schedule and exports moved for the reason `crash/source` gives:
+    // the source claims the merged range once the replayed tail is
+    // durable, not when its replay task starts.
     (
         "crash/target",
-        0x0dd7ca19a5cf8e15,
-        0x3a2d82b5d04696d0,
+        0x03be7efbab2c365d,
+        0x4c87a9bf96492cd7,
         72418,
     ),
     (
         "baseline/fig5",
         0x4e398ede26863625,
-        0xeb272589ed0eed56,
+        0x245e0f3085560208,
         41774,
     ),
     (
         "migration/sync-priority-pulls",
         0x006249661aa5cf6f,
-        0xaf5971cac6117e23,
+        0x5918b1110332b51d,
         28124,
     ),
     (
         "migration/two-onto-one-target",
         0xa51db9e660e57b8d,
-        0xa11fe7ba9635052e,
+        0x3c35af3868f0a2c6,
         31815,
     ),
     (
         "migration/tracing-armed-mid-run",
         0xf1965d6771951f19,
-        0xe112eb9b39c64956,
+        0xedef0c8fb78663f8,
         28131,
     ),
     (
         "fault/drop-pulls-ring",
         0xc2e92e4f4f049c8a,
-        0x01ed720e78aa431a,
+        0x9abaaf7dc7aea111,
         20815,
     ),
     (
         "migration/write-churn",
         0xafb74befd332d417,
-        0x2bfada2c12e7f8cc,
+        0xe90ccbda92429414,
         166452,
     ),
     // Schedule moved once, exports not, when the rebalancer became the
@@ -135,7 +147,7 @@ const GOLDEN: &[(&str, u64, u64, u64)] = &[
     (
         "rebalance/hot-quarter",
         0xbf788c71ff703ffe,
-        0x5c28fb3a87541856,
+        0x122b6564c6c82db6,
         31033,
     ),
 ];

@@ -119,6 +119,11 @@ const MUTANTS: &[Mutant] = &[
         replacement: "        let mut adopted = adopted;\n        if let Some(side) = inner.side.remove(&id) {\n            adopted.window = side.window;\n        }\n",
         killer: ("crates/master/src/service.rs", "committed_side_logs_let_their_originals_go"),
         promise: "a commit's adopted copy takes its own window, so the full-size original leaves with the last response", decided: "§3.5" },
+    Mutant { file: NODE,
+        anchor: "Deferred::ShipLog(then) => self.ship_heads(ctx, then),",
+        replacement: "Deferred::ShipLog(then @ Durable::Claim { .. }) => {\n                    self.durable(ctx, then);\n                    self.ship_heads(ctx, Durable::FreeVictims(Vec::new()));\n                }\n                Deferred::ShipLog(then) => self.ship_heads(ctx, then),",
+        killer: ("tests/recovery.rs", "a_recovery_master_crash_after_answering_loses_no_record"),
+        promise: "a recovery master claims the tablet and answers only once its replayed log is durable", decided: "§3.7" },
 ];
 
 fn read(path: &str) -> String {

@@ -9,9 +9,10 @@
 
 mod common;
 
-use rocksteady_cluster::scenarios::live_migration;
-use rocksteady_cluster::{Cluster, ClusterBuilder};
-use rocksteady_common::MILLISECOND;
+use rocksteady_cluster::scenarios::{live_migration, preload_tablets, TABLE};
+use rocksteady_cluster::{Cluster, ClusterBuilder, ClusterConfig};
+use rocksteady_common::{ServerId, MILLISECOND};
+use rocksteady_workload::YcsbConfig;
 
 /// Runs the standard migration-under-load experiment with the given
 /// instrumentation switches and returns the finished cluster.
@@ -132,4 +133,48 @@ fn tail_blame_chains_are_the_slowest_over_sla_journeys() {
     let cluster = run(3, true, Some(u64::MAX / 2));
     assert_eq!(cluster.tail_blame_chains(3), Some(Vec::new()));
     assert_eq!(run(3, true, None).tail_blame_chains(3), None);
+}
+
+/// A server with no backups answers each write when its service time
+/// ends, and releases the worker held for it right there, inside
+/// `on_worker_done`'s loop over the task's deferred effects. The release
+/// lets `try_assign` start the next task on that worker, and
+/// `service_done` then marks the worker idle under it: one core runs two
+/// tasks at once. The release also charges `worker_busy_ns` a hold
+/// measured from a stale `hold_since`. Two servers, `replicas: 0`, two
+/// workers, a client writing 1 000 keys at 200 k ops/s for 20 ms.
+#[test]
+#[ignore = "ROADMAP item 18: an empty ship_heads plan releases the worker inside \
+            on_worker_done, and the next task runs on a core marked idle"]
+fn a_worker_never_runs_two_tasks_at_once() {
+    let cfg = ClusterConfig {
+        servers: 2,
+        workers: 2,
+        replicas: 0,
+        profiling: true,
+        ..common::test_config()
+    };
+    let mut b = ClusterBuilder::new(cfg);
+    let mut ycsb = YcsbConfig::ycsb_b(b.directory(), TABLE, 1_000, 200_000.0);
+    ycsb.read_fraction = 0.0;
+    b.add_ycsb(ycsb);
+    let mut cluster = b.build();
+    preload_tablets(&mut cluster, &[ServerId(0)], 1_000, 100);
+    let run = 20 * MILLISECOND;
+    cluster.run_until(run);
+    cluster.finalize_profile();
+    let busy = cluster.server_stats[&ServerId(0)].worker_busy_ns.get();
+    assert!(
+        busy <= 2 * run,
+        "two workers were busy {busy} ns in {run} ns"
+    );
+    for core in cluster.profiler.cores().iter().filter(|c| c.core > 0) {
+        assert_eq!(
+            core.overcommit_ns,
+            0,
+            "server{} worker {} was double-booked",
+            core.server,
+            core.core - 1
+        );
+    }
 }

@@ -2,17 +2,17 @@
 //!
 //! The owner of a 10⁵-record tablet dies with clients writing; the
 //! coordinator hands the tablet to a recovery master, which fetches the
-//! dead owner's segments from its backups, replays them, answers
-//! `RecoverTabletOk` and only then ships what it replayed to backups of
-//! its own. Every record and every acknowledged write must read back.
+//! dead owner's segments from every live server and replays them. Its
+//! answer rides the durable-write path: the replay task holds its worker
+//! and ships the replayed log to backups of its own, and only once they
+//! acked does the tablet turn `Owner` and `RecoverTabletOk` leave. Every
+//! record and every acknowledged write must read back.
 //!
-//! The second case kills the recovery master in the window that order
-//! opens: after its answer, before any backup holds a byte of its log.
-//! The window exists only while no client writes to the recovery
-//! master. The tablet turns `Owner` when the replay task starts, not
-//! when its service time ends, so with writers each write's shipment
-//! carries the replayed bytes along and the backups hold the whole log
-//! by the time the answer leaves; the second case's clients only read.
+//! The second case kills the recovery master one nanosecond after its
+//! answer left. Its backups hold its whole log by then, so the next
+//! recovery master finds every record there. Its clients only read, so
+//! no write's shipment carries the replayed bytes along: the recovery
+//! ships them itself.
 
 mod common;
 
@@ -38,12 +38,10 @@ fn kill(server: ServerId) -> ControlCmd {
 
 /// Four servers, the whole table one tablet on server 0, a client whose
 /// operations are reads at `read_fraction`, server 0 killed at
-/// [`OWNER_DIES`] and `then` killed too, if given. Traced, so a run can
-/// find when a recovery master answered.
+/// [`OWNER_DIES`] and `then` killed too, if given.
 fn owner_crash(read_fraction: f64, then: Option<(Nanos, ServerId)>) -> Cluster {
     let cfg = ClusterConfig {
         servers: 4,
-        tracing: true,
         ..test_config()
     };
     let mut b = ClusterBuilder::new(cfg);
@@ -60,29 +58,25 @@ fn owner_crash(read_fraction: f64, then: Option<(Nanos, ServerId)>) -> Cluster {
 }
 
 /// The recovery master the coordinator planned for the dead owner's
-/// tablet, and when it answered `RecoverTabletOk`: the end of its
-/// `recovery-replay` task, whose deferred sends leave then.
+/// tablet, and when it answered `RecoverTabletOk`: its `NodeClaim`, which
+/// is stamped in the step that sends the answer.
 fn recovery_answer(cluster: &Cluster) -> (ServerId, Nanos) {
-    let planned = cluster.audit.with_events(|events| {
-        events.iter().find_map(|e| match e.kind {
+    let answer = cluster.audit.with_events(|events| {
+        let master = events.iter().find_map(|e| match e.kind {
             AuditKind::RecoveryPlanned {
                 recovery_master, ..
             } => Some(recovery_master),
             _ => None,
-        })
+        })?;
+        let claimed = events.iter().find_map(|e| match e.kind {
+            AuditKind::NodeClaim { server, .. } if server == master => Some(e.at),
+            _ => None,
+        })?;
+        Some((master, claimed))
     });
-    let master = planned.flatten().expect("no recovery was planned");
-    let pid = cluster.dir.actor_of(master) as u64;
-    let answered = cluster.trace.with_events(|events| {
-        let replay = events
-            .iter()
-            .filter(|e| e.name == "recovery-replay" && e.pid == pid);
-        replay.map(|e| e.ts + e.dur).min()
-    });
-    (
-        master,
-        answered.expect("the recovery master never replayed"),
-    )
+    answer
+        .flatten()
+        .expect("no recovery master claimed the tablet")
 }
 
 /// The tablet's owner after `cluster` ran: not one of `dead`.
@@ -110,14 +104,10 @@ fn an_owner_crash_loses_no_acknowledged_write() {
 
 /// The recovery master dies one nanosecond after its `RecoverTabletOk`
 /// left, found from a first run of the same schedule (the second kill
-/// leaves everything before it as it was; the test checks). At that
-/// instant no backup holds a byte of its log: every record it replayed
-/// lives in its memory alone. Today the next recovery master replays
-/// the dead one's backups, which are empty, and claims the tablet with
-/// none of its 10⁵ records: the failing-first test of ROADMAP gap 1 (a).
+/// leaves everything before it as it was; the test checks). Every backup
+/// of it that is alive holds its whole log at that instant, so the next
+/// recovery master replays all 10⁵ records from them.
 #[test]
-#[ignore = "ROADMAP item 1 (a): RecoverTabletOk is answered before the replayed log is durable; \
-            this crash loses every record of the tablet"]
 fn a_recovery_master_crash_after_answering_loses_no_record() {
     let (master, answered) = {
         let mut first = owner_crash(1.0, None);
@@ -128,11 +118,17 @@ fn a_recovery_master_crash_after_answering_loses_no_record() {
     let mut cluster = owner_crash(1.0, Some((dies, master)));
     cluster.run_until(dies);
     assert_eq!(recovery_answer(&cluster), (master, answered));
-    for backup in (1..4).map(ServerId).filter(|s| *s != master) {
+    let log: u64 = {
+        let segments = cluster.node(master).master.log.segments_snapshot();
+        segments.iter().map(|s| s.committed() as u64).sum()
+    };
+    assert!(log > 0, "the recovery master replayed nothing");
+    let backups = cluster.backups_of[&master].clone();
+    for backup in backups.into_iter().filter(|b| *b != ServerId(0)) {
         let held = cluster.node(backup).backup.bytes_for(master);
         assert_eq!(
-            held, 0,
-            "{backup:?} already holds the recovery master's log"
+            held, log,
+            "{backup:?} holds {held} of the recovery master's {log} log bytes"
         );
     }
     cluster.run_until(RUN);
