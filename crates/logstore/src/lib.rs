@@ -38,5 +38,5 @@ pub use entry::{EntryKind, EntryView, OwnedEntry, ENTRY_HEADER_BYTES};
 pub use log::{
     EntrySlices, Joined, Log, LogConfig, LogError, LogRef, LogStats, LogView, MAX_SEGMENT_BYTES,
 };
-pub use segment::Segment;
+pub use segment::{Segment, SegmentIter};
 pub use sidelog::{SideLog, SideLogAppender};

@@ -607,6 +607,22 @@ pub struct EntrySlices {
     pub value: Bytes,
 }
 
+impl EntrySlices {
+    /// `view`, parsed at `offset` of `window`, as slices of `window`.
+    pub fn of(window: &Bytes, offset: u32, view: &EntryView<'_>) -> Self {
+        let key = offset as usize + ENTRY_HEADER_BYTES;
+        let value = key + view.key.len();
+        EntrySlices {
+            kind: view.kind,
+            table_id: view.table_id,
+            key_hash: view.key_hash,
+            version: view.version,
+            key: window.slice(key..value),
+            value: window.slice(value..value + view.value.len()),
+        }
+    }
+}
+
 /// The log's segment table under its read lock: resolves [`LogRef`]s to
 /// [`EntrySlices`] out of the windows the log holds, taking the lock once
 /// for the whole run instead of once per record. Each resolve costs a
@@ -648,23 +664,8 @@ impl LogView<'_> {
 
 /// The entry at `offset` in `window` as slices of it, if one starts there.
 fn decode(window: &Bytes, offset: u32) -> Option<EntrySlices> {
-    let buf = window.as_slice();
-    let off = offset as usize;
-    if off >= buf.len() {
-        return None;
-    }
-    let (view, _) = entry::parse_trusted(&buf[off..]).ok()?;
-    let key_start = off + ENTRY_HEADER_BYTES;
-    let value_start = key_start + view.key.len();
-    let value_end = value_start + view.value.len();
-    Some(EntrySlices {
-        kind: view.kind,
-        table_id: view.table_id,
-        key_hash: view.key_hash,
-        version: view.version,
-        key: window.slice(key_start..value_start),
-        value: window.slice(value_start..value_end),
-    })
+    let (view, _) = entry::parse_trusted(window.get(offset as usize..)?).ok()?;
+    Some(EntrySlices::of(window, offset, &view))
 }
 
 impl std::fmt::Debug for Log {

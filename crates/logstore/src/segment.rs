@@ -361,13 +361,10 @@ impl Segment {
     /// Iterates all committed entries in append order as
     /// `(offset, EntryView)` pairs.
     ///
-    /// Used by the baseline migration's log scan (§2.3), the cleaner, and
-    /// crash recovery.
+    /// Used by the baseline migration's log scan (§2.3) and the cleaner;
+    /// crash recovery walks fetched images with [`SegmentIter::new`].
     pub fn iter_entries(&self) -> SegmentIter<'_> {
-        SegmentIter {
-            bytes: self.committed_bytes(),
-            offset: 0,
-        }
+        SegmentIter::new(self.committed_bytes())
     }
 }
 
@@ -394,29 +391,31 @@ impl std::fmt::Debug for Segment {
     }
 }
 
-/// Iterator over a segment's committed entries.
+/// Iterator over a segment's committed entries, each checked as it is
+/// parsed: a torn or corrupt entry ends the walk.
 pub struct SegmentIter<'a> {
     bytes: &'a [u8],
     offset: usize,
+}
+
+impl<'a> SegmentIter<'a> {
+    /// Walks `bytes`, a segment's committed region or an image of one
+    /// fetched from a backup (crash recovery).
+    pub fn new(bytes: &'a [u8]) -> Self {
+        SegmentIter { bytes, offset: 0 }
+    }
 }
 
 impl<'a> Iterator for SegmentIter<'a> {
     type Item = (u32, EntryView<'a>);
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.offset >= self.bytes.len() {
-            return None;
-        }
-        match entry::parse(&self.bytes[self.offset..]) {
-            Ok((view, len)) => {
-                let at = self.offset as u32;
-                self.offset += len;
-                Some((at, view))
-            }
-            // A parse failure means we walked off the end of the valid
-            // entries (or hit corruption); either way iteration stops.
-            Err(_) => None,
-        }
+        // A parse failure means we walked off the end of the valid
+        // entries (or hit corruption); either way iteration stops.
+        let (view, len) = entry::parse(self.bytes.get(self.offset..)?).ok()?;
+        let at = self.offset as u32;
+        self.offset += len;
+        Some((at, view))
     }
 }
 

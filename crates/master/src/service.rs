@@ -82,8 +82,9 @@ pub enum ReplayDest<'a> {
 /// constant, not a tuning knob.
 const REPLAY_LOOKAHEAD: usize = 8;
 
-/// The wire record of a log entry; key and value alias the log.
-fn record_of(table: TableId, e: EntrySlices) -> Record {
+/// The wire record of a log entry; key and value alias the log (or
+/// the segment image it was read from).
+pub fn record_of(table: TableId, e: EntrySlices) -> Record {
     Record {
         table,
         key_hash: e.key_hash,

@@ -31,12 +31,13 @@
 //!   *assigned* to a worker; its outputs (responses, follow-up RPCs) are
 //!   released when the modeled service time elapses. State is therefore
 //!   never stale by more than one service time (≤ a few µs).
-//! - A durable write, or a recovery master's answer, which rides the
-//!   same path, may be acknowledged while a covering replication chunk
-//!   that *another* call planned (a concurrent write's or recovery's) is
-//!   still in flight. This is not harmless: if a backup crashes in that
-//!   window, the acknowledged bytes are lost, which §3.4 rules out
-//!   (durability gap 1 (a) in ROADMAP.md).
+//! - A durable write may be acknowledged while a covering replication
+//!   chunk that *another* write planned is still in flight. This is not
+//!   harmless: if a backup crashes in that window, the acknowledged
+//!   bytes are lost, which §3.4 rules out (durability gap 1 (a) in
+//!   ROADMAP.md). A recovery master's answer waits only on chunks it
+//!   planned itself: it commits the side logs holding what it replayed
+//!   and plans their shipment in one step.
 //! - A backup's death counts as an ack for every chunk in flight to it,
 //!   so a write held for R acks can be answered on fewer, and its
 //!   segments stay at R−1 replicas (gap 1 (c)).

@@ -8,6 +8,8 @@
 //! routing: requests to handlers, responses to the state they complete,
 //! manager actions to messages.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 use rocksteady::{
     Action, BaselineAction, BaselineMigration, MigrationManager, MissOutcome, ReplayBatch,
@@ -16,17 +18,17 @@ use rocksteady::{
 use rocksteady_audit::AuditSink;
 use rocksteady_backup::BackupService;
 use rocksteady_common::{
-    CausalCtx, FxHashMap, KeyHash, MigrationId, Nanos, RpcId, ServerId, TableId,
+    CausalCtx, CostModel, FxHashMap, KeyHash, MigrationId, Nanos, RpcId, ServerId, TableId,
 };
 use rocksteady_logstore::SideLog;
 use rocksteady_master::{MasterService, OpError, ReplayDest, TabletRole, Work};
 use rocksteady_profiler::Profiler;
-use rocksteady_proto::msg::{BaselineOpts, SegmentImage};
+use rocksteady_proto::msg::BaselineOpts;
 use rocksteady_proto::{Body, Envelope, Priority, Record, Request, Response, Status};
 use rocksteady_simnet::{Actor, ActorId, Ctx, Event};
 use rocksteady_trace::Tracer;
 
-use crate::recovery::RecoveryRun;
+use crate::recovery::{RecoveryRun, Step};
 use crate::repl::{ChunkSend, Durable, ReplManager, Scope};
 use crate::rpc::{Pending, RpcTable, SyncWait};
 use crate::sched::{Deferred, Inbound, Placement, Quantum, ReplyTo, Sched, Task};
@@ -366,13 +368,10 @@ impl ServerNode {
                     let dst = self.dir.actor_of(*backup);
                     self.call(ctx, dst, Pending::FetchSegments { recovery }, req);
                 }
-                let run = RecoveryRun::new(table, range, (src, rpc), backups.len());
-                let ready = run.ready();
+                let workers = self.cfg.workers;
+                let run = RecoveryRun::new(table, range, (src, rpc), backups.len(), workers);
                 self.recoveries.insert(recovery, run);
-                if ready {
-                    self.sched
-                        .enqueue(Priority::Replay, Task::RecoveryReplay { recovery });
-                }
+                self.recover(ctx, recovery, RecoveryRun::next);
             }
             Request::NotifyServerDown { server } => {
                 self.on_server_down(ctx, server);
@@ -460,7 +459,7 @@ impl ServerNode {
                 }
             }
             (Pending::FetchSegments { recovery }, Response::SegmentsOk { segments }) => {
-                self.fetched(ctx, recovery, segments);
+                self.recover(ctx, recovery, |run| run.on_segments(segments));
             }
             // Error responses on protocol RPCs: drop the related state
             // rather than wedging (e.g. source died mid-migration; the
@@ -516,7 +515,9 @@ impl ServerNode {
                 service_ns
             }
             Task::BaselineStep => self.exec_baseline_step(now, worker),
-            Task::RecoveryReplay { recovery } => self.exec_recovery_replay(worker, recovery),
+            Task::RecoveryBatch { recovery, image } => {
+                self.exec_recovery_batch(worker, recovery, image)
+            }
             Task::CleanerPass => self.exec_cleaner_pass(ctx),
         };
         self.start_service(ctx, worker, service_ns);
@@ -547,10 +548,11 @@ impl ServerNode {
                     }
                     migration_event = true;
                 }
+                Deferred::RecoveryBatch(id) => self.recover(ctx, id, RecoveryRun::batch_done),
                 Deferred::BaselineContinue => {
                     self.sched.enqueue(Priority::Background, Task::BaselineStep);
                 }
-                Deferred::ShipLog(then) => self.ship_heads(ctx, then),
+                Deferred::ShipLog(then) => self.ship(ctx, &[Scope::Heads], then),
             }
         }
         self.sched.service_done(worker, now);
@@ -578,17 +580,13 @@ impl ServerNode {
 
     /// The durable path (§2: 15 µs writes): ship the log delta when the
     /// service time elapses and hold `worker` until the replicas ack,
-    /// then do what `then` says (answer, release `worker`).
-    fn hold_for_replication(&mut self, worker: usize, then: Durable) {
-        let w = &mut self.sched.workers[worker];
-        w.held = true;
-        w.deferred.push(Deferred::ShipLog(then));
-    }
-
-    /// [`Self::hold_for_replication`], then answer `resp` to `to`.
+    /// then answer `resp` to `to` and release `worker`.
     fn respond_durable(&mut self, worker: usize, to: ReplyTo, resp: Response) {
         let respond = (to.src, to.rpc, resp);
-        self.hold_for_replication(worker, Durable::Respond { worker, respond });
+        let w = &mut self.sched.workers[worker];
+        w.held = true;
+        w.deferred
+            .push(Deferred::ShipLog(Durable::Respond { worker, respond }));
     }
 
     // ------------------------------------------------------- replication --
@@ -600,10 +598,15 @@ impl ServerNode {
         self.repl.plan(scope, now, log, backups, cost)
     }
 
-    /// Ships the head's not-yet-replicated bytes on the foreground lane;
-    /// an ack group does what `then` says once every chunk is acked.
-    fn ship_heads(&mut self, ctx: &mut Ctx<'_, Envelope>, then: Durable) {
-        let sends = self.plan(Scope::Heads, ctx.now());
+    /// Ships what `scopes` (one or more, planned in turn) cover of the
+    /// log and the backups lack, each on its lane; an ack group does
+    /// what `then` says once every chunk is acked.
+    fn ship(&mut self, ctx: &mut Ctx<'_, Envelope>, scopes: &[Scope], then: Durable) {
+        let now = ctx.now();
+        let mut sends = self.plan(scopes[0], now);
+        for scope in &scopes[1..] {
+            sends.extend(self.plan(*scope, now));
+        }
         if sends.is_empty() {
             // Nothing to ship (no backups, or a chunk another call
             // planned already covers these bytes): durable now. When
@@ -697,35 +700,27 @@ impl ServerNode {
     /// What a shipment waited on is durable: do what `then` says.
     fn durable(&mut self, ctx: &mut Ctx<'_, Envelope>, then: Durable) {
         match then {
-            Durable::Respond { worker, respond } => self.finish_wait(ctx, worker, respond),
-            Durable::Claim {
+            Durable::Respond {
                 worker,
-                respond,
-                table,
-                range,
+                respond: (client, rpc, resp),
             } => {
+                self.respond(ctx, client, rpc, resp, CausalCtx::NONE);
+                self.release_worker(ctx, worker);
+            }
+            Durable::Claim(run) => {
                 // The replay raised the version floor above everything
                 // the dead participant acknowledged; clients may come
                 // back now.
+                let (table, range) = (run.table, run.range);
                 self.master.set_tablet_role(table, range, TabletRole::Owner);
                 let floor = self.master.version_ceiling();
                 self.tel.recovered(ctx.now(), table, range, floor);
-                self.finish_wait(ctx, worker, respond);
+                let ((coordinator, rpc), replayed) = (run.coordinator_rpc, run.replayed);
+                let resp = Response::RecoverTabletOk { replayed };
+                self.respond(ctx, coordinator, rpc, resp, CausalCtx::NONE);
             }
             Durable::FreeVictims(victims) => self.free_victims(ctx, 0, &victims),
         }
-    }
-
-    /// A replication wait is over: answers the client and frees the
-    /// worker that was held for it.
-    fn finish_wait(
-        &mut self,
-        ctx: &mut Ctx<'_, Envelope>,
-        worker: usize,
-        (client, rpc, resp): (ActorId, RpcId, Response),
-    ) {
-        self.respond(ctx, client, rpc, resp, CausalCtx::NONE);
-        self.release_worker(ctx, worker);
     }
 
     // ------------------------------------------------------ RPC execution --
@@ -883,10 +878,7 @@ impl ServerNode {
                 let mut service = m.op_fixed_ns;
                 self.count_gathered(&records);
                 if replay {
-                    for rec in &records {
-                        service += m.replay_record_ns(rec.wire_size());
-                    }
-                    self.replay_into_main_log(ctx.now(), &records);
+                    service += self.replay_into_main_log(ctx.now(), &records);
                 }
                 if replay && rereplicate {
                     self.respond_durable(worker, to, Response::PushRecordsOk);
@@ -947,16 +939,19 @@ impl ServerNode {
         }
     }
 
-    /// Replays `records` straight into the main log (baseline pushes and
-    /// synchronous PriorityPulls; Rocksteady's own replay goes to side
-    /// logs).
-    fn replay_into_main_log(&mut self, now: Nanos, records: &[Record]) {
+    /// Replays `records` straight into the main log and returns the
+    /// worker time that takes: baseline pushes and synchronous
+    /// PriorityPulls. Migration and crash recovery replay into side logs
+    /// ([`replay_into_side`]); this is the one main-log replay (rule
+    /// `one_main_log_replay`).
+    fn replay_into_main_log(&mut self, now: Nanos, records: &[Record]) -> Nanos {
         let mut work = Work::default();
         let replayed = self
             .master
             .replay_batch(records, ReplayDest::MainLog, &mut work);
         self.stats.records_replayed.add(replayed as u64);
         self.tel.version_floor(now, self.master.version_ceiling());
+        replay_ns(&self.cfg.cost, records)
     }
 
     /// A read found its record not yet migrated (§3.3). Returns the
@@ -1036,12 +1031,7 @@ impl ServerNode {
         wait: SyncWait,
         records: Vec<Record>,
     ) {
-        let m = &self.cfg.cost;
-        let service: Nanos = records
-            .iter()
-            .map(|rec| m.replay_record_ns(rec.wire_size()))
-            .sum();
-        self.replay_into_main_log(ctx.now(), &records);
+        let service = self.replay_into_main_log(ctx.now(), &records);
         // The worker was blocked the whole round trip; charge the replay
         // on top.
         self.stats.worker_busy_ns.add(service);
@@ -1145,15 +1135,11 @@ impl ServerNode {
                     // The batch is issued on behalf of the reads waiting
                     // on its hashes; the first hash (batch order) with a
                     // recorded context represents the batch so the
-                    // source-side span joins that read's journey.
-                    let mut pp_ctx = CausalCtx::NONE;
-                    for h in &hashes {
-                        if let Some(c) = run.pp_ctx.remove(h) {
-                            if !pp_ctx.trace_id.is_some() {
-                                pp_ctx = c;
-                            }
-                        }
-                    }
+                    // source-side span joins that read's journey. Every
+                    // hash's context is dropped either way.
+                    let asked = hashes.iter().filter_map(|h| run.pp_ctx.remove(h));
+                    let first = asked.fold(None, |first, c| first.or(Some(c)));
+                    let pp_ctx = first.unwrap_or(CausalCtx::NONE);
                     let req = Request::PriorityPull {
                         table,
                         hashes: hashes.clone(),
@@ -1189,24 +1175,10 @@ impl ServerNode {
             .iter_mut()
             .find(|r| r.id == id)
             .expect("replay for a live run");
-        // Each worker replays into its own per-run side log: zero
-        // contention (§3.1.3), and overlapping runs never mix side
-        // segments.
-        let side = run.sidelogs[worker]
-            .get_or_insert_with(|| SideLog::new(std::sync::Arc::clone(&self.master.log)));
-        let m = &self.cfg.cost;
-        let service: Nanos = batch
-            .records
-            .iter()
-            .map(|rec| m.replay_record_ns(rec.wire_size()))
-            .sum();
-        // One replay_batch call = one side-log lock acquisition for the
-        // whole Pull response.
-        let mut work = Work::default();
-        let received = batch.records.len() as u64;
-        let replayed =
-            self.master
-                .replay_batch(&batch.records, ReplayDest::Side(side), &mut work) as u64;
+        let (master, cost, records) = (&mut self.master, &self.cfg.cost, &batch.records);
+        let (replayed, service) =
+            replay_into_side(master, cost, &mut run.sidelogs, worker, records);
+        let received = records.len() as u64;
         self.stats.records_replayed.add(replayed);
         self.stats.migration_replayed(id, received, replayed);
         // replay_batch raised the floor above every version it saw.
@@ -1217,18 +1189,31 @@ impl ServerNode {
         service.max(1)
     }
 
-    /// Commits `run`'s side logs — only its own, concurrent runs' stay
+    /// Commits a run's side logs — only its own, concurrent runs' stay
     /// open — into the main log (§3.1.3) and returns how many there were.
-    /// The adopted segments re-replicate lazily on the bulk lane (§3.4);
-    /// the commit records naming them are head bytes, and leave with the
-    /// next foreground shipment.
-    fn hand_over_sidelogs(&mut self, ctx: &mut Ctx<'_, Envelope>, run: &mut MigrationRun) -> u64 {
+    /// The adopted segments re-replicate on the bulk lane (§3.4). A
+    /// migration's leave lazily, and the commit records naming them are
+    /// head bytes that leave with the next foreground shipment. A
+    /// recovery's `claim` waits on both: the heads and the adopted
+    /// segments ship under one ack group.
+    fn hand_over_sidelogs(
+        &mut self,
+        ctx: &mut Ctx<'_, Envelope>,
+        sidelogs: &mut [Option<SideLog>],
+        claim: Option<Durable>,
+    ) -> u64 {
         let mut committed = 0;
-        for side in run.sidelogs.iter_mut().filter_map(Option::take) {
+        for side in sidelogs.iter_mut().filter_map(Option::take) {
             side.commit().expect("side log commit");
             committed += 1;
         }
-        self.ship_adopted(ctx, ctx.now(), Vec::new());
+        let adopted = Scope::Adopted {
+            not_before: ctx.now(),
+        };
+        match claim {
+            None => self.ship_adopted(ctx, ctx.now(), Vec::new()),
+            Some(then) => self.ship(ctx, &[Scope::Heads, adopted], then),
+        }
         committed
     }
 
@@ -1248,7 +1233,7 @@ impl ServerNode {
             return;
         };
         let mut run = self.migrations.remove(idx);
-        self.hand_over_sidelogs(ctx, &mut run);
+        self.hand_over_sidelogs(ctx, &mut run.sidelogs, None);
         // A rejected run never registered ownership anywhere but locally
         // (the coordinator said no before the flip): drop the provisional
         // tablet so this master stops claiming hashes it will never
@@ -1276,7 +1261,7 @@ impl ServerNode {
             return;
         };
         let mut run = self.migrations.remove(idx);
-        let sidelogs = self.hand_over_sidelogs(ctx, &mut run);
+        let sidelogs = self.hand_over_sidelogs(ctx, &mut run.sidelogs, None);
         // Become a plain owner.
         let mgr = &run.mgr;
         self.master
@@ -1353,47 +1338,49 @@ impl ServerNode {
 
     // ---------------------------------------------------------- recovery --
 
-    /// A fetch of recovery run `recovery` was answered, or lost with its
-    /// server (`segments` empty): once none is pending, the replay is
-    /// queued.
-    fn fetched(&mut self, ctx: &mut Ctx<'_, Envelope>, recovery: u64, segments: Vec<SegmentImage>) {
+    /// Hands `input` to recovery run `recovery` and does what the run
+    /// asks next: queue its replay batches for any idle worker (§3.1.3),
+    /// or hand its side logs over and claim once they and the log heads
+    /// are on the backups.
+    fn recover(
+        &mut self,
+        ctx: &mut Ctx<'_, Envelope>,
+        recovery: u64,
+        input: impl FnOnce(&mut RecoveryRun) -> Step,
+    ) {
         let Some(run) = self.recoveries.get_mut(&recovery) else {
             return;
         };
-        run.on_segments(segments);
-        if run.ready() {
-            self.sched
-                .enqueue(Priority::Replay, Task::RecoveryReplay { recovery });
-            self.try_assign(ctx);
+        match input(run) {
+            Step::Wait => {}
+            Step::Replay(images) => {
+                for image in images {
+                    let batch = Task::RecoveryBatch { recovery, image };
+                    self.sched.enqueue(Priority::Replay, batch);
+                }
+                self.try_assign(ctx);
+            }
+            Step::Claim => {
+                let mut run = self.recoveries.remove(&recovery).expect("found above");
+                let mut sidelogs = std::mem::take(&mut run.sidelogs);
+                self.hand_over_sidelogs(ctx, &mut sidelogs, Some(Durable::Claim(Box::new(run))));
+            }
         }
     }
 
-    /// Replays the fetched images into the main log. The answer rides
-    /// the durable-write path: the tablet is claimed and the coordinator
-    /// answered once the replayed log is on the backups.
-    fn exec_recovery_replay(&mut self, worker: usize, recovery: u64) -> Nanos {
+    /// Replays the recovering range's records in `image` into `worker`'s
+    /// side log of recovery run `recovery`.
+    fn exec_recovery_batch(&mut self, worker: usize, recovery: u64, image: Bytes) -> Nanos {
         let m = &self.cfg.cost;
-        let Some(run) = self.recoveries.remove(&recovery) else {
-            return m.op_fixed_ns;
-        };
-        let replay = run.replay(m);
-        let mut work = Work::default();
-        let replayed =
-            self.master
-                .replay_batch(&replay.records, ReplayDest::MainLog, &mut work) as u64;
-        let service = m.op_fixed_ns
-            + replay.replay_ns
-            + (replay.scanned_entries + work.scanned_entries) * m.log_scan_per_entry_ns;
+        let run = self.recoveries.get_mut(&recovery).expect("a live run");
+        let (records, scanned) = run.walk(&image);
+        let (replayed, replay_ns) =
+            replay_into_side(&mut self.master, m, &mut run.sidelogs, worker, &records);
+        run.replayed += replayed;
         self.stats.recovery_replayed.add(replayed);
-        let (dst, rpc) = run.coordinator_rpc;
-        let claim = Durable::Claim {
-            worker,
-            respond: (dst, rpc, Response::RecoverTabletOk { replayed }),
-            table: run.table,
-            range: run.range,
-        };
-        self.hold_for_replication(worker, claim);
-        service
+        let done = Deferred::RecoveryBatch(recovery);
+        self.sched.workers[worker].deferred.push(done);
+        m.op_fixed_ns + replay_ns + scanned * m.log_scan_per_entry_ns
     }
 
     fn exec_cleaner_pass(&mut self, ctx: &mut Ctx<'_, Envelope>) -> Nanos {
@@ -1444,7 +1431,7 @@ impl ServerNode {
                 Pending::FetchSegments { recovery } => {
                     let n = self.stats.recovery_fetch_gaps.inc();
                     self.tel.fetch_gap(ctx.now(), n);
-                    self.fetched(ctx, recovery, Vec::new());
+                    self.recover(ctx, recovery, |run| run.on_segments(Vec::new()));
                 }
                 // Runs whose source died are swept below, RPC in flight
                 // or not; nobody waits on the rest.
@@ -1469,6 +1456,32 @@ impl ServerNode {
             self.abandon_migration(ctx, id, AbandonReason::SourceDied);
         }
     }
+}
+
+/// Replays `records` into `worker`'s side log of a run's `sidelogs`,
+/// opened on first use. Returns how many were news, and the worker time
+/// the replay takes. Each worker has its own per-run side log: zero
+/// contention (§3.1.3), and runs never mix side segments. One
+/// `replay_batch` call takes the side log's lock once for the batch.
+fn replay_into_side(
+    master: &mut MasterService,
+    cost: &CostModel,
+    sidelogs: &mut [Option<SideLog>],
+    worker: usize,
+    records: &[Record],
+) -> (u64, Nanos) {
+    let side = sidelogs[worker].get_or_insert_with(|| SideLog::new(Arc::clone(&master.log)));
+    let mut work = Work::default();
+    let replayed = master.replay_batch(records, ReplayDest::Side(side), &mut work);
+    (replayed as u64, replay_ns(cost, records))
+}
+
+/// Worker time to replay `records`.
+fn replay_ns(cost: &CostModel, records: &[Record]) -> Nanos {
+    records
+        .iter()
+        .map(|r| cost.replay_record_ns(r.wire_size()))
+        .sum()
 }
 
 impl Actor<Envelope> for ServerNode {

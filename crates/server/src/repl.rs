@@ -2,24 +2,28 @@
 //! two lanes, plus the ack groups that wait on its shipments.
 //!
 //! The lane is a property of the *segment*, and a segment never changes
-//! lane. Head bytes — client writes, recovery and baseline replay, and
-//! the commit records of side logs — ride the foreground lane; adopted
-//! segments — migration side logs (§3.4's lazy re-replication), cleaner
-//! survivors — ride the bulk lane. Bulk chunks queue behind both lanes,
-//! foreground chunks only behind their own, so bulk bytes never sit
-//! inside a client write's ack group, and each segment's chunks leave in
-//! offset order, as a backup's append check needs. The manager keeps
-//! the segments that still have unshipped bytes instead of re-deriving
-//! them from the whole log on every write; it decides *what* leaves
-//! *when*, the shell allocates the RPCs and sends.
+//! lane. Head bytes — client writes, baseline replay, and the commit
+//! records of side logs — ride the foreground lane; adopted segments —
+//! the side logs of migration and crash-recovery replay (§3.4's lazy
+//! re-replication), cleaner survivors — ride the bulk lane. Bulk chunks
+//! queue behind both lanes, foreground chunks only behind their own, so
+//! bulk bytes never sit inside a client write's ack group; a recovery
+//! master's answer waits on both, as its recovered bytes are adopted.
+//! Each segment's chunks leave in offset order, as a backup's append
+//! check needs. The manager keeps the segments that still have unshipped
+//! bytes instead of re-deriving them from the whole log on every write;
+//! it decides *what* leaves *when*, the shell allocates the RPCs and
+//! sends.
 
 use std::sync::Arc;
 
 use bytes::Bytes;
-use rocksteady_common::{CostModel, FxHashMap, HashRange, Nanos, RpcId, TableId};
+use rocksteady_common::{CostModel, FxHashMap, Nanos, RpcId};
 use rocksteady_logstore::{Log, Segment};
 use rocksteady_proto::{Envelope, Response};
 use rocksteady_simnet::ActorId;
+
+use crate::recovery::RecoveryRun;
 
 /// Cap on chunk size, so bulk re-replication interleaves with foreground
 /// responses on the NIC instead of hogging it with whole-segment
@@ -40,7 +44,6 @@ pub(crate) struct ChunkSend {
 }
 
 /// What the last ack of a group sets off.
-#[derive(Debug)]
 pub(crate) enum Durable {
     /// A client's bytes are durable: answer it and release the worker
     /// held for it.
@@ -48,14 +51,11 @@ pub(crate) enum Durable {
         worker: usize,
         respond: (ActorId, RpcId, Response),
     },
-    /// A recovery master's replayed log is durable: it owns the tablet
-    /// from now on, and answers the coordinator like a client.
-    Claim {
-        worker: usize,
-        respond: (ActorId, RpcId, Response),
-        table: TableId,
-        range: HashRange,
-    },
+    /// A finished recovery run's committed side logs and the log heads
+    /// are durable: the node owns its tablet from now on, and answers
+    /// the coordinator. No worker waits on it. Boxed, so every group
+    /// stays the size of a write's.
+    Claim(Box<RecoveryRun>),
     /// A cleaner pass's survivors are durable: these victims' replicas
     /// are garbage.
     FreeVictims(Vec<u64>),

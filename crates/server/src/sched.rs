@@ -10,6 +10,7 @@
 
 use std::collections::VecDeque;
 
+use bytes::Bytes;
 use rocksteady_common::{CausalCtx, MigrationId, Nanos, RpcId};
 use rocksteady_proto::msg::PRIORITY_LEVELS;
 use rocksteady_proto::{Envelope, Priority, Request};
@@ -48,10 +49,9 @@ pub(crate) enum Task {
     Rpc { to: ReplyTo, req: Request },
     /// One baseline-migration scan step (source).
     BaselineStep,
-    /// Replay fetched segment images (crash recovery); the key names the
-    /// node's recovery run. Its answer waits for the replayed log to be
-    /// durable, like a write's.
-    RecoveryReplay { recovery: u64 },
+    /// Replay one merged segment image of a crash recovery into this
+    /// worker's side log of the run `recovery` names.
+    RecoveryBatch { recovery: u64, image: Bytes },
     /// One log-cleaner pass (background system task, §2.3).
     CleanerPass,
 }
@@ -61,7 +61,7 @@ impl Task {
     /// waiting on a remote ack (see [`Sched::next_placement`]).
     fn may_hold(&self, sync_reads_hold: bool) -> bool {
         let Task::Rpc { req, .. } = self else {
-            return matches!(self, Task::RecoveryReplay { .. });
+            return false;
         };
         match req {
             Request::Write { .. } | Request::Delete { .. } => true,
@@ -77,12 +77,13 @@ impl Task {
 }
 
 /// Effects released when a worker task's service time elapses.
-#[derive(Debug)]
 pub(crate) enum Deferred {
     /// Plain message send.
     Send(ActorId, Envelope),
     /// Tell the named migration's manager a replay finished.
     ReplayDone(MigrationId, Option<usize>),
+    /// Tell the named recovery run one of its replay batches finished.
+    RecoveryBatch(u64),
     /// Schedule the next baseline scan step.
     BaselineContinue,
     /// Ship un-replicated log bytes to the backups, the worker held,
@@ -91,7 +92,7 @@ pub(crate) enum Deferred {
     ShipLog(Durable),
 }
 
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub(crate) struct Worker {
     pub(crate) busy: bool,
     /// Held past its service time (awaiting replication acks or a
@@ -348,7 +349,6 @@ impl Sched {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use rocksteady_common::TableId;
     use rocksteady_proto::Response;
 
@@ -395,9 +395,6 @@ mod tests {
     #[test]
     fn hold_capable_tasks_never_take_worker_zero() {
         assert_eq!(placed_on(2, false, delete()), Some(1));
-        // A recovery replay holds its worker until its log is durable.
-        let replay = Task::RecoveryReplay { recovery: 1 };
-        assert_eq!(placed_on(2, false, replay), Some(1));
         // A read does not hold, so it may take the reserved core —
         // unless reads block on synchronous PriorityPulls.
         assert_eq!(placed_on(2, false, read()), Some(0));

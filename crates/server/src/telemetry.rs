@@ -220,7 +220,7 @@ impl NodeTelemetry {
                 (req.name(), activity)
             }
             Task::BaselineStep => ("baseline-step", Activity::PullGather),
-            Task::RecoveryReplay { .. } => ("recovery-replay", Activity::Replay),
+            Task::RecoveryBatch { .. } => ("recovery-replay", Activity::Replay),
             Task::CleanerPass => ("cleaner", Activity::Background),
         };
         self.core_ops[worker] = Some(CoreOp {

@@ -86,24 +86,27 @@ const GOLDEN: &[(&str, u64, u64, u64)] = &[
         0xe9db009ec5889dbb,
         28131,
     ),
-    // Schedule, exports and events (73 298 → 74 148) moved when the
-    // recovery master's answer came to ride the durable-write path: the
-    // replay task holds its worker, ships its log, and claims the tablet
-    // and answers once the acks are in, no longer when the task starts.
+    // Schedule, exports and events (74 148 → 74 123) moved when crash
+    // recovery came to replay through the migration target's pipeline:
+    // one batch per fetched segment on any idle worker, into side logs
+    // committed after the last batch, and a claim that waits on the
+    // heads and the adopted segments with no worker held, where one task
+    // had replayed everything into the main log and held its worker.
     (
         "crash/source",
-        0xa35cd24437e71ad3,
-        0x627a68ebcc8809b9,
-        74148,
+        0x0e04706fe0e14e44,
+        0x12c9e45ff1edc4c1,
+        74123,
     ),
-    // Schedule and exports moved for the reason `crash/source` gives:
-    // the source claims the merged range once the replayed tail is
-    // durable, not when its replay task starts.
+    // Schedule, exports and events (72 418 → 72 424) moved for the
+    // reason `crash/source` gives: the source replays the target's log
+    // tail one batch per segment into side logs, and claims the merged
+    // range once those and its heads are durable.
     (
         "crash/target",
-        0x03be7efbab2c365d,
-        0x4c87a9bf96492cd7,
-        72418,
+        0xdd87ca2824fc4daa,
+        0x1328dda5a5065ca8,
+        72424,
     ),
     (
         "baseline/fig5",

@@ -120,10 +120,15 @@ const MUTANTS: &[Mutant] = &[
         killer: ("crates/master/src/service.rs", "committed_side_logs_let_their_originals_go"),
         promise: "a commit's adopted copy takes its own window, so the full-size original leaves with the last response", decided: "§3.5" },
     Mutant { file: NODE,
-        anchor: "Deferred::ShipLog(then) => self.ship_heads(ctx, then),",
-        replacement: "Deferred::ShipLog(then @ Durable::Claim { .. }) => {\n                    self.durable(ctx, then);\n                    self.ship_heads(ctx, Durable::FreeVictims(Vec::new()));\n                }\n                Deferred::ShipLog(then) => self.ship_heads(ctx, then),",
+        anchor: "Some(then) => self.ship(ctx, &[Scope::Heads, adopted], then),",
+        replacement: "Some(then) => {\n                self.durable(ctx, then);\n                self.ship(ctx, &[Scope::Heads, adopted], Durable::FreeVictims(Vec::new()));\n            }",
         killer: ("tests/recovery.rs", "a_recovery_master_crash_after_answering_loses_no_record"),
         promise: "a recovery master claims the tablet and answers only once its replayed log is durable", decided: "§3.7" },
+    Mutant { file: "crates/server/src/recovery.rs",
+        anchor: "self.pending_batches -= 1;",
+        replacement: "self.pending_batches = 0;",
+        killer: ("tests/recovery.rs", "a_recovery_replays_on_several_workers_and_claims_after_the_last_batch"),
+        promise: "a recovery master commits and claims after its last replay batch, not its first", decided: "§3.7" },
 ];
 
 fn read(path: &str) -> String {

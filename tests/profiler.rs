@@ -144,7 +144,7 @@ fn tail_blame_chains_are_the_slowest_over_sla_journeys() {
 /// measured from a stale `hold_since`. Two servers, `replicas: 0`, two
 /// workers, a client writing 1 000 keys at 200 k ops/s for 20 ms.
 #[test]
-#[ignore = "ROADMAP item 18: an empty ship_heads plan releases the worker inside \
+#[ignore = "ROADMAP item 18: a write's empty ship plan releases the worker inside \
             on_worker_done, and the next task runs on a core marked idle"]
 fn a_worker_never_runs_two_tasks_at_once() {
     let cfg = ClusterConfig {

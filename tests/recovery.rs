@@ -2,11 +2,14 @@
 //!
 //! The owner of a 10⁵-record tablet dies with clients writing; the
 //! coordinator hands the tablet to a recovery master, which fetches the
-//! dead owner's segments from every live server and replays them. Its
-//! answer rides the durable-write path: the replay task holds its worker
-//! and ships the replayed log to backups of its own, and only once they
-//! acked does the tablet turn `Owner` and `RecoverTabletOk` leave. Every
-//! record and every acknowledged write must read back.
+//! dead owner's segments from every live server and replays them the way
+//! a migration target does: each fetched segment is one batch, replayed
+//! on whichever worker is idle into that worker's side log. After the
+//! last batch the side logs are committed, and the adopted segments and
+//! the log heads ship to backups of its own under one ack group; only
+//! once they acked does the tablet turn `Owner` and `RecoverTabletOk`
+//! leave. No worker waits for those acks. Every record and every
+//! acknowledged write must read back.
 //!
 //! The second case kills the recovery master one nanosecond after its
 //! answer left. Its backups hold its whole log by then, so the next
@@ -16,11 +19,14 @@
 
 mod common;
 
+use std::collections::BTreeSet;
+
 use common::{answered_writes, assert_read_back, test_config};
 use rocksteady_audit::AuditKind;
 use rocksteady_cluster::scenarios::{preload_tablets, TABLE};
 use rocksteady_cluster::{Cluster, ClusterBuilder, ClusterConfig, ControlCmd};
 use rocksteady_common::{Nanos, ServerId, MILLISECOND, SECOND};
+use rocksteady_trace::{lanes, Phase};
 use rocksteady_workload::YcsbConfig;
 
 const KEYS: u64 = 100_000;
@@ -36,14 +42,18 @@ fn kill(server: ServerId) -> ControlCmd {
     }
 }
 
-/// Four servers, the whole table one tablet on server 0, a client whose
-/// operations are reads at `read_fraction`, server 0 killed at
-/// [`OWNER_DIES`] and `then` killed too, if given.
-fn owner_crash(read_fraction: f64, then: Option<(Nanos, ServerId)>) -> Cluster {
-    let cfg = ClusterConfig {
+/// Four servers of four workers.
+fn four_servers() -> ClusterConfig {
+    ClusterConfig {
         servers: 4,
         ..test_config()
-    };
+    }
+}
+
+/// `cfg`'s cluster, the whole table one tablet on server 0, a client
+/// whose operations are reads at `read_fraction`, server 0 killed at
+/// [`OWNER_DIES`] and `then` killed too, if given.
+fn owner_crash(cfg: ClusterConfig, read_fraction: f64, then: Option<(Nanos, ServerId)>) -> Cluster {
     let mut b = ClusterBuilder::new(cfg);
     let mut ycsb = YcsbConfig::ycsb_b(b.directory(), TABLE, KEYS, 40_000.0);
     ycsb.read_fraction = read_fraction;
@@ -92,7 +102,7 @@ fn live_owner(cluster: &Cluster, dead: &[ServerId]) -> ServerId {
 
 #[test]
 fn an_owner_crash_loses_no_acknowledged_write() {
-    let mut cluster = owner_crash(0.5, None);
+    let mut cluster = owner_crash(four_servers(), 0.5, None);
     cluster.run_until(RUN);
     let (master, answered) = recovery_answer(&cluster);
     assert!(answered > OWNER_DIES);
@@ -110,12 +120,12 @@ fn an_owner_crash_loses_no_acknowledged_write() {
 #[test]
 fn a_recovery_master_crash_after_answering_loses_no_record() {
     let (master, answered) = {
-        let mut first = owner_crash(1.0, None);
+        let mut first = owner_crash(four_servers(), 1.0, None);
         first.run_until(RUN);
         recovery_answer(&first)
     };
     let dies = answered + 1;
-    let mut cluster = owner_crash(1.0, Some((dies, master)));
+    let mut cluster = owner_crash(four_servers(), 1.0, Some((dies, master)));
     cluster.run_until(dies);
     assert_eq!(recovery_answer(&cluster), (master, answered));
     let log: u64 = {
@@ -134,4 +144,37 @@ fn a_recovery_master_crash_after_answering_loses_no_record() {
     cluster.run_until(RUN);
     live_owner(&cluster, &[ServerId(0), master]);
     assert_read_back(&mut cluster, KEYS);
+}
+
+/// The recovery master replays on more than one worker, and claims the
+/// tablet only after the last batch's service ended: every
+/// `recovery-replay` span on its worker lanes closes at or before its
+/// `NodeClaim`.
+#[test]
+fn a_recovery_replays_on_several_workers_and_claims_after_the_last_batch() {
+    let traced = ClusterConfig {
+        tracing: true,
+        ..four_servers()
+    };
+    let mut cluster = owner_crash(traced, 0.5, None);
+    cluster.run_until(RUN);
+    let (master, claimed) = recovery_answer(&cluster);
+    let pid = cluster.dir.actor_of(master) as u64;
+    let spans: Vec<(usize, Nanos)> = cluster.trace.with_events(|events| {
+        let replays =
+            events.filter(|e| e.ph == Phase::Span && e.pid == pid && e.name == "recovery-replay");
+        let worker = |tid| lanes::worker_index(tid).expect("a worker lane");
+        replays.map(|e| (worker(e.tid), e.ts + e.dur)).collect()
+    });
+    let workers: BTreeSet<usize> = spans.iter().map(|(w, _)| *w).collect();
+    assert!(
+        workers.len() >= 2,
+        "recovery replayed on workers {workers:?} only ({} batches)",
+        spans.len()
+    );
+    let last = spans.iter().map(|(_, end)| *end).max().expect("a batch");
+    assert!(
+        last <= claimed,
+        "a batch's service ended at {last} ns, after the claim at {claimed} ns"
+    );
 }

@@ -184,6 +184,19 @@ const RULES: &[Rule] = &[
             grep_method(t, WIRE, "pub trait SimMessage", |l| l.contains("fn ")),
         ].concat(),
         mutant: (WIRE, "pub trait SimMessage: WireSized {}", "pub trait SimMessage: WireSized {\n    fn stamp_sent(&mut self, _now: u64) {}\n}") },
+    Rule { name: "one_main_log_replay", decided: "§3.7",
+        why: "records replay into the main log in replay_into_main_log only (baseline pushes, synchronous \
+            PriorityPulls); migration and crash recovery replay into per-worker side logs",
+        check: |t| {
+            let main_log = |l: &str| any(l, &["ReplayDest::MainLog"]);
+            let sites = grep(t, |p| p == NODE, main_log);
+            match sites.len() {
+                0 => vec![format!("{NODE}:1: lacks ReplayDest::MainLog")],
+                1 if sites == grep_method(t, NODE, "fn replay_into_main_log(", main_log) => vec![],
+                _ => sites,
+            }
+        },
+        mutant: (NODE, "", "fn f(m: &mut MasterService, r: &[Record]) { m.replay_batch(r, ReplayDest::MainLog, &mut Work::default()); }\n") },
 ];
 
 /// A file above its first `#[cfg(test)]` line, `//` comments cut off;
