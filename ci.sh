@@ -30,9 +30,11 @@ run cargo test -q --release --test seed_sweep
 # The hash table's packing bounds are assert!s, not debug_assert!s: its
 # bound and property tests must pass in the build the benchmark measures.
 # So must the log's: a segment's entry count and committed length are
-# written without read-modify-writes by its one locked appender, and its
-# live bytes are committed minus dead; its real-thread tests check that
-# with no overflow checks or debug assertions behind them. The master's
+# written without a lock or a read-modify-write by its one writer handle,
+# and its live bytes are committed minus dead; its real-thread tests
+# (the writer on one thread, readers walking the committed bytes with
+# the checked entry iterator on another) check that with no overflow
+# checks or debug assertions behind them. The master's
 # real-thread test races gathers (one log view per stripe) against
 # appends and side-log commits at release speed.
 run cargo test -q --release -p rocksteady-hashtable -p rocksteady-logstore -p rocksteady-master

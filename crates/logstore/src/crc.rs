@@ -6,6 +6,13 @@
 //! Uses the x86 `crc32` instruction (SSE4.2, detected at runtime) when
 //! available, falling back to a table-driven slice-by-8 implementation
 //! built at compile time. Both compute the identical CRC32C value.
+//!
+//! An entry's checksum covers two discontiguous runs of its bytes: the
+//! header up to the checksum field, then key and value. [`crc32c_of_parts`]
+//! takes both as one stream: the header's tail bytes and the payload's
+//! first bytes go through the instruction as one 8-byte word, so the seam
+//! costs one step instead of one per tail byte, and the value is exactly
+//! [`crc32c`] of the two runs concatenated.
 
 /// The CRC32C (Castagnoli) generator polynomial, reflected.
 const POLY: u32 = 0x82f6_3b78;
@@ -55,65 +62,76 @@ const TABLES: [[u32; 256]; 8] = {
 /// assert_eq!(crc32c(b"123456789"), 0xE306_9283);
 /// ```
 pub fn crc32c(data: &[u8]) -> u32 {
-    update(0xffff_ffff, data) ^ 0xffff_ffff
+    update(0xffff_ffff, data, &[]) ^ 0xffff_ffff
 }
 
-/// Incremental CRC32C: feed successive chunks through [`Crc32c`].
-#[derive(Debug, Clone)]
-pub struct Crc32c {
-    state: u32,
+/// Computes the CRC32C of `a` followed by `b` as one stream, without
+/// concatenating them: equal to `crc32c(&[a, b].concat())`.
+///
+/// # Examples
+///
+/// ```
+/// use rocksteady_logstore::crc::{crc32c, crc32c_of_parts};
+/// assert_eq!(crc32c_of_parts(b"12345", b"6789"), crc32c(b"123456789"));
+/// ```
+pub fn crc32c_of_parts(a: &[u8], b: &[u8]) -> u32 {
+    update(0xffff_ffff, a, b) ^ 0xffff_ffff
 }
 
-impl Default for Crc32c {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Crc32c {
-    /// Starts a fresh checksum.
-    pub fn new() -> Self {
-        Crc32c { state: 0xffff_ffff }
-    }
-
-    /// Feeds a chunk into the checksum.
-    pub fn update(&mut self, data: &[u8]) -> &mut Self {
-        self.state = update(self.state, data);
-        self
-    }
-
-    /// Finalizes and returns the checksum value.
-    pub fn finish(&self) -> u32 {
-        self.state ^ 0xffff_ffff
-    }
-}
-
-fn update(state: u32, data: &[u8]) -> u32 {
+fn update(state: u32, a: &[u8], b: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("sse4.2") {
         // SAFETY: the sse4.2 feature check above guarantees the `crc32`
         // instructions used inside are supported.
-        return unsafe { update_hw(state, data) };
+        return unsafe { update_hw(state, a, b) };
     }
-    update_sw(state, data)
+    update_sw(update_sw(state, a), b)
 }
 
-/// Hardware CRC32C via the SSE4.2 `crc32` instruction (which implements
-/// exactly the Castagnoli polynomial, including bit reflection).
+/// Hardware CRC32C of `a ‖ b` via the SSE4.2 `crc32` instruction (which
+/// implements exactly the Castagnoli polynomial, including bit
+/// reflection): `a`'s whole 8-byte words, then one word joining `a`'s
+/// last `a.len() % 8` bytes to `b`'s first bytes, then `b`'s remaining
+/// words and last bytes.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse4.2")]
-unsafe fn update_hw(state: u32, data: &[u8]) -> u32 {
+unsafe fn update_hw(state: u32, a: &[u8], b: &[u8]) -> u32 {
     use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
-    let mut chunks = data.chunks_exact(8);
-    let mut wide = state as u64;
-    for chunk in &mut chunks {
-        wide = _mm_crc32_u64(wide, u64::from_le_bytes(chunk.try_into().unwrap()));
+    let mut wide = u64::from(state);
+    let mut words = a.chunks_exact(8);
+    for word in &mut words {
+        wide = _mm_crc32_u64(wide, le_u64(word));
+    }
+    let tail = words.remainder();
+    let mut rest = b;
+    if !tail.is_empty() {
+        let need = 8 - tail.len();
+        if let (Some(last), Some(first)) = (a.len().checked_sub(8), b.get(..8)) {
+            // Two unaligned loads: `a`'s last 8 bytes shifted down to its
+            // tail, `b`'s first 8 shifted up past it.
+            let word = (le_u64(&a[last..]) >> (8 * need)) | (le_u64(first) << (8 * tail.len()));
+            wide = _mm_crc32_u64(wide, word);
+            rest = &b[need..];
+        } else {
+            for &byte in tail {
+                wide = _mm_crc32_u8(wide as u32, byte).into();
+            }
+        }
+    }
+    let mut words = rest.chunks_exact(8);
+    for word in &mut words {
+        wide = _mm_crc32_u64(wide, le_u64(word));
     }
     let mut state = wide as u32;
-    for &b in chunks.remainder() {
-        state = _mm_crc32_u8(state, b);
+    for &byte in words.remainder() {
+        state = _mm_crc32_u8(state, byte);
     }
     state
+}
+
+/// The 8 bytes `bytes` starts with, little-endian.
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().unwrap())
 }
 
 fn update_sw(mut state: u32, data: &[u8]) -> u32 {
@@ -150,14 +168,37 @@ mod tests {
         assert_eq!(crc32c(&[0xffu8; 32]), 0x62A8_AB43);
     }
 
+    /// Every split of every length up to 80 bytes, so every alignment
+    /// of the seam and every short part: the one-stream value is the
+    /// value of the concatenation, on the hardware path and on the
+    /// table path alike.
     #[test]
-    fn incremental_equals_oneshot() {
-        let data = b"the quick brown fox jumps over the lazy dog";
-        for split in [0, 1, 7, 20, data.len()] {
-            let mut inc = Crc32c::new();
-            inc.update(&data[..split]).update(&data[split..]);
-            assert_eq!(inc.finish(), crc32c(data), "split at {split}");
+    fn parts_equal_the_concatenation() {
+        let data: Vec<u8> = (0..80u32).map(|i| (i * 31 + 7) as u8).collect();
+        for a_len in 0..=40 {
+            for b_len in 0..=40 {
+                let (a, b) = (&data[..a_len], &data[a_len..a_len + b_len]);
+                let whole = crc32c(&data[..a_len + b_len]);
+                assert_eq!(crc32c_of_parts(a, b), whole, "{a_len} + {b_len}");
+                let sw = update_sw(update_sw(0xffff_ffff, a), b) ^ 0xffff_ffff;
+                assert_eq!(sw, whole, "table path, {a_len} + {b_len}");
+                #[cfg(target_arch = "x86_64")]
+                if std::arch::is_x86_feature_detected!("sse4.2") {
+                    // SAFETY: sse4.2 was detected just above.
+                    let hw = unsafe { update_hw(0xffff_ffff, a, b) } ^ 0xffff_ffff;
+                    assert_eq!(hw, whole, "hardware path, {a_len} + {b_len}");
+                }
+            }
         }
+    }
+
+    #[test]
+    fn parts_of_a_mebibyte_equal_the_whole() {
+        let data: Vec<u8> = (0..1u32 << 20).map(|i| (i ^ (i >> 9)) as u8).collect();
+        let (a, b) = data.split_at(31);
+        assert_eq!(crc32c_of_parts(a, b), crc32c(&data));
+        let (a, b) = data.split_at((1 << 19) + 5);
+        assert_eq!(crc32c_of_parts(a, b), crc32c(&data));
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!
 //! - [`entry`]: the on-log record format (objects, tombstones, side-log
 //!   commit records) with CRC32C integrity checksums.
-//! - [`segment`]: fixed-size append-only buffers with lock-free reader
-//!   visibility (appends publish with a release store; readers acquire).
+//! - [`segment`]: fixed-size append-only buffers, each with one writer
+//!   handle, so an append takes no lock, and lock-free reader visibility
+//!   (appends publish with a release store; readers acquire).
 //! - [`log`]: the master log — an open head segment plus closed segments,
 //!   per-segment live-byte accounting, entry lookup by [`LogRef`], and the
 //!   one zero-copy window per segment that reads, Pull gathers and
@@ -38,5 +39,5 @@ pub use entry::{EntryKind, EntryView, OwnedEntry, ENTRY_HEADER_BYTES};
 pub use log::{
     EntrySlices, Joined, Log, LogConfig, LogError, LogRef, LogStats, LogView, MAX_SEGMENT_BYTES,
 };
-pub use segment::{Segment, SegmentIter};
+pub use segment::{Segment, SegmentIter, SegmentWriter};
 pub use sidelog::{SideLog, SideLogAppender};

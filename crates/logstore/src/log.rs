@@ -22,7 +22,7 @@ use rocksteady_common::prefetch::prefetch_bytes;
 use rocksteady_common::FxHashMap;
 
 use crate::entry::{self, EntryKind, EntryView, OwnedEntry, ENTRY_HEADER_BYTES};
-use crate::segment::Segment;
+use crate::segment::{Segment, SegmentWriter};
 
 /// Configuration for a [`Log`].
 #[derive(Debug, Clone)]
@@ -123,8 +123,8 @@ struct Inner {
     /// Every segment in the order it joined the log. Recovery and the
     /// baseline migration scan in this order.
     order: Vec<Slot>,
-    /// Current head segment (open for appends).
-    head: Arc<Segment>,
+    /// The writer of the current head segment, the one open for appends.
+    head: SegmentWriter,
 }
 
 impl Inner {
@@ -220,9 +220,9 @@ impl Log {
             "segment_bytes {} exceeds MAX_SEGMENT_BYTES ({MAX_SEGMENT_BYTES})",
             config.segment_bytes
         );
-        let head = Arc::new(Segment::new(0, config.segment_bytes));
+        let head = SegmentWriter::new(0, config.segment_bytes);
         let mut segments = FxHashMap::default();
-        segments.insert(0, Held::new(Arc::clone(&head)));
+        segments.insert(0, Held::new(Arc::clone(head.segment())));
         Log {
             config,
             inner: RwLock::new(Inner {
@@ -270,9 +270,9 @@ impl Log {
     }
 
     /// Appends an entry, rolling the head segment as needed. Takes the
-    /// head through the log's read lock and counts the append with
-    /// atomic adds, so any thread may call it; [`Log::append_mut`] is
-    /// the same append for an owner holding the log exclusively.
+    /// head's writer through the log's write lock and counts the append
+    /// with atomic adds, so any thread may call it; [`Log::append_mut`]
+    /// is the same append for an owner holding the log exclusively.
     pub fn append(
         &self,
         kind: EntryKind,
@@ -286,9 +286,9 @@ impl Log {
     }
 
     /// [`Log::append`] through `&mut self`: the borrow checker proves no
-    /// one else can reach the log, so the head is taken with `get_mut`
-    /// and the append counted with plain adds — no lock but the head
-    /// segment's own.
+    /// one else can reach the log, so the head's writer is taken with
+    /// `get_mut` and the append counted with plain adds — no lock at all
+    /// (a roll takes the write lock, once a segment).
     pub fn append_mut(
         &mut self,
         kind: EntryKind,
@@ -312,17 +312,17 @@ impl Log {
                 return Err(LogError::OutOfMemory);
             }
         }
-        inner.head.close();
+        let id = self.next_segment_id.fetch_add(1, Ordering::Relaxed);
+        let head = SegmentWriter::new(id, self.config.segment_bytes);
+        inner
+            .segments
+            .insert(id, Held::new(Arc::clone(head.segment())));
+        let closed = std::mem::replace(&mut inner.head, head).close();
         // The closed head's last window: its bytes are final now.
-        let closed = inner.head.id();
-        if let Some(held) = inner.segments.get_mut(&closed) {
+        if let Some(held) = inner.segments.get_mut(&closed.id()) {
             held.catch_up();
         }
-        let id = self.next_segment_id.fetch_add(1, Ordering::Relaxed);
-        let head = Arc::new(Segment::new(id, self.config.segment_bytes));
-        inner.segments.insert(id, Held::new(Arc::clone(&head)));
         self.push_slot(&mut inner, id, false);
-        inner.head = head;
         Ok(())
     }
 
@@ -455,11 +455,16 @@ impl Log {
     /// Adopts an externally-built (side-log) segment into this log. The
     /// segment must have been allocated via [`Log::alloc_segment_id`].
     ///
-    /// Closes the segment: adopted segments are immutable. Its window is
-    /// taken of `seg`, which for a sparse side segment is a closed copy:
-    /// the registered original and its window leave together.
+    /// Adopted segments are immutable: `seg` must be closed, its writer
+    /// given up ([`SegmentWriter::close`]). Its window is taken of `seg`,
+    /// which for a sparse side segment is a closed copy: the registered
+    /// original and its window leave together.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seg` is open.
     pub fn adopt_segment(&self, seg: Arc<Segment>) {
-        seg.close();
+        assert!(seg.is_closed(), "adopting an open segment");
         let committed = seg.committed() as u64;
         let entries = seg.entry_count();
         let id = seg.id();
@@ -523,19 +528,20 @@ impl Log {
     }
 }
 
-/// The two ways into a log's head and append counters: `&Log` through
-/// the read lock and atomic adds, which any thread may take, and `&mut
-/// Log` through `get_mut`, which the borrow checker proves exclusive.
+/// The two ways into a log's head writer and append counters: `&Log`
+/// through the write lock and atomic adds, which any thread may take,
+/// and `&mut Log` through `get_mut`, which the borrow checker proves
+/// exclusive.
 trait Door: std::ops::Deref<Target = Log> {
-    /// Runs `f` on the head segment.
-    fn at_head<T>(&mut self, f: impl FnOnce(&Segment) -> T) -> T;
+    /// Runs `f` on the head segment's writer.
+    fn at_head<T>(&mut self, f: impl FnOnce(&mut SegmentWriter) -> T) -> T;
     /// Counts one appended entry of `bytes`.
     fn note_append(&mut self, bytes: u64);
 }
 
 impl Door for &Log {
-    fn at_head<T>(&mut self, f: impl FnOnce(&Segment) -> T) -> T {
-        f(&self.inner.read().head)
+    fn at_head<T>(&mut self, f: impl FnOnce(&mut SegmentWriter) -> T) -> T {
+        f(&mut self.inner.write().head)
     }
 
     fn note_append(&mut self, bytes: u64) {
@@ -545,8 +551,8 @@ impl Door for &Log {
 }
 
 impl Door for &mut Log {
-    fn at_head<T>(&mut self, f: impl FnOnce(&Segment) -> T) -> T {
-        f(&self.inner.get_mut().head)
+    fn at_head<T>(&mut self, f: impl FnOnce(&mut SegmentWriter) -> T) -> T {
+        f(&mut self.inner.get_mut().head)
     }
 
     fn note_append(&mut self, bytes: u64) {
@@ -793,10 +799,11 @@ mod tests {
     fn adopt_segment_makes_entries_visible() {
         let log = small_log();
         let id = log.alloc_segment_id();
-        let side = Arc::new(Segment::new(id, 256));
+        let mut side = SegmentWriter::new(id, 256);
         let off = side
             .append(EntryKind::Object, 9, 77, 1, b"sk", b"sv")
             .unwrap();
+        let side = side.close();
         log.adopt_segment(Arc::clone(&side));
         let r = LogRef {
             segment: id,
@@ -839,8 +846,8 @@ mod tests {
     fn refs_past_an_open_segments_window_resolve() {
         let log = small_log();
         let id = log.alloc_segment_id();
-        let side = Arc::new(Segment::new(id, 256));
-        log.register_side_segment(Arc::clone(&side));
+        let mut side = SegmentWriter::new(id, 256);
+        log.register_side_segment(Arc::clone(side.segment()));
         let mut refs = Vec::new();
         let reads = |refs: &[(LogRef, u8)], resolve: &dyn Fn(LogRef) -> Option<EntrySlices>| {
             for &(r, v) in refs {
@@ -868,8 +875,7 @@ mod tests {
             drop(view);
             reads(&refs, &|r| log.entry_slices(r));
         }
-        side.close();
-        let copy = Arc::new(side.closed_copy());
+        let copy = Arc::new(side.close().closed_copy());
         log.adopt_segment(Arc::clone(&copy));
         reads(&refs, &|r| log.view().entry_slices(r));
         reads(&refs, &|r| log.entry_slices(r));

@@ -5,28 +5,31 @@
 //! reclaims whole segments, and side logs are independent chains of
 //! segments (§2.3, §3.1.3).
 //!
-//! Concurrency contract: appends are serialized by the segment's one
-//! mutex (one appender at a time — in RAMCloud the log head has a single
-//! writer) and become visible to readers through a release-store of the
-//! committed length. Under that mutex the appender is the only writer of
-//! `committed` and of the entry count, so it updates both with a load
-//! and a store; the mutex is the append's only locked read-modify-write.
-//! Live bytes are not counted on append: they are `committed − dead`,
-//! and [`Segment::mark_dead`], which any thread may call, is the one
-//! read-modify-write on the dead count. Readers may run concurrently
-//! with an append and only ever observe fully-written entries. Closed
-//! segments are immutable forever, which is what lets migration pulls
-//! and replication ship references to segment memory without copies
-//! (§3.2).
+//! Concurrency contract: a segment has one writer. It is made with its
+//! [`SegmentWriter`], which is not `Clone` and appends through `&mut
+//! self`, so whoever holds the writer (a log's head slot, a side log's
+//! head, a cleaner pass's survivors) is the only thread that can append,
+//! and the borrow checker, not a lock, is what serializes appends. An
+//! append writes its bytes, then publishes them with a release-store of
+//! the committed length; as the only writer of `committed` and of the
+//! entry count it updates both with a load and a store, and takes no
+//! lock and no read-modify-write at all. Live bytes are not counted on
+//! append: they are `committed − dead`, and [`Segment::mark_dead`],
+//! which any thread may call, is the one read-modify-write on the dead
+//! count. Readers may run concurrently with an append and only ever
+//! observe fully-written entries. A segment closes when its writer is
+//! given up ([`SegmentWriter::close`]); closed segments are immutable
+//! forever, which is what lets migration pulls and replication ship
+//! references to segment memory without copies (§3.2).
 
-use std::alloc::{alloc, alloc_zeroed, dealloc, Layout};
+use std::alloc::{alloc, dealloc, Layout};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use crate::entry::{self, EntryKind, EntryView, ParseError};
+use crate::entry::{self, EntryKind, EntryView, ParseError, ENTRY_HEADER_BYTES};
 
 /// The smallest block glibc serves from a private `mmap` (and hands
 /// back to the kernel when freed), as [`keep_in_heap`] last set it.
@@ -94,65 +97,40 @@ pub struct Segment {
     id: u64,
     base: *mut u8,
     /// Length of the allocation at `base`: `capacity` for a segment made
-    /// by [`Segment::new`], the committed length for a closed copy.
+    /// by [`SegmentWriter::new`], the committed length for a closed copy.
     buf_len: usize,
     capacity: usize,
     /// Bytes published to readers. Monotonic; written only by the
-    /// appender holding `append_lock`, stored with `Release` after the
-    /// bytes below it are fully written, loaded with `Acquire`.
+    /// segment's [`SegmentWriter`], stored with `Release` after the bytes
+    /// below it are fully written, loaded with `Acquire`. No byte at or
+    /// above it is ever read.
     committed: AtomicUsize,
-    /// Serializes appenders; holds the reservation cursor (== committed
-    /// between appends, since appends publish before releasing the lock).
-    append_lock: Mutex<()>,
+    /// Set once, by [`SegmentWriter::close`] (or at birth, for a closed
+    /// copy): no append follows.
     closed: AtomicBool,
     /// Bytes of entries declared dead (superseded or deleted), never more
     /// than `committed` was when they were declared: live bytes are
     /// `committed − dead`. The owning log raises it as entries die; the
     /// cleaner reads the difference to pick victims.
     dead: AtomicU64,
-    /// Number of entries appended; written only under `append_lock`.
+    /// Number of entries appended; written only by the writer.
     entries: AtomicU64,
 }
 
 // SAFETY: the raw buffer is owned exclusively by this Segment (allocated
-// in `new` or `closed_copy`, freed in `drop`, never aliased externally).
-// All mutation goes through `append`, which serializes writers behind
-// `append_lock` and publishes bytes with a release store of `committed`;
-// readers only dereference bytes below an acquire-load of `committed`.
-// Therefore sending or sharing a Segment across threads cannot produce a
-// data race.
+// in `SegmentWriter::new` or `closed_copy`, freed in `drop`, never aliased
+// externally). All mutation goes through `SegmentWriter::append`, which
+// needs `&mut` to the segment's one writer (so no two appends overlap)
+// and writes only at and above `committed`, then publishes the bytes with
+// a release store of it; readers only dereference bytes below an
+// acquire-load of `committed`. Therefore sending or sharing a Segment
+// across threads cannot produce a data race.
 unsafe impl Send for Segment {}
 // SAFETY: see the `Send` justification; shared access is race-free by the
 // publication protocol above.
 unsafe impl Sync for Segment {}
 
 impl Segment {
-    /// Allocates a zeroed segment of `capacity` bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero or allocation fails.
-    pub fn new(id: u64, capacity: usize) -> Self {
-        assert!(capacity > 0, "zero-capacity segment");
-        keep_in_heap(capacity);
-        let layout = Layout::array::<u8>(capacity).expect("segment layout");
-        // SAFETY: `layout` has non-zero size (capacity > 0) and valid
-        // alignment for u8.
-        let base = unsafe { alloc_zeroed(layout) };
-        assert!(!base.is_null(), "segment allocation failed");
-        Segment {
-            id,
-            base,
-            buf_len: capacity,
-            capacity,
-            committed: AtomicUsize::new(0),
-            append_lock: Mutex::new(()),
-            closed: AtomicBool::new(false),
-            dead: AtomicU64::new(0),
-            entries: AtomicU64::new(0),
-        }
-    }
-
     /// A closed segment holding a copy of this one's committed bytes in a
     /// buffer of exactly that length, with the same id, capacity, live
     /// bytes and entry count. Every offset into this segment reads the
@@ -180,7 +158,6 @@ impl Segment {
             buf_len: bytes.len(),
             capacity: self.capacity,
             committed: AtomicUsize::new(bytes.len()),
-            append_lock: Mutex::new(()),
             closed: AtomicBool::new(true),
             dead: AtomicU64::new(self.dead.load(Ordering::Acquire)),
             entries: AtomicU64::new(self.entry_count()),
@@ -215,14 +192,6 @@ impl Segment {
         } else {
             self.capacity - self.committed()
         }
-    }
-
-    /// Marks the segment immutable; future appends fail.
-    pub fn close(&self) {
-        // Take the append lock so a concurrent append either completes
-        // (and is published) before the close or observes `closed`.
-        let _guard = self.append_lock.lock();
-        self.closed.store(true, Ordering::Release);
     }
 
     /// Whether the segment has been closed.
@@ -270,42 +239,6 @@ impl Segment {
             });
     }
 
-    /// Appends a serialized entry; returns its byte offset, or `None` if
-    /// the segment is closed or lacks space.
-    pub fn append(
-        &self,
-        kind: EntryKind,
-        table_id: u64,
-        key_hash: u64,
-        version: u64,
-        key: &[u8],
-        value: &[u8],
-    ) -> Option<u32> {
-        let len = entry::serialized_len(key.len(), value.len());
-        let _guard = self.append_lock.lock();
-        if self.closed.load(Ordering::Relaxed) {
-            return None;
-        }
-        let offset = self.committed.load(Ordering::Relaxed);
-        // The buffer is `capacity` long: only a closed copy's is shorter.
-        if offset + len > self.buf_len {
-            return None;
-        }
-        // SAFETY: `offset..offset + len` is within the allocation
-        // (bounds-checked above), no reader dereferences bytes at or above
-        // `committed` (== offset), and no other writer exists while we
-        // hold `append_lock`; hence this mutable slice is unaliased.
-        let buf = unsafe { std::slice::from_raw_parts_mut(self.base.add(offset), len) };
-        entry::write_entry(buf, kind, table_id, key_hash, version, key, value);
-        // The lock makes this the only writer of the count: no
-        // read-modify-write needed.
-        let entries = self.entries.load(Ordering::Relaxed);
-        self.entries.store(entries + 1, Ordering::Relaxed);
-        // Publish: everything below offset + len is now fully written.
-        self.committed.store(offset + len, Ordering::Release);
-        Some(offset as u32)
-    }
-
     /// All published bytes, as an immutable slice.
     pub fn committed_bytes(&self) -> &[u8] {
         let len = self.committed();
@@ -347,7 +280,7 @@ impl Segment {
     /// Parses the entry at `offset` without re-verifying its checksum
     /// (see [`entry::parse_trusted`]): for reads of a master's own
     /// committed log memory, whose entries were checksummed when
-    /// [`Segment::append`] serialized them. Bytes of foreign origin must
+    /// [`SegmentWriter::append`] serialized them. Bytes of foreign origin must
     /// go through [`Segment::entry_at`].
     pub fn entry_at_trusted(&self, offset: u32) -> Result<(EntryView<'_>, usize), ParseError> {
         let bytes = self.committed_bytes();
@@ -391,6 +324,113 @@ impl std::fmt::Debug for Segment {
     }
 }
 
+/// The one handle that appends to a segment: made with it, not `Clone`,
+/// and appending through `&mut self`, so its holder is the segment's only
+/// writer and no append takes a lock. Readers share the segment through
+/// [`SegmentWriter::segment`]; the writer reads it through `Deref`.
+pub struct SegmentWriter {
+    segment: Arc<Segment>,
+}
+
+impl SegmentWriter {
+    /// Allocates an open segment of `capacity` bytes and its writer. The
+    /// buffer is not zeroed: no byte at or above `committed` is ever read
+    /// ([`Segment::committed_bytes`] is the one read path, and
+    /// [`Segment::closed_copy`] copies committed bytes only), and an
+    /// append writes every byte below the committed length it publishes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero or allocation fails.
+    pub fn new(id: u64, capacity: usize) -> Self {
+        assert!(capacity > 0, "zero-capacity segment");
+        keep_in_heap(capacity);
+        let layout = Layout::array::<u8>(capacity).expect("segment layout");
+        // SAFETY: `layout` has non-zero size (capacity > 0) and valid
+        // alignment for u8. The bytes are left uninitialized; see above
+        // for why none is read before an append writes it.
+        let base = unsafe { alloc(layout) };
+        assert!(!base.is_null(), "segment allocation failed");
+        let segment = Segment {
+            id,
+            base,
+            buf_len: capacity,
+            capacity,
+            committed: AtomicUsize::new(0),
+            closed: AtomicBool::new(false),
+            dead: AtomicU64::new(0),
+            entries: AtomicU64::new(0),
+        };
+        SegmentWriter {
+            segment: Arc::new(segment),
+        }
+    }
+
+    /// The segment, shared with readers.
+    pub fn segment(&self) -> &Arc<Segment> {
+        &self.segment
+    }
+
+    /// Appends a serialized entry; returns its byte offset, or `None` if
+    /// the segment lacks space.
+    pub fn append(
+        &mut self,
+        kind: EntryKind,
+        table_id: u64,
+        key_hash: u64,
+        version: u64,
+        key: &[u8],
+        value: &[u8],
+    ) -> Option<u32> {
+        let seg = &*self.segment;
+        let len = entry::serialized_len(key.len(), value.len());
+        let header = entry::header(kind, table_id, key_hash, version, key, value);
+        // Only this writer stores `committed`: it reads its own store.
+        let offset = seg.committed.load(Ordering::Relaxed);
+        if len > seg.capacity - offset {
+            return None;
+        }
+        // SAFETY: a writer's segment was allocated by `new` with
+        // `buf_len == capacity`, so `offset..offset + len` is within the
+        // allocation (checked above). No reader dereferences bytes at or
+        // above `committed` (== offset), and `&mut self` on the segment's
+        // one writer excludes every other append, so nothing else touches
+        // these bytes. The three copies write every one of the `len`
+        // bytes, header, key and value, before the slice over them is
+        // made, so the slice is initialized and unaliased.
+        let buf = unsafe {
+            let at = seg.base.add(offset);
+            std::ptr::copy_nonoverlapping(header.as_ptr(), at, ENTRY_HEADER_BYTES);
+            let key_at = at.add(ENTRY_HEADER_BYTES);
+            std::ptr::copy_nonoverlapping(key.as_ptr(), key_at, key.len());
+            let value_at = key_at.add(key.len());
+            std::ptr::copy_nonoverlapping(value.as_ptr(), value_at, value.len());
+            std::slice::from_raw_parts_mut(at, len)
+        };
+        entry::seal(buf);
+        let entries = seg.entries.load(Ordering::Relaxed);
+        seg.entries.store(entries + 1, Ordering::Relaxed);
+        // Publish: everything below offset + len is now fully written.
+        seg.committed.store(offset + len, Ordering::Release);
+        Some(offset as u32)
+    }
+
+    /// Closes the segment, immutable from now on, and gives up the
+    /// writer: no append can follow.
+    pub fn close(self) -> Arc<Segment> {
+        self.segment.closed.store(true, Ordering::Release);
+        self.segment
+    }
+}
+
+impl std::ops::Deref for SegmentWriter {
+    type Target = Segment;
+
+    fn deref(&self) -> &Segment {
+        &self.segment
+    }
+}
+
 /// Iterator over a segment's committed entries, each checked as it is
 /// parsed: a torn or corrupt entry ends the walk.
 pub struct SegmentIter<'a> {
@@ -422,11 +462,10 @@ impl<'a> Iterator for SegmentIter<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn append_and_read_back() {
-        let seg = Segment::new(1, 4096);
+        let mut seg = SegmentWriter::new(1, 4096);
         let off = seg
             .append(EntryKind::Object, 1, 0xaa, 1, b"key", b"value")
             .unwrap();
@@ -437,9 +476,36 @@ mod tests {
         assert_eq!(seg.entry_count(), 1);
     }
 
+    /// The append lays an entry out with raw copies of `entry::header`,
+    /// key and value, then seals it: byte for byte what
+    /// `entry::write_entry` writes.
+    #[test]
+    fn an_append_writes_what_write_entry_writes() {
+        let mut seg = SegmentWriter::new(1, 4096);
+        let mut expected = Vec::new();
+        for (i, (key, value)) in [(&b""[..], &b""[..]), (b"k", b"value"), (b"key-7", b"")]
+            .into_iter()
+            .enumerate()
+        {
+            let kind = [
+                EntryKind::SideLogCommit,
+                EntryKind::Object,
+                EntryKind::Tombstone,
+            ][i];
+            let at = expected.len();
+            expected.resize(at + entry::serialized_len(key.len(), value.len()), 0);
+            entry::write_entry(&mut expected[at..], kind, 3, 40 + i as u64, 9, key, value);
+            assert_eq!(
+                seg.append(kind, 3, 40 + i as u64, 9, key, value),
+                Some(at as u32)
+            );
+        }
+        assert_eq!(seg.committed_bytes(), &expected[..]);
+    }
+
     #[test]
     fn append_until_full() {
-        let seg = Segment::new(1, 256);
+        let mut seg = SegmentWriter::new(1, 256);
         let mut appended = 0;
         while seg
             .append(EntryKind::Object, 1, 0, 1, b"k", b"0123456789")
@@ -454,20 +520,19 @@ mod tests {
     }
 
     #[test]
-    fn closed_segment_rejects_appends() {
-        let seg = Segment::new(1, 4096);
+    fn a_closed_segment_keeps_its_entries_and_has_no_space() {
+        let mut seg = SegmentWriter::new(1, 4096);
         seg.append(EntryKind::Object, 1, 0, 1, b"k", b"v").unwrap();
-        seg.close();
+        let seg = seg.close();
         assert!(seg.is_closed());
         assert_eq!(seg.free_space(), 0);
-        assert!(seg.append(EntryKind::Object, 1, 0, 2, b"k", b"v").is_none());
         // Existing data still readable.
         assert_eq!(seg.iter_entries().count(), 1);
     }
 
     #[test]
     fn live_byte_accounting() {
-        let seg = Segment::new(1, 4096);
+        let mut seg = SegmentWriter::new(1, 4096);
         seg.append(EntryKind::Object, 1, 0, 1, b"k", b"v").unwrap();
         let len = entry::serialized_len(1, 1) as u64;
         assert_eq!(seg.live_bytes(), len);
@@ -488,13 +553,13 @@ mod tests {
 
     #[test]
     fn empty_open_segment_reports_full_utilization() {
-        let seg = Segment::new(1, 128);
+        let seg = SegmentWriter::new(1, 128);
         assert_eq!(seg.utilization(), 1.0);
     }
 
     #[test]
     fn entry_at_bad_offset() {
-        let seg = Segment::new(1, 4096);
+        let mut seg = SegmentWriter::new(1, 4096);
         assert!(seg.entry_at(0).is_err());
         seg.append(EntryKind::Object, 1, 0, 1, b"k", b"v").unwrap();
         assert!(seg.entry_at(3).is_err()); // mid-entry: checksum fails
@@ -503,7 +568,7 @@ mod tests {
 
     #[test]
     fn iterates_in_append_order() {
-        let seg = Segment::new(1, 4096);
+        let mut seg = SegmentWriter::new(1, 4096);
         for i in 0..10u64 {
             seg.append(EntryKind::Object, 1, i, i, &i.to_le_bytes(), b"v")
                 .unwrap();
@@ -512,65 +577,67 @@ mod tests {
         assert_eq!(hashes, (0..10).collect::<Vec<_>>());
     }
 
+    /// Real-thread smoke test of the publication protocol, with the
+    /// writer on its own thread and no lock anywhere: readers walk the
+    /// committed bytes with the checked [`SegmentIter`], so a torn or
+    /// unwritten entry below `committed` ends the walk short.
     #[test]
     fn concurrent_append_and_read() {
-        // Real-thread smoke test of the publication protocol: readers
-        // must only ever see fully-written entries.
-        let seg = Arc::new(Segment::new(1, 1 << 20));
-        let writer = {
-            let seg = Arc::clone(&seg);
-            std::thread::spawn(move || {
-                for i in 0..5_000u64 {
-                    if seg
-                        .append(EntryKind::Object, 1, i, i, &i.to_le_bytes(), b"vvvv")
-                        .is_none()
-                    {
-                        break;
-                    }
-                }
-            })
-        };
-        let reader = {
-            let seg = Arc::clone(&seg);
-            std::thread::spawn(move || {
-                let mut max_seen = 0usize;
-                for _ in 0..200 {
-                    let n = seg.iter_entries().count();
-                    assert!(n >= max_seen, "entry count regressed");
-                    max_seen = n;
-                    for (_, view) in seg.iter_entries() {
-                        assert_eq!(view.value, b"vvvv");
-                    }
-                }
-            })
-        };
-        writer.join().unwrap();
-        reader.join().unwrap();
-        // Everything the writer appended parses cleanly.
-        for (_, view) in seg.iter_entries() {
-            assert_eq!(view.table_id, 1);
+        const N: u64 = 5_000;
+        let mut writer = SegmentWriter::new(1, 1 << 20);
+        let seg = Arc::clone(writer.segment());
+        let appender = std::thread::spawn(move || {
+            for i in 0..N {
+                writer
+                    .append(EntryKind::Object, 1, i, i, &i.to_le_bytes(), b"vvvv")
+                    .expect("fits");
+            }
+            writer.close()
+        });
+        let mut seen = 0;
+        while !seg.is_closed() {
+            let bytes = seg.committed_bytes();
+            let mut walked = 0;
+            for (offset, view) in SegmentIter::new(bytes) {
+                assert_eq!(view.key_hash, walked, "entry at {offset}");
+                assert_eq!(view.value, b"vvvv");
+                walked += 1;
+            }
+            // Every published byte is a whole checked entry.
+            assert_eq!(
+                walked * entry::serialized_len(8, 4) as u64,
+                bytes.len() as u64
+            );
+            assert!(walked >= seen, "entry count regressed");
+            seen = walked;
         }
+        let seg = appender.join().unwrap();
+        assert_eq!(SegmentIter::new(seg.committed_bytes()).count() as u64, N);
     }
 
-    /// The counters under a real second thread: one appender, one thread
-    /// marking each appended entry dead as soon as it is published. The
-    /// entry count is written without a read-modify-write and live bytes
-    /// are `committed − dead`, so both must come out exact.
+    /// The counters under a real second thread: the writer on one, a
+    /// thread marking each appended entry dead as soon as it is published
+    /// on the other. The entry count is written without a
+    /// read-modify-write and live bytes are `committed − dead`, so both
+    /// must come out exact.
     #[test]
     fn concurrent_append_and_mark_dead() {
         const N: u64 = 4_000;
-        let seg = Arc::new(Segment::new(1, 1 << 20));
+        let mut writer = SegmentWriter::new(1, 1 << 20);
         let len = entry::serialized_len(8, 4) as u64;
         let marker = {
-            let seg = Arc::clone(&seg);
+            let seg = Arc::clone(writer.segment());
             std::thread::spawn(move || {
                 let mut marked = 0;
                 for i in 0..N {
                     // Mark entry i only once it is committed, as a log
-                    // marks only entries it has appended.
+                    // marks only entries it has appended; it must parse.
                     while (seg.committed() as u64) < (i + 1) * len {
                         std::hint::spin_loop();
                     }
+                    let bytes = &seg.committed_bytes()[(i * len) as usize..];
+                    let (_, view) = SegmentIter::new(bytes).next().expect("published");
+                    assert_eq!(view.key_hash, i);
                     if !i.is_multiple_of(3) {
                         seg.mark_dead(len);
                         marked += len;
@@ -580,18 +647,19 @@ mod tests {
             })
         };
         for i in 0..N {
-            seg.append(EntryKind::Object, 1, i, i, &i.to_le_bytes(), b"vvvv")
+            writer
+                .append(EntryKind::Object, 1, i, i, &i.to_le_bytes(), b"vvvv")
                 .expect("fits");
         }
         let marked = marker.join().unwrap();
-        assert_eq!(seg.entry_count(), N);
-        assert_eq!(seg.committed() as u64, N * len);
-        assert_eq!(seg.live_bytes(), N * len - marked);
+        assert_eq!(writer.entry_count(), N);
+        assert_eq!(writer.committed() as u64, N * len);
+        assert_eq!(writer.live_bytes(), N * len - marked);
     }
 
     #[test]
     #[should_panic(expected = "zero-capacity")]
     fn zero_capacity_panics() {
-        Segment::new(1, 0);
+        SegmentWriter::new(1, 0);
     }
 }

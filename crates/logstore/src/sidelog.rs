@@ -25,7 +25,7 @@ use parking_lot::Mutex;
 
 use crate::entry::EntryKind;
 use crate::log::{Log, LogError, LogRef};
-use crate::segment::Segment;
+use crate::segment::{Segment, SegmentWriter};
 
 /// A side segment whose committed bytes fill at most `1 /
 /// SPARSE_FILL_DIVISOR` of its capacity is adopted as a
@@ -56,8 +56,10 @@ pub struct SideLog {
 }
 
 struct Inner {
-    /// Completed + current segments, in append order (head last).
-    segments: Vec<Arc<Segment>>,
+    /// Full segments, closed, in append order.
+    closed: Vec<Arc<Segment>>,
+    /// The writer of the segment appends go to, from the first append.
+    head: Option<SegmentWriter>,
     entries: u64,
     bytes: u64,
 }
@@ -69,7 +71,8 @@ impl SideLog {
         SideLog {
             parent,
             inner: Mutex::new(Inner {
-                segments: Vec::new(),
+                closed: Vec::new(),
+                head: None,
                 entries: 0,
                 bytes: 0,
             }),
@@ -95,7 +98,9 @@ impl SideLog {
     /// so a whole Pull response's worth of replayed records pays one lock
     /// acquisition instead of one per record (§3.1.3 — side logs exist
     /// precisely so replay workers don't synchronize per append; batching
-    /// removes the remaining per-record overhead *within* a worker).
+    /// removes the remaining per-record overhead *within* a worker). The
+    /// lock also holds the head segment's writer, so the appends under it
+    /// take no other.
     pub fn append_batch<T>(&self, f: impl FnOnce(&mut SideLogAppender<'_>) -> T) -> T {
         let mut inner = self.inner.lock();
         let mut appender = SideLogAppender {
@@ -118,7 +123,9 @@ impl SideLog {
     /// Snapshot of this side log's segments (for lazy re-replication at
     /// the end of migration, §3.4).
     pub fn segments_snapshot(&self) -> Vec<Arc<Segment>> {
-        self.inner.lock().segments.clone()
+        let inner = self.inner.lock();
+        let head = inner.head.as_ref().map(SegmentWriter::segment);
+        inner.closed.iter().chain(head).cloned().collect()
     }
 
     /// Commits this side log into the parent log: closes and adopts every
@@ -136,11 +143,13 @@ impl SideLog {
     /// original; the copy then over-counts live bytes, which only delays
     /// cleaning it.
     pub fn commit(self) -> Result<Vec<u64>, LogError> {
-        let inner = self.inner.into_inner();
-        let mut ids = Vec::with_capacity(inner.segments.len());
-        for seg in inner.segments {
+        let Inner {
+            mut closed, head, ..
+        } = self.inner.into_inner();
+        closed.extend(head.map(SegmentWriter::close));
+        let mut ids = Vec::with_capacity(closed.len());
+        for seg in closed {
             ids.push(seg.id());
-            seg.close();
             self.parent.adopt_segment(adoptable(seg));
         }
         // The commit record's value lists the adopted segment ids; crash
@@ -156,8 +165,8 @@ impl SideLog {
 }
 
 /// Exclusive handle over a locked side log; obtained from
-/// [`SideLog::append_batch`]. Every [`SideLogAppender::append`] call hits
-/// the segment chain directly without re-taking the side log's mutex.
+/// [`SideLog::append_batch`]. Every [`SideLogAppender::append`] call goes
+/// straight to the head segment's writer: no lock is taken per append.
 pub struct SideLogAppender<'a> {
     parent: &'a Arc<Log>,
     inner: &'a mut Inner,
@@ -182,21 +191,22 @@ impl SideLogAppender<'_> {
             return Err(LogError::EntryTooLarge { need, capacity });
         }
         loop {
-            if let Some(head) = self.inner.segments.last() {
+            if let Some(head) = &mut self.inner.head {
                 if let Some(offset) = head.append(kind, table_id, key_hash, version, key, value) {
                     let segment = head.id();
                     self.inner.entries += 1;
                     self.inner.bytes += need as u64;
                     return Ok(LogRef { segment, offset });
                 }
-                head.close();
             }
-            let id = self.parent.alloc_segment_id();
-            let seg = Arc::new(Segment::new(id, capacity));
+            let full = self.inner.head.take().map(SegmentWriter::close);
+            self.inner.closed.extend(full);
+            let head = SegmentWriter::new(self.parent.alloc_segment_id(), capacity);
             // Readers must be able to resolve refs into this segment
             // before commit (replay links the hash table to it).
-            self.parent.register_side_segment(Arc::clone(&seg));
-            self.inner.segments.push(seg);
+            self.parent
+                .register_side_segment(Arc::clone(head.segment()));
+            self.inner.head = Some(head);
         }
     }
 }
@@ -297,9 +307,6 @@ mod tests {
         assert_eq!(adopted.free_space(), 0);
         assert_eq!(adopted.committed_bytes(), original.committed_bytes());
         assert_eq!(adopted.allocated_bytes(), adopted.committed());
-        assert!(adopted
-            .append(EntryKind::Object, 1, 0, 2, b"k", b"v")
-            .is_none());
         for (i, r) in refs.iter().enumerate() {
             assert_eq!(log.entry(*r).unwrap().key_hash, i as u64);
         }

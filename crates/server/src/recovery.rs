@@ -125,22 +125,21 @@ impl RecoveryRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rocksteady_logstore::Segment;
-    use std::sync::Arc;
+    use rocksteady_logstore::SegmentWriter;
 
     const T: TableId = TableId(1);
     const LOW: HashRange = HashRange { start: 0, end: 999 };
 
     /// A segment image holding one object per `(key_hash, version)`.
     fn image(id: u64, entries: &[(u64, u64)]) -> SegmentImage {
-        let seg = Arc::new(Segment::new(id, 1 << 16));
+        let mut seg = SegmentWriter::new(id, 1 << 16);
         for (hash, version) in entries {
             seg.append(EntryKind::Object, T.0, *hash, *version, b"key", b"value")
                 .expect("fits");
         }
         SegmentImage {
             id,
-            data: seg.committed_as_bytes(),
+            data: seg.segment().committed_as_bytes(),
         }
     }
 

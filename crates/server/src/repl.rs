@@ -243,7 +243,7 @@ impl ReplManager {
 mod tests {
     use super::*;
     use rocksteady_common::rng::Prng;
-    use rocksteady_logstore::{EntryKind, LogConfig, SideLog, ENTRY_HEADER_BYTES};
+    use rocksteady_logstore::{EntryKind, LogConfig, SegmentWriter, SideLog, ENTRY_HEADER_BYTES};
 
     /// 1 byte/ns: a chunk's occupancy equals its length.
     fn cost() -> CostModel {
@@ -268,12 +268,12 @@ mod tests {
     /// survivors) holding one entry, adopted; returns its id. `bytes` is
     /// at least an entry header.
     fn adopt(log: &Log, bytes: usize) -> u64 {
-        let seg = Segment::new(log.alloc_segment_id(), bytes);
+        let mut seg = SegmentWriter::new(log.alloc_segment_id(), bytes);
         let value = vec![9; bytes - ENTRY_HEADER_BYTES];
         seg.append(EntryKind::Object, 1, 0, 1, b"", &value)
             .expect("fits");
         let id = seg.id();
-        log.adopt_segment(Arc::new(seg));
+        log.adopt_segment(seg.close());
         id
     }
 

@@ -129,6 +129,11 @@ const MUTANTS: &[Mutant] = &[
         replacement: "self.pending_batches = 0;",
         killer: ("tests/recovery.rs", "a_recovery_replays_on_several_workers_and_claims_after_the_last_batch"),
         promise: "a recovery master commits and claims after its last replay batch, not its first", decided: "§3.7" },
+    Mutant { file: "crates/logstore/src/crc.rs",
+        anchor: "            wide = _mm_crc32_u64(wide, word);\n",
+        replacement: "            let _ = word;\n",
+        killer: ("crates/logstore/src/entry.rs", "every_byte_but_the_checksum_is_covered"),
+        promise: "an entry's checksum covers every byte but its own, across the seam of header and payload", decided: "§3.3" },
 ];
 
 fn read(path: &str) -> String {

@@ -15,7 +15,8 @@
 # quartiles of each side, "change lower in k/N", and the median and
 # quartiles of the per-pair ratio change/parent: run with PARENT and
 # CHANGE the same tree, that ratio's spread is the noise floor a claim
-# on the metric must clear. It exits non-zero
+# on the metric must clear, and the tool prints it as one "A/A floor"
+# line per metric: the wider of 1 - q1 and q3 - 1. It exits non-zero
 # if a `sim_*` metric, `attempted`, `failed` or an exact count differs
 # between any two runs, except the COUNTs named on the command line
 # (e.g. `simnet.events` for a change that runs fewer events), whose
@@ -23,7 +24,7 @@
 # target/pairs/WORKLOAD-seedSEED/ of the tree the tool is run from.
 set -euo pipefail
 if [ $# -lt 5 ]; then
-    sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,24p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -61,10 +62,12 @@ for ((i = 1; i <= pairs; i++)); do
     fi
 done
 
-python3 - "$out" "$pairs" "$@" <<'EOF'
+same=0
+[ "$parent" = "$change" ] && same=1
+python3 - "$out" "$pairs" "$same" "$@" <<'EOF'
 import json, statistics, sys
 
-out, pairs, allowed = sys.argv[1], int(sys.argv[2]), set(sys.argv[3:])
+out, pairs, same, allowed = sys.argv[1], int(sys.argv[2]), sys.argv[3] == "1", set(sys.argv[4:])
 runs = {side: [json.load(open(f"{out}/{side}-{i}.json")) for i in range(1, pairs + 1)]
         for side in ("parent", "change")}
 
@@ -108,6 +111,7 @@ def quartiles(xs):
 
 print(f"{'metric':<12} {'parent median [q1-q3]':>34} {'change median [q1-q3]':>34} {'change':>8}  lower"
       f"  {'pair ratio c/p median [q1-q3]':>32}")
+floors = []
 for k in host:
     p = [r["result"]["metrics"][k]["value"] for r in runs["parent"]]
     c = [r["result"]["metrics"][k]["value"] for r in runs["change"]]
@@ -117,6 +121,9 @@ for k in host:
     side = lambda m, q1, q3: f"{m:.4f} [{q1:.4f}-{q3:.4f}]"
     print(f"{k:<12} {side(pm, pq1, pq3):>34} {side(cm, cq1, cq3):>34} "
           f"{100 * (cm - pm) / pm:+7.2f}%  {lower}/{pairs}  {side(rm, rq1, rq3):>32}")
+    if same:
+        floors.append(f"A/A floor {k:<12} {100 * max(1 - rq1, rq3 - 1):.2f}%")
+print(*floors, sep="\n")
 
 if bad:
     print("pairs: exact results differ:", *bad, sep="\n  ", file=sys.stderr)
