@@ -45,6 +45,13 @@ run cargo test -q --release -p rocksteady-hashtable -p rocksteady-logstore -p ro
 # vendored `Bytes` window is a raw pointer moved by `slice`: their tests
 # run here with no overflow checks or debug assertions behind them.
 run cargo test -q --release -p rocksteady-trace -p rocksteady-common -p rocksteady-simnet -p bytes
+# AddressSanitizer over the crates behind the unsafe doors (rule
+# unsafe_has_a_door) and the master that drives them: an out-of-bounds
+# read, a use after free or a leak fails the stage, suppressed nowhere.
+# Without RUSTDOCFLAGS the doctests fail to link. ASan cannot see a read
+# of a segment's unwritten bytes; SegmentWriter's SAFETY argument covers
+# that.
+run env RUSTFLAGS=-Zsanitizer=address RUSTDOCFLAGS=-Zsanitizer=address cargo +nightly test --offline --target x86_64-unknown-linux-gnu -p rocksteady-logstore -p rocksteady-hashtable -p rocksteady-common -p rocksteady-master -p bytes
 # The pinned digests again, in a second process with its own RandomState.
 run cargo test -q --release --test golden
 # The frozen repo benchmark builds against crates/ and checks itself.

@@ -29,7 +29,7 @@ use rocksteady_simnet::{Actor, ActorId, Ctx, Event};
 use rocksteady_trace::Tracer;
 
 use crate::recovery::{RecoveryRun, Step};
-use crate::repl::{ChunkSend, Durable, ReplManager, Scope};
+use crate::repl::{Durable, Out, ReplManager, Scope};
 use crate::rpc::{Pending, RpcTable, SyncWait};
 use crate::sched::{Deferred, Inbound, Placement, Quantum, ReplyTo, Sched, Task};
 use crate::stats::StatsHandle;
@@ -446,8 +446,10 @@ impl ServerNode {
             (Pending::SyncPriorityPull(wait), Response::PriorityPullOk { records }) => {
                 self.finish_sync_priority_pull(ctx, wait, records);
             }
-            (Pending::ReplAck { group: Some(gid) }, _) => self.credit_ack_group(ctx, gid),
-            (Pending::ReplAck { group: None }, _) => {}
+            (Pending::ReplAck { group }, _) => {
+                let done = self.repl.acked(group, &self.cfg.backup_actors);
+                self.carry_out(ctx, done);
+            }
             (Pending::PushRecords, Response::PushRecordsOk) if self.baseline.is_some() => {
                 // Window of 1: next scan step now that the target acked.
                 self.sched.enqueue(Priority::Background, Task::BaselineStep);
@@ -552,7 +554,7 @@ impl ServerNode {
                 Deferred::BaselineContinue => {
                     self.sched.enqueue(Priority::Background, Task::BaselineStep);
                 }
-                Deferred::ShipLog(then) => self.ship(ctx, &[Scope::Heads], then),
+                Deferred::ShipLog(then) => self.ship(ctx, &[Scope::Heads], Some(then)),
             }
         }
         self.sched.service_done(worker, now);
@@ -591,113 +593,51 @@ impl ServerNode {
 
     // ------------------------------------------------------- replication --
 
-    /// What of the log `scope` covers and the backups lack, as chunks on
-    /// the lane `scope` implies.
-    fn plan(&mut self, scope: Scope, now: Nanos) -> Vec<ChunkSend> {
-        let (log, backups, cost) = (&self.master.log, &self.cfg.backup_actors, &self.cfg.cost);
-        self.repl.plan(scope, now, log, backups, cost)
-    }
-
     /// Ships what `scopes` (one or more, planned in turn) cover of the
-    /// log and the backups lack, each on its lane; an ack group does
-    /// what `then` says once every chunk is acked.
-    fn ship(&mut self, ctx: &mut Ctx<'_, Envelope>, scopes: &[Scope], then: Durable) {
-        let now = ctx.now();
-        let mut sends = self.plan(scopes[0], now);
-        for scope in &scopes[1..] {
-            sends.extend(self.plan(*scope, now));
-        }
-        if sends.is_empty() {
-            // Nothing to ship (no backups, or a chunk another call
-            // planned already covers these bytes): durable now. When
-            // that chunk is still unacked, a backup crash now loses what
-            // `then` answers for (crate docs; ROADMAP.md gap 1 (a)).
-            return self.durable(ctx, then);
-        }
-        let group = self.repl.open_group(sends.len() as u32, then);
-        self.send_chunks(ctx, sends, Some(group));
+    /// log and the backups lack, each on its lane; `then` is carried out
+    /// once that is durable. The replication manager decides all of it.
+    fn ship(&mut self, ctx: &mut Ctx<'_, Envelope>, scopes: &[Scope], then: Option<Durable>) {
+        let (log, backups, cost) = (&self.master.log, &self.cfg.backup_actors, &self.cfg.cost);
+        let outs = self.repl.ship(scopes, ctx.now(), log, backups, cost, then);
+        self.carry_out(ctx, outs);
     }
 
-    /// Ships adopted segments on the bulk lane, none leaving before
-    /// `not_before`. Once they are durable, `victims` — the segments
-    /// whose live entries they hold — are freed on the backups.
-    fn ship_adopted(&mut self, ctx: &mut Ctx<'_, Envelope>, not_before: Nanos, victims: Vec<u64>) {
-        let sends = self.plan(Scope::Adopted { not_before }, ctx.now());
-        if sends.is_empty() {
-            // No survivors (or no backups): nothing to wait for, but the
-            // free must not overtake a victim's own chunks still parked.
-            let at = not_before.max(self.repl.drained_at());
-            return self.free_victims(ctx, at - ctx.now(), &victims);
-        }
-        let group = (!victims.is_empty()).then(|| {
-            let then = Durable::FreeVictims(victims);
-            self.repl.open_group(sends.len() as u32, then)
-        });
-        self.send_chunks(ctx, sends, group);
-    }
-
-    /// Sends each chunk, or parks it until its lane lets it leave; acks
-    /// credit `group`.
-    fn send_chunks(
-        &mut self,
-        ctx: &mut Ctx<'_, Envelope>,
-        sends: Vec<ChunkSend>,
-        group: Option<u64>,
-    ) {
-        for chunk in sends {
-            let rpc = self
-                .rpcs
-                .open(chunk.backup, Pending::ReplAck { group }, None);
-            let req = Request::ReplicateAppend {
-                owner: self.cfg.id,
-                segment: chunk.segment,
-                offset: chunk.offset,
-                data: chunk.data,
-            };
-            self.send_after(ctx, chunk.delay, chunk.backup, Envelope::req(rpc, req));
-        }
-    }
-
-    /// Sends `env` now, or parks it with the replication manager for
-    /// `delay`.
-    fn send_after(
-        &mut self,
-        ctx: &mut Ctx<'_, Envelope>,
-        delay: Nanos,
-        dst: ActorId,
-        env: Envelope,
-    ) {
-        if delay == 0 {
-            self.send(ctx, dst, env);
-        } else {
-            let parked = self.repl.park(dst, env);
-            ctx.timer(delay, token(KIND_PARKED_SEND, parked));
-        }
-    }
-
-    /// Tells every backup, `delay` from now, to drop its replica of each
-    /// of `victims`.
-    fn free_victims(&mut self, ctx: &mut Ctx<'_, Envelope>, delay: Nanos, victims: &[u64]) {
+    /// Does what the replication manager decided, in its order: each
+    /// chunk and each free is sent now or parked with the manager until
+    /// its delay elapses, and each durable waiter is answered.
+    fn carry_out(&mut self, ctx: &mut Ctx<'_, Envelope>, outs: Vec<Out>) {
         let owner = self.cfg.id;
-        for &segment in victims {
-            for i in 0..self.cfg.backup_actors.len() {
-                let backup = self.cfg.backup_actors[i];
-                let rpc = self
-                    .rpcs
-                    .open(backup, Pending::ReplAck { group: None }, None);
-                let req = Request::FreeSegment { owner, segment };
-                self.send_after(ctx, delay, backup, Envelope::req(rpc, req));
+        for out in outs {
+            let (delay, backup, group, req) = match out {
+                Out::Chunk(c, group) => {
+                    let req = Request::ReplicateAppend {
+                        owner,
+                        segment: c.segment,
+                        offset: c.offset,
+                        data: c.data,
+                    };
+                    (c.delay, c.backup, group, req)
+                }
+                Out::Free(delay, backup, segment) => {
+                    (delay, backup, None, Request::FreeSegment { owner, segment })
+                }
+                Out::Durable(then) => {
+                    self.durable(ctx, then);
+                    continue;
+                }
+            };
+            let rpc = self.rpcs.open(backup, Pending::ReplAck { group }, None);
+            let env = Envelope::req(rpc, req);
+            if delay == 0 {
+                self.send(ctx, backup, env);
+            } else {
+                let parked = self.repl.park(backup, env);
+                ctx.timer(delay, token(KIND_PARKED_SEND, parked));
             }
         }
     }
 
-    fn credit_ack_group(&mut self, ctx: &mut Ctx<'_, Envelope>, group: u64) {
-        if let Some(then) = self.repl.credit(group) {
-            self.durable(ctx, then);
-        }
-    }
-
-    /// What a shipment waited on is durable: do what `then` says.
+    /// What a shipment waited on is durable: answer the waiter.
     fn durable(&mut self, ctx: &mut Ctx<'_, Envelope>, then: Durable) {
         match then {
             Durable::Respond {
@@ -719,7 +659,7 @@ impl ServerNode {
                 let resp = Response::RecoverTabletOk { replayed };
                 self.respond(ctx, coordinator, rpc, resp, CausalCtx::NONE);
             }
-            Durable::FreeVictims(victims) => self.free_victims(ctx, 0, &victims),
+            Durable::FreeVictims(_) => unreachable!("victims are freed as Out::Free"),
         }
     }
 
@@ -1207,12 +1147,11 @@ impl ServerNode {
             side.commit().expect("side log commit");
             committed += 1;
         }
-        let adopted = Scope::Adopted {
-            not_before: ctx.now(),
-        };
+        let not_before = ctx.now();
+        let adopted = Scope::Adopted { not_before };
         match claim {
-            None => self.ship_adopted(ctx, ctx.now(), Vec::new()),
-            Some(then) => self.ship(ctx, &[Scope::Heads, adopted], then),
+            None => self.ship(ctx, &[adopted], None),
+            Some(then) => self.ship(ctx, &[Scope::Heads, adopted], Some(then)),
         }
         committed
     }
@@ -1399,19 +1338,20 @@ impl ServerNode {
         // The survivors sit in adopted segments of their own: they leave
         // on the bulk lane once the copy is paid for, and the victims'
         // replicas go when the survivors' last ack is in.
-        self.repl.forget(&stats.victims);
-        self.ship_adopted(ctx, ctx.now() + service, stats.victims);
+        let not_before = ctx.now() + service;
+        let free = Some(Durable::FreeVictims(stats.victims));
+        self.ship(ctx, &[Scope::Adopted { not_before }], free);
         service
     }
 
     /// Membership update: `server` is dead. Drop it from the backup set
-    /// and fail over everything outstanding to it — replication waits
-    /// are credited as if the dead backup had acked, blocked sync
-    /// PriorityPulls turn into client retries, and migrations involving
-    /// the dead peer are abandoned (the coordinator's recovery plan
-    /// supersedes them, §3.4). The credit is ROADMAP.md gap 1 (c): a
-    /// write can be answered on fewer than R acks, and nothing
-    /// re-replicates its segments, where RAMCloud restores R.
+    /// and fail over everything outstanding to it — each chunk in flight
+    /// to it is handed to the replication manager as lost (which decides
+    /// what that means for its waiter), blocked sync PriorityPulls turn
+    /// into client retries, and migrations involving the dead peer are
+    /// abandoned (the coordinator's recovery plan supersedes them, §3.4).
+    /// Nothing re-replicates the dead backup's segments, where RAMCloud
+    /// restores R.
     fn on_server_down(&mut self, ctx: &mut Ctx<'_, Envelope>, server: ServerId) {
         let Some(&dead) = self.dir.servers.get(server.0 as usize) else {
             return;
@@ -1419,7 +1359,10 @@ impl ServerNode {
         self.cfg.backup_actors.retain(|a| *a != dead);
         for (_, lost) in self.rpcs.fail_over(dead) {
             match lost.pending {
-                Pending::ReplAck { group: Some(g) } => self.credit_ack_group(ctx, g),
+                Pending::ReplAck { group } => {
+                    let done = self.repl.lost(group, &self.cfg.backup_actors);
+                    self.carry_out(ctx, done);
+                }
                 Pending::SyncPriorityPull(wait) => self.fail_sync_priority_pull(ctx, wait),
                 Pending::PushRecords | Pending::BaselineTransferAck => {
                     if let Some(run) = self.baseline.take_if(|run| run.target == server) {
@@ -1439,8 +1382,7 @@ impl ServerNode {
                 | Pending::PriorityPull { .. }
                 | Pending::Prepare { .. }
                 | Pending::MigStartAck { .. }
-                | Pending::MigCompleteAck
-                | Pending::ReplAck { group: None } => {}
+                | Pending::MigCompleteAck => {}
             }
         }
         // A migration whose source died is dead even if no RPC to it was

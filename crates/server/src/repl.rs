@@ -1,5 +1,6 @@
 //! The replication manager (§2.3): a serialized ~380 MB/s resource with
-//! two lanes, plus the ack groups that wait on its shipments.
+//! two lanes, and the one place that decides when replicated bytes are
+//! durable.
 //!
 //! The lane is a property of the *segment*, and a segment never changes
 //! lane. Head bytes — client writes, baseline replay, and the commit
@@ -11,10 +12,23 @@
 //! master's answer waits on both, as its recovered bytes are adopted.
 //! Each segment's chunks leave in offset order, as a backup's append
 //! check needs. The manager keeps the segments that still have unshipped
-//! bytes instead of re-deriving them from the whole log on every write;
-//! it decides *what* leaves *when*, the shell allocates the RPCs and
-//! sends.
+//! bytes instead of re-deriving them from the whole log on every write.
+//!
+//! It takes one input per event — [`ReplManager::ship`],
+//! [`ReplManager::acked`], [`ReplManager::lost`] — and answers with an
+//! ordered list of [`Out`]s: what leaves when, which [`Durable`] is
+//! carried out, and when a cleaner's victims are freed. The shell
+//! allocates the RPCs, sends, and answers. An ack group counts acks
+//! without knowing which bytes they cover, and two decisions lean on
+//! that (ROADMAP.md item 1). Each is one line here:
+//! - *gap (a)*, in `ship`: a waiter whose call planned no chunk is
+//!   answered at once, though its bytes may ride another call's chunk
+//!   that no backup has acked yet;
+//! - *gap (c)*, `lost`: a chunk lost with its backup credits its group
+//!   like an ack, so a write is answered on R−1 replicas, or on none at
+//!   R = 1.
 
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -31,7 +45,6 @@ use crate::recovery::RecoveryRun;
 const CHUNK: usize = 64 * 1024;
 
 /// One replication chunk bound for one backup.
-#[derive(Debug)]
 pub(crate) struct ChunkSend {
     /// How long the replication manager holds the chunk before it
     /// leaves (0 = send now).
@@ -43,7 +56,7 @@ pub(crate) struct ChunkSend {
     pub(crate) data: Bytes,
 }
 
-/// What the last ack of a group sets off.
+/// What a shipment sets off once its bytes are durable.
 pub(crate) enum Durable {
     /// A client's bytes are durable: answer it and release the worker
     /// held for it.
@@ -57,8 +70,23 @@ pub(crate) enum Durable {
     /// stays the size of a write's.
     Claim(Box<RecoveryRun>),
     /// A cleaner pass's survivors are durable: these victims' replicas
-    /// are garbage.
+    /// are garbage. The manager hands it out as one [`Out::Free`] per
+    /// victim and backup.
     FreeVictims(Vec<u64>),
+}
+
+/// One step for the shell to carry out, in the order the manager lists
+/// them.
+pub(crate) enum Out {
+    /// Send the chunk once its `delay` elapses; its ack (or its
+    /// backup's death) is handed back as `acked(group)` (`lost(group)`).
+    Chunk(ChunkSend, Option<u64>),
+    /// `(delay, backup, victim)`: tell `backup`, `delay` from now, to
+    /// drop its replica of the cleaned segment `victim`.
+    Free(Nanos, ActorId, u64),
+    /// A waiter's bytes are durable: answer it. Never a
+    /// [`Durable::FreeVictims`].
+    Durable(Durable),
 }
 
 struct AckGroup {
@@ -141,65 +169,56 @@ impl ReplManager {
             .retain(|u| !u.seg.is_closed() || u.shipped < u.seg.committed());
     }
 
-    /// The cleaner removed `victims` from the log: whatever of them was
-    /// not shipped yet never will be (their live entries moved on).
-    pub(crate) fn forget(&mut self, victims: &[u64]) {
-        self.unshipped.retain(|u| !victims.contains(&u.seg.id()));
-    }
-
-    /// Chunks the unshipped bytes `scope` covers for every backup, in
-    /// (segment, offset, backup) order. Each chunk occupies its lane for
-    /// its whole fan-out before the copies leave together.
-    pub(crate) fn plan(
+    /// Chunks the unshipped bytes each of `scopes` covers, in turn, for
+    /// every backup, in (segment, offset, backup) order. Each chunk
+    /// occupies its lane for its whole fan-out before the copies leave
+    /// together.
+    fn plan(
         &mut self,
-        scope: Scope,
+        scopes: &[Scope],
         now: Nanos,
         log: &Log,
         backups: &[ActorId],
         cost: &CostModel,
     ) -> Vec<ChunkSend> {
         self.sync(log);
-        let (bulk, not_before) = match scope {
-            Scope::Heads => (false, now),
-            Scope::Adopted { not_before } => (true, not_before),
-        };
         let mut sends = Vec::new();
-        for u in &mut self.unshipped {
-            let committed = u.seg.committed();
-            if u.adopted != bulk || committed <= u.shipped {
-                continue;
-            }
-            let window = u.seg.committed_as_bytes();
-            while u.shipped < committed {
-                let end = (u.shipped + CHUNK).min(committed);
-                let data = window.slice(u.shipped..end);
-                let mut start = not_before.max(self.free_at);
-                let lane = if bulk {
-                    start = start.max(self.bulk_free_at);
-                    &mut self.bulk_free_at
-                } else {
-                    &mut self.free_at
-                };
-                *lane = start + cost.replication_occupancy_ns(data.len() as u64);
-                let delay = *lane - now;
-                sends.extend(backups.iter().map(|b| ChunkSend {
-                    delay,
-                    backup: *b,
-                    segment: u.seg.id(),
-                    offset: u.shipped as u32,
-                    data: data.clone(),
-                }));
-                u.shipped = end;
+        for scope in scopes {
+            let (bulk, not_before) = match *scope {
+                Scope::Heads => (false, now),
+                Scope::Adopted { not_before } => (true, not_before),
+            };
+            for u in &mut self.unshipped {
+                let committed = u.seg.committed();
+                if u.adopted != bulk || committed <= u.shipped {
+                    continue;
+                }
+                let window = u.seg.committed_as_bytes();
+                while u.shipped < committed {
+                    let end = (u.shipped + CHUNK).min(committed);
+                    let data = window.slice(u.shipped..end);
+                    let mut start = not_before.max(self.free_at);
+                    let lane = if bulk {
+                        start = start.max(self.bulk_free_at);
+                        &mut self.bulk_free_at
+                    } else {
+                        &mut self.free_at
+                    };
+                    *lane = start + cost.replication_occupancy_ns(data.len() as u64);
+                    let delay = *lane - now;
+                    sends.extend(backups.iter().map(|b| ChunkSend {
+                        delay,
+                        backup: *b,
+                        segment: u.seg.id(),
+                        offset: u.shipped as u32,
+                        data: data.clone(),
+                    }));
+                    u.shipped = end;
+                }
             }
         }
         self.retire();
         sends
-    }
-
-    /// When the last chunk planned so far leaves: both lanes are FIFO,
-    /// so anything sent at or after this cannot overtake one.
-    pub(crate) fn drained_at(&self) -> Nanos {
-        self.free_at.max(self.bulk_free_at)
     }
 
     /// Holds a delayed message; the ticket redeems it once.
@@ -213,29 +232,80 @@ impl ReplManager {
         self.parked.remove(&ticket)
     }
 
-    /// Opens a group that completes after `chunks` acks.
-    pub(crate) fn open_group(&mut self, chunks: u32, then: Durable) -> u64 {
-        self.last_group += 1;
-        let group = AckGroup {
-            remaining: chunks,
-            then,
+    /// Ships what `scopes` (one or more, planned in turn) cover of the
+    /// log and the backups lack, each on its lane, and hands `then` back
+    /// once that is durable: the chunks' acks credit one ack group for
+    /// `then`, or none if nothing waits. With no chunk to wait on,
+    /// victims are freed once every chunk planned so far has left (a
+    /// free must not overtake a victim's own chunk still parked). The
+    /// cleaner removed the victims from the log, so what of them was not
+    /// shipped yet never will be: their live entries moved on.
+    pub(crate) fn ship(
+        &mut self,
+        scopes: &[Scope],
+        now: Nanos,
+        log: &Log,
+        backups: &[ActorId],
+        cost: &CostModel,
+        then: Option<Durable>,
+    ) -> Vec<Out> {
+        if let Some(Durable::FreeVictims(victims)) = &then {
+            self.unshipped.retain(|u| !victims.contains(&u.seg.id()));
+        }
+        let sends = self.plan(scopes, now, log, backups, cost);
+        let group = match then {
+            Some(then) if sends.is_empty() => {
+                // Both lanes are FIFO: nothing sent from `drained` on can
+                // overtake a chunk planned so far.
+                let drained = now.max(self.free_at).max(self.bulk_free_at);
+                let at = scopes.iter().fold(drained, |at, s| match *s {
+                    Scope::Heads => at,
+                    Scope::Adopted { not_before } => at.max(not_before),
+                });
+                // Gap (a): planning nothing answers a waiter now, even
+                // when its bytes ride another call's unacked chunk.
+                return settle(then, at - now, backups);
+            }
+            Some(then) => {
+                self.last_group += 1;
+                let (group, remaining) = (self.last_group, sends.len() as u32);
+                self.groups.insert(group, AckGroup { remaining, then });
+                Some(group)
+            }
+            None => None,
         };
-        self.groups.insert(self.last_group, group);
-        self.last_group
+        sends.into_iter().map(|c| Out::Chunk(c, group)).collect()
     }
 
-    /// One chunk of `group` was acked — or its backup died, which counts
-    /// the same: a dead backup is an ack (ROADMAP.md gap 1 (c)), so the
-    /// writer is answered with R−1 replicas or, at R = 1, none. Returns
-    /// what to do when that was its last chunk.
-    pub(crate) fn credit(&mut self, group: u64) -> Option<Durable> {
-        let g = self.groups.get_mut(&group)?;
-        g.remaining -= 1;
-        if g.remaining == 0 {
-            self.groups.remove(&group).map(|g| g.then)
-        } else {
-            None
+    /// A backup acked one chunk of `group` (none: nothing waits on it):
+    /// what to carry out, on `backups`, when that was its last.
+    pub(crate) fn acked(&mut self, group: Option<u64>, backups: &[ActorId]) -> Vec<Out> {
+        let Some(Entry::Occupied(mut g)) = group.map(|g| self.groups.entry(g)) else {
+            return Vec::new();
+        };
+        g.get_mut().remaining -= 1;
+        if g.get().remaining > 0 {
+            return Vec::new();
         }
+        settle(g.remove().then, 0, backups)
+    }
+
+    /// A chunk of `group` was in flight to a backup that died.
+    pub(crate) fn lost(&mut self, group: Option<u64>, backups: &[ActorId]) -> Vec<Out> {
+        // Gap (c): a lost chunk credits its group like an ack.
+        self.acked(group, backups)
+    }
+}
+
+/// What `then` comes to once durable: every one of `backups` is told
+/// to free each victim `delay` from now; a waiter is answered at once.
+fn settle(then: Durable, delay: Nanos, backups: &[ActorId]) -> Vec<Out> {
+    match then {
+        Durable::FreeVictims(victims) => {
+            let each = |victim| backups.iter().map(move |&b| Out::Free(delay, b, victim));
+            victims.into_iter().flat_map(each).collect()
+        }
+        waiter => vec![Out::Durable(waiter)],
     }
 }
 
@@ -289,10 +359,16 @@ mod tests {
         let mut delay = |now, bytes, bulk| {
             let sends = if bulk {
                 adopt(&log, bytes);
-                r.plan(Scope::Adopted { not_before: now }, now, &log, &[7], &cost())
+                r.plan(
+                    &[Scope::Adopted { not_before: now }],
+                    now,
+                    &log,
+                    &[7],
+                    &cost(),
+                )
             } else {
                 write(&log, bytes);
-                r.plan(Scope::Heads, now, &log, &[7], &cost())
+                r.plan(&[Scope::Heads], now, &log, &[7], &cost())
             };
             assert_eq!(sends.len(), 1);
             sends[0].delay
@@ -310,15 +386,19 @@ mod tests {
         assert_eq!(delay(2_000, 40, true), 540);
         // A drained lane adds no delay beyond occupancy.
         assert_eq!(delay(9_000, 50, false), 50);
-        // Nothing sent from 9050 on can overtake a planned chunk.
-        assert_eq!(r.drained_at(), 9_050);
+        // Nothing sent from 9050 on can overtake a planned chunk: a free
+        // with no survivors to wait on leaves then.
+        let free = Some(Durable::FreeVictims(vec![1]));
+        let adopted = [Scope::Adopted { not_before: 9_000 }];
+        let outs = r.ship(&adopted, 9_000, &log, &[7], &cost(), free);
+        assert!(matches!(outs[..], [Out::Free(50, 7, 1)]));
     }
 
     #[test]
     fn segments_ship_in_64k_chunks_per_backup_and_only_once() {
         let (mut r, log) = (ReplManager::default(), log());
         write(&log, 150_000);
-        let sends = r.plan(Scope::Heads, 0, &log, &[3, 4], &cost());
+        let sends = r.plan(&[Scope::Heads], 0, &log, &[3, 4], &cost());
         let shape: Vec<_> = sends
             .iter()
             .map(|s| (s.segment, s.backup, s.offset, s.data.len(), s.delay))
@@ -334,29 +414,29 @@ mod tests {
         assert_eq!(shape, expected);
         // Nothing to re-ship until the head grows, and then only the
         // delta goes.
-        assert!(r.plan(Scope::Heads, 0, &log, &[3], &cost()).is_empty());
+        assert!(r.plan(&[Scope::Heads], 0, &log, &[3], &cost()).is_empty());
         write(&log, 100);
-        let sends = r.plan(Scope::Heads, 0, &log, &[3], &cost());
+        let sends = r.plan(&[Scope::Heads], 0, &log, &[3], &cost());
         assert_eq!(sends.len(), 1);
         assert_eq!((sends[0].offset, sends[0].data.len()), (150_000, 100));
         // Preloaded bytes marked durable are never shipped.
         let mut r = ReplManager::default();
         r.mark_durable(&log);
-        assert!(r.plan(Scope::Heads, 0, &log, &[3], &cost()).is_empty());
+        assert!(r.plan(&[Scope::Heads], 0, &log, &[3], &cost()).is_empty());
         let adopted = Scope::Adopted { not_before: 0 };
-        assert!(r.plan(adopted, 0, &log, &[3], &cost()).is_empty());
+        assert!(r.plan(&[adopted], 0, &log, &[3], &cost()).is_empty());
     }
 
     #[test]
     fn a_rolled_head_ships_its_tail_before_the_new_head() {
         let (mut r, log) = (ReplManager::default(), log());
         write(&log, 600_000);
-        assert_eq!(r.plan(Scope::Heads, 0, &log, &[3], &cost()).len(), 10);
+        assert_eq!(r.plan(&[Scope::Heads], 0, &log, &[3], &cost()).len(), 10);
         // The second write lands in head 0, the third rolls it.
         write(&log, 400_000);
         write(&log, 500_000);
         let new_head = log.head_segment_id();
-        let sends = r.plan(Scope::Heads, 0, &log, &[3], &cost());
+        let sends = r.plan(&[Scope::Heads], 0, &log, &[3], &cost());
         let first_of_new = sends.iter().position(|s| s.segment == new_head);
         assert_eq!(first_of_new, Some(7));
         assert_eq!((sends[0].segment, sends[0].offset), (0, 600_000));
@@ -374,13 +454,13 @@ mod tests {
         // A write made before anyone planned the adopted segment ships
         // its own bytes only.
         write(&log, 100);
-        let sends = r.plan(Scope::Heads, 1_000, &log, &[3, 4], &cost());
+        let sends = r.plan(&[Scope::Heads], 1_000, &log, &[3, 4], &cost());
         assert!(sends.iter().all(|s| s.segment == 0 && s.delay == 100));
         assert_eq!(unshipped_ids(&r), [0, side]);
         // The adopted MiB: 16 chunks x 2 backups on the bulk lane, none
         // leaving before `not_before`, the last 1 MiB of occupancy later.
         let sends = r.plan(
-            Scope::Adopted { not_before: 5_000 },
+            &[Scope::Adopted { not_before: 5_000 }],
             2_000,
             &log,
             &[3, 4],
@@ -395,12 +475,12 @@ mod tests {
         // A write while those chunks are in flight waits for its own
         // bytes' occupancy and nothing else.
         write(&log, 200);
-        let sends = r.plan(Scope::Heads, 6_000, &log, &[3, 4], &cost());
+        let sends = r.plan(&[Scope::Heads], 6_000, &log, &[3, 4], &cost());
         assert_eq!(sends.len(), 2);
         assert!(sends.iter().all(|s| s.segment == 0 && s.delay == 200));
         assert!(r
             .plan(
-                Scope::Adopted { not_before: 6_000 },
+                &[Scope::Adopted { not_before: 6_000 }],
                 6_000,
                 &log,
                 &[3],
@@ -413,7 +493,10 @@ mod tests {
     fn a_committed_side_log_ships_on_the_bulk_lane_and_its_record_with_the_heads() {
         let (mut r, log) = (ReplManager::default(), Arc::new(log()));
         write(&log, 100);
-        assert_eq!(r.plan(Scope::Heads, 0, &log, &[3], &cost())[0].delay, 100);
+        assert_eq!(
+            r.plan(&[Scope::Heads], 0, &log, &[3], &cost())[0].delay,
+            100
+        );
         let side = SideLog::new(Arc::clone(&log));
         let value = vec![9; 1_000 - ENTRY_HEADER_BYTES];
         side.append(EntryKind::Object, 1, 0, 1, b"", &value)
@@ -427,13 +510,13 @@ mod tests {
                 .map(|s| (s.segment, s.offset, s.data.len(), s.delay));
             shape.collect()
         };
-        let sends = r.plan(Scope::Adopted { not_before: 0 }, 0, &log, &[3], &cost());
+        let sends = r.plan(&[Scope::Adopted { not_before: 0 }], 0, &log, &[3], &cost());
         assert_eq!(shape(sends), [(id, 0, 1_000, 1_100)]);
         // The commit record, naming one segment, leaves with the next
         // write's delta: right after the head's first chunk, and not
         // behind the busy bulk lane.
         write(&log, 50);
-        let sends = r.plan(Scope::Heads, 0, &log, &[3], &cost());
+        let sends = r.plan(&[Scope::Heads], 0, &log, &[3], &cost());
         let bytes = ENTRY_HEADER_BYTES + 8 + 50;
         assert_eq!(shape(sends), [(0, 100, bytes, 100 + bytes as Nanos)]);
     }
@@ -463,10 +546,16 @@ mod tests {
                         );
                         continue;
                     }
-                    2 => r.plan(Scope::Heads, now, &log, &[3, 4], &cost()),
+                    2 => r.plan(&[Scope::Heads], now, &log, &[3, 4], &cost()),
                     _ => {
                         let not_before = now + rng.next_below(5_000);
-                        r.plan(Scope::Adopted { not_before }, now, &log, &[3, 4], &cost())
+                        r.plan(
+                            &[Scope::Adopted { not_before }],
+                            now,
+                            &log,
+                            &[3, 4],
+                            &cost(),
+                        )
                     }
                 };
                 for s in sends {
@@ -490,7 +579,7 @@ mod tests {
     fn a_cleaned_segment_is_forgotten_unshipped_tail_and_all() {
         let (mut r, log) = (ReplManager::default(), log());
         write(&log, 600_000);
-        assert_eq!(r.plan(Scope::Heads, 0, &log, &[3], &cost()).len(), 10);
+        assert_eq!(r.plan(&[Scope::Heads], 0, &log, &[3], &cost()).len(), 10);
         // Head 0 gets a tail, rolls, and an adopted segment joins — then
         // the cleaner takes both before either was planned.
         write(&log, 400_000);
@@ -499,46 +588,81 @@ mod tests {
         for victim in [0, side] {
             log.remove_segment(victim).expect("closed");
         }
-        r.forget(&[0, side]);
-        assert!(r
-            .plan(Scope::Adopted { not_before: 0 }, 0, &log, &[3], &cost())
-            .is_empty());
-        let sends = r.plan(Scope::Heads, 0, &log, &[3], &cost());
+        // The pass ships its survivors (none) and frees its victims.
+        let free = Some(Durable::FreeVictims(vec![0, side]));
+        let outs = r.ship(
+            &[Scope::Adopted { not_before: 0 }],
+            0,
+            &log,
+            &[3],
+            &cost(),
+            free,
+        );
+        assert!(matches!(outs[..], [Out::Free(_, 3, 0), Out::Free(_, 3, s)] if s == side));
+        let sends = r.plan(&[Scope::Heads], 0, &log, &[3], &cost());
         assert_eq!(sends.len(), 8);
         assert!(sends.iter().all(|s| s.segment == log.head_segment_id()));
     }
 
-    #[test]
-    fn ack_group_answers_exactly_once_after_the_last_credit() {
-        let mut r = ReplManager::default();
-        let respond = |to, rpc| Durable::Respond {
+    /// Answer `Ok` to client `to`'s call `rpc`, holding worker 2.
+    fn respond(to: ActorId, rpc: u64) -> Durable {
+        Durable::Respond {
             worker: 2,
             respond: (to, RpcId(rpc), Response::Ok),
-        };
-        let a = r.open_group(3, respond(5, 8));
-        let b = r.open_group(1, respond(6, 9));
-        assert_ne!(a, b);
-        // Acks and dead backups credit through the same call.
-        assert!(r.credit(a).is_none() && r.credit(a).is_none());
-        let done = r.credit(a).expect("third credit completes the group");
-        assert!(matches!(
-            done,
-            Durable::Respond {
+        }
+    }
+
+    /// The group that each of `outs`, `n` chunks, credits.
+    fn group_of(outs: &[Out], n: usize) -> Option<u64> {
+        let groups: Vec<Option<u64>> = outs
+            .iter()
+            .map(|o| match o {
+                Out::Chunk(_, group) => *group,
+                _ => panic!("not a chunk"),
+            })
+            .collect();
+        assert_eq!(groups.len(), n);
+        assert!(groups.iter().all(|g| *g == groups[0]));
+        assert!(groups[0].is_some(), "the chunks credit a group");
+        groups[0]
+    }
+
+    /// Client `to`'s answer, the one thing `outs` holds.
+    fn answers(outs: &[Out], to: ActorId) -> bool {
+        matches!(
+            outs,
+            [Out::Durable(Durable::Respond {
                 worker: 2,
-                respond: (5, RpcId(8), _)
-            }
-        ));
+                respond: (client, ..),
+            })] if *client == to
+        )
+    }
+
+    #[test]
+    fn ack_group_answers_exactly_once_after_the_last_credit() {
+        let (mut r, log) = (ReplManager::default(), log());
+        write(&log, 100);
+        let outs = r.ship(
+            &[Scope::Heads],
+            0,
+            &log,
+            &[3, 4, 5],
+            &cost(),
+            Some(respond(5, 8)),
+        );
+        let a = group_of(&outs, 3);
+        write(&log, 100);
+        let outs = r.ship(&[Scope::Heads], 0, &log, &[3], &cost(), Some(respond(6, 9)));
+        let b = group_of(&outs, 1);
+        assert_ne!(a, b);
+        assert!(r.acked(a, &[3]).is_empty() && r.acked(a, &[3]).is_empty());
+        assert!(answers(&r.acked(a, &[3]), 5), "the third ack answers");
         assert!(
-            r.credit(a).is_none(),
+            r.acked(a, &[3]).is_empty(),
             "a finished group never answers twice"
         );
-        assert!(matches!(
-            r.credit(b),
-            Some(Durable::Respond {
-                respond: (6, ..),
-                ..
-            })
-        ));
+        assert!(answers(&r.acked(b, &[3]), 6));
+        assert!(r.acked(None, &[3]).is_empty(), "nothing waits on no group");
     }
 
     #[test]
@@ -546,19 +670,83 @@ mod tests {
         let (mut r, log) = (ReplManager::default(), log());
         r.mark_durable(&log);
         adopt(&log, 100_000);
-        let sends = r.plan(Scope::Adopted { not_before: 0 }, 0, &log, &[3, 4], &cost());
-        assert_eq!(sends.len(), 4);
-        let g = r.open_group(sends.len() as u32, Durable::FreeVictims(vec![11, 12]));
-        // Two acks from backup 3, one from backup 4 — whose death then
-        // credits its outstanding chunk like an ack.
+        let free = |victims: &[u64]| Some(Durable::FreeVictims(victims.to_vec()));
+        let survivors = |not_before| [Scope::Adopted { not_before }];
+        let outs = r.ship(&survivors(0), 0, &log, &[3, 4], &cost(), free(&[11, 12]));
+        let g = group_of(&outs, 4);
         for _ in 0..3 {
-            assert!(r.credit(g).is_none());
+            assert!(r.acked(g, &[3, 4]).is_empty());
         }
-        let Some(Durable::FreeVictims(victims)) = r.credit(g) else {
-            panic!("the fourth credit ends the survivor shipment");
-        };
-        assert_eq!(victims, [11, 12]);
-        assert!(r.credit(g).is_none(), "victims are freed once");
+        // Backup 4 died meanwhile: the frees go to the backups left.
+        let frees = r.acked(g, &[3]);
+        assert!(
+            matches!(frees[..], [Out::Free(0, 3, 11), Out::Free(0, 3, 12)]),
+            "the fourth ack ends the survivor shipment"
+        );
+        assert!(r.acked(g, &[3]).is_empty(), "victims are freed once");
+        // No survivors to wait on: the frees leave once the chunks
+        // planned so far have (the bulk lane is busy until 100 000), and
+        // not before `not_before`.
+        for (now, not_before, delay) in [(0, 50, 100_000), (200_000, 250_000, 50_000)] {
+            let outs = r.ship(
+                &survivors(not_before),
+                now,
+                &log,
+                &[3, 4],
+                &cost(),
+                free(&[13]),
+            );
+            assert!(
+                matches!(outs[..], [Out::Free(d3, 3, 13), Out::Free(d4, 4, 13)] if d3 == delay && d4 == delay),
+                "at {now}, not before {not_before}"
+            );
+        }
+    }
+
+    /// ROADMAP.md item 1, gap (a).
+    #[test]
+    #[ignore = "ROADMAP item 1 gap (a): a waiter whose call planned no chunk is answered at once"]
+    fn a_waiter_riding_another_calls_chunk_waits_for_its_acks() {
+        let (mut r, log) = (ReplManager::default(), log());
+        // Two writes land before either ships: the first call's chunk
+        // carries both.
+        write(&log, 100);
+        write(&log, 100);
+        let outs = r.ship(
+            &[Scope::Heads],
+            0,
+            &log,
+            &[3, 4],
+            &cost(),
+            Some(respond(5, 8)),
+        );
+        let a = group_of(&outs, 2);
+        let outs = r.ship(
+            &[Scope::Heads],
+            0,
+            &log,
+            &[3, 4],
+            &cost(),
+            Some(respond(6, 9)),
+        );
+        assert!(
+            !outs.iter().any(|o| matches!(o, Out::Durable(_))),
+            "the second write was answered before group {a:?}'s acks"
+        );
+    }
+
+    /// ROADMAP.md item 1, gap (c).
+    #[test]
+    #[ignore = "ROADMAP item 1 gap (c): a chunk lost with its backup credits its group like an ack"]
+    fn with_one_backup_a_lost_chunk_answers_no_waiter() {
+        let (mut r, log) = (ReplManager::default(), log());
+        write(&log, 100);
+        let outs = r.ship(&[Scope::Heads], 0, &log, &[3], &cost(), Some(respond(5, 8)));
+        let g = group_of(&outs, 1);
+        assert!(
+            r.lost(g, &[]).is_empty(),
+            "a write was answered with its only replica lost"
+        );
     }
 
     #[test]

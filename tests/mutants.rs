@@ -120,8 +120,8 @@ const MUTANTS: &[Mutant] = &[
         killer: ("crates/master/src/service.rs", "committed_side_logs_let_their_originals_go"),
         promise: "a commit's adopted copy takes its own window, so the full-size original leaves with the last response", decided: "§3.5" },
     Mutant { file: NODE,
-        anchor: "Some(then) => self.ship(ctx, &[Scope::Heads, adopted], then),",
-        replacement: "Some(then) => {\n                self.durable(ctx, then);\n                self.ship(ctx, &[Scope::Heads, adopted], Durable::FreeVictims(Vec::new()));\n            }",
+        anchor: "Some(then) => self.ship(ctx, &[Scope::Heads, adopted], Some(then)),",
+        replacement: "Some(then) => {\n                self.durable(ctx, then);\n                self.ship(ctx, &[Scope::Heads, adopted], None);\n            }",
         killer: ("tests/recovery.rs", "a_recovery_master_crash_after_answering_loses_no_record"),
         promise: "a recovery master claims the tablet and answers only once its replayed log is durable", decided: "§3.7" },
     Mutant { file: "crates/server/src/recovery.rs",

@@ -197,6 +197,10 @@ const RULES: &[Rule] = &[
             }
         },
         mutant: (NODE, "", "fn f(m: &mut MasterService, r: &[Record]) { m.replay_batch(r, ReplayDest::MainLog, &mut Work::default()); }\n") },
+    Rule { name: "durability_is_decided_in_repl", decided: "§3.3",
+        why: "ReplManager alone opens and credits ack groups; node.rs carries out what it decides",
+        check: |t| grep(t, |p| p == NODE, |l| any(l, &["open_group(", ".credit("])),
+        mutant: (NODE, "", "fn f(r: &mut ReplManager, g: u64) { r.credit(g); }\n") },
 ];
 
 /// A file above its first `#[cfg(test)]` line, `//` comments cut off;
