@@ -79,6 +79,10 @@ command -v python3 >/dev/null &&
     run python3 -c 'import ast, sys; ast.parse(open(sys.argv[1]).read())' tools/hostprof/fold.py
 # tools/pairs.sh (the A/B pairs of the benchmark) parses.
 run bash -n tools/pairs.sh
-# The non-test line count a change's size is quoted in (CHANGES.md).
+# The non-test line count a change's size is quoted in (CHANGES.md). It
+# refuses a directory outside any git work tree instead of counting 0.
 run tools/loc.sh
+notree=$(mktemp -d)
+run bash -c "! tools/loc.sh $notree"
+rmdir "$notree"
 echo "CI OK"

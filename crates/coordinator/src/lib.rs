@@ -17,11 +17,16 @@
 //!   normal recovery, in exchange for keeping the fast path
 //!   replication-free.
 //!
-//! This type is pure state; the cluster harness wraps it in a simulation
-//! actor that speaks the coordinator RPCs of [`rocksteady_proto`].
+//! This type is pure state with one input per event.
+//! [`Coordinator::handle`] takes a request and returns its answer and,
+//! in order, everything it sets off ([`Out`]): the audit records and the
+//! requests to servers, under RPC ids the coordinator allocates.
+//! [`Coordinator::answered`] takes a server's answer to one of those
+//! requests. The cluster harness's actor only delivers both ways.
 
-use rocksteady_common::{HashRange, KeyHash, MigrationId, ServerId, TableId};
-use rocksteady_proto::{TabletDescriptor, TabletState};
+use rocksteady_audit::AuditKind;
+use rocksteady_common::{HashRange, KeyHash, MigrationId, RpcId, ServerId, TableId};
+use rocksteady_proto::{Request, Response, Status, TabletDescriptor, TabletState};
 
 /// A recorded lineage dependency (§3.4): `source`'s correct recovery
 /// requires replaying `target`'s log from `from_segment` onward.
@@ -46,22 +51,31 @@ pub struct LineageDep {
 
 /// One recovery task the coordinator hands to a surviving master.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveryAssignment {
-    /// Table to recover.
-    pub table: TableId,
-    /// Hash range to recover.
-    pub range: HashRange,
+struct RecoveryAssignment {
+    table: TableId,
+    range: HashRange,
     /// The master whose data must be reconstructed (the crashed server,
     /// or the lineage target whose tail must be merged).
-    pub crashed: ServerId,
+    crashed: ServerId,
     /// The surviving master that will replay and take ownership.
-    pub recovery_master: ServerId,
+    recovery_master: ServerId,
     /// Skip log segments below this id (lineage tail, §3.4).
-    pub from_segment: u64,
+    from_segment: u64,
     /// Whether the recovery master should keep serving its existing copy
     /// of the range (lineage merge onto the still-alive source) rather
     /// than starting from nothing.
-    pub merge: bool,
+    merge: bool,
+}
+
+/// What a coordinator input sets off besides its answer, in the order it
+/// is carried out.
+#[derive(Debug)]
+pub enum Out {
+    /// An audit record, stamped at the input's time.
+    Audit(AuditKind),
+    /// A request to a server under an RPC id the coordinator allocated;
+    /// the server's answer comes back through [`Coordinator::answered`].
+    Send(ServerId, RpcId, Request),
 }
 
 /// The coordinator's authoritative cluster state.
@@ -70,12 +84,98 @@ pub struct Coordinator {
     servers: Vec<(ServerId, bool)>,
     tablets: Vec<TabletDescriptor>,
     lineage: Vec<LineageDep>,
+    /// Each `RecoverTablet` sent and not yet answered `RecoverTabletOk`,
+    /// by its RPC id.
+    recovering: Vec<(RpcId, RecoveryAssignment)>,
+    /// The last RPC id allocated; the first is 1.
+    last_rpc: u64,
 }
 
 impl Coordinator {
     /// Creates an empty coordinator.
     pub fn new() -> Self {
         Coordinator::default()
+    }
+
+    // ------------------------------------------------------------ inputs --
+
+    /// One request: its answer, and what it sets off, in order.
+    pub fn handle(&mut self, req: Request) -> (Response, Vec<Out>) {
+        let refused = Response::Err(Status::UnknownTablet);
+        match req {
+            Request::GetTabletMap => (
+                Response::TabletMapOk {
+                    tablets: self.tablet_map(),
+                },
+                Vec::new(),
+            ),
+            Request::MigrationStarting {
+                id,
+                table,
+                range,
+                source,
+                target,
+                lineage_from_segment,
+            } => {
+                let ok =
+                    self.migration_starting(id, table, range, source, target, lineage_from_segment);
+                let added = AuditKind::LineageAdded { id, source, target };
+                let start = AuditKind::MigrationStart {
+                    id,
+                    table,
+                    range,
+                    source,
+                    target,
+                };
+                (
+                    if ok { Response::Ok } else { refused },
+                    audited(ok, &[added, start]),
+                )
+            }
+            Request::MigrationComplete {
+                id,
+                table,
+                range,
+                source,
+                target,
+            } => {
+                let ok = self.migration_complete(id, table, range, source, target);
+                let commit = AuditKind::MigrationCommit { id, table, range };
+                let dropped = AuditKind::LineageDropped { id };
+                (Response::Ok, audited(ok, &[commit, dropped]))
+            }
+            Request::BaselineOwnershipTransfer {
+                table,
+                range,
+                source,
+                target,
+            } => {
+                let ok = self.baseline_complete(table, range, source, target);
+                let flip = AuditKind::BaselineFlip {
+                    table,
+                    range,
+                    source,
+                    target,
+                };
+                (Response::Ok, audited(ok, &[flip]))
+            }
+            Request::ReportCrash { server } => (Response::Ok, self.handle_crash(server)),
+            _ => (refused, Vec::new()),
+        }
+    }
+
+    /// A server's answer to the request sent under `rpc`. A
+    /// `RecoverTabletOk` ends that recovery: its master owns the range
+    /// and its own log holds it from now on.
+    pub fn answered(&mut self, rpc: RpcId, resp: &Response) {
+        if let Response::RecoverTabletOk { .. } = resp {
+            self.recovering.retain(|(sent, _)| *sent != rpc);
+        }
+    }
+
+    fn next_rpc(&mut self) -> RpcId {
+        self.last_rpc += 1;
+        RpcId(self.last_rpc)
     }
 
     // ------------------------------------------------------- membership --
@@ -87,8 +187,7 @@ impl Coordinator {
         }
     }
 
-    /// Alive servers.
-    pub fn alive_servers(&self) -> Vec<ServerId> {
+    fn alive_servers(&self) -> Vec<ServerId> {
         self.servers
             .iter()
             .filter(|(_, alive)| *alive)
@@ -169,8 +268,10 @@ impl Coordinator {
     /// Returns false if the named tablet doesn't exist, isn't owned by
     /// `source`, isn't in the `Normal` state, or if any recorded lineage
     /// dependency overlaps the range (two concurrent migrations over
-    /// overlapping ranges would corrupt each other's bookkeeping).
-    pub fn migration_starting(
+    /// overlapping ranges would corrupt each other's bookkeeping), and
+    /// while a recovery of an overlapping range is unanswered (its
+    /// master may yet die, and the recovery be planned again).
+    fn migration_starting(
         &mut self,
         id: MigrationId,
         table: TableId,
@@ -179,10 +280,15 @@ impl Coordinator {
         target: ServerId,
         from_segment: u64,
     ) -> bool {
+        let overlaps = |t: TableId, r: &HashRange| t == table && r.overlaps(&range);
         if self
             .lineage
             .iter()
-            .any(|d| d.id == id || (d.table == table && d.range.overlaps(&range)))
+            .any(|d| d.id == id || overlaps(d.table, &d.range))
+            || self
+                .recovering
+                .iter()
+                .any(|(_, a)| overlaps(a.table, &a.range))
         {
             return false;
         }
@@ -206,7 +312,7 @@ impl Coordinator {
     }
 
     /// A Rocksteady migration committed: drop the dependency (§3.4).
-    pub fn migration_complete(
+    fn migration_complete(
         &mut self,
         id: MigrationId,
         table: TableId,
@@ -236,7 +342,7 @@ impl Coordinator {
 
     /// A baseline migration finished: ownership transfers now (§2.3),
     /// in one step; until then the source owns the range.
-    pub fn baseline_complete(
+    fn baseline_complete(
         &mut self,
         table: TableId,
         range: HashRange,
@@ -264,13 +370,17 @@ impl Coordinator {
     /// migrations involving it (§3.4), and plans recoveries for every
     /// tablet that needs one.
     ///
-    /// The returned assignments tell surviving masters what to replay;
-    /// the cluster harness delivers them as `RecoverTablet` RPCs. Tablet
-    /// ownership in the map is updated immediately (clients will find the
-    /// recovery master and be told to retry until replay completes).
-    /// Also returned, in the order they were recorded: the ids of the
-    /// lineage dependencies the crash dropped.
-    pub fn handle_crash(&mut self, dead: ServerId) -> (Vec<RecoveryAssignment>, Vec<MigrationId>) {
+    /// Tablet ownership in the map is updated at once (clients find the
+    /// recovery master and are told to retry until its replay is
+    /// durable). What it sets off, in order: the drop of each lineage
+    /// dependency involving the dead server, in the order they were
+    /// recorded (the auditor checks that the crash left none, so they
+    /// land before `ServerCrashed`); `ServerCrashed`; one
+    /// `RecoveryPlanned` a recovery; `NotifyServerDown` to every
+    /// survivor, which stops waiting on the dead server (replication
+    /// acks, pulls); then one `RecoverTablet` a recovery, each kept until
+    /// it is answered.
+    fn handle_crash(&mut self, dead: ServerId) -> Vec<Out> {
         for (s, alive) in &mut self.servers {
             if *s == dead {
                 *alive = false;
@@ -279,7 +389,8 @@ impl Coordinator {
         let alive = self.alive_servers();
         let mut assignments = Vec::new();
         let mut rr = 0usize;
-        let lineage = self.lineage.clone();
+        let running = |(_, a): &mut (RpcId, RecoveryAssignment)| a.recovery_master == dead;
+        let stranded: Vec<_> = self.recovering.extract_if(.., running).collect();
 
         for t in &mut self.tablets {
             match t.state {
@@ -288,7 +399,8 @@ impl Coordinator {
                 // target's replicated log tail (the writes the target
                 // accepted) into its own copy (§3.4).
                 TabletState::Migrating { source } if t.owner == dead => {
-                    let dep = lineage
+                    let dep = self
+                        .lineage
                         .iter()
                         .find(|d| d.table == t.table && d.range == t.range && d.target == dead);
                     t.owner = source;
@@ -320,21 +432,28 @@ impl Coordinator {
                 }
                 // A normal tablet owned by the dead server: spray it to a
                 // surviving master (§2's fast distributed recovery,
-                // round-robin here).
+                // round-robin here). If the dead server was recovering it
+                // and never answered, its own log holds none of it: the
+                // next survivor replays the same log the dead one was
+                // given. (A merge recovery's master dying is not handled.)
                 _ if t.owner == dead => {
                     if alive.is_empty() {
                         continue;
                     }
                     let master = alive[rr % alive.len()];
                     rr += 1;
+                    let replan = stranded
+                        .iter()
+                        .map(|(_, a)| a)
+                        .find(|a| !a.merge && a.table == t.table && a.range == t.range);
                     t.owner = master;
                     t.state = TabletState::Normal;
                     assignments.push(RecoveryAssignment {
                         table: t.table,
                         range: t.range,
-                        crashed: dead,
+                        crashed: replan.map_or(dead, |a| a.crashed),
                         recovery_master: master,
-                        from_segment: 0,
+                        from_segment: replan.map_or(0, |a| a.from_segment),
                         merge: false,
                     });
                 }
@@ -346,9 +465,43 @@ impl Coordinator {
         // — are now resolved by the recoveries planned above. Deps between
         // two still-alive servers stay.
         let involved = |d: &mut LineageDep| d.source == dead || d.target == dead;
-        let dropped = self.lineage.extract_if(.., involved).map(|d| d.id);
-        (assignments, dropped.collect())
+        let dropped = self.lineage.extract_if(.., involved);
+        let mut out: Vec<Out> = dropped
+            .map(|d| Out::Audit(AuditKind::LineageDropped { id: d.id }))
+            .collect();
+        out.push(Out::Audit(AuditKind::ServerCrashed { server: dead }));
+        out.extend(assignments.iter().map(|a| {
+            Out::Audit(AuditKind::RecoveryPlanned {
+                table: a.table,
+                range: a.range,
+                recovery_master: a.recovery_master,
+            })
+        }));
+        for &s in &alive {
+            let notify = Request::NotifyServerDown { server: dead };
+            out.push(Out::Send(s, self.next_rpc(), notify));
+        }
+        for a in assignments {
+            let rpc = self.next_rpc();
+            let recover = Request::RecoverTablet {
+                table: a.table,
+                range: a.range,
+                crashed: a.crashed,
+                backups: alive.clone(),
+                from_segment: a.from_segment,
+                merge: a.merge,
+            };
+            out.push(Out::Send(a.recovery_master, rpc, recover));
+            self.recovering.push((rpc, a));
+        }
+        out
     }
+}
+
+/// `kinds` as audit records if `ok`, else nothing.
+fn audited(ok: bool, kinds: &[AuditKind]) -> Vec<Out> {
+    let kinds = if ok { kinds } else { &[] };
+    kinds.iter().map(|k| Out::Audit(*k)).collect()
 }
 
 #[cfg(test)]
@@ -369,6 +522,49 @@ mod tests {
         }
         c.create_tablet(T, HashRange::full(), S1);
         c
+    }
+
+    /// What reporting `server`'s crash sets off; the report is answered `Ok`.
+    fn crash(c: &mut Coordinator, server: ServerId) -> Vec<Out> {
+        let (resp, out) = c.handle(Request::ReportCrash { server });
+        assert!(matches!(resp, Response::Ok), "{resp:?}");
+        out
+    }
+
+    /// The recoveries `out` sends, as planned.
+    fn plans(out: &[Out]) -> Vec<RecoveryAssignment> {
+        let plan = |o: &Out| match o {
+            Out::Send(
+                master,
+                _,
+                Request::RecoverTablet {
+                    table,
+                    range,
+                    crashed,
+                    from_segment,
+                    merge,
+                    ..
+                },
+            ) => Some(RecoveryAssignment {
+                table: *table,
+                range: *range,
+                crashed: *crashed,
+                recovery_master: *master,
+                from_segment: *from_segment,
+                merge: *merge,
+            }),
+            _ => None,
+        };
+        out.iter().filter_map(plan).collect()
+    }
+
+    /// The lineage dependencies whose drop `out` records.
+    fn dropped(out: &[Out]) -> Vec<MigrationId> {
+        let drop = |o: &Out| match o {
+            Out::Audit(AuditKind::LineageDropped { id }) => Some(*id),
+            _ => None,
+        };
+        out.iter().filter_map(drop).collect()
     }
 
     #[test]
@@ -438,8 +634,34 @@ mod tests {
     fn crash_of_migration_target_reverts_to_source_with_lineage_tail() {
         let mut c = coord();
         assert!(c.migration_starting(M1, T, HashRange::full(), S1, S2, 23));
-        let (plan, dropped) = c.handle_crash(S2);
-        assert_eq!(dropped, [M1]);
+        let out = crash(&mut c, S2);
+        // The order the actor carries out, RPC ids from 1: the drop lands
+        // before the crash record, the survivors hear of the death before
+        // the recovery master is told to recover.
+        let order: Vec<String> = out
+            .iter()
+            .map(|o| match o {
+                Out::Audit(kind) => kind.label().to_string(),
+                Out::Send(to, rpc, req) => format!("{} to {} as {}", req.name(), to.0, rpc.0),
+            })
+            .collect();
+        assert_eq!(
+            order,
+            [
+                "lineage-dropped",
+                "server-crashed",
+                "recovery-planned",
+                "notify-server-down to 1 as 1",
+                "notify-server-down to 3 as 2",
+                "recover-tablet to 1 as 3",
+            ]
+        );
+        assert_eq!(dropped(&out), [M1]);
+        assert!(matches!(
+            out[5],
+            Out::Send(_, _, Request::RecoverTablet { ref backups, .. }) if backups == &[S1, S3]
+        ));
+        let plan = plans(&out);
         assert_eq!(plan.len(), 1);
         let a = &plan[0];
         assert_eq!(a.recovery_master, S1, "ownership reverts to source");
@@ -448,14 +670,13 @@ mod tests {
         assert!(a.merge);
         assert_eq!(c.tablet_for(T, 5).unwrap().owner, S1);
         assert!(c.lineage_deps().is_empty());
-        assert!(!c.alive_servers().contains(&S2));
     }
 
     #[test]
     fn crash_of_migration_source_recovers_onto_target() {
         let mut c = coord();
         assert!(c.migration_starting(M1, T, HashRange::full(), S1, S2, 23));
-        let (plan, _) = c.handle_crash(S1);
+        let plan = plans(&crash(&mut c, S1));
         assert_eq!(plan.len(), 1);
         assert_eq!(plan[0].recovery_master, S2);
         assert_eq!(plan[0].crashed, S1);
@@ -530,8 +751,9 @@ mod tests {
         assert!(c.migration_starting(MigrationId(3), TableId(3), parts[2], s4, s5, 33));
         assert_eq!(c.lineage_deps().len(), 3);
 
-        let (plan, dropped) = c.handle_crash(S2);
-        assert_eq!(dropped, [M1, M2], "the unrelated dep is not dropped");
+        let out = crash(&mut c, S2);
+        assert_eq!(dropped(&out), [M1, M2], "the unrelated dep is not dropped");
+        let plan = plans(&out);
         assert_eq!(plan.len(), 2, "{plan:?}");
         // M1: target died → revert to source S1, replay S2's tail from 11.
         let a = plan
@@ -567,8 +789,9 @@ mod tests {
         for (i, r) in HashRange::full().split(4).into_iter().enumerate() {
             c.create_tablet(TableId(i as u64), r, S1);
         }
-        let (plan, dropped) = c.handle_crash(S1);
-        assert!(dropped.is_empty());
+        let out = crash(&mut c, S1);
+        assert!(dropped(&out).is_empty());
+        let plan = plans(&out);
         assert_eq!(plan.len(), 4);
         let masters: Vec<ServerId> = plan.iter().map(|a| a.recovery_master).collect();
         assert!(
@@ -579,5 +802,48 @@ mod tests {
             assert!(!a.merge);
             assert_eq!(a.from_segment, 0);
         }
+    }
+
+    #[test]
+    fn a_recovery_whose_master_dies_unanswered_is_planned_again_from_the_same_log() {
+        let mut c = coord();
+        c.register_server(ServerId(4));
+        let first = plans(&crash(&mut c, S1));
+        assert_eq!(first.len(), 1);
+        assert_eq!((first[0].crashed, first[0].recovery_master), (S1, S2));
+        // Until the recovery is answered, the range cannot migrate.
+        assert!(!c.migration_starting(M1, T, HashRange::full(), S2, S3, 0));
+
+        // S2 dies before it answers: S2's own log holds nothing of the
+        // tablet, so the next survivor replays S1's again.
+        let out = crash(&mut c, S2);
+        let again = RecoveryAssignment {
+            recovery_master: S3,
+            ..first[0].clone()
+        };
+        assert_eq!(plans(&out), [again]);
+        assert_eq!(c.tablet_for(T, 5).unwrap().owner, S3);
+
+        // An answer to some other request ends nothing; S3's
+        // `RecoverTabletOk` ends this recovery, and the range may migrate.
+        let rpc = out.iter().find_map(|o| match o {
+            Out::Send(_, rpc, Request::RecoverTablet { .. }) => Some(*rpc),
+            _ => None,
+        });
+        let rpc = rpc.expect("a RecoverTablet");
+        c.answered(rpc, &Response::Ok);
+        assert!(!c.migration_starting(M1, T, HashRange::full(), S3, ServerId(4), 0));
+        c.answered(rpc, &Response::RecoverTabletOk { replayed: 7 });
+        assert!(c.recovering.is_empty());
+        assert!(c.migration_starting(M1, T, HashRange::full(), S3, ServerId(4), 0));
+        assert!(c.migration_complete(M1, T, HashRange::full(), S3, ServerId(4)));
+
+        // An answered recovery's range lives in its master's log: that
+        // master's crash replays its own log.
+        let last = plans(&crash(&mut c, ServerId(4)));
+        assert_eq!(
+            (last[0].crashed, last[0].recovery_master),
+            (ServerId(4), S3)
+        );
     }
 }

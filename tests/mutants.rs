@@ -134,6 +134,11 @@ const MUTANTS: &[Mutant] = &[
         replacement: "            let _ = word;\n",
         killer: ("crates/logstore/src/entry.rs", "every_byte_but_the_checksum_is_covered"),
         promise: "an entry's checksum covers every byte but its own, across the seam of header and payload", decided: "§3.3" },
+    Mutant { file: "crates/coordinator/src/lib.rs",
+        anchor: "crashed: replan.map_or(dead, |a| a.crashed),",
+        replacement: "crashed: dead,",
+        killer: ("tests/recovery.rs", "a_recovery_master_crash_before_claiming_loses_no_record"),
+        promise: "a recovery whose master dies before answering is planned again from the same log, not the master's", decided: "§3.7" },
 ];
 
 fn read(path: &str) -> String {

@@ -15,7 +15,8 @@
 //! answer left. Its backups hold its whole log by then, so the next
 //! recovery master finds every record there. Its clients only read, so
 //! no write's shipment carries the replayed bytes along: the recovery
-//! ships them itself.
+//! ships them itself. The third kills it halfway to its claim: the
+//! coordinator plans the unanswered recovery again, from the same log.
 
 mod common;
 
@@ -149,13 +150,12 @@ fn a_recovery_master_crash_after_answering_loses_no_record() {
 /// The recovery master dies halfway between the owner's death and its
 /// claim, found from a first run of the same schedule (checked in the
 /// second: same recovery master, no claim yet). The dead owner's
-/// replicas still sit on live backups, so a second recovery could find
-/// every record; but the coordinator already made the dead recovery
-/// master the owner, plans the next recovery from *its* log, which holds
-/// nothing of the tablet, and 81 341 of the 10⁵ records do not read back
-/// (ROADMAP.md item 19).
+/// replicas still sit on live backups. The coordinator still holds the
+/// unanswered recovery, so it plans it again onto the next survivor,
+/// from the dead *owner's* log: the dead recovery master's own log holds
+/// nothing of the tablet. Every record reads back (ROADMAP.md item 19;
+/// planned from the recovery master's log, 81 341 of the 10⁵ did not).
 #[test]
-#[ignore = "ROADMAP item 19: a recovery master's death before its claim loses the tablet"]
 fn a_recovery_master_crash_before_claiming_loses_no_record() {
     let (master, answered) = {
         let mut first = owner_crash(four_servers(), 1.0, None);

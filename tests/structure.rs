@@ -28,6 +28,7 @@ const MSG: &str = "crates/proto/src/msg.rs";
 const YCSB: &str = "crates/workload/src/ycsb.rs";
 const AUDIT: &str = "crates/audit/src/lib.rs";
 const WIRE: &str = "crates/common/src/wire.rs";
+const COORD_ACTOR: &str = "crates/cluster/src/coordinator_actor.rs";
 /// The files under `crates/` and `vendor/` that may hold unsafe code.
 const UNSAFE_DOORS: [&str; 5] = [
     "crates/common/src/prefetch.rs",
@@ -201,6 +202,13 @@ const RULES: &[Rule] = &[
         why: "ReplManager alone opens and credits ack groups; node.rs carries out what it decides",
         check: |t| grep(t, |p| p == NODE, |l| any(l, &["open_group(", ".credit("])),
         mutant: (NODE, "", "fn f(r: &mut ReplManager, g: u64) { r.credit(g); }\n") },
+    Rule { name: "the_coordinator_decides", decided: "§3.7",
+        why: "the coordinator core decides what each request sets off and allocates its RPC ids; its actor only delivers",
+        check: |t| [
+            grep(t, |p| p == COORD_ACTOR, |l| any(l, &["AuditKind", "Request::", "RpcId("])),
+            grep(t, |p| p == "crates/coordinator/src/lib.rs", |l| any(l, &["rocksteady_simnet"])),
+        ].concat(),
+        mutant: (COORD_ACTOR, "", "use rocksteady_audit::AuditKind;\n") },
 ];
 
 /// A file above its first `#[cfg(test)]` line, `//` comments cut off;

@@ -4,11 +4,22 @@
 # crates/*/benches and examples/; a file counts up to its first
 # `#[cfg(test)]` line, and only lines that are neither blank nor
 # comment-only (`//`, `///`, `//!`). Prints one line per crate, one for
-# examples, then the total.
+# examples, then the total. Outside a git work tree it fails rather
+# than count nothing.
 #
-#   tools/loc.sh        # from anywhere inside a checkout
+#   tools/loc.sh        # the checkout the working directory is in
+#   tools/loc.sh DIR    # the checkout DIR is in (a parent's clone, say)
 set -euo pipefail
-cd "$(dirname "$0")/.."
+if [ $# -gt 1 ]; then
+    echo "usage: tools/loc.sh [DIR]" >&2
+    exit 2
+fi
+cd "${1:-.}"
+if ! top=$(git rev-parse --show-toplevel 2>/dev/null); then
+    echo "loc.sh: $(pwd) is not inside a git work tree" >&2
+    exit 1
+fi
+cd "$top"
 git ls-files --cached --others --exclude-standard \
     'crates/*/src/*.rs' 'crates/*/benches/*.rs' 'examples/*.rs' |
     awk '
