@@ -24,7 +24,7 @@ use rocksteady_cluster::{Activity, ClusterBuilder, ClusterConfig, ControlCmd};
 use rocksteady_common::time::mb_per_sec;
 use rocksteady_common::{HashRange, MigrationId, ServerId, MILLISECOND};
 use rocksteady_master::TabletRole;
-use rocksteady_proto::msg::BaselineOpts;
+use rocksteady_proto::msg::BaselineStage;
 
 use crate::{Report, FIGURE_DATA_DIR};
 
@@ -46,7 +46,12 @@ struct VariantRun {
     source_gather_ns: u64,
 }
 
-fn run_variant(base: &ClusterConfig, name: &str, csv_name: &str, opts: BaselineOpts) -> VariantRun {
+fn run_variant(
+    base: &ClusterConfig,
+    name: &str,
+    csv_name: &str,
+    until: BaselineStage,
+) -> VariantRun {
     let mut b = ClusterBuilder::new(base.clone());
     b.at(
         10 * MILLISECOND,
@@ -56,7 +61,7 @@ fn run_variant(base: &ClusterConfig, name: &str, csv_name: &str, opts: BaselineO
             range: HashRange::full(),
             source: ServerId(0),
             target: ServerId(1),
-            opts,
+            until,
         },
     );
     let mut cluster = b.build();
@@ -177,42 +182,25 @@ pub(super) fn figure(report: &mut Report) {
     );
 
     println!("{:<22} {:>13}", "variant", "steady rate");
-    let full = run_variant(&base, "Full", "full", BaselineOpts::default());
+    let full = run_variant(&base, "Full", "full", BaselineStage::Rereplicate);
     let no_rerepl = run_variant(
         &base,
         "Skip Re-replication",
         "skip_rereplication",
-        BaselineOpts {
-            skip_rereplication: true,
-            ..Default::default()
-        },
+        BaselineStage::Replay,
     );
     let no_replay = run_variant(
         &base,
         "Skip Replay on Target",
         "skip_replay",
-        BaselineOpts {
-            skip_replay: true,
-            ..Default::default()
-        },
+        BaselineStage::Tx,
     );
-    let no_tx = run_variant(
-        &base,
-        "Skip Tx to Target",
-        "skip_tx",
-        BaselineOpts {
-            skip_tx: true,
-            ..Default::default()
-        },
-    );
+    let no_tx = run_variant(&base, "Skip Tx to Target", "skip_tx", BaselineStage::Copy);
     let no_copy = run_variant(
         &base,
         "Skip Copy for Tx",
         "skip_copy",
-        BaselineOpts {
-            skip_copy: true,
-            ..Default::default()
-        },
+        BaselineStage::Identify,
     );
     let variants = [
         ("full", &full),

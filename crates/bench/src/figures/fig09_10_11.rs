@@ -7,6 +7,7 @@
 //! timeline buckets here are 20 ms where the paper's are 1 s. Rates,
 //! utilizations, and latency distributions are directly comparable.
 
+use rocksteady::PriorityPulls;
 use rocksteady_cluster::scenarios::{preload_split, upper, TABLE};
 use rocksteady_cluster::{Cluster, ClusterBuilder, ClusterConfig, ControlCmd};
 use rocksteady_common::time::{fmt_nanos, mb_per_sec};
@@ -40,7 +41,7 @@ struct Out {
 fn run(base: &ClusterConfig, variant: Variant) -> Out {
     let mut cfg = base.clone();
     if variant == Variant::NoPriorityPulls {
-        cfg.migration.priority_pulls = false;
+        cfg.migration.priority_pulls = PriorityPulls::Off;
     }
     let mut b = ClusterBuilder::new(cfg);
     let mut y = YcsbConfig::ycsb_b(b.directory(), TABLE, KEYS, RATE_PER_CLIENT);
@@ -54,7 +55,7 @@ fn run(base: &ClusterConfig, variant: Variant) -> Out {
             range: upper(),
             source: ServerId(0),
             target: ServerId(1),
-            opts: Default::default(),
+            until: Default::default(),
         },
         _ => ControlCmd::migrate(MigrationId(1), TABLE, upper(), ServerId(0), ServerId(1)),
     };

@@ -12,6 +12,7 @@
 //!   adding median jitter — but answer waiting clients directly, so
 //!   their 99.9th can be lower.
 
+use rocksteady::PriorityPulls;
 use rocksteady_cluster::scenarios::{preload_split, upper, TABLE};
 use rocksteady_cluster::{Cluster, ClusterBuilder, ClusterConfig, ControlCmd};
 use rocksteady_common::time::fmt_nanos;
@@ -33,9 +34,9 @@ struct Out {
     cluster: Cluster,
 }
 
-fn run(base: &ClusterConfig, sync: bool) -> Out {
+fn run(base: &ClusterConfig, priority_pulls: PriorityPulls) -> Out {
     let mut cfg = base.clone();
-    cfg.migration.sync_priority_pulls = sync;
+    cfg.migration.priority_pulls = priority_pulls;
     let mut b = ClusterBuilder::new(cfg);
     let mut y = YcsbConfig::ycsb_b(b.directory(), TABLE, KEYS, RATE_PER_CLIENT);
     y.max_outstanding = 64;
@@ -57,7 +58,7 @@ fn run(base: &ClusterConfig, sync: bool) -> Out {
     cluster.set_tracing(false);
     cluster.run_until(END);
     Out {
-        name: if sync {
+        name: if priority_pulls == PriorityPulls::Sync {
             "Sync and Single (b)"
         } else {
             "Async and Batched (a)"
@@ -177,8 +178,8 @@ pub(super) fn figure(report: &mut Report) {
         &format!("{KEYS} records x 100 B, {CLIENTS} clients x {RATE_PER_CLIENT:.0} ops/s, bulk Pulls disabled"),
     );
 
-    let asynchronous = run(&base, false);
-    let synchronous = run(&base, true);
+    let asynchronous = run(&base, PriorityPulls::Batched);
+    let synchronous = run(&base, PriorityPulls::Sync);
 
     for out in [&asynchronous, &synchronous] {
         println!("--- {} ---", out.name);

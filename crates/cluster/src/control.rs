@@ -7,7 +7,7 @@
 //! role for crash experiments.
 
 use rocksteady_common::{HashRange, MigrationId, Nanos, RpcId, ServerId, TableId};
-use rocksteady_proto::msg::BaselineOpts;
+use rocksteady_proto::msg::BaselineStage;
 use rocksteady_proto::{Envelope, Request};
 use rocksteady_simnet::{Actor, Ctx, Directory, Event};
 
@@ -39,8 +39,8 @@ pub enum ControlCmd {
         source: ServerId,
         /// Destination.
         target: ServerId,
-        /// Figure 5 phase levers.
-        opts: BaselineOpts,
+        /// The last stage the run performs (Figure 5's levers).
+        until: BaselineStage,
     },
     /// Kill a server and report the crash to the coordinator after a
     /// short detection delay.
@@ -139,7 +139,7 @@ impl ControlActor {
                 range,
                 source,
                 target,
-                opts,
+                until,
             } => {
                 let rpc = self.alloc_rpc();
                 let dst = self.dir.actor_of(source);
@@ -152,7 +152,7 @@ impl ControlActor {
                             table,
                             range,
                             target,
-                            opts,
+                            until,
                         },
                     ),
                 );

@@ -225,8 +225,12 @@ impl ClusterBuilder {
     /// Makes the network lose every message to `server` that `rule`
     /// names (one rule per server; the last call wins), as
     /// [`Simulation::lose`] does.
-    pub fn lose(&mut self, server: ServerId, rule: LossRule<Envelope>) -> &mut Self {
-        self.losses.push((server, rule));
+    pub fn lose(
+        &mut self,
+        server: ServerId,
+        rule: impl FnMut(&Envelope) -> bool + 'static,
+    ) -> &mut Self {
+        self.losses.push((server, Box::new(rule)));
         self
     }
 
@@ -983,7 +987,7 @@ mod tests {
                 range: upper(),
                 source: ServerId(0),
                 target: ServerId(1),
-                opts: Default::default(),
+                until: Default::default(),
             },
         );
         let mut cluster = b.build();

@@ -5,16 +5,16 @@
 //! belong to the migrating tablet into staging buffers, and ships them to
 //! the target, which logically replays them into its own log and
 //! re-replicates them. Ownership transfers only at the *end*. Figure 5
-//! dissects this pipeline with four levers, all implemented here via
-//! [`BaselineOpts`]:
+//! dissects this pipeline with four levers, each cutting it one stage
+//! earlier: a run performs every [`BaselineStage`] up to its own.
 //!
-//! | lever | effect |
+//! | last stage | effect |
 //! |---|---|
-//! | (full) | scan + copy + tx + replay + re-replication |
-//! | `skip_rereplication` | target replays but does not replicate |
-//! | `skip_replay` | target acks without replaying |
-//! | `skip_tx` | source scans + copies, never transmits |
-//! | `skip_copy` | source only identifies migrating objects |
+//! | `Rereplicate` (full) | scan + copy + tx + replay + re-replication |
+//! | `Replay` | target replays but does not replicate |
+//! | `Tx` | target acks without replaying |
+//! | `Copy` | source scans + copies, never transmits |
+//! | `Identify` | source only identifies migrating objects |
 //!
 //! Because the source retains ownership, it keeps serving writes during
 //! the scan; the scan is followed by catch-up passes over the log tail,
@@ -27,7 +27,7 @@ use bytes::Bytes;
 use rocksteady_common::{FxHashSet, HashRange, ServerId, TableId};
 use rocksteady_logstore::EntryKind;
 use rocksteady_master::{MasterService, TabletRole, Work};
-use rocksteady_proto::msg::BaselineOpts;
+use rocksteady_proto::msg::BaselineStage;
 use rocksteady_proto::Record;
 
 /// What the source server should do after one scan step.
@@ -36,7 +36,7 @@ pub enum BaselineAction {
     /// Send this batch to the target (empty when a lever suppressed the
     /// build/tx), then run the next step when appropriate.
     SendBatch {
-        /// Records to push (empty under `skip_copy`/`skip_tx`).
+        /// Records to push (empty for a run that stops before `Tx`).
         records: Vec<Record>,
         /// Whether the caller must wait for the target's ack before the
         /// next step (windowed transfer; the full protocol uses 1
@@ -44,7 +44,7 @@ pub enum BaselineAction {
         await_ack: bool,
         /// Migrating-record bytes this step processed, whether or not
         /// they were shipped — the Figure 5 rate metric under the
-        /// skip levers.
+        /// levers.
         scanned_bytes: u64,
     },
     /// Scanning is complete; transfer ownership to the target via the
@@ -76,8 +76,8 @@ pub struct BaselineMigration {
     pub range: HashRange,
     /// Destination server.
     pub target: ServerId,
-    /// Phase levers (Figure 5).
-    pub opts: BaselineOpts,
+    /// The last stage the run performs (Figure 5's levers).
+    pub until: BaselineStage,
     /// Batch size in record bytes (matches the Pull budget for
     /// comparability).
     pub batch_bytes: u64,
@@ -104,7 +104,7 @@ impl BaselineMigration {
         table: TableId,
         range: HashRange,
         target: ServerId,
-        opts: BaselineOpts,
+        until: BaselineStage,
         batch_bytes: u64,
     ) -> Option<Self> {
         if !master.set_tablet_role(table, range, TabletRole::BaselineSourceTo { target }) {
@@ -114,7 +114,7 @@ impl BaselineMigration {
             table,
             range,
             target,
-            opts,
+            until,
             batch_bytes,
             phase: Phase::Scanning,
             scanned: FxHashSet::default(),
@@ -132,10 +132,7 @@ impl BaselineMigration {
 
     /// Whether any Figure 5 lever is active (measurement-only run).
     fn lever_active(&self) -> bool {
-        self.opts.skip_copy
-            || self.opts.skip_tx
-            || self.opts.skip_replay
-            || self.opts.skip_rereplication
+        self.until < BaselineStage::Rereplicate
     }
 
     /// Runs one scan step on a worker: walks the log from the current
@@ -181,7 +178,7 @@ impl BaselineMigration {
                     && view.kind != EntryKind::SideLogCommit;
                 if matches {
                     self.records_identified += 1;
-                    if !self.opts.skip_copy {
+                    if self.until >= BaselineStage::Copy {
                         let rec = Record {
                             table: self.table,
                             key_hash: view.key_hash,
@@ -219,12 +216,8 @@ impl BaselineMigration {
         }
 
         if batch_bytes > 0 {
-            self.bytes_shipped += if self.opts.skip_copy || self.opts.skip_tx {
-                0
-            } else {
-                batch_bytes
-            };
-            let send = !self.opts.skip_copy && !self.opts.skip_tx;
+            let send = self.until >= BaselineStage::Tx;
+            self.bytes_shipped += if send { batch_bytes } else { 0 };
             return (
                 BaselineAction::SendBatch {
                     records: if send { records } else { Vec::new() },
@@ -335,7 +328,7 @@ mod tests {
             T,
             HashRange::full(),
             ServerId(2),
-            BaselineOpts::default(),
+            BaselineStage::default(),
             20_000,
         )
         .unwrap();
@@ -373,7 +366,7 @@ mod tests {
             T,
             HashRange::full(),
             ServerId(2),
-            BaselineOpts::default(),
+            BaselineStage::default(),
             2_000,
         )
         .unwrap();
@@ -429,7 +422,7 @@ mod tests {
             T,
             HashRange::full(),
             ServerId(2),
-            BaselineOpts::default(),
+            BaselineStage::default(),
             1 << 20,
         )
         .unwrap();
@@ -456,10 +449,7 @@ mod tests {
             T,
             HashRange::full(),
             ServerId(2),
-            BaselineOpts {
-                skip_copy: true,
-                ..BaselineOpts::default()
-            },
+            BaselineStage::Identify,
             20_000,
         )
         .unwrap();
@@ -467,9 +457,51 @@ mod tests {
         drain(&mut mig, &mut src, |records| {
             saw_records |= !records.is_empty();
         });
-        assert!(!saw_records, "skip_copy must not build records");
+        assert!(!saw_records, "an Identify run must not build records");
         assert_eq!(mig.records_identified, 200);
         assert_eq!(mig.bytes_shipped, 0);
+    }
+
+    /// Each stage runs what the lever it replaces ran. The old levers'
+    /// formulas, inline: copy `!skip_copy`, send `!skip_copy &&
+    /// !skip_tx`, and of what was sent, replay `!skip_replay` and
+    /// re-replicate `!skip_replay && !skip_rereplication`;
+    /// measurement-only if any lever is set. Copy and send are read off
+    /// a run's first step; replay and re-replication are the target's
+    /// comparisons on the stage its `PushRecords` carries.
+    #[test]
+    fn each_stage_runs_what_its_lever_ran() {
+        // (stage, skip_copy, skip_tx, skip_replay, skip_rereplication)
+        let table = [
+            (BaselineStage::Identify, true, false, false, false),
+            (BaselineStage::Copy, false, true, false, false),
+            (BaselineStage::Tx, false, false, true, false),
+            (BaselineStage::Replay, false, false, false, true),
+            (BaselineStage::Rereplicate, false, false, false, false),
+        ];
+        for (until, skip_copy, skip_tx, skip_replay, skip_rereplication) in table {
+            let mut src = source_with(50);
+            let full = HashRange::full();
+            let mut mig = BaselineMigration::new(&mut src, T, full, ServerId(2), until, 20_000)
+                .expect("owned");
+            let (action, work) = mig.step(&mut src);
+            let BaselineAction::SendBatch {
+                records, await_ack, ..
+            } = action
+            else {
+                panic!("{until:?}: the first step found no batch");
+            };
+            assert_eq!(work.copied_bytes > 0, !skip_copy, "{until:?} copies");
+            let send = !skip_copy && !skip_tx;
+            assert_eq!(!records.is_empty() && await_ack, send, "{until:?} sends");
+            let replay = until >= BaselineStage::Replay;
+            assert_eq!(replay, send && !skip_replay, "{until:?} replays");
+            let rereplicate = until >= BaselineStage::Rereplicate;
+            let old = send && !skip_replay && !skip_rereplication;
+            assert_eq!(rereplicate, old, "{until:?} re-replicates");
+            let lever = skip_copy || skip_tx || skip_replay || skip_rereplication;
+            assert_eq!(mig.lever_active(), lever, "{until:?} is a lever run");
+        }
     }
 
     #[test]
@@ -487,7 +519,7 @@ mod tests {
             T,
             upper,
             ServerId(2),
-            BaselineOpts::default(),
+            BaselineStage::default(),
             20_000,
         )
         .unwrap();

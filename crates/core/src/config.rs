@@ -10,15 +10,36 @@ pub struct MigrationConfig {
     /// Pull outstanding (§3.1.1). "A small constant factor more
     /// partitions than worker cores is sufficient"; the paper uses 8.
     pub partitions: usize,
-    /// Whether PriorityPulls are issued at all (`false` reproduces the
-    /// Figure 9b/10b "No Priority Pulls" variant).
-    pub priority_pulls: bool,
-    /// Use the naïve synchronous single-key PriorityPull instead of the
-    /// asynchronous batched one (the Figure 13b/14b comparison).
-    pub sync_priority_pulls: bool,
+    /// How a read that misses a not-yet-migrated record is served.
+    pub priority_pulls: PriorityPulls,
     /// Issue bulk background Pulls at all. Figures 13/14 study
     /// PriorityPulls in isolation by disabling them.
     pub background_pulls: bool,
+}
+
+/// How a target fetches a record a client read missed (§3.3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PriorityPulls {
+    /// Misses accumulate into one asynchronous, de-duplicated batch in
+    /// flight at a time (§3.3). The default.
+    Batched,
+    /// None are issued: the record arrives with the bulk Pulls (the
+    /// Figure 9b/10b "No Priority Pulls" variant).
+    Off,
+    /// The naïve mode: the reading worker blocks on its own single-key
+    /// PriorityPull (the Figure 13b/14b comparison).
+    Sync,
+}
+
+impl PriorityPulls {
+    /// Why a read that missed is told to retry: one PriorityPull round
+    /// trip away, or only as soon as the bulk Pulls deliver its record.
+    pub fn retry_cause(self) -> RetryCause {
+        match self {
+            PriorityPulls::Off => RetryCause::MissBulkOnly,
+            PriorityPulls::Batched | PriorityPulls::Sync => RetryCause::MissPriorityPull,
+        }
+    }
 }
 
 /// Bytes of records each Pull returns (§3.1.1; the paper uses 20 KB —
@@ -36,8 +57,7 @@ impl Default for MigrationConfig {
     fn default() -> Self {
         MigrationConfig {
             partitions: 8,
-            priority_pulls: true,
-            sync_priority_pulls: false,
+            priority_pulls: PriorityPulls::Batched,
             background_pulls: true,
         }
     }

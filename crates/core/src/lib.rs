@@ -29,7 +29,7 @@
 //! The crate also implements the **baselines** the paper measures
 //! against: RAMCloud's pre-existing source-driven migration with the
 //! Figure 5 phase levers ([`baseline`]), the no-PriorityPull and
-//! synchronous-PriorityPull variants (config flags), and
+//! synchronous-PriorityPull variants ([`PriorityPulls`]), and
 //! source-retains-ownership (baseline with replay + synchronous
 //! re-replication, §4.2c).
 
@@ -40,6 +40,6 @@ pub mod priority;
 pub mod source;
 
 pub use baseline::{BaselineAction, BaselineMigration};
-pub use config::{MigrationConfig, RetryCause, PULL_BUDGET_BYTES};
+pub use config::{MigrationConfig, PriorityPulls, RetryCause, PULL_BUDGET_BYTES};
 pub use manager::{Action, MigrationManager, MigrationPhase, MigrationStats, ReplayBatch};
-pub use priority::{MissOutcome, PriorityPullBatcher};
+pub use priority::{MissAnswer, PriorityPullBatcher};

@@ -25,8 +25,8 @@
 use rocksteady_common::{HashRange, KeyHash, ScanCursor, ServerId, TableId};
 use rocksteady_proto::Record;
 
-use crate::config::{MigrationConfig, PRIORITY_PULL_BATCH};
-use crate::priority::{MissOutcome, PriorityPullBatcher};
+use crate::config::{MigrationConfig, PriorityPulls, PRIORITY_PULL_BATCH};
+use crate::priority::{MissAnswer, PriorityPullBatcher};
 
 /// A batch of records ready to be replayed on an idle worker.
 /// [`MigrationManager::poll`] hands out PriorityPull batches before bulk
@@ -272,26 +272,28 @@ impl MigrationManager {
     }
 
     /// A client read missed a record this target owns (§3.3). Decides
-    /// between "retry later" and "not found", queueing a PriorityPull
-    /// when enabled.
-    pub fn on_read_miss(&mut self, hash: KeyHash) -> MissOutcome {
+    /// between "retry later", "block on a PriorityPull" and "not found",
+    /// queueing the hash for the next PriorityPull batch when batched.
+    pub fn on_read_miss(&mut self, hash: KeyHash) -> MissAnswer {
+        let mode = self.config.priority_pulls;
+        // The naïve mode fetches before asking whether the key exists.
+        if mode == PriorityPulls::Sync {
+            return MissAnswer::Block;
+        }
         // If the partition holding this hash has fully arrived and
         // replayed, a miss is authoritative: the key doesn't exist.
         if let Some(p) = self.partitions.iter().find(|p| p.range.contains(hash)) {
             if p.done() && self.pp_ready.is_empty() {
-                return MissOutcome::NotFound;
+                return MissAnswer::NotFound;
             }
         }
         if self.phase == MigrationPhase::Done {
-            return MissOutcome::NotFound;
+            return MissAnswer::NotFound;
         }
-        if !self.config.priority_pulls || self.config.sync_priority_pulls {
-            // Without (async) PriorityPulls the client just waits for the
-            // bulk pulls (Figure 9b); in sync mode the server issues its
-            // own blocking fetch.
-            return MissOutcome::Wait;
+        if mode == PriorityPulls::Batched {
+            return self.batcher.on_miss(hash);
         }
-        self.batcher.on_miss(hash)
+        MissAnswer::Retry(mode.retry_cause())
     }
 
     /// Whether every partition is drained and nothing is outstanding.
@@ -328,7 +330,7 @@ impl MigrationManager {
         }
 
         // PriorityPull batch (one outstanding at a time, §3.3).
-        if self.config.priority_pulls && !self.config.sync_priority_pulls {
+        if self.config.priority_pulls == PriorityPulls::Batched {
             if let Some(hashes) = self.batcher.next_batch(PRIORITY_PULL_BATCH) {
                 self.stats.priority_pulls_sent += 1;
                 actions.push(Action::SendPriorityPull { hashes });
@@ -381,10 +383,13 @@ impl MigrationManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RetryCause;
     use bytes::Bytes;
 
     const T: TableId = TableId(1);
     const SRC: ServerId = ServerId(1);
+    /// A batched miss: retry after one PriorityPull round trip.
+    const QUEUED: MissAnswer = MissAnswer::Retry(RetryCause::MissPriorityPull);
 
     fn rec(hash: KeyHash) -> Record {
         Record {
@@ -398,16 +403,14 @@ mod tests {
     }
 
     fn running_manager(partitions: usize) -> MigrationManager {
-        let mut m = MigrationManager::new(
-            T,
-            HashRange::full(),
-            SRC,
-            5,
-            MigrationConfig {
-                partitions,
-                ..MigrationConfig::default()
-            },
-        );
+        running_with(MigrationConfig {
+            partitions,
+            ..MigrationConfig::default()
+        })
+    }
+
+    fn running_with(config: MigrationConfig) -> MigrationManager {
+        let mut m = MigrationManager::new(T, HashRange::full(), SRC, 5, config);
         assert!(matches!(m.begin(), Action::SendPrepare));
         match m.on_prepared() {
             Action::NotifyStart {
@@ -507,8 +510,8 @@ mod tests {
     fn priority_pull_roundtrip_and_urgent_replay() {
         let mut m = running_manager(1);
         m.poll(0);
-        assert_eq!(m.on_read_miss(42), MissOutcome::Wait);
-        assert_eq!(m.on_read_miss(42), MissOutcome::Wait);
+        assert_eq!(m.on_read_miss(42), QUEUED);
+        assert_eq!(m.on_read_miss(42), QUEUED);
         let actions = m.poll(0);
         match &actions[..] {
             [Action::SendPriorityPull { hashes }] => assert_eq!(hashes, &vec![42]),
@@ -567,35 +570,23 @@ mod tests {
         let mut m = running_manager(1);
         m.poll(0);
         m.on_pull_response(0, vec![rec(1)], None);
-        assert_eq!(
-            m.on_read_miss(77),
-            MissOutcome::Wait,
-            "replay still pending"
-        );
+        assert_eq!(m.on_read_miss(77), QUEUED, "replay still pending");
         let _ = m.poll(1);
         m.on_replay_done(Some(0));
         let _ = m.poll(1); // emits Finished
-        assert_eq!(m.on_read_miss(77), MissOutcome::NotFound);
+        assert_eq!(m.on_read_miss(77), MissAnswer::NotFound);
     }
 
     #[test]
     fn no_priority_pull_mode_never_sends_pp() {
-        let mut m = MigrationManager::new(
-            T,
-            HashRange::full(),
-            SRC,
-            0,
-            MigrationConfig {
-                partitions: 1,
-                priority_pulls: false,
-                ..MigrationConfig::default()
-            },
-        );
-        m.begin();
-        m.on_prepared();
-        m.on_registered();
+        let mut m = running_with(MigrationConfig {
+            partitions: 1,
+            priority_pulls: PriorityPulls::Off,
+            ..MigrationConfig::default()
+        });
         m.poll(0);
-        assert_eq!(m.on_read_miss(5), MissOutcome::Wait);
+        let bulk_only = MissAnswer::Retry(RetryCause::MissBulkOnly);
+        assert_eq!(m.on_read_miss(5), bulk_only);
         let actions = m.poll(2);
         assert!(
             !actions
@@ -603,6 +594,24 @@ mod tests {
                 .any(|a| matches!(a, Action::SendPriorityPull { .. })),
             "{actions:?}"
         );
+        assert_eq!(m.stats.priority_pulls_sent, 0);
+    }
+
+    /// The naïve mode blocks the reader before asking whether the key
+    /// exists: a miss on a drained partition still goes to the source,
+    /// and nothing is ever batched.
+    #[test]
+    fn sync_mode_blocks_even_on_a_drained_partition() {
+        let mut m = running_with(MigrationConfig {
+            partitions: 1,
+            priority_pulls: PriorityPulls::Sync,
+            ..MigrationConfig::default()
+        });
+        m.poll(0);
+        assert_eq!(m.on_read_miss(5), MissAnswer::Block);
+        m.on_pull_response(0, Vec::new(), None);
+        assert!(matches!(m.poll(1)[..], [Action::Finished]));
+        assert_eq!(m.on_read_miss(5), MissAnswer::Block);
         assert_eq!(m.stats.priority_pulls_sent, 0);
     }
 

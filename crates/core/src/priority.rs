@@ -17,13 +17,19 @@
 
 use rocksteady_common::{FxHashSet, KeyHash};
 
-/// What the server should tell a client whose read missed (§3.3).
+use crate::config::RetryCause;
+
+/// What the server does with a client read that missed a record this
+/// target owns (§3.3): the migration manager's whole answer, which the
+/// server only carries out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MissOutcome {
-    /// Tell the client to retry after a short back-off; the record is on
-    /// its way (a PriorityPull was batched, is in flight, or the bulk
-    /// pulls will deliver it).
-    Wait,
+pub enum MissAnswer {
+    /// Tell the client to retry after the cause's hint: the record is on
+    /// its way, in a batched PriorityPull or with the bulk Pulls.
+    Retry(RetryCause),
+    /// Block the reading worker on its own single-key PriorityPull to
+    /// the source, and answer once it returns (Figure 13b/14b).
+    Block,
     /// The key is known not to exist.
     NotFound,
 }
@@ -60,9 +66,9 @@ impl PriorityPullBatcher {
     /// for the next batch unless it is already pending, in flight, or
     /// known-absent — "de-duplication ensures that PriorityPulls never
     /// request the same key hash from the source twice" (§3.3).
-    pub fn on_miss(&mut self, hash: KeyHash) -> MissOutcome {
+    pub fn on_miss(&mut self, hash: KeyHash) -> MissAnswer {
         if self.absent.contains(&hash) {
-            return MissOutcome::NotFound;
+            return MissAnswer::NotFound;
         }
         if !self.in_flight.contains(&hash)
             && !self.served_set.contains(&hash)
@@ -70,7 +76,7 @@ impl PriorityPullBatcher {
         {
             self.pending.push(hash);
         }
-        MissOutcome::Wait
+        MissAnswer::Retry(RetryCause::MissPriorityPull)
     }
 
     /// Takes the next batch to send (up to `max` hashes), if no
@@ -120,12 +126,16 @@ impl PriorityPullBatcher {
 mod tests {
     use super::*;
 
+    /// A miss the batcher covered: retry after one PriorityPull round
+    /// trip.
+    const QUEUED: MissAnswer = MissAnswer::Retry(RetryCause::MissPriorityPull);
+
     #[test]
     fn miss_batches_and_dedups() {
         let mut b = PriorityPullBatcher::new();
-        assert_eq!(b.on_miss(1), MissOutcome::Wait);
-        assert_eq!(b.on_miss(2), MissOutcome::Wait);
-        assert_eq!(b.on_miss(1), MissOutcome::Wait, "duplicate miss");
+        assert_eq!(b.on_miss(1), QUEUED);
+        assert_eq!(b.on_miss(2), QUEUED);
+        assert_eq!(b.on_miss(1), QUEUED, "duplicate miss");
         let batch = b.next_batch(16).unwrap();
         assert_eq!(batch, vec![1, 2], "dedup kept one copy of hash 1");
     }
@@ -169,7 +179,7 @@ mod tests {
         let batch = b.next_batch(16).unwrap();
         b.on_response(batch);
         // The record is back but not yet replayed; a racing read misses.
-        assert_eq!(b.on_miss(9), MissOutcome::Wait);
+        assert_eq!(b.on_miss(9), QUEUED);
         assert!(b.next_batch(16).is_none(), "hash 9 requested twice");
         assert!(b.is_idle());
     }
@@ -183,12 +193,8 @@ mod tests {
         assert_eq!(batch.len(), 2);
         // Source only has hash 7; 8 was deleted.
         b.on_response(vec![7]);
-        assert_eq!(b.on_miss(8), MissOutcome::NotFound);
-        assert_eq!(
-            b.on_miss(7),
-            MissOutcome::Wait,
-            "7 may simply be racing replay"
-        );
+        assert_eq!(b.on_miss(8), MissAnswer::NotFound);
+        assert_eq!(b.on_miss(7), QUEUED, "7 may simply be racing replay");
         assert_eq!(b.served(), 1);
         assert_eq!(b.absent.len(), 1);
     }

@@ -59,21 +59,28 @@ pub enum Status {
     MigrationInProgress,
 }
 
-/// Phase levers for the baseline (pre-Rocksteady) migration, used by the
-/// Figure 5 bottleneck breakdown (§2.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BaselineOpts {
-    /// Target skips re-replicating received data ("Skip Re-replication").
-    pub skip_rereplication: bool,
-    /// Target skips replaying into its log/hash table ("Skip Replay on
-    /// Target"); implies no re-replication.
-    pub skip_replay: bool,
-    /// Source does all processing but never transmits ("Skip Tx to
-    /// Target").
-    pub skip_tx: bool,
-    /// Source only identifies migrating objects, skipping the staging
-    /// copy and everything after ("Skip Copy for Tx").
-    pub skip_copy: bool,
+/// How far a baseline (pre-Rocksteady) migration runs: the last stage
+/// of its pipeline it performs (§2.3). Each Figure 5 lever cuts the
+/// pipeline one stage earlier than the next, so the stages are totally
+/// ordered and a run performs every stage up to and including its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+pub enum BaselineStage {
+    /// The source only identifies migrating objects ("Skip Copy for
+    /// Tx").
+    Identify,
+    /// The source also copies them into staging buffers, but never
+    /// transmits ("Skip Tx to Target").
+    Copy,
+    /// The source transmits; the target acks without replaying ("Skip
+    /// Replay on Target").
+    Tx,
+    /// The target replays into its log and hash table but does not
+    /// re-replicate ("Skip Re-replication").
+    Replay,
+    /// The whole pipeline: the target re-replicates what it replayed,
+    /// and ownership moves at the end.
+    #[default]
+    Rereplicate,
 }
 
 /// A raw replicated-segment image returned by a backup during recovery.
@@ -205,18 +212,18 @@ pub enum Request {
         range: HashRange,
         /// Server to copy the records to.
         target: ServerId,
-        /// Phase levers.
-        opts: BaselineOpts,
+        /// The last stage the run performs (Figure 5's levers).
+        until: BaselineStage,
     },
     /// Source → target: one batch of the baseline migration's log-scan
     /// output.
     PushRecords {
         /// Records in this batch.
         records: Vec<Record>,
-        /// Whether the target should replay into its log/hash table.
-        replay: bool,
-        /// Whether the target should synchronously re-replicate.
-        rereplicate: bool,
+        /// The run's last stage: the target replays from
+        /// [`BaselineStage::Replay`] on, and answers once re-replicated at
+        /// [`BaselineStage::Rereplicate`].
+        until: BaselineStage,
     },
 
     // ------------------------------------------------------- replication --

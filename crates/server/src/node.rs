@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use rocksteady::{
-    Action, BaselineAction, BaselineMigration, MigrationManager, MissOutcome, ReplayBatch,
+    Action, BaselineAction, BaselineMigration, MigrationManager, MissAnswer, ReplayBatch,
     RetryCause, PULL_BUDGET_BYTES,
 };
 use rocksteady_audit::AuditSink;
@@ -23,13 +23,13 @@ use rocksteady_common::{
 use rocksteady_logstore::SideLog;
 use rocksteady_master::{MasterService, OpError, ReplayDest, TabletRole, Work};
 use rocksteady_profiler::Profiler;
-use rocksteady_proto::msg::BaselineOpts;
+use rocksteady_proto::msg::BaselineStage;
 use rocksteady_proto::{Body, Envelope, Priority, Record, Request, Response, Status};
 use rocksteady_simnet::{Actor, ActorId, Ctx, Event};
 use rocksteady_trace::Tracer;
 
 use crate::recovery::{RecoveryRun, Step};
-use crate::repl::{Durable, Out, ReplManager, Scope};
+use crate::repl::{Durable, Out, ReplManager, Scope, Then};
 use crate::rpc::{Pending, RpcTable, SyncWait};
 use crate::sched::{Deferred, Inbound, Placement, Quantum, ReplyTo, Sched, Task};
 use crate::stats::StatsHandle;
@@ -67,8 +67,6 @@ struct MigrationRun {
 struct BaselineRun {
     id: MigrationId,
     mig: BaselineMigration,
-    target: ServerId,
-    opts: BaselineOpts,
 }
 
 /// One simulated RAMCloud server (master + backup + dispatch/workers).
@@ -118,7 +116,7 @@ impl ServerNode {
             master: MasterService::new(cfg.master.clone()),
             backup: BackupService::new(cfg.id),
             tel: NodeTelemetry::new(cfg.id, pid, cfg.workers, trace, profiler, audit),
-            sched: Sched::new(cfg.workers, cfg.migration.sync_priority_pulls),
+            sched: Sched::new(cfg.workers, cfg.migration.priority_pulls),
             rpcs: RpcTable::default(),
             repl: ReplManager::default(),
             migrations: Vec::new(),
@@ -307,23 +305,18 @@ impl ServerNode {
                 table,
                 range,
                 target,
-                opts,
+                until,
             } => {
                 let budget = PULL_BUDGET_BYTES as u64;
                 let Some(mig) =
-                    BaselineMigration::new(&mut self.master, table, range, target, opts, budget)
+                    BaselineMigration::new(&mut self.master, table, range, target, until, budget)
                 else {
                     let resp = Response::Err(Status::UnknownTablet);
                     self.respond(ctx, src, rpc, resp, CausalCtx::NONE);
                     return;
                 };
                 self.stats.begin_migration_run(id, now);
-                self.baseline = Some(BaselineRun {
-                    id,
-                    mig,
-                    target,
-                    opts,
-                });
+                self.baseline = Some(BaselineRun { id, mig });
                 self.sched.enqueue(Priority::Background, Task::BaselineStep);
                 self.respond(ctx, src, rpc, Response::MigrateTabletOk, CausalCtx::NONE);
             }
@@ -598,6 +591,7 @@ impl ServerNode {
     /// once that is durable. The replication manager decides all of it.
     fn ship(&mut self, ctx: &mut Ctx<'_, Envelope>, scopes: &[Scope], then: Option<Durable>) {
         let (log, backups, cost) = (&self.master.log, &self.cfg.backup_actors, &self.cfg.cost);
+        let then = then.map(Then::Answer);
         let outs = self.repl.ship(scopes, ctx.now(), log, backups, cost, then);
         self.carry_out(ctx, outs);
     }
@@ -659,7 +653,6 @@ impl ServerNode {
                 let resp = Response::RecoverTabletOk { replayed };
                 self.respond(ctx, coordinator, rpc, resp, CausalCtx::NONE);
             }
-            Durable::FreeVictims(_) => unreachable!("victims are freed as Out::Free"),
         }
     }
 
@@ -810,17 +803,13 @@ impl ServerNode {
                     .priority_pull_served(ctx.now(), hashes.len(), records.len());
                 (service, Response::PriorityPullOk { records })
             }
-            Request::PushRecords {
-                records,
-                replay,
-                rereplicate,
-            } => {
+            Request::PushRecords { records, until } => {
                 let mut service = m.op_fixed_ns;
                 self.count_gathered(&records);
-                if replay {
+                if until >= BaselineStage::Replay {
                     service += self.replay_into_main_log(ctx.now(), &records);
                 }
-                if replay && rereplicate {
+                if until >= BaselineStage::Rereplicate {
                     self.respond_durable(worker, to, Response::PushRecordsOk);
                     return service;
                 }
@@ -894,9 +883,10 @@ impl ServerNode {
         replay_ns(&self.cfg.cost, records)
     }
 
-    /// A read found its record not yet migrated (§3.3). Returns the
-    /// answer to defer — or `None` when the worker instead blocks on its
-    /// own PriorityPull (the naïve mode of Figure 13b/14b).
+    /// A read found its record not yet migrated (§3.3): does what the
+    /// covering run's manager answers. Returns the answer to defer — or
+    /// `None` when the worker instead blocks on its own PriorityPull (the
+    /// naïve mode of Figure 13b/14b).
     fn read_miss(
         &mut self,
         ctx: &mut Ctx<'_, Envelope>,
@@ -913,9 +903,12 @@ impl ServerNode {
             .migrations
             .iter_mut()
             .find(|r| r.mgr.table == table && r.mgr.range.contains(hash));
-        let priority_pulls = self.cfg.migration.priority_pulls;
-        let outcome = match covering {
-            Some(run) if self.cfg.migration.sync_priority_pulls => {
+        let Some(run) = covering else {
+            let cause = self.cfg.migration.priority_pulls.retry_cause();
+            return Some(self.retry_hint(ctx, cause));
+        };
+        match run.mgr.on_read_miss(hash) {
+            MissAnswer::Block => {
                 let dst = run.source_actor;
                 self.sched.workers[worker].held = true;
                 let wait = SyncWait {
@@ -933,36 +926,23 @@ impl ServerNode {
                 let hashes = vec![hash];
                 let req = Request::PriorityPull { table, hashes };
                 self.send(ctx, dst, Envelope::req(pp, req).with_ctx(pp_ctx));
-                return None;
+                None
             }
-            Some(run) => {
-                let outcome = run.mgr.on_read_miss(hash);
-                // Remember who asked: the batched PriorityPull that
-                // eventually covers this hash inherits the waiting
-                // read's context (first waiter wins).
-                if outcome == MissOutcome::Wait && reader.cctx.trace_id.is_some() {
-                    let asker = reader.cctx.child();
-                    run.pp_ctx.entry(hash).or_insert(asker);
-                }
-                if outcome == MissOutcome::Wait && priority_pulls {
+            MissAnswer::Retry(cause) => {
+                if cause == RetryCause::MissPriorityPull {
+                    // Remember who asked: the batched PriorityPull that
+                    // eventually covers this hash inherits the waiting
+                    // read's context (first waiter wins).
+                    if reader.cctx.trace_id.is_some() {
+                        run.pp_ctx.entry(hash).or_insert(reader.cctx.child());
+                    }
                     let n = self.stats.priority_pull_deferrals.inc();
                     self.tel.priority_pull_deferred(ctx.now(), n);
                 }
-                outcome
+                Some(self.retry_hint(ctx, cause))
             }
-            None => MissOutcome::Wait,
-        };
-        Some(match outcome {
-            // "Retry after the time when the target expects it will
-            // have the value" (§3): with PriorityPulls that is one PP
-            // round trip; without them the record only arrives with the
-            // bulk pulls, so the hint is correspondingly longer.
-            MissOutcome::Wait if priority_pulls => {
-                self.retry_hint(ctx, RetryCause::MissPriorityPull)
-            }
-            MissOutcome::Wait => self.retry_hint(ctx, RetryCause::MissBulkOnly),
-            MissOutcome::NotFound => Response::Err(Status::NotFound),
-        })
+            MissAnswer::NotFound => Some(Response::Err(Status::NotFound)),
+        }
     }
 
     fn finish_sync_priority_pull(
@@ -1237,26 +1217,23 @@ impl ServerNode {
             } => {
                 self.stats.bytes_migrated_out.add(scanned_bytes);
                 if !await_ack || records.is_empty() {
-                    // Lever variants (skip_copy/skip_tx) keep scanning
-                    // without waiting on the network.
+                    // Runs that stop before `Tx` keep scanning without
+                    // waiting on the network.
                     let next = Deferred::BaselineContinue;
                     self.sched.workers[worker].deferred.push(next);
                     return service;
                 }
                 self.stats.migration_gathered(run.id, records.len() as u64);
-                let req = Request::PushRecords {
-                    records,
-                    replay: !run.opts.skip_replay,
-                    rereplicate: !run.opts.skip_replay && !run.opts.skip_rereplication,
-                };
-                (self.dir.actor_of(run.target), Pending::PushRecords, req)
+                let until = run.mig.until;
+                let req = Request::PushRecords { records, until };
+                (self.dir.actor_of(run.mig.target), Pending::PushRecords, req)
             }
             BaselineAction::TransferOwnership => {
                 let req = Request::BaselineOwnershipTransfer {
                     table: run.mig.table,
                     range: run.mig.range,
                     source: self.cfg.id,
-                    target: run.target,
+                    target: run.mig.target,
                 };
                 (self.dir.coordinator, Pending::BaselineTransferAck, req)
             }
@@ -1338,9 +1315,11 @@ impl ServerNode {
         // The survivors sit in adopted segments of their own: they leave
         // on the bulk lane once the copy is paid for, and the victims'
         // replicas go when the survivors' last ack is in.
-        let not_before = ctx.now() + service;
-        let free = Some(Durable::FreeVictims(stats.victims));
-        self.ship(ctx, &[Scope::Adopted { not_before }], free);
+        let (now, log, backups) = (ctx.now(), &self.master.log, &self.cfg.backup_actors);
+        let outs = self
+            .repl
+            .cleaned(stats.victims, now + service, now, log, backups, m);
+        self.carry_out(ctx, outs);
         service
     }
 
@@ -1365,7 +1344,7 @@ impl ServerNode {
                 }
                 Pending::SyncPriorityPull(wait) => self.fail_sync_priority_pull(ctx, wait),
                 Pending::PushRecords | Pending::BaselineTransferAck => {
-                    if let Some(run) = self.baseline.take_if(|run| run.target == server) {
+                    if let Some(run) = self.baseline.take_if(|run| run.mig.target == server) {
                         self.stats.abandon_migration_run(run.id, ctx.now());
                     }
                 }

@@ -15,10 +15,11 @@
 //! bytes instead of re-deriving them from the whole log on every write.
 //!
 //! It takes one input per event — [`ReplManager::ship`],
-//! [`ReplManager::acked`], [`ReplManager::lost`] — and answers with an
-//! ordered list of [`Out`]s: what leaves when, which [`Durable`] is
-//! carried out, and when a cleaner's victims are freed. The shell
-//! allocates the RPCs, sends, and answers. An ack group counts acks
+//! [`ReplManager::cleaned`], [`ReplManager::acked`],
+//! [`ReplManager::lost`] — and answers with an ordered list of [`Out`]s:
+//! what leaves when, which [`Durable`] waiter is answered, and when a
+//! cleaner's victims are freed. The shell allocates the RPCs, sends, and
+//! answers. An ack group counts acks
 //! without knowing which bytes they cover, and two decisions lean on
 //! that (ROADMAP.md item 1). Each is one line here:
 //! - *gap (a)*, in `ship`: a waiter whose call planned no chunk is
@@ -69,10 +70,6 @@ pub(crate) enum Durable {
     /// the coordinator. No worker waits on it. Boxed, so every group
     /// stays the size of a write's.
     Claim(Box<RecoveryRun>),
-    /// A cleaner pass's survivors are durable: these victims' replicas
-    /// are garbage. The manager hands it out as one [`Out::Free`] per
-    /// victim and backup.
-    FreeVictims(Vec<u64>),
 }
 
 /// One step for the shell to carry out, in the order the manager lists
@@ -84,14 +81,22 @@ pub(crate) enum Out {
     /// `(delay, backup, victim)`: tell `backup`, `delay` from now, to
     /// drop its replica of the cleaned segment `victim`.
     Free(Nanos, ActorId, u64),
-    /// A waiter's bytes are durable: answer it. Never a
-    /// [`Durable::FreeVictims`].
+    /// A waiter's bytes are durable: answer it.
     Durable(Durable),
+}
+
+/// What an ack group sets off once its last chunk is in.
+pub(crate) enum Then {
+    /// Answer a waiter.
+    Answer(Durable),
+    /// A cleaner pass's survivors are durable: these victims' replicas
+    /// are garbage, one [`Out::Free`] per victim and backup.
+    Free(Vec<u64>),
 }
 
 struct AckGroup {
     remaining: u32,
-    then: Durable,
+    then: Then,
 }
 
 /// A segment with bytes the backups have not been handed yet.
@@ -237,9 +242,7 @@ impl ReplManager {
     /// once that is durable: the chunks' acks credit one ack group for
     /// `then`, or none if nothing waits. With no chunk to wait on,
     /// victims are freed once every chunk planned so far has left (a
-    /// free must not overtake a victim's own chunk still parked). The
-    /// cleaner removed the victims from the log, so what of them was not
-    /// shipped yet never will be: their live entries moved on.
+    /// free must not overtake a victim's own chunk still parked).
     pub(crate) fn ship(
         &mut self,
         scopes: &[Scope],
@@ -247,11 +250,8 @@ impl ReplManager {
         log: &Log,
         backups: &[ActorId],
         cost: &CostModel,
-        then: Option<Durable>,
+        then: Option<Then>,
     ) -> Vec<Out> {
-        if let Some(Durable::FreeVictims(victims)) = &then {
-            self.unshipped.retain(|u| !victims.contains(&u.seg.id()));
-        }
         let sends = self.plan(scopes, now, log, backups, cost);
         let group = match then {
             Some(then) if sends.is_empty() => {
@@ -277,6 +277,26 @@ impl ReplManager {
         sends.into_iter().map(|c| Out::Chunk(c, group)).collect()
     }
 
+    /// A cleaner pass moved the live entries of `victims` into adopted
+    /// segments and removed the victims from the log: ships those
+    /// survivors on the bulk lane, none leaving before `not_before`, and
+    /// frees the victims' replicas once the survivors are durable. What
+    /// of a victim was not shipped yet never will be: its live entries
+    /// moved on.
+    pub(crate) fn cleaned(
+        &mut self,
+        victims: Vec<u64>,
+        not_before: Nanos,
+        now: Nanos,
+        log: &Log,
+        backups: &[ActorId],
+        cost: &CostModel,
+    ) -> Vec<Out> {
+        self.unshipped.retain(|u| !victims.contains(&u.seg.id()));
+        let (survivors, free) = ([Scope::Adopted { not_before }], Then::Free(victims));
+        self.ship(&survivors, now, log, backups, cost, Some(free))
+    }
+
     /// A backup acked one chunk of `group` (none: nothing waits on it):
     /// what to carry out, on `backups`, when that was its last.
     pub(crate) fn acked(&mut self, group: Option<u64>, backups: &[ActorId]) -> Vec<Out> {
@@ -299,13 +319,13 @@ impl ReplManager {
 
 /// What `then` comes to once durable: every one of `backups` is told
 /// to free each victim `delay` from now; a waiter is answered at once.
-fn settle(then: Durable, delay: Nanos, backups: &[ActorId]) -> Vec<Out> {
+fn settle(then: Then, delay: Nanos, backups: &[ActorId]) -> Vec<Out> {
     match then {
-        Durable::FreeVictims(victims) => {
+        Then::Free(victims) => {
             let each = |victim| backups.iter().map(move |&b| Out::Free(delay, b, victim));
             victims.into_iter().flat_map(each).collect()
         }
-        waiter => vec![Out::Durable(waiter)],
+        Then::Answer(waiter) => vec![Out::Durable(waiter)],
     }
 }
 
@@ -388,9 +408,7 @@ mod tests {
         assert_eq!(delay(9_000, 50, false), 50);
         // Nothing sent from 9050 on can overtake a planned chunk: a free
         // with no survivors to wait on leaves then.
-        let free = Some(Durable::FreeVictims(vec![1]));
-        let adopted = [Scope::Adopted { not_before: 9_000 }];
-        let outs = r.ship(&adopted, 9_000, &log, &[7], &cost(), free);
+        let outs = r.cleaned(vec![1], 9_000, 9_000, &log, &[7], &cost());
         assert!(matches!(outs[..], [Out::Free(50, 7, 1)]));
     }
 
@@ -589,15 +607,7 @@ mod tests {
             log.remove_segment(victim).expect("closed");
         }
         // The pass ships its survivors (none) and frees its victims.
-        let free = Some(Durable::FreeVictims(vec![0, side]));
-        let outs = r.ship(
-            &[Scope::Adopted { not_before: 0 }],
-            0,
-            &log,
-            &[3],
-            &cost(),
-            free,
-        );
+        let outs = r.cleaned(vec![0, side], 0, 0, &log, &[3], &cost());
         assert!(matches!(outs[..], [Out::Free(_, 3, 0), Out::Free(_, 3, s)] if s == side));
         let sends = r.plan(&[Scope::Heads], 0, &log, &[3], &cost());
         assert_eq!(sends.len(), 8);
@@ -605,11 +615,11 @@ mod tests {
     }
 
     /// Answer `Ok` to client `to`'s call `rpc`, holding worker 2.
-    fn respond(to: ActorId, rpc: u64) -> Durable {
-        Durable::Respond {
+    fn respond(to: ActorId, rpc: u64) -> Then {
+        Then::Answer(Durable::Respond {
             worker: 2,
             respond: (to, RpcId(rpc), Response::Ok),
-        }
+        })
     }
 
     /// The group that each of `outs`, `n` chunks, credits.
@@ -670,9 +680,7 @@ mod tests {
         let (mut r, log) = (ReplManager::default(), log());
         r.mark_durable(&log);
         adopt(&log, 100_000);
-        let free = |victims: &[u64]| Some(Durable::FreeVictims(victims.to_vec()));
-        let survivors = |not_before| [Scope::Adopted { not_before }];
-        let outs = r.ship(&survivors(0), 0, &log, &[3, 4], &cost(), free(&[11, 12]));
+        let outs = r.cleaned(vec![11, 12], 0, 0, &log, &[3, 4], &cost());
         let g = group_of(&outs, 4);
         for _ in 0..3 {
             assert!(r.acked(g, &[3, 4]).is_empty());
@@ -688,14 +696,7 @@ mod tests {
         // planned so far have (the bulk lane is busy until 100 000), and
         // not before `not_before`.
         for (now, not_before, delay) in [(0, 50, 100_000), (200_000, 250_000, 50_000)] {
-            let outs = r.ship(
-                &survivors(not_before),
-                now,
-                &log,
-                &[3, 4],
-                &cost(),
-                free(&[13]),
-            );
+            let outs = r.cleaned(vec![13], not_before, now, &log, &[3, 4], &cost());
             assert!(
                 matches!(outs[..], [Out::Free(d3, 3, 13), Out::Free(d4, 4, 13)] if d3 == delay && d4 == delay),
                 "at {now}, not before {not_before}"

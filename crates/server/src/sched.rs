@@ -11,8 +11,9 @@
 use std::collections::VecDeque;
 
 use bytes::Bytes;
+use rocksteady::PriorityPulls;
 use rocksteady_common::{CausalCtx, MigrationId, Nanos, RpcId};
-use rocksteady_proto::msg::PRIORITY_LEVELS;
+use rocksteady_proto::msg::{BaselineStage, PRIORITY_LEVELS};
 use rocksteady_proto::{Envelope, Priority, Request};
 use rocksteady_simnet::ActorId;
 
@@ -59,18 +60,14 @@ pub(crate) enum Task {
 impl Task {
     /// Whether the task can hold its worker past its service time,
     /// waiting on a remote ack (see [`Sched::next_placement`]).
-    fn may_hold(&self, sync_reads_hold: bool) -> bool {
+    fn may_hold(&self, reads_hold: bool) -> bool {
         let Task::Rpc { req, .. } = self else {
             return false;
         };
         match req {
             Request::Write { .. } | Request::Delete { .. } => true,
-            Request::PushRecords {
-                replay: true,
-                rereplicate: true,
-                ..
-            } => true,
-            Request::Read { .. } => sync_reads_hold,
+            Request::PushRecords { until, .. } => *until >= BaselineStage::Rereplicate,
+            Request::Read { .. } => reads_hold,
             _ => false,
         }
     }
@@ -156,11 +153,11 @@ pub(crate) struct Sched {
     queues: [VecDeque<Task>; PRIORITY_LEVELS],
     /// Reads block their worker on a synchronous PriorityPull
     /// (Figure 13b/14b), so they count as hold-capable.
-    sync_reads_hold: bool,
+    reads_hold: bool,
 }
 
 impl Sched {
-    pub(crate) fn new(workers: usize, sync_reads_hold: bool) -> Self {
+    pub(crate) fn new(workers: usize, priority_pulls: PriorityPulls) -> Self {
         Sched {
             rx: VecDeque::new(),
             busy_until: 0,
@@ -172,7 +169,7 @@ impl Sched {
             polls: 0,
             workers: (0..workers).map(|_| Worker::default()).collect(),
             queues: Default::default(),
-            sync_reads_hold,
+            reads_hold: priority_pulls == PriorityPulls::Sync,
         }
     }
 
@@ -308,8 +305,7 @@ impl Sched {
                 }
                 continue;
             };
-            let reserve =
-                usize::from(front.may_hold(self.sync_reads_hold) && self.workers.len() > 1);
+            let reserve = usize::from(front.may_hold(self.reads_hold) && self.workers.len() > 1);
             let Some(worker) = (reserve..self.workers.len()).find(|w| !self.workers[*w].busy)
             else {
                 return Placement::Blocked;
@@ -352,6 +348,8 @@ mod tests {
     use rocksteady_common::TableId;
     use rocksteady_proto::Response;
 
+    const BATCHED: PriorityPulls = PriorityPulls::Batched;
+
     fn rpc(req: Request) -> Task {
         let to = ReplyTo {
             src: 9,
@@ -369,6 +367,12 @@ mod tests {
         })
     }
 
+    /// A baseline push that runs to `until`.
+    fn push(until: BaselineStage) -> Task {
+        let records = Vec::new();
+        rpc(Request::PushRecords { records, until })
+    }
+
     /// Deletes hold their worker for replication acks, like writes.
     fn delete() -> Task {
         rpc(Request::Delete {
@@ -379,8 +383,8 @@ mod tests {
     }
 
     /// Queues `task` on a fresh `workers`-core pool and places it.
-    fn placed_on(workers: usize, sync_reads_hold: bool, task: Task) -> Option<usize> {
-        let mut s = Sched::new(workers, sync_reads_hold);
+    fn placed_on(workers: usize, priority_pulls: PriorityPulls, task: Task) -> Option<usize> {
+        let mut s = Sched::new(workers, priority_pulls);
         s.enqueue(Priority::Foreground, task);
         placed(&mut s)
     }
@@ -394,15 +398,22 @@ mod tests {
 
     #[test]
     fn hold_capable_tasks_never_take_worker_zero() {
-        assert_eq!(placed_on(2, false, delete()), Some(1));
+        assert_eq!(placed_on(2, BATCHED, delete()), Some(1));
         // A read does not hold, so it may take the reserved core —
         // unless reads block on synchronous PriorityPulls.
-        assert_eq!(placed_on(2, false, read()), Some(0));
-        assert_eq!(placed_on(2, true, read()), Some(1));
+        assert_eq!(placed_on(2, BATCHED, read()), Some(0));
+        assert_eq!(placed_on(2, PriorityPulls::Off, read()), Some(0));
+        assert_eq!(placed_on(2, PriorityPulls::Sync, read()), Some(1));
+        // A baseline push holds only while its target re-replicates.
+        assert_eq!(placed_on(2, BATCHED, push(BaselineStage::Replay)), Some(0));
+        assert_eq!(
+            placed_on(2, BATCHED, push(BaselineStage::Rereplicate)),
+            Some(1)
+        );
         // A single-worker server has nothing to reserve.
-        assert_eq!(placed_on(1, false, delete()), Some(0));
+        assert_eq!(placed_on(1, BATCHED, delete()), Some(0));
         // With worker 1 taken, a second delete waits though worker 0 idles.
-        let mut s = Sched::new(2, false);
+        let mut s = Sched::new(2, BATCHED);
         s.enqueue(Priority::Foreground, delete());
         s.enqueue(Priority::Foreground, delete());
         assert_eq!((placed(&mut s), placed(&mut s)), (Some(1), None));
@@ -411,7 +422,7 @@ mod tests {
 
     #[test]
     fn an_unplaceable_head_blocks_lower_classes() {
-        let mut s = Sched::new(2, false);
+        let mut s = Sched::new(2, BATCHED);
         s.workers[1].busy = true;
         s.enqueue(Priority::Foreground, delete());
         s.enqueue(Priority::Background, Task::CleanerPass);
@@ -424,7 +435,7 @@ mod tests {
 
     #[test]
     fn idle_cores_are_offered_to_migrations_between_foreground_and_replay() {
-        let mut s = Sched::new(2, false);
+        let mut s = Sched::new(2, BATCHED);
         s.enqueue(Priority::Background, Task::CleanerPass);
         // The managers are asked before the Background queue; once they
         // decline it drains, and the trailing offer comes exactly once.
@@ -448,7 +459,7 @@ mod tests {
             arrived,
             env: Envelope::resp(RpcId(0), Response::Ok),
         };
-        let mut s = Sched::new(1, false);
+        let mut s = Sched::new(1, BATCHED);
         for _ in 0..100 {
             s.receive(env(0));
         }
@@ -498,7 +509,7 @@ mod tests {
 
     #[test]
     fn a_held_worker_stays_busy_until_released() {
-        let mut s = Sched::new(1, false);
+        let mut s = Sched::new(1, BATCHED);
         assert_eq!(s.claim_idle(), Some(0));
         s.workers[0].held = true;
         s.service_done(0, 100);

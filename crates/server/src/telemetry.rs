@@ -20,6 +20,7 @@ use rocksteady_common::{
     CausalCtx, FxHashMap, HashRange, MigrationId, Nanos, RpcId, ServerId, TableId,
 };
 use rocksteady_profiler::{Activity, Profiler};
+use rocksteady_proto::msg::BaselineStage;
 use rocksteady_proto::Request;
 use rocksteady_simnet::ActorId;
 use rocksteady_trace::{lanes, Arg, Tracer};
@@ -210,7 +211,9 @@ impl NodeTelemetry {
                 let activity = match req {
                     Request::Pull { .. } => Activity::PullGather,
                     Request::PriorityPull { .. } => Activity::PriorityPull,
-                    Request::PushRecords { replay: true, .. } => Activity::Replay,
+                    Request::PushRecords { until, .. } if *until >= BaselineStage::Replay => {
+                        Activity::Replay
+                    }
                     Request::PushRecords { .. }
                     | Request::ReplicateAppend { .. }
                     | Request::FreeSegment { .. }

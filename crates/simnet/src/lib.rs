@@ -271,8 +271,10 @@ impl<M> EventSlab<M> {
     }
 }
 
-/// Which messages a lossy link drops: true for each one it loses.
-pub type LossRule<M> = fn(&M) -> bool;
+/// Which messages a lossy link drops: true for each one it loses. It
+/// sees every message to its actor in delivery order, and may keep state
+/// of its own (e.g. lose only the first of a kind).
+pub type LossRule<M> = Box<dyn FnMut(&M) -> bool>;
 
 struct Slot<M> {
     actor: Box<dyn Actor<M>>,
@@ -673,7 +675,7 @@ impl<M: SimMessage> Simulation<M> {
             return true;
         }
         self.events_processed += 1;
-        if let (Event::Message { payload, .. }, Some(lose)) = (&event, self.slots[dst].lose) {
+        if let (Event::Message { payload, .. }, Some(lose)) = (&event, &mut self.slots[dst].lose) {
             if lose(payload) {
                 return true;
             }
@@ -948,7 +950,7 @@ mod tests {
                 responses: Rc::clone(&responses),
             }));
         }
-        sim.lose(echo, |p| p.bytes == 200);
+        sim.lose(echo, Box::new(|p| p.bytes == 200));
         sim.run_to_idle();
         // The four messages the rule rejects reach the echo; the two it
         // names are lost there, yet each still counts as an event.

@@ -14,7 +14,7 @@ use rocksteady_cluster::scenarios::{preload_split, upper, TABLE};
 use rocksteady_cluster::{ClusterBuilder, ControlCmd};
 use rocksteady_common::{key_hash, MigrationId, ServerId, MILLISECOND, SECOND};
 use rocksteady_master::TabletRole;
-use rocksteady_proto::msg::BaselineOpts;
+use rocksteady_proto::msg::BaselineStage;
 use rocksteady_workload::core::primary_key;
 
 const KEYS: u64 = 3_000;
@@ -95,7 +95,7 @@ fn rocksteady_and_baseline_converge_to_identical_data() {
             range: upper(),
             source: ServerId(0),
             target: ServerId(1),
-            opts: BaselineOpts::default(),
+            until: BaselineStage::Rereplicate,
         },
         true,
     );
@@ -115,10 +115,7 @@ fn skip_copy_lever_identifies_but_moves_nothing() {
             range: upper(),
             source: ServerId(0),
             target: ServerId(1),
-            opts: BaselineOpts {
-                skip_copy: true,
-                ..BaselineOpts::default()
-            },
+            until: BaselineStage::Identify,
         },
         false,
     );
@@ -138,10 +135,7 @@ fn skip_replay_lever_transmits_but_target_stores_nothing() {
             range: upper(),
             source: ServerId(0),
             target: ServerId(1),
-            opts: BaselineOpts {
-                skip_replay: true,
-                ..BaselineOpts::default()
-            },
+            until: BaselineStage::Tx,
         },
         false,
     );

@@ -181,7 +181,7 @@ fn baseline_target_crash_abandons_the_run() {
         range: upper(),
         source,
         target,
-        opts: Default::default(),
+        until: Default::default(),
     };
     b.at(5 * MILLISECOND, start);
     let kill = ControlCmd::Kill {

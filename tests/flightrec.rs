@@ -112,7 +112,7 @@ fn baseline_run_shows_progress_and_fires_no_stall() {
         range: upper(),
         source: ServerId(0),
         target: ServerId(1),
-        opts: Default::default(),
+        until: Default::default(),
     };
     b.at(5 * MILLISECOND, start);
     let mut cluster = b.build();

@@ -22,6 +22,7 @@ use std::fs;
 use std::sync::OnceLock;
 
 use common::{test_config, write_churn};
+use rocksteady::PriorityPulls;
 use rocksteady_audit::invariants::LINEARIZABLE;
 use rocksteady_audit::AuditKind;
 use rocksteady_cluster::scenarios::{self, preload_split, preload_tablets, slice, upper, TABLE};
@@ -349,7 +350,7 @@ fn baseline() -> Run {
         range: upper(),
         source: ServerId(0),
         target: ServerId(1),
-        opts: Default::default(),
+        until: Default::default(),
     };
     let mut cluster = build(armed(42), 5_000, 50_000.0, 0.95, vec![(5, start)]);
     preload_split(&mut cluster, 5_000, 100);
@@ -451,7 +452,7 @@ fn runs() -> &'static [(&'static str, Run)] {
 fn all_scenarios() -> Vec<(&'static str, Run)> {
     let plain = |seed| live_migration(armed(seed), |_| {});
     let mut sync_pulls = armed(42);
-    sync_pulls.migration.sync_priority_pulls = true;
+    sync_pulls.migration.priority_pulls = PriorityPulls::Sync;
     vec![
         ("migration/seed1234", plain(1234)),
         ("migration/seed7", plain(7)),

@@ -7,8 +7,6 @@
 
 mod common;
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use common::{answered_writes, assert_read_back, test_config};
 use rocksteady_cluster::scenarios::{live_migration, preload_split, pulls, upper, TABLE};
 use rocksteady_cluster::{ClusterBuilder, ControlCmd};
@@ -120,11 +118,13 @@ fn target_writes_outrank_the_source_with_nothing_replayed() {
     assert!(found.is_empty(), "{found:?}");
 }
 
-/// The loss rule that drops the first `Pull` its server would receive,
+/// A loss rule that drops the first `Pull` its server would receive,
 /// and nothing else.
-fn first_pull(env: &Envelope) -> bool {
-    static LOST: AtomicBool = AtomicBool::new(false);
-    matches!(env.body, Body::Req(Request::Pull { .. })) && !LOST.swap(true, Ordering::Relaxed)
+fn first_pull() -> impl FnMut(&Envelope) -> bool {
+    let mut lost = false;
+    move |env| {
+        matches!(env.body, Body::Req(Request::Pull { .. })) && !std::mem::replace(&mut lost, true)
+    }
 }
 
 /// One `Pull` to the source is lost. The target resends it, so the
@@ -135,7 +135,7 @@ fn first_pull(env: &Envelope) -> bool {
 #[ignore = "ROADMAP item 20: one lost Pull stalls a migration forever"]
 fn a_lost_pull_costs_a_retry_not_the_migration() {
     let mut b = ClusterBuilder::new(test_config());
-    b.lose(ServerId(0), first_pull);
+    b.lose(ServerId(0), first_pull());
     let mut cluster = live_migration(b, KEYS, 20_000.0, 10 * MILLISECOND);
     let finished = cluster.run_until_migrated(ServerId(1), MigrationId(1), 2 * SECOND);
     assert!(finished.is_some(), "one lost Pull stalled the migration");

@@ -80,7 +80,7 @@ const MUTANTS: &[Mutant] = &[
         killer: ("crates/coordinator/src/lib.rs", "crash_of_migration_target_reverts_to_source_with_lineage_tail"),
         promise: "a migration's start records the lineage dependency a target crash replays from", decided: "§3.7" },
     Mutant { file: "crates/server/src/sched.rs",
-        anchor: "usize::from(front.may_hold(self.sync_reads_hold) && self.workers.len() > 1)",
+        anchor: "usize::from(front.may_hold(self.reads_hold) && self.workers.len() > 1)",
         replacement: "0usize",
         killer: ("crates/server/src/sched.rs", "hold_capable_tasks_never_take_worker_zero"),
         promise: "a ring of loaded servers keeps one core that never waits on an ack", decided: "§3.2" },

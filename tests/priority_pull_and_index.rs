@@ -4,6 +4,7 @@
 mod common;
 
 use common::test_config;
+use rocksteady::PriorityPulls;
 use rocksteady_cluster::scenarios::{live_migration, preload_tablets, TABLE};
 use rocksteady_cluster::ClusterBuilder;
 use rocksteady_common::ids::IndexId;
@@ -42,7 +43,7 @@ fn priority_pulls_fire_and_shed_source_load() {
 fn no_priority_pull_variant_starves_reads_until_bulk_arrival() {
     const KEYS: u64 = 30_000;
     let mut cfg = common::test_config();
-    cfg.migration.priority_pulls = false;
+    cfg.migration.priority_pulls = PriorityPulls::Off;
     let b = ClusterBuilder::new(cfg);
     let mut cluster = live_migration(b, KEYS, 150_000.0, 10 * MILLISECOND);
     cluster

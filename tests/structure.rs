@@ -209,6 +209,11 @@ const RULES: &[Rule] = &[
             grep(t, |p| p == "crates/coordinator/src/lib.rs", |l| any(l, &["rocksteady_simnet"])),
         ].concat(),
         mutant: (COORD_ACTOR, "", "use rocksteady_audit::AuditKind;\n") },
+    Rule { name: "the_manager_answers_read_misses", decided: "§3.2",
+        why: "MigrationManager::on_read_miss decides a read miss whole; node.rs carries out its MissAnswer and names \
+            no PriorityPulls mode",
+        check: |t| grep(t, |p| p == NODE, |l| any(l, &["PriorityPulls"])),
+        mutant: (NODE, "", "use rocksteady::PriorityPulls;\n") },
 ];
 
 /// A file above its first `#[cfg(test)]` line, `//` comments cut off;
