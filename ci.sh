@@ -49,6 +49,7 @@ failing=0
 failing_first -p rocksteady-server --lib repl::tests::a_waiter_riding_another_calls_chunk_waits_for_its_acks
 failing_first -p rocksteady-server --lib repl::tests::with_one_backup_a_lost_chunk_answers_no_waiter
 failing_first --test migration_correctness a_lost_pull_costs_a_retry_not_the_migration
+failing_first --test migration_correctness a_source_lets_go_of_the_range_it_migrated_away
 failing_first --test profiler a_worker_never_runs_two_tasks_at_once
 failing_first --test replication a_dead_backup_is_replaced_before_its_masters_crash
 failing_first --test replication a_backup_that_missed_a_chunk_is_not_counted_as_a_replica

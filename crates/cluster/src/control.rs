@@ -8,8 +8,8 @@
 
 use rocksteady_common::{HashRange, MigrationId, Nanos, RpcId, ServerId, TableId};
 use rocksteady_proto::msg::BaselineStage;
-use rocksteady_proto::{Envelope, Request};
-use rocksteady_simnet::{Actor, Ctx, Directory, Event};
+use rocksteady_proto::{Calls, Envelope, Request};
+use rocksteady_simnet::{Actor, ActorId, Ctx, Directory, Event};
 
 /// One scripted command.
 #[derive(Debug, Clone)]
@@ -88,7 +88,8 @@ pub struct ControlActor {
     /// The crash reports `Kill`s scheduled, `(victim, rpc)` in order;
     /// timer token `script.len() + i` delivers the `i`-th.
     reports: Vec<(ServerId, RpcId)>,
-    next_rpc: u64,
+    /// Only allocates ids: nothing reads a control request's answer.
+    calls: Calls<ActorId, ()>,
 }
 
 impl ControlActor {
@@ -98,14 +99,8 @@ impl ControlActor {
             dir,
             script,
             reports: Vec::new(),
-            next_rpc: 1,
+            calls: Calls::default(),
         }
-    }
-
-    fn alloc_rpc(&mut self) -> RpcId {
-        let id = RpcId(self.next_rpc);
-        self.next_rpc += 1;
-        id
     }
 
     fn fire(&mut self, ctx: &mut Ctx<'_, Envelope>, idx: usize) {
@@ -118,7 +113,7 @@ impl ControlActor {
                 source,
                 target,
             } => {
-                let rpc = self.alloc_rpc();
+                let rpc = self.calls.id();
                 let dst = self.dir.actor_of(target);
                 ctx.send(
                     dst,
@@ -141,7 +136,7 @@ impl ControlActor {
                 target,
                 until,
             } => {
-                let rpc = self.alloc_rpc();
+                let rpc = self.calls.id();
                 let dst = self.dir.actor_of(source);
                 ctx.send(
                     dst,
@@ -163,7 +158,7 @@ impl ControlActor {
             } => {
                 ctx.kill(self.dir.actor_of(server));
                 // Model failure detection: report after the delay.
-                let rpc = self.alloc_rpc();
+                let rpc = self.calls.id();
                 let token = self.script.len() + self.reports.len();
                 ctx.timer(detect_after, token as u64);
                 self.reports.push((server, rpc));

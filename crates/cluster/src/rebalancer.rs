@@ -29,13 +29,13 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use rocksteady_audit::{AuditKind, AuditSink};
-use rocksteady_common::{MigrationId, Nanos, RpcId, ServerId, SECOND};
-use rocksteady_proto::{Body, Envelope, Request, Response, TabletState};
+use rocksteady_common::{MigrationId, Nanos, ServerId, SECOND};
+use rocksteady_proto::{Body, Calls, Envelope, Request, Response, TabletState};
 use rocksteady_rebalancer::{
     AdmissionCaps, ClusterView, MoveInFlight, MoveProposal, PlacementPolicy, ServerLoad, TabletInfo,
 };
 use rocksteady_server::stats::StatsHandle;
-use rocksteady_simnet::{Ctx, Directory};
+use rocksteady_simnet::{ActorId, Ctx, Directory};
 
 use crate::coordinator_actor::CoordHandle;
 
@@ -110,8 +110,7 @@ pub(crate) struct Rebalancer {
     prev_dispatch_ns: BTreeMap<ServerId, u64>,
     prev_ops: BTreeMap<ServerId, u64>,
     /// Issued moves awaiting the target's final response, in issue order.
-    in_flight: BTreeMap<RpcId, IssuedMove>,
-    next_rpc: u64,
+    in_flight: Calls<ActorId, IssuedMove>,
     next_mig: u64,
     /// Protocol auditing (zero-cost when disarmed): proposals,
     /// admissions, and outcomes anchor the explain engine's causal
@@ -138,8 +137,7 @@ impl Rebalancer {
             out,
             prev_dispatch_ns: BTreeMap::new(),
             prev_ops: BTreeMap::new(),
-            in_flight: BTreeMap::new(),
-            next_rpc: 1,
+            in_flight: Calls::default(),
             next_mig: 0,
             audit,
         }
@@ -194,7 +192,7 @@ impl Rebalancer {
                 target: dep.target,
             });
         }
-        for mv in self.in_flight.values() {
+        for mv in self.in_flight.iter() {
             if !seen.contains(&mv.id) {
                 in_flight.push(MoveInFlight {
                     source: mv.proposal.source,
@@ -227,21 +225,20 @@ impl Rebalancer {
         for p in admitted {
             self.next_mig += 1;
             let id = MigrationId(REBALANCER_MIG_BASE + self.next_mig);
-            let rpc = RpcId(self.next_rpc);
-            self.next_rpc += 1;
             let issued = IssuedMove {
                 id,
                 at: now,
                 proposal: p,
             };
-            self.in_flight.insert(rpc, issued);
+            let dst = self.dir.actor_of(p.target);
+            let rpc = self.in_flight.open(dst, issued, None, now);
             let mut out = self.out.borrow_mut();
             out.admitted += 1;
             out.moves.push(issued);
             drop(out);
             self.audit.emit(now, AuditKind::RebalanceAdmitted { id });
             ctx.send(
-                self.dir.actor_of(p.target),
+                dst,
                 Envelope::req(
                     rpc,
                     Request::MigrateTablet {
@@ -259,7 +256,7 @@ impl Rebalancer {
     /// the run finishes (`MigrateTabletOk`) or fails (anything else);
     /// either way the move stops counting against the caps.
     pub(crate) fn answered(&mut self, answer: &Envelope) {
-        if self.in_flight.remove(&answer.rpc).is_none() {
+        if self.in_flight.complete(answer.rpc).is_none() {
             return;
         }
         let ok = matches!(answer.body, Body::Resp(Response::MigrateTabletOk));

@@ -26,7 +26,7 @@
 
 use rocksteady_audit::AuditKind;
 use rocksteady_common::{HashRange, KeyHash, MigrationId, RpcId, ServerId, TableId};
-use rocksteady_proto::{Request, Response, Status, TabletDescriptor, TabletState};
+use rocksteady_proto::{Calls, Request, Response, Status, TabletDescriptor, TabletState};
 
 /// A recorded lineage dependency (§3.4): `source`'s correct recovery
 /// requires replaying `target`'s log from `from_segment` onward.
@@ -85,10 +85,9 @@ pub struct Coordinator {
     tablets: Vec<TabletDescriptor>,
     lineage: Vec<LineageDep>,
     /// Each `RecoverTablet` sent and not yet answered `RecoverTabletOk`,
-    /// by its RPC id.
-    recovering: Vec<(RpcId, RecoveryAssignment)>,
-    /// The last RPC id allocated; the first is 1.
-    last_rpc: u64,
+    /// to its recovery master; every other request's id comes from here
+    /// too.
+    recovering: Calls<ServerId, RecoveryAssignment>,
 }
 
 impl Coordinator {
@@ -169,13 +168,8 @@ impl Coordinator {
     /// and its own log holds it from now on.
     pub fn answered(&mut self, rpc: RpcId, resp: &Response) {
         if let Response::RecoverTabletOk { .. } = resp {
-            self.recovering.retain(|(sent, _)| *sent != rpc);
+            self.recovering.complete(rpc);
         }
-    }
-
-    fn next_rpc(&mut self) -> RpcId {
-        self.last_rpc += 1;
-        RpcId(self.last_rpc)
     }
 
     // ------------------------------------------------------- membership --
@@ -285,10 +279,7 @@ impl Coordinator {
             .lineage
             .iter()
             .any(|d| d.id == id || overlaps(d.table, &d.range))
-            || self
-                .recovering
-                .iter()
-                .any(|(_, a)| overlaps(a.table, &a.range))
+            || self.recovering.iter().any(|a| overlaps(a.table, &a.range))
         {
             return false;
         }
@@ -389,8 +380,7 @@ impl Coordinator {
         let alive = self.alive_servers();
         let mut assignments = Vec::new();
         let mut rr = 0usize;
-        let running = |(_, a): &mut (RpcId, RecoveryAssignment)| a.recovery_master == dead;
-        let stranded: Vec<_> = self.recovering.extract_if(.., running).collect();
+        let stranded = self.recovering.fail_over(dead);
 
         for t in &mut self.tablets {
             match t.state {
@@ -479,10 +469,9 @@ impl Coordinator {
         }));
         for &s in &alive {
             let notify = Request::NotifyServerDown { server: dead };
-            out.push(Out::Send(s, self.next_rpc(), notify));
+            out.push(Out::Send(s, self.recovering.id(), notify));
         }
         for a in assignments {
-            let rpc = self.next_rpc();
             let recover = Request::RecoverTablet {
                 table: a.table,
                 range: a.range,
@@ -491,8 +480,9 @@ impl Coordinator {
                 from_segment: a.from_segment,
                 merge: a.merge,
             };
-            out.push(Out::Send(a.recovery_master, rpc, recover));
-            self.recovering.push((rpc, a));
+            let master = a.recovery_master;
+            let rpc = self.recovering.open(master, a, None, 0);
+            out.push(Out::Send(master, rpc, recover));
         }
         out
     }

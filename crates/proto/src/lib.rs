@@ -10,12 +10,15 @@
 //! Messages carry real payload bytes ([`bytes::Bytes`] buffers — pull
 //! responses really contain the records being migrated) and know their
 //! own [`wire size`](Envelope::wire_size) so the simulator's NIC model
-//! can charge transmission time.
+//! can charge transmission time. [`Calls`] is each sender's one table of
+//! the requests it has outstanding.
 
+pub mod calls;
 pub mod msg;
 pub mod record;
 pub mod tablet;
 
+pub use calls::Calls;
 pub use msg::{Body, Envelope, Priority, Request, Response, Status, MSG_HEADER_BYTES};
 pub use record::Record;
 pub use tablet::{TabletDescriptor, TabletState};

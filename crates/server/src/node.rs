@@ -24,13 +24,13 @@ use rocksteady_logstore::SideLog;
 use rocksteady_master::{MasterService, OpError, ReplayDest, TabletRole, Work};
 use rocksteady_profiler::Profiler;
 use rocksteady_proto::msg::BaselineStage;
-use rocksteady_proto::{Body, Envelope, Priority, Record, Request, Response, Status};
+use rocksteady_proto::{Body, Calls, Envelope, Priority, Record, Request, Response, Status};
 use rocksteady_simnet::{Actor, ActorId, Ctx, Event};
 use rocksteady_trace::Tracer;
 
 use crate::recovery::{RecoveryRun, Step};
 use crate::repl::{Durable, Out, ReplManager, Scope, Then};
-use crate::rpc::{Pending, RpcTable, SyncWait};
+use crate::rpc::{Pending, SyncWait};
 use crate::sched::{Deferred, Inbound, Placement, Quantum, ReplyTo, Sched, Task};
 use crate::stats::StatsHandle;
 use crate::telemetry::{AbandonReason, NodeTelemetry, RpcSpan};
@@ -82,7 +82,8 @@ pub struct ServerNode {
     tel: NodeTelemetry,
 
     sched: Sched,
-    rpcs: RpcTable,
+    /// Each call out, and when it left if a span was opened for it.
+    rpcs: Calls<ActorId, (Pending, Option<Nanos>)>,
     repl: ReplManager,
 
     /// Every in-flight run this node is the target of, in admission
@@ -117,7 +118,7 @@ impl ServerNode {
             backup: BackupService::new(cfg.id),
             tel: NodeTelemetry::new(cfg.id, pid, cfg.workers, trace, profiler, audit),
             sched: Sched::new(cfg.workers, cfg.migration.priority_pulls),
-            rpcs: RpcTable::default(),
+            rpcs: Calls::default(),
             repl: ReplManager::default(),
             migrations: Vec::new(),
             baseline: None,
@@ -146,7 +147,7 @@ impl ServerNode {
 
     /// Issues `req` to `dst`; `pending` says what its response will mean.
     fn call(&mut self, ctx: &mut Ctx<'_, Envelope>, dst: ActorId, pending: Pending, req: Request) {
-        let rpc = self.rpcs.open(dst, pending, None);
+        let rpc = self.rpcs.open(dst, (pending, None), None, ctx.now());
         self.send(ctx, dst, Envelope::req(rpc, req));
     }
 
@@ -387,11 +388,11 @@ impl ServerNode {
     // ------------------------------------------------- response handling --
 
     fn on_response(&mut self, ctx: &mut Ctx<'_, Envelope>, rpc: RpcId, resp: Response, nic: Nanos) {
-        let Some(done) = self.rpcs.complete(rpc) else {
+        let Some((pending, span_start)) = self.rpcs.complete(rpc) else {
             return; // late/duplicate response
         };
-        let (now, span_start) = (ctx.now(), done.span_start);
-        match (done.pending, resp) {
+        let now = ctx.now();
+        match (pending, resp) {
             (Pending::Prepare { mig }, Response::PrepareMigrationOk { version_ceiling }) => {
                 self.master.raise_version_floor(version_ceiling);
                 self.tel.version_floor(now, self.master.version_ceiling());
@@ -620,7 +621,8 @@ impl ServerNode {
                     continue;
                 }
             };
-            let rpc = self.rpcs.open(backup, Pending::ReplAck { group }, None);
+            let pending = (Pending::ReplAck { group }, None);
+            let rpc = self.rpcs.open(backup, pending, None, ctx.now());
             let env = Envelope::req(rpc, req);
             if delay == 0 {
                 self.send(ctx, backup, env);
@@ -918,7 +920,8 @@ impl ServerNode {
                     hash,
                     key,
                 };
-                let pp = self.rpcs.open(dst, Pending::SyncPriorityPull(wait), None);
+                let pending = (Pending::SyncPriorityPull(wait), None);
+                let pp = self.rpcs.open(dst, pending, None, ctx.now());
                 // The pull is issued on the blocked read's behalf: same
                 // trace id, one hop deeper.
                 let pp_ctx = reader.cctx.child();
@@ -1048,7 +1051,8 @@ impl ServerNode {
                         budget_bytes: PULL_BUDGET_BYTES,
                     };
                     let pending = Pending::Pull { mig: id, partition };
-                    let rpc = self.rpcs.open(dst, pending, self.tel.span_start(now));
+                    let span_start = self.tel.span_start(now);
+                    let rpc = self.rpcs.open(dst, (pending, span_start), None, now);
                     self.send(ctx, dst, Envelope::req(rpc, req));
                 }
                 Action::SendPriorityPull { hashes } => {
@@ -1065,7 +1069,8 @@ impl ServerNode {
                         hashes: hashes.clone(),
                     };
                     let pending = Pending::PriorityPull { mig: id, hashes };
-                    let rpc = self.rpcs.open(dst, pending, self.tel.span_start(now));
+                    let span_start = self.tel.span_start(now);
+                    let rpc = self.rpcs.open(dst, (pending, span_start), None, now);
                     self.tel.priority_pull_sent(now, pp_ctx, rpc);
                     self.send(ctx, dst, Envelope::req(rpc, req).with_ctx(pp_ctx));
                 }
@@ -1246,7 +1251,7 @@ impl ServerNode {
                 return service;
             }
         };
-        let rpc = self.rpcs.open(dst, pending, None);
+        let rpc = self.rpcs.open(dst, (pending, None), None, now);
         let send = Deferred::Send(dst, Envelope::req(rpc, req));
         self.sched.workers[worker].deferred.push(send);
         service
@@ -1336,8 +1341,11 @@ impl ServerNode {
             return;
         };
         self.cfg.backup_actors.retain(|a| *a != dead);
-        for (_, lost) in self.rpcs.fail_over(dead) {
-            match lost.pending {
+        // What a lost call means is decided here, per `Pending` kind, until
+        // each core that sent a call takes it back as an input (ROADMAP
+        // item 24 step 2).
+        for (_, (lost, _)) in self.rpcs.fail_over(dead) {
+            match lost {
                 Pending::ReplAck { group } => {
                     let done = self.repl.lost(group, &self.cfg.backup_actors);
                     self.carry_out(ctx, done);

@@ -1,4 +1,4 @@
-//! Shared client plumbing: routing, map refresh, RPC ids, key naming.
+//! Shared client plumbing: routing, map refresh, calls, key naming.
 //!
 //! RAMCloud clients cache the coordinator's tablet map and learn about
 //! migrations lazily: a request to the old owner returns `UnknownTablet`,
@@ -6,19 +6,29 @@
 //! [`ClientCore`] implements that cycle once for all workload shapes.
 
 use rocksteady_common::{key_hash, KeyHash, RpcId, ServerId, TableId};
-use rocksteady_proto::{Envelope, Request, TabletDescriptor};
+use rocksteady_proto::{Calls, Envelope, Request, TabletDescriptor};
 use rocksteady_simnet::{ActorId, Ctx, Directory};
 
-/// Routing + RPC-id plumbing shared by all clients.
+/// What one of a client's open calls is for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Call {
+    /// The tablet-map fetch.
+    Map,
+    /// An attempt of the operation with this id.
+    Op(u64),
+}
+
+/// Routing + the calls table shared by all clients.
 #[derive(Debug)]
 pub struct ClientCore {
     /// Cluster wiring.
     pub dir: Directory,
     /// The table this client works against.
     pub table: TableId,
+    /// Every call this client has open, the map fetch's included.
+    pub(crate) calls: Calls<ActorId, Call>,
     map: Vec<TabletDescriptor>,
     map_rpc: Option<RpcId>,
-    next_rpc: u64,
 }
 
 impl ClientCore {
@@ -27,17 +37,10 @@ impl ClientCore {
         ClientCore {
             dir,
             table,
+            calls: Calls::default(),
             map: Vec::new(),
             map_rpc: None,
-            next_rpc: 1,
         }
-    }
-
-    /// Allocates the next RPC id.
-    pub fn alloc_rpc(&mut self) -> RpcId {
-        let id = RpcId(self.next_rpc);
-        self.next_rpc += 1;
-        id
     }
 
     /// Current owner of `hash` per the cached map.
@@ -54,12 +57,10 @@ impl ClientCore {
         if self.map_rpc.is_some() {
             return None;
         }
-        let rpc = self.alloc_rpc();
+        let coordinator = self.dir.coordinator;
+        let rpc = self.calls.open(coordinator, Call::Map, None, ctx.now());
         self.map_rpc = Some(rpc);
-        ctx.send(
-            self.dir.coordinator,
-            Envelope::req(rpc, Request::GetTabletMap),
-        );
+        ctx.send(coordinator, Envelope::req(rpc, Request::GetTabletMap));
         Some(rpc)
     }
 
@@ -68,6 +69,7 @@ impl ClientCore {
     pub fn install_map(&mut self, rpc: RpcId, tablets: Vec<TabletDescriptor>) -> bool {
         if self.map_rpc == Some(rpc) {
             self.map_rpc = None;
+            self.calls.complete(rpc);
             self.map = tablets;
             true
         } else {

@@ -13,11 +13,11 @@ use bytes::Bytes;
 use rocksteady_common::ids::IndexId;
 use rocksteady_common::rng::Prng;
 use rocksteady_common::zipf::{KeyDist, KeySampler};
-use rocksteady_common::{FxHashMap, KeyHash, Nanos, RpcId, ServerId, TableId};
+use rocksteady_common::{FxHashMap, KeyHash, Nanos, ServerId, TableId};
 use rocksteady_proto::{Body, Envelope, Request, Response};
 use rocksteady_simnet::{Actor, Ctx, Directory, Event};
 
-use crate::core::ClientCore;
+use crate::core::{Call, ClientCore};
 use crate::stats::ClientStatsHandle;
 
 const TOK_ARRIVAL: u64 = 1;
@@ -79,7 +79,6 @@ pub struct ScanClient {
     sampler: KeySampler,
     rng: Prng,
     ops: FxHashMap<u64, Op>,
-    rpc_to_op: FxHashMap<RpcId, u64>,
     next_op: u64,
     pending_arrivals: u64,
     map_ready: bool,
@@ -96,7 +95,6 @@ impl ScanClient {
             sampler,
             rng,
             ops: FxHashMap::default(),
-            rpc_to_op: FxHashMap::default(),
             next_op: 1,
             pending_arrivals: 0,
             map_ready: false,
@@ -140,8 +138,8 @@ impl ScanClient {
         };
         let op_id = self.next_op;
         self.next_op += 1;
-        let rpc = self.core.alloc_rpc();
         let dst = self.core.actor_of(owner);
+        let rpc = self.core.calls.open(dst, Call::Op(op_id), None, ctx.now());
         ctx.send(
             dst,
             Envelope::req(
@@ -155,7 +153,6 @@ impl ScanClient {
                 },
             ),
         );
-        self.rpc_to_op.insert(rpc, op_id);
         self.ops.insert(
             op_id,
             Op {
@@ -185,8 +182,8 @@ impl ScanClient {
         let mut objects = 0;
         for (owner, hashes) in by_owner {
             objects += hashes.len() as u64;
-            let rpc = self.core.alloc_rpc();
             let dst = self.core.actor_of(owner);
+            let rpc = self.core.calls.open(dst, Call::Op(op_id), None, ctx.now());
             ctx.send(
                 dst,
                 Envelope::req(
@@ -197,7 +194,6 @@ impl ScanClient {
                     },
                 ),
             );
-            self.rpc_to_op.insert(rpc, op_id);
             remaining += 1;
         }
         if remaining == 0 {
@@ -247,7 +243,7 @@ impl Actor<Envelope> for ScanClient {
                     }
                     return;
                 }
-                let Some(op_id) = self.rpc_to_op.remove(&rpc) else {
+                let Some(Call::Op(op_id)) = self.core.calls.complete(rpc) else {
                     return;
                 };
                 match resp {

@@ -11,11 +11,11 @@
 
 use bytes::Bytes;
 use rocksteady_common::rng::Prng;
-use rocksteady_common::{FxHashMap, Nanos, RpcId, ServerId, TableId};
+use rocksteady_common::{FxHashMap, Nanos, ServerId, TableId};
 use rocksteady_proto::{Body, Envelope, Request, Response};
 use rocksteady_simnet::{Actor, Ctx, Directory, Event};
 
-use crate::core::{primary_hash, primary_key, ClientCore};
+use crate::core::{primary_hash, primary_key, Call, ClientCore};
 use crate::stats::ClientStatsHandle;
 
 /// Configuration for one spread client.
@@ -54,7 +54,6 @@ pub struct SpreadClient {
     stats: ClientStatsHandle,
     rng: Prng,
     ops: FxHashMap<u64, Op>,
-    rpc_to_op: FxHashMap<RpcId, u64>,
     next_op: u64,
 }
 
@@ -74,7 +73,6 @@ impl SpreadClient {
             stats,
             rng,
             ops: FxHashMap::default(),
-            rpc_to_op: FxHashMap::default(),
             next_op: 1,
             cfg,
         }
@@ -105,8 +103,8 @@ impl SpreadClient {
                 ));
             }
             total_keys += keys.len();
-            let rpc = self.core.alloc_rpc();
             let dst = self.core.actor_of(*server);
+            let rpc = self.core.calls.open(dst, Call::Op(op_id), None, ctx.now());
             ctx.send(
                 dst,
                 Envelope::req(
@@ -117,7 +115,6 @@ impl SpreadClient {
                     },
                 ),
             );
-            self.rpc_to_op.insert(rpc, op_id);
             rpcs += 1;
         }
         self.ops.insert(
@@ -149,7 +146,7 @@ impl Actor<Envelope> for SpreadClient {
         let Body::Resp(resp) = payload.body else {
             return;
         };
-        let Some(op_id) = self.rpc_to_op.remove(&payload.rpc) else {
+        let Some(Call::Op(op_id)) = self.core.calls.complete(payload.rpc) else {
             return;
         };
         debug_assert!(matches!(resp, Response::MultiReadOk { .. }), "{resp:?}");

@@ -8,7 +8,6 @@
 //! backlogged demand reappears as the post-migration throughput spike the
 //! paper shows in Figure 9.
 
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -21,7 +20,7 @@ use rocksteady_proto::{Body, Envelope, Request, Response, Status};
 use rocksteady_simnet::{Actor, Ctx, Directory, Event};
 use rocksteady_trace::Tracer;
 
-use crate::core::{write_primary_key, ClientCore};
+use crate::core::{write_primary_key, Call, ClientCore};
 use crate::shape::LoadShape;
 use crate::stats::ClientStatsHandle;
 
@@ -111,15 +110,7 @@ pub struct YcsbClient {
     sampler: KeySampler,
     rng: Prng,
     ops: FxHashMap<u64, Op>,
-    rpc_to_op: FxHashMap<RpcId, u64>,
     waiting_for_map: Vec<u64>,
-    /// `(deadline, op, attempt)` of each attempt issued and not yet
-    /// swept, oldest first: the timeout is constant and attempts are
-    /// issued in time order, so the deadlines are sorted as they are
-    /// pushed. One `TOK_TIMEOUT` timer is pending exactly while this is
-    /// not empty, for the front's deadline; an entry whose attempt has
-    /// ended stays until a sweep reaches it.
-    deadlines: VecDeque<(Nanos, u64, u32)>,
     /// Scratch the next operation's key is formatted into before it is
     /// copied, in one allocation, into the operation's `Bytes`.
     key_buf: Vec<u8>,
@@ -162,9 +153,7 @@ impl YcsbClient {
             sampler,
             rng,
             ops: FxHashMap::default(),
-            rpc_to_op: FxHashMap::default(),
             waiting_for_map: Vec::new(),
-            deadlines: VecDeque::new(),
             key_buf: Vec::new(),
             bucket_ranks,
             next_op: 1,
@@ -266,8 +255,14 @@ impl YcsbClient {
                 value: self.value.clone(),
             },
         };
-        let rpc = self.core.alloc_rpc();
         let dst = self.core.actor_of(owner);
+        // Each attempt is a call with an `RPC_TIMEOUT` backstop, under
+        // one `TOK_TIMEOUT` timer armed while a deadline is queued.
+        let arm = self.core.calls.next_due().is_none();
+        let rpc = self
+            .core
+            .calls
+            .open(dst, Call::Op(op_id), Some(RPC_TIMEOUT), ctx.now());
         // Every attempt of one operation carries the same minted trace
         // id; the hop field is the attempt number, so downstream spans
         // (and the PriorityPull a read miss spawns) chain back to the
@@ -289,7 +284,6 @@ impl YcsbClient {
             );
         }
         ctx.send(dst, Envelope::req(rpc, req).with_ctx(cctx));
-        self.rpc_to_op.insert(rpc, op_id);
         let op = self.ops.get_mut(&op_id).expect("checked above");
         op.rpc = Some(rpc);
         op.issued = ctx.now();
@@ -297,31 +291,22 @@ impl YcsbClient {
         if kind == OpKind::Read {
             self.stats.borrow_mut().read_attempts.inc();
         }
-        if self.deadlines.is_empty() {
+        if arm {
             ctx.timer(RPC_TIMEOUT, TOK_TIMEOUT);
         }
-        self.deadlines
-            .push_back((ctx.now() + RPC_TIMEOUT, op_id, attempt));
     }
 
-    /// The deadline timer fired: drops the entries whose attempt has
-    /// ended (answered, retried, or waiting for the map), times out each
-    /// live one that is due, oldest first, and re-arms for the oldest
-    /// live entry left.
+    /// The deadline timer fired: times out each attempt that is due,
+    /// oldest first, and re-arms for the oldest one left.
     fn on_deadline(&mut self, ctx: &mut Ctx<'_, Envelope>) {
-        while let Some(&(deadline, op_id, attempt)) = self.deadlines.front() {
-            let live = self
-                .ops
-                .get(&op_id)
-                .is_some_and(|op| op.attempts == attempt && op.rpc.is_some());
-            if live && deadline > ctx.now() {
-                ctx.timer(deadline - ctx.now(), TOK_TIMEOUT);
-                return;
-            }
-            self.deadlines.pop_front();
-            if live {
+        let now = ctx.now();
+        for (_, call) in self.core.calls.due(now) {
+            if let Call::Op(op_id) = call {
                 self.time_out(ctx, op_id);
             }
+        }
+        if let Some(deadline) = self.core.calls.next_due() {
+            ctx.timer(deadline - now, TOK_TIMEOUT);
         }
     }
 
@@ -334,8 +319,8 @@ impl YcsbClient {
         if self.ops[&op_id].kind == OpKind::Write {
             self.report(ctx.self_id(), ctx.now(), op_id, Outcome::Indeterminate);
         }
-        if let Some(rpc) = self.ops.get_mut(&op_id).and_then(|op| op.rpc.take()) {
-            self.rpc_to_op.remove(&rpc);
+        if let Some(op) = self.ops.get_mut(&op_id) {
+            op.rpc = None;
         }
         self.waiting_for_map.push(op_id);
         self.core.request_map(ctx);
@@ -345,9 +330,6 @@ impl YcsbClient {
         let Some(op) = self.ops.remove(&op_id) else {
             return;
         };
-        if let Some(rpc) = op.rpc {
-            self.rpc_to_op.remove(&rpc);
-        }
         let latency = ctx.now() - op.started;
         let mut s = self.stats.borrow_mut();
         match op.kind {
@@ -411,9 +393,7 @@ impl YcsbClient {
             Response::Err(Status::Retry { after }) => {
                 self.stats.borrow_mut().retries.inc();
                 if let Some(op) = self.ops.get_mut(&op_id) {
-                    if let Some(rpc) = op.rpc.take() {
-                        self.rpc_to_op.remove(&rpc);
-                    }
+                    op.rpc = None;
                     // Exponential back-off: the first retry honors the
                     // server's hint ("a few tens of microseconds", §3);
                     // repeated misses on a cold record back off so a
@@ -429,9 +409,7 @@ impl YcsbClient {
             Response::Err(Status::UnknownTablet) => {
                 self.stats.borrow_mut().map_refreshes.inc();
                 if let Some(op) = self.ops.get_mut(&op_id) {
-                    if let Some(rpc) = op.rpc.take() {
-                        self.rpc_to_op.remove(&rpc);
-                    }
+                    op.rpc = None;
                 }
                 self.waiting_for_map.push(op_id);
                 self.core.request_map(ctx);
@@ -479,7 +457,7 @@ impl Actor<Envelope> for YcsbClient {
                     }
                     return;
                 }
-                if let Some(op_id) = self.rpc_to_op.remove(&rpc) {
+                if let Some(Call::Op(op_id)) = self.core.calls.complete(rpc) {
                     if self.trace.is_on() {
                         if let Some(op) = self.ops.get(&op_id) {
                             let now = ctx.now();

@@ -141,6 +141,40 @@ fn a_lost_pull_costs_a_retry_not_the_migration() {
     assert!(finished.is_some(), "one lost Pull stalled the migration");
 }
 
+/// A source lets go of what it migrated away: once a move of the upper
+/// half of 20 000 records has settled, server 0 holds no registration
+/// covering the range and no index entry inside it. Today nothing tells
+/// the source the run ended: it keeps its `MigratingOutTo` registration
+/// and every moved entry (ROADMAP.md item 22).
+#[test]
+#[ignore = "ROADMAP item 22: a source keeps the range it migrated away"]
+fn a_source_lets_go_of_the_range_it_migrated_away() {
+    const RECORDS: u64 = 20_000;
+    let mut b = ClusterBuilder::new(test_config());
+    let migrate = ControlCmd::migrate(MigrationId(1), TABLE, upper(), ServerId(0), ServerId(1));
+    b.at(10 * MILLISECOND, migrate);
+    let mut cluster = b.build();
+    preload_split(&mut cluster, RECORDS, 100);
+    let finished = cluster
+        .run_until_migrated(ServerId(1), MigrationId(1), 10 * SECOND)
+        .expect("migration finished");
+    cluster.run_until(finished + 100 * MILLISECOND);
+
+    let master = &cluster.node(ServerId(0)).master;
+    let held = master.tablets().iter();
+    let kept: Vec<_> = held
+        .filter(|t| t.table == TABLE && t.range.overlaps(&upper()))
+        .collect();
+    let mut entries = 0u64;
+    master
+        .hashtable
+        .for_each_in_range(TABLE, upper(), |_| entries += 1);
+    assert!(
+        kept.is_empty() && entries == 0,
+        "server 0 still registers {kept:?} and indexes {entries} entries in the moved range"
+    );
+}
+
 #[test]
 fn client_experience_recovers_after_migration() {
     // Clients chasing the tablet across the migration should see retries

@@ -84,9 +84,9 @@ const MUTANTS: &[Mutant] = &[
         replacement: "0usize",
         killer: ("crates/server/src/sched.rs", "hold_capable_tasks_never_take_worker_zero"),
         promise: "a ring of loaded servers keeps one core that never waits on an ack", decided: "§3.2" },
-    Mutant { file: "crates/workload/src/ycsb.rs",
-        anchor: "op.attempts == attempt",
-        replacement: "true",
+    Mutant { file: "crates/proto/src/calls.rs",
+        anchor: "self.deadlines.push_back((now + after, id));",
+        replacement: "self.deadlines.push_back((now, id));",
         killer: ("crates/workload/src/ycsb.rs", "a_retried_operation_is_not_timed_out_on_its_first_deadline"),
         promise: "an attempt times out `RPC_TIMEOUT` after it was issued, never on an earlier attempt's deadline", decided: "§3.11" },
     Mutant { file: "crates/simnet/src/lib.rs",

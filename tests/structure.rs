@@ -214,6 +214,12 @@ const RULES: &[Rule] = &[
             no PriorityPulls mode",
         check: |t| grep(t, |p| p == NODE, |l| any(l, &["PriorityPulls"])),
         mutant: (NODE, "", "use rocksteady::PriorityPulls;\n") },
+    Rule { name: "one_call_table", decided: "§3.11",
+        why: "an actor's RPC ids, open calls and deadlines are its one Calls table: no other id counter or \
+            deadline queue",
+        check: |t| grep(t, |p| src(p) && p != "crates/proto/src/calls.rs" && p != "crates/common/src/ids.rs",
+            |l| any(l, &["RpcId(", "next_rpc", "last_rpc", "deadlines:", "VecDeque<(Nanos"])),
+        mutant: ("crates/cluster/src/control.rs", "", "fn f(n: u64) -> RpcId { RpcId(n + 1) }\n") },
 ];
 
 /// A file above its first `#[cfg(test)]` line, `//` comments cut off;
