@@ -105,8 +105,10 @@ command -v cc >/dev/null &&
     run cc -Wall -Wextra -Werror -O2 -shared -fPIC -o target/alloclog.so tools/hostprof/alloclog.c
 command -v python3 >/dev/null &&
     run python3 -c 'import ast, sys; ast.parse(open(sys.argv[1]).read())' tools/hostprof/fold.py
-# tools/pairs.sh (the A/B pairs of the benchmark) parses.
+# tools/pairs.sh (the A/B pairs of the benchmark) parses, and answers a
+# short command line with its usage and exit 2.
 run bash -n tools/pairs.sh
+run bash -c "tools/pairs.sh 2>/dev/null; test \$? -eq 2"
 # The non-test line count a change's size is quoted in (CHANGES.md). It
 # refuses a directory outside any git work tree instead of counting 0.
 run tools/loc.sh

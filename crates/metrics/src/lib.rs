@@ -321,26 +321,27 @@ impl Registry {
     }
 
     /// Takes a deterministic snapshot of every instrument at virtual
-    /// time `at`. Rows are ordered by `(name, labels)`.
+    /// time `at`. Rows are ordered by `(name, labels)`: the index's own
+    /// order, so nothing is sorted or rendered per snapshot.
     pub fn snapshot(&self, at: Nanos) -> Snapshot {
         let inner = self.0.borrow();
-        let mut rows: Vec<SampleRow> = inner
-            .instruments
-            .iter()
-            .map(|ins| SampleRow {
-                name: ins.name,
-                help: ins.help,
-                labels: ins.labels.clone(),
-                value: match &ins.slot {
-                    Slot::Counter(c) => SampleValue::Counter(c.get()),
-                    Slot::Gauge(g) => SampleValue::Gauge(g.get()),
-                    Slot::Histo(h) => SampleValue::Histogram(h.summary()),
-                },
+        let rows = inner
+            .index
+            .values()
+            .map(|&i| {
+                let ins = &inner.instruments[i];
+                SampleRow {
+                    name: ins.name,
+                    help: ins.help,
+                    labels: ins.labels.clone(),
+                    value: match &ins.slot {
+                        Slot::Counter(c) => SampleValue::Counter(c.get()),
+                        Slot::Gauge(g) => SampleValue::Gauge(g.get()),
+                        Slot::Histo(h) => SampleValue::Histogram(h.summary()),
+                    },
+                }
             })
             .collect();
-        rows.sort_by(|a, b| {
-            (a.name, render_labels(&a.labels)).cmp(&(b.name, render_labels(&b.labels)))
-        });
         Snapshot { at, rows }
     }
 
@@ -556,26 +557,21 @@ impl DeltaScraper {
             .drain(..)
             .map(|e| ((e.name, e.rendered), e.last))
             .collect();
+        // The index is in `(name, rendered labels)` order already.
         self.entries = inner
-            .instruments
+            .index
             .iter()
-            .filter_map(|ins| match &ins.slot {
-                Slot::Counter(c) => {
-                    let rendered = render_labels(&ins.labels);
-                    let last = carried.remove(&(ins.name, rendered.clone())).unwrap_or(0);
-                    Some(ScrapeEntry {
-                        name: ins.name,
-                        labels: ins.labels.clone(),
-                        rendered,
-                        cell: c.clone(),
-                        last,
-                    })
-                }
+            .filter_map(|(key, &i)| match &inner.instruments[i].slot {
+                Slot::Counter(c) => Some(ScrapeEntry {
+                    name: key.0,
+                    labels: inner.instruments[i].labels.clone(),
+                    rendered: key.1.clone(),
+                    cell: c.clone(),
+                    last: carried.remove(key).unwrap_or(0),
+                }),
                 _ => None,
             })
             .collect();
-        self.entries
-            .sort_by(|a, b| (a.name, &a.rendered).cmp(&(b.name, &b.rendered)));
         self.seen = inner.instruments.len();
     }
 
@@ -734,6 +730,53 @@ mod tests {
         assert!(a.contains("\"at\":1000"));
         assert!(a.contains("\"type\":\"gauge\",\"value\":-5"));
         assert!(a.contains("\"p50\":"));
+    }
+
+    /// Rows come out of the index in `(name, rendered labels)` order
+    /// whatever the registration order: the same JSON as the rows sorted
+    /// by that key.
+    #[test]
+    fn snapshot_rows_follow_name_then_labels_whatever_the_registration_order() {
+        let reg = Registry::new();
+        let series: [(&'static str, &[(&'static str, &str)]); 7] = [
+            ("z_ops", &[("server", "1")]),
+            ("b_busy", &[("server", "10"), ("core", "worker0")]),
+            ("z_ops", &[]),
+            ("b_busy", &[("core", "dispatch"), ("server", "10")]),
+            ("a_lat", &[("client", "2")]),
+            ("b_busy", &[("server", "9"), ("core", "dispatch")]),
+            ("z_ops", &[("server", "0")]),
+        ];
+        for (i, (name, labels)) in series.iter().enumerate() {
+            let labels: Vec<Label> = labels.iter().map(|&(k, v)| (k, v.to_string())).collect();
+            match i % 3 {
+                0 => drop(reg.counter(name, "c", &labels).add(i as u64)),
+                1 => reg.gauge(name, "g", &labels).set(-(i as i64)),
+                _ => reg.histogram(name, "h", &labels).record(i as u64),
+            }
+        }
+        let snap = reg.snapshot(7);
+        let mut sorted = snap.rows.clone();
+        sorted.sort_by_key(|r| (r.name, render_labels(&r.labels)));
+        let order = |rows: &[SampleRow]| {
+            rows.iter()
+                .map(|r| format!("{}{{{}}}", r.name, render_labels(&r.labels)))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(order(&snap.rows), order(&sorted));
+        assert_eq!(
+            order(&snap.rows)[..3],
+            [
+                "a_lat{client=\"2\"}",
+                "b_busy{core=\"dispatch\",server=\"10\"}",
+                "b_busy{core=\"dispatch\",server=\"9\"}"
+            ]
+        );
+        let reference = Snapshot {
+            at: 7,
+            rows: sorted,
+        };
+        assert_eq!(snap.to_json(), reference.to_json());
     }
 
     #[test]

@@ -26,14 +26,13 @@
 //!    a ranked [`CriticalPathReport`].
 //!
 //! Determinism: all inputs are virtual-time integers recorded by the
-//! deterministic simulation, state lives in `BTreeMap`s, and exports
-//! format integers only — same seed, byte-identical output. Arming the
+//! deterministic simulation, ledgers live in a table indexed by server
+//! and core and are read in that order, and exports format integers only — same seed, byte-identical output. Arming the
 //! profiler must never perturb the simulation: charging is pure state
 //! mutation (no timers, sends, or RNG draws), and a disarmed
 //! [`Profiler`] is a `None` whose every call is a discriminant branch.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
@@ -110,11 +109,9 @@ impl Activity {
         }
     }
 
+    /// Its bucket: the variants are declared in [`Activity::ALL`] order.
     fn index(self) -> usize {
-        Activity::ALL
-            .iter()
-            .position(|a| *a == self)
-            .expect("activity in ALL")
+        self as usize
     }
 }
 
@@ -255,9 +252,38 @@ pub fn core_label(core: u32) -> String {
     }
 }
 
+/// Every core's ledger, by server id and then core index: both are
+/// small dense integers, so a charge is two indexed loads. `None` is a
+/// core that was never registered nor charged, and is not exported.
 #[derive(Debug, Default)]
 struct LedgerBuf {
-    cores: BTreeMap<(u32, u32), CoreLedger>,
+    cores: Vec<Vec<Option<CoreLedger>>>,
+}
+
+impl LedgerBuf {
+    /// `(server, core)`'s ledger, created (all idle) on first sight.
+    #[inline]
+    fn ledger(&mut self, server: u32, core: u32) -> &mut CoreLedger {
+        let (server, core) = (server as usize, core as usize);
+        if self.cores.len() <= server {
+            self.cores.resize_with(server + 1, Vec::new);
+        }
+        let row = &mut self.cores[server];
+        if row.len() <= core {
+            row.resize_with(core + 1, || None);
+        }
+        row[core].get_or_insert_with(CoreLedger::default)
+    }
+
+    /// Every ledger with its `(server, core)`, by server and then core.
+    fn iter(&self) -> impl Iterator<Item = ((u32, u32), &CoreLedger)> {
+        self.cores.iter().enumerate().flat_map(|(server, row)| {
+            row.iter().enumerate().filter_map(move |(core, ledger)| {
+                let ledger = ledger.as_ref()?;
+                Some(((server as u32, core as u32), ledger))
+            })
+        })
+    }
 }
 
 /// Shared handle to the activity ledgers of every core in the cluster,
@@ -287,7 +313,7 @@ impl Profiler {
     /// it never runs a task.
     pub fn register_core(&self, server: u32, core: u32) {
         if let Some(buf) = &self.0 {
-            buf.borrow_mut().cores.entry((server, core)).or_default();
+            buf.borrow_mut().ledger(server, core);
         }
     }
 
@@ -296,9 +322,7 @@ impl Profiler {
     pub fn charge(&self, server: u32, core: u32, act: Activity, start: Nanos, dur: Nanos) {
         if let Some(buf) = &self.0 {
             buf.borrow_mut()
-                .cores
-                .entry((server, core))
-                .or_default()
+                .ledger(server, core)
                 .charge(act, start, dur);
         }
     }
@@ -307,7 +331,7 @@ impl Profiler {
     /// run is over, before validating or exporting.
     pub fn finalize(&self, at: Nanos) {
         if let Some(buf) = &self.0 {
-            for ledger in buf.borrow_mut().cores.values_mut() {
+            for ledger in buf.borrow_mut().cores.iter_mut().flatten().flatten() {
                 ledger.finalize(at);
             }
         }
@@ -328,17 +352,17 @@ impl Profiler {
         };
         let buf = buf.borrow();
         let mut summary = ProfileSummary {
-            cores: buf.cores.len(),
+            cores: buf.iter().count(),
             wall_ns: 0,
             busy_ns: 0,
             idle_ns: 0,
             overcommit_ns: 0,
             overcommit_events: 0,
         };
-        for ((server, core), ledger) in &buf.cores {
+        for ((server, core), ledger) in buf.iter() {
             ledger
                 .validate()
-                .map_err(|e| format!("server{server} {}: {e}", core_label(*core)))?;
+                .map_err(|e| format!("server{server} {}: {e}", core_label(core)))?;
             summary.wall_ns = summary.wall_ns.max(ledger.wall());
             summary.busy_ns += ledger.busy_ns();
             summary.idle_ns += ledger.idle_ns();
@@ -355,11 +379,10 @@ impl Profiler {
             return Vec::new();
         };
         buf.borrow()
-            .cores
             .iter()
             .map(|((server, core), ledger)| CoreProfile {
-                server: *server,
-                core: *core,
+                server,
+                core,
                 buckets: ledger.buckets,
                 wall: ledger.cursor,
                 overcommit_ns: ledger.overcommit_ns,
@@ -478,7 +501,7 @@ mod tests {
         p.validate().expect("both cores conserve");
         // Corrupt worker 1's ledger: wall-clock nobody was charged for.
         if let Some(buf) = &p.0 {
-            buf.borrow_mut().cores.get_mut(&(3, 2)).unwrap().cursor += 40;
+            buf.borrow_mut().ledger(3, 2).cursor += 40;
         }
         let err = p.validate().expect_err("gap must fail");
         assert!(err.contains("server3 worker1"), "{err}");

@@ -26,12 +26,10 @@
 //! [`export_json`] is byte-identical for the same seed and across the
 //! scheduler swap.
 
-use std::fmt::Write as _;
-
-use rocksteady_common::json::JsonWriter;
+use rocksteady_common::json::{JsonValue, JsonWriter};
 use rocksteady_common::Nanos;
 
-use crate::{Args, Events, Phase, TraceEvent};
+use crate::{Args, Events, Phase, Schema, TraceEvent};
 
 /// Schema tag stamped into [`export_json`] output.
 pub const JOURNEYS_SCHEMA: &str = "rocksteady-journeys-v1";
@@ -168,7 +166,8 @@ impl Journey {
                 out.push_str(" -> ");
             }
             out.push_str(hop.name);
-            write!(out, "@{}", hop.server).expect("writing to a String cannot fail");
+            out.push('@');
+            hop.server.write_json(out);
             if hop.on_path {
                 out.push(':');
                 out.push_str(status::label(hop.status));
@@ -246,55 +245,61 @@ struct ServerInstant {
     hold: Nanos,
 }
 
+/// The args an [`Attempt`] reads, in [`Attempt::parse`]'s order; an
+/// `rpc-client` schema lacking one is not an attempt.
+const ATTEMPT_ARGS: [&str; 6] = ["rpc", "issued", "completed", "trace", "attempt", "status"];
+
+/// The args a [`ServerInstant`] reads, in [`ServerInstant::parse`]'s
+/// order; every one but the last, `hop`, is required.
+const SERVER_ARGS: [&str; 9] = [
+    "rpc",
+    "sent_at",
+    "resp_sent",
+    "net_in",
+    "queue",
+    "service",
+    "hold",
+    "trace",
+    "hop",
+];
+
 impl Attempt {
-    /// An `rpc-client` instant carrying every field, else `None`.
-    fn parse(seq: usize, ev: TraceEvent<'_>) -> Option<Attempt> {
-        let names = ["rpc", "issued", "completed", "trace", "attempt", "status"];
-        let [rpc, issued, completed, trace, attempt, status] = pick(ev.args, names);
-        Some(Attempt {
-            trace: trace?,
+    /// An `rpc-client` instant whose schema names every field.
+    fn parse(seq: usize, ev: TraceEvent<'_>, fields: &[u8]) -> Attempt {
+        let [rpc, issued, completed, trace, attempt, status] = fill(ev.args, fields);
+        Attempt {
+            trace,
             seq,
             client: ev.pid,
-            attempt: attempt?,
-            rpc: rpc?,
-            issued: issued?,
-            completed: completed?,
-            status: status?,
-        })
+            attempt,
+            rpc,
+            issued,
+            completed,
+            status,
+        }
     }
 }
 
 impl ServerInstant {
-    /// A traced per-RPC decomposition instant (only `hop` may be
-    /// missing), else `None`.
-    fn parse(seq: usize, ev: TraceEvent<'_>) -> Option<ServerInstant> {
-        let names = [
-            "rpc",
-            "sent_at",
-            "resp_sent",
-            "net_in",
-            "queue",
-            "service",
-            "hold",
-            "trace",
-            "hop",
-        ];
+    /// A traced per-RPC decomposition instant whose schema names every
+    /// field but perhaps `hop` (then depth 0).
+    fn parse(seq: usize, ev: TraceEvent<'_>, fields: &[u8]) -> ServerInstant {
         let [rpc, sent_at, resp_sent, net_in, queue, service, hold, trace, hop] =
-            pick(ev.args, names);
-        Some(ServerInstant {
-            trace: trace?,
+            fill(ev.args, fields);
+        ServerInstant {
+            trace,
             seq,
             server: ev.pid,
             name: ev.name,
-            rpc: rpc?,
-            depth: hop.unwrap_or(0),
-            sent_at: sent_at?,
-            resp_sent: resp_sent?,
-            net_in: net_in?,
-            queue: queue?,
-            service: service?,
-            hold: hold?,
-        })
+            rpc,
+            depth: hop,
+            sent_at,
+            resp_sent,
+            net_in,
+            queue,
+            service,
+            hold,
+        }
     }
 
     /// This instant as an off-path hop (work done on the operation's
@@ -333,24 +338,70 @@ impl ServerInstant {
     }
 }
 
-/// Reads `names` out of `args` in one walk. Emitters record an event's
-/// args in a fixed order and `names` follows it, so each name is looked
-/// for among the schema's arg names from where the last one matched —
-/// 14 string compares for the 14-arg decomposition instant instead of
-/// 14 per name — and the values are decoded in one pass as the matches
-/// advance. (The search wraps around, restarting the decoding, so any
-/// order still resolves; arg names are unique within an event.)
-fn pick<const N: usize>(args: Args<'_>, names: [&str; N]) -> [Option<u64>; N] {
-    let (mut at, mut values, n) = (0, args.iter(), args.len());
-    names.map(|name| {
-        let i = (at..n).chain(0..at).find(|&i| args.names[i] == name)?;
-        if i < at {
-            (at, values) = (0, args.iter());
+/// What [`Parsed::of`] does with every event of one schema, decided once
+/// per schema from its phase, name, category and arg names. A plan's
+/// `fields` say, for each of the schema's leading args, which field it
+/// fills ([`NO_FIELD`] for none): its length is one past the last arg
+/// read, so the walk stops there.
+enum Plan {
+    /// Not a journey instant, or one lacking a required arg.
+    Skip,
+    /// An `rpc-client` attempt instant, filling [`ATTEMPT_ARGS`].
+    Attempt(Box<[u8]>),
+    /// A server decomposition instant (`cat` `rpc`), filling
+    /// [`SERVER_ARGS`].
+    Server(Box<[u8]>),
+}
+
+/// In a plan's `fields`, an arg no field reads.
+const NO_FIELD: u8 = u8::MAX;
+
+impl Plan {
+    fn of(schema: &Schema) -> Plan {
+        if schema.ph != Phase::Instant {
+            Plan::Skip
+        } else if schema.name == "rpc-client" {
+            Plan::fields(schema, &ATTEMPT_ARGS, ATTEMPT_ARGS.len())
+                .map_or(Plan::Skip, Plan::Attempt)
+        } else if schema.cat == "rpc" {
+            let required = SERVER_ARGS.len() - 1;
+            Plan::fields(schema, &SERVER_ARGS, required).map_or(Plan::Skip, Plan::Server)
+        } else {
+            Plan::Skip
         }
-        let (_, value) = values.nth(i - at).expect("the schema names arg i");
-        at = i + 1;
-        Some(value)
-    })
+    }
+
+    /// Which of `names` each of `schema`'s args fills (a name's first
+    /// occurrence), or `None` if any of the first `required` is missing.
+    fn fields(schema: &Schema, names: &[&str], required: usize) -> Option<Box<[u8]>> {
+        let at: Vec<Option<usize>> = names
+            .iter()
+            .map(|name| schema.args.iter().position(|arg| arg == name))
+            .collect();
+        if at[..required].contains(&None) {
+            return None;
+        }
+        let mut fields = vec![NO_FIELD; at.iter().flatten().max().map_or(0, |&last| last + 1)];
+        for (field, at) in at.iter().enumerate() {
+            if let Some(at) = *at {
+                fields[at] = field as u8;
+            }
+        }
+        Some(fields.into())
+    }
+}
+
+/// The values `fields` maps `args` to, by field, in one walk that
+/// decodes only the args up to the last one read; 0 for a field no arg
+/// fills.
+fn fill<const N: usize>(args: Args<'_>, fields: &[u8]) -> [u64; N] {
+    let mut values = [0; N];
+    for ((_, v), &field) in args.zip(fields) {
+        if let Some(value) = values.get_mut(usize::from(field)) {
+            *value = v;
+        }
+    }
+    values
 }
 
 /// The journey-relevant instants of a buffer, parsed into two flat
@@ -369,15 +420,23 @@ impl Parsed {
     /// trace `only`.
     fn of(events: Events<'_>, only: Option<u64>) -> Parsed {
         let wanted = |trace: u64| trace != 0 && only.is_none_or(|t| t == trace);
+        let plans: Vec<Plan> = events.buf.schemas.iter().map(Plan::of).collect();
         let (mut attempts, mut servers) = (Vec::new(), Vec::new());
-        for (seq, ev) in events.iter().enumerate() {
-            if ev.ph != Phase::Instant {
-                continue;
-            }
-            if ev.name == "rpc-client" {
-                attempts.extend(Attempt::parse(seq, ev).filter(|a| wanted(a.trace)));
-            } else if ev.cat == "rpc" {
-                servers.extend(ServerInstant::parse(seq, ev).filter(|s| wanted(s.trace)));
+        for (seq, schema) in events.schema_ids() {
+            match &plans[schema as usize] {
+                Plan::Skip => {}
+                Plan::Attempt(fields) => {
+                    let a = Attempt::parse(seq, events.event(seq), fields);
+                    if wanted(a.trace) {
+                        attempts.push(a);
+                    }
+                }
+                Plan::Server(fields) => {
+                    let s = ServerInstant::parse(seq, events.event(seq), fields);
+                    if wanted(s.trace) {
+                        servers.push(s);
+                    }
+                }
             }
         }
         attempts.sort_unstable_by_key(|a| (a.trace, a.attempt, a.issued, a.seq));
@@ -726,21 +785,49 @@ mod tests {
         assert!(a.contains("\"telescoped\":1"), "{a}");
     }
 
-    /// `pick` is an optimisation of `arg`, never a different answer:
-    /// any order of names resolves, a missing one is `None`.
+    /// A schema's plan is an optimisation of looking each field up by
+    /// name, never a different answer: whatever order a schema records
+    /// its args in, with args no field reads among them, each field
+    /// reads the value `arg` finds, `hop` may be missing, and a schema
+    /// lacking any other field is skipped.
     #[test]
-    fn pick_resolves_any_order() {
+    fn plans_read_what_a_name_lookup_reads() {
         let t = Tracer::armed();
-        t.instant("abc", "c", 1, 0, 0, [("a", 1), ("b", 200), ("c", 3)]);
-        t.instant("none", "c", 1, 0, 0, []);
-        t.with_events(|mut events| {
-            let args = events.next().unwrap().args;
-            assert_eq!(pick(args, ["a", "b", "c"]), [Some(1), Some(200), Some(3)]);
-            assert_eq!(
-                pick(args, ["c", "a", "x", "b"]),
-                [Some(3), Some(1), None, Some(200)]
-            );
-            assert_eq!(pick(events.next().unwrap().args, ["a"]), [None]);
+        let server = SERVER_ARGS.map(|name| (name, name.len() as u64 * 1_000));
+        let mut shuffled = server.to_vec();
+        shuffled.reverse();
+        shuffled.insert(3, ("src", 9));
+        t.instant("read", "rpc", 1, 0, 0, server);
+        t.instant("write", "rpc", 1, 0, 1, &shuffled[..]);
+        t.instant("pp", "rpc", 1, 0, 2, &server[..SERVER_ARGS.len() - 1]);
+        t.instant("short", "rpc", 1, 0, 3, &server[1..]);
+        t.span("read", "rpc", 1, 0, 0, 4, server);
+        let attempt = ATTEMPT_ARGS.map(|name| (name, name.len() as u64));
+        let mut extra = attempt.to_vec();
+        extra.swap(0, 5);
+        extra.insert(2, ("e2e", 40));
+        t.instant("rpc-client", "client", 9, 0, 5, attempt);
+        t.instant("rpc-client", "client", 9, 0, 6, &extra[..]);
+        t.instant("rpc-client", "client", 9, 0, 7, &attempt[1..]);
+        t.with_events(|events| {
+            let plans: Vec<Plan> = events.buf.schemas.iter().map(Plan::of).collect();
+            let kinds: Vec<char> = events
+                .iter()
+                .map(|ev| match &plans[ev.schema as usize] {
+                    Plan::Skip => '-',
+                    Plan::Attempt(fields) => {
+                        let got: [u64; 6] = fill(ev.args, fields);
+                        assert_eq!(got, ATTEMPT_ARGS.map(|n| ev.arg(n).unwrap()));
+                        'a'
+                    }
+                    Plan::Server(fields) => {
+                        let got: [u64; 9] = fill(ev.args, fields);
+                        assert_eq!(got, SERVER_ARGS.map(|n| ev.arg(n).unwrap_or(0)));
+                        's'
+                    }
+                })
+                .collect();
+            assert_eq!(kinds, ['s', 's', 's', '-', '-', 'a', 'a', '-']);
         });
     }
 }

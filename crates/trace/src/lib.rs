@@ -48,8 +48,11 @@
 //! Schemas are looked up by the *addresses* of their `&'static str`s
 //! and written out by their *content*: two content-equal names at
 //! different addresses get two schemas that export the same bytes, and
-//! the address-keyed index is only probed, never iterated, so no output
-//! depends on where a string lives.
+//! the address-keyed memo and index are only probed, never iterated, so
+//! no output depends on where a string lives. An event first tries the
+//! memo, one slot picked by its name's address, phase and arity; only
+//! when that slot holds another schema does it hash every address to
+//! probe the index.
 
 use std::cell::RefCell;
 use std::hash::Hasher;
@@ -179,16 +182,18 @@ struct Slot {
     schema: u32,
 }
 
-/// Appends `v` to `arena` as LEB128: seven bits a byte, low bits first,
-/// the top bit set on every byte but the last — 1 B below 2⁷, 10 B at
-/// most.
-#[inline]
-fn put_varint(arena: &mut Vec<u8>, mut v: u64) {
+/// Writes `v` at `out[*at..]` as LEB128 — seven bits a byte, low bits
+/// first, the top bit set on every byte but the last: 1 B below 2⁷,
+/// 10 B at most — and moves `at` past it.
+#[inline(always)]
+fn put_varint(out: &mut [u8], at: &mut usize, mut v: u64) {
     while v >= 0x80 {
-        arena.push(v as u8 | 0x80);
+        out[*at] = v as u8 | 0x80;
         v >>= 7;
+        *at += 1;
     }
-    arena.push(v as u8);
+    out[*at] = v as u8;
+    *at += 1;
 }
 
 /// Reads one [`put_varint`] value off the front of `bytes`.
@@ -245,6 +250,17 @@ impl Emitted<'_> {
         usize::from(self.lead.is_some()) + self.args.len()
     }
 
+    /// The memo slot this event's schema is kept in: a multiplicative
+    /// hash of its name's address, its phase and its arity. Call sites
+    /// that share all three share a slot, and [`Emitted::is`] tells them
+    /// apart.
+    #[inline]
+    fn memo_slot(&self) -> usize {
+        let h = &self.head;
+        let key = h.name.as_ptr() as u64 ^ (h.ph as u64) << 56 ^ (self.arity() as u64) << 48;
+        (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (u64::BITS - MEMO_BITS)) as usize
+    }
+
     /// Hash of the schema's string addresses, phase and arity: the
     /// index's key. Equal schemas hash equal; unequal ones that collide
     /// are told apart by [`Emitted::is`].
@@ -265,14 +281,20 @@ impl Emitted<'_> {
     /// never depends on a hash.
     fn is(&self, schema: &Schema) -> bool {
         let h = &self.head;
+        let names = match (self.lead, schema.args.split_first()) {
+            (None, _) => &schema.args[..],
+            (Some((lead, _)), Some((first, rest))) if ptr::eq(lead, *first) => rest,
+            (Some(_), _) => return false,
+        };
         ptr::eq(h.name, schema.name)
             && ptr::eq(h.cat, schema.cat)
             && h.ph == schema.ph
-            && self.arity() == schema.args.len()
+            && self.args.len() == names.len()
             && self
-                .all_args()
-                .zip(&schema.args[..])
-                .all(|((a, _), b)| ptr::eq(a, *b))
+                .args
+                .iter()
+                .zip(names)
+                .all(|(&(a, _), b)| ptr::eq(a, *b))
     }
 }
 
@@ -401,6 +423,15 @@ impl<'a> Events<'a> {
             .sum()
     }
 
+    /// Each event still to be yielded as its buffer position and schema
+    /// id, read off its slot alone: for a fold that reads the events of
+    /// some schemas only, and decodes those with [`Events::event`].
+    fn schema_ids(&self) -> impl Iterator<Item = (usize, u32)> + 'a {
+        let buf = self.buf;
+        (self.from..self.to).map(move |i| (i, buf.events.get(i).0.schema))
+    }
+
+    /// The event at buffer position `i`, decoded.
     fn event(&self, i: usize) -> TraceEvent<'a> {
         let (slot, mut bytes) = self.buf.events.get(i);
         let schema = &self.buf.schemas[slot.schema as usize];
@@ -451,21 +482,41 @@ impl DoubleEndedIterator for Events<'_> {
 
 impl ExactSizeIterator for Events<'_> {}
 
+/// log₂ of the schema memo's slots: 256 of them, 1 KiB, for the few
+/// dozen schemas a run records.
+const MEMO_BITS: u32 = 8;
+
 /// The shared event buffer behind an enabled [`Tracer`].
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct TraceBuf {
     /// One slot per event, the rest of the event in the arena.
     events: TailRing<Slot, u8>,
     /// Every schema seen, by id, in first-sight order. Compaction
     /// evicts slots, never a schema.
     schemas: Vec<Schema>,
-    /// Schema ids by [`Emitted::key`], which hashes addresses: probed,
-    /// never iterated, and every hit checked.
+    /// The schema id last filed in each [`Emitted::memo_slot`]
+    /// (`u32::MAX` for none): probed, never iterated, and every hit
+    /// checked.
+    memo: [u32; 1 << MEMO_BITS],
+    /// Schema ids by [`Emitted::key`], which hashes addresses: what a
+    /// memo miss probes; never iterated, and every hit checked.
     index: FxHashMap<u64, u32>,
     /// Recording gate: an armed tracer can be muted for warm-up windows
     /// without giving up the buffer (benches trace only the migration
     /// window this way).
     recording: bool,
+}
+
+impl Default for TraceBuf {
+    fn default() -> Self {
+        TraceBuf {
+            events: TailRing::default(),
+            schemas: Vec::new(),
+            memo: [u32::MAX; 1 << MEMO_BITS],
+            index: FxHashMap::default(),
+            recording: false,
+        }
+    }
 }
 
 impl TraceBuf {
@@ -478,21 +529,43 @@ impl TraceBuf {
             schema,
         };
         self.events.push_with(slot, |arena| {
-            // One reservation per event, as `RUN_BOUND` counts.
-            arena.reserve(10 * (3 + ev.arity()));
+            // One capacity check per event: the arena grows by 10 B a
+            // value (as `RUN_BOUND` counts), the run is written into
+            // that window, and the length is cut back to the run.
+            let start = arena.len();
+            arena.resize(start + 10 * (3 + ev.arity()), 0);
+            let (out, mut at) = (&mut arena[start..], 0);
             for v in [h.dur, h.pid, h.tid] {
-                put_varint(arena, v);
+                put_varint(out, &mut at, v);
             }
-            for (_, v) in ev.all_args() {
-                put_varint(arena, v);
+            if let Some((_, v)) = ev.lead {
+                put_varint(out, &mut at, v);
             }
+            for &(_, v) in ev.args {
+                put_varint(out, &mut at, v);
+            }
+            arena.truncate(start + at);
         });
     }
 
-    /// `ev`'s schema id: the index's candidate if it is `ev`'s, else a
-    /// scan of the table, else a new schema.
+    /// `ev`'s schema id: the memo's candidate if it is `ev`'s, else the
+    /// index's, else a scan of the table, else a new schema.
     #[inline]
     fn schema_of(&mut self, ev: &Emitted<'_>) -> u32 {
+        let slot = ev.memo_slot();
+        let id = self.memo[slot];
+        if self.schemas.get(id as usize).is_some_and(|s| ev.is(s)) {
+            return id;
+        }
+        let id = self.indexed(ev);
+        self.memo[slot] = id;
+        id
+    }
+
+    /// `ev`'s schema id through the index: its candidate if it is `ev`'s,
+    /// else a scan of the table, else a new schema.
+    #[cold]
+    fn indexed(&mut self, ev: &Emitted<'_>) -> u32 {
         let key = ev.key();
         match self.index.get(&key) {
             Some(&id) if self.schemas.get(id as usize).is_some_and(|s| ev.is(s)) => id,
@@ -1132,9 +1205,21 @@ mod tests {
             "a14", "a15", "a16", "a17", "a18",
         ];
         let args: [Arg; WIDE] = std::array::from_fn(|i| (NAMES[i], EDGES[i % EDGES.len()]));
+        // Every value 10 B: a run longer than any `MAX_ARGS` event's.
+        let widest: [Arg; WIDE] = std::array::from_fn(|i| (NAMES[i], u64::MAX));
         let t = Tracer::armed();
         t.instant("wide", "rpc", 3, 0, 10, args);
         t.flow("f", "flow", 3, 0, 10, true, 77, args);
+        t.instant("widest", "rpc", 3, 0, 11, widest);
+        t.flow("f", "flow", 3, 0, 11, false, u64::MAX, widest);
+        let runs: Vec<usize> = {
+            let buf = t.0.as_ref().unwrap().borrow();
+            (0..buf.events.len())
+                .map(|i| buf.events.get(i).1.len())
+                .collect()
+        };
+        assert_eq!(runs[2..], [3 + 10 * WIDE, 3 + 10 * (WIDE + 1)]);
+        assert!(runs[2] > RUN_BOUND, "{runs:?}");
         t.with_events(|events| {
             let mut events = events.iter();
             let wide = events.next().unwrap();
@@ -1142,15 +1227,22 @@ mod tests {
             let flow = events.next().unwrap();
             let want = std::iter::once(("flow", 77)).chain(args);
             assert!(flow.args.iter().eq(want), "{:?}", flow.args);
+            let widest_ev = events.next().unwrap();
+            assert!(widest_ev.args.iter().eq(widest), "{:?}", widest_ev.args);
+            let flow = events.next().unwrap();
+            let want = std::iter::once(("flow", u64::MAX)).chain(widest);
+            assert!(flow.args.iter().eq(want), "{:?}", flow.args);
         });
         let json = t.export_chrome_json();
-        let want: Vec<String> = args.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
-        let want = want.join(",");
-        assert!(json.contains(&format!("\"args\":{{{want}}}")), "{json}");
-        assert!(
-            json.contains(&format!("\"args\":{{\"flow\":77,{want}}}")),
-            "{json}"
-        );
+        for (args, flow) in [(args, 77), (widest, u64::MAX)] {
+            let want: Vec<String> = args.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+            let want = want.join(",");
+            assert!(json.contains(&format!("\"args\":{{{want}}}")), "{json}");
+            assert!(
+                json.contains(&format!("\"args\":{{\"flow\":{flow},{want}}}")),
+                "{json}"
+            );
+        }
     }
 
     /// The ring holds 16 B per event — slot and arena offset — and the
@@ -1321,8 +1413,8 @@ mod tests {
         assert_eq!(one.export_chrome_json(), two.export_chrome_json());
     }
 
-    /// A wrong id in the index for an event's key — another schema's,
-    /// or none at all — costs a scan, never a misfiled event.
+    /// A wrong id in the memo or the index for an event — another
+    /// schema's, or none at all — costs a scan, never a misfiled event.
     #[test]
     fn a_wrong_index_entry_never_misfiles_an_event() {
         // Statics: one address per name, wherever it is used.
@@ -1353,7 +1445,10 @@ mod tests {
             t.span(A, A, 1, 1, 0, 10, [(X, 1)]);
             t.instant(B, A, 1, 0, 20, [(X, 2)]);
             if plant {
+                // Both layers wrong at once: every memo slot names
+                // schema 0, and the index misdirects both keys.
                 let mut buf = t.0.as_ref().unwrap().borrow_mut();
+                buf.memo.fill(0);
                 buf.index.insert(b_key, 0);
                 buf.index.insert(c_key, 99);
             }
@@ -1376,6 +1471,30 @@ mod tests {
         assert_eq!(ids(&planted), [0, 1, 1, 2, 1]);
         assert_eq!(ids(&clean), ids(&planted));
         assert_eq!(clean.export_chrome_json(), planted.export_chrome_json());
+    }
+
+    /// Call sites that share a name, a phase and an arity share a memo
+    /// slot: taking turns in it, each files under its own schema.
+    #[test]
+    fn call_sites_sharing_a_memo_slot_file_under_their_own_schemas() {
+        static READ: &str = "read";
+        let t = Tracer::armed();
+        for i in 0..6u64 {
+            t.instant(READ, "rpc", 1, 0, 2 * i, [("queue", i)]);
+            t.instant(READ, "client", 1, 0, 2 * i + 1, [("status", i)]);
+        }
+        assert_eq!(schemas(&t), 2);
+        t.with_events(|events| {
+            for (i, ev) in events.enumerate() {
+                let (cat, arg) = if i % 2 == 0 {
+                    ("rpc", "queue")
+                } else {
+                    ("client", "status")
+                };
+                assert_eq!((ev.cat, ev.schema), (cat, (i % 2) as u32));
+                assert_eq!(ev.arg(arg), Some(i as u64 / 2));
+            }
+        });
     }
 
     /// Compaction evicts slots, never a schema: an event whose every

@@ -36,6 +36,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use rocksteady::PULL_BUDGET_BYTES;
+use rocksteady_audit::{AuditSink, ClientOp, Outcome};
 use rocksteady_common::zipf::KeySampler;
 use rocksteady_common::{
     key_hash, HashRange, Histogram, ScanCursor, ServerId, SimMessage, TableId, TimeSeries,
@@ -44,6 +45,8 @@ use rocksteady_common::{
 use rocksteady_hashtable::{HashTable, MAX_BUCKETS_PER_STRIPE, PARTITION_BYTES};
 use rocksteady_logstore::{LogConfig, LogRef};
 use rocksteady_master::{MasterConfig, MasterService, ReplayDest, TabletRole, Work};
+use rocksteady_metrics::Registry;
+use rocksteady_profiler::{Activity, Profiler};
 use rocksteady_proto::{Body, Envelope, Request, Response, TabletDescriptor, TabletState};
 use rocksteady_simnet::{Actor, Ctx, Directory, Event, NicConfig, Simulation};
 use rocksteady_trace::Tracer;
@@ -382,6 +385,93 @@ fn recording_trace_events_allocates_nothing_per_event() {
         emit_rpc(&off, rpc);
     }
     assert_eq!(allocs() - before, 0, "a disarmed tracer allocated");
+}
+
+/// The profiler finds a core's ledger by index: a charge to a core it
+/// already holds allocates nothing.
+#[test]
+fn a_profiler_charge_to_a_held_core_allocates_nothing() {
+    const CHARGES: u64 = 100_000;
+    let profiler = Profiler::armed();
+    for (server, core) in [(0, 0), (3, 12), (3, 0), (1, 5)] {
+        profiler.register_core(server, core);
+    }
+    let before = allocs();
+    for i in 0..CHARGES {
+        let (server, core) = [(0, 0), (3, 12), (3, 0), (1, 5)][i as usize % 4];
+        profiler.charge(server, core, Activity::Service, i * 100, 60);
+    }
+    let allocated = allocs() - before;
+    assert_eq!(allocated, 0, "{allocated} allocations in {CHARGES} charges");
+    assert_eq!(profiler.validate().expect("conserves").cores, 4);
+}
+
+/// A key whose history holds one version keeps it in its table slot: an
+/// audited operation on a key whose version is already filed allocates
+/// nothing.
+#[test]
+fn an_audited_operation_on_a_filed_key_allocates_nothing() {
+    // A key's first operation, its write, files its version; a read of a
+    // key whose one version is filed only reads the history.
+    const KEYS: u64 = 1_000;
+    let audit = AuditSink::armed();
+    let op = |hash: u64, client: u64, write: bool, at: u64| ClientOp {
+        client,
+        hash,
+        write,
+        invoked: at,
+        completed: at + 10,
+        outcome: Outcome::Version(7),
+    };
+    for hash in 0..KEYS {
+        audit.client_op(op(hash, 1, true, 0));
+    }
+    let before = allocs();
+    for round in 1..=10 {
+        for hash in 0..KEYS {
+            audit.client_op(op(hash, round, false, 100 * round));
+        }
+    }
+    let allocated = allocs() - before;
+    assert_eq!(
+        allocated,
+        0,
+        "{allocated} allocations in {} operations",
+        10 * KEYS
+    );
+    assert!(audit.violations().is_empty(), "{:?}", audit.violations());
+}
+
+/// A metrics snapshot allocates only what its rows own — the row table,
+/// and each row's labels — however scattered the registration order:
+/// no sort, and no label rendered per comparison.
+#[test]
+fn a_metrics_snapshot_allocates_only_what_its_rows_own() {
+    let reg = Registry::new();
+    for i in 0..300u64 {
+        let n = (i * 7_919) % 300;
+        let labels = [("server", (n % 17).to_string()), ("core", n.to_string())];
+        match n % 3 {
+            0 => drop(reg.counter("ops_total", "ops", &labels).add(n)),
+            1 => reg.gauge("busy_ns", "busy", &labels[..1]).set(n as i64),
+            _ => reg.histogram("lat_ns", "lat", &labels).record(n),
+        }
+    }
+    reg.counter("plain_total", "no labels", &[]).inc();
+    let before = allocs();
+    let snap = reg.snapshot(1_000);
+    let allocated = allocs() - before;
+    let owned: u64 = 1 + snap
+        .rows
+        .iter()
+        .map(|r| u64::from(!r.labels.is_empty()) + r.labels.len() as u64)
+        .sum::<u64>();
+    assert!(
+        allocated <= owned,
+        "a snapshot of {} rows allocated {allocated} times; its rows own {owned} blocks",
+        snap.rows.len()
+    );
+    assert_eq!(snap.rows.len(), reg.len());
 }
 
 /// A hash table's memory follows its data: building one allocates the

@@ -139,6 +139,16 @@ const MUTANTS: &[Mutant] = &[
         replacement: "crashed: dead,",
         killer: ("tests/recovery.rs", "a_recovery_master_crash_before_claiming_loses_no_record"),
         promise: "a recovery whose master dies before answering is planned again from the same log, not the master's", decided: "§3.7" },
+    Mutant { file: "crates/audit/src/lib.rs",
+        anchor: "if v < prior.version || (op.write && v == prior.version) {",
+        replacement: "if v < prior.version && false {",
+        killer: ("crates/audit/src/lib.rs", "a_stale_read_after_an_answered_write_fires"),
+        promise: "the auditor flags an operation that saw less than one completed before it was invoked", decided: "§3.13" },
+    Mutant { file: "crates/audit/src/lib.rs",
+        anchor: "Some(w) => found.push((op.hash, format!(\"{op} and {w} share a version\"))),",
+        replacement: "Some(_) => {}",
+        killer: ("crates/audit/src/lib.rs", "a_duplicate_write_version_fires"),
+        promise: "the auditor flags two answered writes that share a version", decided: "§3.13" },
 ];
 
 fn read(path: &str) -> String {

@@ -16,7 +16,11 @@
 # quartiles of the per-pair ratio change/parent: run with PARENT and
 # CHANGE the same tree, that ratio's spread is the noise floor a claim
 # on the metric must clear, and the tool prints it as one "A/A floor"
-# line per metric: the wider of 1 - q1 and q3 - 1. It exits non-zero
+# line per metric: the wider of 1 - q1 and q3 - 1. Then one verdict
+# line per metric: "lower" (or "higher") when the change reads lower
+# (higher) in at least nine tenths of the pairs, ties counting for
+# neither side, and its median differs from the parent's by more than
+# the parent's inter-quartile distance; else "unresolved". It exits non-zero
 # if a `sim_*` metric, `attempted`, `failed` or an exact count differs
 # between any two runs, except the COUNTs named on the command line
 # (e.g. `simnet.events` for a change that runs fewer events), whose
@@ -24,7 +28,7 @@
 # target/pairs/WORKLOAD-seedSEED/ of the tree the tool is run from.
 set -euo pipefail
 if [ $# -lt 5 ]; then
-    sed -n '2,24p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '/^set -/q; 2,$p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -111,19 +115,30 @@ def quartiles(xs):
 
 print(f"{'metric':<12} {'parent median [q1-q3]':>34} {'change median [q1-q3]':>34} {'change':>8}  lower"
       f"  {'pair ratio c/p median [q1-q3]':>32}")
-floors = []
+floors, verdicts = [], []
 for k in host:
     p = [r["result"]["metrics"][k]["value"] for r in runs["parent"]]
     c = [r["result"]["metrics"][k]["value"] for r in runs["change"]]
     (pq1, pm, pq3), (cq1, cm, cq3) = quartiles(p), quartiles(c)
     rq1, rm, rq3 = quartiles([ci / pi for pi, ci in zip(p, c)])
     lower = sum(ci < pi for pi, ci in zip(p, c))
+    higher = sum(ci > pi for pi, ci in zip(p, c))
     side = lambda m, q1, q3: f"{m:.4f} [{q1:.4f}-{q3:.4f}]"
     print(f"{k:<12} {side(pm, pq1, pq3):>34} {side(cm, cq1, cq3):>34} "
           f"{100 * (cm - pm) / pm:+7.2f}%  {lower}/{pairs}  {side(rm, rq1, rq3):>32}")
     if same:
         floors.append(f"A/A floor {k:<12} {100 * max(1 - rq1, rq3 - 1):.2f}%")
+    # A side wins a metric in >= 9/10 of the pairs and by more than the
+    # spread of the parent's own runs.
+    spread, verdict = pq3 - pq1, "unresolved"
+    if 10 * lower >= 9 * pairs and pm - cm > spread:
+        verdict = "lower"
+    elif 10 * higher >= 9 * pairs and cm - pm > spread:
+        verdict = "higher"
+    verdicts.append(f"verdict {k:<12} {verdict:<10} (lower {lower}/{pairs}, higher "
+                    f"{higher}/{pairs}, medians differ {abs(cm - pm):.4f}, parent IQR {spread:.4f})")
 print(*floors, sep="\n")
+print(*verdicts, sep="\n")
 
 if bad:
     print("pairs: exact results differ:", *bad, sep="\n  ", file=sys.stderr)
